@@ -6,6 +6,7 @@
 package maxbrstknn
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -92,7 +93,7 @@ func BenchmarkFig05_TopKJoint(b *testing.B) {
 	w := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(w.MIR, w.Scorer, w.US.Users, w.Cfg.K); err != nil {
+		if _, err := topk.JointTopK(w.MIR, w.Scorer, w.US.Users, w.Cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,7 +150,7 @@ func BenchmarkFig06_HighAlphaJoint(b *testing.B) {
 	w9 := experiments.NewWorkload(cfg, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(w9.MIR, w9.Scorer, w9.US.Users, cfg.K); err != nil {
+		if _, err := topk.JointTopK(w9.MIR, w9.Scorer, w9.US.Users, cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,7 +165,7 @@ func BenchmarkFig07_ManyKeywordsPerUser(b *testing.B) {
 	w6 := experiments.NewWorkload(cfg, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(w6.MIR, w6.Scorer, w6.US.Users, cfg.K); err != nil {
+		if _, err := topk.JointTopK(w6.MIR, w6.Scorer, w6.US.Users, cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,7 +197,7 @@ func BenchmarkFig09_SparseUsers(b *testing.B) {
 	ws := experiments.NewWorkload(cfg, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(ws.MIR, ws.Scorer, ws.US.Users, cfg.K); err != nil {
+		if _, err := topk.JointTopK(ws.MIR, ws.Scorer, ws.US.Users, cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -245,7 +246,7 @@ func BenchmarkFig12_ManyUsers(b *testing.B) {
 	wu := experiments.NewWorkload(cfg, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(wu.MIR, wu.Scorer, wu.US.Users, cfg.K); err != nil {
+		if _, err := topk.JointTopK(wu.MIR, wu.Scorer, wu.US.Users, cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -260,7 +261,7 @@ func BenchmarkFig13_LargerObjectSet(b *testing.B) {
 	wo := experiments.NewWorkload(cfg, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(wo.MIR, wo.Scorer, wo.US.Users, cfg.K); err != nil {
+		if _, err := topk.JointTopK(wo.MIR, wo.Scorer, wo.US.Users, cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,7 +273,7 @@ func BenchmarkFig14_YelpJoint(b *testing.B) {
 	benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(benchYelp.MIR, benchYelp.Scorer, benchYelp.US.Users, benchYelp.Cfg.K); err != nil {
+		if _, err := topk.JointTopK(benchYelp.MIR, benchYelp.Scorer, benchYelp.US.Users, benchYelp.Cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,7 +302,7 @@ func BenchmarkAblationNoMinWeights(b *testing.B) {
 	su := topk.BuildSuperUser(w.US.Users, w.Scorer)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.Traverse(w.IR, w.Scorer, su, w.Cfg.K); err != nil {
+		if _, err := topk.Traverse(w.IR, w.Scorer, su, w.Cfg.K, -math.MaxFloat64, &topk.TraverseScratch{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,32 +10,12 @@
 //	benchrunner -exp table4 -quick       # smoke scale
 //	benchrunner -exp scaling -groups 8   # parallel-engine speedup figure
 //	benchrunner -exp disk                # cold vs warm disk-backed serving
-//	benchrunner -exp hotpath -quick      # decoded-cache + scratch hot path
-//	benchrunner -exp ingest -quick       # query latency under live ingest
-//	benchrunner -exp sharded -quick      # scatter-gather sharded serving
 //
 // Experiments: table4 table5 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-// fig13 fig14 fig15 ablations scaling disk hotpath ingest sharded
-// (ingest and sharded are opt-in: ingest mutates its index and sharded
-// spins up a multi-server fleet, so -exp all skips both).
-//
-// The hotpath experiment verifies result equivalence between the cold
-// (decode-everything) and warm (decoded-cache) configurations and errors
-// on any mismatch; -benchout additionally writes its JSON report (ns/op,
-// allocs/op, cache hit rates) to the given file.
-//
-// The ingest experiment measures p50/p99 query latency while writer
-// goroutines continuously insert and delete objects — lock-free
-// snapshots vs an emulated reader/writer lock — and ends with the
-// ingest-vs-batch-build equivalence gate; -benchout writes its JSON
-// report (recorded as BENCH_ingest.json).
-//
-// The sharded experiment splits the dataset into 1/2/4 spatial shards,
-// serves each from its own TCP server behind a scatter-gather
-// coordinator, byte-compares every strategy × parallelism response
-// against the single-index server, and times a skewed-cohort stream
-// with bound forwarding on and off; -benchout writes its JSON report
-// (recorded as BENCH_sharded.json).
+// fig13 fig14 fig15 ablations scaling disk. These are the paper's figures
+// plus the engine's own scaling and disk tables; serving performance
+// (latency, throughput, memory, per-layer counters) is measured by bench/,
+// not here.
 //
 // The scaling experiment sweeps the parallel engine over 1/2/4/8 workers;
 // -groups pins the super-user group count across the sweep (default: one
@@ -45,7 +25,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -53,22 +32,20 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/experiments/serving"
 	"repro/internal/textrel"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiment list (or 'all')")
-		quick    = flag.Bool("quick", false, "use the small smoke-test configuration")
-		objects  = flag.Int("objects", 0, "override |O|")
-		users    = flag.Int("users", 0, "override |U|")
-		runs     = flag.Int("runs", 0, "override user-set repetitions")
-		measure  = flag.String("measure", "", "text measure: lm, tfidf, ko")
-		seed     = flag.Int64("seed", 0, "override dataset seed")
-		workers  = flag.Int("workers", 0, "parallel engine workers (0 = sequential)")
-		groups   = flag.Int("groups", 0, "super-user groups for the parallel joint phase (0 = one per worker)")
-		benchout = flag.String("benchout", "", "write the hotpath experiment's JSON report to this file")
+		exp     = flag.String("exp", "all", "comma-separated experiment list (or 'all')")
+		quick   = flag.Bool("quick", false, "use the small smoke-test configuration")
+		objects = flag.Int("objects", 0, "override |O|")
+		users   = flag.Int("users", 0, "override |U|")
+		runs    = flag.Int("runs", 0, "override user-set repetitions")
+		measure = flag.String("measure", "", "text measure: lm, tfidf, ko")
+		seed    = flag.Int64("seed", 0, "override dataset seed")
+		workers = flag.Int("workers", 0, "parallel engine workers (0 = sequential)")
+		groups  = flag.Int("groups", 0, "super-user groups for the parallel joint phase (0 = one per worker)")
 	)
 	flag.Parse()
 
@@ -131,38 +108,7 @@ func main() {
 		{"fig14", func() ([]*experiments.Table, error) { return experiments.Fig14(cfg, nil) }},
 		{"fig15", func() ([]*experiments.Table, error) { return experiments.Fig15(cfg, nil) }},
 		{"scaling", func() ([]*experiments.Table, error) { return experiments.FigScaling(cfg) }},
-		{"serving", func() ([]*experiments.Table, error) { return serving.Fig(cfg) }},
 		{"disk", func() ([]*experiments.Table, error) { return experiments.FigDisk(cfg) }},
-		{"hotpath", func() ([]*experiments.Table, error) {
-			tables, rep, err := experiments.FigHotpathReport(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if err := writeBenchout(*benchout, rep); err != nil {
-				return nil, err
-			}
-			return tables, nil
-		}},
-		{"ingest", func() ([]*experiments.Table, error) {
-			tables, rep, err := serving.FigIngestReport(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if err := writeBenchout(*benchout, rep); err != nil {
-				return nil, err
-			}
-			return tables, nil
-		}},
-		{"sharded", func() ([]*experiments.Table, error) {
-			tables, rep, err := serving.FigShardedReport(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if err := writeBenchout(*benchout, rep); err != nil {
-				return nil, err
-			}
-			return tables, nil
-		}},
 		{"ablations", func() ([]*experiments.Table, error) {
 			var out []*experiments.Table
 			for _, fn := range []func(experiments.Config) (*experiments.Table, error){
@@ -180,11 +126,6 @@ func main() {
 		}},
 	}
 
-	// "all" regenerates the paper artifacts; ingest (mutates its index)
-	// and sharded (spins up a multi-server fleet) are opt-in like the
-	// explicit figure selections, so -exp all stays a read-only
-	// single-process pass.
-	optIn := map[string]bool{"ingest": true, "sharded": true}
 	want := map[string]bool{}
 	runAll := *exp == "all"
 	for _, name := range strings.Split(*exp, ",") {
@@ -197,9 +138,6 @@ func main() {
 	matched := false
 	for _, e := range all {
 		if !runAll && !want[e.name] {
-			continue
-		}
-		if runAll && optIn[e.name] && !want[e.name] {
 			continue
 		}
 		matched = true
@@ -218,17 +156,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "no experiment matched %q\n", *exp)
 		os.Exit(2)
 	}
-}
-
-// writeBenchout writes an experiment's JSON report to path (no-op when
-// no -benchout was given).
-func writeBenchout(path string, rep any) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

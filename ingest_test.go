@@ -311,7 +311,9 @@ func TestIngestRaceStress(t *testing.T) {
 					}
 					r := req
 					r.Strategy = strategies[i%len(strategies)]
-					if _, err := s.Run(r); err != nil {
+					_, err = s.Run(r)
+					s.Close()
+					if err != nil {
 						errc <- fmt.Errorf("session run %d %v: %w", g, r.Strategy, err)
 						return
 					}
@@ -328,9 +330,14 @@ func TestIngestRaceStress(t *testing.T) {
 		return
 	}
 
+	// Every fourth goroutine is a writer publishing 6 inserts and 3
+	// deletes, one epoch each. The retired counters prove nothing here:
+	// they are a gauge of garbage not yet reclaimed, and read zero whenever
+	// the last writer found no reader pinned below its epoch.
+	const adds, deletes = goroutines / 4 * 6, goroutines / 4 * 3
 	st := idx.IngestStats()
-	if st.Epoch == 0 || st.RetiredRecords == 0 {
-		t.Fatalf("stress run published nothing: %+v", st)
+	if st.Epoch != adds+deletes || st.TotalObjects != 200+adds || st.LiveObjects != 200+adds-deletes {
+		t.Fatalf("stress run published %+v, want %d inserts and %d deletes over 200 objects", st, adds, deletes)
 	}
 	if st.LiveObjects != idx.NumObjects() {
 		t.Fatalf("ingest stats live %d != NumObjects %d", st.LiveObjects, idx.NumObjects())

@@ -39,7 +39,7 @@ func (o ParallelOptions) Normalize() ParallelOptions {
 // worker pool. The prepared thresholds equal PrepareJoint's exactly.
 func (e *Engine) PrepareJointParallel(k int, opts ParallelOptions) error {
 	opts = opts.Normalize()
-	res, err := topk.JointTopKParallel(e.Tree, e.Scorer, e.Users, k, opts.Workers, opts.Groups)
+	res, err := topk.JointTopK(e.Tree, e.Scorer, e.Users, k, opts.Workers, opts.Groups, nil)
 	if err != nil {
 		return err
 	}

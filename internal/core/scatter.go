@@ -49,8 +49,8 @@ type ScatterCandidate struct {
 }
 
 // ScatterStats counts the phase-2 work one ScatterSelect performed — the
-// observable the sharded experiments use to show a forwarded floor
-// skipping evaluations.
+// observable a coordinator's /stats and its tests use to show a forwarded
+// floor skipping evaluations.
 type ScatterStats struct {
 	// Assigned counts this shard's assigned locations that survived the
 	// candidate filter (for ScatterExhaustive: all assigned locations).

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/container"
-	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/miurtree"
 	"repro/internal/textrel"
@@ -72,13 +71,13 @@ func (e *Engine) SelectUserIndexed(q Query, method KeywordMethod, ut *miurtree.T
 		MBR: root.Rect, Uni: root.Uni, Int: root.Int,
 		MinNorm: root.MinNorm, MaxNorm: root.MaxNorm, NumUsers: int(root.Count),
 	}
-	tr, err := topk.Traverse(e.Tree, e.Scorer, su, q.K)
+	tr, err := topk.Traverse(e.Tree, e.Scorer, su, q.K, -math.MaxFloat64, &topk.TraverseScratch{})
 	if err != nil {
 		return Selection{}, stats, err
 	}
 	// One pruning index for the shared traversal: every leaf expansion
 	// refines against the same candidate list.
-	ri := topk.NewRefineIndex(tr)
+	aux := topk.NewRefineAux(tr)
 
 	// Install engine state so the keyword selectors can score users.
 	e.preparedK = q.K
@@ -96,7 +95,7 @@ func (e *Engine) SelectUserIndexed(q Query, method KeywordMethod, ut *miurtree.T
 	if err != nil {
 		return Selection{}, stats, err
 	}
-	initial, err := e.elementsOf(rootNode, tr, ri, cands, q, &stats)
+	initial, err := e.elementsOf(rootNode, tr, aux, cands, q, &stats)
 	if err != nil {
 		return Selection{}, stats, err
 	}
@@ -172,7 +171,7 @@ func (e *Engine) SelectUserIndexed(q Query, method KeywordMethod, ut *miurtree.T
 			if err != nil {
 				return Selection{}, stats, err
 			}
-			children, err := e.elementsOf(node, tr, ri, cands, q, &stats)
+			children, err := e.elementsOf(node, tr, aux, cands, q, &stats)
 			if err != nil {
 				return Selection{}, stats, err
 			}
@@ -206,21 +205,15 @@ func (e *Engine) SelectUserIndexed(q Query, method KeywordMethod, ut *miurtree.T
 // shared traversal candidates; internal entries get the k-th best
 // candidate lower bound w.r.t. their aggregate (a sound RSk lower bound
 // for every user beneath).
-func (e *Engine) elementsOf(node *miurtree.NodeData, tr *topk.TraversalResult, ri topk.RefineIndex, cands []topk.BoundedObject, q Query, stats *UserIndexStats) ([]*luElement, error) {
+func (e *Engine) elementsOf(node *miurtree.NodeData, tr *topk.TraversalResult, aux *topk.RefineAux, cands []topk.BoundedObject, q Query, stats *UserIndexStats) ([]*luElement, error) {
 	out := make([]*luElement, 0, len(node.Entries))
 	if node.Leaf {
-		users := make([]dataset.User, len(node.Entries))
-		norms := make([]float64, len(node.Entries))
-		for i, en := range node.Entries {
-			users[i] = e.Users[en.Child]
-			norms[i] = e.norms[en.Child]
-		}
-		per := topk.IndividualTopKWith(e.Tree.Dataset(), e.Scorer, users, norms, tr, ri, q.K)
-		for i, en := range node.Entries {
+		var sc topk.RefineScratch // one reusable top-k buffer across the leaf's users
+		for _, en := range node.Entries {
 			ui := int(en.Child)
-			e.rsk[ui] = per[i].RSk
+			e.rsk[ui] = topk.RefineUser(e.Tree.Dataset(), e.Scorer, &e.Users[ui], e.norms[ui], tr, aux, q.K, -math.MaxFloat64, &sc).RSk
 			stats.ResolvedUsers++
-			out = append(out, &luElement{isUser: true, ui: ui, rsk: per[i].RSk})
+			out = append(out, &luElement{isUser: true, ui: ui, rsk: e.rsk[ui]})
 		}
 		return out, nil
 	}

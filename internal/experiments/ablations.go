@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -20,10 +21,11 @@ func AblationMinWeights(cfg Config) (*Table, error) {
 	for run := 0; run < cfg.Runs; run++ {
 		w := NewWorkload(cfg, run)
 		su := topk.BuildSuperUser(w.US.Users, w.Scorer)
+		var sc topk.TraverseScratch
 
 		w.MIR.IO().Reset()
 		start := time.Now()
-		trM, err := topk.Traverse(w.MIR, w.Scorer, su, cfg.K)
+		trM, err := topk.Traverse(w.MIR, w.Scorer, su, cfg.K, -math.MaxFloat64, &sc)
 		if err != nil {
 			return nil, err
 		}
@@ -32,7 +34,7 @@ func AblationMinWeights(cfg Config) (*Table, error) {
 
 		w.IR.IO().Reset()
 		start = time.Now()
-		trI, err := topk.Traverse(w.IR, w.Scorer, su, cfg.K)
+		trI, err := topk.Traverse(w.IR, w.Scorer, su, cfg.K, -math.MaxFloat64, &sc)
 		if err != nil {
 			return nil, err
 		}

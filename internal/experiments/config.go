@@ -61,14 +61,9 @@ type Config struct {
 	// DecodedCacheBytes budgets the decoded-object cache of the
 	// workload's trees. Zero — the default for every paper figure —
 	// keeps the trees cold so every node visit charges simulated I/O,
-	// the Section 8 accounting. FigHotpath (and the root benchmarks)
-	// opt in to measure the warm serving path.
+	// the Section 8 accounting. The root package's benchmarks opt in to
+	// measure the warm serving path.
 	DecodedCacheBytes int64
-	// PackedPostings builds the workload's trees with block-max packed
-	// inverted files. Off for every paper figure (the paper's layout is
-	// the flat one); FigHotpath opts in to measure the compressed codec
-	// against the flat reference.
-	PackedPostings bool
 }
 
 // Default returns the scaled equivalent of the paper's bold defaults

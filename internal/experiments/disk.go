@@ -117,7 +117,8 @@ func FigDisk(cfg Config) ([]*Table, error) {
 		// Both loads disable the decoded-object cache: this figure measures
 		// the byte-level ledgers (simulated I/O, physical reads, buffer
 		// pool), and its cold cross-check requires every read to reach the
-		// medium. The decoded cache has its own experiment (FigHotpath).
+		// medium. The decoded cache is measured by bench/ (the storage.*
+		// rows of a traced run).
 		cold, err := persist.Load(path, 0, 0)
 		if err != nil {
 			return nil, err

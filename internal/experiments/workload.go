@@ -87,8 +87,8 @@ func NewWorkload(cfg Config, run int) *Workload {
 		US:     us,
 		Locs:   locs,
 		Scorer: scorer,
-		IR:     irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.IRTree, Fanout: cfg.Fanout, DecodedCacheBytes: cfg.DecodedCacheBytes, PackedPostings: cfg.PackedPostings}),
-		MIR:    irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: cfg.Fanout, DecodedCacheBytes: cfg.DecodedCacheBytes, PackedPostings: cfg.PackedPostings}),
+		IR:     irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.IRTree, Fanout: cfg.Fanout, DecodedCacheBytes: cfg.DecodedCacheBytes}),
+		MIR:    irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: cfg.Fanout, DecodedCacheBytes: cfg.DecodedCacheBytes}),
 	}
 }
 
@@ -129,7 +129,7 @@ func (w *Workload) MeasureJointTopK() (TopKMetrics, error) {
 	w.MIR.IO().Reset()
 	opts := w.parOpts()
 	start := time.Now()
-	if _, err := topk.JointTopKParallel(w.MIR, w.Scorer, w.US.Users, w.Cfg.K, opts.Workers, opts.Groups); err != nil {
+	if _, err := topk.JointTopK(w.MIR, w.Scorer, w.US.Users, w.Cfg.K, opts.Workers, opts.Groups, nil); err != nil {
 		return TopKMetrics{}, err
 	}
 	return TopKMetrics{

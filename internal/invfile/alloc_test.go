@@ -61,78 +61,23 @@ func TestSumsIntoAllocationFree(t *testing.T) {
 	}
 }
 
-// TestPackedSumsBoundedAllocationFree pins the packed two-pass screened
-// reader: with a warm scratch, SumsBounded over a decoded PackedFile must
-// not allocate even when the pruning closure rejects entries (the pruned
-// bitmap and the block-skip bookkeeping all live in scratch). The check
-// closure is hoisted outside the measured loop, matching how the
-// traversal reuses one bound closure per query.
-func TestPackedSumsBoundedAllocationFree(t *testing.T) {
-	_, f, nEntries, maxTerms, minTerms, floorOf := allocFixture()
-	packed := f.EncodePacked(true)
-	pf, err := DecodePacked(packed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch := &SumScratch{}
-	check := func(entry int, optMaxSum float64) bool { return entry%2 == 0 }
-	run := func() {
-		if _, _, _, err := pf.SumsBounded(nEntries, maxTerms, minTerms, floorOf, scratch, check); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm the scratch
-	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-		t.Fatalf("PackedFile.SumsBounded allocates %.1f times per node visit, want 0", allocs)
-	}
-}
-
-// TestPackedSumsBoundedStreamingAllocationFree pins the streaming (no
-// PackedFile) screened path the cold traversal uses on packed buffers.
-func TestPackedSumsBoundedStreamingAllocationFree(t *testing.T) {
-	_, f, nEntries, maxTerms, minTerms, floorOf := allocFixture()
-	packed := f.EncodePacked(true)
-	scratch := &SumScratch{}
-	check := func(entry int, optMaxSum float64) bool { return entry%2 == 0 }
-	run := func() {
-		if _, _, _, err := PackedSumsBounded(packed, nEntries, maxTerms, minTerms, floorOf, scratch, check); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm the scratch
-	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-		t.Fatalf("PackedSumsBounded allocates %.1f times per node visit, want 0", allocs)
-	}
-}
-
-// TestScratchVariantsMatchAllocatingPaths: the scratch-based sums must be
-// bit-identical to the allocating entry points they replace on the hot
-// path.
+// TestScratchVariantsMatchAllocatingPaths: the two sum paths the traversal
+// treats as interchangeable — the byte-wise scan of an encoded buffer and
+// the binary-search walk of its decoded file — must agree bit for bit,
+// whether their scratch is fresh (allocating) or reused.
 func TestScratchVariantsMatchAllocatingPaths(t *testing.T) {
 	buf, f, nEntries, maxTerms, minTerms, floorOf := allocFixture()
-	wantMax, wantMin, err := DecodeSums(buf, nEntries, maxTerms, minTerms, floorOf)
+	wantMax, wantMin, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, &SumScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := &SumScratch{}
-	gotMax, gotMin, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantMax {
-		if wantMax[i] != gotMax[i] || wantMin[i] != gotMin[i] {
-			t.Fatalf("entry %d: scratch sums (%v,%v) != allocating sums (%v,%v)",
-				i, gotMax[i], gotMin[i], wantMax[i], wantMin[i])
+	warm := &SumScratch{Max: make([]float64, 64), Min: make([]float64, 64)}
+	for _, scratch := range []*SumScratch{{}, warm} {
+		gotMax, gotMin, err := f.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	flatMax, flatMin, err := f.SumsInto(nEntries, maxTerms, minTerms, floorOf, &SumScratch{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantMax {
-		if wantMax[i] != flatMax[i] || wantMin[i] != flatMin[i] {
-			t.Fatalf("entry %d: flat-layout sums (%v,%v) != byte-scan sums (%v,%v)",
-				i, flatMax[i], flatMin[i], wantMax[i], wantMin[i])
-		}
+		compareSums(t, "max", gotMax, wantMax)
+		compareSums(t, "min", gotMin, wantMin)
 	}
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // fuzzSeedFiles builds a few deterministic files spanning the codec's
-// corners: empty terms boundary, single posting, dense blocks crossing
-// the 16-posting block size, duplicate entries (zero deltas), and wide
-// entry gaps (large bit widths).
+// corners: empty terms boundary, single posting, dense multi-term lists,
+// duplicate entries (zero deltas), and wide entry gaps.
 func fuzzSeedFiles() []*File {
 	small := New()
 	small.Add(3, Posting{Entry: 0, MaxW: 1.5, MinW: 0.5})
@@ -36,16 +35,27 @@ func fuzzSeedFiles() []*File {
 	return []*File{small, dense, dup, sparse}
 }
 
-// FuzzDecode: no input may panic the decoder (flat or packed — Decode
-// dispatches on the version tag), and any buffer that decodes must
-// re-encode to a canonical form that is a decode↔encode fixpoint in both
-// codecs.
-func FuzzDecode(f *testing.F) {
+// fuzzSeedBuffers returns every seed file in both record versions, each
+// followed by a copy relabelled with the removed packed layout's version
+// (1→3, 2→4) — the buffers the rejection branch must refuse, not panic on.
+func fuzzSeedBuffers() [][]byte {
+	var out [][]byte
 	for _, sf := range fuzzSeedFiles() {
 		for _, includeMin := range []bool{false, true} {
-			f.Add(sf.Encode(includeMin))
-			f.Add(sf.EncodePacked(includeMin))
+			enc := sf.Encode(includeMin)
+			removed := bytes.Clone(enc)
+			removed[0] += 2
+			out = append(out, enc, removed)
 		}
+	}
+	return out
+}
+
+// FuzzDecode: no input may panic the decoder, and any buffer that decodes
+// must re-encode to a canonical form that is a decode↔encode fixpoint.
+func FuzzDecode(f *testing.F) {
+	for _, buf := range fuzzSeedBuffers() {
+		f.Add(buf)
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		file, err := Decode(buf)
@@ -56,33 +66,22 @@ func FuzzDecode(f *testing.F) {
 			enc := file.Encode(includeMin)
 			f2, err := Decode(enc)
 			if err != nil {
-				t.Fatalf("re-decoding canonical flat encoding: %v", err)
+				t.Fatalf("re-decoding canonical encoding: %v", err)
 			}
 			if !bytes.Equal(enc, f2.Encode(includeMin)) {
-				t.Fatal("flat encode is not a decode↔encode fixpoint")
-			}
-			penc := file.EncodePacked(includeMin)
-			p2, err := Decode(penc)
-			if err != nil {
-				t.Fatalf("re-decoding packed encoding: %v", err)
-			}
-			if !bytes.Equal(penc, p2.EncodePacked(includeMin)) {
-				t.Fatal("packed encode is not a decode↔encode fixpoint")
+				t.Fatal("encode is not a decode↔encode fixpoint")
 			}
 		}
 	})
 }
 
-// FuzzDecodeSumsInto: the streaming sum paths (flat byte-wise scan and
-// packed block walk) must never panic on arbitrary input, and on every
-// buffer that decodes they must agree with the decoded-file reference
-// (SumsInto), which the traversal treats as interchangeable.
+// FuzzDecodeSumsInto: the streaming sum path must never panic on arbitrary
+// input, and on every buffer that decodes it must agree with the
+// decoded-file reference (SumsInto), which the traversal treats as
+// interchangeable.
 func FuzzDecodeSumsInto(f *testing.F) {
-	for _, sf := range fuzzSeedFiles() {
-		for _, includeMin := range []bool{false, true} {
-			f.Add(sf.Encode(includeMin), uint16(50))
-			f.Add(sf.EncodePacked(includeMin), uint16(50))
-		}
+	for _, buf := range fuzzSeedBuffers() {
+		f.Add(buf, uint16(50))
 	}
 	floorOf := func(tm vocab.TermID) float64 { return float64(tm%3) * 0.125 }
 	maxTerms := []vocab.TermID{1, 3, 7, 9000}

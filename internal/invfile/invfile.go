@@ -12,6 +12,14 @@
 // and no per-term allocations on the query hot path. The byte encoding is
 // unchanged from the original map-based representation, so files written
 // by earlier versions of this package load bit-for-bit.
+//
+// There is one codec (Encode/Decode, record versions 1 and 2) and two ways
+// to compute a traversal's per-entry bound sums from it: (*File).SumsInto
+// over a decoded file (what the decoded-object cache holds) and
+// DecodeSumsInto straight off the encoded bytes (the cold path, when no
+// cache is configured or the file cannot fit it). The block-max packed
+// layout (record versions 3 and 4) was removed after it lost to the flat
+// one on every bench/ workload; its records are rejected by name.
 package invfile
 
 import (
@@ -171,25 +179,13 @@ func (f *File) MemBytes() int64 {
 		int64(len(f.terms))*4 + int64(len(f.starts))*4 + 96
 }
 
-// MaxDecodedBytes bounds the MemBytes of the cacheable object decoded
-// from an encoded buffer, letting readers test cacheability before paying
-// for a full decode. For the flat v1/v2 layouts every stored term costs
-// ≥ 2 encoded bytes (id + count varints) and holds ≥ 1 posting costing
-// ≥ 9 (max-only) or ≥ 17 (min-max) encoded bytes, against 8 + 24 decoded
-// bytes — so 3·len plus the fixed header dominates both. Packed buffers
-// (v3/v4) are cached as-is behind a PackedFile, whose cost is the buffer
-// plus the term directory — read the claimed term count for the bound
-// (a corrupt count merely fails the budget test; the decode that follows
-// rejects it properly).
+// MaxDecodedBytes bounds the MemBytes of the File decoded from an encoded
+// buffer, letting readers test cacheability before paying for a full
+// decode. Every stored term costs ≥ 2 encoded bytes (id + count varints)
+// and holds ≥ 1 posting costing ≥ 9 (max-only) or ≥ 17 (min-max) encoded
+// bytes, against 8 + 24 decoded bytes — so 3·len plus the fixed header
+// dominates both.
 func MaxDecodedBytes(buf []byte) int64 {
-	d := storage.NewDecoder(buf)
-	if v := d.Uvarint(); v == versionPackedMaxOnly || v == versionPackedMinMax {
-		n := d.Uvarint()
-		if d.Err() != nil || n > uint64(len(buf))/3 {
-			n = uint64(len(buf)) / 3
-		}
-		return int64(len(buf)) + 12*int64(n) + 96
-	}
 	return 3*int64(len(buf)) + 128
 }
 
@@ -201,6 +197,21 @@ const (
 	versionMaxOnly = 1
 	versionMinMax  = 2
 )
+
+// checkVersion accepts the two record versions this package writes.
+// Versions 3 and 4 were the block-max packed layout, which this build no
+// longer reads: name it, so an operator holding such an index learns to
+// rebuild rather than suspecting corruption.
+func checkVersion(version uint64) error {
+	switch version {
+	case versionMaxOnly, versionMinMax:
+		return nil
+	case 3, 4:
+		return fmt.Errorf("invfile: version %d is the removed packed posting layout; rebuild the index", version)
+	default:
+		return fmt.Errorf("invfile: unknown version %d", version)
+	}
+}
 
 // Encode serializes the file: version, term count, then per term
 // (ascending) the term id, posting count, and per posting the entry
@@ -241,15 +252,8 @@ func (f *File) Encode(includeMin bool) []byte {
 func Decode(buf []byte) (*File, error) {
 	d := storage.NewDecoder(buf)
 	version := d.Uvarint()
-	if d.Err() == nil && (version == versionPackedMaxOnly || version == versionPackedMinMax) {
-		pf, err := DecodePacked(buf)
-		if err != nil {
-			return nil, err
-		}
-		return pf.Unpack()
-	}
-	if d.Err() == nil && version != versionMaxOnly && version != versionMinMax {
-		return nil, fmt.Errorf("invfile: unknown version %d", version)
+	if err := checkVersion(version); err != nil && d.Err() == nil {
+		return nil, err
 	}
 	n := d.Uvarint()
 	// Each stored term costs at least two encoded bytes (id and count
@@ -323,31 +327,6 @@ func Decode(buf []byte) (*File, error) {
 // only until its next use.
 type SumScratch struct {
 	Max, Min []float64
-
-	// Buffers of the packed codec's block-skipping sum paths (packed.go):
-	// the optimistic-bound difference array, the per-entry prune verdicts
-	// with their prefix counts, and the wanted-term byte offsets of the
-	// two-pass byte-wise walk.
-	opt    []float64
-	pruned []bool
-	pfx    []int32
-	refs   []packedTermRef
-}
-
-// pruneBuffers returns the scratch's screening buffers resized for n
-// entries (reallocating only on growth): the zeroed difference array, the
-// prune verdicts, and the verdict prefix counts.
-func (s *SumScratch) pruneBuffers(n int) (opt []float64, pruned []bool, pfx []int32) {
-	if cap(s.opt) < n+1 {
-		s.opt = make([]float64, n+1)
-		s.pruned = make([]bool, n)
-		s.pfx = make([]int32, n+1)
-	}
-	opt, pruned, pfx = s.opt[:n+1], s.pruned[:n], s.pfx[:n+1]
-	for i := range opt {
-		opt[i] = 0
-	}
-	return opt, pruned, pfx
 }
 
 // buffers returns the scratch's two sum buffers resized to n (reallocating
@@ -376,13 +355,19 @@ func floorSums(maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) flo
 	return floorMax, floorMin
 }
 
-// SumsInto computes, over the decoded flat layout, the per-entry bound
-// sums DecodeSums defines — but with binary-search term lookup instead of
-// a byte-wise scan (the node stores postings for its whole subtree
-// vocabulary; a query group cares about a handful of terms) and with
-// caller-supplied scratch, making the warm hot path allocation-free.
-// maxTerms and minTerms must be ascending. The returned slices alias
-// scratch and stay valid only until its next use.
+// SumsInto computes the per-entry bound sums the super-user traversal
+// needs from a decoded file: for every entry i,
+//
+//	maxSums[i] = Σ_{t∈maxTerms} max(MaxW(t,i), floor(t))
+//	minSums[i] = Σ_{t∈minTerms} max(MinW(t,i), floor(t))  (MinW > floor only)
+//
+// matching irtree.MaxTextSums / MinTextSums exactly. Term lookup is a
+// binary search (the node stores postings for its whole subtree
+// vocabulary; a query group cares about a handful of terms) and the sums
+// land in caller-supplied scratch, making the warm hot path
+// allocation-free. maxTerms and minTerms must be ascending (the super-user
+// keeps them sorted). The returned slices alias scratch and stay valid
+// only until its next use.
 //
 //maxbr:hotpath
 func (f *File) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
@@ -431,37 +416,20 @@ func (f *File) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf
 	return maxSums, minSums, nil
 }
 
-// DecodeSums computes, in one pass over an encoded file and without
-// materializing posting lists, the per-entry bound sums the super-user
-// traversal needs: for every entry i,
-//
-//	maxSums[i] = Σ_{t∈maxTerms} max(MaxW(t,i), floor(t))
-//	minSums[i] = Σ_{t∈minTerms} max(MinW(t,i), floor(t))  (MinW > floor only)
-//
-// matching irtree.MaxTextSums / MinTextSums over a Decode'd file exactly.
-// maxTerms and minTerms must be ascending (the super-user keeps them
-// sorted); postings of terms in neither set are skipped byte-wise. This is
-// the cold traversal path: a node stores postings for its whole subtree
-// vocabulary, while a query group cares about a handful of terms. The
-// returned slices are freshly allocated; DecodeSumsInto is the scratch
-// variant.
-func DecodeSums(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64) (maxSums, minSums []float64, err error) {
-	return DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, &SumScratch{})
-}
-
-// DecodeSumsInto is DecodeSums with caller-supplied scratch buffers: the
-// returned slices alias scratch and stay valid only until its next use.
-// With a reused scratch the per-node cost is allocation-free.
+// DecodeSumsInto computes the sums SumsInto defines in one pass over an
+// encoded file, without materializing posting lists: postings of terms in
+// neither set are skipped byte-wise. This is the cold traversal path —
+// taken when no decoded cache is configured (the paper-figure accounting)
+// or the file is too large to cache. The returned slices alias scratch and
+// stay valid only until its next use; with a reused scratch the per-node
+// cost is allocation-free.
 //
 //maxbr:hotpath
 func DecodeSumsInto(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
 	d := storage.NewDecoder(buf)
 	version := d.Uvarint()
-	if d.Err() == nil && (version == versionPackedMaxOnly || version == versionPackedMinMax) {
-		return PackedSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, scratch)
-	}
-	if d.Err() == nil && version != versionMaxOnly && version != versionMinMax {
-		return nil, nil, fmt.Errorf("invfile: unknown version %d", version)
+	if err := checkVersion(version); err != nil && d.Err() == nil {
+		return nil, nil, err
 	}
 	hasMin := version == versionMinMax
 
@@ -519,9 +487,8 @@ func DecodeSumsInto(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID,
 // Store persists inverted files through a storage backend and charges
 // simulated I/O on load.
 type Store struct {
-	pager  storage.Backend
-	io     *storage.IOCounter
-	packed bool
+	pager storage.Backend
+	io    *storage.IOCounter
 }
 
 // NewStore returns a store writing to pager and charging loads to io.
@@ -529,17 +496,9 @@ func NewStore(pager storage.Backend, io *storage.IOCounter) *Store {
 	return &Store{pager: pager, io: io}
 }
 
-// UsePacked selects the block-max packed layout (versions 3/4) for every
-// subsequent Put. Call before sharing the store; files already written
-// keep their layout (Load dispatches on the stored version).
-func (s *Store) UsePacked(on bool) { s.packed = on }
-
 // Put serializes f (with or without minimum weights) and returns its page
 // address.
 func (s *Store) Put(f *File, includeMin bool) storage.PageID {
-	if s.packed {
-		return s.pager.WriteRecord(f.EncodePacked(includeMin))
-	}
 	return s.pager.WriteRecord(f.Encode(includeMin))
 }
 

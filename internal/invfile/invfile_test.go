@@ -2,6 +2,7 @@ package invfile
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -225,9 +226,18 @@ func TestMaxOnlyEncodingDropsMinAndShrinks(t *testing.T) {
 	}
 }
 
+// TestDecodeUnknownVersion: both readers refuse a version they do not
+// write, and name the removed packed layout (3, 4) rather than calling it
+// unknown.
 func TestDecodeUnknownVersion(t *testing.T) {
-	buf := storage.AppendUvarint(nil, 9)
-	if _, err := Decode(buf); err == nil {
-		t.Error("unknown version should error")
+	for version, want := range map[uint64]string{9: "unknown version", 3: "removed packed", 4: "removed packed"} {
+		buf := storage.AppendUvarint(nil, version)
+		_, err := Decode(buf)
+		_, _, serr := DecodeSumsInto(buf, 1, nil, nil, nil, &SumScratch{})
+		for _, e := range []error{err, serr} {
+			if e == nil || !strings.Contains(e.Error(), want) {
+				t.Errorf("version %d: error %v, want one mentioning %q", version, e, want)
+			}
+		}
 	}
 }

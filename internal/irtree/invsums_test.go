@@ -1,64 +1,94 @@
 package irtree
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/invfile"
+	"repro/internal/storage"
 	"repro/internal/textrel"
 	"repro/internal/vocab"
 )
 
-// TestReadInvSumsMatchesDecodedSums verifies the fused, term-filtered
-// decode against the reference path (full decode + MaxTextSums /
-// MinTextSums) on every node of both index kinds and several term sets,
-// including terms absent from the corpus.
+// TestReadInvSumsMatchesDecodedSums verifies ReadInvSums against the
+// reference path (full decode + MaxTextSums / MinTextSums) on every node
+// of both index kinds and several term sets, including terms absent from
+// the corpus — with the decoded cache off (the streaming byte-wise scan)
+// and on (decode-and-cache on the first visit, sums over the cached file
+// after), the two surviving sum paths.
 func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
+	termSets := [][]vocab.TermID{
+		nil,
+		{0, 1, 2},
+		{3, 7, 50, 299},
+		{299, 5000}, // 5000 is out of vocabulary
+	}
 	for _, kind := range []Kind{IRTree, MIRTree} {
 		for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF} {
-			tree, _, _ := buildSmall(t, kind, measure)
-			termSets := [][]vocab.TermID{
-				nil,
-				{0, 1, 2},
-				{3, 7, 50, 299},
-				{299, 5000}, // 5000 is out of vocabulary
-			}
-			for _, maxTerms := range termSets {
-				for _, minTerms := range termSets {
-					var walk func(id int32)
-					walk = func(id int32) {
-						node, err := tree.ReadNode(id)
-						if err != nil {
-							t.Fatal(err)
-						}
-						inv, err := tree.ReadInvFile(node)
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantMax := MaxTextSums(tree.Model(), inv, len(node.Entries), maxTerms)
-						wantMin := MinTextSums(tree.Model(), inv, len(node.Entries), minTerms)
-						gotMax, gotMin, err := tree.ReadInvSums(node, maxTerms, minTerms)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i := range node.Entries {
-							if math.Abs(gotMax[i]-wantMax[i]) > 1e-12 {
-								t.Fatalf("%v/%v node %d entry %d: maxSum %v != %v (terms %v)",
-									kind, measure, id, i, gotMax[i], wantMax[i], maxTerms)
+			for _, cacheBytes := range []int64{0, 8 << 20} {
+				_, ds, scorer := buildSmall(t, kind, measure)
+				tree := Build(ds, scorer.Model, Config{Kind: kind, Fanout: 16, DecodedCacheBytes: cacheBytes})
+				var scratch invfile.SumScratch
+				for _, maxTerms := range termSets {
+					for _, minTerms := range termSets {
+						var walk func(id int32)
+						walk = func(id int32) {
+							node, err := tree.ReadNode(id)
+							if err != nil {
+								t.Fatal(err)
 							}
-							if math.Abs(gotMin[i]-wantMin[i]) > 1e-12 {
-								t.Fatalf("%v/%v node %d entry %d: minSum %v != %v (terms %v)",
-									kind, measure, id, i, gotMin[i], wantMin[i], minTerms)
+							// Sums first: with the cache on, the first term set
+							// takes the miss branch, every later one the hit.
+							gotMax, gotMin, err := tree.ReadInvSums(node, maxTerms, minTerms, &scratch)
+							if err != nil {
+								t.Fatal(err)
+							}
+							inv, err := tree.ReadInvFile(node)
+							if err != nil {
+								t.Fatal(err)
+							}
+							wantMax := MaxTextSums(tree.Model(), inv, len(node.Entries), maxTerms)
+							wantMin := MinTextSums(tree.Model(), inv, len(node.Entries), minTerms)
+							for i := range node.Entries {
+								if math.Abs(gotMax[i]-wantMax[i]) > 1e-12 {
+									t.Fatalf("%v/%v cache %d node %d entry %d: maxSum %v != %v (terms %v)",
+										kind, measure, cacheBytes, id, i, gotMax[i], wantMax[i], maxTerms)
+								}
+								if math.Abs(gotMin[i]-wantMin[i]) > 1e-12 {
+									t.Fatalf("%v/%v cache %d node %d entry %d: minSum %v != %v (terms %v)",
+										kind, measure, cacheBytes, id, i, gotMin[i], wantMin[i], minTerms)
+								}
+							}
+							if !node.Leaf {
+								for _, e := range node.Entries {
+									walk(e.Child)
+								}
 							}
 						}
-						if !node.Leaf {
-							for _, e := range node.Entries {
-								walk(e.Child)
-							}
-						}
+						walk(tree.RootID())
 					}
-					walk(tree.RootID())
 				}
 			}
 		}
+	}
+}
+
+// TestRestoreRejectsPackedFlag: tree metadata written while the packed
+// posting codec existed carries a trailing codec flag. Absent or 0 is the
+// flat layout and restores; non-zero marks an index this build cannot
+// read, refused at load with the typed version error.
+func TestRestoreRejectsPackedFlag(t *testing.T) {
+	tree, ds, scorer := buildSmall(t, MIRTree, textrel.LM)
+	meta := tree.EncodeMeta()
+	meta = meta[:len(meta):len(meta)] // appends below must not share a backing array
+	for _, flat := range [][]byte{meta, storage.AppendUvarint(meta, 0)} {
+		if _, err := Restore(ds, scorer.Model, tree.Backend(), flat, 0, 0); err != nil {
+			t.Fatalf("flat metadata (%d bytes) refused: %v", len(flat), err)
+		}
+	}
+	_, err := Restore(ds, scorer.Model, tree.Backend(), storage.AppendUvarint(meta, 1), 0, 0)
+	if !errors.Is(err, storage.ErrVersionMismatch) {
+		t.Fatalf("packed-flagged metadata: got %v, want ErrVersionMismatch", err)
 	}
 }

@@ -23,18 +23,7 @@ func (t *Tree) EncodeMeta() []byte {
 	for id := int32(0); int(id) < t.nodes.n; id++ {
 		buf = storage.AppendUvarint(buf, uint64(t.nodes.page(id)+1)) // storage.InvalidPage (-1) → 0
 	}
-	// Trailing flags, appended after the original fields so metadata
-	// written before the packed layout existed still decodes (Restore
-	// treats absence as all-flags-zero, i.e. flat postings).
-	buf = storage.AppendUvarint(buf, boolFlag(t.sh.packed))
 	return buf
-}
-
-func boolFlag(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Restore reconstructs a Tree over a backend already holding its records,
@@ -75,11 +64,17 @@ func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, 
 	if int(rootID) >= numNodes {
 		return nil, fmt.Errorf("irtree: corrupt tree metadata: root %d with %d nodes", rootID, numNodes)
 	}
-	packed := false
-	if d.Remaining() > 0 { // trailing flags absent in pre-packed metadata
-		packed = d.Uvarint() == 1
+	// Metadata written between PR 7 and the packed codec's removal carries
+	// one trailing codec flag: 0 (flat) reads as before; non-zero marks an
+	// index this build cannot answer from, refused here rather than at the
+	// first inverted-file read of some later query.
+	if d.Remaining() > 0 {
+		flag := d.Uvarint()
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("irtree: corrupt tree metadata: %w", err)
+		}
+		if flag != 0 {
+			return nil, fmt.Errorf("irtree: %w: index stores packed postings, which this build no longer reads; rebuild it", storage.ErrVersionMismatch)
 		}
 	}
 
@@ -89,12 +84,10 @@ func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, 
 		pager:     backend,
 		io:        &storage.IOCounter{},
 		cfgFanout: fanout,
-		packed:    packed,
 		pins:      storage.NewEpochPins(),
 	}
 	sh.reclaim, _ = sh.pager.(storage.Reclaimer)
 	sh.store = invfile.NewStore(sh.pager, sh.io)
-	sh.store.UsePacked(packed)
 	if cacheCapacity > 0 {
 		sh.cache = storage.NewBufferPool(sh.pager, cacheCapacity)
 	}

@@ -59,11 +59,6 @@ type Config struct {
 	// like buffer-pool hits); zero keeps every read a decode — the
 	// Section 8 accounting setting the experiments run under.
 	DecodedCacheBytes int64
-	// PackedPostings stores inverted files in the block-max packed layout
-	// (invfile versions 3/4) instead of the flat v1/v2 one: smaller
-	// records, smaller resident cache entries, and block-skip screening on
-	// the traversal hot path. Results are byte-identical either way.
-	PackedPostings bool
 }
 
 // shared is the state every snapshot of one index has in common: the
@@ -82,7 +77,6 @@ type shared struct {
 	decoded *storage.DecodedCache // nil when DecodedCacheBytes == 0
 
 	cfgFanout int
-	packed    bool // inverted files stored in the packed layout
 
 	// Retirement ledger: records superseded by published mutations. Their
 	// decoded-cache entries are evicted at publish and these counters
@@ -159,12 +153,10 @@ func Build(ds *dataset.Dataset, model textrel.Model, cfg Config) *Tree {
 		pager:     storage.NewPager(),
 		io:        &storage.IOCounter{},
 		cfgFanout: fanout,
-		packed:    cfg.PackedPostings,
 		pins:      storage.NewEpochPins(),
 	}
 	sh.reclaim, _ = sh.pager.(storage.Reclaimer)
 	sh.store = invfile.NewStore(sh.pager, sh.io)
-	sh.store.UsePacked(cfg.PackedPostings)
 	if cfg.CacheCapacity > 0 {
 		sh.cache = storage.NewBufferPool(sh.pager, cfg.CacheCapacity)
 	}
@@ -279,8 +271,11 @@ func (t *Tree) NumNodes() int { return t.numNodes }
 func (t *Tree) Epoch() uint64 { return t.epoch }
 
 // RetiredStats reports the records (and the pages they span) superseded
-// by all mutations published so far — append-only garbage a compaction
-// would reclaim. Safe to call concurrently with the writer.
+// by published mutations and not yet reclaimed — a gauge, not a running
+// total: ReclaimRetired subtracts what it frees, so it reads zero whenever
+// no pinned reader holds reclamation back. On an append-only backend
+// nothing is freed and the garbage waits for Save/Compact. Safe to call
+// concurrently with the writer.
 func (t *Tree) RetiredStats() (records, pages int64) {
 	return t.sh.retiredRecords.Load(), t.sh.retiredPages.Load()
 }
@@ -369,36 +364,16 @@ func (t *Tree) readInvBytes(id storage.PageID) ([]byte, error) {
 // simulated I/O per 4 kB block (pool and decoded-cache hits charge
 // nothing). The returned file may be shared through the decoded cache and
 // must be treated as immutable; the insert path uses readInvFileFresh.
-// For packed indexes the cache holds the compact *invfile.PackedFile and
-// this accessor unpacks a private flat copy per call — the materializing
-// baseline paths that need it are off the shared-traversal hot path.
 func (t *Tree) ReadInvFile(node *NodeData) (*invfile.File, error) {
 	if v, ok := t.sh.decoded.Get(node.InvID); ok {
-		switch f := v.(type) {
-		case *invfile.File:
-			return f, nil
-		case *invfile.PackedFile:
-			return f.Unpack()
-		}
+		return v.(*invfile.File), nil
 	}
-	if !t.sh.packed {
-		f, err := t.readInvFileFresh(node)
-		if err != nil {
-			return nil, err
-		}
-		t.sh.decoded.Put(node.InvID, f, f.MemBytes())
-		return f, nil
-	}
-	buf, err := t.readInvBytes(node.InvID)
+	f, err := t.readInvFileFresh(node)
 	if err != nil {
 		return nil, err
 	}
-	pf, err := invfile.DecodePacked(buf)
-	if err != nil {
-		return nil, err
-	}
-	t.sh.decoded.Put(node.InvID, pf, pf.MemBytes())
-	return pf.Unpack()
+	t.sh.decoded.Put(node.InvID, f, f.MemBytes())
+	return f, nil
 }
 
 // readInvFileFresh decodes a private copy of a node's inverted file,
@@ -417,72 +392,33 @@ func (t *Tree) readInvFileFresh(node *NodeData) (*invfile.File, error) {
 // ReadInvFile followed by MaxTextSums and MinTextSums but without
 // materializing posting lists for the node's whole subtree vocabulary.
 // The simulated I/O charge is identical to ReadInvFile's. The returned
-// slices are freshly allocated; ReadInvSumsScratch is the hot-path
-// variant.
-func (t *Tree) ReadInvSums(node *NodeData, maxTerms, minTerms []vocab.TermID) (maxSums, minSums []float64, err error) {
-	return t.ReadInvSumsScratch(node, maxTerms, minTerms, &invfile.SumScratch{})
-}
-
-// ReadInvSumsScratch is ReadInvSums with caller-supplied scratch buffers
-// (the returned slices alias scratch and stay valid only until its next
-// use). On a decoded-cache hit the sums are computed over the cached flat
-// file via binary-search term lookup — no bytes touched, no allocations.
-// On a miss the file is decoded and cached only when it can fit the
-// cache's shard budget; a file too large to ever be cached takes the
-// fused byte-wise scan instead (decoding only the wanted terms), so
-// oversized nodes never pay a futile full decode per visit.
-func (t *Tree) ReadInvSumsScratch(node *NodeData, maxTerms, minTerms []vocab.TermID, scratch *invfile.SumScratch) (maxSums, minSums []float64, err error) {
-	maxSums, minSums, _, err = t.ReadInvSumsBounded(node, maxTerms, minTerms, scratch, nil)
-	return maxSums, minSums, err
-}
-
-// ReadInvSumsBounded is ReadInvSumsScratch with an optional screen for
-// packed indexes: when check is non-nil and the node's inverted file is
-// packed, check is called once per entry with an optimistic upper bound
-// on its max sum computed from block headers alone; entries it rejects
-// are marked in pruned and their exact sums are never computed — whole
-// posting blocks are skipped when every entry they cover is pruned. The
-// screen is lossless: a pruned entry is guaranteed to fail the same check
-// against its exact max sum. pruned is nil when nothing was pruned (flat
-// layouts, nil check, or no entry rejected); positions not marked pruned
-// are bit-identical to the flat path's sums.
-func (t *Tree) ReadInvSumsBounded(node *NodeData, maxTerms, minTerms []vocab.TermID, scratch *invfile.SumScratch, check func(entry int, optMaxSum float64) bool) (maxSums, minSums []float64, pruned []bool, err error) {
+// slices alias scratch and stay valid only until its next use.
+//
+// On a decoded-cache hit the sums are computed over the cached flat file
+// via binary-search term lookup — no bytes touched, no allocations. On a
+// miss the file is decoded and cached only when it can fit the cache's
+// shard budget; otherwise (no cache configured — the paper-figure cold
+// accounting — or a file too large to ever be cached) the fused byte-wise
+// scan decodes only the wanted terms, so such nodes never pay a futile
+// full decode per visit.
+func (t *Tree) ReadInvSums(node *NodeData, maxTerms, minTerms []vocab.TermID, scratch *invfile.SumScratch) (maxSums, minSums []float64, err error) {
 	floorOf := t.sh.model.FloorWeight
 	if v, ok := t.sh.decoded.Get(node.InvID); ok {
-		switch f := v.(type) {
-		case *invfile.File:
-			maxSums, minSums, err = f.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch)
-			return maxSums, minSums, nil, err
-		case *invfile.PackedFile:
-			return f.SumsBounded(len(node.Entries), maxTerms, minTerms, floorOf, scratch, check)
-		}
+		return v.(*invfile.File).SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch)
 	}
 	buf, err := t.readInvBytes(node.InvID)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	if invfile.IsPacked(buf) {
-		if t.sh.decoded.FitsBudget(invfile.MaxDecodedBytes(buf)) {
-			pf, err := invfile.DecodePacked(buf)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			t.sh.decoded.Put(node.InvID, pf, pf.MemBytes())
-			return pf.SumsBounded(len(node.Entries), maxTerms, minTerms, floorOf, scratch, check)
-		}
-		return invfile.PackedSumsBounded(buf, len(node.Entries), maxTerms, minTerms, floorOf, scratch, check)
+	if !t.sh.decoded.FitsBudget(invfile.MaxDecodedBytes(buf)) {
+		return invfile.DecodeSumsInto(buf, len(node.Entries), maxTerms, minTerms, floorOf, scratch)
 	}
-	if t.sh.decoded.FitsBudget(invfile.MaxDecodedBytes(buf)) {
-		f, err := invfile.Decode(buf)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		t.sh.decoded.Put(node.InvID, f, f.MemBytes())
-		maxSums, minSums, err = f.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch)
-		return maxSums, minSums, nil, err
+	f, err := invfile.Decode(buf)
+	if err != nil {
+		return nil, nil, err
 	}
-	maxSums, minSums, err = invfile.DecodeSumsInto(buf, len(node.Entries), maxTerms, minTerms, floorOf, scratch)
-	return maxSums, minSums, nil, err
+	t.sh.decoded.Put(node.InvID, f, f.MemBytes())
+	return f.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch)
 }
 
 // ResetCache drops all buffered pages and decoded objects — a cold-query
@@ -507,10 +443,6 @@ func (t *Tree) CacheStats() (hits, misses int64) {
 func (t *Tree) DecodedCacheStats() storage.DecodedCacheStats {
 	return t.sh.decoded.Stats()
 }
-
-// PackedPostings reports whether the index stores its inverted files in
-// the packed block-max layout.
-func (t *Tree) PackedPostings() bool { return t.sh.packed }
 
 // TryPin registers a reader on this snapshot's epoch, keeping the records
 // it references safe from reclamation until Unpin. It fails when the

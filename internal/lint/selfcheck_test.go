@@ -97,9 +97,8 @@ func TestHotPathAnnotationsPresent(t *testing.T) {
 	for _, want := range []string{
 		"invfile.SumsInto",
 		"invfile.DecodeSumsInto",
-		"invfile.SumsBounded",
-		"topk.TraverseWith",
-		"topk.OneUserTopKPrunedWith",
+		"topk.Traverse",
+		"topk.RefineUser",
 		"core.scanUnit",
 	} {
 		if !annotated[want] {

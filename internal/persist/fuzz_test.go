@@ -6,8 +6,8 @@ import "testing"
 // bit-flipped inputs with an error — never a panic — and anything it
 // accepts must satisfy the structural invariants the rest of Load builds
 // on (validated freeze point, in-range deleted ids, objects referencing
-// only vocabulary terms). Seeded with real master records, flat and
-// packed, with and without deletions.
+// only vocabulary terms). Seeded with real master records, with and
+// without deletions.
 func FuzzDecodeMaster(f *testing.F) {
 	ix := testIndex(f)
 	f.Add(encodeMaster(ix))

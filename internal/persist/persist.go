@@ -35,11 +35,13 @@ import (
 // masterVersion is the encoding version of the master record, separate
 // from the file-level storage.FormatVersion: the file format governs the
 // pager layout, this governs the index payload. Version 2 appends the
-// deleted-object id list; version 3 indexes may store block-max packed
-// inverted files (flagged in the tree metadata) and may contain one-page
-// pad records where the in-memory pager had reclaimed pages. Version 1
-// and 2 files are still accepted — their tree metadata carries no codec
-// flag, which decodes as the flat layout they were written with.
+// deleted-object id list; version 3 indexes may contain one-page pad
+// records where the in-memory pager had reclaimed pages. Versions 1 and 2
+// are still accepted. Version 3 also introduced a trailing codec flag in
+// the tree metadata for the since-removed packed posting layout: the flag
+// is no longer written, absent or 0 loads as the flat layout every
+// accepted file was written with, and a file flagged packed is refused by
+// irtree.Restore with storage.ErrVersionMismatch.
 const masterVersion = 3
 
 // Index is the persistable state of one built index: the measure

@@ -360,9 +360,10 @@ type StatsPayload struct {
 	} `json:"session_cache"`
 	// Ingest reports the copy-on-write ingestion machinery: the current
 	// epoch (one increment per published mutation), live vs allocated
-	// object ids, and the append-only store records superseded by
-	// mutations (kept for older snapshots; a compacting rebuild reclaims
-	// them).
+	// object ids, and the store records superseded by mutations and not
+	// yet reclaimed — a gauge that falls back to zero on an in-memory index
+	// once no session pins an older snapshot, and grows until a compacting
+	// rebuild on a file-backed one.
 	Ingest struct {
 		Epoch          uint64 `json:"epoch"`
 		LiveObjects    int    `json:"live_objects"`

@@ -291,37 +291,6 @@ func (d *Decoder) SkipPostings(cnt uint64, hasMin bool) {
 	}
 }
 
-// Offset returns the current read position (for View/Seek round trips).
-func (d *Decoder) Offset() int { return d.off }
-
-// Seek moves the read position to off, which must come from Offset.
-func (d *Decoder) Seek(off int) {
-	if d.err != nil {
-		return
-	}
-	if off < 0 || off > len(d.buf) {
-		d.err = fmt.Errorf("storage: seek to %d outside %d-byte buffer", off, len(d.buf))
-		return
-	}
-	d.off = off
-}
-
-// View reads n raw bytes without copying. The returned slice aliases the
-// decoder's buffer: callers must not modify it and must not retain it
-// beyond the buffer's lifetime. It doubles as an allocation-free skip.
-func (d *Decoder) View(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("storage: truncated %d-byte field at offset %d", n, d.off)
-		return nil
-	}
-	out := d.buf[d.off : d.off+n : d.off+n]
-	d.off += n
-	return out
-}
-
 // Bytes reads n raw bytes and returns them as a copy.
 func (d *Decoder) Bytes(n int) []byte {
 	if d.err != nil {

@@ -29,23 +29,25 @@ func PartitionUsers(users []dataset.User, groups int) [][]int {
 	return geo.PartitionPoints(pts, groups)
 }
 
-// refineAux is the per-group pruning index the parallel refinement builds
-// over a traversal's RO list: running suffix maxima of the two UB
-// components. For any user u of the group and scan position i, every
-// candidate at or beyond i scores at most
+// RefineAux is the pruning index RefineUser consults over a traversal's
+// RO list: running suffix maxima of the two UB components. For any user u
+// of the traversal's group and scan position i, every candidate at or
+// beyond i scores at most
 //
 //	α·sufS[i] + (1−α)·sufR[i]/Norm(u)
 //
 // — a user-specific cutoff far tighter than the group-normalized UB the
 // paper's Algorithm 2 breaks on, because it swaps the group's MinNorm for
-// the user's own normalizer.
-type refineAux struct {
+// the user's own normalizer. It depends only on the TraversalResult, so
+// callers refining many users against one traversal build it once.
+type RefineAux struct {
 	sufS, sufR []float64
 }
 
-func buildRefineAux(tr *TraversalResult) *refineAux {
+// NewRefineAux builds the pruning index over tr's RO list.
+func NewRefineAux(tr *TraversalResult) *RefineAux {
 	n := len(tr.RO)
-	aux := &refineAux{sufS: make([]float64, n), sufR: make([]float64, n)}
+	aux := &RefineAux{sufS: make([]float64, n), sufR: make([]float64, n)}
 	maxS, maxR := 0.0, 0.0
 	for i := n - 1; i >= 0; i-- {
 		if tr.RO[i].SMax > maxS {
@@ -57,18 +59,6 @@ func buildRefineAux(tr *TraversalResult) *refineAux {
 		aux.sufS[i], aux.sufR[i] = maxS, maxR
 	}
 	return aux
-}
-
-// OneUserTopKPruned is Algorithm 2's per-user refinement with, when aux is
-// non-nil, two additional provably lossless pruning rules enabled by the
-// UB decomposition: a per-candidate skip (α·SMax + (1−α)·RawText/Norm(u)
-// < RSk already proves the exact score cannot qualify) and a suffix-maxima
-// early break (no remaining candidate can qualify). Both bounds dominate
-// the user's exact STS whenever the user belongs to the traversal's group
-// — their location lies in the group MBR and their keywords in the group
-// union — so the result is byte-identical to the aux-less scan.
-func OneUserTopKPruned(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, norm float64, tr *TraversalResult, aux *refineAux, k int) UserTopK {
-	return OneUserTopKPrunedWith(ds, scorer, u, norm, tr, aux, k, &RefineScratch{})
 }
 
 // RefineScratch holds the reusable per-user refinement state — the
@@ -89,28 +79,34 @@ func (sc *RefineScratch) heap(k int) *container.StableTopK[irtree.Result] {
 	return sc.hu
 }
 
-// OneUserTopKPrunedWith is OneUserTopKPruned with caller-supplied scratch:
-// with a warm scratch the only per-user allocation left is the returned
-// Results slice itself. Results are identical to OneUserTopKPruned.
+// RefineUser computes one user's exact top-k from a traversal's candidates
+// — the per-user body of Algorithm 2. tr must hold LO (any order) and RO
+// sorted by descending upper bound, as Traverse produces them. Ties on the
+// k-th score are broken by ascending object ID, making the retained set a
+// function of the candidate multiset alone: grouped and single-group
+// traversals yield identical answers, the engine's equivalence guarantee.
+// With a warm scratch the only allocation is the returned Results slice.
+//
+// A nil aux is the paper's scan, which breaks only on the group UB. A
+// non-nil aux adds two provably lossless pruning rules enabled by the UB
+// decomposition: a per-candidate skip (α·SMax + (1−α)·RawText/Norm(u) <
+// RSk already proves the exact score cannot qualify) and a suffix-maxima
+// early break (no remaining candidate can qualify). Both bounds dominate
+// the user's exact STS whenever the user belongs to the traversal's group
+// — their location lies in the group MBR and their keywords in the group
+// union — so the result is byte-identical to the aux-less scan.
+//
+// seed is an externally supplied score floor: the refinement threshold
+// runs at max(heap threshold, seed) throughout, and −MaxFloat64 is the
+// unseeded scan. A coordinator merging per-shard top-k lists passes the
+// k-th best score user u already holds from earlier shards; candidates
+// below that seed are skipped because they can never enter u's merged
+// top-k, while boundary ties survive (the qualifying test is s ≥
+// threshold, and merged retention under the StableTopK order depends only
+// on the candidate multiset at or above the global k-th score).
 //
 //maxbr:hotpath
-func OneUserTopKPrunedWith(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, norm float64, tr *TraversalResult, aux *refineAux, k int, sc *RefineScratch) UserTopK {
-	return OneUserTopKSeededWith(ds, scorer, u, norm, tr, aux, k, -math.MaxFloat64, sc)
-}
-
-// OneUserTopKSeededWith is OneUserTopKPrunedWith with an externally
-// supplied score seed: the refinement threshold runs at max(heap
-// threshold, seed) throughout. With seed = −MaxFloat64 it is
-// step-for-step identical to the unseeded scan. A coordinator merging
-// per-shard top-k lists passes the k-th best score user u already holds
-// from earlier shards; candidates below that seed are skipped because
-// they can never enter u's merged top-k, while boundary ties survive
-// (the qualifying test is s ≥ threshold, and merged retention under the
-// StableTopK order depends only on the candidate multiset at or above
-// the global k-th score).
-//
-//maxbr:hotpath
-func OneUserTopKSeededWith(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, norm float64, tr *TraversalResult, aux *refineAux, k int, seed float64, sc *RefineScratch) UserTopK {
+func RefineUser(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, norm float64, tr *TraversalResult, aux *RefineAux, k int, seed float64, sc *RefineScratch) UserTopK {
 	hu := sc.heap(k)
 	scored := len(tr.LO)
 	for _, o := range tr.LO {
@@ -156,41 +152,54 @@ func OneUserTopKSeededWith(ds *dataset.Dataset, scorer *textrel.Scorer, u *datas
 	return UserTopK{Results: results, RSk: rsk, Scored: scored}
 }
 
-// JointTopKParallel is the grouped, concurrent form of JointTopK: the user
-// set is partitioned into `groups` spatial groups, each group's super-user
-// traversal (Algorithm 1) runs on a pool of up to `workers` goroutines,
-// and the per-user refinements fan out over the same pool using the
-// pruned refinement above. workers <= 1 with groups <= 1 is exactly the
-// sequential JointTopK.
+// JointTopK runs the full Section 5 pipeline: the user set is partitioned
+// into `groups` spatial groups, each group's super-user is traversed once
+// (Algorithm 1), and every user is refined against their group's
+// candidates (Algorithm 2), both steps on a pool of up to `workers`
+// goroutines. workers 1, groups 1 and nil seeds is the sequential paper
+// pipeline: PartitionUsers returns the users in their own order for one
+// group and the pool runs inline for one worker.
 //
-// Per-user results are identical to JointTopK for every workers/groups
-// choice: each group traversal yields a candidate superset of its users'
-// top-k objects, the extra pruning rules discard only candidates whose
-// bounds prove they cannot qualify, and ties are broken by object ID, so
-// refinement depends only on scores. The returned JointResult carries
-// Super and Trav only when a single group was used; with several groups
-// there is no single super-user traversal to report.
-func JointTopKParallel(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, k, workers, groups int) (*JointResult, error) {
-	if workers <= 1 && groups <= 1 {
-		return JointTopK(tree, scorer, users, k)
-	}
+// Per-user results are identical for every workers/groups choice: each
+// group traversal yields a candidate superset of its users' top-k objects,
+// RefineUser's pruning rules discard only candidates whose bounds prove
+// they cannot qualify, and ties are broken by object ID, so refinement
+// depends only on scores.
+//
+// seeds, when non-nil, holds per user a lower bound on their global k-th
+// best score that a coordinator established from other shards' answers.
+// Each group traversal then runs with floor = min over the group's seeds
+// (an object below every group member's seed can never qualify for any of
+// them), and each refinement runs at the user's own seed. All-zero seeds
+// never fire on the non-negative score domain, so results match nil seeds
+// exactly; with real seeds the per-user lists restricted to scores ≥ the
+// seed are preserved, which is all a merged global top-k consumes.
+func JointTopK(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, k, workers, groups int, seeds []float64) (*JointResult, error) {
 	parts := PartitionUsers(users, groups)
 	norms := scorer.UserNorms(users)
+	seedOf := func(ui int) float64 {
+		if seeds == nil {
+			return -math.MaxFloat64
+		}
+		return seeds[ui]
+	}
 
 	travs := make([]*TraversalResult, len(parts))
-	auxes := make([]*refineAux, len(parts))
-	sus := make([]SuperUser, len(parts))
+	auxes := make([]*RefineAux, len(parts))
 	errs := make([]error, len(parts))
+	groupOf := make([]int, len(users))
 	travScratch := make([]TraverseScratch, parallel.Workers(len(parts), workers))
 	parallel.ForNWorkers(len(parts), workers, func(w, g int) {
 		gu := make([]dataset.User, len(parts[g]))
+		floor := math.MaxFloat64
 		for i, ui := range parts[g] {
 			gu[i] = users[ui]
+			groupOf[ui] = g
+			floor = math.Min(floor, seedOf(ui))
 		}
-		sus[g] = BuildSuperUser(gu, scorer)
-		travs[g], errs[g] = TraverseWith(tree, scorer, sus[g], k, &travScratch[w])
+		travs[g], errs[g] = Traverse(tree, scorer, BuildSuperUser(gu, scorer), k, floor, &travScratch[w])
 		if errs[g] == nil {
-			auxes[g] = buildRefineAux(travs[g])
+			auxes[g] = NewRefineAux(travs[g])
 		}
 	})
 	for _, err := range errs {
@@ -199,105 +208,18 @@ func JointTopKParallel(tree *irtree.Tree, scorer *textrel.Scorer, users []datase
 		}
 	}
 
-	groupOf := make([]int, len(users))
-	for g, part := range parts {
-		for _, ui := range part {
-			groupOf[ui] = g
-		}
-	}
-	per := make([]UserTopK, len(users))
+	res := &JointResult{PerUser: make([]UserTopK, len(users))}
 	ds := tree.Dataset()
 	refScratch := make([]RefineScratch, parallel.Workers(len(users), workers))
 	parallel.ForNWorkers(len(users), workers, func(w, ui int) {
 		g := groupOf[ui]
-		per[ui] = OneUserTopKPrunedWith(ds, scorer, &users[ui], norms[ui], travs[g], auxes[g], k, &refScratch[w])
+		res.PerUser[ui] = RefineUser(ds, scorer, &users[ui], norms[ui], travs[g], auxes[g], k, seedOf(ui), &refScratch[w])
 	})
-
-	res := &JointResult{PerUser: per, Norms: norms}
 	for _, tr := range travs {
 		res.Visited += tr.Visited
 	}
-	for i := range per {
-		res.Refined += per[i].Scored
-	}
-	if len(parts) == 1 {
-		res.Super, res.Trav = sus[0], travs[0]
-	}
-	return res, nil
-}
-
-// JointTopKParallelSeeded is JointTopKParallel with per-user score seeds:
-// seeds[ui] is a lower bound on user ui's global k-th best score that a
-// coordinator established from other shards' answers. Each group
-// traversal runs with floor = min over the group's seeds (TraverseBounded
-// — an object below every group member's seed can never qualify for any
-// of them), and each refinement runs at the user's own seed
-// (OneUserTopKSeededWith). With all-zero seeds the extra tests never
-// fire on the non-negative score domain, so results match the unseeded
-// pipeline exactly; with real seeds the per-user lists restricted to
-// scores ≥ the seed are preserved, which is all a merged global top-k
-// consumes. Unlike JointTopKParallel this always takes the grouped path
-// (a single group is byte-identical to the sequential pipeline anyway).
-func JointTopKParallelSeeded(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, k, workers, groups int, seeds []float64) (*JointResult, error) {
-	parts := PartitionUsers(users, groups)
-	norms := scorer.UserNorms(users)
-
-	floors := make([]float64, len(parts))
-	for g, part := range parts {
-		f := math.MaxFloat64
-		for _, ui := range part {
-			if seeds[ui] < f {
-				f = seeds[ui]
-			}
-		}
-		floors[g] = f
-	}
-
-	travs := make([]*TraversalResult, len(parts))
-	auxes := make([]*refineAux, len(parts))
-	sus := make([]SuperUser, len(parts))
-	errs := make([]error, len(parts))
-	travScratch := make([]TraverseScratch, parallel.Workers(len(parts), workers))
-	parallel.ForNWorkers(len(parts), workers, func(w, g int) {
-		gu := make([]dataset.User, len(parts[g]))
-		for i, ui := range parts[g] {
-			gu[i] = users[ui]
-		}
-		sus[g] = BuildSuperUser(gu, scorer)
-		travs[g], errs[g] = TraverseBounded(tree, scorer, sus[g], k, floors[g], &travScratch[w])
-		if errs[g] == nil {
-			auxes[g] = buildRefineAux(travs[g])
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	groupOf := make([]int, len(users))
-	for g, part := range parts {
-		for _, ui := range part {
-			groupOf[ui] = g
-		}
-	}
-	per := make([]UserTopK, len(users))
-	ds := tree.Dataset()
-	refScratch := make([]RefineScratch, parallel.Workers(len(users), workers))
-	parallel.ForNWorkers(len(users), workers, func(w, ui int) {
-		g := groupOf[ui]
-		per[ui] = OneUserTopKSeededWith(ds, scorer, &users[ui], norms[ui], travs[g], auxes[g], k, seeds[ui], &refScratch[w])
-	})
-
-	res := &JointResult{PerUser: per, Norms: norms}
-	for _, tr := range travs {
-		res.Visited += tr.Visited
-	}
-	for i := range per {
-		res.Refined += per[i].Scored
-	}
-	if len(parts) == 1 {
-		res.Super, res.Trav = sus[0], travs[0]
+	for i := range res.PerUser {
+		res.Refined += res.PerUser[i].Scored
 	}
 	return res, nil
 }

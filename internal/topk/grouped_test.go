@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -55,41 +56,109 @@ func TestPartitionUsersEmpty(t *testing.T) {
 	}
 }
 
-// TestJointTopKParallelEquivalence is the topk half of the determinism
-// guarantee: every (workers, groups) combination must reproduce the
-// sequential per-user results exactly — same RSk, same top-k objects, same
-// order.
-func TestJointTopKParallelEquivalence(t *testing.T) {
+// TestJointTopKEquivalence is the topk half of the determinism guarantee.
+// The sequential paper pipeline (workers 1, groups 1, nil seeds) must
+// reproduce the per-user baseline (independent IR-tree searches: same
+// objects in the same order; scores to 1e-9, since the two sum a score's
+// terms in different orders), and every other (workers, groups, seeds) —
+// grouped, concurrent, and seeded as a coordinator's waves seed it — must
+// reproduce the sequential row bit for bit: unseeded rows entirely, RSk
+// included; seeded rows on the entries scoring ≥ the user's seed, which is
+// all a merge consumes.
+func TestJointTopKEquivalence(t *testing.T) {
 	tree, scorer, users := groupedFixture(t, 400, 60, 11)
 	const k = 5
-	seq, err := JointTopK(tree, scorer, users, k)
+	base, err := BaselineTopK(tree, scorer, users, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		for _, groups := range []int{1, 4, 9} {
-			par, err := JointTopKParallel(tree, scorer, users, k, workers, groups)
-			if err != nil {
-				t.Fatalf("workers=%d groups=%d: %v", workers, groups, err)
-			}
-			if len(par.PerUser) != len(seq.PerUser) {
-				t.Fatalf("workers=%d groups=%d: %d users, want %d", workers, groups, len(par.PerUser), len(seq.PerUser))
-			}
-			for ui := range seq.PerUser {
-				s, p := seq.PerUser[ui], par.PerUser[ui]
-				if s.RSk != p.RSk && !(math.IsInf(s.RSk, -1) && math.IsInf(p.RSk, -1)) {
-					t.Fatalf("workers=%d groups=%d user %d: RSk %v != %v", workers, groups, ui, p.RSk, s.RSk)
+	// Real forwarded bounds: each user's k-th best score over a sibling
+	// shard holding every other object — a lower bound on the global k-th.
+	ds := tree.Dataset()
+	var half []dataset.Object
+	for i := 0; i < len(ds.Objects); i += 2 {
+		o := ds.Objects[i]
+		o.ID = int32(len(half))
+		half = append(half, o)
+	}
+	sibling := irtree.Build(dataset.Build(half, ds.Vocab), scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: 16})
+	sib, err := BaselineTopK(sibling, scorer, users, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	real := make([]float64, len(users))
+	for ui := range real {
+		real[ui] = sib[ui].RSk
+	}
+
+	var seq *JointResult
+	for _, row := range []struct {
+		workers, groups int
+		seeds           []float64
+	}{
+		{1, 1, nil}, {1, 4, nil}, {4, 4, nil}, {2, 3, make([]float64, len(users))}, {2, 3, real},
+	} {
+		got, err := JointTopK(tree, scorer, users, k, row.workers, row.groups, row.seeds)
+		if err != nil {
+			t.Fatalf("workers=%d groups=%d: %v", row.workers, row.groups, err)
+		}
+		if seq == nil {
+			seq = got
+			for ui, b := range base {
+				g := got.PerUser[ui]
+				if len(g.Results) != len(b.Results) || math.Abs(g.RSk-b.RSk) > 1e-9 {
+					t.Fatalf("user %d: sequential %+v, baseline %+v", ui, g, b)
 				}
-				if len(s.Results) != len(p.Results) {
-					t.Fatalf("workers=%d groups=%d user %d: %d results, want %d",
-						workers, groups, ui, len(p.Results), len(s.Results))
-				}
-				for j := range s.Results {
-					if s.Results[j] != p.Results[j] {
-						t.Fatalf("workers=%d groups=%d user %d result %d: %+v != %+v",
-							workers, groups, ui, j, p.Results[j], s.Results[j])
+				for i, r := range b.Results {
+					if g.Results[i].ObjID != r.ObjID || math.Abs(g.Results[i].Score-r.Score) > 1e-9 {
+						t.Fatalf("user %d rank %d: sequential %+v, baseline %+v", ui, i, g.Results[i], r)
 					}
 				}
+			}
+			continue
+		}
+		for ui, want := range seq.PerUser {
+			seed := -math.MaxFloat64
+			if row.seeds != nil {
+				seed = row.seeds[ui]
+			}
+			g := got.PerUser[ui]
+			if !reflect.DeepEqual(atOrAbove(g.Results, seed), atOrAbove(want.Results, seed)) || g.RSk != math.Max(want.RSk, seed) {
+				t.Fatalf("workers=%d groups=%d seeded=%v user %d:\n got  %+v\n want %+v (seed %v)",
+					row.workers, row.groups, row.seeds != nil, ui, g, want, seed)
+			}
+		}
+	}
+}
+
+// atOrAbove trims a score-descending result list to the entries ≥ seed.
+func atOrAbove(rs []irtree.Result, seed float64) []irtree.Result {
+	for len(rs) > 0 && rs[len(rs)-1].Score < seed {
+		rs = rs[:len(rs)-1]
+	}
+	return rs
+}
+
+// TestPrunedRefinementMatchesUnpruned asserts the lossless-pruning claim
+// directly: for every user, RefineUser with the suffix-maxima index (what
+// JointTopK and the user-indexed engine run) returns exactly what the
+// paper's unpruned Algorithm 2 scan (nil aux) returns — scores, order, and
+// RSk — under every measure.
+func TestPrunedRefinementMatchesUnpruned(t *testing.T) {
+	for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF, textrel.KO} {
+		tree, scorer, users := groupedFixture(t, 600, 40, int64(17+measure))
+		tr, err := Traverse(tree, scorer, BuildSuperUser(users, scorer), 5, -math.MaxFloat64, &TraverseScratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		aux := NewRefineAux(tr)
+		norms := scorer.UserNorms(users)
+		var sc RefineScratch
+		for ui := range users {
+			want := RefineUser(tree.Dataset(), scorer, &users[ui], norms[ui], tr, nil, 5, -math.MaxFloat64, &sc)
+			got := RefineUser(tree.Dataset(), scorer, &users[ui], norms[ui], tr, aux, 5, -math.MaxFloat64, &sc)
+			if got.RSk != want.RSk || !reflect.DeepEqual(got.Results, want.Results) {
+				t.Fatalf("%v user %d: pruned %+v != unpruned %+v", measure, ui, got, want)
 			}
 		}
 	}
@@ -98,40 +167,6 @@ func TestJointTopKParallelEquivalence(t *testing.T) {
 // TestGroupedTraversalCoversUserTopK checks the grouped soundness
 // argument directly: each group traversal's candidate set contains every
 // object of its users' exact (baseline-computed) top-k.
-// TestPrunedRefinementMatchesUnpruned asserts the lossless-pruning claim
-// directly: for every user, the suffix-maxima-pruned refinement (what
-// IndividualTopK and the parallel engine run) returns exactly what the
-// unpruned Algorithm 2 scan (OneUserTopK, the oracle) returns — scores,
-// order, and RSk. This is the invariant that lets the sequential path
-// share the grouped path's pruning rules.
-func TestPrunedRefinementMatchesUnpruned(t *testing.T) {
-	for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF, textrel.KO} {
-		tree, scorer, users := groupedFixture(t, 600, 40, int64(17+measure))
-		su := BuildSuperUser(users, scorer)
-		tr, err := Traverse(tree, scorer, su, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aux := buildRefineAux(tr)
-		norms := scorer.UserNorms(users)
-		ds := tree.Dataset()
-		var sc RefineScratch
-		for ui := range users {
-			want := OneUserTopK(ds, scorer, &users[ui], norms[ui], tr, 5)
-			got := OneUserTopKPrunedWith(ds, scorer, &users[ui], norms[ui], tr, aux, 5, &sc)
-			if got.RSk != want.RSk || len(got.Results) != len(want.Results) {
-				t.Fatalf("%v user %d: pruned %+v != unpruned %+v", measure, ui, got, want)
-			}
-			for i := range want.Results {
-				if got.Results[i] != want.Results[i] {
-					t.Fatalf("%v user %d result %d: pruned %+v != unpruned %+v",
-						measure, ui, i, got.Results[i], want.Results[i])
-				}
-			}
-		}
-	}
-}
-
 func TestGroupedTraversalCoversUserTopK(t *testing.T) {
 	tree, scorer, users := groupedFixture(t, 400, 40, 19)
 	const k = 4
@@ -146,7 +181,7 @@ func TestGroupedTraversalCoversUserTopK(t *testing.T) {
 			gu[i] = users[ui]
 		}
 		su := BuildSuperUser(gu, scorer)
-		tr, err := Traverse(tree, scorer, su, k)
+		tr, err := Traverse(tree, scorer, su, k, -math.MaxFloat64, &TraverseScratch{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/container"
 	"repro/internal/dataset"
-	"repro/internal/geo"
 	"repro/internal/invfile"
 	"repro/internal/irtree"
 	"repro/internal/textrel"
@@ -35,8 +34,8 @@ type TraversalResult struct {
 	// RSkSuper is RSk(us); −MaxFloat64 when fewer than k objects exist.
 	RSkSuper float64
 	// Visited counts tree nodes expanded (ReadNode calls) — the traversal
-	// work metric the sharded experiments use to show a forwarded bound
-	// pruning deeper.
+	// work metric a coordinator's wave counters report, where a forwarded
+	// bound shows up as pruning deeper.
 	Visited int
 }
 
@@ -57,49 +56,14 @@ type travCand struct {
 }
 
 // TraverseScratch holds the reusable state of one traversal — the
-// priority queues, the per-node sum buffers, and the block-skip screen
-// closure — so a worker running many group traversals allocates them
-// once. The zero value is ready to use; a scratch must not be shared
-// between concurrent traversals.
+// priority queues and the per-node sum buffers — so a worker running many
+// group traversals allocates them once. The zero value is ready to use; a
+// scratch must not be shared between concurrent traversals.
 type TraverseScratch struct {
 	sums invfile.SumScratch
 	pq   *container.Heap[travCand]
 	lo   *container.TopK[BoundedObject]
 	ro   *container.Heap[BoundedObject]
-
-	// bc parameterizes check, the entry screen handed to
-	// ReadInvSumsBounded on packed indexes. The closure is allocated once
-	// per scratch and re-pointed at the current node through bc, keeping
-	// the traversal loop allocation-free.
-	bc    boundCtx
-	check func(entry int, optMaxSum float64) bool
-}
-
-// boundCtx is the per-node state the screen closure reads: the current
-// node's entries and the group constants of the upper-bound formula.
-type boundCtx struct {
-	scorer    *textrel.Scorer
-	entries   []irtree.NodeEntry
-	mbr       geo.Rect
-	minNorm   float64
-	threshold float64
-}
-
-// screen returns the scratch's reusable check closure: an entry whose
-// optimistic upper bound (from block maxima) cannot reach the current
-// RSk(us) threshold may be skipped. Lossless: the optimistic max sum is
-// ≥ the exact one and UBText is monotone, so any entry it rejects would
-// fail the exact ub-vs-threshold test in the entry loop below too.
-func (sc *TraverseScratch) screen() func(entry int, optMaxSum float64) bool {
-	if sc.check == nil {
-		sc.check = func(entry int, optMaxSum float64) bool {
-			b := &sc.bc
-			ub := b.scorer.Alpha*b.scorer.SSMax(b.entries[entry].Rect, b.mbr) +
-				(1-b.scorer.Alpha)*(optMaxSum/b.minNorm)
-			return ub < b.threshold
-		}
-	}
-	return sc.check
 }
 
 // queues returns the scratch's three queues, emptied and re-armed for k.
@@ -119,36 +83,23 @@ func (sc *TraverseScratch) queues(k int) (pq *container.Heap[travCand], lo *cont
 // Traverse implements Algorithm 1: a single best-first MIR-tree traversal
 // for the super-user that visits each node at most once, pruning every
 // subtree whose upper bound cannot reach RSk(us). tree must be built over
-// the dataset the users were generated against. It is TraverseWith with
-// fresh scratch; loops over many groups should reuse one scratch per
-// worker instead.
-func Traverse(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int) (*TraversalResult, error) {
-	return TraverseWith(tree, scorer, su, k, &TraverseScratch{})
-}
-
-// TraverseWith is Traverse with caller-supplied scratch: the queues and
-// per-node sum buffers are reused across calls, leaving only the returned
-// result's own slices to allocate. Results are identical to Traverse.
+// the dataset the users were generated against. The queues and per-node
+// sum buffers live in sc and are reused across calls, leaving only the
+// returned result's own slices to allocate.
 //
-//maxbr:hotpath
-func TraverseWith(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int, sc *TraverseScratch) (*TraversalResult, error) {
-	return TraverseBounded(tree, scorer, su, k, -math.MaxFloat64, sc)
-}
-
-// TraverseBounded is TraverseWith with an externally supplied score floor:
-// every pruning test runs against max(RSk(us), floor) instead of RSk(us)
-// alone. With floor = −MaxFloat64 it is step-for-step identical to the
-// unseeded traversal (all bounds are finite, so a −MaxFloat64 threshold
-// never fires before LO fills). A coordinator that already knows a global
-// lower bound — the k-th best score some other shard established — passes
-// it as the floor so this traversal prunes subtrees and objects that
-// bound proves can never enter any group user's global top-k: for every
-// group user u, floor ≤ RSk_global(u), and an object with group UB below
-// the floor scores below it for every user. Lossless for the merged
+// floor is an externally supplied score floor: every pruning test runs
+// against max(RSk(us), floor) instead of RSk(us) alone. −MaxFloat64 is the
+// paper's unseeded traversal (all bounds are finite, so a −MaxFloat64
+// threshold never fires before LO fills). A coordinator that already knows
+// a global lower bound — the k-th best score some other shard established
+// — passes it as the floor so this traversal prunes subtrees and objects
+// that bound proves can never enter any group user's global top-k: for
+// every group user u, floor ≤ RSk_global(u), and an object with group UB
+// below the floor scores below it for every user. Lossless for the merged
 // answer by construction.
 //
 //maxbr:hotpath
-func TraverseBounded(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int, floor float64, sc *TraverseScratch) (*TraversalResult, error) {
+func Traverse(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int, floor float64, sc *TraverseScratch) (*TraversalResult, error) {
 	//maxbr:ignore hotpathalloc the result object is the one deliberate allocation per traversal (documented above)
 	res := &TraversalResult{RSkSuper: -math.MaxFloat64}
 	if tree.RootID() < 0 || su.NumUsers == 0 {
@@ -207,25 +158,12 @@ func TraverseBounded(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k 
 		// Fused, term-filtered decode: the node stores postings for its
 		// whole subtree vocabulary, but only the group's union and
 		// intersection terms contribute to the bounds. The sums land in
-		// the scratch buffers — no per-node allocation. Once a finite
-		// threshold exists (LO full, or a forwarded floor), packed indexes
-		// additionally screen entries against the block maxima, skipping
-		// the decode of posting blocks whose entries all fail the same
-		// ub-vs-threshold test applied below (thr is fixed for the whole
-		// entry loop, so the screen and the loop test agree).
-		var check func(entry int, optMaxSum float64) bool
-		if thr > -math.MaxFloat64 {
-			sc.bc = boundCtx{scorer: scorer, entries: node.Entries, mbr: su.MBR, minNorm: su.MinNorm, threshold: thr}
-			check = sc.screen()
-		}
-		maxSums, minSums, pruned, err := tree.ReadInvSumsBounded(node, su.Uni, su.Int, &sc.sums, check)
+		// the scratch buffers — no per-node allocation.
+		maxSums, minSums, err := tree.ReadInvSums(node, su.Uni, su.Int, &sc.sums)
 		if err != nil {
 			return nil, err
 		}
 		for i, e := range node.Entries {
-			if pruned != nil && pruned[i] {
-				continue // screened out; sums not computed for this entry
-			}
 			smax := scorer.SSMax(e.Rect, su.MBR)
 			ub := scorer.Alpha*smax + (1-scorer.Alpha)*su.UBText(maxSums[i])
 			if ub < thr {
@@ -260,80 +198,21 @@ type UserTopK struct {
 	Scored int
 }
 
-// IndividualTopK implements Algorithm 2: computes each user's exact top-k
-// from the candidate objects of a traversal. cands must contain LO (any
-// order) and RO sorted by descending upper bound, as produced by Traverse.
-func IndividualTopK(ds *dataset.Dataset, scorer *textrel.Scorer, users []dataset.User, norms []float64, tr *TraversalResult, k int) []UserTopK {
-	return IndividualTopKWith(ds, scorer, users, norms, tr, NewRefineIndex(tr), k)
-}
-
-// RefineIndex is the precomputed pruning state of one traversal's
-// candidate list (suffix maxima of the UB components — see
-// OneUserTopKPruned). It depends only on the TraversalResult, so callers
-// refining against one traversal repeatedly should build it once and
-// share it across calls.
-type RefineIndex struct {
-	aux *refineAux
-}
-
-// NewRefineIndex builds the pruning index over tr's candidates.
-func NewRefineIndex(tr *TraversalResult) RefineIndex {
-	return RefineIndex{aux: buildRefineAux(tr)}
-}
-
-// IndividualTopKWith is IndividualTopK against a prebuilt RefineIndex.
-// The suffix-maxima pruning is provably lossless (see OneUserTopKPruned),
-// so results match the unpruned Algorithm 2 scan exactly — the sequential
-// refinement prunes just as the grouped parallel path does.
-func IndividualTopKWith(ds *dataset.Dataset, scorer *textrel.Scorer, users []dataset.User, norms []float64, tr *TraversalResult, ri RefineIndex, k int) []UserTopK {
-	out := make([]UserTopK, len(users))
-	var sc RefineScratch // one reusable top-k buffer across all users
-	for ui := range users {
-		out[ui] = OneUserTopKPrunedWith(ds, scorer, &users[ui], norms[ui], tr, ri.aux, k, &sc)
-	}
-	return out
-}
-
-// OneUserTopK refines one user's exact top-k from a traversal's candidates
-// — the per-user body of Algorithm 2, exposed so the parallel engine can
-// fan it out over users. Ties on the k-th score are broken by ascending
-// object ID, making the retained set a function of the candidate multiset
-// alone: grouped (parallel) and global traversals yield identical answers,
-// the engine's equivalence guarantee. It is the no-pruning-index special
-// case of OneUserTopKPruned (see grouped.go).
-func OneUserTopK(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, norm float64, tr *TraversalResult, k int) UserTopK {
-	return OneUserTopKPruned(ds, scorer, u, norm, tr, nil, k)
-}
-
-// JointResult bundles everything the joint processing yields.
+// JointResult is what the joint processing yields: every user's top-k
+// plus the work counters a coordinator's /stats reports.
 type JointResult struct {
-	Super   SuperUser
 	PerUser []UserTopK
-	Trav    *TraversalResult
-	Norms   []float64
 	// Visited totals the tree nodes expanded across all group traversals
-	// (populated by the grouped/seeded pipelines; see TraversalResult).
+	// (see TraversalResult.Visited).
 	Visited int
 	// Refined totals the candidates scored across all per-user refinements
-	// (populated by the grouped/seeded pipelines; see UserTopK.Scored).
+	// (see UserTopK.Scored).
 	Refined int
 }
 
-// JointTopK runs the full Section 5 pipeline: build the super-user,
-// traverse once (Algorithm 1), then refine per user (Algorithm 2).
-func JointTopK(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, k int) (*JointResult, error) {
-	su := BuildSuperUser(users, scorer)
-	tr, err := Traverse(tree, scorer, su, k)
-	if err != nil {
-		return nil, err
-	}
-	norms := scorer.UserNorms(users)
-	per := IndividualTopK(tree.Dataset(), scorer, users, norms, tr, k)
-	return &JointResult{Super: su, PerUser: per, Trav: tr, Norms: norms}, nil
-}
-
 // BaselineTopK computes each user's top-k independently with the IR-tree
-// search of Section 4 — the comparison point for every figure's "B" series.
+// search of Section 4 — the comparison point for every figure's "B" series
+// and the reference the joint pipeline's tests compare against.
 func BaselineTopK(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, k int) ([]UserTopK, error) {
 	out := make([]UserTopK, len(users))
 	for ui := range users {

@@ -6,29 +6,6 @@ import (
 	"testing"
 )
 
-// TestSeededZeroSeedsMatchUnseeded: with all-zero seeds (the coordinator's
-// first wave — no bound known yet) the seeded pipeline must be
-// byte-identical to the unseeded one for every workers/groups choice,
-// because every score and bound in the pipeline is non-negative.
-func TestSeededZeroSeedsMatchUnseeded(t *testing.T) {
-	tree, scorer, users := groupedFixture(t, 400, 60, 11)
-	k := 7
-	seeds := make([]float64, len(users))
-	for _, wg := range [][2]int{{1, 1}, {1, 4}, {4, 1}, {4, 4}, {3, 7}} {
-		want, err := JointTopKParallel(tree, scorer, users, k, wg[0], wg[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := JointTopKParallelSeeded(tree, scorer, users, k, wg[0], wg[1], seeds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.PerUser, want.PerUser) {
-			t.Fatalf("w=%d g=%d: zero-seeded per-user results differ", wg[0], wg[1])
-		}
-	}
-}
-
 // TestSeededPreservesTopKAndPrunes: seeding each user with their own exact
 // k-th best score (the tightest bound a coordinator could ever forward)
 // must leave every user's top-k result list unchanged — the seed equals
@@ -38,7 +15,7 @@ func TestSeededPreservesTopKAndPrunes(t *testing.T) {
 	tree, scorer, users := groupedFixture(t, 600, 50, 12)
 	k := 5
 	zero := make([]float64, len(users))
-	base, err := JointTopKParallelSeeded(tree, scorer, users, k, 2, 4, zero)
+	base, err := JointTopK(tree, scorer, users, k, 2, 4, zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +25,7 @@ func TestSeededPreservesTopKAndPrunes(t *testing.T) {
 			seeds[ui] = u.RSk
 		}
 	}
-	seeded, err := JointTopKParallelSeeded(tree, scorer, users, k, 2, 4, seeds)
+	seeded, err := JointTopK(tree, scorer, users, k, 2, 4, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,24 +42,6 @@ func TestSeededPreservesTopKAndPrunes(t *testing.T) {
 	}
 }
 
-// TestTraverseBoundedNoFloorMatchesTraverse: floor = −MaxFloat64 is the
-// documented identity case.
-func TestTraverseBoundedNoFloorMatchesTraverse(t *testing.T) {
-	tree, scorer, users := groupedFixture(t, 300, 20, 13)
-	su := BuildSuperUser(users, scorer)
-	want, err := Traverse(tree, scorer, su, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := TraverseBounded(tree, scorer, su, 6, -math.MaxFloat64, &TraverseScratch{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("TraverseBounded(-MaxFloat64) differs from Traverse")
-	}
-}
-
 // TestSeededRefinementThresholdFloor: the refinement threshold never
 // drops below the seed, and a seed above every candidate score (scores
 // are ≤ 1 here) makes the RO scan contribute nothing — the result is
@@ -90,18 +49,18 @@ func TestTraverseBoundedNoFloorMatchesTraverse(t *testing.T) {
 func TestSeededRefinementThresholdFloor(t *testing.T) {
 	tree, scorer, users := groupedFixture(t, 200, 10, 14)
 	su := BuildSuperUser(users[:1], scorer)
-	tr, err := Traverse(tree, scorer, su, 3)
+	tr, err := Traverse(tree, scorer, su, 3, -math.MaxFloat64, &TraverseScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	norms := scorer.UserNorms(users[:1])
 	var sc RefineScratch
-	got := OneUserTopKSeededWith(tree.Dataset(), scorer, &users[0], norms[0], tr, nil, 3, 2.0, &sc)
+	got := RefineUser(tree.Dataset(), scorer, &users[0], norms[0], tr, nil, 3, 2.0, &sc)
 	if got.RSk < 2.0 {
 		t.Fatalf("RSk %v below seed", got.RSk)
 	}
 	loOnly := &TraversalResult{LO: tr.LO, RSkSuper: tr.RSkSuper}
-	want := OneUserTopKSeededWith(tree.Dataset(), scorer, &users[0], norms[0], loOnly, nil, 3, 2.0, &RefineScratch{})
+	want := RefineUser(tree.Dataset(), scorer, &users[0], norms[0], loOnly, nil, 3, 2.0, &RefineScratch{})
 	if !reflect.DeepEqual(got.Results, want.Results) {
 		t.Fatal("an all-dominating seed should reduce the scan to the LO-only refinement")
 	}

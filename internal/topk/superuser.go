@@ -1,8 +1,15 @@
 // Package topk implements the paper's joint top-k processing (Section 5):
 // the super-user grouping (5.2), the upper/lower bound estimations of
 // Lemma 2 (5.3), the shared MIR-tree traversal of Algorithm 1, and the
-// individual per-user refinement of Algorithm 2. It also provides the
-// per-user baseline loop the experiments compare against.
+// individual per-user refinement of Algorithm 2.
+//
+// There is one function per step — BuildSuperUser, Traverse, RefineUser —
+// and one pipeline over them, JointTopK. What used to be separate entry
+// points are parameter values: workers 1 and groups 1 is the sequential
+// paper pipeline, a −MaxFloat64 floor or seed (nil seeds) the unseeded
+// one, a nil RefineAux the paper's unpruned Algorithm 2 scan. BaselineTopK
+// is the per-user loop of Section 4 that the experiments and this
+// package's tests compare against.
 package topk
 
 import (

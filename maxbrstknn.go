@@ -140,14 +140,6 @@ type Options struct {
 	// cold-accounting setting, where SimulatedIO charges every visit).
 	// Purely a performance knob — results are byte-identical either way.
 	DecodedCacheBytes int64
-	// PackedPostings stores the inverted files in the block-max packed
-	// layout: delta + bit-packed posting blocks whose headers carry the
-	// block's maximum term contribution, shrinking resident posting bytes
-	// and letting traversals skip dominated blocks without decoding them.
-	// The pruning is lossless — results are byte-identical to the flat
-	// layout — so this too is purely a performance knob. The setting is
-	// preserved by Save/Load and Compact.
-	PackedPostings bool
 }
 
 func (o Options) alpha() float64 {
@@ -257,7 +249,6 @@ func (b *Builder) Build(opts Options) (*Index, error) {
 		Kind:              irtree.MIRTree,
 		Fanout:            opts.fanout(),
 		DecodedCacheBytes: opts.decodedCacheBytes(),
-		PackedPostings:    opts.PackedPostings,
 	})
 	return newIndex(opts, model, mir, nil, 0, nil), nil
 }
@@ -420,10 +411,12 @@ type IngestStats struct {
 	// LiveObjects and TotalObjects count the objects in the tree and the
 	// allocated ids (live + deleted slots).
 	LiveObjects, TotalObjects int
-	// RetiredRecords and RetiredPages count the append-only store
-	// records (and the 4 kB pages they span) superseded by published
-	// mutations — garbage a Compact would reclaim, kept because older
-	// snapshots may still be reading it.
+	// RetiredRecords and RetiredPages count the store records (and the
+	// 4 kB pages they span) superseded by published mutations and not yet
+	// reclaimed — a gauge, not a running total. An in-memory index frees
+	// them once no open Session pins an older snapshot, so it reads zero
+	// when idle; a file-backed index is append-only and keeps them until
+	// Save or Compact.
 	RetiredRecords, RetiredPages int64
 }
 
@@ -576,7 +569,6 @@ func (ix *Index) Compact() (*Index, error) {
 		Kind:              irtree.MIRTree,
 		Fanout:            ix.opts.fanout(),
 		DecodedCacheBytes: ix.opts.decodedCacheBytes(),
-		PackedPostings:    ix.opts.PackedPostings,
 	})
 	return newIndex(ix.opts, model, mir, nil, 0, nil), nil
 }

@@ -113,9 +113,6 @@ func LoadWithOptions(path string, o LoadOptions) (*Index, error) {
 		// MIUR-tree cache) honor an explicit disable exactly as they
 		// do on a built index.
 		DecodedCacheBytes: o.DecodedCacheBytes,
-		// The posting codec is a property of the stored tree, not of the
-		// caller: carry it back so Compact rebuilds with the same layout.
-		PackedPostings: pix.Tree.PackedPostings(),
 	}
 	live := len(pix.DS.Objects) - len(pix.Deleted)
 	return newIndex(opts, pix.Tree.Model(), pix.Tree, deletedBitmap(pix.Deleted), live, pix), nil

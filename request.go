@@ -449,7 +449,7 @@ func (s *Session) JointTopKAll() ([][]RankedObject, error) {
 	if err := s.checkOpen("JointTopKAll"); err != nil {
 		return nil, err
 	}
-	res, err := topk.JointTopK(s.snap.tree, s.engine.Scorer, s.users, s.k)
+	res, err := topk.JointTopK(s.snap.tree, s.engine.Scorer, s.users, s.k, 1, 1, nil)
 	if err != nil {
 		return nil, err
 	}

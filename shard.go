@@ -198,7 +198,6 @@ func (b *ShardBuilder) Build(opts Options) (*ShardIndex, error) {
 		Kind:              irtree.MIRTree,
 		Fanout:            opts.fanout(),
 		DecodedCacheBytes: opts.decodedCacheBytes(),
-		PackedPostings:    opts.PackedPostings,
 	})
 	return &ShardIndex{Index: newIndex(opts, model, mir, nil, 0, nil), globalIDs: gids}, nil
 }
@@ -295,14 +294,11 @@ func (ss *ShardSession) Phase1(seeds []float64, opts ParallelOptions) (ShardPhas
 	if err := ss.s.checkOpen("Phase1"); err != nil {
 		return ShardPhase1{}, err
 	}
-	if seeds == nil {
-		seeds = make([]float64, len(ss.s.users))
-	}
-	if len(seeds) != len(ss.s.users) {
+	if seeds != nil && len(seeds) != len(ss.s.users) {
 		return ShardPhase1{}, fmt.Errorf("maxbrstknn: %d seeds for %d users", len(seeds), len(ss.s.users))
 	}
 	po := opts.core().Normalize()
-	res, err := topk.JointTopKParallelSeeded(ss.s.snap.tree, ss.s.engine.Scorer, ss.s.users, ss.s.k, po.Workers, po.Groups, seeds)
+	res, err := topk.JointTopK(ss.s.snap.tree, ss.s.engine.Scorer, ss.s.users, ss.s.k, po.Workers, po.Groups, seeds)
 	if err != nil {
 		return ShardPhase1{}, err
 	}
