@@ -7,13 +7,18 @@ package maxbrstknn
 
 import (
 	"math"
+	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/miurtree"
 	"repro/internal/topk"
+	"repro/internal/vocab"
 )
 
 var (
@@ -389,5 +394,110 @@ func BenchmarkIndexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = experiments.NewWorkload(w.Cfg, i%3)
 		_ = ds
+	}
+}
+
+// docKeywords expands a generated document back into keyword strings, one
+// per occurrence (indexutil.KeywordStrings, which imports this package and
+// so cannot be imported from it).
+func docKeywords(v *vocab.Vocabulary, d vocab.Doc) []string {
+	var out []string
+	d.ForEach(func(t vocab.TermID, f int32) {
+		for ; f > 0; f-- {
+			out = append(out, v.Term(t))
+		}
+	})
+	return out
+}
+
+// coldFileIndex builds the system bench/ runs topk-ingest on: 20,000
+// generated objects, saved and loaded back file-backed with a 256-record
+// buffer pool and a 1 MiB decoded cache, both far smaller than the index,
+// so reads miss and the upper levels' inverted files can never be cached.
+func coldFileIndex(b *testing.B) (*Index, *dataset.Dataset) {
+	b.Helper()
+	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(20000))
+	bld := NewBuilder()
+	for _, o := range ds.Objects {
+		bld.AddObject(o.Loc.X, o.Loc.Y, docKeywords(ds.Vocab, o.Doc)...)
+	}
+	built, err := bld.Build(Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "index.mxbr")
+	if err := built.Save(path); err != nil {
+		b.Fatal(err)
+	}
+	built.Close()
+	idx, err := LoadWithOptions(path, LoadOptions{CacheCapacity: 256, DecodedCacheBytes: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { idx.Close() })
+	return idx, ds
+}
+
+// BenchmarkIngest_Cycle measures the write path of the topk-ingest
+// workload at the library: one operation is an add, an update of the added
+// object and a delete of its replacement, each a copy-on-write mutation
+// that rewrites a leaf and its ancestors. The per-kind means and the pages
+// retired per cycle are reported beside the cycle's time and allocations.
+func BenchmarkIngest_Cycle(b *testing.B) {
+	idx, ds := coldFileIndex(b)
+	rng := rand.New(rand.NewSource(1))
+	randomObject := func() (x, y float64, keywords []string) {
+		at := ds.Objects[rng.Intn(len(ds.Objects))].Loc
+		text := ds.Objects[rng.Intn(len(ds.Objects))].Doc
+		return at.X + rng.NormFloat64()*0.1, at.Y + rng.NormFloat64()*0.1, docKeywords(ds.Vocab, text)
+	}
+	var add, update, del time.Duration
+	retired := idx.IngestStats().RetiredPages
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, y, kws := randomObject()
+		x2, y2, kws2 := randomObject()
+		t0 := time.Now()
+		id, err := idx.AddObject(x, y, kws...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		if id, err = idx.UpdateObject(id, x2, y2, kws2...); err != nil {
+			b.Fatal(err)
+		}
+		t2 := time.Now()
+		if err := idx.DeleteObject(id); err != nil {
+			b.Fatal(err)
+		}
+		add, update, del = add+t1.Sub(t0), update+t2.Sub(t1), del+time.Since(t2)
+	}
+	b.StopTimer()
+	perOp := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	b.ReportMetric(perOp(add), "add-ms/op")
+	b.ReportMetric(perOp(update), "update-ms/op")
+	b.ReportMetric(perOp(del), "delete-ms/op")
+	b.ReportMetric(float64(idx.IngestStats().RetiredPages-retired)/float64(b.N), "retired-pages/op")
+}
+
+// BenchmarkTopK_ColdFile measures the read path of the same workload: one
+// user's top-10 with three keywords from anywhere in the space, against
+// caches the index does not fit, so most node visits read their postings
+// from the encoded record.
+func BenchmarkTopK_ColdFile(b *testing.B) {
+	idx, ds := coldFileIndex(b)
+	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 512, UL: 3, UW: 200, Area: 1000, Seed: 1})
+	keywords := make([][]string, len(us.Users))
+	for i, u := range us.Users {
+		keywords[i] = docKeywords(ds.Vocab, u.Doc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := us.Users[i%len(us.Users)]
+		if _, err := idx.TopK(u.Loc.X, u.Loc.Y, keywords[i%len(us.Users)], 10); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

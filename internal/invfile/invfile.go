@@ -23,10 +23,11 @@
 package invfile
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/storage"
 	"repro/internal/vocab"
@@ -88,36 +89,103 @@ func (f *File) Add(t vocab.TermID, p Posting) {
 
 // freeze merges pending Adds into the flat layout. It is a no-op (and
 // therefore safe on shared read-only files) when nothing is pending.
+// Only the pending postings are sorted; one pass then merges them into
+// the already ordered flat arrays. Postings with equal term and entry keep
+// the flat ones first, then the pending ones in Add order.
 func (f *File) freeze() {
 	if len(f.pending) == 0 {
 		return
 	}
-	merged := make([]pendingPosting, 0, len(f.postings)+len(f.pending))
-	for i, t := range f.terms {
-		for _, p := range f.postings[f.starts[i]:f.starts[i+1]] {
-			merged = append(merged, pendingPosting{term: t, p: p})
+	pending := f.pending
+	slices.SortStableFunc(pending, func(a, b pendingPosting) int {
+		if a.term != b.term {
+			return cmp.Compare(a.term, b.term)
+		}
+		return cmp.Compare(a.p.Entry, b.p.Entry)
+	})
+	old := *f
+	*f = File{
+		terms:    make([]vocab.TermID, 0, len(old.terms)),
+		starts:   make([]int32, 0, len(old.starts)),
+		postings: make([]Posting, 0, len(old.postings)+len(pending)),
+	}
+	pi := 0
+	for ti, t := range old.terms {
+		for _, p := range old.postings[old.starts[ti]:old.starts[ti+1]] {
+			for ; pi < len(pending) && (pending[pi].term < t || pending[pi].term == t && pending[pi].p.Entry < p.Entry); pi++ {
+				f.push(pending[pi].term, pending[pi].p)
+			}
+			f.push(t, p)
 		}
 	}
-	merged = append(merged, f.pending...)
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].term != merged[j].term {
-			return merged[i].term < merged[j].term
-		}
-		return merged[i].p.Entry < merged[j].p.Entry
-	})
-
-	f.pending = nil
-	f.terms = f.terms[:0]
-	f.starts = f.starts[:0]
-	f.postings = make([]Posting, 0, len(merged))
-	for _, m := range merged {
-		if n := len(f.terms); n == 0 || f.terms[n-1] != m.term {
-			f.terms = append(f.terms, m.term)
-			f.starts = append(f.starts, int32(len(f.postings)))
-		}
-		f.postings = append(f.postings, m.p)
+	for ; pi < len(pending); pi++ {
+		f.push(pending[pi].term, pending[pi].p)
 	}
 	f.starts = append(f.starts, int32(len(f.postings)))
+}
+
+// push appends one posting to a flat layout under construction. Callers
+// push in (term, entry) order and close starts once after the last one.
+func (f *File) push(t vocab.TermID, p Posting) {
+	if n := len(f.terms); n == 0 || f.terms[n-1] != t {
+		f.terms = append(f.terms, t)
+		f.starts = append(f.starts, int32(len(f.postings)))
+	}
+	f.postings = append(f.postings, p)
+}
+
+// EntryWeight is one term of a child entry's subtree aggregate: the
+// weights ReplaceEntry stores for that entry under Term.
+type EntryWeight struct {
+	Term       vocab.TermID
+	MaxW, MinW float64
+}
+
+// ReplaceEntry returns a new file whose postings for entry are exactly agg
+// (strictly ascending in Term) and whose other postings are the receiver's:
+// one merge of the two ordered inputs, so replacing one child's aggregate
+// in a parent costs a pass over the file and no sort. A term left without
+// postings disappears. A receiver with nothing pending, such as a shared
+// cached file, is not modified.
+func (f *File) ReplaceEntry(entry int32, agg []EntryWeight) *File {
+	f.freeze()
+	g := &File{
+		terms:    make([]vocab.TermID, 0, len(f.terms)+len(agg)),
+		starts:   make([]int32, 0, len(f.terms)+len(agg)+1),
+		postings: make([]Posting, 0, len(f.postings)+len(agg)),
+	}
+	ti, ai := 0, 0
+	for ti < len(f.terms) || ai < len(agg) {
+		// The next term is the smaller head of the two inputs, or both.
+		fromFile := ai == len(agg) || ti < len(f.terms) && f.terms[ti] <= agg[ai].Term
+		fromAgg := ti == len(f.terms) || ai < len(agg) && agg[ai].Term <= f.terms[ti]
+		var t vocab.TermID
+		var ps []Posting
+		if fromFile {
+			t, ps = f.terms[ti], f.postings[f.starts[ti]:f.starts[ti+1]]
+			ti++
+		}
+		begin := len(g.postings)
+		lo, _ := slices.BinarySearchFunc(ps, entry, func(p Posting, e int32) int { return cmp.Compare(p.Entry, e) })
+		g.postings = append(g.postings, ps[:lo]...)
+		if fromAgg {
+			t = agg[ai].Term
+			g.postings = append(g.postings, Posting{Entry: entry, MaxW: agg[ai].MaxW, MinW: agg[ai].MinW})
+			ai++
+		}
+		for lo < len(ps) && ps[lo].Entry == entry {
+			lo++
+		}
+		g.postings = append(g.postings, ps[lo:]...)
+		if len(g.postings) > begin {
+			g.terms = append(g.terms, t)
+			g.starts = append(g.starts, int32(begin))
+		}
+	}
+	if len(g.terms) > 0 {
+		g.starts = append(g.starts, int32(len(g.postings)))
+	}
+	return g
 }
 
 // termIndex returns the position of t in the sorted term slice, or -1.
@@ -225,7 +293,8 @@ func (f *File) Encode(includeMin bool) []byte {
 	if includeMin {
 		version = versionMinMax
 	}
-	buf := storage.AppendUvarint(nil, version)
+	buf := make([]byte, 0, f.encodedLen(version, includeMin))
+	buf = storage.AppendUvarint(buf, version)
 	buf = storage.AppendUvarint(buf, uint64(len(f.terms)))
 	for i, t := range f.terms {
 		ps := f.postings[f.starts[i]:f.starts[i+1]]
@@ -243,6 +312,29 @@ func (f *File) Encode(includeMin bool) []byte {
 	}
 	return buf
 }
+
+// encodedLen is the exact length Encode produces for a frozen file, so the
+// record buffer is allocated once instead of grown through every size.
+func (f *File) encodedLen(version uint64, includeMin bool) int {
+	weights := 8
+	if includeMin {
+		weights = 16
+	}
+	n := uvarintLen(version) + uvarintLen(uint64(len(f.terms))) + weights*len(f.postings)
+	for i, t := range f.terms {
+		ps := f.postings[f.starts[i]:f.starts[i+1]]
+		n += uvarintLen(uint64(t)) + uvarintLen(uint64(len(ps)))
+		prev := int32(0)
+		for _, p := range ps {
+			n += uvarintLen(uint64(p.Entry - prev))
+			prev = p.Entry
+		}
+	}
+	return n
+}
+
+// uvarintLen is the number of bytes storage.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Decode parses a file serialized by Encode, building the flat layout in
 // one pass — the decode-once path the decoded-object cache stores. Files
@@ -267,6 +359,14 @@ func Decode(buf []byte) (*File, error) {
 	if n > 0 && d.Err() == nil {
 		f.terms = make([]vocab.TermID, 0, n)
 		f.starts = make([]int32, 0, n+1)
+		// One allocation for every posting, sized from the buffer and not
+		// from a stored count: a posting is at least one delta byte and one
+		// (max-only) or two (min-max) eight-byte weights.
+		perPosting := 9
+		if version == versionMinMax {
+			perPosting = 17
+		}
+		f.postings = make([]Posting, 0, len(buf)/perPosting)
 	}
 	ordered := true
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
@@ -361,13 +461,14 @@ func floorSums(maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) flo
 //	maxSums[i] = Σ_{t∈maxTerms} max(MaxW(t,i), floor(t))
 //	minSums[i] = Σ_{t∈minTerms} max(MinW(t,i), floor(t))  (MinW > floor only)
 //
-// matching irtree.MaxTextSums / MinTextSums exactly. Term lookup is a
-// binary search (the node stores postings for its whole subtree
-// vocabulary; a query group cares about a handful of terms) and the sums
-// land in caller-supplied scratch, making the warm hot path
-// allocation-free. maxTerms and minTerms must be ascending (the super-user
-// keeps them sorted). The returned slices alias scratch and stay valid
-// only until its next use.
+// each sum starting from its all-floors baseline and adding one term at a
+// time in ascending term order (the order DecodeSumsInto also adds in, so
+// the two agree bit for bit). Term lookup is a binary search (the node
+// stores postings for its whole subtree vocabulary; a query cares about a
+// handful of terms) and the sums land in caller-supplied scratch, making
+// the warm hot path allocation-free. maxTerms and minTerms must be
+// ascending (the super-user keeps them sorted). The returned slices alias
+// scratch and stay valid only until its next use.
 //
 //maxbr:hotpath
 func (f *File) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {

@@ -11,6 +11,59 @@ import (
 	"repro/internal/vocab"
 )
 
+// MaxTextSums and MinTextSums are the reference the production sum paths
+// (ReadInvSums over invfile.SumsInto / DecodeSumsInto) are tested against:
+// a full decode, then one allocating pass per bound.
+
+// MaxTextSums returns, for each entry of a node, an upper bound on
+// Σ_{t∈terms} Weight(d,t) over every document d in the entry's subtree:
+// the posting's maximum weight where the subtree contains the term, and
+// the model's floor weight (LM smoothing) where it does not. For leaf
+// entries the result is exact, because the leaf posting weight is the
+// document's own weight.
+func MaxTextSums(model textrel.Model, inv *invfile.File, nEntries int, terms []vocab.TermID) []float64 {
+	sums := make([]float64, nEntries)
+	floorSum := 0.0
+	for _, tm := range terms {
+		floorSum += model.FloorWeight(tm)
+	}
+	for i := range sums {
+		sums[i] = floorSum
+	}
+	for _, tm := range terms {
+		floor := model.FloorWeight(tm)
+		for _, p := range inv.Postings(tm) {
+			sums[p.Entry] += p.MaxW - floor
+		}
+	}
+	return sums
+}
+
+// MinTextSums returns, for each entry of a node, a lower bound on
+// Σ_{t∈terms} Weight(d,t) over every document d in the entry's subtree:
+// the posting's minimum weight where positive (the term is in the subtree
+// intersection), otherwise the floor. Only meaningful on a MIR-tree; on an
+// IR-tree all stored minima are zero and the bound degrades to the floor.
+func MinTextSums(model textrel.Model, inv *invfile.File, nEntries int, terms []vocab.TermID) []float64 {
+	sums := make([]float64, nEntries)
+	floorSum := 0.0
+	for _, tm := range terms {
+		floorSum += model.FloorWeight(tm)
+	}
+	for i := range sums {
+		sums[i] = floorSum
+	}
+	for _, tm := range terms {
+		floor := model.FloorWeight(tm)
+		for _, p := range inv.Postings(tm) {
+			if p.MinW > floor {
+				sums[p.Entry] += p.MinW - floor
+			}
+		}
+	}
+	return sums
+}
+
 // TestReadInvSumsMatchesDecodedSums verifies ReadInvSums against the
 // reference path (full decode + MaxTextSums / MinTextSums) on every node
 // of both index kinds and several term sets, including terms absent from

@@ -3,6 +3,7 @@ package irtree
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/geo"
@@ -14,9 +15,10 @@ import (
 // This file implements incremental maintenance — the paper's Section 5.1
 // promise that "the update costs of the MIR-tree are the same as the
 // IR-tree" — as copy-on-write mutations over immutable snapshots. A
-// mutation prepares its changes entirely off to the side: modified nodes
-// are re-encoded and appended to the (append-only) record store, and the
-// node-id → record table is path-copied chunk by chunk. Nothing a
+// mutation prepares its changes entirely off to the side: it keeps a
+// working copy of every node it modifies, and when it publishes each such
+// node is encoded and appended to the (append-only) record store once and
+// the node-id → record table is path-copied chunk by chunk. Nothing a
 // published snapshot can reach is ever touched, so readers traverse
 // concurrently with zero synchronization; the facade installs the
 // returned successor snapshot with one atomic pointer swap.
@@ -66,10 +68,11 @@ func (t *Tree) WithReplace(del int32, o dataset.Object) (*Tree, error) {
 }
 
 // mutation is the writer's private workspace: a copy-on-write node-table
-// edit, the working object slice, and the records this mutation
-// supersedes. Reads go through the edit so a later step of the same
-// mutation sees an earlier step's writes; nothing is visible to readers
-// until freeze.
+// edit, the working object slice, the working copy of every node rewritten
+// so far, and the records this mutation supersedes. Reads are served from
+// the working copies first, so a later step of the same mutation sees an
+// earlier step's writes without a trip through the store; nothing is
+// written, and nothing is visible to readers, until freeze.
 type mutation struct {
 	t       *Tree
 	edit    *tableEdit
@@ -77,6 +80,14 @@ type mutation struct {
 	rootID  int32
 	height  int
 	retired storage.RetireSet
+	dirty   map[int32]*workNode
+}
+
+// workNode is the mutation's private copy of one rewritten node. Its
+// records do not exist yet: node.InvID is InvalidPage until freeze.
+type workNode struct {
+	node *NodeData
+	inv  *invfile.File
 }
 
 func (t *Tree) newMutation() *mutation {
@@ -86,17 +97,31 @@ func (t *Tree) newMutation() *mutation {
 		objects: t.ds.Objects,
 		rootID:  t.rootID,
 		height:  t.height,
+		dirty:   make(map[int32]*workNode),
 	}
 }
 
-// freeze publishes the mutation as an immutable successor snapshot and
-// applies the retirement set: decoded-cache entries of superseded records
-// are evicted in one batch (readers pinning older snapshots simply
-// re-decode on demand), and the shared ledger is advanced. The working
-// object slice grows append-only over the base snapshot's, so existing
-// readers never observe the new elements.
+// freeze writes every working copy to the store, one node record and one
+// inverted file each, in ascending node id so the record addresses are a
+// function of the mutation alone. It then publishes the mutation as an
+// immutable successor snapshot and applies the retirement set:
+// decoded-cache entries of superseded records are evicted in one batch
+// (readers pinning older snapshots simply re-decode on demand), and the
+// shared ledger is advanced. The working object slice grows append-only
+// over the base snapshot's, so existing readers never observe the new
+// elements.
 func (m *mutation) freeze() *Tree {
 	base := m.t
+	ids := make([]int32, 0, len(m.dirty))
+	for id := range m.dirty {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		w := m.dirty[id]
+		invID := base.sh.store.Put(w.inv, base.sh.kind == MIRTree)
+		m.edit.set(id, base.sh.pager.WriteRecord(encodeNode(w.node.Leaf, w.node.Entries, invID)))
+	}
 	nt := &Tree{
 		sh: base.sh,
 		ds: &dataset.Dataset{
@@ -124,10 +149,14 @@ func (m *mutation) freeze() *Tree {
 	return nt
 }
 
-// readNode decodes a private *NodeData through the mutation's edit table,
-// so in-flight rewrites are visible to later steps. Never cached: the
-// returned node may be mutated freely.
+// readNode returns the working copy of a node this mutation has rewritten,
+// and otherwise decodes a private *NodeData through the edit table. Never
+// from the decoded cache: the returned node may be mutated freely, as long
+// as a node already rewritten is handed back to writeNodeData.
 func (m *mutation) readNode(id int32) (*NodeData, error) {
+	if w, ok := m.dirty[id]; ok {
+		return w.node, nil
+	}
 	page := m.edit.page(id)
 	if page == storage.InvalidPage {
 		return nil, fmt.Errorf("irtree: unknown node %d", id)
@@ -135,8 +164,12 @@ func (m *mutation) readNode(id int32) (*NodeData, error) {
 	return m.t.decodeNodeAt(id, page)
 }
 
-// readInv decodes a private copy of a node's inverted file.
+// readInv returns a node's working inverted file, or decodes a private
+// copy of the stored one.
 func (m *mutation) readInv(node *NodeData) (*invfile.File, error) {
+	if w, ok := m.dirty[node.ID]; ok {
+		return w.inv, nil
+	}
 	buf, err := m.t.readInvBytes(node.InvID)
 	if err != nil {
 		return nil, err
@@ -151,36 +184,33 @@ func (m *mutation) fanout() int {
 	return 64
 }
 
-// writeNodeData re-encodes a node and its inverted file, appending fresh
-// records and repointing the node id in the edit table. oldInv is the
-// superseded inverted file's record (InvalidPage when the node is new);
-// it and the superseded node record join the retirement set, evicted
-// from the decoded cache if and when this mutation publishes.
+// writeNodeData makes entries and inv the working copy of node id; freeze
+// encodes and stores it. The first write of a node the base snapshot holds
+// retires that snapshot's two records for it (oldInv is the inverted
+// file's, InvalidPage when the node is new): they leave the decoded cache
+// if and when this mutation publishes.
 func (m *mutation) writeNodeData(id int32, leaf bool, entries []NodeEntry, inv *invfile.File, oldInv storage.PageID) {
-	if old := m.edit.page(id); old != storage.InvalidPage {
-		m.retired.Add(old)
-	}
-	if oldInv != storage.InvalidPage {
+	if _, rewritten := m.dirty[id]; !rewritten {
+		m.retired.Add(m.edit.page(id))
 		m.retired.Add(oldInv)
 	}
-	sh := m.t.sh
-	invID := sh.store.Put(inv, sh.kind == MIRTree)
-	counts := make([]int32, len(entries))
-	total := int32(0)
-	rtEntries := make([]rtreeEntry, len(entries))
-	for i, e := range entries {
-		counts[i] = e.Count
-		total += e.Count
-		rtEntries[i] = rtreeEntry{rect: e.Rect, child: e.Child}
+	node := &NodeData{ID: id, Leaf: leaf, Entries: entries, InvID: storage.InvalidPage}
+	for _, e := range entries {
+		node.Count += e.Count
 	}
-	m.edit.set(id, sh.pager.WriteRecord(encodeNodeParts(leaf, rtEntries, counts, total, invID)))
+	m.dirty[id] = &workNode{node: node, inv: inv}
 }
 
-// dropNode retires a node that lost its last entry: its records join the
-// retirement set and its id becomes a dead slot.
+// dropNode removes a node that lost its last entry: its id becomes a dead
+// slot, and its stored records join the retirement set unless an earlier
+// write of this mutation has retired them already.
 func (m *mutation) dropNode(id int32, node *NodeData) {
-	m.retired.Add(m.edit.page(id))
-	m.retired.Add(node.InvID)
+	if _, rewritten := m.dirty[id]; rewritten {
+		delete(m.dirty, id)
+	} else {
+		m.retired.Add(m.edit.page(id))
+		m.retired.Add(node.InvID)
+	}
 	m.edit.set(id, storage.InvalidPage)
 }
 
@@ -289,7 +319,7 @@ func (m *mutation) insert(o dataset.Object) error {
 		}
 		parent.Entries[entryIdx].Rect = rect
 		parent.Entries[entryIdx].Count = count
-		updateEntryPostings(parentInv, int32(entryIdx), agg)
+		parentInv = parentInv.ReplaceEntry(int32(entryIdx), agg)
 
 		if childSplit >= 0 {
 			sAgg, sRect, sCount, err := m.aggregateOf(childSplit)
@@ -298,7 +328,7 @@ func (m *mutation) insert(o dataset.Object) error {
 			}
 			newIdx := int32(len(parent.Entries))
 			parent.Entries = append(parent.Entries, NodeEntry{Rect: sRect, Child: childSplit, Count: sCount})
-			updateEntryPostings(parentInv, newIdx, sAgg)
+			parentInv = parentInv.ReplaceEntry(newIdx, sAgg)
 		}
 
 		childSplit = -1
@@ -324,7 +354,7 @@ func (m *mutation) insert(o dataset.Object) error {
 				return err
 			}
 			entries = append(entries, NodeEntry{Rect: rect, Child: cid, Count: count})
-			updateEntryPostings(inv, int32(i), agg)
+			inv = inv.ReplaceEntry(int32(i), agg)
 		}
 		m.writeNodeData(newRoot, false, entries, inv, storage.InvalidPage)
 		m.rootID = newRoot
@@ -397,7 +427,7 @@ func (m *mutation) delete(oid int32) error {
 			}
 			parent.Entries[pIdx].Rect = rect
 			parent.Entries[pIdx].Count = count
-			updateEntryPostings(parentInv, int32(pIdx), agg)
+			parentInv = parentInv.ReplaceEntry(int32(pIdx), agg)
 			m.writeNodeData(parentID, false, parent.Entries, parentInv, parent.InvID)
 		}
 		childID = parentID
@@ -458,11 +488,11 @@ func (m *mutation) findLeaf(id, oid int32, loc geo.Point, path *[]step) (leafID 
 	return 0, 0, false, nil
 }
 
-// aggregateOf reconstructs a node's subtree aggregate from its stored
-// inverted file: a term's max weight is the posting maximum over entries;
-// it is "covered" (min weight > 0) only when every entry carries a
-// positive-minimum posting for it.
-func (m *mutation) aggregateOf(id int32) (nodeAgg, geo.Rect, int32, error) {
+// aggregateOf derives a node's subtree aggregate, ascending by term, in
+// one pass over its inverted file: a term's max weight is the posting
+// maximum over entries; it is "covered" (min weight > 0) only when every
+// entry carries a positive-minimum posting for it.
+func (m *mutation) aggregateOf(id int32) ([]invfile.EntryWeight, geo.Rect, int32, error) {
 	node, err := m.readNode(id)
 	if err != nil {
 		return nil, geo.Rect{}, 0, err
@@ -471,51 +501,28 @@ func (m *mutation) aggregateOf(id int32) (nodeAgg, geo.Rect, int32, error) {
 	if err != nil {
 		return nil, geo.Rect{}, 0, err
 	}
-	agg := make(nodeAgg)
+	agg := make([]invfile.EntryWeight, 0, inv.NumTerms())
 	nEntries := len(node.Entries)
-	for _, tm := range inv.Terms() {
-		ps := inv.Postings(tm)
-		a := aggEntry{minW: math.Inf(1), covered: len(ps) == nEntries}
+	inv.ForEach(func(tm vocab.TermID, ps []invfile.Posting) {
+		a := invfile.EntryWeight{Term: tm, MinW: math.Inf(1)}
+		covered := len(ps) == nEntries
 		for _, p := range ps {
-			if p.MaxW > a.maxW {
-				a.maxW = p.MaxW
+			if p.MaxW > a.MaxW {
+				a.MaxW = p.MaxW
 			}
-			if p.MinW < a.minW {
-				a.minW = p.MinW
+			if p.MinW < a.MinW {
+				a.MinW = p.MinW
 			}
 			if p.MinW <= 0 {
-				a.covered = false
+				covered = false
 			}
 		}
-		if !a.covered {
-			a.minW = 0
+		if !covered {
+			a.MinW = 0
 		}
-		agg[tm] = a
-	}
-	return agg, node.MBR(), node.Count, nil
-}
-
-// updateEntryPostings replaces every posting for the given entry with the
-// child aggregate's terms.
-func updateEntryPostings(inv *invfile.File, entry int32, agg nodeAgg) {
-	rebuilt := invfile.New()
-	inv.ForEach(func(tm vocab.TermID, ps []invfile.Posting) {
-		for _, p := range ps {
-			if p.Entry != entry {
-				rebuilt.Add(tm, p)
-			}
-		}
+		agg = append(agg, a)
 	})
-	for tm, a := range agg {
-		rebuilt.Add(tm, invfile.Posting{Entry: entry, MaxW: a.maxW, MinW: a.minW})
-	}
-	*inv = *rebuilt
-}
-
-// rtreeEntry carries the structural part of an entry for encoding.
-type rtreeEntry struct {
-	rect  geo.Rect
-	child int32
+	return agg, node.MBR(), node.Count, nil
 }
 
 // splitNode splits an overflowing decoded node (quadratic-split seeds,
@@ -579,8 +586,8 @@ func (m *mutation) splitNode(id int32, node *NodeData) (int32, error) {
 }
 
 // rebuildNodeFromEntries recomputes a node's inverted file from scratch —
-// exact leaf weights for leaves, child aggregates (read back from the
-// store) for internal nodes — and writes it, superseding oldInv.
+// exact leaf weights for leaves, child aggregates for internal nodes — and
+// makes it the node's working copy, superseding oldInv.
 func (m *mutation) rebuildNodeFromEntries(id int32, leaf bool, entries []NodeEntry, oldInv storage.PageID) error {
 	model := m.t.sh.model
 	inv := invfile.New()
@@ -597,8 +604,8 @@ func (m *mutation) rebuildNodeFromEntries(id int32, leaf bool, entries []NodeEnt
 		if err != nil {
 			return err
 		}
-		for tm, a := range agg {
-			inv.Add(tm, invfile.Posting{Entry: int32(i), MaxW: a.maxW, MinW: a.minW})
+		for _, a := range agg {
+			inv.Add(a.Term, invfile.Posting{Entry: int32(i), MaxW: a.MaxW, MinW: a.MinW})
 		}
 	}
 	m.writeNodeData(id, leaf, entries, inv, oldInv)

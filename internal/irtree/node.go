@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/geo"
-	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
@@ -44,27 +43,19 @@ func (n *NodeData) MBR() geo.Rect {
 
 // encodeNode serializes a node: leaf flag, entry count, per entry the
 // child ref, subtree count and rectangle, then the total count and the
-// inverted-file page id.
-func encodeNode(n *rtree.Node, counts []int32, total int32, invID storage.PageID) []byte {
-	entries := make([]rtreeEntry, len(n.Entries))
-	for i, e := range n.Entries {
-		entries[i] = rtreeEntry{rect: e.Rect, child: e.Child}
-	}
-	return encodeNodeParts(n.Leaf, entries, counts, total, invID)
-}
-
-// encodeNodeParts is the layout shared by construction and incremental
-// maintenance.
-func encodeNodeParts(leaf bool, entries []rtreeEntry, counts []int32, total int32, invID storage.PageID) []byte {
+// inverted-file page id. Construction and incremental maintenance share it.
+func encodeNode(leaf bool, entries []NodeEntry, invID storage.PageID) []byte {
 	buf := storage.AppendUvarint(nil, boolBit(leaf))
 	buf = storage.AppendUvarint(buf, uint64(len(entries)))
-	for i, e := range entries {
-		buf = storage.AppendUvarint(buf, uint64(e.child))
-		buf = storage.AppendUvarint(buf, uint64(counts[i]))
-		buf = storage.AppendFloat64(buf, e.rect.Min.X)
-		buf = storage.AppendFloat64(buf, e.rect.Min.Y)
-		buf = storage.AppendFloat64(buf, e.rect.Max.X)
-		buf = storage.AppendFloat64(buf, e.rect.Max.Y)
+	total := int32(0)
+	for _, e := range entries {
+		buf = storage.AppendUvarint(buf, uint64(e.Child))
+		buf = storage.AppendUvarint(buf, uint64(e.Count))
+		buf = storage.AppendFloat64(buf, e.Rect.Min.X)
+		buf = storage.AppendFloat64(buf, e.Rect.Min.Y)
+		buf = storage.AppendFloat64(buf, e.Rect.Max.X)
+		buf = storage.AppendFloat64(buf, e.Rect.Max.Y)
+		total += e.Count
 	}
 	buf = storage.AppendUvarint(buf, uint64(total))
 	buf = storage.AppendUvarint(buf, uint64(invID))

@@ -4,57 +4,7 @@ import (
 	"repro/internal/container"
 	"repro/internal/invfile"
 	"repro/internal/textrel"
-	"repro/internal/vocab"
 )
-
-// MaxTextSums returns, for each entry of a node, an upper bound on
-// Σ_{t∈terms} Weight(d,t) over every document d in the entry's subtree:
-// the posting's maximum weight where the subtree contains the term, and
-// the model's floor weight (LM smoothing) where it does not. For leaf
-// entries the result is exact, because the leaf posting weight is the
-// document's own weight.
-func MaxTextSums(model textrel.Model, inv *invfile.File, nEntries int, terms []vocab.TermID) []float64 {
-	sums := make([]float64, nEntries)
-	floorSum := 0.0
-	for _, tm := range terms {
-		floorSum += model.FloorWeight(tm)
-	}
-	for i := range sums {
-		sums[i] = floorSum
-	}
-	for _, tm := range terms {
-		floor := model.FloorWeight(tm)
-		for _, p := range inv.Postings(tm) {
-			sums[p.Entry] += p.MaxW - floor
-		}
-	}
-	return sums
-}
-
-// MinTextSums returns, for each entry of a node, a lower bound on
-// Σ_{t∈terms} Weight(d,t) over every document d in the entry's subtree:
-// the posting's minimum weight where positive (the term is in the subtree
-// intersection), otherwise the floor. Only meaningful on a MIR-tree; on an
-// IR-tree all stored minima are zero and the bound degrades to the floor.
-func MinTextSums(model textrel.Model, inv *invfile.File, nEntries int, terms []vocab.TermID) []float64 {
-	sums := make([]float64, nEntries)
-	floorSum := 0.0
-	for _, tm := range terms {
-		floorSum += model.FloorWeight(tm)
-	}
-	for i := range sums {
-		sums[i] = floorSum
-	}
-	for _, tm := range terms {
-		floor := model.FloorWeight(tm)
-		for _, p := range inv.Postings(tm) {
-			if p.MinW > floor {
-				sums[p.Entry] += p.MinW - floor
-			}
-		}
-	}
-	return sums
-}
 
 // Result is one ranked object.
 type Result struct {
@@ -86,6 +36,7 @@ func (t *Tree) TopK(scorer *textrel.Scorer, u UserView, k int) ([]Result, float6
 	pq.Push(cand{t.rootID, true}, 1) // any key ≥ every true score works for the root
 
 	uRect := u.Rect()
+	var scratch invfile.SumScratch
 	for pq.Len() > 0 {
 		c, key := pq.Pop()
 		if tk.Full() && key <= tk.Threshold() {
@@ -99,11 +50,10 @@ func (t *Tree) TopK(scorer *textrel.Scorer, u UserView, k int) ([]Result, float6
 		if err != nil {
 			return nil, 0, err
 		}
-		inv, err := t.ReadInvFile(node)
+		sums, _, err := t.ReadInvSums(node, u.Terms, nil, &scratch)
 		if err != nil {
 			return nil, 0, err
 		}
-		sums := MaxTextSums(t.sh.model, inv, len(node.Entries), u.Terms)
 		for i, e := range node.Entries {
 			ss := scorer.SSMax(e.Rect, uRect)
 			score := scorer.Alpha*ss + (1-scorer.Alpha)*sums[i]/u.Norm

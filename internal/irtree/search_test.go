@@ -2,8 +2,10 @@ package irtree
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/container"
 	"repro/internal/dataset"
 	"repro/internal/invfile"
 	"repro/internal/textrel"
@@ -191,4 +193,121 @@ func TestTextSumsBracketDocSums(t *testing.T) {
 		}
 	}
 	check(tree.RootID())
+}
+
+// referenceTopK is Tree.TopK as it read postings before it moved to
+// ReadInvSums: every visited node's whole inverted file decoded through
+// ReadInvFile, its sums taken by MaxTextSums.
+func referenceTopK(t *Tree, scorer *textrel.Scorer, u UserView, k int) ([]Result, float64, error) {
+	tk := container.NewTopK[Result](k)
+	type cand struct {
+		ref    int32
+		isNode bool
+	}
+	pq := container.NewMaxHeap[cand]()
+	pq.Push(cand{t.rootID, true}, 1)
+	uRect := u.Rect()
+	for pq.Len() > 0 {
+		c, key := pq.Pop()
+		if tk.Full() && key <= tk.Threshold() {
+			break
+		}
+		if !c.isNode {
+			tk.Offer(Result{ObjID: c.ref, Score: key}, key)
+			continue
+		}
+		node, err := t.ReadNode(c.ref)
+		if err != nil {
+			return nil, 0, err
+		}
+		inv, err := t.ReadInvFile(node)
+		if err != nil {
+			return nil, 0, err
+		}
+		sums := MaxTextSums(t.sh.model, inv, len(node.Entries), u.Terms)
+		for i, e := range node.Entries {
+			score := scorer.Alpha*scorer.SSMax(e.Rect, uRect) + (1-scorer.Alpha)*sums[i]/u.Norm
+			if tk.Full() && score < tk.Threshold() {
+				continue
+			}
+			pq.Push(cand{e.Child, !node.Leaf}, score)
+		}
+	}
+	results := tk.PopAscending()
+	slices.Reverse(results)
+	rsk := -math.MaxFloat64
+	if len(results) == k {
+		rsk = results[len(results)-1].Score
+	}
+	return results, rsk, nil
+}
+
+// TestTopKMatchesWholeFileReference: reading only the query's postings
+// changes no bit of any answer, whichever way a node's file is read — the
+// byte-wise scan with no decoded cache, the same scan under a cache whose
+// budget no record fits, or the decoded file of a cache that holds
+// everything — and with no cache at all it charges exactly the simulated
+// I/O of the whole-file read, so the paper figures' I/O series cannot move.
+func TestTopKMatchesWholeFileReference(t *testing.T) {
+	for _, kind := range []Kind{IRTree, MIRTree} {
+		_, ds, scorer := buildSmall(t, kind, textrel.LM)
+		us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 20, UL: 3, UW: 15, Area: 20, Seed: 41})
+		for _, cacheBytes := range []int64{0, 1 << 10, 8 << 20} {
+			tree := Build(ds, scorer.Model, Config{Kind: kind, Fanout: 16, DecodedCacheBytes: cacheBytes})
+			for ui := range us.Users {
+				view := ViewOf(&us.Users[ui], scorer)
+				for _, k := range []int{1, 10} {
+					tree.IO().Reset()
+					got, gotRSk, err := tree.TopK(scorer, view, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotIO := tree.IO().Total()
+					tree.IO().Reset()
+					want, wantRSk, err := referenceTopK(tree, scorer, view, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) || gotRSk != wantRSk {
+						t.Fatalf("%v cache %d user %d k=%d: %v (RSk %v), reference %v (RSk %v)",
+							kind, cacheBytes, ui, k, got, gotRSk, want, wantRSk)
+					}
+					if wantIO := tree.IO().Total(); cacheBytes == 0 && (gotIO != wantIO || gotIO == 0) {
+						t.Fatalf("%v user %d k=%d: cold TopK charged %d simulated I/Os, the whole-file read %d",
+							kind, ui, k, gotIO, wantIO)
+					}
+				}
+			}
+			if st := tree.DecodedCacheStats(); cacheBytes == 1<<10 && st.Entries != 0 {
+				t.Fatalf("a %d-byte decoded cache holds %d entries: the no-fit setting is not one", cacheBytes, st.Entries)
+			}
+		}
+	}
+}
+
+// TestTopKWarmAllocations: with every visited node and file in the decoded
+// cache, a TopK allocates for its two heaps and its result only — one
+// reusable sum scratch, nothing per node visited — so the count stays
+// under the same small bound on a tree with four times the nodes.
+func TestTopKWarmAllocations(t *testing.T) {
+	for _, n := range []int{800, 3200} {
+		ds := dataset.GenerateFlickr(dataset.FlickrConfig{
+			NumObjects: n, VocabSize: 300, MeanTags: 5, NumCluster: 8, Zipf: 1.2, Seed: 5,
+		})
+		scorer := textrel.NewScorer(ds, textrel.LM, 0.5)
+		tree := Build(ds, scorer.Model, Config{Kind: MIRTree, Fanout: 8, DecodedCacheBytes: 64 << 20})
+		us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 4, UL: 3, UW: 15, Area: 20, Seed: 43})
+		for ui := range us.Users {
+			view := ViewOf(&us.Users[ui], scorer)
+			run := func() {
+				if _, _, err := tree.TopK(scorer, view, 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the cache
+			if allocs := testing.AllocsPerRun(20, run); allocs > 30 {
+				t.Errorf("%d objects, user %d: warm TopK allocates %.0f times, want ≤ 30", n, ui, allocs)
+			}
+		}
+	}
 }

@@ -180,7 +180,7 @@ func Build(ds *dataset.Dataset, model textrel.Model, cfg Config) *Tree {
 func (t *Tree) buildNode(rt *rtree.Tree, id int32) (nodeAgg, int32) {
 	n := rt.Node(id)
 	inv := invfile.New()
-	counts := make([]int32, len(n.Entries))
+	entries := make([]NodeEntry, len(n.Entries))
 	agg := make(nodeAgg)
 	entryCovered := make([]nodeAgg, len(n.Entries))
 	total := int32(0)
@@ -199,7 +199,7 @@ func (t *Tree) buildNode(rt *rtree.Tree, id int32) (nodeAgg, int32) {
 		} else {
 			childAgg, childCount = t.buildNode(rt, e.Child)
 		}
-		counts[i] = childCount
+		entries[i] = NodeEntry{Rect: e.Rect, Child: e.Child, Count: childCount}
 		total += childCount
 		entryCovered[i] = childAgg
 		for tm, a := range childAgg {
@@ -238,7 +238,7 @@ func (t *Tree) buildNode(rt *rtree.Tree, id int32) (nodeAgg, int32) {
 	}
 
 	invID := t.sh.store.Put(inv, t.sh.kind == MIRTree)
-	t.nodes.setRaw(id, t.sh.pager.WriteRecord(encodeNode(n, counts, total, invID)))
+	t.nodes.setRaw(id, t.sh.pager.WriteRecord(encodeNode(n.Leaf, entries, invID)))
 	return agg, total
 }
 
@@ -291,8 +291,8 @@ func (t *Tree) Backend() storage.Backend { return t.sh.pager }
 // simulated node-visit I/O (the Section 8 rule). With a warm buffer pool
 // configured, pool hits charge nothing; with a decoded cache configured,
 // hits skip both the charge and the decode, returning the shared
-// immutable *NodeData (callers must not modify it — the insert path uses
-// private uncached reads for exactly that reason).
+// immutable *NodeData (callers must not modify it — mutations use private
+// uncached reads for exactly that reason).
 func (t *Tree) ReadNode(id int32) (*NodeData, error) {
 	page := t.nodes.page(id)
 	if page == storage.InvalidPage {
@@ -301,7 +301,7 @@ func (t *Tree) ReadNode(id int32) (*NodeData, error) {
 	if v, ok := t.sh.decoded.Get(page); ok {
 		return v.(*NodeData), nil
 	}
-	node, err := t.readNodeFresh(id)
+	node, err := t.decodeNodeAt(id, page)
 	if err != nil {
 		return nil, err
 	}
@@ -309,20 +309,9 @@ func (t *Tree) ReadNode(id int32) (*NodeData, error) {
 	return node, nil
 }
 
-// readNodeFresh is ReadNode without the decoded cache: it always decodes a
-// private *NodeData the caller may mutate. The insert path reads through
-// it so cached nodes stay immutable. Callers must have validated id.
-func (t *Tree) readNodeFresh(id int32) (*NodeData, error) {
-	page := t.nodes.page(id)
-	if page == storage.InvalidPage {
-		return nil, fmt.Errorf("irtree: unknown node %d", id)
-	}
-	return t.decodeNodeAt(id, page)
-}
-
 // decodeNodeAt reads and decodes the node record at page, charging one
 // simulated node-visit I/O on a buffer-pool miss. Mutations call it with
-// their private page table; readers through readNodeFresh.
+// their private page table; readers through ReadNode.
 func (t *Tree) decodeNodeAt(id int32, page storage.PageID) (*NodeData, error) {
 	if t.sh.cache != nil {
 		buf, hit, err := t.sh.cache.Read(page)
@@ -363,12 +352,18 @@ func (t *Tree) readInvBytes(id storage.PageID) ([]byte, error) {
 // ReadInvFile loads the inverted file referenced by a node, charging one
 // simulated I/O per 4 kB block (pool and decoded-cache hits charge
 // nothing). The returned file may be shared through the decoded cache and
-// must be treated as immutable; the insert path uses readInvFileFresh.
+// must be treated as immutable. No production path calls it any more:
+// every search sums through ReadInvSums and mutations decode privately; it
+// stays as the whole-file view the tests check those paths against.
 func (t *Tree) ReadInvFile(node *NodeData) (*invfile.File, error) {
 	if v, ok := t.sh.decoded.Get(node.InvID); ok {
 		return v.(*invfile.File), nil
 	}
-	f, err := t.readInvFileFresh(node)
+	buf, err := t.readInvBytes(node.InvID)
+	if err != nil {
+		return nil, err
+	}
+	f, err := invfile.Decode(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -376,23 +371,14 @@ func (t *Tree) ReadInvFile(node *NodeData) (*invfile.File, error) {
 	return f, nil
 }
 
-// readInvFileFresh decodes a private copy of a node's inverted file,
-// bypassing the decoded cache — the mutation-safe read of the insert path.
-func (t *Tree) readInvFileFresh(node *NodeData) (*invfile.File, error) {
-	buf, err := t.readInvBytes(node.InvID)
-	if err != nil {
-		return nil, err
-	}
-	return invfile.Decode(buf)
-}
-
 // ReadInvSums loads the inverted file referenced by a node and computes
 // the per-entry bound sums for the given (ascending) term sets in one
-// fused, term-filtered pass — the traversal fast path, equivalent to
-// ReadInvFile followed by MaxTextSums and MinTextSums but without
-// materializing posting lists for the node's whole subtree vocabulary.
-// The simulated I/O charge is identical to ReadInvFile's. The returned
-// slices alias scratch and stay valid only until its next use.
+// fused, term-filtered pass (see invfile.SumsInto for the definition) —
+// the one way a search reads postings, shared by the joint traversal and
+// the single-user TopK, and never materializing posting lists for the
+// node's whole subtree vocabulary when the file cannot be cached. The
+// simulated I/O charge is one per 4 kB block, as for any load of the file.
+// The returned slices alias scratch and stay valid only until its next use.
 //
 // On a decoded-cache hit the sums are computed over the cached flat file
 // via binary-search term lookup — no bytes touched, no allocations. On a

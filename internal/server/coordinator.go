@@ -733,6 +733,11 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	if wire.K < 1 {
+		// What every shard would answer, said before the scatter.
+		writeError(w, http.StatusBadRequest, errors.New("maxbrstknn: k must be positive"))
+		return
+	}
 	type topKResponse struct {
 		Results []RankedPayload `json:"results"`
 	}
@@ -747,12 +752,16 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}(s)
 	}
 	wg.Wait()
-	all := make([]RankedPayload, 0, len(c.shards)*wire.K)
+	total := 0
 	for s := range c.shards {
 		if errs[s] != nil {
 			writeError(w, coordErrorStatus(errs[s]), errs[s])
 			return
 		}
+		total += len(responses[s].Results)
+	}
+	all := make([]RankedPayload, 0, total)
+	for s := range c.shards {
 		all = append(all, responses[s].Results...)
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -761,7 +770,7 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		return all[i].ObjectID < all[j].ObjectID
 	})
-	if wire.K >= 0 && len(all) > wire.K {
+	if len(all) > wire.K {
 		all = all[:wire.K]
 	}
 	c.served.Add(1)

@@ -405,3 +405,30 @@ func getBody(t testing.TB, ts *httptest.Server, path string) (*http.Response, []
 	}
 	return resp, out.Bytes()
 }
+
+// TestTopKRejectsNonPositiveKEverywhere: the three servers agree on k. A
+// k below 1 is a 400 from the single server, from a shard and from the
+// coordinator (which used to size its merge buffer from k before looking
+// at it, and died on a negative one); k = 1 is answered by all three.
+func TestTopKRejectsNonPositiveKEverywhere(t *testing.T) {
+	objs, idx, _ := coordFixture(t)
+	single := httptest.NewServer(New(idx, Config{}).Handler())
+	defer single.Close()
+	shardTS := buildShardServers(t, objs, idx.FrozenCorpus(), 2)
+	_, coordTS := newCoordinatorTS(t, shardTS, CoordinatorConfig{})
+	servers := []struct {
+		name string
+		ts   *httptest.Server
+	}{{"server.New", single}, {"NewShard", shardTS[0]}, {"NewCoordinator", coordTS}}
+
+	for _, c := range []struct{ k, status int }{
+		{-1, http.StatusBadRequest}, {0, http.StatusBadRequest}, {1, http.StatusOK},
+	} {
+		for _, srv := range servers {
+			resp, body := postJSON(t, srv.ts, "/topk", TopKRequest{X: 5, Y: 5, Keywords: []string{"tea"}, K: c.k})
+			if resp.StatusCode != c.status {
+				t.Errorf("%s /topk k=%d: status %d, want %d: %s", srv.name, c.k, resp.StatusCode, c.status, body)
+			}
+		}
+	}
+}
