@@ -1,8 +1,8 @@
 // Benchmarks, one per table and figure of the paper's evaluation
 // (Section 8). Each benchmark exercises the operation its figure measures,
 // at a scale bounded enough for `go test -bench=.`; the full sweeps that
-// regenerate the figures' series live in cmd/benchrunner (see
-// EXPERIMENTS.md for the recorded outputs).
+// regenerate the figures' series live in cmd/benchrunner (README,
+// "Reproducing the paper's evaluation").
 package maxbrstknn
 
 import (
@@ -265,8 +265,8 @@ func BenchmarkFig15_UserIndexed(b *testing.B) {
 }
 
 // BenchmarkAblationNoMinWeights runs the joint traversal against the plain
-// IR-tree (no stored minimum weights), isolating the MIR-tree's lower
-// bounds (DESIGN.md §6).
+// IR-tree (no stored minimum weights), isolating what the MIR-tree's
+// lower bounds (Section 5.3) save.
 func BenchmarkAblationNoMinWeights(b *testing.B) {
 	w := benchWorkload(b)
 	su := topk.BuildSuperUser(w.US.Users, w.Scorer)

@@ -1,6 +1,7 @@
 // Command datagen generates the synthetic spatial-textual datasets that
-// stand in for the paper's Flickr and Yelp collections (DESIGN.md §3) and
-// writes them in the text interchange format of internal/dataset:
+// stand in for the paper's Flickr and Yelp collections (neither ships with
+// the repository; see package internal/dataset) and writes them in the
+// text interchange format of internal/dataset:
 //
 //	objects.txt:    id <tab> x <tab> y <tab> kw1,kw2,...
 //	users.txt:      id <tab> x <tab> y <tab> kw1,kw2,...

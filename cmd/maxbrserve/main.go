@@ -1,7 +1,10 @@
-// Command maxbrserve is the long-lived MaxBRSTkNN query server: it opens
-// one index and serves it over HTTP/JSON to any number of concurrent
-// clients, caching prepared user-cohort sessions so repeated cohorts skip
-// the expensive joint top-k phase.
+// Command maxbrserve is the long-lived MaxBRSTkNN query server: it serves
+// one index, one shard of a split index, or a coordinator over shard
+// servers over HTTP/JSON to any number of concurrent clients. Every mode
+// is the same server (internal/server): a single index is a fleet of one
+// in-process shard. A cohort cache (-sessions) keeps each user cohort's
+// merged phase-1 thresholds, so repeated cohorts skip the expensive joint
+// top-k phase.
 //
 // Serve a saved index file (the production mode — no rebuild on start):
 //
@@ -58,13 +61,6 @@ import (
 	"repro/internal/vocab"
 )
 
-// serving is what main drives: both server.Server and server.Coordinator
-// satisfy it.
-type serving interface {
-	ListenAndServe() error
-	Shutdown(context.Context) error
-}
-
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
@@ -73,7 +69,7 @@ func main() {
 		cache     = flag.Int("cache", 0, "buffer-pool records for a loaded index (0 = default, negative = cold)")
 		inflight  = flag.Int("max-inflight", 0, "max concurrently executing queries (0 = 4×GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout")
-		sessions  = flag.Int("sessions", 64, "session-cache capacity in user cohorts (negative = unbounded)")
+		sessions  = flag.Int("sessions", 64, "cohort-cache capacity in user cohorts (negative = unbounded)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 
 		shardSpec    = flag.String("shard", "", "serve one shard of a sharded deployment: i/N (requires -data; the spatial plan is re-derived from the dataset)")
@@ -134,7 +130,7 @@ type options struct {
 // buildServing picks and constructs the serving mode: coordinator, shard
 // server, or the classic single-index server. cleanup releases whatever
 // index the mode opened.
-func buildServing(o options) (srv serving, banner string, cleanup func() error, err error) {
+func buildServing(o options) (srv *server.Server, banner string, cleanup func() error, err error) {
 	cfg := server.Config{
 		Addr:            o.addr,
 		MaxInFlight:     o.inflight,
@@ -150,13 +146,7 @@ func buildServing(o options) (srv serving, banner string, cleanup func() error, 
 		if len(addrs) == 0 {
 			return nil, "", nil, fmt.Errorf("maxbrserve: -coordinator requires -shards host1,host2,... in shard-id order")
 		}
-		c, err := server.NewCoordinator(server.CoordinatorConfig{
-			Addr:              o.addr,
-			Shards:            addrs,
-			ShardTimeout:      o.shardTimeout,
-			RequestTimeout:    o.timeout,
-			ThresholdCapacity: o.sessions,
-		})
+		c, err := server.NewCoordinator(server.CoordinatorConfig{Config: cfg, Shards: addrs, ShardTimeout: o.shardTimeout})
 		if err != nil {
 			return nil, "", nil, err
 		}

@@ -56,18 +56,19 @@ func main() {
 	soloMs := float64(time.Since(start).Microseconds()) / 1000
 	soloIO := idx.SimulatedIO()
 
-	// Jointly.
-	session, err := idx.NewSession(users, k) // runs the joint computation
+	// Jointly: one shared traversal computes every user's top-k.
+	session, err := idx.NewUnpreparedSession(users, k)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer session.Close()
 	idx.ResetIO()
 	start = time.Now()
-	all, err := session.JointTopKAll()
+	joint, err := session.Phase1(nil, maxbrstknn.ParallelOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	all := joint.PerUser
 	jointMs := float64(time.Since(start).Microseconds()) / 1000
 	jointIO := idx.SimulatedIO()
 

@@ -13,17 +13,11 @@ import (
 // UserIndexed return an explicit error rather than silently downgrading
 // to Exact. l must be positive.
 func (s *Session) RunTopL(req Request, l int) ([]Result, error) {
-	if err := s.checkOpen("RunTopL"); err != nil {
-		return nil, err
-	}
-	if req.K != s.k {
-		return nil, errKMismatch(req.K, s.k)
-	}
 	method, err := extensionMethod("RunTopL", req.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	q, err := s.buildQuery(req)
+	q, err := s.open("RunTopL", req)
 	if err != nil {
 		return nil, err
 	}
@@ -47,17 +41,11 @@ func (s *Session) RunTopL(req Request, l int) ([]Result, error) {
 // Exact and Approx strategies are supported; Exhaustive and UserIndexed
 // return an explicit error rather than silently downgrading to Exact.
 func (s *Session) RunMultiple(req Request, m int) ([]Result, error) {
-	if err := s.checkOpen("RunMultiple"); err != nil {
-		return nil, err
-	}
-	if req.K != s.k {
-		return nil, errKMismatch(req.K, s.k)
-	}
 	method, err := extensionMethod("RunMultiple", req.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	q, err := s.buildQuery(req)
+	q, err := s.open("RunMultiple", req)
 	if err != nil {
 		return nil, err
 	}
@@ -83,8 +71,4 @@ func extensionMethod(op string, strat Strategy) (core.KeywordMethod, error) {
 	default:
 		return 0, fmt.Errorf("maxbrstknn: %s does not support the %s strategy (use Exact or Approx)", op, strat)
 	}
-}
-
-func errKMismatch(got, want int) error {
-	return fmt.Errorf("maxbrstknn: request k=%d differs from session k=%d", got, want)
 }

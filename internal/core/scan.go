@@ -267,12 +267,14 @@ func (e *Engine) evalLocation(q Query, th Thresholds, method KeywordMethod, w te
 	// Group-level lower-bound shortcut (lines 3.11–3.13): when even the
 	// intersection text of the bare ox.d clears the group threshold, no
 	// keyword is needed. We confirm per user with the exact zero-keyword
-	// STS (DESIGN.md §4 explains why the paper's unverified version can
-	// overcount). The shortcut is conclusive only when the verified count
-	// saturates LU_ℓ — then it is exactly what keyword selection returns,
-	// since a combination must strictly beat the bare count and can win no
-	// user outside LU_ℓ; otherwise keywords may still win users, and the
-	// keyword selectors' zero-keyword floor subsumes this count.
+	// STS: the group bound clears only the group threshold, the smallest
+	// RSk among the users, so the paper's unverified version can overcount
+	// users whose own RSk is higher. The shortcut is conclusive only when
+	// the verified count saturates LU_ℓ — then it is exactly what keyword
+	// selection returns, since a combination must strictly beat the bare
+	// count and can win no user outside LU_ℓ; otherwise keywords may still
+	// win users, and the keyword selectors' zero-keyword floor subsumes
+	// this count.
 	lbSuper := e.Scorer.Alpha*e.Scorer.SSMin(geo.RectFromPoint(q.Locations[lc.li]), e.su.MBR) +
 		(1-e.Scorer.Alpha)*e.su.LBText(e.intTextSum(q))
 	if lbSuper >= th.super {

@@ -2,7 +2,9 @@
 // paper — a set of objects O and a set of users U, each a (location,
 // keywords) pair — together with corpus statistics and the synthetic
 // workload generators that stand in for the Flickr and Yelp collections of
-// Section 8 (see DESIGN.md for the substitution rationale).
+// Section 8: neither collection ships with the repository, so the
+// generators reproduce their Table 4 shape — document length, vocabulary
+// skew, spatial clustering — at laptop scale.
 package dataset
 
 import (

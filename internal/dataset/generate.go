@@ -22,7 +22,7 @@ type FlickrConfig struct {
 }
 
 // DefaultFlickrConfig returns a laptop-scale configuration whose shape
-// matches Table 4 (documented substitution; see DESIGN.md §3).
+// matches Table 4 (the package comment says why the data is synthetic).
 func DefaultFlickrConfig(n int) FlickrConfig {
 	vs := n / 6
 	if vs < 200 {

@@ -3,14 +3,16 @@
 // parameter sweep, baseline and proposed methods, metric collection). The
 // absolute numbers differ from the paper — the substrate is a simulator at
 // laptop scale, not the authors' testbed — but each runner reports the
-// series whose *shape* EXPERIMENTS.md compares against the paper.
+// series whose *shape* (which method wins, and how cost grows along the
+// swept parameter) is what compares against the paper's figure.
 package experiments
 
 import (
 	"repro/internal/textrel"
 )
 
-// DatasetKind selects the synthetic workload family (DESIGN.md §3).
+// DatasetKind selects the synthetic workload family (the stand-ins of
+// package dataset).
 type DatasetKind int
 
 const (

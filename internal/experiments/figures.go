@@ -255,7 +255,7 @@ func Fig12(cfg Config, us []int) ([]*Table, error) {
 	return []*Table{topkT, selT}, nil
 }
 
-// Fig13 — scalability in |O| (paper: 1M–8M; scaled per DESIGN.md). The
+// Fig13 — scalability in |O| (paper: 1M–8M; scaled down 100×). The
 // selection panel compares Exact and Approx only, as in the paper.
 func Fig13(cfg Config, os []int) ([]*Table, error) {
 	if len(os) == 0 {

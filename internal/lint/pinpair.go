@@ -25,11 +25,12 @@ import (
 //     is part of a return expression) or the pinned receiver's root
 //     escapes by being returned — the caller then owns the pin.
 //
-//   - Index.acquire / Index.NewSession / Index.NewParallelSession: the
-//     result holds a pin; the function must release it (Unpin rooted at
-//     the result for acquire, Close for sessions — a call, a defer, or
-//     a method-value reference all count) or hand it off: returning the
-//     result, storing it into a composite literal or a field, or
+//   - Index.acquire / Index.NewSession / Index.NewParallelSession /
+//     Index.NewUnpreparedSession: the result holds a pin; the function
+//     must release it (Unpin rooted at the result for acquire, Close for
+//     sessions — a call, a defer, or a method-value reference all count)
+//     or hand it off: returning the result, storing it into a composite
+//     literal or a field, or
 //     passing it to another call transfers ownership.
 var AnalyzerPinPair = &Analyzer{
 	Name: "pinpair",
@@ -62,6 +63,7 @@ var resultPinned = []struct {
 	{"repro", "Index", "acquire", []string{"Unpin", "release"}, "pinned snapshot"},
 	{"repro", "Index", "NewSession", []string{"Close"}, "session"},
 	{"repro", "Index", "NewParallelSession", []string{"Close"}, "session"},
+	{"repro", "Index", "NewUnpreparedSession", []string{"Close"}, "session"},
 }
 
 func runPinPair(pass *Pass) {

@@ -30,11 +30,12 @@ func TestSuiteCleanOnTree(t *testing.T) {
 }
 
 // TestSessionCallSitesAudited is the pinpair-driven audit the session
-// lifecycle relies on: every NewSession / NewParallelSession call site in
-// the binaries, the server, the experiments, and the examples either
-// closes its session or deliberately hands it off (returns it, stores it
-// in the cache). The test first proves the audit is not vacuous — the
-// call sites it is about must exist — then requires pinpair to pass.
+// lifecycle relies on: every NewSession / NewParallelSession /
+// NewUnpreparedSession call site in the binaries, the server, the
+// experiments, and the examples either closes its session or deliberately
+// hands it off (returns it, stores it in the cache). The test first
+// proves the audit is not vacuous — the call sites it is about must
+// exist — then requires pinpair to pass.
 func TestSessionCallSitesAudited(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks several packages; skipped in -short")
@@ -55,7 +56,8 @@ func TestSessionCallSitesAudited(t *testing.T) {
 				}
 				fn := calleeFunc(pkg.Info, call)
 				if matchesFunc(fn, "repro", "Index", "NewSession") ||
-					matchesFunc(fn, "repro", "Index", "NewParallelSession") {
+					matchesFunc(fn, "repro", "Index", "NewParallelSession") ||
+					matchesFunc(fn, "repro", "Index", "NewUnpreparedSession") {
 					callSites++
 				}
 				return true
@@ -63,7 +65,7 @@ func TestSessionCallSitesAudited(t *testing.T) {
 		}
 	}
 	if callSites == 0 {
-		t.Fatal("audit found no NewSession/NewParallelSession call sites; the pattern list is stale")
+		t.Fatal("audit found no session constructor call sites; the pattern list is stale")
 	}
 	t.Logf("auditing %d session call sites across %d packages", callSites, len(pkgs))
 

@@ -102,3 +102,22 @@ func sessionStored(ix *maxbrstknn.Index, users []maxbrstknn.UserSpec) (*holder, 
 	}
 	return &holder{s: s}, nil
 }
+
+func unpreparedSessionLeak(ix *maxbrstknn.Index, users []maxbrstknn.UserSpec) error {
+	s, err := ix.NewUnpreparedSession(users, 3) // want "acquires a session that is never closed"
+	if err != nil {
+		return err
+	}
+	_, err = s.Phase1(nil, maxbrstknn.ParallelOptions{})
+	return err
+}
+
+func unpreparedSessionClosed(ix *maxbrstknn.Index, users []maxbrstknn.UserSpec) error { // negative
+	s, err := ix.NewUnpreparedSession(users, 3)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	_, err = s.Phase1(nil, maxbrstknn.ParallelOptions{})
+	return err
+}

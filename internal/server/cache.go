@@ -14,9 +14,7 @@ import (
 // lruCache is a singleflight LRU keyed by strings: concurrent requests
 // for the same missing key share one build (the first request builds,
 // the rest wait on it), and build errors are never cached. The serving
-// layer instantiates it for prepared Sessions (the expensive per-cohort
-// joint top-k state), shard sessions, and coordinator-side merged
-// threshold vectors.
+// layer instantiates it once per server, for its cohort cache.
 type lruCache[T any] struct {
 	mu       sync.Mutex
 	capacity int
@@ -49,7 +47,7 @@ func newLRUCache[T any](capacity int) *lruCache[T] {
 // near-body-limit request must not pin megabytes of key string in the
 // LRU). The epoch is part of the key because a Session pins the snapshot
 // it was built on: after a mutation publishes a new epoch, cached
-// sessions for older epochs must not serve new requests (they age out of
+// cohorts for older epochs must not serve new requests (they age out of
 // the LRU instead).
 func sessionKey(epoch uint64, users []maxbrstknn.UserSpec, k int) string {
 	h := sha256.New()

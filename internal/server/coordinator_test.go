@@ -2,14 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	maxbrstknn "repro"
 )
@@ -120,16 +124,17 @@ func newCoordinatorTS(t testing.TB, shardTS []*httptest.Server, cfg CoordinatorC
 }
 
 // TestCoordinatorByteIdentical is the sharded serving guarantee: every
-// endpoint answered through scatter-gather over 2 and 4 shards returns
+// endpoint answered through scatter-gather over 1, 2 and 4 shards returns
 // exactly the bytes the single-index server returns — for every
-// scatterable strategy and several parallelism settings.
+// scatterable strategy, several parallelism settings, and /topl lengths
+// from 1 to every location (shards skip by l).
 func TestCoordinatorByteIdentical(t *testing.T) {
 	objs, idx, wire := coordFixture(t)
 	fc := idx.FrozenCorpus()
 	single := httptest.NewServer(New(idx, Config{}).Handler())
 	defer single.Close()
 
-	for _, n := range []int{2, 4} {
+	for _, n := range []int{1, 2, 4} {
 		shardTS := buildShardServers(t, objs, fc, n)
 		_, coordTS := newCoordinatorTS(t, shardTS, CoordinatorConfig{})
 
@@ -151,8 +156,12 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 				q.Strategy, q.Parallel = strat, par
 				check("/maxbrstknn", q, fmt.Sprintf("%s/%+v", strat, par))
 				if strat != "exhaustive" {
-					q.L = 4
-					check("/topl", q, strat)
+					for _, l := range []int{1, 3, len(q.Locations)} {
+						for _, ws := range []int{0, 2} {
+							q.L, q.MaxKeywords = l, ws
+							check("/topl", q, fmt.Sprintf("%s/l=%d/ws=%d", strat, l, ws))
+						}
+					}
 					q.L, q.M = 0, 3
 					check("/multiple", q, strat)
 				}
@@ -207,7 +216,7 @@ func TestCoordinatorForwardingSavesWork(t *testing.T) {
 		}
 	}
 	for s, six := range shards {
-		ss, err := six.NewShardSession(specs, q.K)
+		ss, err := six.NewUnpreparedSession(specs, q.K)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,15 +334,101 @@ func TestCoordinatorRetriesConnectionErrors(t *testing.T) {
 		t.Fatalf("retries = %d, want exactly 1", got)
 	}
 
-	// HTTP-level failure: k=0 is rejected by the shard with 400; the
-	// coordinator passes it through without retrying.
-	q.K = 0
+	// HTTP-level failure: a shard index refuses the user-indexed
+	// strategy with 400 (only a whole index answers it); the coordinator
+	// passes it through without retrying.
+	q.Strategy = "user-indexed"
 	resp, body = postJSON(t, coordTS, "/maxbrstknn", q)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid query: status %d, want 400: %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "shard 0") {
+		t.Fatalf("shard-refused query: status %d, want a 400 naming shard 0: %s", resp.StatusCode, body)
 	}
 	if got := coord.retries.Load(); got != 1 {
 		t.Fatalf("HTTP error was retried: retries = %d, want 1", got)
+	}
+}
+
+// TestCoordinatorCancelledRequesterDoesNotFailJoiners: the first request
+// for a cohort builds its thresholds for every request that joins it, so
+// that client going away must neither fail the joiners nor count as a
+// shard error.
+func TestCoordinatorCancelledRequesterDoesNotFailJoiners(t *testing.T) {
+	objs, idx, wire := coordFixture(t)
+	shards := buildShardIndexes(t, objs, idx.FrozenCorpus(), 2)
+	arrived := make(chan struct{}, len(shards))
+	release := make(chan struct{})
+	shardTS := make([]*httptest.Server, len(shards))
+	for s, six := range shards {
+		inner := NewShard(six, s, len(shards), Config{}).Handler()
+		shardTS[s] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/shard/phase1" {
+				arrived <- struct{}{}
+				<-release
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(shardTS[s].Close)
+	}
+	coord, coordTS := newCoordinatorTS(t, shardTS, CoordinatorConfig{})
+	single := httptest.NewServer(New(idx, Config{}).Handler())
+	defer single.Close()
+	q := wire
+	q.Strategy = "exact"
+	_, want := postJSON(t, single, "/maxbrstknn", q)
+	body, err := json.Marshal(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(ctx context.Context) (int, []byte, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, coordTS.URL+"/maxbrstknn", bytes.NewReader(body))
+		if err != nil {
+			return 0, nil, err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, got, err
+	}
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	doneA := make(chan struct{})
+	go func() {
+		defer close(doneA)
+		post(ctxA) // fails once A gives up
+	}()
+	<-arrived // A's build is in the primary shard's phase 1
+
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	gotB := make(chan answer, 1)
+	go func() {
+		status, got, err := post(context.Background())
+		gotB <- answer{status, got, err}
+	}()
+	for {
+		if _, hits, _ := coord.cohorts.stats(); hits == 1 {
+			break // B joined A's build
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancelA()
+	<-doneA
+	close(release)
+
+	b := <-gotB
+	if b.err != nil || b.status != http.StatusOK {
+		t.Fatalf("joined request after the builder cancelled: status %d, err %v: %s", b.status, b.err, b.body)
+	}
+	if !bytes.Equal(b.body, want) {
+		t.Fatalf("joined request not byte-identical:\n got %s\nwant %s", b.body, want)
+	}
+	if got := coord.shardErrors.Load(); got != 0 {
+		t.Fatalf("shard_errors = %d after a client cancellation, want 0", got)
 	}
 }
 
@@ -388,27 +483,49 @@ func TestCoordinatorStatsAggregation(t *testing.T) {
 
 // TestCoordinatorAndShardRejections pins the deliberate 400/501 walls:
 // strategies and endpoints that cannot be answered correctly in a
-// sharded deployment fail fast with an explanation.
+// sharded deployment, and queries no index could answer, fail at the
+// coordinator with an explanation — before any shard is called.
 func TestCoordinatorAndShardRejections(t *testing.T) {
 	objs, idx, wire := coordFixture(t)
 	shardTS := buildShardServers(t, objs, idx.FrozenCorpus(), 2)
-	_, coordTS := newCoordinatorTS(t, shardTS, CoordinatorConfig{})
+	coord, coordTS := newCoordinatorTS(t, shardTS, CoordinatorConfig{})
 
-	q := wire
-	q.Strategy = "user-indexed"
-	if resp, body := postJSON(t, coordTS, "/maxbrstknn", q); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("user-indexed: status %d, want 400: %s", resp.StatusCode, body)
+	calls := func() []int64 {
+		out := []int64{coord.shardErrors.Load()}
+		for _, sh := range coord.shards {
+			out = append(out, sh.(*httpShard).calls.Load())
+		}
+		return out
 	}
-	q.Strategy = "exhaustive"
-	if resp, body := postJSON(t, coordTS, "/topl", q); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("/topl exhaustive: status %d, want 400: %s", resp.StatusCode, body)
+	before := calls()
+	for _, c := range []struct {
+		path, label string
+		edit        func(*QueryRequest)
+	}{
+		{"/maxbrstknn", "user-indexed", func(q *QueryRequest) { q.Strategy = "user-indexed" }},
+		{"/topl", "exhaustive", func(q *QueryRequest) { q.Strategy = "exhaustive" }},
+		{"/maxbrstknn", "k=0", func(q *QueryRequest) { q.K = 0 }},
+		{"/multiple", "k=-1", func(q *QueryRequest) { q.K = -1 }},
+		{"/maxbrstknn", "no users", func(q *QueryRequest) { q.Users = nil }},
+		{"/topl", "no locations", func(q *QueryRequest) { q.Locations = nil }},
+		{"/maxbrstknn", "unknown strategy", func(q *QueryRequest) { q.Strategy = "quantum" }},
+	} {
+		q := wire
+		c.edit(&q)
+		resp, body := postJSON(t, coordTS, c.path, q)
+		if resp.StatusCode != http.StatusBadRequest || strings.Contains(string(body), "shard") {
+			t.Fatalf("%s %s: status %d, want a 400 naming no shard: %s", c.path, c.label, resp.StatusCode, body)
+		}
+	}
+	if after := calls(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected requests reached the shards: shard_errors and per-shard calls %v -> %v", before, after)
 	}
 	if resp, body := postJSON(t, coordTS, "/add", AddRequest{X: 1, Y: 1, Keywords: []string{"tea"}}); resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("coordinator /add: status %d, want 501: %s", resp.StatusCode, body)
 	}
 
 	// Shards refuse what only the coordinator can answer, and mutations.
-	q.Strategy = "exact"
+	q := wire
 	if resp, body := postJSON(t, shardTS[0], "/maxbrstknn", q); resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("shard /maxbrstknn: status %d, want 501: %s", resp.StatusCode, body)
 	}

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -170,5 +172,79 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 	st := idx.IngestStats()
 	if st.Epoch == 0 || st.LiveObjects != 120+writers*perG-writers*(perG/3) {
 		t.Fatalf("final ingest state %+v", st)
+	}
+}
+
+// TestMutationRefreshesCohort: a cohort cached on the single server never
+// serves thresholds from before a mutation. After /add and /update move
+// its thresholds, /maxbrstknn answers exactly what a fresh library session
+// at the new epoch answers, and the cohort cache counts one miss per
+// epoch.
+func TestMutationRefreshesCohort(t *testing.T) {
+	idx, wire := fixture(t)
+	wire.Strategy = "exact"
+	srv := New(idx, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	req, err := wire.ToRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// queryTwice checks the served answer (a miss, then a hit) against a
+	// fresh library session and returns that session's thresholds.
+	queryTwice := func(label string) []float64 {
+		t.Helper()
+		sess, err := idx.NewSession(req.Users, req.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		direct, err := sess.Run(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ResultJSON(direct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			resp, got := postJSON(t, ts, "/maxbrstknn", wire)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("%s: status %d, not the fresh session's answer:\n got %s\nwant %s", label, resp.StatusCode, got, want)
+			}
+		}
+		return sess.Thresholds()
+	}
+
+	// An object at user 0's position with user 0's keywords enters that
+	// user's top-k and raises its k-th best score.
+	u := wire.Users[0]
+	th0 := queryTwice("epoch 0")
+	resp, body := postJSON(t, ts, "/add", AddRequest{X: u.X, Y: u.Y, Keywords: u.Keywords})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/add: status %d: %s", resp.StatusCode, body)
+	}
+	th1 := queryTwice("after /add")
+	resp, body = postJSON(t, ts, "/update", UpdateRequest{ID: decodeMutation(t, body).ID, X: 9.9, Y: 0.1, Keywords: []string{"zebra"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/update: status %d: %s", resp.StatusCode, body)
+	}
+	th2 := queryTwice("after /update")
+	if reflect.DeepEqual(th0, th1) || reflect.DeepEqual(th1, th2) {
+		t.Fatalf("fixture broken: the mutations did not move the thresholds (%v, %v, %v)", th0, th1, th2)
+	}
+
+	res, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var stats StatsPayload
+	if err := json.NewDecoder(res.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if c := stats.SessionCache; c.Misses != 3 || c.Hits != 3 {
+		t.Fatalf("session_cache %+v, want one miss and one hit per epoch (3/3)", c)
 	}
 }

@@ -1,14 +1,19 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net/http"
 	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,107 +37,183 @@ type Config struct {
 	// MaxInFlight and RequestTimeout together for the slowest strategy
 	// you expose.
 	RequestTimeout time.Duration
-	// SessionCapacity is the LRU session-cache size in prepared user
-	// cohorts (default 64). Zero selects the default; negative disables
-	// the bound (never evict).
+	// SessionCapacity is the LRU capacity, in user cohorts, of the cohort
+	// cache (default 64): per cohort, the merged phase-1 thresholds and
+	// the session each in-process shard runs phase 2 on. Zero selects the
+	// default; negative disables the bound (never evict).
 	SessionCapacity int
 	// MaxBodyBytes bounds one request body (default 8 MiB); oversized
 	// bodies fail decoding with 400 before any work happens.
 	MaxBodyBytes int64
 }
 
-func (c Config) addr() string {
-	if c.Addr == "" {
-		return ":8080"
-	}
-	return c.Addr
+// CoordinatorConfig tunes a coordinator over shard servers: Config plus
+// the fleet. Only Shards is required.
+type CoordinatorConfig struct {
+	Config
+	// Shards lists the shard servers in shard-id order ("host:port" or
+	// full "http://host:port" base URLs). The order must match the shard
+	// plan: entry i must serve -shard i/N.
+	Shards []string
+	// ShardTimeout bounds one call to one shard (default 10s). A retried
+	// call gets a fresh timeout.
+	ShardTimeout time.Duration
+	// Client overrides the HTTP client used for shard calls (nil means a
+	// dedicated default client). Timeouts come from ShardTimeout contexts,
+	// so the client itself needs none.
+	Client *http.Client
 }
 
-func (c Config) maxInFlight() int {
-	if c.MaxInFlight <= 0 {
-		return 4 * runtime.GOMAXPROCS(0)
-	}
-	return c.MaxInFlight
-}
-
-func (c Config) requestTimeout() time.Duration {
-	if c.RequestTimeout <= 0 {
-		return 30 * time.Second
-	}
-	return c.RequestTimeout
-}
-
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes <= 0 {
-		return 8 << 20
-	}
-	return c.MaxBodyBytes
-}
-
-func (c Config) sessionCapacity() int {
-	if c.SessionCapacity == 0 {
-		return 64
-	}
-	if c.SessionCapacity < 0 {
-		return 0 // unbounded
-	}
-	return c.SessionCapacity
-}
-
-// Server shares one loaded index across concurrent HTTP clients. All
-// handlers are safe for concurrent use; the underlying Index and Session
+// Server answers the public query API as a coordinator over shards. It
+// scatters phase 1 (joint top-k) and phase 2 (candidate selection) across
+// the shards and gathers the answers with the replay merges that make
+// every response byte-identical to the single index's. With one shard —
+// New's in-process index — phase 1 is one joint top-k, phase 2 one scan,
+// and the merges pass their one input through.
+//
+// Both phases run in two waves to forward bounds: a primary shard answers
+// first, and the bound its answer establishes — the k-th best score per
+// user in phase 1, the best achieved count in phase 2 — ships with the
+// remaining shards' requests so their traversals prune deeper. The bounds
+// are lossless, so forwarding changes work, never answers. It beat a
+// concurrent unseeded scatter when measured (README, "Sharded serving").
+//
+// All handlers are safe for concurrent use; the Index and Session
 // guarantees (see their godoc) make every query path race-clean.
 type Server struct {
-	ix       *maxbrstknn.Index
-	cfg      Config
-	shard    *shardState // non-nil only for NewShard servers
-	sessions *lruCache[*maxbrstknn.Session]
-	sem      chan struct{}
-	inFlight atomic.Int64
-	served   atomic.Int64
-	start    time.Time
+	cfg    Config
+	shards []shard
+	// ix is the in-process index of New (which also mutates it) and of
+	// NewShard; nil on a coordinator of HTTP shards.
+	ix *maxbrstknn.Index
+	// position is a NewShard server's place in its deployment, which
+	// /healthz reports so an operator can check the wiring.
+	position map[string]int
+	handler  http.Handler
 	httpSrv  *http.Server
+
+	// cohorts is the one cohort cache of the query path (see cohort).
+	cohorts *lruCache[*cohort]
+
+	// counts[s] is shard s's object count, probed once to pick the
+	// phase-1 primary (the biggest shard answers first: its bound is the
+	// strongest available single-shard bound).
+	countsMu sync.Mutex
+	counts   []int
+
+	sem           chan struct{}
+	inFlight      atomic.Int64
+	served        atomic.Int64
+	retries       atomic.Int64
+	shardErrors   atomic.Int64
+	wave1Visited  atomic.Int64
+	wave2Visited  atomic.Int64
+	wave1Refined  atomic.Int64
+	wave2Refined  atomic.Int64
+	scatAssigned  atomic.Int64
+	scatEvaluated atomic.Int64
+	scatSkipped   atomic.Int64
+	start         time.Time
 }
 
-// New wraps an index (in-memory or loaded) in a serving layer.
-func New(ix *maxbrstknn.Index, cfg Config) *Server {
-	s := &Server{
-		ix:       ix,
-		cfg:      cfg,
-		sessions: newLRUCache[*maxbrstknn.Session](cfg.sessionCapacity()),
-		sem:      make(chan struct{}, cfg.maxInFlight()),
-		start:    time.Now(),
+// Coordinator is the Server NewCoordinator returns.
+type Coordinator = Server
+
+// newServer resolves cfg's defaults and builds a server without shards
+// or routes.
+func newServer(cfg Config, ix *maxbrstknn.Index) *Server {
+	cfg.Addr = cmp.Or(cfg.Addr, ":8080")
+	if cfg.MaxInFlight <= 0 {
+		cfg.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
 	}
-	s.httpSrv = &http.Server{Addr: cfg.addr(), Handler: s.Handler()}
-	return s
+	if cfg.RequestTimeout <= 0 {
+		cfg.RequestTimeout = 30 * time.Second
+	}
+	if cfg.MaxBodyBytes <= 0 {
+		cfg.MaxBodyBytes = 8 << 20
+	}
+	return &Server{
+		cfg: cfg,
+		ix:  ix,
+		// A negative capacity stays negative: the cache never evicts.
+		cohorts: newLRUCache[*cohort](cmp.Or(cfg.SessionCapacity, 64)),
+		sem:     make(chan struct{}, cfg.MaxInFlight),
+		start:   time.Now(),
+	}
 }
 
-// Handler returns the full route table — exported so tests and embedders
-// can serve it from their own listener (httptest, TLS, unix socket). A
-// server built with NewShard serves the shard route table instead.
-func (s *Server) Handler() http.Handler {
-	if s.shard != nil {
-		return s.shardHandler()
-	}
+// queryRoutes is the public query API.
+func (s *Server) queryRoutes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("POST /maxbrstknn", s.limited(s.handleMaxBRSTkNN))
+	mux.Handle("POST /maxbrstknn", s.limited(s.handleQuery))
 	mux.Handle("POST /topl", s.limited(s.handleTopL))
 	mux.Handle("POST /multiple", s.limited(s.handleMultiple))
 	mux.Handle("POST /topk", s.limited(s.handleTopK))
+	return mux
+}
+
+// refuse answers routes this kind of server cannot serve with 501.
+func refuse(mux *http.ServeMux, why string, routes ...string) {
+	for _, route := range routes {
+		mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
+			writeError(w, http.StatusNotImplemented, fmt.Errorf("%s %s", r.URL.Path, why))
+		})
+	}
+}
+
+// serve completes a route table with /stats and /healthz and wires it.
+func (s *Server) serve(mux *http.ServeMux) *Server {
+	mux.HandleFunc("GET /stats", s.handleStats)
+	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	timeoutBody, _ := json.Marshal(map[string]string{"error": "request timed out"})
+	s.handler = http.TimeoutHandler(mux, s.cfg.RequestTimeout, string(timeoutBody))
+	s.httpSrv = &http.Server{Addr: s.cfg.Addr, Handler: s.handler}
+	return s
+}
+
+// New serves an index (in-memory or loaded) as a fleet of one in-process
+// shard, plus the mutation endpoints.
+func New(ix *maxbrstknn.Index, cfg Config) *Server {
+	s := newServer(cfg, ix)
+	s.shards = []shard{localShard{ix}}
+	mux := s.queryRoutes()
 	mux.Handle("POST /add", s.limited(s.handleAdd))
 	mux.Handle("POST /delete", s.limited(s.handleDelete))
 	mux.Handle("POST /update", s.limited(s.handleUpdate))
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	return timeoutHandler(mux, s.cfg.requestTimeout())
+	return s.serve(mux)
 }
 
-// timeoutHandler bounds a route table's response time with the shared
-// JSON error body.
-func timeoutHandler(h http.Handler, d time.Duration) http.Handler {
-	timeoutBody, _ := json.Marshal(map[string]string{"error": "request timed out"})
-	return http.TimeoutHandler(h, d, string(timeoutBody))
+// NewCoordinator builds a coordinator over a fleet of shard servers
+// (NewShard). Mutations answer 501: shard indexes are immutable.
+func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
+	if len(cfg.Shards) == 0 {
+		return nil, errors.New("server: coordinator needs at least one shard address")
+	}
+	client := cmp.Or(cfg.Client, &http.Client{})
+	timeout := cfg.ShardTimeout
+	if timeout <= 0 {
+		timeout = 10 * time.Second
+	}
+	s := newServer(cfg.Config, nil)
+	for i, a := range cfg.Shards {
+		a = strings.TrimRight(strings.TrimSpace(a), "/")
+		if a == "" {
+			return nil, fmt.Errorf("server: empty shard address at position %d", i)
+		}
+		if !strings.Contains(a, "://") {
+			a = "http://" + a
+		}
+		s.shards = append(s.shards, &httpShard{s: s, id: i, addr: a, client: client, timeout: timeout})
+	}
+	mux := s.queryRoutes()
+	refuse(mux, "is not served by the coordinator (shard indexes are immutable; re-split and rebuild)",
+		"POST /add", "POST /delete", "POST /update")
+	return s.serve(mux), nil
 }
+
+// Handler returns the full route table — exported so tests and embedders
+// can serve it from their own listener (httptest, TLS, unix socket).
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // ListenAndServe serves until Shutdown (which returns
 // http.ErrServerClosed here) or a listener error.
@@ -171,170 +252,186 @@ func (s *Server) limited(h http.HandlerFunc) http.Handler {
 	})
 }
 
-// session returns the prepared session for the request's user cohort,
-// building (and caching) it on first sight. The request's ParallelOptions
-// configure the build's joint top-k phase on a miss; the prepared
-// thresholds are identical for every setting, so cache hits across
-// differently-parallel requests are sound. The cache key carries the
-// current epoch, so sessions prepared before a mutation are never reused
-// afterwards — each request's session reflects the snapshot current when
-// its cohort was first seen at that epoch.
-func (s *Server) session(req maxbrstknn.Request) (*maxbrstknn.Session, error) {
-	key := sessionKey(s.ix.Epoch(), req.Users, req.K)
-	return s.sessions.get(key, func() (*maxbrstknn.Session, error) {
-		return s.ix.NewParallelSession(req.Users, req.K, req.Parallel)
-	})
+// query is one decoded public query: its wire form, which an HTTP shard
+// is sent, and the library request it converts to.
+type query struct {
+	wire QueryRequest
+	req  maxbrstknn.Request
 }
 
-func (s *Server) handleMaxBRSTkNN(w http.ResponseWriter, r *http.Request) {
-	_, req, ok := s.decodeQuery(w, r)
+// decodeBody decodes one JSON request body under the configured size
+// bound — the shared entry point of every endpoint, so body limits and
+// error shapes cannot drift between handlers.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
+		return fmt.Errorf("invalid JSON body: %w", err)
+	}
+	return nil
+}
+
+// begin decodes and validates a public query and looks up its cohort,
+// answering the client itself on failure. Everything a request can be
+// refused for is refused before any shard is called or cohort built:
+// an invalid query, the user-indexed strategy on a fleet of more than
+// one shard, and (extension, for /topl and /multiple) any strategy but
+// exact and approx.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, extension bool) (*query, *cohort, bool) {
+	q := &query{}
+	err := s.decodeBody(w, r, &q.wire)
+	if err == nil {
+		q.req, err = q.wire.ToRequest()
+	}
+	strat := q.req.Strategy
+	switch {
+	case err != nil:
+	case extension && strat != maxbrstknn.Exact && strat != maxbrstknn.Approx:
+		err = fmt.Errorf("this endpoint does not support the %s strategy (use exact or approx)", strat)
+	case strat == maxbrstknn.UserIndexed && len(s.shards) > 1:
+		err = errors.New("the user-indexed strategy cannot be scattered (query a single-index server)")
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, nil, false
+	}
+	co, err := s.cohort(r.Context(), q)
+	if err != nil {
+		writeError(w, errorStatus(err), err)
+		return nil, nil, false
+	}
+	return q, co, true
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	q, co, ok := s.begin(w, r, false)
 	if !ok {
 		return
 	}
-	sess, err := s.session(req)
+	cands, err := s.scatter(r.Context(), q, co, co.rsk, 0)
 	if err != nil {
-		writeError(w, queryErrorStatus(err), err)
+		writeError(w, errorStatus(err), err)
 		return
 	}
-	res, err := sess.Run(req)
-	if err != nil {
-		writeError(w, queryErrorStatus(err), err)
-		return
+	res := replayBest(cands)
+	if q.req.Strategy == maxbrstknn.UserIndexed {
+		res = cands[0].Result // the whole index's one answer, pruning statistics included
 	}
 	writeJSON(w, func() ([]byte, error) { return ResultJSON(res) })
 }
 
 func (s *Server) handleTopL(w http.ResponseWriter, r *http.Request) {
-	s.handleList(w, r, func(sess *maxbrstknn.Session, req maxbrstknn.Request, n int) ([]maxbrstknn.Result, error) {
-		return sess.RunTopL(req, n)
-	}, func(q *QueryRequest) int { return q.L })
-}
-
-func (s *Server) handleMultiple(w http.ResponseWriter, r *http.Request) {
-	s.handleList(w, r, func(sess *maxbrstknn.Session, req maxbrstknn.Request, n int) ([]maxbrstknn.Result, error) {
-		return sess.RunMultiple(req, n)
-	}, func(q *QueryRequest) int { return q.M })
-}
-
-// handleList factors the shared shape of /topl and /multiple: decode,
-// session lookup, run with a count parameter, encode a result list.
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request,
-	run func(*maxbrstknn.Session, maxbrstknn.Request, int) ([]maxbrstknn.Result, error),
-	count func(*QueryRequest) int) {
-
-	wire, req, ok := s.decodeQuery(w, r)
+	q, co, ok := s.begin(w, r, true)
 	if !ok {
 		return
 	}
-	// Reject unsupported strategies before the session lookup: building
-	// (and caching) a cohort's joint top-k only for RunTopL/RunMultiple
-	// to refuse the strategy would burn the most expensive computation in
-	// the system on a doomed request.
-	if req.Strategy != maxbrstknn.Exact && req.Strategy != maxbrstknn.Approx {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("this endpoint does not support the %s strategy (use exact or approx)", req.Strategy))
-		return
-	}
-	n := count(wire)
-	if n <= 0 {
-		n = 1
-	}
-	sess, err := s.session(req)
+	l := max(q.wire.L, 1)
+	cands, err := s.scatter(r.Context(), q, co, co.rsk, l)
 	if err != nil {
-		writeError(w, queryErrorStatus(err), err)
+		writeError(w, errorStatus(err), err)
 		return
 	}
-	results, err := run(sess, req, n)
-	if err != nil {
-		writeError(w, queryErrorStatus(err), err)
+	writeJSON(w, func() ([]byte, error) { return ResultsJSON(replayTopL(cands, l)) })
+}
+
+// handleMultiple runs RunMultiple's greedy m rounds: each round is a
+// single-best scatter under a threshold vector whose already-covered
+// users are poisoned so no location can count them again. The poison is
+// math.MaxFloat64, not +Inf — JSON cannot carry infinities — and no
+// achievable score reaches either, so the keep test behaves identically.
+func (s *Server) handleMultiple(w http.ResponseWriter, r *http.Request) {
+	q, co, ok := s.begin(w, r, true)
+	if !ok {
 		return
+	}
+	poisoned := slices.Clone(co.rsk)
+	var results []maxbrstknn.Result
+	for round := 0; round < max(q.wire.M, 1); round++ {
+		cands, err := s.scatter(r.Context(), q, co, poisoned, 0)
+		if err != nil {
+			writeError(w, errorStatus(err), err)
+			return
+		}
+		best := replayBest(cands)
+		if best.Count() == 0 {
+			break
+		}
+		results = append(results, best)
+		for _, uid := range best.UserIDs {
+			if uid >= 0 && uid < len(poisoned) {
+				poisoned[uid] = math.MaxFloat64
+			}
+		}
 	}
 	writeJSON(w, func() ([]byte, error) { return ResultsJSON(results) })
 }
 
+// handleTopK asks every shard for the user's top-k and merges the lists
+// with MergeTopK: exact whenever scores are distinct (equal-scored
+// objects may order differently than on a single index, whose heap
+// breaks such ties by traversal order), and one shard's list as it is.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var wire TopKRequest
 	if err := s.decodeBody(w, r, &wire); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := s.ix.TopK(wire.X, wire.Y, wire.Keywords, wire.K)
-	if err != nil {
-		writeError(w, queryErrorStatus(err), err)
+	if wire.K < 1 {
+		writeError(w, http.StatusBadRequest, errors.New("maxbrstknn: k must be positive"))
 		return
 	}
-	writeJSON(w, func() ([]byte, error) { return TopKJSON(res) })
+	lists := make([][]maxbrstknn.RankedObject, len(s.shards))
+	if err := errors.Join(s.fanOut(-1, func(i int) (err error) {
+		lists[i], err = s.shards[i].topK(r.Context(), wire)
+		return err
+	})...); err != nil {
+		writeError(w, errorStatus(err), err)
+		return
+	}
+	writeJSON(w, func() ([]byte, error) { return TopKJSON(maxbrstknn.MergeTopK(wire.K, lists...)) })
 }
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var wire AddRequest
-	if err := s.decodeBody(w, r, &wire); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	id, err := s.ix.AddObject(wire.X, wire.Y, wire.Keywords...)
-	if err != nil {
-		writeError(w, mutationErrorStatus(err), err)
-		return
-	}
-	s.writeMutation(w, id)
+	s.mutate(w, r, &wire, func() (int, error) { return s.ix.AddObject(wire.X, wire.Y, wire.Keywords...) })
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var wire DeleteRequest
-	if err := s.decodeBody(w, r, &wire); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.ix.DeleteObject(wire.ID); err != nil {
-		writeError(w, mutationErrorStatus(err), err)
-		return
-	}
-	s.writeMutation(w, wire.ID)
+	s.mutate(w, r, &wire, func() (int, error) { return wire.ID, s.ix.DeleteObject(wire.ID) })
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var wire UpdateRequest
-	if err := s.decodeBody(w, r, &wire); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	id, err := s.ix.UpdateObject(wire.ID, wire.X, wire.Y, wire.Keywords...)
-	if err != nil {
-		writeError(w, mutationErrorStatus(err), err)
-		return
-	}
-	s.writeMutation(w, id)
-}
-
-// writeMutation reports a successful mutation: the object id it touched
-// (for /add and /update, the id the caller queries by afterwards) and
-// the state of the index after it. Epoch and live count come from one
-// snapshot load, so they are mutually consistent — though with other
-// writers running they may describe a later epoch than this mutation's.
-func (s *Server) writeMutation(w http.ResponseWriter, id int) {
-	st := s.ix.IngestStats()
-	writeJSON(w, func() ([]byte, error) {
-		return appendNewline(json.Marshal(MutationResponse{
-			ID:          id,
-			Epoch:       st.Epoch,
-			LiveObjects: st.LiveObjects,
-		}))
+	s.mutate(w, r, &wire, func() (int, error) {
+		return s.ix.UpdateObject(wire.ID, wire.X, wire.Y, wire.Keywords...)
 	})
 }
 
-// mutationErrorStatus classifies an error from the ingestion path:
-// a missing object id is the client's mistake (404), storage faults are
-// server errors, everything else is request validation (400).
-func mutationErrorStatus(err error) int {
-	if errors.Is(err, maxbrstknn.ErrNoSuchObject) {
-		return http.StatusNotFound
+// mutate decodes a mutation into wire, applies it, and reports the
+// object id it touched (for /add and /update, the id the caller queries
+// by afterwards) and the state of the index after it. Epoch and live
+// count come from one snapshot load, so they are mutually consistent —
+// though with other writers running they may describe a later epoch than
+// this mutation's.
+func (s *Server) mutate(w http.ResponseWriter, r *http.Request, wire any, apply func() (int, error)) {
+	if err := s.decodeBody(w, r, wire); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
-	return queryErrorStatus(err)
+	id, err := apply()
+	if err != nil {
+		writeError(w, errorStatus(err), err)
+		return
+	}
+	st := s.ix.IngestStats()
+	writeJSON(w, func() ([]byte, error) {
+		return appendNewline(json.Marshal(MutationResponse{ID: id, Epoch: st.Epoch, LiveObjects: st.LiveObjects}))
+	})
 }
 
-// StatsPayload is the /stats response body.
-type StatsPayload struct {
+// IndexStatsPayload is the index block of /stats: storage, cache and
+// ingest counters, summed over the server's shards.
+type IndexStatsPayload struct {
 	Objects         int   `json:"objects"`
 	SimulatedIO     int64 `json:"simulated_io"`
 	PhysicalRecords int64 `json:"physical_records"`
@@ -352,12 +449,6 @@ type StatsPayload struct {
 		CapBytes  int64   `json:"cap_bytes"`
 		HitRate   float64 `json:"hit_rate"`
 	} `json:"decoded_cache"`
-	SessionCache struct {
-		Size    int     `json:"size"`
-		Hits    int64   `json:"hits"`
-		Misses  int64   `json:"misses"`
-		HitRate float64 `json:"hit_rate"`
-	} `json:"session_cache"`
 	// Ingest reports the copy-on-write ingestion machinery: the current
 	// epoch (one increment per published mutation), live vs allocated
 	// object ids, and the store records superseded by mutations and not
@@ -371,90 +462,193 @@ type StatsPayload struct {
 		RetiredRecords int64  `json:"retired_records"`
 		RetiredPages   int64  `json:"retired_pages"`
 	} `json:"ingest"`
-	InFlight      int64   `json:"in_flight"`
-	MaxInFlight   int     `json:"max_in_flight"`
-	ServedQueries int64   `json:"served_queries"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	var p StatsPayload
-	p.Objects = s.ix.NumObjects()
-	p.SimulatedIO = s.ix.SimulatedIO()
-	p.PhysicalRecords, p.PhysicalPages = s.ix.ReadStats()
-	cs := s.ix.CacheStats()
+// indexStats reads one index's counters.
+func indexStats(ix *maxbrstknn.Index) IndexStatsPayload {
+	var p IndexStatsPayload
+	p.Objects = ix.NumObjects()
+	p.SimulatedIO = ix.SimulatedIO()
+	p.PhysicalRecords, p.PhysicalPages = ix.ReadStats()
+	cs := ix.CacheStats()
 	p.BufferHits, p.BufferMisses = cs.BufferHits, cs.BufferMisses
-	p.DecodedCache.Hits, p.DecodedCache.Misses = cs.DecodedHits, cs.DecodedMisses
-	p.DecodedCache.Evictions = cs.DecodedEvictions
-	p.DecodedCache.Entries, p.DecodedCache.Bytes = cs.DecodedEntries, cs.DecodedBytes
-	p.DecodedCache.CapBytes = cs.DecodedCapBytes
-	if total := cs.DecodedHits + cs.DecodedMisses; total > 0 {
-		p.DecodedCache.HitRate = float64(cs.DecodedHits) / float64(total)
-	}
-	ing := s.ix.IngestStats()
+	d := &p.DecodedCache
+	d.Hits, d.Misses, d.Evictions = cs.DecodedHits, cs.DecodedMisses, cs.DecodedEvictions
+	d.Entries, d.Bytes, d.CapBytes = cs.DecodedEntries, cs.DecodedBytes, cs.DecodedCapBytes
+	d.HitRate = hitRate(d.Hits, d.Misses)
+	ing := ix.IngestStats()
 	p.Ingest.Epoch = ing.Epoch
 	p.Ingest.LiveObjects, p.Ingest.TotalObjects = ing.LiveObjects, ing.TotalObjects
 	p.Ingest.RetiredRecords, p.Ingest.RetiredPages = ing.RetiredRecords, ing.RetiredPages
-	size, hits, misses := s.sessions.stats()
-	p.SessionCache.Size, p.SessionCache.Hits, p.SessionCache.Misses = size, hits, misses
+	return p
+}
+
+// add sums another shard's counters into p.
+func (p *IndexStatsPayload) add(o IndexStatsPayload) {
+	p.Objects += o.Objects
+	p.SimulatedIO += o.SimulatedIO
+	p.PhysicalRecords += o.PhysicalRecords
+	p.PhysicalPages += o.PhysicalPages
+	p.BufferHits += o.BufferHits
+	p.BufferMisses += o.BufferMisses
+	d := &p.DecodedCache
+	d.Hits += o.DecodedCache.Hits
+	d.Misses += o.DecodedCache.Misses
+	d.Evictions += o.DecodedCache.Evictions
+	d.Entries += o.DecodedCache.Entries
+	d.Bytes += o.DecodedCache.Bytes
+	d.CapBytes += o.DecodedCache.CapBytes
+	d.HitRate = hitRate(d.Hits, d.Misses)
+	g := &p.Ingest
+	g.Epoch += o.Ingest.Epoch
+	g.LiveObjects += o.Ingest.LiveObjects
+	g.TotalObjects += o.Ingest.TotalObjects
+	g.RetiredRecords += o.Ingest.RetiredRecords
+	g.RetiredPages += o.Ingest.RetiredPages
+}
+
+// CachePayload reports one LRU cache's size and lookups.
+type CachePayload struct {
+	Size    int     `json:"size"`
+	Hits    int64   `json:"hits"`
+	Misses  int64   `json:"misses"`
+	HitRate float64 `json:"hit_rate"`
+}
+
+// CoordinatorShardStats is one shard's entry in /stats: its call ledger
+// and its own stats.
+type CoordinatorShardStats struct {
+	Addr         string  `json:"addr"`
+	Calls        int64   `json:"calls"`
+	AvgLatencyMs float64 `json:"avg_latency_ms"`
+	// Error is set when the stats probe itself failed; Stats is then nil.
+	Error string        `json:"error,omitempty"`
+	Stats *StatsPayload `json:"stats,omitempty"`
+}
+
+// StatsPayload is the /stats response body of every server: the index
+// counters summed over its shards, the cohort cache, the scatter-gather
+// counters — the wave split of phase-1 work and the floor-skip counts
+// are the observables that show what bound forwarding saves — and each
+// shard's own entry.
+type StatsPayload struct {
+	IndexStatsPayload
+	// SessionCache reports the cohort cache; ThresholdCache repeats it
+	// under the name coordinators have reported it by.
+	SessionCache   CachePayload `json:"session_cache"`
+	ThresholdCache CachePayload `json:"threshold_cache"`
+	InFlight       int64        `json:"in_flight"`
+	MaxInFlight    int          `json:"max_in_flight"`
+	ServedQueries  int64        `json:"served_queries"`
+	UptimeSeconds  float64      `json:"uptime_seconds"`
+	Shards         int          `json:"shards"`
+	Phase1         struct {
+		Wave1Visited int64 `json:"wave1_visited"`
+		Wave2Visited int64 `json:"wave2_visited"`
+		Wave1Refined int64 `json:"wave1_refined"`
+		Wave2Refined int64 `json:"wave2_refined"`
+	} `json:"phase1"`
+	Scatter struct {
+		Assigned     int64 `json:"assigned"`
+		Evaluated    int64 `json:"evaluated"`
+		SkippedFloor int64 `json:"skipped_floor"`
+	} `json:"scatter"`
+	Retries     int64                   `json:"retries"`
+	ShardErrors int64                   `json:"shard_errors"`
+	PerShard    []CoordinatorShardStats `json:"per_shard"`
+}
+
+// CoordinatorStatsPayload is the /stats body a coordinator answers with.
+type CoordinatorStatsPayload = StatsPayload
+
+func hitRate(hits, misses int64) float64 {
 	if total := hits + misses; total > 0 {
-		p.SessionCache.HitRate = float64(hits) / float64(total)
+		return float64(hits) / float64(total)
 	}
+	return 0
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	var p StatsPayload
+	p.PerShard = make([]CoordinatorShardStats, len(s.shards))
+	s.fanOut(-1, func(i int) error {
+		p.PerShard[i] = s.shards[i].stats(r.Context())
+		return nil
+	})
+	for _, e := range p.PerShard {
+		if e.Stats != nil {
+			p.add(e.Stats.IndexStatsPayload)
+		}
+	}
+	size, hits, misses := s.cohorts.stats()
+	p.SessionCache = CachePayload{Size: size, Hits: hits, Misses: misses, HitRate: hitRate(hits, misses)}
+	p.ThresholdCache = p.SessionCache
 	p.InFlight = s.inFlight.Load()
-	p.MaxInFlight = s.cfg.maxInFlight()
+	p.MaxInFlight = s.cfg.MaxInFlight
 	p.ServedQueries = s.served.Load()
 	p.UptimeSeconds = time.Since(s.start).Seconds()
+	p.Shards = len(s.shards)
+	p.Phase1.Wave1Visited = s.wave1Visited.Load()
+	p.Phase1.Wave2Visited = s.wave2Visited.Load()
+	p.Phase1.Wave1Refined = s.wave1Refined.Load()
+	p.Phase1.Wave2Refined = s.wave2Refined.Load()
+	p.Scatter.Assigned = s.scatAssigned.Load()
+	p.Scatter.Evaluated = s.scatEvaluated.Load()
+	p.Scatter.SkippedFloor = s.scatSkipped.Load()
+	p.Retries = s.retries.Load()
+	p.ShardErrors = s.shardErrors.Load()
 	writeJSON(w, func() ([]byte, error) { return appendNewline(json.Marshal(p)) })
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, func() ([]byte, error) {
-		return appendNewline(json.Marshal(map[string]any{
-			"status":  "ok",
-			"objects": s.ix.NumObjects(),
-		}))
+// handleHealthz probes every shard: 200 with the fleet's object count
+// (and a NewShard server's position), or 503 naming the shards that did
+// not answer.
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	objects := make([]int, len(s.shards))
+	errs := s.fanOut(-1, func(i int) (err error) {
+		objects[i], err = s.shards[i].objects(r.Context())
+		return err
 	})
-}
-
-// decodeBody decodes one JSON request body under the configured size
-// bound — the shared entry point of every query endpoint, so body limits
-// and error shapes cannot drift between handlers.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	return nil
-}
-
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (*QueryRequest, maxbrstknn.Request, bool) {
-	var wire QueryRequest
-	if err := s.decodeBody(w, r, &wire); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return nil, maxbrstknn.Request{}, false
-	}
-	req, err := wire.ToRequest()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return nil, maxbrstknn.Request{}, false
-	}
-	return &wire, req, true
-}
-
-// queryErrorStatus classifies an error from the query path: storage-layer
-// faults (a corrupt or truncated index file surfacing mid-traversal, an
-// I/O error from the backing file) are server errors; everything else the
-// library returns is request validation and maps to 400.
-func queryErrorStatus(err error) int {
-	for _, sentinel := range []error{
-		storage.ErrBadMagic, storage.ErrVersionMismatch, storage.ErrChecksum, storage.ErrTruncated,
-	} {
-		if errors.Is(err, sentinel) {
-			return http.StatusInternalServerError
+	unreachable := []string{}
+	total := 0
+	for i, err := range errs {
+		if err != nil {
+			unreachable = append(unreachable, err.Error())
 		}
+		total += objects[i]
 	}
+	if len(unreachable) > 0 {
+		writeStatus(w, http.StatusServiceUnavailable, map[string]any{"status": "degraded", "unreachable": unreachable})
+		return
+	}
+	body := map[string]any{"status": "ok", "shards": len(s.shards), "objects": total}
+	for k, v := range s.position {
+		body[k] = v
+	}
+	writeJSON(w, func() ([]byte, error) { return appendNewline(json.Marshal(body)) })
+}
+
+// errorStatus classifies an error from the serving path. A shard's 400
+// is the client's own request validated remotely and passes through; any
+// other shard failure — unreachable shard, shard-side 5xx, bad payload —
+// is the fleet's fault, 502. A missing object id is the client's mistake
+// (404). Storage faults (a corrupt or truncated index file surfacing
+// mid-traversal, an I/O error from the backing file) are server errors;
+// everything else the library returns is request validation, 400.
+func errorStatus(err error) int {
+	var se *statusError
+	var ce *shardCallError
 	var pathErr *fs.PathError
-	if errors.As(err, &pathErr) || errors.Is(err, io.ErrUnexpectedEOF) {
+	switch {
+	case errors.As(err, &se) && se.code == http.StatusBadRequest:
+		return http.StatusBadRequest
+	case errors.As(err, &ce):
+		return http.StatusBadGateway
+	case errors.Is(err, maxbrstknn.ErrNoSuchObject):
+		return http.StatusNotFound
+	case errors.Is(err, storage.ErrBadMagic), errors.Is(err, storage.ErrVersionMismatch),
+		errors.Is(err, storage.ErrChecksum), errors.Is(err, storage.ErrTruncated),
+		errors.As(err, &pathErr), errors.Is(err, io.ErrUnexpectedEOF):
 		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
@@ -471,7 +665,11 @@ func writeJSON(w http.ResponseWriter, encode func() ([]byte, error)) {
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
+	writeStatus(w, status, map[string]string{"error": err.Error()})
+}
+
+func writeStatus(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	json.NewEncoder(w).Encode(body)
 }

@@ -65,36 +65,45 @@ func postJSON(t testing.TB, ts *httptest.Server, path string, body any) (*http.R
 // TestRoundTripByteIdentical is the serving guarantee: for every strategy
 // and every ParallelOptions setting, the HTTP response body equals the
 // direct library call's Result encoded through the same wire path, byte
-// for byte.
+// for byte — also when no location attracts any user, where the
+// user-indexed answer still carries its pruning statistics.
 func TestRoundTripByteIdentical(t *testing.T) {
 	idx, wire := fixture(t)
 	srv := New(idx, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	noWinner := wire
+	noWinner.Locations = [][2]float64{{500, 500}, {-400, 900}}
+	noWinner.Keywords = []string{"unheard-of"}
 	strategies := []string{"exact", "approx", "exhaustive", "user-indexed"}
 	parallels := []ParallelSpec{{}, {Workers: 2}, {Workers: 4, Groups: 8}}
-	for _, strat := range strategies {
-		for _, par := range parallels {
-			wire.Strategy, wire.Parallel = strat, par
-			req, err := wire.ToRequest()
-			if err != nil {
-				t.Fatal(err)
-			}
-			direct, err := idx.MaxBRSTkNN(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ResultJSON(direct)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, got := postJSON(t, ts, "/maxbrstknn", wire)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s/%+v: status %d: %s", strat, par, resp.StatusCode, got)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s/%+v: response not byte-identical:\n got %s\nwant %s", strat, par, got, want)
+	for qi, q := range []QueryRequest{wire, noWinner} {
+		for _, strat := range strategies {
+			for _, par := range parallels {
+				q.Strategy, q.Parallel = strat, par
+				req, err := q.ToRequest()
+				if err != nil {
+					t.Fatal(err)
+				}
+				direct, err := idx.MaxBRSTkNN(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if qi == 1 && (direct.Count() != 0 || strat == "user-indexed" && direct.Stats.TotalUsers == 0) {
+					t.Fatalf("fixture broken: want no winner (with pruning statistics for user-indexed), got %+v", direct)
+				}
+				want, err := ResultJSON(direct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, got := postJSON(t, ts, "/maxbrstknn", q)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("query %d %s/%+v: status %d: %s", qi, strat, par, resp.StatusCode, got)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("query %d %s/%+v: response not byte-identical:\n got %s\nwant %s", qi, strat, par, got, want)
+				}
 			}
 		}
 	}
@@ -151,7 +160,7 @@ func TestTopLAndMultipleRoundTrip(t *testing.T) {
 
 	// Unsupported strategies are rejected up front — before the server
 	// spends a session build on the doomed request.
-	_, _, missesBefore := srv.sessions.stats()
+	_, _, missesBefore := srv.cohorts.stats()
 	wire.Strategy = "exhaustive"
 	wire.L = 2
 	wire.Users = append([]UserSpec{{X: 9, Y: 9}}, wire.Users...) // distinct cohort
@@ -159,7 +168,7 @@ func TestTopLAndMultipleRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("topl with exhaustive: status %d body %s, want 400", resp.StatusCode, got)
 	}
-	if _, _, misses := srv.sessions.stats(); misses != missesBefore {
+	if _, _, misses := srv.cohorts.stats(); misses != missesBefore {
 		t.Errorf("rejected strategy still built a session (misses %d -> %d)", missesBefore, misses)
 	}
 }
@@ -248,7 +257,7 @@ func TestSessionCacheHits(t *testing.T) {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
 	}
-	size, hits, misses := srv.sessions.stats()
+	size, hits, misses := srv.cohorts.stats()
 	if size != 1 || misses != 1 || hits != 2 {
 		t.Errorf("session cache size=%d hits=%d misses=%d, want 1/2/1", size, hits, misses)
 	}
@@ -259,7 +268,7 @@ func TestSessionCacheHits(t *testing.T) {
 	if resp, body := postJSON(t, ts, "/maxbrstknn", wire2); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	if size, _, _ := srv.sessions.stats(); size != 2 {
+	if size, _, _ := srv.cohorts.stats(); size != 2 {
 		t.Errorf("cache size = %d after second cohort, want 2", size)
 	}
 }
@@ -352,7 +361,7 @@ func TestConcurrentClientsShareOneServer(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if _, hits, misses := srv.sessions.stats(); misses != 1 || hits != 47 {
+	if _, hits, misses := srv.cohorts.stats(); misses != 1 || hits != 47 {
 		t.Errorf("hits=%d misses=%d, want 47/1 (one build shared by all)", hits, misses)
 	}
 }
@@ -444,5 +453,46 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /maxbrstknn: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestTopLEvaluatesAsRunTopL: a /topl request through the single server
+// evaluates exactly the locations RunTopL's scan does — the shard skips
+// by the request's l — rather than every candidate location.
+func TestTopLEvaluatesAsRunTopL(t *testing.T) {
+	_, idx, wire := coordFixture(t)
+	wire.Strategy, wire.MaxKeywords = "exact", 0
+	for _, l := range []int{1, 3, len(wire.Locations)} {
+		srv := New(idx, Config{})
+		ts := httptest.NewServer(srv.Handler())
+		wire.L = l
+		if resp, body := postJSON(t, ts, "/topl", wire); resp.StatusCode != http.StatusOK {
+			t.Fatalf("l=%d: status %d: %s", l, resp.StatusCode, body)
+		}
+		ts.Close()
+
+		req, err := wire.ToRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := idx.NewSession(req.Users, req.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int, len(req.Locations))
+		for i := range all {
+			all[i] = i
+		}
+		_, want, err := sess.Scatter(req, sess.Thresholds(), all, 0, l)
+		sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.scatEvaluated.Load(); got != int64(want.Evaluated) {
+			t.Fatalf("l=%d: /topl evaluated %d locations, RunTopL's scan %d", l, got, want.Evaluated)
+		}
+		if l == 1 && want.Evaluated >= len(req.Locations) {
+			t.Fatalf("fixture broken: l=1 skips nothing (%d of %d evaluated)", want.Evaluated, len(req.Locations))
+		}
 	}
 }

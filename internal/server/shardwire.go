@@ -53,6 +53,9 @@ type SelectRequest struct {
 	// List selects the top-l evaluation body instead of the single-best
 	// one.
 	List bool `json:"list"`
+	// L is the request's l for a List scan: the shard skips a location
+	// once l evaluated ones beat its |LU_ℓ| strictly. 0 skips nothing.
+	L int `json:"l,omitempty"`
 }
 
 // ShardCandidatePayload is one evaluated candidate location: the result
@@ -71,7 +74,7 @@ type ScatterStatsPayload struct {
 }
 
 // SelectResponse is the body of a /shard/select answer: every evaluated
-// candidate with a positive qualifying count (ascending location order)
+// candidate with a positive qualifying count (in the shard's scan order)
 // and the work counters.
 type SelectResponse struct {
 	Candidates []ShardCandidatePayload `json:"candidates"`

@@ -1,7 +1,8 @@
 // Package server implements the concurrent HTTP/JSON query-serving layer:
-// one long-lived process opens one index (built in memory or loaded from a
-// .mxbr file) and shares it across any number of concurrent clients,
-// amortizing the index cost the way the paper's provider scenario assumes.
+// one long-lived process answers the public query API over an index
+// (built in memory or loaded from a .mxbr file) or over a fleet of shard
+// servers, amortizing the index cost the way the paper's provider
+// scenario assumes.
 //
 // Endpoints:
 //
@@ -13,22 +14,26 @@
 //	POST /add         — insert one object into the live index
 //	POST /delete      — remove one object by id
 //	POST /update      — replace one object (new id, one atomic epoch)
-//	GET  /stats       — I/O ledger, buffer pool, session cache, ingest
-//	                    epoch, in-flight
+//	GET  /stats       — I/O ledger, caches, ingest epoch, scatter-gather
+//	                    counters, in-flight
 //	GET  /healthz     — liveness probe
 //
-// Mutations publish copy-on-write snapshots, so concurrent queries never
-// block on them: a query in flight during an /add finishes on the epoch
-// it started on, and the next request observes the new epoch.
-//
-// Sessions — the prepared per-user-set joint top-k state — are cached in
-// an LRU keyed by (user set, k), so repeated queries from the same user
-// cohort skip the expensive phase-1 computation entirely and pay only for
-// candidate selection.
+// There is one serving path. A Server answers the query endpoints as a
+// coordinator over shards: New serves an index as a fleet of one
+// in-process shard, plus the mutation endpoints; NewCoordinator serves a
+// fleet of NewShard servers reached over HTTP (the wire protocol of
+// shardwire.go), whose indexes are immutable. Phase 1 (each cohort
+// user's RSk, from the joint top-k) is merged across the shards once per
+// cohort and cached in an LRU keyed by the fleet's epoch, the user set
+// and k, so repeated queries from a cohort pay only for phase 2
+// (candidate selection). Mutations publish copy-on-write snapshots and
+// advance the epoch: a query in flight during an /add finishes on the
+// snapshot its cohort pinned, and the next request sees the new epoch.
 package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -120,26 +125,48 @@ func ParseStrategy(s string) (maxbrstknn.Strategy, error) {
 	}
 }
 
-// ToRequest converts the wire query into a library Request.
+// ToRequest converts the wire query into a library Request, rejecting
+// what no index could answer — an unknown strategy, no users, no
+// locations, k or max_keywords out of range — before any work is spent.
 func (q *QueryRequest) ToRequest() (maxbrstknn.Request, error) {
 	strat, err := ParseStrategy(q.Strategy)
 	if err != nil {
 		return maxbrstknn.Request{}, err
 	}
-	users := make([]maxbrstknn.UserSpec, len(q.Users))
-	for i, u := range q.Users {
-		users[i] = maxbrstknn.UserSpec{X: u.X, Y: u.Y, Keywords: u.Keywords}
+	switch {
+	case len(q.Users) == 0:
+		return maxbrstknn.Request{}, errors.New("maxbrstknn: at least one user required")
+	case len(q.Locations) == 0:
+		return maxbrstknn.Request{}, errors.New("maxbrstknn: at least one candidate location required")
+	case q.K <= 0:
+		return maxbrstknn.Request{}, errors.New("maxbrstknn: k must be positive")
+	case q.MaxKeywords < 0:
+		return maxbrstknn.Request{}, errors.New("maxbrstknn: max_keywords must be non-negative")
 	}
 	return maxbrstknn.Request{
-		Users:            users,
+		Users:            userSpecs(q.Users),
 		Locations:        q.Locations,
 		Keywords:         q.Keywords,
 		MaxKeywords:      q.MaxKeywords,
 		K:                q.K,
 		ExistingKeywords: q.ExistingKeywords,
 		Strategy:         strat,
-		Parallel:         maxbrstknn.ParallelOptions{Workers: q.Parallel.Workers, Groups: q.Parallel.Groups},
+		Parallel:         parallelOptions(q.Parallel),
 	}, nil
+}
+
+// userSpecs converts wire users to the library's.
+func userSpecs(wire []UserSpec) []maxbrstknn.UserSpec {
+	users := make([]maxbrstknn.UserSpec, len(wire))
+	for i, u := range wire {
+		users[i] = maxbrstknn.UserSpec{X: u.X, Y: u.Y, Keywords: u.Keywords}
+	}
+	return users
+}
+
+// parallelOptions converts a wire parallelism setting to the library's.
+func parallelOptions(p ParallelSpec) maxbrstknn.ParallelOptions {
+	return maxbrstknn.ParallelOptions{Workers: p.Workers, Groups: p.Groups}
 }
 
 // PruningPayload is the wire form of maxbrstknn.PruningStats.
@@ -178,6 +205,13 @@ func PayloadFromResult(r maxbrstknn.Result) ResultPayload {
 	return p
 }
 
+// resultFromPayload converts a shard's wire candidate back to a library
+// Result. Scattered candidates never carry Section 7 pruning statistics
+// (only a whole index answers user-indexed queries), so none are read.
+func resultFromPayload(p ResultPayload) maxbrstknn.Result {
+	return maxbrstknn.Result{LocationIndex: p.LocationIndex, Location: p.Location, Keywords: p.Keywords, UserIDs: p.UserIDs}
+}
+
 // ResultJSON returns exactly the bytes the server writes for one Result —
 // the reference for the byte-identity guarantee: an HTTP round-trip must
 // return ResultJSON(directLibraryResult) verbatim.
@@ -202,15 +236,32 @@ type RankedPayload struct {
 	Score    float64 `json:"score"`
 }
 
+// rankedPayloads converts a ranked list to its wire form.
+func rankedPayloads(rs []maxbrstknn.RankedObject) []RankedPayload {
+	out := make([]RankedPayload, len(rs))
+	for i, r := range rs {
+		out[i] = RankedPayload{ObjectID: r.ObjectID, Score: r.Score}
+	}
+	return out
+}
+
+// rankedObjects converts a wire ranked list back to the library's.
+func rankedObjects(ps []RankedPayload) []maxbrstknn.RankedObject {
+	out := make([]maxbrstknn.RankedObject, len(ps))
+	for i, p := range ps {
+		out[i] = maxbrstknn.RankedObject{ObjectID: p.ObjectID, Score: p.Score}
+	}
+	return out
+}
+
+// topKResponse is the body of a /topk answer.
+type topKResponse struct {
+	Results []RankedPayload `json:"results"`
+}
+
 // TopKJSON returns exactly the bytes the server writes for a /topk answer.
 func TopKJSON(rs []maxbrstknn.RankedObject) ([]byte, error) {
-	payloads := make([]RankedPayload, len(rs))
-	for i, r := range rs {
-		payloads[i] = RankedPayload{ObjectID: r.ObjectID, Score: r.Score}
-	}
-	return appendNewline(json.Marshal(struct {
-		Results []RankedPayload `json:"results"`
-	}{payloads}))
+	return appendNewline(json.Marshal(topKResponse{rankedPayloads(rs)}))
 }
 
 // appendNewline matches json.Encoder's trailing newline so helper output

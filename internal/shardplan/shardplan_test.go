@@ -163,10 +163,11 @@ func TestBuildShardFrozenEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	wantLists, err := sess.JointTopKAll()
+	joint, err := sess.Phase1(nil, maxbrstknn.ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantLists := joint.PerUser
 	wantRSK := sess.Thresholds()
 
 	lists := make([][][]maxbrstknn.RankedObject, len(users))
@@ -178,7 +179,7 @@ func TestBuildShardFrozenEquivalence(t *testing.T) {
 		if len(p.Objects[s]) >= k {
 			t.Fatalf("fixture broken: shard %d has %d objects, want < k=%d", s, len(p.Objects[s]), k)
 		}
-		ss, err := six.NewShardSession(users, k)
+		ss, err := six.NewUnpreparedSession(users, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,7 +119,8 @@ func (s *Scorer) UserNorms(users []dataset.User) []float64 {
 
 // GroupNorms returns the minimum and maximum Norm(u) over a set of users —
 // the denominators that keep the super-user bounds of Lemma 2 sound for
-// every measure (DESIGN.md §4).
+// every measure when each user normalizes by its own Norm(u): an upper
+// bound divides by the minimum, a lower bound by the maximum.
 func GroupNorms(norms []float64) (minNorm, maxNorm float64) {
 	if len(norms) == 0 {
 		return 1, 1

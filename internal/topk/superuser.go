@@ -22,7 +22,8 @@ import (
 // SuperUser aggregates a group of users (Section 5.2): the MBR of their
 // locations, the union and intersection of their keywords, and the group's
 // extreme normalizers, which keep Lemma 2 sound under per-user
-// normalization (DESIGN.md §4).
+// normalization: an upper bound divides by the smallest Norm(u), a lower
+// bound by the largest.
 type SuperUser struct {
 	MBR      geo.Rect
 	Uni      []vocab.TermID // union of user keywords, ascending

@@ -309,6 +309,12 @@ type Index struct {
 	// closer releases the index file backing a loaded index; nil for
 	// in-memory indexes.
 	closer io.Closer
+
+	// gids maps local dense object ids to global ids (strictly ascending)
+	// on an index a ShardBuilder built; nil on a whole index. Frozen shard
+	// statistics and the map would both desynchronize under mutation, so
+	// an index that has one is immutable.
+	gids []int32
 }
 
 // snapshot is one immutable publication of the index: a tree epoch, the
@@ -437,7 +443,8 @@ func (ix *Index) IngestStats() IngestStats {
 // AddObject inserts one object into the live index (incremental
 // maintenance, Section 5.1). Term weights use the corpus statistics
 // frozen at Build time — the standard IR practice; rebuild periodically
-// (or Compact) to refresh statistics. Returns the new object's id.
+// (or Compact) to refresh statistics. Returns the new object's id. A
+// shard index (see ShardBuilder) rejects every mutation.
 //
 // The insert is prepared copy-on-write and published atomically:
 // concurrent queries never block on it and observe the index either
@@ -445,6 +452,9 @@ func (ix *Index) IngestStats() IngestStats {
 // all-or-nothing — on error nothing is published and the vocabulary is
 // rolled back, so a failed insert leaves no trace.
 func (ix *Index) AddObject(x, y float64, keywords ...string) (int, error) {
+	if ix.gids != nil {
+		return 0, errShardImmutable
+	}
 	ix.writerMu.Lock()
 	defer ix.writerMu.Unlock()
 	sn := ix.snap.Load()
@@ -476,6 +486,9 @@ func (ix *Index) AddObject(x, y float64, keywords ...string) (int, error) {
 // atomic snapshot swap, invisible to in-flight queries. Returns
 // ErrNoSuchObject (wrapped) for an unknown or already-deleted id.
 func (ix *Index) DeleteObject(id int) error {
+	if ix.gids != nil {
+		return errShardImmutable
+	}
 	ix.writerMu.Lock()
 	defer ix.writerMu.Unlock()
 	sn := ix.snap.Load()
@@ -498,6 +511,9 @@ func (ix *Index) DeleteObject(id int) error {
 // (wrapped) for an unknown or already-deleted id; on any error nothing
 // is published and the vocabulary is rolled back.
 func (ix *Index) UpdateObject(id int, x, y float64, keywords ...string) (int, error) {
+	if ix.gids != nil {
+		return 0, errShardImmutable
+	}
 	ix.writerMu.Lock()
 	defer ix.writerMu.Unlock()
 	sn := ix.snap.Load()
@@ -587,7 +603,9 @@ type RankedObject struct {
 }
 
 // TopK returns the k most spatial-textually relevant objects for a user at
-// (x, y) with the given preference keywords.
+// (x, y) with the given preference keywords. A shard index reports global
+// object ids; its scores are globally exact (frozen context), and
+// MergeTopK folds the shards' lists into the global one.
 func (ix *Index) TopK(x, y float64, keywords []string, k int) ([]RankedObject, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("maxbrstknn: k must be positive")
@@ -607,7 +625,7 @@ func (ix *Index) TopK(x, y float64, keywords []string, k int) ([]RankedObject, e
 	}
 	out := make([]RankedObject, len(results))
 	for i, r := range results {
-		out[i] = RankedObject{ObjectID: int(r.ObjID), Score: r.Score}
+		out[i] = RankedObject{ObjectID: ix.globalID(r.ObjID), Score: r.Score}
 	}
 	return out, nil
 }

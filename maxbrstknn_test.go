@@ -172,14 +172,16 @@ func TestUnknownKeywordsHandled(t *testing.T) {
 
 func TestJointTopKAll(t *testing.T) {
 	idx, req := paperExample(t)
-	s, err := idx.NewSession(req.Users, 1)
+	s, err := idx.NewUnpreparedSession(req.Users, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := s.JointTopKAll()
+	defer s.Close()
+	joint, err := s.Phase1(nil, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	all := joint.PerUser
 	if len(all) != 4 {
 		t.Fatalf("per-user results = %d", len(all))
 	}

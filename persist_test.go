@@ -405,11 +405,11 @@ func TestUnknownKeywordsNeverMatch(t *testing.T) {
 		}
 	}
 
-	tops, err := s.JointTopKAll()
+	tops, err := s.Phase1(nil, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range tops[0] {
+	for _, r := range tops.PerUser[0] {
 		if r.Score != 0 {
 			t.Fatalf("unknown keywords matched object %d with score %v", r.ObjectID, r.Score)
 		}

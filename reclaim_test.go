@@ -66,7 +66,7 @@ func TestReclaimWaitsForSessionPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := s.JointTopKAll()
+	before, err := s.Phase1(nil, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestReclaimWaitsForSessionPins(t *testing.T) {
 		t.Fatal("retired counters zero while a session pins the pre-mutation epoch; reclamation ran too early")
 	}
 	// The pinned session must still read its epoch intact.
-	after, err := s.JointTopKAll()
+	after, err := s.Phase1(nil, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestReclaimWaitsForSessionPins(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.JointTopKAll(); err == nil {
-		t.Fatal("JointTopKAll after Close succeeded, want ErrSessionClosed")
+	if _, err := s.Phase1(nil, ParallelOptions{}); err == nil {
+		t.Fatal("Phase1 after Close succeeded, want ErrSessionClosed")
 	}
 	// The next publish advances the floor past the released pin and
 	// reclaims everything.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/irtree"
 	"repro/internal/miurtree"
-	"repro/internal/topk"
 	"repro/internal/vocab"
 )
 
@@ -134,21 +133,22 @@ func (ix *Index) MaxBRSTkNN(req Request) (Result, error) {
 	return s.Run(req)
 }
 
-// Session holds the prepared per-user thresholds for one user set and one
-// k, so several MaxBRSTkNN requests (different L, W, ws) can share the
-// joint top-k computation — the expensive phase the paper optimizes.
+// Session holds one user set and one k on a pinned index snapshot, and
+// the per-user thresholds that let several MaxBRSTkNN requests (different
+// L, W, ws) share the joint top-k computation — the expensive phase the
+// paper optimizes. NewSession and NewParallelSession prepare the
+// thresholds; NewUnpreparedSession leaves them to Phase1 and Scatter,
+// the two halves of a scatter-gathered query.
 //
 // # Concurrency
 //
 // A Session pins the index snapshot it was created on: the epoch's tree,
-// vocabulary view and corpus statistics are captured once in
-// NewSession, and every later Run traverses exactly that epoch — no
-// locks against the index, no interference from concurrent AddObject /
-// DeleteObject / UpdateObject calls, whose successor snapshots this
-// session simply never observes. Prepared thresholds and traversals
-// therefore always agree (the PR 4 "session spans an insert" caveat is
-// gone by construction); create a fresh session when the answer should
-// reflect newer mutations.
+// vocabulary view and corpus statistics are captured once, and every
+// later call traverses exactly that epoch — no locks against the index,
+// no interference from concurrent AddObject / DeleteObject /
+// UpdateObject calls, whose successor snapshots this session simply
+// never observes. Create a fresh session when the answer should reflect
+// newer mutations.
 //
 // A Session is immutable once built — its engine and prepared thresholds
 // are never modified — so every method is safe for concurrent use by any
@@ -161,8 +161,8 @@ func (ix *Index) MaxBRSTkNN(req Request) (Result, error) {
 // when done with a session so a long-lived mutating index can reclaim
 // retired pages promptly; a forgotten session releases its pin when the
 // garbage collector frees it (a cleanup is attached), so storage safety
-// never depends on Close being called. Run, RunTopL, RunMultiple and
-// JointTopKAll return ErrSessionClosed after Close; Thresholds keeps
+// never depends on Close being called. Run, RunTopL, RunMultiple, Phase1
+// and Scatter return ErrSessionClosed after Close; Thresholds keeps
 // answering from the prepared in-memory state.
 type Session struct {
 	ix     *Index
@@ -170,7 +170,7 @@ type Session struct {
 	users  []dataset.User
 	k      int
 	engine *core.Engine
-	th     core.Thresholds // zero for a ShardSession, whose thresholds arrive per call
+	th     core.Thresholds // zero when unprepared: Scatter takes them per call
 
 	// pin holds the epoch pin the session was created with; closed
 	// rejects traversing calls after Close, and cleanup is the GC
@@ -234,7 +234,7 @@ func (ix *Index) NewSession(users []UserSpec, k int) (*Session, error) {
 // whose super-user traversals execute on up to opts.Workers goroutines.
 // The prepared thresholds are identical to NewSession's.
 func (ix *Index) NewParallelSession(users []UserSpec, k int, opts ParallelOptions) (*Session, error) {
-	s, err := ix.newSession(users, k)
+	s, err := ix.NewUnpreparedSession(users, k)
 	if err != nil {
 		return nil, err
 	}
@@ -245,12 +245,13 @@ func (ix *Index) NewParallelSession(users []UserSpec, k int, opts ParallelOption
 	return s, nil
 }
 
-// newSession assembles a session — pinned snapshot, cohort documents,
-// scorer, engine — without preparing thresholds. It is the
-// shared base of NewParallelSession (which prepares them with a local
-// joint top-k) and NewShardSession (whose thresholds arrive from a
-// coordinator instead).
-func (ix *Index) newSession(users []UserSpec, k int) (*Session, error) {
+// NewUnpreparedSession pins the current snapshot for one user cohort
+// without preparing thresholds: Phase1 computes the cohort's top-k lists
+// (seeded by what other shards found), and Scatter runs phase 2 under
+// thresholds merged from every shard's lists. The cohort must be the
+// full, identically-ordered user list every shard of a deployment sees:
+// user indexes in results and threshold vectors are cohort positions.
+func (ix *Index) NewUnpreparedSession(users []UserSpec, k int) (*Session, error) {
 	if len(users) == 0 {
 		return nil, fmt.Errorf("maxbrstknn: at least one user required")
 	}
@@ -292,13 +293,7 @@ func (s *Session) Thresholds() []float64 {
 // request's Users field is ignored (the session's users apply); K must
 // match the session.
 func (s *Session) Run(req Request) (Result, error) {
-	if err := s.checkOpen("Run"); err != nil {
-		return Result{}, err
-	}
-	if req.K != s.k {
-		return Result{}, errKMismatch(req.K, s.k)
-	}
-	q, err := s.buildQuery(req)
+	q, err := s.open("Run", req)
 	if err != nil {
 		return Result{}, err
 	}
@@ -336,7 +331,7 @@ func scanSpec(req Request) core.ScanSpec {
 	case Exhaustive:
 		spec.Mode = core.ScanExhaustive
 	case UserIndexed:
-		// Not a scan: Run routes it to SelectUserIndexed, Scatter refuses it.
+		// Not a scan: Run and Scatter route it to SelectUserIndexed.
 	}
 	return spec
 }
@@ -362,6 +357,18 @@ func (s *Session) runUserIndexed(q core.Query) (core.Selection, core.UserIndexSt
 		}
 	})
 	return s.engine.SelectUserIndexed(q, core.KeywordsExact, s.miur)
+}
+
+// open runs the checks every session query starts with — the session is
+// not closed, the request's k is the session's — and builds its query.
+func (s *Session) open(op string, req Request) (core.Query, error) {
+	if err := s.checkOpen(op); err != nil {
+		return core.Query{}, err
+	}
+	if req.K != s.k {
+		return core.Query{}, fmt.Errorf("maxbrstknn: request k=%d differs from session k=%d", req.K, s.k)
+	}
+	return s.buildQuery(req)
 }
 
 func (s *Session) buildQuery(req Request) (core.Query, error) {
@@ -403,11 +410,18 @@ func (s *Session) buildResult(req Request, sel core.Selection, stats core.UserIn
 	} else {
 		res.LocationIndex = -1
 	}
-	for _, t := range sel.Keywords {
-		res.Keywords = append(res.Keywords, s.snap.vocab.Term(t))
+	// Empty lists stay nil: the wire encodes them as null.
+	if len(sel.Keywords) > 0 {
+		res.Keywords = make([]string, len(sel.Keywords))
+		for i, t := range sel.Keywords {
+			res.Keywords[i] = s.snap.vocab.Term(t)
+		}
 	}
-	for _, uid := range sel.Users {
-		res.UserIDs = append(res.UserIDs, int(uid))
+	if len(sel.Users) > 0 {
+		res.UserIDs = make([]int, len(sel.Users))
+		for i, uid := range sel.Users {
+			res.UserIDs[i] = int(uid)
+		}
 	}
 	if stats.TotalUsers > 0 {
 		res.Stats = PruningStats{
@@ -417,26 +431,4 @@ func (s *Session) buildResult(req Request, sel core.Selection, stats core.UserIn
 		}
 	}
 	return res
-}
-
-// JointTopKAll computes every session user's top-k objects with one shared
-// traversal (Section 5) — exposed because the joint computation is, as the
-// paper notes, of independent interest.
-func (s *Session) JointTopKAll() ([][]RankedObject, error) {
-	if err := s.checkOpen("JointTopKAll"); err != nil {
-		return nil, err
-	}
-	res, err := topk.JointTopK(s.snap.tree, s.engine.Scorer, s.users, s.k, 1, 1, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]RankedObject, len(res.PerUser))
-	for i, p := range res.PerUser {
-		rs := make([]RankedObject, len(p.Results))
-		for j, r := range p.Results {
-			rs[j] = RankedObject{ObjectID: int(r.ObjID), Score: r.Score}
-		}
-		out[i] = rs
-	}
-	return out, nil
 }

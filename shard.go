@@ -1,6 +1,7 @@
 package maxbrstknn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -46,21 +47,7 @@ type FrozenCorpus struct {
 func (ix *Index) FrozenCorpus() FrozenCorpus {
 	sn := ix.acquire()
 	defer sn.tree.Unpin()
-	ds := sn.tree.Dataset()
-	n := len(ds.Stats.CollectionFreq) // build-time vocabulary size
-	fc := FrozenCorpus{
-		Terms:          make([]string, n),
-		CollectionFreq: append([]int64(nil), ds.Stats.CollectionFreq...),
-		DocFreq:        append([]int32(nil), ds.Stats.DocFreq...),
-		TotalTerms:     ds.Stats.TotalTerms,
-		NumDocs:        ds.Stats.NumDocs,
-		Space:          [4]float64{ds.Space.Min.X, ds.Space.Min.Y, ds.Space.Max.X, ds.Space.Max.Y},
-		MaxW:           textrel.MaxWeights(ix.model, n),
-	}
-	for id := 0; id < n; id++ {
-		fc.Terms[id] = sn.vocab.Term(vocab.TermID(id))
-	}
-	return fc
+	return frozenCorpus(sn.tree.Dataset(), ix.model, sn.vocab.Term)
 }
 
 // FrozenCorpusOf computes a dataset's frozen global context directly —
@@ -76,8 +63,13 @@ func FrozenCorpusOf(ds *dataset.Dataset, opts Options) (FrozenCorpus, error) {
 	if len(ds.Objects) == 0 {
 		return FrozenCorpus{}, fmt.Errorf("maxbrstknn: empty dataset")
 	}
-	model := opts.newModel(ds)
-	n := len(ds.Stats.CollectionFreq)
+	return frozenCorpus(ds, opts.newModel(ds), ds.Vocab.Term), nil
+}
+
+// frozenCorpus copies a dataset's build-time statistics and space, and
+// the model's maxima, naming each build-time term id through term.
+func frozenCorpus(ds *dataset.Dataset, model textrel.Model, term func(vocab.TermID) string) FrozenCorpus {
+	n := len(ds.Stats.CollectionFreq) // build-time vocabulary size
 	fc := FrozenCorpus{
 		Terms:          make([]string, n),
 		CollectionFreq: append([]int64(nil), ds.Stats.CollectionFreq...),
@@ -87,10 +79,10 @@ func FrozenCorpusOf(ds *dataset.Dataset, opts Options) (FrozenCorpus, error) {
 		Space:          [4]float64{ds.Space.Min.X, ds.Space.Min.Y, ds.Space.Max.X, ds.Space.Max.Y},
 		MaxW:           textrel.MaxWeights(model, n),
 	}
-	for id := 0; id < n; id++ {
-		fc.Terms[id] = ds.Vocab.Term(vocab.TermID(id))
+	for id := range fc.Terms {
+		fc.Terms[id] = term(vocab.TermID(id))
 	}
-	return fc, nil
+	return fc
 }
 
 // ShardBuilder accumulates one shard's slice of the global object set
@@ -199,109 +191,63 @@ func (b *ShardBuilder) Build(opts Options) (*ShardIndex, error) {
 		Fanout:            opts.fanout(),
 		DecodedCacheBytes: opts.decodedCacheBytes(),
 	})
-	return &ShardIndex{Index: newIndex(opts, model, mir, nil, 0, nil), globalIDs: gids}, nil
+	ix := newIndex(opts, model, mir, nil, 0, nil)
+	ix.gids = gids
+	return &ShardIndex{Index: ix}, nil
 }
 
-// ShardIndex is an Index over one shard's objects that remembers the
-// global id of each local object. It is immutable: the frozen statistics
-// and the local→global id map would both desynchronize under mutation,
-// so the mutating Index methods are overridden to fail.
-type ShardIndex struct {
-	*Index
-	globalIDs []int32 // local dense id → global id, strictly ascending
-}
+// ShardIndex is the Index a ShardBuilder builds: it holds one shard's
+// objects, answers with global object ids, and is immutable (see
+// Index.AddObject).
+type ShardIndex struct{ *Index }
 
-var errShardImmutable = fmt.Errorf("maxbrstknn: shard indexes are immutable (rebuild the shard instead)")
+// errShardImmutable is what the mutating methods of an index with a
+// global id map return.
+var errShardImmutable = errors.New("maxbrstknn: shard indexes are immutable (rebuild the shard instead)")
 
-// AddObject always fails: shard indexes are immutable.
-func (six *ShardIndex) AddObject(x, y float64, keywords ...string) (int, error) {
-	return 0, errShardImmutable
-}
-
-// DeleteObject always fails: shard indexes are immutable.
-func (six *ShardIndex) DeleteObject(id int) error { return errShardImmutable }
-
-// UpdateObject always fails: shard indexes are immutable.
-func (six *ShardIndex) UpdateObject(id int, x, y float64, keywords ...string) (int, error) {
-	return 0, errShardImmutable
-}
-
-// GlobalID maps a local object id to its global id.
-func (six *ShardIndex) GlobalID(local int) int { return int(six.globalIDs[local]) }
-
-// TopK is Index.TopK with results remapped to global object ids. Scores
-// are globally exact (frozen context); the ranking is the shard's local
-// top-k, which a coordinator merges across shards by (score descending,
-// global id ascending) to recover the global list.
-func (six *ShardIndex) TopK(x, y float64, keywords []string, k int) ([]RankedObject, error) {
-	out, err := six.Index.TopK(x, y, keywords, k)
-	if err != nil {
-		return nil, err
+// globalID maps a local object id to the id results report: itself on a
+// whole index, its global id on a shard index.
+func (ix *Index) globalID(local int32) int {
+	if ix.gids == nil {
+		return int(local)
 	}
-	for i := range out {
-		out[i].ObjectID = int(six.globalIDs[out[i].ObjectID])
-	}
-	return out, nil
+	return int(ix.gids[local])
 }
 
-// ShardSession is a session over one shard for coordinator-driven
-// scatter-gather serving. Unlike a Session it prepares no thresholds of
-// its own: phase 1 runs on demand with coordinator-forwarded score seeds
-// (Phase1), and phase 2 runs under coordinator-supplied global
-// thresholds (Scatter). It pins the shard's snapshot exactly like a
-// Session and is safe for concurrent Phase1/Scatter calls.
-type ShardSession struct {
-	s  *Session
-	ix *ShardIndex
-}
-
-// NewShardSession builds a shard session for one user cohort. The cohort
-// must be the full, identically-ordered user list every shard of the
-// deployment sees: user indexes in results and threshold vectors are
-// cohort positions, and they must agree across shards and coordinator.
-func (six *ShardIndex) NewShardSession(users []UserSpec, k int) (*ShardSession, error) {
-	s, err := six.Index.newSession(users, k)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardSession{s: s, ix: six}, nil
-}
-
-// Close releases the session's snapshot pin.
-func (ss *ShardSession) Close() error { return ss.s.Close() }
-
-// ShardPhase1 is one shard's joint top-k answer: each cohort user's
-// local top-k over the shard's objects (global ids, score descending with
-// ascending-id tie-breaks) plus the shard's work counters. Visited is
-// tree nodes expanded by the group traversals; Refined is candidates
-// actually scored during per-user refinement — the counter where bound
-// forwarding shows up, since a seeded threshold truncates each
-// descending-UB candidate scan earlier.
+// ShardPhase1 is one index's joint top-k answer: each cohort user's
+// top-k over the index's objects (global ids, score descending with
+// ascending-id tie-breaks) plus the work counters. Visited is tree nodes
+// expanded by the group traversals; Refined is candidates actually scored
+// during per-user refinement — the counter where bound forwarding shows
+// up, since a seeded threshold truncates each descending-UB candidate
+// scan earlier.
 type ShardPhase1 struct {
 	PerUser [][]RankedObject
 	Visited int
 	Refined int
 }
 
-// Phase1 computes every cohort user's top-k over this shard's objects.
-// seeds[u] (optional — nil means no bounds known) is a lower bound on
-// user u's global k-th best score, established by the coordinator from
-// shards that already answered; the shard's traversals and refinements
-// prune below it, losslessly for the merged global top-k. Merging all
-// shards' lists per user by (score descending, global id ascending) and
-// keeping k reproduces the single-index lists and thresholds exactly.
-func (ss *ShardSession) Phase1(seeds []float64, opts ParallelOptions) (ShardPhase1, error) {
-	if err := ss.s.checkOpen("Phase1"); err != nil {
+// Phase1 computes every cohort user's top-k over the session's pinned
+// snapshot with one joint traversal (Section 5) on up to opts.Workers
+// goroutines — the paper's joint top-k, which NewParallelSession reduces
+// to thresholds. seeds[u] (optional — nil means no bounds known) is a
+// lower bound on user u's global k-th best score, established by a
+// coordinator from shards that already answered; the traversals and
+// refinements prune below it, losslessly for the merged global top-k.
+// Merging all shards' lists per user with MergeTopK reproduces the
+// single-index lists, and ThresholdFromMerged its thresholds, exactly.
+func (s *Session) Phase1(seeds []float64, opts ParallelOptions) (ShardPhase1, error) {
+	if err := s.checkOpen("Phase1"); err != nil {
 		return ShardPhase1{}, err
 	}
-	if seeds != nil && len(seeds) != len(ss.s.users) {
-		return ShardPhase1{}, fmt.Errorf("maxbrstknn: %d seeds for %d users", len(seeds), len(ss.s.users))
+	if seeds != nil && len(seeds) != len(s.users) {
+		return ShardPhase1{}, fmt.Errorf("maxbrstknn: %d seeds for %d users", len(seeds), len(s.users))
 	}
 	groups := opts.Groups
 	if groups <= 0 {
 		groups = opts.Workers
 	}
-	res, err := topk.JointTopK(ss.s.snap.tree, ss.s.engine.Scorer, ss.s.users, ss.s.k, opts.Workers, groups, seeds)
+	res, err := topk.JointTopK(s.snap.tree, s.engine.Scorer, s.users, s.k, opts.Workers, groups, seeds)
 	if err != nil {
 		return ShardPhase1{}, err
 	}
@@ -309,20 +255,25 @@ func (ss *ShardSession) Phase1(seeds []float64, opts ParallelOptions) (ShardPhas
 	for i, p := range res.PerUser {
 		rs := make([]RankedObject, len(p.Results))
 		for j, r := range p.Results {
-			rs[j] = RankedObject{ObjectID: int(ss.ix.globalIDs[r.ObjID]), Score: r.Score}
+			rs[j] = RankedObject{ObjectID: s.ix.globalID(r.ObjID), Score: r.Score}
 		}
 		out.PerUser[i] = rs
 	}
 	return out, nil
 }
 
-// MergeTopK folds per-shard ranked lists (as Phase1 and ShardIndex.TopK
-// return them) into the global top-k: sort by score descending with
+// MergeTopK folds per-shard ranked lists (as Phase1 and a shard index's
+// TopK return them) into the global top-k: sort by score descending with
 // ascending global-id tie-breaks, keep k. Because every shard list is
 // its shard's exact local top-k under the same order, the merge equals
 // the single-index list whenever that order is the single index's —
 // which it is for Phase1 always, and for TopK when scores are distinct.
+// One list is already a whole index's answer and comes back as it is,
+// truncated to k.
 func MergeTopK(k int, lists ...[]RankedObject) []RankedObject {
+	if len(lists) == 1 {
+		return lists[0][:min(k, len(lists[0]))]
+	}
 	var all []RankedObject
 	for _, l := range lists {
 		all = append(all, l...)
@@ -350,9 +301,9 @@ func ThresholdFromMerged(merged []RankedObject, k int) float64 {
 	return -math.MaxFloat64
 }
 
-// ShardCandidate is one evaluated candidate location a shard returns from
-// Scatter: the answer in facade terms plus |LU_ℓ|, the qualifying-user
-// count that orders the scan the coordinator replays.
+// ShardCandidate is one evaluated candidate location Scatter returns:
+// the answer in facade terms plus |LU_ℓ|, the qualifying-user count that
+// orders the scan a coordinator replays.
 type ShardCandidate struct {
 	Result Result
 	LU     int
@@ -361,46 +312,51 @@ type ShardCandidate struct {
 // ScatterStats re-exports the phase-2 work counters of a Scatter call.
 type ScatterStats = core.ScanStats
 
-// Scatter evaluates this shard's assigned candidate locations for one
-// request, under coordinator-supplied global per-user thresholds rsk
-// (cohort-indexed, from ThresholdFromMerged). list selects the top-l
-// evaluation body (RunTopL's) instead of the single-best one (Run's).
-// floor is the bound forwarded from shards that already answered — the
-// best count achieved so far; candidates that provably cannot beat it
-// are skipped (best mode only). A shard does not know the request's l, so
-// its top-l scan skips nothing (see core.ScanTopL).
+// Scatter evaluates the assigned candidate locations of one request under
+// per-user thresholds rsk (cohort-indexed, from ThresholdFromMerged) and
+// returns every evaluated candidate with a positive count, in scan order.
+// l = 0 runs Run's single-best body; l > 0 runs RunTopL's top-l body,
+// skipping a location once l evaluated ones beat its |LU_ℓ| strictly —
+// sound across shards, because a location beating |LU_ℓ| has a larger
+// |LU| and precedes it in the replayed order. floor is the bound
+// forwarded from shards that already answered — the best count achieved
+// so far; single-best scans skip candidates that provably cannot beat it.
 //
 // Replaying the single-index scan over the union of all shards'
 // candidates reproduces Run / RunTopL byte for byte; phase 2 reads only
 // model state and the thresholds — never the shard's object tree — so
 // location→shard assignment is pure load balancing.
-func (ss *ShardSession) Scatter(req Request, rsk []float64, assigned []int, floor int, list bool) ([]ShardCandidate, ScatterStats, error) {
+//
+// UserIndexed is answered only by an index holding every object (no
+// global id map): its Section 7 pruning derives thresholds from the
+// index's own objects, ignores rsk, assigned and floor, and returns its
+// one answer, pruning statistics included, as the only candidate.
+func (s *Session) Scatter(req Request, rsk []float64, assigned []int, floor, l int) ([]ShardCandidate, ScatterStats, error) {
 	var stats ScatterStats
-	if err := ss.s.checkOpen("Scatter"); err != nil {
-		return nil, stats, err
-	}
-	if req.K != ss.s.k {
-		return nil, stats, errKMismatch(req.K, ss.s.k)
-	}
 	switch req.Strategy {
 	case Exact, Approx:
-	case Exhaustive:
-		if list {
+	case Exhaustive, UserIndexed:
+		if l > 0 {
 			return nil, stats, fmt.Errorf("maxbrstknn: top-l does not support the %s strategy", req.Strategy)
 		}
-	case UserIndexed:
-		// Section 7 prunes with a per-shard user tree whose bounds are
-		// not comparable across shards; a coordinator routes it to a
-		// single index instead.
-		return nil, stats, fmt.Errorf("maxbrstknn: the %s strategy cannot be scattered", req.Strategy)
+		if req.Strategy == UserIndexed && s.ix.gids != nil {
+			return nil, stats, fmt.Errorf("maxbrstknn: the %s strategy cannot be scattered", req.Strategy)
+		}
 	default:
 		return nil, stats, fmt.Errorf("maxbrstknn: unknown strategy %d", int(req.Strategy))
 	}
-	th, err := ss.s.engine.NewThresholds(ss.s.k, rsk)
+	q, err := s.open("Scatter", req)
 	if err != nil {
 		return nil, stats, err
 	}
-	q, err := ss.s.buildQuery(req)
+	if req.Strategy == UserIndexed {
+		sel, ui, err := s.runUserIndexed(q)
+		if err != nil {
+			return nil, stats, err
+		}
+		return []ShardCandidate{{Result: s.buildResult(req, sel, ui), LU: sel.Count()}}, stats, nil
+	}
+	th, err := s.engine.NewThresholds(s.k, rsk)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -409,18 +365,16 @@ func (ss *ShardSession) Scatter(req Request, rsk []float64, assigned []int, floo
 	}
 	spec := scanSpec(req)
 	spec.Assigned, spec.Floor = assigned, floor
-	if list {
-		spec.Mode, spec.L = core.ScanTopL, len(req.Locations)
+	if l > 0 {
+		spec.Mode, spec.L = core.ScanTopL, l
 	}
-	cands, stats, err := ss.s.engine.Scan(q, th, spec)
+	cands, stats, err := s.engine.Scan(q, th, spec)
 	if err != nil {
 		return nil, stats, err
 	}
 	out := make([]ShardCandidate, len(cands))
 	for i, c := range cands {
-		out[i] = ShardCandidate{Result: ss.s.buildResult(req, c.Sel, core.UserIndexStats{}), LU: c.LU}
+		out[i] = ShardCandidate{Result: s.buildResult(req, c.Sel, core.UserIndexStats{}), LU: c.LU}
 	}
-	// The wire lists candidates in ascending location order.
-	sort.Slice(out, func(i, j int) bool { return out[i].Result.LocationIndex < out[j].Result.LocationIndex })
 	return out, stats, nil
 }

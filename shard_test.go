@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/container"
+	"repro/internal/core"
 )
 
 // shardFixtureObject is one global object kept around in facade terms so
@@ -84,11 +85,11 @@ func buildShardSet(t *testing.T, fc FrozenCorpus, objs []shardFixtureObject, n i
 	return out
 }
 
-func shardSessions(t *testing.T, shards []*ShardIndex, users []UserSpec, k int) []*ShardSession {
+func shardSessions(t *testing.T, shards []*ShardIndex, users []UserSpec, k int) []*Session {
 	t.Helper()
-	out := make([]*ShardSession, len(shards))
+	out := make([]*Session, len(shards))
 	for i, six := range shards {
-		ss, err := six.NewShardSession(users, k)
+		ss, err := six.NewUnpreparedSession(users, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +170,7 @@ func replayExhaustiveResults(cands []ShardCandidate) Result {
 
 // gatherRSK runs unseeded Phase1 on every shard and returns the merged
 // per-user lists and the global thresholds they imply.
-func gatherRSK(t *testing.T, sessions []*ShardSession, nUsers, k int, par ParallelOptions) ([][]RankedObject, []float64) {
+func gatherRSK(t *testing.T, sessions []*Session, nUsers, k int, par ParallelOptions) ([][]RankedObject, []float64) {
 	t.Helper()
 	phases := make([]ShardPhase1, len(sessions))
 	for i, ss := range sessions {
@@ -196,6 +197,8 @@ func gatherRSK(t *testing.T, sessions []*ShardSession, nUsers, k int, par Parall
 // must reproduce the single index's lists and prepared thresholds exactly
 // — unseeded, and again when later shards run with bounds forwarded from
 // the first shard's answer, which must also never increase their work.
+// The whole index is the fleet of one a single server runs: its merged
+// thresholds must equal Prepare's bit for bit.
 func TestShardPhase1MergeEquivalence(t *testing.T) {
 	idx, objs, users, req := newShardFixture(t, Options{})
 	fc := idx.FrozenCorpus()
@@ -204,11 +207,24 @@ func TestShardPhase1MergeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	wantLists, err := sess.JointTopKAll()
+	joint, err := sess.Phase1(nil, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantLists := joint.PerUser
 	wantRSK := sess.Thresholds()
+
+	whole, err := idx.NewUnpreparedSession(users, req.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whole.Close()
+	_, rsk := gatherRSK(t, []*Session{whole}, len(users), req.K, ParallelOptions{Workers: 3, Groups: 2})
+	for u := range users {
+		if math.Float64bits(rsk[u]) != math.Float64bits(wantRSK[u]) {
+			t.Fatalf("fleet of one, user %d: threshold %v, Prepare's %v", u, rsk[u], wantRSK[u])
+		}
+	}
 
 	for _, n := range []int{1, 2, 4} {
 		shards := buildShardSet(t, fc, objs, n, Options{})
@@ -289,10 +305,10 @@ func TestShardScatterServingEquivalence(t *testing.T) {
 		_, rsk := gatherRSK(t, sessions, len(users), req.K, ParallelOptions{})
 		parts := splitRoundRobin(len(req.Locations), n)
 
-		scatterAll := func(r Request, thresholds []float64, floor int, list bool) []ShardCandidate {
+		scatterAll := func(r Request, thresholds []float64, floor, l int) []ShardCandidate {
 			var merged []ShardCandidate
 			for si, ss := range sessions {
-				cands, _, err := ss.Scatter(r, thresholds, parts[si], floor, list)
+				cands, _, err := ss.Scatter(r, thresholds, parts[si], floor, l)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -309,20 +325,26 @@ func TestShardScatterServingEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := replayBestResults(scatterAll(r, rsk, 0, false)); !reflect.DeepEqual(got, want) {
+			if got := replayBestResults(scatterAll(r, rsk, 0, 0)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d %v: scattered best differs:\n got %+v\nwant %+v", n, strat, got, want)
 			}
 			// Bound-forwarded second wave: the already-achieved count as
 			// floor must not change the replayed answer.
-			if got := replayBestResults(scatterAll(r, rsk, want.Count(), false)); !reflect.DeepEqual(got, want) {
+			if got := replayBestResults(scatterAll(r, rsk, want.Count(), 0)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d %v: floored scatter differs", n, strat)
 			}
-			wantL, err := sess.RunTopL(r, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := replayTopLResults(scatterAll(r, rsk, 0, true), 4); !reflect.DeepEqual(got, wantL) {
-				t.Fatalf("n=%d %v: scattered top-l differs:\n got %+v\nwant %+v", n, strat, got, wantL)
+			// Shards skip by the request's l; skipping nothing (l = |L|)
+			// must replay to the same list.
+			for _, l := range []int{1, 4, len(req.Locations)} {
+				wantL, err := sess.RunTopL(r, l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, scan := range []int{l, len(req.Locations)} {
+					if got := replayTopLResults(scatterAll(r, rsk, 0, scan), l); !reflect.DeepEqual(got, wantL) {
+						t.Fatalf("n=%d %v l=%d (shards scan %d): scattered top-l differs:\n got %+v\nwant %+v", n, strat, l, scan, got, wantL)
+					}
+				}
 			}
 		}
 
@@ -332,7 +354,7 @@ func TestShardScatterServingEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := replayExhaustiveResults(scatterAll(r, rsk, 0, false)); !reflect.DeepEqual(got, want) {
+		if got := replayExhaustiveResults(scatterAll(r, rsk, 0, 0)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: scattered exhaustive differs:\n got %+v\nwant %+v", n, got, want)
 		}
 
@@ -347,7 +369,7 @@ func TestShardScatterServingEquivalence(t *testing.T) {
 		poisoned := append([]float64(nil), rsk...)
 		var gotM []Result
 		for round := 0; round < 3; round++ {
-			best := replayBestResults(scatterAll(r, poisoned, 0, false))
+			best := replayBestResults(scatterAll(r, poisoned, 0, 0))
 			if best.Count() == 0 {
 				break
 			}
@@ -422,7 +444,7 @@ func TestShardBuilderValidation(t *testing.T) {
 		t.Fatal("shard UpdateObject succeeded")
 	}
 
-	ss, err := shards[0].NewShardSession(users, req.K)
+	ss, err := shards[0].NewUnpreparedSession(users, req.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,23 +452,98 @@ func TestShardBuilderValidation(t *testing.T) {
 	rsk := make([]float64, len(users))
 	r := req
 	r.Strategy = UserIndexed
-	if _, _, err := ss.Scatter(r, rsk, []int{0}, 0, false); err == nil {
+	if _, _, err := ss.Scatter(r, rsk, []int{0}, 0, 0); err == nil {
 		t.Fatal("user-indexed scatter accepted")
 	}
 	r.Strategy = Exhaustive
-	if _, _, err := ss.Scatter(r, rsk, []int{0}, 0, true); err == nil {
+	if _, _, err := ss.Scatter(r, rsk, []int{0}, 0, 1); err == nil {
 		t.Fatal("exhaustive top-l scatter accepted")
 	}
 	r.Strategy = Exact
 	r.K = req.K + 1
-	if _, _, err := ss.Scatter(r, rsk, []int{0}, 0, false); err == nil {
+	if _, _, err := ss.Scatter(r, rsk, []int{0}, 0, 0); err == nil {
 		t.Fatal("k mismatch accepted")
 	}
 	r.K = req.K
-	if _, _, err := ss.Scatter(r, rsk[:3], []int{0}, 0, false); err == nil {
+	if _, _, err := ss.Scatter(r, rsk[:3], []int{0}, 0, 0); err == nil {
 		t.Fatal("short threshold vector accepted")
 	}
 	if _, err := ss.Phase1(rsk[:3], ParallelOptions{}); err == nil {
 		t.Fatal("short seed vector accepted")
+	}
+}
+
+// TestScatterOnWholeIndex: the fleet of one a single server runs — an
+// unprepared session on the whole index under thresholds merged from its
+// own Phase1 — answers Run for every strategy (the Section 7 method
+// included, as its one candidate) and RunTopL for every l, and its top-l
+// scan evaluates exactly the locations RunTopL's does.
+func TestScatterOnWholeIndex(t *testing.T) {
+	idx, _, users, req := newShardFixture(t, Options{})
+	sess, err := idx.NewSession(users, req.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	whole, err := idx.NewUnpreparedSession(users, req.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whole.Close()
+	_, rsk := gatherRSK(t, []*Session{whole}, len(users), req.K, ParallelOptions{})
+	all := splitRoundRobin(len(req.Locations), 1)[0]
+
+	for _, strat := range []Strategy{Exact, Approx, Exhaustive, UserIndexed} {
+		r := req
+		r.Strategy = strat
+		want, err := sess.Run(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands, _, err := whole.Scatter(r, rsk, all, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Result
+		switch strat {
+		case UserIndexed:
+			got = cands[0].Result
+		case Exhaustive:
+			got = replayExhaustiveResults(cands)
+		default:
+			got = replayBestResults(cands)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: scatter differs from Run:\n got %+v\nwant %+v", strat, got, want)
+		}
+	}
+
+	for _, ws := range []int{0, 2} {
+		for _, l := range []int{1, 3, len(req.Locations)} {
+			r := req
+			r.MaxKeywords = ws
+			want, err := sess.RunTopL(r, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cands, st, err := whole.Scatter(r, rsk, all, 0, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := replayTopLResults(cands, l); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ws=%d l=%d: scattered top-l differs:\n got %+v\nwant %+v", ws, l, got, want)
+			}
+			q, err := sess.buildQuery(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ref, err := sess.engine.Scan(q, sess.th, core.ScanSpec{Mode: core.ScanTopL, L: l})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != ref {
+				t.Fatalf("ws=%d l=%d: scatter work %+v, RunTopL's scan %+v", ws, l, st, ref)
+			}
+		}
 	}
 }
