@@ -39,26 +39,3 @@ func Combinations[T any](items []T, k int, fn func(combo []T) bool) {
 		}
 	}
 }
-
-// CombinationCount returns C(n,k), saturating at the maximum int64 to avoid
-// overflow for the combinatorially large candidate spaces the baseline
-// analysis in Section 4 warns about.
-func CombinationCount(n, k int) int64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	const saturate = int64(1) << 62
-	result := int64(1)
-	for i := 1; i <= k; i++ {
-		// result *= (n - k + i); result /= i — keep exact by dividing last
-		next := result * int64(n-k+i)
-		if next/int64(n-k+i) != result || next > saturate {
-			return saturate
-		}
-		result = next / int64(i)
-	}
-	return result
-}

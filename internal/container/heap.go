@@ -1,8 +1,9 @@
 // Package container provides the generic in-memory data structures shared by
 // the index and query-processing packages: priority queues keyed by float
-// scores (the PQ, LO, RO and Hu queues of Algorithms 1–2), dense bitsets for
-// keyword vectors (the MIUR-tree's intersection/union vectors), and k-subset
-// combination enumeration (the exact keyword selection of Algorithm 4).
+// scores (the PQ, LO, RO and Hu queues of Algorithms 1–2), bounded top-k
+// holders (TopK, and StableTopK with its deterministic tie order), and
+// k-subset combination enumeration (the exact keyword selection of
+// Algorithm 4).
 package container
 
 // Heap is a binary heap of items with float64 priorities. A max-heap pops

@@ -35,9 +35,6 @@ func worse[T any](a, b stableEntry[T]) bool {
 	return a.tie > b.tie
 }
 
-// Len returns the number of retained items (at most k).
-func (t *StableTopK[T]) Len() int { return len(t.items) }
-
 // Reset empties the StableTopK and re-arms it for the k best items,
 // retaining the allocated capacity — the reuse path of per-worker query
 // scratch. k must be positive.

@@ -137,11 +137,6 @@ type UserConfig struct {
 	Seed     int64
 }
 
-// DefaultUserConfig mirrors the paper's bold defaults at our scale.
-func DefaultUserConfig() UserConfig {
-	return UserConfig{NumUsers: 1000, UL: 3, UW: 20, Area: 5, Seed: 7}
-}
-
 // UserSet is one generated set of users plus the derived candidate pools.
 type UserSet struct {
 	Users    []User

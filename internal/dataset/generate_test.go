@@ -137,7 +137,7 @@ func TestGenerateUsersDistinctSeeds(t *testing.T) {
 
 func TestCandidateLocations(t *testing.T) {
 	ds := GenerateFlickr(DefaultFlickrConfig(1000))
-	us := GenerateUsers(ds, DefaultUserConfig())
+	us := GenerateUsers(ds, UserConfig{NumUsers: 1000, UL: 3, UW: 20, Area: 5, Seed: 7})
 	locs := CandidateLocations(us.Region, 30, 1.0, 5)
 	if len(locs) != 30 {
 		t.Fatalf("locations = %d, want 30", len(locs))

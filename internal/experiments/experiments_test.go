@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -33,10 +34,10 @@ func TestMetricsAccessors(t *testing.T) {
 	}
 
 	var s SelectionMetrics
-	s.add(10, 3)
-	s.add(20, 5)
-	if s.MeanMillis() != 15 || s.MeanCount() != 4 {
-		t.Errorf("selection means = %v/%v", s.MeanMillis(), s.MeanCount())
+	s.add(10)
+	s.add(20)
+	if s.MeanMillis() != 15 {
+		t.Errorf("selection mean = %v", s.MeanMillis())
 	}
 	if (SelectionMetrics{}).MeanMillis() != 0 {
 		t.Error("empty selection metrics")
@@ -98,6 +99,30 @@ func TestMeasureProducesSaneNumbers(t *testing.T) {
 	}
 	if r := m.Ratio(); r < 0 || r > 1 {
 		t.Errorf("ratio = %v outside [0,1]", r)
+	}
+}
+
+// TestFig15Pinned pins Fig 15's deterministic columns — simulated I/O
+// with and without the MIUR-tree and the share of users it prunes — at
+// Quick() scale. Indexed(ms) is wall-clock and not compared.
+func TestFig15Pinned(t *testing.T) {
+	tables, err := Fig15(Quick(), []int{50, 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		// |U|, Un-indexed I/O, Indexed I/O, Users pruned (%)
+		{"50", "218", "221", "4.0"},
+		{"200", "217", "229", "8.0"},
+	}
+	rows := tables[0].Rows
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		if got := rows[i][:len(w)]; !reflect.DeepEqual(got, w) {
+			t.Errorf("row %d = %q, want %q", i, got, w)
+		}
 	}
 }
 

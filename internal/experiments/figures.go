@@ -49,10 +49,10 @@ func measure(cfg Config, withBaselineSel bool) (measured, error) {
 			return m, err
 		}
 		if withBaselineSel {
-			m.SelBase.add(bMs, 0)
+			m.SelBase.add(bMs)
 		}
-		m.SelExact.add(eMs, eCount)
-		m.SelApprox.add(aMs, aCount)
+		m.SelExact.add(eMs)
+		m.SelApprox.add(aMs)
 		if eCount > 0 {
 			m.ratioSum += float64(aCount) / float64(eCount)
 			m.ratioRuns++

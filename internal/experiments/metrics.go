@@ -37,11 +37,9 @@ func (m *TopKMetrics) add(o TopKMetrics) {
 	m.Users += o.Users
 }
 
-// SelectionMetrics aggregates the phase-2 (candidate selection)
-// measurements: runtime and the achieved |BRSTkNN|.
+// SelectionMetrics aggregates the phase-2 (candidate selection) runtime.
 type SelectionMetrics struct {
 	Millis float64
-	Count  int
 	Runs   int
 }
 
@@ -53,17 +51,8 @@ func (m SelectionMetrics) MeanMillis() float64 {
 	return m.Millis / float64(m.Runs)
 }
 
-// MeanCount returns the average |BRSTkNN| per run.
-func (m SelectionMetrics) MeanCount() float64 {
-	if m.Runs == 0 {
-		return 0
-	}
-	return float64(m.Count) / float64(m.Runs)
-}
-
-func (m *SelectionMetrics) add(millis float64, count int) {
+func (m *SelectionMetrics) add(millis float64) {
 	m.Millis += millis
-	m.Count += count
 	m.Runs++
 }
 

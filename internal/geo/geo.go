@@ -43,11 +43,6 @@ func (r Rect) IsEmpty() bool {
 	return r.Min.X > r.Max.X || r.Min.Y > r.Max.Y
 }
 
-// Valid reports whether r is a well-formed (possibly degenerate) rectangle.
-func (r Rect) Valid() bool {
-	return r.Min.X <= r.Max.X && r.Min.Y <= r.Max.Y
-}
-
 // Center returns the center point of r. Undefined for empty rectangles.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
@@ -65,14 +60,6 @@ func (r Rect) Area() float64 {
 		return 0
 	}
 	return r.Width() * r.Height()
-}
-
-// Margin returns half the perimeter of r (the R*-tree "margin" measure).
-func (r Rect) Margin() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return r.Width() + r.Height()
 }
 
 // Diagonal returns the length of the diagonal of r. The paper's dmax —
@@ -102,15 +89,6 @@ func (r Rect) Union(s Rect) Rect {
 // UnionPoint returns the minimum bounding rectangle of r and p.
 func (r Rect) UnionPoint(p Point) Rect {
 	return r.Union(RectFromPoint(p))
-}
-
-// Intersects reports whether r and s share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	if r.IsEmpty() || s.IsEmpty() {
-		return false
-	}
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
 // Contains reports whether p lies inside or on the boundary of r.
@@ -143,22 +121,12 @@ func (r Rect) MinDist(s Rect) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// MinDistPoint returns the minimum distance from p to any point of r.
-func (r Rect) MinDistPoint(p Point) float64 {
-	return r.MinDist(RectFromPoint(p))
-}
-
 // MaxDist returns the maximum Euclidean distance between any point of r and
 // any point of s: the distance between the farthest pair of corners.
 func (r Rect) MaxDist(s Rect) float64 {
 	dx := math.Max(math.Abs(r.Max.X-s.Min.X), math.Abs(s.Max.X-r.Min.X))
 	dy := math.Max(math.Abs(r.Max.Y-s.Min.Y), math.Abs(s.Max.Y-r.Min.Y))
 	return math.Hypot(dx, dy)
-}
-
-// MaxDistPoint returns the maximum distance from p to any point of r.
-func (r Rect) MaxDistPoint(p Point) float64 {
-	return r.MaxDist(RectFromPoint(p))
 }
 
 // axisGap returns the separation of intervals [aLo,aHi] and [bLo,bHi] along

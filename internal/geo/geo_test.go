@@ -68,9 +68,6 @@ func TestRectBasics(t *testing.T) {
 	if got := r.Area(); !approx(got, 12) {
 		t.Errorf("Area = %v, want 12", got)
 	}
-	if got := r.Margin(); !approx(got, 7) {
-		t.Errorf("Margin = %v, want 7", got)
-	}
 	if got := r.Diagonal(); !approx(got, 5) {
 		t.Errorf("Diagonal = %v, want 5", got)
 	}
@@ -97,31 +94,6 @@ func TestUnionCommutativeAndContaining(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIntersects(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b Rect
-		want bool
-	}{
-		{"overlap", Rect{Point{0, 0}, Point{2, 2}}, Rect{Point{1, 1}, Point{3, 3}}, true},
-		{"touch edge", Rect{Point{0, 0}, Point{1, 1}}, Rect{Point{1, 0}, Point{2, 1}}, true},
-		{"disjoint x", Rect{Point{0, 0}, Point{1, 1}}, Rect{Point{2, 0}, Point{3, 1}}, false},
-		{"disjoint y", Rect{Point{0, 0}, Point{1, 1}}, Rect{Point{0, 2}, Point{1, 3}}, false},
-		{"contained", Rect{Point{0, 0}, Point{4, 4}}, Rect{Point{1, 1}, Point{2, 2}}, true},
-		{"empty never intersects", EmptyRect(), Rect{Point{0, 0}, Point{1, 1}}, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.a.Intersects(tt.b); got != tt.want {
-				t.Errorf("Intersects = %v, want %v", got, tt.want)
-			}
-			if got := tt.b.Intersects(tt.a); got != tt.want {
-				t.Errorf("Intersects (reversed) = %v, want %v", got, tt.want)
-			}
-		})
 	}
 }
 
@@ -244,7 +216,7 @@ func TestMBR(t *testing.T) {
 func TestRectFromPoint(t *testing.T) {
 	p := Point{3, 7}
 	r := RectFromPoint(p)
-	if !r.Valid() || r.Area() != 0 || !r.Contains(p) {
+	if r.IsEmpty() || r.Area() != 0 || !r.Contains(p) {
 		t.Errorf("RectFromPoint(%v) = %v invalid", p, r)
 	}
 }

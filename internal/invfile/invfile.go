@@ -3,8 +3,9 @@
 // the maximum and minimum weight of a term among the documents in that
 // child's subtree — the 〈d, maxw_{d,t}, minw_{d,t}〉 tuples of the MIR-tree.
 // For the plain IR-tree the minimum weights are simply ignored. Files are
-// serialized with varint encoding and stored through storage.Pager, so the
-// simulated I/O charge (blocks = ⌈bytes/4096⌉) reflects real list sizes.
+// serialized with varint encoding; the irtree package writes them as pager
+// records and charges their loads (blocks = ⌈bytes/4096⌉), so the simulated
+// I/O reflects real list sizes.
 //
 // In memory a File uses a flat, decode-once layout: one sorted term-id
 // slice, a parallel offset slice, and a single contiguous posting slice.
@@ -584,35 +585,3 @@ func DecodeSumsInto(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID,
 	}
 	return maxSums, minSums, nil
 }
-
-// Store persists inverted files through a storage backend and charges
-// simulated I/O on load.
-type Store struct {
-	pager storage.Backend
-	io    *storage.IOCounter
-}
-
-// NewStore returns a store writing to pager and charging loads to io.
-func NewStore(pager storage.Backend, io *storage.IOCounter) *Store {
-	return &Store{pager: pager, io: io}
-}
-
-// Put serializes f (with or without minimum weights) and returns its page
-// address.
-func (s *Store) Put(f *File, includeMin bool) storage.PageID {
-	return s.pager.WriteRecord(f.Encode(includeMin))
-}
-
-// Load reads the file at id, charging ⌈bytes/PageSize⌉ simulated I/Os
-// (the Section 8 rule for inverted-file loads).
-func (s *Store) Load(id storage.PageID) (*File, error) {
-	s.io.InvFileLoad(s.pager.RecordPages(id))
-	buf, err := s.pager.ReadRecord(id)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(buf)
-}
-
-// Blocks returns the block count of the stored file at id without loading.
-func (s *Store) Blocks(id storage.PageID) int { return s.pager.RecordPages(id) }

@@ -116,46 +116,6 @@ func TestForEachOrder(t *testing.T) {
 	}
 }
 
-func TestStoreLoadChargesBlocks(t *testing.T) {
-	pager := storage.NewPager()
-	var io storage.IOCounter
-	store := NewStore(pager, &io)
-
-	// Build a file large enough to span multiple pages.
-	f := New()
-	for tm := vocab.TermID(0); tm < 300; tm++ {
-		for e := int32(0); e < 10; e++ {
-			f.Add(tm, Posting{Entry: e, MaxW: float64(e) * 0.1, MinW: 0.01})
-		}
-	}
-	id := store.Put(f, true)
-	wantBlocks := store.Blocks(id)
-	if wantBlocks < 2 {
-		t.Fatalf("test file should span ≥2 pages, got %d", wantBlocks)
-	}
-
-	loaded, err := store.Load(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumTerms() != 300 {
-		t.Errorf("loaded NumTerms = %d", loaded.NumTerms())
-	}
-	if got := io.InvBlocks(); got != int64(wantBlocks) {
-		t.Errorf("charged %d blocks, want %d", got, wantBlocks)
-	}
-	if io.NodeVisits() != 0 {
-		t.Error("inverted-file load must not charge node visits")
-	}
-}
-
-func TestStoreLoadUnknown(t *testing.T) {
-	store := NewStore(storage.NewPager(), &storage.IOCounter{})
-	if _, err := store.Load(storage.PageID(7)); err == nil {
-		t.Error("loading unknown file should error")
-	}
-}
-
 // Property: random files survive the round trip exactly.
 func TestRoundTripRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))

@@ -1,27 +1,49 @@
-package irtree
+package irtree_test
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/irtree"
+	"repro/internal/persist"
 	"repro/internal/textrel"
 )
+
+// saveAndLoad builds a MIR-tree over ds, saves it, and opens the file with
+// a buffer pool of capacity records (0: none) and no decoded cache, so
+// every pool miss is a charged read.
+func saveAndLoad(t *testing.T, ds *dataset.Dataset, measure textrel.MeasureKind, capacity int) *irtree.Tree {
+	t.Helper()
+	ix := &persist.Index{Measure: measure, Alpha: 0.5, Lambda: textrel.DefaultLambda, Fanout: 16, DS: ds}
+	ix.Tree = irtree.Build(ds, ix.NewModel(ds), irtree.Config{Kind: irtree.MIRTree, Fanout: 16})
+	path := filepath.Join(t.TempDir(), "index.mxbr")
+	if err := persist.Save(path, ix); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := persist.Load(path, capacity, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loaded.Close() })
+	return loaded.Tree
+}
 
 func TestWarmCacheReducesIO(t *testing.T) {
 	ds := dataset.GenerateFlickr(dataset.FlickrConfig{
 		NumObjects: 800, VocabSize: 300, MeanTags: 5, NumCluster: 8, Zipf: 1.2, Seed: 5,
 	})
 	scorer := textrel.NewScorer(ds, textrel.LM, 0.5)
-	warm := Build(ds, scorer.Model, Config{Kind: MIRTree, Fanout: 16, CacheCapacity: 4096})
-	cold := Build(ds, scorer.Model, Config{Kind: MIRTree, Fanout: 16})
+	warm := saveAndLoad(t, ds, textrel.LM, 4096)
+	cold := saveAndLoad(t, ds, textrel.LM, 0)
 
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 30, UL: 3, UW: 15, Area: 20, Seed: 31})
 
-	runAll := func(tree *Tree) int64 {
+	runAll := func(tree *irtree.Tree) int64 {
 		tree.IO().Reset()
 		for ui := range us.Users {
-			if _, _, err := tree.TopK(scorer, ViewOf(&us.Users[ui], scorer), 5); err != nil {
+			if _, _, err := tree.TopK(scorer, irtree.ViewOf(&us.Users[ui], scorer), 5); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -52,11 +74,11 @@ func TestWarmCacheSameResults(t *testing.T) {
 		NumObjects: 600, VocabSize: 250, MeanTags: 5, NumCluster: 6, Zipf: 1.2, Seed: 9,
 	})
 	scorer := textrel.NewScorer(ds, textrel.KO, 0.5)
-	warm := Build(ds, scorer.Model, Config{Kind: MIRTree, Fanout: 16, CacheCapacity: 1024})
-	cold := Build(ds, scorer.Model, Config{Kind: MIRTree, Fanout: 16})
+	warm := saveAndLoad(t, ds, textrel.KO, 1024)
+	cold := irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: 16})
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 20, UL: 3, UW: 12, Area: 20, Seed: 33})
 	for ui := range us.Users {
-		view := ViewOf(&us.Users[ui], scorer)
+		view := irtree.ViewOf(&us.Users[ui], scorer)
 		a, rskA, err := warm.TopK(scorer, view, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -74,42 +96,4 @@ func TestWarmCacheSameResults(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestResetCacheColdBoundary(t *testing.T) {
-	ds := dataset.GenerateFlickr(dataset.FlickrConfig{
-		NumObjects: 400, VocabSize: 200, MeanTags: 5, NumCluster: 4, Zipf: 1.2, Seed: 11,
-	})
-	scorer := textrel.NewScorer(ds, textrel.LM, 0.5)
-	tree := Build(ds, scorer.Model, Config{Kind: MIRTree, Fanout: 16, CacheCapacity: 1024})
-	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 5, UL: 2, UW: 8, Area: 20, Seed: 35})
-	view := ViewOf(&us.Users[0], scorer)
-
-	tree.IO().Reset()
-	if _, _, err := tree.TopK(scorer, view, 3); err != nil {
-		t.Fatal(err)
-	}
-	first := tree.IO().Total()
-
-	// warm repeat: cheaper
-	tree.IO().Reset()
-	if _, _, err := tree.TopK(scorer, view, 3); err != nil {
-		t.Fatal(err)
-	}
-	if repeat := tree.IO().Total(); repeat >= first {
-		t.Errorf("repeat with warm cache %d should be < first %d", repeat, first)
-	}
-
-	// after ResetCache: cold again
-	tree.ResetCache()
-	tree.IO().Reset()
-	if _, _, err := tree.TopK(scorer, view, 3); err != nil {
-		t.Fatal(err)
-	}
-	if again := tree.IO().Total(); again != first {
-		t.Errorf("post-reset I/O %d, want %d (cold)", again, first)
-	}
-	// ResetCache on a cold tree is a safe no-op
-	cold := Build(ds, scorer.Model, Config{Kind: MIRTree, Fanout: 16})
-	cold.ResetCache()
 }

@@ -34,6 +34,42 @@ func (t *Tree) ReadInvFile(node *NodeData) (*invfile.File, error) {
 	return f, nil
 }
 
+// TestReadInvBytesChargesBlocks pins the Section 8 rule for inverted-file
+// loads at the one place it is applied: a load charges one simulated I/O
+// per 4 kB block the record spans and no node visit, and a load of an
+// address holding no record fails.
+func TestReadInvBytesChargesBlocks(t *testing.T) {
+	tree, _, _ := buildSmall(t, MIRTree, textrel.LM)
+	f := invfile.New()
+	for tm := vocab.TermID(0); tm < 300; tm++ {
+		for e := int32(0); e < 10; e++ {
+			f.Add(tm, invfile.Posting{Entry: e, MaxW: float64(e) * 0.1, MinW: 0.01})
+		}
+	}
+	id := tree.sh.pager.WriteRecord(f.Encode(true))
+	blocks := tree.sh.pager.RecordPages(id)
+	if blocks < 2 {
+		t.Fatalf("test file should span ≥2 pages, got %d", blocks)
+	}
+	tree.IO().Reset()
+	buf, err := tree.readInvBytes(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err := invfile.Decode(buf); err != nil || loaded.NumTerms() != 300 {
+		t.Fatalf("decoded %v terms, err %v", loaded, err)
+	}
+	if got := tree.IO().InvBlocks(); got != int64(blocks) {
+		t.Errorf("charged %d blocks, want %d", got, blocks)
+	}
+	if tree.IO().NodeVisits() != 0 {
+		t.Error("inverted-file load must not charge node visits")
+	}
+	if _, err := tree.readInvBytes(storage.PageID(tree.sh.pager.NumPages() + 7)); err == nil {
+		t.Error("loading an unknown record should error")
+	}
+}
+
 // MaxTextSums and MinTextSums are the reference the production sum paths
 // (ReadInvSums over invfile.SumsInto / DecodeSumsInto) are tested against:
 // a full decode, then one allocating pass per bound.

@@ -119,7 +119,7 @@ func (m *mutation) freeze() *Tree {
 	slices.Sort(ids)
 	for _, id := range ids {
 		w := m.dirty[id]
-		invID := base.sh.store.Put(w.inv, base.sh.kind == MIRTree)
+		invID := base.sh.pager.WriteRecord(w.inv.Encode(base.sh.kind == MIRTree))
 		m.edit.set(id, base.sh.pager.WriteRecord(encodeNode(w.node.Leaf, w.node.Entries, invID)))
 	}
 	nt := &Tree{

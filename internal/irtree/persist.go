@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
-	"repro/internal/invfile"
 	"repro/internal/storage"
 	"repro/internal/textrel"
 )
@@ -28,7 +27,7 @@ func (t *Tree) EncodeMeta() []byte {
 
 // Restore reconstructs a Tree over a backend already holding its records,
 // from metadata produced by EncodeMeta. cacheCapacity front-loads an LRU
-// buffer pool exactly as Config.CacheCapacity does at build time (zero
+// buffer pool over the backend, whose hits charge no simulated I/O (zero
 // keeps every query cold), and decodedCacheBytes a decoded-object cache
 // exactly as Config.DecodedCacheBytes does. The model must be built over
 // ds with the same measure the tree was built with; the restored tree
@@ -87,7 +86,6 @@ func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, 
 		pins:      storage.NewEpochPins(),
 	}
 	sh.reclaim, _ = sh.pager.(storage.Reclaimer)
-	sh.store = invfile.NewStore(sh.pager, sh.io)
 	if cacheCapacity > 0 {
 		sh.cache = storage.NewBufferPool(sh.pager, cacheCapacity)
 	}

@@ -47,11 +47,6 @@ func (k Kind) String() string {
 type Config struct {
 	Kind   Kind
 	Fanout int // maximum entries per node; 0 selects rtree.DefaultMaxEntries
-	// CacheCapacity enables an LRU buffer pool over the pager: reads
-	// served from the pool charge no simulated I/O. Zero keeps every
-	// query cold, the Section 8 evaluation setting. ResetCache restores a
-	// cold boundary between queries.
-	CacheCapacity int
 	// DecodedCacheBytes enables the second cache level: a sharded,
 	// byte-capped cache of decoded nodes and inverted files keyed by
 	// record address, so repeated traversals skip varint decode entirely.
@@ -72,8 +67,7 @@ type shared struct {
 
 	pager   storage.Backend
 	io      *storage.IOCounter
-	store   *invfile.Store
-	cache   *storage.BufferPool   // nil when CacheCapacity == 0 (cold queries)
+	cache   *storage.BufferPool   // nil unless Restore was given a capacity
 	decoded *storage.DecodedCache // nil when DecodedCacheBytes == 0
 
 	cfgFanout int
@@ -156,10 +150,6 @@ func Build(ds *dataset.Dataset, model textrel.Model, cfg Config) *Tree {
 		pins:      storage.NewEpochPins(),
 	}
 	sh.reclaim, _ = sh.pager.(storage.Reclaimer)
-	sh.store = invfile.NewStore(sh.pager, sh.io)
-	if cfg.CacheCapacity > 0 {
-		sh.cache = storage.NewBufferPool(sh.pager, cfg.CacheCapacity)
-	}
 	sh.decoded = storage.NewDecodedCache(cfg.DecodedCacheBytes, 0)
 	t := &Tree{
 		sh:       sh,
@@ -237,7 +227,7 @@ func (t *Tree) buildNode(rt *rtree.Tree, id int32) (nodeAgg, int32) {
 		agg[tm] = a
 	}
 
-	invID := t.sh.store.Put(inv, t.sh.kind == MIRTree)
+	invID := t.sh.pager.WriteRecord(inv.Encode(t.sh.kind == MIRTree))
 	t.nodes.setRaw(id, t.sh.pager.WriteRecord(encodeNode(n.Leaf, entries, invID)))
 	return agg, total
 }
@@ -383,15 +373,6 @@ func (t *Tree) ReadInvSums(node *NodeData, maxTerms, minTerms []vocab.TermID, sc
 	}
 	t.sh.decoded.Put(node.InvID, f, f.MemBytes())
 	return f.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch)
-}
-
-// ResetCache drops all buffered pages and decoded objects — a cold-query
-// boundary. No-op when no cache is configured.
-func (t *Tree) ResetCache() {
-	if t.sh.cache != nil {
-		t.sh.cache.Reset()
-	}
-	t.sh.decoded.Reset()
 }
 
 // CacheStats returns buffer-pool hits and misses (zeros when cold).

@@ -5,8 +5,10 @@
 // normalizers. The MaxBRSTkNN engine uses it to avoid computing top-k
 // objects for users that cannot affect the query result.
 //
-// Like the object index, nodes are serialized into a 4 kB pager and every
-// read charges one simulated node-visit I/O.
+// The tree holds its nodes in memory, as built: the user index is
+// per-query state, and the Section 8 cost model charges it one simulated
+// I/O per node visit, never per byte, so every ReadNode charges exactly
+// that and returns the shared node.
 //
 // A built tree is immutable and session-local: it is batch-built over a
 // session's user cohort, never mutated, and therefore composes with the
@@ -26,7 +28,7 @@ import (
 	"repro/internal/vocab"
 )
 
-// NodeEntry is one decoded slot: a child node (internal) or a user (leaf),
+// NodeEntry is one node slot: a child node (internal) or a user (leaf),
 // with the textual aggregates of the subtree below it.
 type NodeEntry struct {
 	Rect    geo.Rect
@@ -38,43 +40,27 @@ type NodeEntry struct {
 	MaxNorm float64
 }
 
-// NodeData is a decoded MIUR-tree node.
+// NodeData is one MIUR-tree node. Nodes are shared by every reader of
+// the tree and must be treated as immutable.
 type NodeData struct {
 	ID      int32
 	Leaf    bool
 	Entries []NodeEntry
 }
 
-// memBytes approximates a decoded node's resident size for cache byte
-// accounting: the entry struct plus its union/intersection term slices.
-func (n *NodeData) memBytes() int64 {
-	total := int64(64)
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		total += 96 + int64(len(e.Uni)+len(e.Int))*4
-	}
-	return total
-}
-
-// Tree is a disk-resident MIUR-tree over a user set.
+// Tree is an in-memory MIUR-tree over a user set.
 type Tree struct {
-	users []dataset.User
-
-	pager     storage.Backend
-	io        *storage.IOCounter
-	nodePages []storage.PageID
-	rootID    int32
-	numNodes  int
-	decoded   *storage.DecodedCache // nil until EnableDecodedCache
+	users  []dataset.User
+	io     *storage.IOCounter
+	nodes  []*NodeData // indexed by node id
+	rootID int32
 
 	// Root-level aggregate (the super-user of the whole set).
 	RootEntry NodeEntry
 }
 
 // Build constructs the index. The scorer supplies the per-user
-// normalizers aggregated into each entry. The user index is per-query
-// state, so its nodes always live in a fresh in-memory pager (behind the
-// same storage.Backend seam every tree in the codebase stores through).
+// normalizers aggregated into each entry.
 func Build(users []dataset.User, scorer *textrel.Scorer, fanout int) *Tree {
 	if fanout == 0 {
 		fanout = rtree.DefaultMaxEntries
@@ -86,15 +72,10 @@ func Build(users []dataset.User, scorer *textrel.Scorer, fanout int) *Tree {
 	rt := rtree.BulkLoad(items, fanout)
 
 	t := &Tree{
-		users:     users,
-		pager:     storage.NewPager(),
-		io:        &storage.IOCounter{},
-		nodePages: make([]storage.PageID, rt.NumNodes()),
-		rootID:    rt.RootID(),
-		numNodes:  rt.NumNodes(),
-	}
-	for i := range t.nodePages {
-		t.nodePages[i] = storage.InvalidPage
+		users:  users,
+		io:     &storage.IOCounter{},
+		nodes:  make([]*NodeData, rt.NumNodes()),
+		rootID: rt.RootID(),
 	}
 	if rt.RootID() != rtree.NoNode {
 		t.RootEntry = t.buildNode(rt, rt.RootID(), scorer)
@@ -102,8 +83,8 @@ func Build(users []dataset.User, scorer *textrel.Scorer, fanout int) *Tree {
 	return t
 }
 
-// buildNode serializes the subtree bottom-up and returns the entry a
-// parent would hold for it.
+// buildNode assembles the subtree bottom-up and returns the entry a parent
+// would hold for it.
 func (t *Tree) buildNode(rt *rtree.Tree, id int32, scorer *textrel.Scorer) NodeEntry {
 	n := rt.Node(id)
 	entries := make([]NodeEntry, len(n.Entries))
@@ -124,7 +105,7 @@ func (t *Tree) buildNode(rt *rtree.Tree, id int32, scorer *textrel.Scorer) NodeE
 			entries[i] = t.buildNode(rt, e.Child, scorer)
 		}
 	}
-	t.nodePages[id] = t.pager.WriteRecord(encodeNode(n.Leaf, entries))
+	t.nodes[id] = &NodeData{ID: id, Leaf: n.Leaf, Entries: entries}
 	return mergeEntries(id, n.MBR(), entries)
 }
 
@@ -169,129 +150,18 @@ func sortTerms(ts []vocab.TermID) {
 	}
 }
 
-// Users returns the indexed user slice.
-func (t *Tree) Users() []dataset.User { return t.users }
-
 // RootID returns the root node id (rtree.NoNode when empty).
 func (t *Tree) RootID() int32 { return t.rootID }
-
-// NumNodes returns the number of nodes.
-func (t *Tree) NumNodes() int { return t.numNodes }
 
 // IO returns the node-visit counter.
 func (t *Tree) IO() *storage.IOCounter { return t.io }
 
-// DiskPages returns the pages occupied by serialized nodes.
-func (t *Tree) DiskPages() int { return t.pager.NumPages() }
-
-// EnableDecodedCache installs a decoded-node cache with the given byte
-// budget: repeated traversals (a session's user-indexed engine reuses one
-// MIUR-tree across runs) skip node decode on hits. Unlike the object
-// index, hits still charge the simulated node-visit I/O — the cache saves
-// decode CPU only, so the Section 7 I/O accounting is identical with or
-// without it. Call before sharing the tree between goroutines.
-func (t *Tree) EnableDecodedCache(capBytes int64) {
-	t.decoded = storage.NewDecodedCache(capBytes, 0)
-}
-
-// DecodedCacheStats returns the decoded-node cache counters (zeros when
-// disabled).
-func (t *Tree) DecodedCacheStats() storage.DecodedCacheStats {
-	return t.decoded.Stats()
-}
-
-// ReadNode fetches and decodes a node, charging one simulated I/O. With a
-// decoded cache enabled the returned *NodeData may be shared between
-// goroutines and must be treated as immutable.
+// ReadNode returns a node, charging one simulated node-visit I/O. The
+// node is shared between goroutines and must be treated as immutable.
 func (t *Tree) ReadNode(id int32) (*NodeData, error) {
-	if id < 0 || int(id) >= len(t.nodePages) || t.nodePages[id] == storage.InvalidPage {
+	if id < 0 || int(id) >= len(t.nodes) {
 		return nil, fmt.Errorf("miurtree: unknown node %d", id)
 	}
 	t.io.NodeVisit()
-	page := t.nodePages[id]
-	if v, ok := t.decoded.Get(page); ok {
-		return v.(*NodeData), nil
-	}
-	buf, err := t.pager.ReadRecord(page)
-	if err != nil {
-		return nil, err
-	}
-	node, err := decodeNode(id, buf)
-	if err != nil {
-		return nil, err
-	}
-	t.decoded.Put(page, node, node.memBytes())
-	return node, nil
-}
-
-// ---- serialization ----
-
-func encodeNode(leaf bool, entries []NodeEntry) []byte {
-	buf := storage.AppendUvarint(nil, boolBit(leaf))
-	buf = storage.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		buf = storage.AppendUvarint(buf, uint64(e.Child))
-		buf = storage.AppendUvarint(buf, uint64(e.Count))
-		buf = storage.AppendFloat64(buf, e.Rect.Min.X)
-		buf = storage.AppendFloat64(buf, e.Rect.Min.Y)
-		buf = storage.AppendFloat64(buf, e.Rect.Max.X)
-		buf = storage.AppendFloat64(buf, e.Rect.Max.Y)
-		buf = storage.AppendFloat64(buf, e.MinNorm)
-		buf = storage.AppendFloat64(buf, e.MaxNorm)
-		buf = appendTerms(buf, e.Uni)
-		buf = appendTerms(buf, e.Int)
-	}
-	return buf
-}
-
-func appendTerms(buf []byte, ts []vocab.TermID) []byte {
-	buf = storage.AppendUvarint(buf, uint64(len(ts)))
-	prev := vocab.TermID(0)
-	for _, t := range ts {
-		buf = storage.AppendUvarint(buf, uint64(t-prev)) // ascending: deltas
-		prev = t
-	}
-	return buf
-}
-
-func decodeNode(id int32, buf []byte) (*NodeData, error) {
-	d := storage.NewDecoder(buf)
-	leaf := d.Uvarint() == 1
-	cnt := d.Uvarint()
-	entries := make([]NodeEntry, cnt)
-	for i := range entries {
-		e := &entries[i]
-		e.Child = int32(d.Uvarint())
-		e.Count = int32(d.Uvarint())
-		e.Rect.Min.X = d.Float64()
-		e.Rect.Min.Y = d.Float64()
-		e.Rect.Max.X = d.Float64()
-		e.Rect.Max.Y = d.Float64()
-		e.MinNorm = d.Float64()
-		e.MaxNorm = d.Float64()
-		e.Uni = decodeTerms(d)
-		e.Int = decodeTerms(d)
-	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("miurtree: node %d: %w", id, err)
-	}
-	return &NodeData{ID: id, Leaf: leaf, Entries: entries}, nil
-}
-
-func decodeTerms(d *storage.Decoder) []vocab.TermID {
-	n := d.Uvarint()
-	out := make([]vocab.TermID, n)
-	prev := vocab.TermID(0)
-	for i := range out {
-		prev += vocab.TermID(d.Uvarint())
-		out[i] = prev
-	}
-	return out
-}
-
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
+	return t.nodes[id], nil
 }

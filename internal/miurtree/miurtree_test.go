@@ -51,8 +51,9 @@ func TestBuildRootAggregates(t *testing.T) {
 	}
 }
 
-// Every node entry's aggregates must be consistent with the users stored
-// beneath it — the invariant Section 7's pruning depends on.
+// Every node entry's aggregates must be well-formed (ascending term sets,
+// MinNorm <= MaxNorm) and consistent with the users stored beneath it —
+// the invariant Section 7's pruning depends on.
 func TestEntryAggregatesConsistent(t *testing.T) {
 	tree, users, scorer := buildFixture(t, 300)
 
@@ -82,6 +83,19 @@ func TestEntryAggregatesConsistent(t *testing.T) {
 			uis := usersUnder(e.Child, n.Leaf)
 			if int32(len(uis)) != e.Count {
 				t.Fatalf("entry count %d, %d users reachable", e.Count, len(uis))
+			}
+			for i := 1; i < len(e.Uni); i++ {
+				if e.Uni[i-1] >= e.Uni[i] {
+					t.Fatalf("entry union terms not strictly ascending: %v", e.Uni)
+				}
+			}
+			for i := 1; i < len(e.Int); i++ {
+				if e.Int[i-1] >= e.Int[i] {
+					t.Fatalf("entry intersection terms not strictly ascending: %v", e.Int)
+				}
+			}
+			if e.MinNorm > e.MaxNorm {
+				t.Fatalf("entry min norm %v > max norm %v", e.MinNorm, e.MaxNorm)
 			}
 			uniSet := map[vocab.TermID]bool{}
 			for _, tm := range e.Uni {
@@ -132,33 +146,6 @@ func TestReadNodeUnknown(t *testing.T) {
 		if _, err := tree.ReadNode(id); err == nil {
 			t.Errorf("ReadNode(%d) should error", id)
 		}
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	tree, _, _ := buildFixture(t, 150)
-	root, err := tree.ReadNode(tree.RootID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(root.Entries) == 0 {
-		t.Fatal("empty root")
-	}
-	for _, e := range root.Entries {
-		if !e.Rect.Valid() {
-			t.Errorf("invalid rect %v after round trip", e.Rect)
-		}
-		for i := 1; i < len(e.Uni); i++ {
-			if e.Uni[i-1] >= e.Uni[i] {
-				t.Error("union terms not ascending after round trip")
-			}
-		}
-		if e.MinNorm > e.MaxNorm {
-			t.Errorf("min norm %v > max norm %v", e.MinNorm, e.MaxNorm)
-		}
-	}
-	if tree.DiskPages() == 0 {
-		t.Error("no pages written")
 	}
 }
 

@@ -10,17 +10,8 @@ import (
 	"sync/atomic"
 )
 
-// ForN runs fn(i) for every i in [0, n), using up to workers goroutines.
-// With workers <= 1 (or n <= 1) it degenerates to a plain loop on the
-// calling goroutine — the sequential special case. Iterations are handed
-// out through an atomic cursor, so uneven per-item cost self-balances.
-// fn must confine its writes to per-index state.
-func ForN(n, workers int, fn func(i int)) {
-	ForNWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// Workers returns the number of goroutines ForN and ForNWorkers actually
-// use for n items under a requested bound — the size callers give their
+// Workers returns the number of goroutines ForNWorkers actually uses for
+// n items under a requested bound — the size callers give their
 // per-worker scratch slices. Zero when there is nothing to run.
 func Workers(n, workers int) int {
 	if n <= 0 {
@@ -35,11 +26,14 @@ func Workers(n, workers int) int {
 	return workers
 }
 
-// ForNWorkers is ForN with the worker index exposed: fn(w, i) runs with
-// w in [0, Workers(n, workers)), and no two invocations with the same w
-// ever overlap — so fn may key mutable per-worker scratch (reused sum and
-// top-k buffers) by w without locking. The sequential special case runs
-// everything as worker 0.
+// ForNWorkers runs fn(w, i) for every i in [0, n), using up to workers
+// goroutines. With workers <= 1 (or n <= 1) it degenerates to a plain loop
+// on the calling goroutine — the sequential special case, run as worker 0.
+// Iterations are handed out through an atomic cursor, so uneven per-item
+// cost self-balances. w lies in [0, Workers(n, workers)), and no two
+// invocations with the same w ever overlap — so fn may key mutable
+// per-worker scratch (reused sum and top-k buffers) by w without locking;
+// other writes must stay confined to per-index state.
 func ForNWorkers(n, workers int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
@@ -67,24 +61,4 @@ func ForNWorkers(n, workers int, fn func(worker, i int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// MaxCounter is a monotone shared maximum — the lock-free incumbent bound
-// parallel best-first searches use to skip dominated work. The zero value
-// holds zero.
-type MaxCounter struct {
-	v atomic.Int64
-}
-
-// Get returns the current maximum.
-func (c *MaxCounter) Get() int { return int(c.v.Load()) }
-
-// Raise lifts the maximum to at least v.
-func (c *MaxCounter) Raise(v int) {
-	for {
-		cur := c.v.Load()
-		if int64(v) <= cur || c.v.CompareAndSwap(cur, int64(v)) {
-			return
-		}
-	}
 }

@@ -76,12 +76,6 @@ func (ix *Index) Close() error {
 	return ix.closer.Close()
 }
 
-// ReadStats returns the physical reads served by the index's backend
-// (zeros for in-memory indexes).
-func (ix *Index) ReadStats() storage.ReadStats {
-	return storage.BackendReadStats(ix.Tree.Backend())
-}
-
 // NewModel builds the relevance model an Index describes, through the
 // construction path the facade's Build also uses
 // (textrel.NewModelWithLambda), so a loaded model is bit-for-bit the

@@ -1,9 +1,9 @@
 // Package rtree implements the R-tree that underlies the IR-tree family
-// (Section 5.1): Sort-Tile-Recursive bulk loading for index construction
-// over static datasets, plus Guttman-style insertion with quadratic split
-// for incremental maintenance. The tree stores integer references to
-// externally owned items; the IR-tree, MIR-tree and MIUR-tree wrap this
-// structure and attach their textual payloads per node.
+// (Section 5.1): Sort-Tile-Recursive bulk loading, which gives the initial
+// shape of every index the engine builds; incremental maintenance lives in
+// irtree/mutate.go. The tree stores integer references to externally owned
+// items; the IR-tree, MIR-tree and MIUR-tree walk it once to serialize
+// their own nodes with the textual payload attached.
 package rtree
 
 import (
@@ -11,7 +11,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/container"
 	"repro/internal/geo"
 )
 
@@ -35,7 +34,6 @@ type Entry struct {
 type Node struct {
 	ID      int32
 	Leaf    bool
-	Parent  int32
 	Entries []Entry
 }
 
@@ -53,8 +51,6 @@ type Tree struct {
 	nodes      []*Node
 	root       int32
 	maxEntries int
-	minEntries int
-	size       int
 }
 
 // DefaultMaxEntries is the fanout giving node sizes comparable to a 4 kB
@@ -66,11 +62,7 @@ func New(maxEntries int) *Tree {
 	if maxEntries < 4 {
 		panic("rtree: maxEntries must be at least 4")
 	}
-	t := &Tree{maxEntries: maxEntries, minEntries: maxEntries * 2 / 5, root: NoNode}
-	if t.minEntries < 2 {
-		t.minEntries = 2
-	}
-	return t
+	return &Tree{maxEntries: maxEntries, root: NoNode}
 }
 
 // BulkLoad builds a tree over items using Sort-Tile-Recursive packing,
@@ -94,8 +86,6 @@ func BulkLoad(items []Item, maxEntries int) *Tree {
 		level = t.packLevel(parentEntries, false)
 	}
 	t.root = level[0]
-	t.setParents()
-	t.size = len(items)
 	return t
 }
 
@@ -135,24 +125,10 @@ func (t *Tree) packLevel(entries []Entry, leaf bool) []int32 {
 }
 
 func (t *Tree) newNode(leaf bool) *Node {
-	n := &Node{ID: int32(len(t.nodes)), Leaf: leaf, Parent: NoNode}
+	n := &Node{ID: int32(len(t.nodes)), Leaf: leaf}
 	t.nodes = append(t.nodes, n)
 	return n
 }
-
-func (t *Tree) setParents() {
-	for _, n := range t.nodes {
-		if n.Leaf {
-			continue
-		}
-		for _, e := range n.Entries {
-			t.nodes[e.Child].Parent = n.ID
-		}
-	}
-}
-
-// Size returns the number of indexed items.
-func (t *Tree) Size() int { return t.size }
 
 // RootID returns the root node id, or NoNode for an empty tree.
 func (t *Tree) RootID() int32 { return t.root }
@@ -165,8 +141,8 @@ func (t *Tree) Node(id int32) *Node {
 	return t.nodes[id]
 }
 
-// NumNodes returns the number of allocated nodes (including any detached
-// by splits; live nodes are reachable from the root).
+// NumNodes returns the number of nodes; every one is reachable from the
+// root.
 func (t *Tree) NumNodes() int { return len(t.nodes) }
 
 // Height returns the number of levels (0 for an empty tree, 1 for a
@@ -182,261 +158,4 @@ func (t *Tree) Height() int {
 		h++
 	}
 	return h
-}
-
-// ---- insertion (Guttman, quadratic split) ----
-
-// Insert adds one item to the tree.
-func (t *Tree) Insert(item Item) {
-	t.size++
-	if t.root == NoNode {
-		root := t.newNode(true)
-		root.Entries = append(root.Entries, Entry{Rect: item.Rect, Child: item.Ref})
-		t.root = root.ID
-		return
-	}
-	leaf := t.chooseLeaf(t.root, item.Rect)
-	leaf.Entries = append(leaf.Entries, Entry{Rect: item.Rect, Child: item.Ref})
-	t.adjustUpward(leaf)
-}
-
-// chooseLeaf descends from id picking the child needing least enlargement.
-func (t *Tree) chooseLeaf(id int32, r geo.Rect) *Node {
-	n := t.nodes[id]
-	for !n.Leaf {
-		best := 0
-		bestEnl := math.Inf(1)
-		bestArea := math.Inf(1)
-		for i, e := range n.Entries {
-			enl := e.Rect.Enlargement(r)
-			area := e.Rect.Area()
-			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = i, enl, area
-			}
-		}
-		n = t.nodes[n.Entries[best].Child]
-	}
-	return n
-}
-
-// adjustUpward fixes MBRs from n to the root, splitting overflowing nodes.
-func (t *Tree) adjustUpward(n *Node) {
-	for {
-		var splitOff *Node
-		if len(n.Entries) > t.maxEntries {
-			splitOff = t.splitNode(n)
-		}
-		if n.Parent == NoNode {
-			if splitOff != nil {
-				// grow the tree: new root over n and splitOff
-				root := t.newNode(false)
-				root.Entries = []Entry{
-					{Rect: n.MBR(), Child: n.ID},
-					{Rect: splitOff.MBR(), Child: splitOff.ID},
-				}
-				n.Parent, splitOff.Parent = root.ID, root.ID
-				t.root = root.ID
-			}
-			return
-		}
-		parent := t.nodes[n.Parent]
-		for i := range parent.Entries {
-			if parent.Entries[i].Child == n.ID {
-				parent.Entries[i].Rect = n.MBR()
-				break
-			}
-		}
-		if splitOff != nil {
-			splitOff.Parent = parent.ID
-			parent.Entries = append(parent.Entries, Entry{Rect: splitOff.MBR(), Child: splitOff.ID})
-		}
-		n = parent
-	}
-}
-
-// splitNode performs a quadratic split, leaving half the entries in n and
-// returning a new sibling with the rest.
-func (t *Tree) splitNode(n *Node) *Node {
-	entries := n.Entries
-	// pick seeds: the pair wasting the most area if grouped
-	seedA, seedB := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			d := entries[i].Rect.Union(entries[j].Rect).Area() -
-				entries[i].Rect.Area() - entries[j].Rect.Area()
-			if d > worst {
-				worst, seedA, seedB = d, i, j
-			}
-		}
-	}
-	sib := t.newNode(n.Leaf)
-	groupA := []Entry{entries[seedA]}
-	groupB := []Entry{entries[seedB]}
-	rectA, rectB := entries[seedA].Rect, entries[seedB].Rect
-
-	rest := make([]Entry, 0, len(entries)-2)
-	for i, e := range entries {
-		if i != seedA && i != seedB {
-			rest = append(rest, e)
-		}
-	}
-	for len(rest) > 0 {
-		// force assignment when a group must take all remaining entries
-		if len(groupA)+len(rest) <= t.minEntries {
-			groupA = append(groupA, rest...)
-			for _, e := range rest {
-				rectA = rectA.Union(e.Rect)
-			}
-			break
-		}
-		if len(groupB)+len(rest) <= t.minEntries {
-			groupB = append(groupB, rest...)
-			for _, e := range rest {
-				rectB = rectB.Union(e.Rect)
-			}
-			break
-		}
-		// pick the entry with maximum preference between the groups
-		bestIdx, bestDiff := 0, -1.0
-		for i, e := range rest {
-			dA := rectA.Enlargement(e.Rect)
-			dB := rectB.Enlargement(e.Rect)
-			if diff := math.Abs(dA - dB); diff > bestDiff {
-				bestIdx, bestDiff = i, diff
-			}
-		}
-		e := rest[bestIdx]
-		rest = append(rest[:bestIdx], rest[bestIdx+1:]...)
-		dA := rectA.Enlargement(e.Rect)
-		dB := rectB.Enlargement(e.Rect)
-		if dA < dB || (dA == dB && rectA.Area() < rectB.Area()) ||
-			(dA == dB && rectA.Area() == rectB.Area() && len(groupA) <= len(groupB)) {
-			groupA = append(groupA, e)
-			rectA = rectA.Union(e.Rect)
-		} else {
-			groupB = append(groupB, e)
-			rectB = rectB.Union(e.Rect)
-		}
-	}
-	n.Entries = groupA
-	sib.Entries = groupB
-	if !n.Leaf {
-		for _, e := range sib.Entries {
-			t.nodes[e.Child].Parent = sib.ID
-		}
-	}
-	return sib
-}
-
-// ---- queries ----
-
-// Search calls fn with the Ref of every item whose rectangle intersects r.
-// Iteration stops early when fn returns false.
-func (t *Tree) Search(r geo.Rect, fn func(ref int32) bool) {
-	if t.root == NoNode {
-		return
-	}
-	t.search(t.root, r, fn)
-}
-
-func (t *Tree) search(id int32, r geo.Rect, fn func(ref int32) bool) bool {
-	n := t.nodes[id]
-	for _, e := range n.Entries {
-		if !e.Rect.Intersects(r) {
-			continue
-		}
-		if n.Leaf {
-			if !fn(e.Child) {
-				return false
-			}
-		} else if !t.search(e.Child, r, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// NearestK returns the refs of the k items nearest to p in ascending
-// distance order, using best-first search over node MinDists.
-func (t *Tree) NearestK(p geo.Point, k int) []int32 {
-	if t.root == NoNode || k <= 0 {
-		return nil
-	}
-	type qe struct {
-		id   int32
-		leaf bool // true when id is an item ref
-	}
-	pq := container.NewMinHeap[qe]()
-	pq.Push(qe{t.root, false}, 0)
-	var out []int32
-	for pq.Len() > 0 && len(out) < k {
-		e, _ := pq.Pop()
-		if e.leaf {
-			out = append(out, e.id)
-			continue
-		}
-		n := t.nodes[e.id]
-		for _, ent := range n.Entries {
-			d := ent.Rect.MinDistPoint(p)
-			pq.Push(qe{ent.Child, n.Leaf}, d)
-		}
-	}
-	return out
-}
-
-// Validate checks the structural invariants: entry rectangles contained in
-// parent rectangles, fanout within bounds (root excepted), uniform leaf
-// depth, and item count. It returns the first violation found.
-func (t *Tree) Validate() error {
-	if t.root == NoNode {
-		if t.size != 0 {
-			return fmt.Errorf("rtree: empty tree with size %d", t.size)
-		}
-		return nil
-	}
-	leafDepth := -1
-	items := 0
-	var walk func(id int32, depth int, within geo.Rect, isRoot bool) error
-	walk = func(id int32, depth int, within geo.Rect, isRoot bool) error {
-		n := t.nodes[id]
-		if len(n.Entries) == 0 {
-			return fmt.Errorf("rtree: node %d empty", id)
-		}
-		if !isRoot && (len(n.Entries) > t.maxEntries) {
-			return fmt.Errorf("rtree: node %d overflows (%d > %d)", id, len(n.Entries), t.maxEntries)
-		}
-		if !within.IsEmpty() && !within.ContainsRect(n.MBR()) {
-			return fmt.Errorf("rtree: node %d MBR %v outside parent %v", id, n.MBR(), within)
-		}
-		if n.Leaf {
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if leafDepth != depth {
-				return fmt.Errorf("rtree: leaf depth %d != %d", depth, leafDepth)
-			}
-			items += len(n.Entries)
-			return nil
-		}
-		for _, e := range n.Entries {
-			child := t.nodes[e.Child]
-			if child.Parent != n.ID {
-				return fmt.Errorf("rtree: node %d parent pointer %d, want %d", child.ID, child.Parent, n.ID)
-			}
-			if !e.Rect.ContainsRect(child.MBR()) {
-				return fmt.Errorf("rtree: entry rect %v does not contain child %d MBR %v", e.Rect, e.Child, child.MBR())
-			}
-			if err := walk(e.Child, depth+1, e.Rect, false); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, 0, geo.EmptyRect(), true); err != nil {
-		return err
-	}
-	if items != t.size {
-		return fmt.Errorf("rtree: %d items reachable, size says %d", items, t.size)
-	}
-	return nil
 }

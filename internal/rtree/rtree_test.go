@@ -1,8 +1,8 @@
 package rtree
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/geo"
@@ -18,14 +18,73 @@ func randomItems(n int, seed int64) []Item {
 	return items
 }
 
+// validate checks the structural invariants of a bulk-loaded tree: no
+// empty node, fanout within bounds (root excepted), every entry rectangle
+// containing its child's MBR, uniform leaf depth, and every item stored
+// exactly once under its own rectangle. It returns the first violation.
+func validate(t *Tree, items []Item) error {
+	if t.root == NoNode {
+		if len(items) != 0 {
+			return fmt.Errorf("empty tree over %d items", len(items))
+		}
+		return nil
+	}
+	want := make(map[int32]geo.Rect, len(items))
+	for _, it := range items {
+		want[it.Ref] = it.Rect
+	}
+	leafDepth := -1
+	var walk func(id int32, depth int) error
+	walk = func(id int32, depth int) error {
+		n := t.nodes[id]
+		if len(n.Entries) == 0 {
+			return fmt.Errorf("node %d empty", id)
+		}
+		if id != t.root && len(n.Entries) > t.maxEntries {
+			return fmt.Errorf("node %d overflows (%d > %d)", id, len(n.Entries), t.maxEntries)
+		}
+		if n.Leaf {
+			if leafDepth == -1 {
+				leafDepth = depth
+			} else if leafDepth != depth {
+				return fmt.Errorf("leaf depth %d != %d", depth, leafDepth)
+			}
+			for _, e := range n.Entries {
+				r, ok := want[e.Child]
+				if !ok {
+					return fmt.Errorf("item %d missing from the input or stored twice", e.Child)
+				}
+				if r != e.Rect {
+					return fmt.Errorf("item %d stored under %v, want %v", e.Child, e.Rect, r)
+				}
+				delete(want, e.Child)
+			}
+			return nil
+		}
+		for _, e := range n.Entries {
+			if child := t.nodes[e.Child]; !e.Rect.ContainsRect(child.MBR()) {
+				return fmt.Errorf("entry rect %v does not contain child %d MBR %v", e.Rect, e.Child, child.MBR())
+			}
+			if err := walk(e.Child, depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(t.root, 0); err != nil {
+		return err
+	}
+	if len(want) != 0 {
+		return fmt.Errorf("%d items unreachable", len(want))
+	}
+	return nil
+}
+
 func TestBulkLoadValidates(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 64, 65, 1000, 5000} {
-		tree := BulkLoad(randomItems(n, int64(n)), 16)
-		if err := tree.Validate(); err != nil {
+		items := randomItems(n, int64(n))
+		if err := validate(BulkLoad(items, 16), items); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
-		}
-		if tree.Size() != n {
-			t.Fatalf("n=%d: Size = %d", n, tree.Size())
 		}
 	}
 }
@@ -49,160 +108,6 @@ func TestNewValidation(t *testing.T) {
 		}
 	}()
 	New(3)
-}
-
-func TestSearchFindsAll(t *testing.T) {
-	items := randomItems(2000, 7)
-	tree := BulkLoad(items, 16)
-	query := geo.Rect{Min: geo.Point{X: 20, Y: 20}, Max: geo.Point{X: 50, Y: 60}}
-
-	var got []int32
-	tree.Search(query, func(ref int32) bool {
-		got = append(got, ref)
-		return true
-	})
-	var want []int32
-	for _, it := range items {
-		if query.Intersects(it.Rect) {
-			want = append(want, it.Ref)
-		}
-	}
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if len(got) != len(want) {
-		t.Fatalf("search found %d, brute force %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("result %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSearchEarlyStop(t *testing.T) {
-	tree := BulkLoad(randomItems(500, 3), 16)
-	count := 0
-	tree.Search(geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 100, Y: 100}}, func(int32) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Errorf("early stop count = %d, want 10", count)
-	}
-}
-
-func TestNearestKMatchesBruteForce(t *testing.T) {
-	items := randomItems(1000, 11)
-	tree := BulkLoad(items, 16)
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 20; trial++ {
-		q := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-		k := 1 + rng.Intn(20)
-		got := tree.NearestK(q, k)
-
-		type dr struct {
-			ref int32
-			d   float64
-		}
-		all := make([]dr, len(items))
-		for i, it := range items {
-			all[i] = dr{it.Ref, it.Rect.Min.Dist(q)}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-
-		if len(got) != k {
-			t.Fatalf("NearestK returned %d, want %d", len(got), k)
-		}
-		for i := 0; i < k; i++ {
-			gd := items[got[i]].Rect.Min.Dist(q)
-			if gd != all[i].d { // compare distances, refs may tie
-				t.Fatalf("trial %d pos %d: dist %v, want %v", trial, i, gd, all[i].d)
-			}
-		}
-	}
-}
-
-func TestNearestKEdgeCases(t *testing.T) {
-	tree := BulkLoad(randomItems(5, 1), 16)
-	if got := tree.NearestK(geo.Point{}, 0); got != nil {
-		t.Error("k=0 should return nil")
-	}
-	if got := tree.NearestK(geo.Point{}, 10); len(got) != 5 {
-		t.Errorf("k>n should return all %d, got %d", 5, len(got))
-	}
-	empty := BulkLoad(nil, 16)
-	if got := empty.NearestK(geo.Point{}, 3); got != nil {
-		t.Error("empty tree should return nil")
-	}
-}
-
-func TestInsertValidates(t *testing.T) {
-	tree := New(8)
-	items := randomItems(500, 21)
-	for i, it := range items {
-		tree.Insert(it)
-		if i%50 == 0 {
-			if err := tree.Validate(); err != nil {
-				t.Fatalf("after %d inserts: %v", i+1, err)
-			}
-		}
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tree.Size() != 500 {
-		t.Errorf("Size = %d", tree.Size())
-	}
-}
-
-func TestInsertSearchAgree(t *testing.T) {
-	tree := New(8)
-	items := randomItems(300, 31)
-	for _, it := range items {
-		tree.Insert(it)
-	}
-	query := geo.Rect{Min: geo.Point{X: 10, Y: 10}, Max: geo.Point{X: 40, Y: 90}}
-	found := map[int32]bool{}
-	tree.Search(query, func(ref int32) bool { found[ref] = true; return true })
-	for _, it := range items {
-		want := query.Intersects(it.Rect)
-		if found[it.Ref] != want {
-			t.Fatalf("item %d: found=%v want=%v", it.Ref, found[it.Ref], want)
-		}
-	}
-}
-
-func TestInsertIntoEmpty(t *testing.T) {
-	tree := New(4)
-	tree.Insert(Item{Ref: 42, Rect: geo.RectFromPoint(geo.Point{X: 1, Y: 1})})
-	if tree.Size() != 1 || tree.Height() != 1 {
-		t.Errorf("size=%d height=%d", tree.Size(), tree.Height())
-	}
-	got := tree.NearestK(geo.Point{X: 0, Y: 0}, 1)
-	if len(got) != 1 || got[0] != 42 {
-		t.Errorf("NearestK = %v", got)
-	}
-}
-
-func TestMixedBulkAndInsert(t *testing.T) {
-	items := randomItems(200, 41)
-	tree := BulkLoad(items[:100], 8)
-	for _, it := range items[100:] {
-		tree.Insert(it)
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tree.Size() != 200 {
-		t.Errorf("Size = %d", tree.Size())
-	}
-	// all items findable
-	found := map[int32]bool{}
-	tree.Search(geo.Rect{Min: geo.Point{X: -1, Y: -1}, Max: geo.Point{X: 101, Y: 101}},
-		func(ref int32) bool { found[ref] = true; return true })
-	if len(found) != 200 {
-		t.Errorf("found %d of 200", len(found))
-	}
 }
 
 func TestNodeAccessors(t *testing.T) {
@@ -233,16 +138,7 @@ func TestRectItems(t *testing.T) {
 			Max: geo.Point{X: min.X + rng.Float64()*10, Y: min.Y + rng.Float64()*10},
 		}}
 	}
-	tree := BulkLoad(items, 8)
-	if err := tree.Validate(); err != nil {
+	if err := validate(BulkLoad(items, 8), items); err != nil {
 		t.Fatal(err)
-	}
-	q := geo.Rect{Min: geo.Point{X: 30, Y: 30}, Max: geo.Point{X: 60, Y: 60}}
-	got := map[int32]bool{}
-	tree.Search(q, func(ref int32) bool { got[ref] = true; return true })
-	for _, it := range items {
-		if q.Intersects(it.Rect) != got[it.Ref] {
-			t.Fatalf("rect item %d mismatch", it.Ref)
-		}
 	}
 }

@@ -449,7 +449,7 @@ func TestCoordinatorStatsAggregation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats: status %d: %s", resp.StatusCode, body)
 	}
-	var st CoordinatorStatsPayload
+	var st StatsPayload
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("/stats not decodable: %v", err)
 	}

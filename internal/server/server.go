@@ -453,8 +453,10 @@ type IndexStatsPayload struct {
 	// epoch (one increment per published mutation), live vs allocated
 	// object ids, and the store records superseded by mutations and not
 	// yet reclaimed — a gauge that falls back to zero on an in-memory index
-	// once no session pins an older snapshot, and grows until a compacting
-	// rebuild on a file-backed one.
+	// once no session pins an older snapshot. On a file-backed (loaded)
+	// index it only grows: retired records stay resident in the file's
+	// in-memory overlay until the file is reloaded or the Compact()ed index
+	// is served, and Save does not free them (a known limitation).
 	Ingest struct {
 		Epoch          uint64 `json:"epoch"`
 		LiveObjects    int    `json:"live_objects"`
@@ -557,9 +559,6 @@ type StatsPayload struct {
 	ShardErrors int64                   `json:"shard_errors"`
 	PerShard    []CoordinatorShardStats `json:"per_shard"`
 }
-
-// CoordinatorStatsPayload is the /stats body a coordinator answers with.
-type CoordinatorStatsPayload = StatsPayload
 
 func hitRate(hits, misses int64) float64 {
 	if total := hits + misses; total > 0 {

@@ -1,8 +1,7 @@
 // Package shardplan computes deterministic spatial shard plans: the
 // sort-tile partition of a dataset's objects into N contiguous regions
 // (the same primitive the grouped joint top-k uses for its super-user
-// groups), plus the per-shard build inputs and the user→shard assignment
-// the sharded serving deployment and experiments work from.
+// groups), and the per-shard builds the sharded serving deployment runs.
 //
 // A plan is a pure function of (dataset, shard count): every process
 // that reads the same objects computes byte-identical shards, so the
@@ -27,9 +26,6 @@ type Plan struct {
 	Shards int
 	// Objects[s] lists shard s's global object ids, ascending.
 	Objects [][]int
-	// Regions[s] is the MBR of shard s's object locations as
-	// {MinX, MinY, MaxX, MaxY}.
-	Regions [][4]float64
 }
 
 // Split partitions ds's objects into shards spatial groups with the
@@ -49,51 +45,13 @@ func Split(ds *dataset.Dataset, shards int) (*Plan, error) {
 		pts[i] = ds.Objects[i].Loc
 	}
 	groups := geo.PartitionPoints(pts, shards)
-	p := &Plan{Shards: len(groups), Objects: make([][]int, len(groups)), Regions: make([][4]float64, len(groups))}
+	p := &Plan{Shards: len(groups), Objects: make([][]int, len(groups))}
 	for s, g := range groups {
 		ids := append([]int(nil), g...)
 		sort.Ints(ids)
 		p.Objects[s] = ids
-		r := geo.RectFromPoint(pts[ids[0]])
-		for _, id := range ids[1:] {
-			r = r.Union(geo.RectFromPoint(pts[id]))
-		}
-		p.Regions[s] = [4]float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y}
 	}
 	return p, nil
-}
-
-// center returns the midpoint of shard s's region.
-func (p *Plan) center(s int) geo.Point {
-	r := p.Regions[s]
-	return geo.Point{X: (r[0] + r[2]) / 2, Y: (r[1] + r[3]) / 2}
-}
-
-// NearestShard returns the shard whose region center is closest to pt,
-// breaking distance ties toward the lower shard id. This is the routing
-// rule for anything assigned to shards by location — planned users, and
-// a coordinator's phase-2 primary pick.
-func (p *Plan) NearestShard(pt geo.Point) int {
-	best, bestD := 0, pt.Dist(p.center(0))
-	for s := 1; s < p.Shards; s++ {
-		if d := pt.Dist(p.center(s)); d < bestD {
-			best, bestD = s, d
-		}
-	}
-	return best
-}
-
-// AssignUsers maps each user to its nearest shard region. Every user
-// appears in exactly one shard's list (indexes into users, ascending);
-// a shard far from every user gets an empty list — boundary behavior the
-// serving layer must tolerate, not an error.
-func (p *Plan) AssignUsers(users []dataset.User) [][]int {
-	out := make([][]int, p.Shards)
-	for i, u := range users {
-		s := p.NearestShard(u.Loc)
-		out[s] = append(out[s], i)
-	}
-	return out
 }
 
 // BuildShard replays shard s's objects into a facade ShardBuilder under

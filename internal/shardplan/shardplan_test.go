@@ -8,7 +8,6 @@ import (
 
 	maxbrstknn "repro"
 	"repro/internal/dataset"
-	"repro/internal/geo"
 	"repro/internal/indexutil"
 	"repro/internal/vocab"
 )
@@ -36,8 +35,7 @@ func fixtureDataset(t *testing.T, n int, seed int64) *dataset.Dataset {
 
 // TestSplitDeterministicPartition: Split is a pure function of the
 // dataset — two runs agree exactly — and it yields a true partition:
-// every object in exactly one non-empty shard, ids ascending, each
-// region containing its objects.
+// every object in exactly one non-empty shard, ids ascending.
 func TestSplitDeterministicPartition(t *testing.T) {
 	ds := fixtureDataset(t, 500, 3)
 	for _, n := range []int{1, 2, 4, 7} {
@@ -60,16 +58,11 @@ func TestSplitDeterministicPartition(t *testing.T) {
 			if !sort.IntsAreSorted(ids) {
 				t.Fatalf("n=%d: shard %d ids not ascending", n, s)
 			}
-			r := p1.Regions[s]
 			for _, id := range ids {
 				if seen[id] {
 					t.Fatalf("n=%d: object %d in two shards", n, id)
 				}
 				seen[id] = true
-				loc := ds.Objects[id].Loc
-				if loc.X < r[0] || loc.X > r[2] || loc.Y < r[1] || loc.Y > r[3] {
-					t.Fatalf("n=%d: object %d outside shard %d region", n, id, s)
-				}
 			}
 		}
 		if len(seen) != len(ds.Objects) {
@@ -81,54 +74,6 @@ func TestSplitDeterministicPartition(t *testing.T) {
 	}
 	if _, err := Split(ds, len(ds.Objects)+1); err == nil {
 		t.Fatal("more shards than objects accepted")
-	}
-}
-
-// TestAssignUsers: each user goes to its provably nearest region center
-// (ties to the lower shard id), every user exactly once — and a user set
-// huddled in one corner leaves distant shards with empty lists rather
-// than erroring.
-func TestAssignUsers(t *testing.T) {
-	ds := fixtureDataset(t, 400, 5)
-	p, err := Split(ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 60, UL: 2, UW: 12, Area: 3, Seed: 9})
-	assigned := p.AssignUsers(us.Users)
-	count := 0
-	for s, uis := range assigned {
-		count += len(uis)
-		for _, ui := range uis {
-			d := us.Users[ui].Loc.Dist(p.center(s))
-			for o := 0; o < p.Shards; o++ {
-				od := us.Users[ui].Loc.Dist(p.center(o))
-				if od < d || (od == d && o < s) {
-					t.Fatalf("user %d assigned to shard %d but shard %d is nearer", ui, s, o)
-				}
-			}
-		}
-	}
-	if count != len(us.Users) {
-		t.Fatalf("%d of %d users assigned", count, len(us.Users))
-	}
-
-	// All users at one object's corner: at least one far shard must end
-	// up with no users, and that is not an error.
-	corner := ds.Objects[p.Objects[0][0]].Loc
-	huddle := make([]dataset.User, 5)
-	for i := range huddle {
-		huddle[i] = dataset.User{ID: int32(i), Loc: corner}
-	}
-	byShard := p.AssignUsers(huddle)
-	empty := 0
-	for _, uis := range byShard {
-		if len(uis) == 0 {
-			empty++
-		}
-	}
-	if empty == 0 {
-		t.Fatal("expected at least one user-empty shard for a huddled cohort")
 	}
 }
 
@@ -204,21 +149,5 @@ func TestBuildShardFrozenEquivalence(t *testing.T) {
 
 	if _, err := BuildShard(ds, p, p.Shards, fc, opts); err == nil {
 		t.Fatal("out-of-range shard accepted")
-	}
-}
-
-// TestNearestShardGeometry pins the tie-break: equidistant centers route
-// to the lower shard id.
-func TestNearestShardGeometry(t *testing.T) {
-	p := &Plan{
-		Shards:  2,
-		Objects: [][]int{{0}, {1}},
-		Regions: [][4]float64{{0, 0, 2, 2}, {4, 0, 6, 2}}, // centers (1,1) and (5,1)
-	}
-	if s := p.NearestShard(geo.Point{X: 3, Y: 1}); s != 0 {
-		t.Fatalf("midpoint routed to shard %d, want 0", s)
-	}
-	if s := p.NearestShard(geo.Point{X: 4.9, Y: 1}); s != 1 {
-		t.Fatalf("near point routed to shard %d, want 1", s)
 	}
 }

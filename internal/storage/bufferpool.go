@@ -86,15 +86,6 @@ func (b *BufferPool) Stats() (hits, misses int64) {
 	return b.hits, b.misses
 }
 
-// Reset drops all cached records (a cold-query boundary) but keeps the
-// hit/miss statistics.
-func (b *BufferPool) Reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.entries = make(map[PageID]*lruNode)
-	b.head, b.tail = nil, nil
-}
-
 func (b *BufferPool) insert(id PageID, data []byte) {
 	n := &lruNode{id: id, data: data}
 	b.entries[id] = n

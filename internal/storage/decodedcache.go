@@ -212,22 +212,6 @@ func (c *DecodedCache) Stats() DecodedCacheStats {
 	return out
 }
 
-// Reset drops every cached value (a cold boundary) but keeps the
-// hit/miss/eviction statistics.
-func (c *DecodedCache) Reset() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[PageID]*decodedNode)
-		s.head, s.tail = nil, nil
-		s.bytes = 0
-		s.mu.Unlock()
-	}
-}
-
 func (s *decodedShard) moveToFront(n *decodedNode) {
 	if s.head == n {
 		return

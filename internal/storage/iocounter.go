@@ -36,18 +36,3 @@ func (c *IOCounter) Reset() {
 	c.nodeVisits.Store(0)
 	c.invBlocks.Store(0)
 }
-
-// Snapshot captures the current counts for later deltas.
-func (c *IOCounter) Snapshot() IOSnapshot {
-	return IOSnapshot{Nodes: c.nodeVisits.Load(), Blocks: c.invBlocks.Load()}
-}
-
-// IOSnapshot is a point-in-time copy of an IOCounter.
-type IOSnapshot struct {
-	Nodes, Blocks int64
-}
-
-// DeltaSince returns the I/Os recorded since the snapshot was taken.
-func (c *IOCounter) DeltaSince(s IOSnapshot) int64 {
-	return (c.nodeVisits.Load() - s.Nodes) + (c.invBlocks.Load() - s.Blocks)
-}

@@ -1,9 +1,13 @@
-// Package storage provides the disk substrate the experiments account
-// against: a 4 KB pager holding serialized tree nodes and inverted files,
-// an I/O counter implementing the paper's simulated-I/O rule (Section 8:
-// +1 per tree-node visit, +⌈bytes/4096⌉ per inverted-file load), an LRU
-// buffer pool, and the varint encoding helpers shared by the node and
-// posting-list serializers.
+// Package storage provides the disk substrate the object index is stored
+// and accounted on: two 4 KB-page record backends holding serialized tree
+// nodes and inverted files (the in-memory Pager, which can reclaim retired
+// records, and the append-only index-file FilePager), the I/O counter
+// implementing the paper's simulated-I/O rule (Section 8: +1 per tree-node
+// visit, +⌈bytes/4096⌉ per inverted-file load), the LRU buffer pool a
+// loaded index reads its file through, the decoded-object cache above it,
+// the epoch pins that gate reclamation, and the varint encoding helpers
+// shared by the node and posting-list serializers. The MIUR-tree keeps its
+// nodes in memory and uses only the I/O counter.
 package storage
 
 import (
@@ -225,10 +229,6 @@ func (p *Pager) Records() []PageID {
 	}
 	return out
 }
-
-// Err implements the Backend error convention; in-memory writes cannot
-// fail.
-func (p *Pager) Err() error { return nil }
 
 // ---- varint encoding helpers ----
 

@@ -163,9 +163,6 @@ func NewLanguageModel(ds *dataset.Dataset, lambda float64) *LanguageModel {
 // Name implements Model.
 func (m *LanguageModel) Name() string { return "LM" }
 
-// Lambda returns the smoothing parameter.
-func (m *LanguageModel) Lambda() float64 { return m.lambda }
-
 // Weight implements Model (Equation 3). Terms outside the corpus vocabulary
 // have zero collection frequency and therefore only their ML component.
 func (m *LanguageModel) Weight(d vocab.Doc, t vocab.TermID) float64 {

@@ -103,11 +103,6 @@ func (s *Scorer) STS(oLoc geo.Point, oDoc vocab.Doc, uLoc geo.Point, uDoc vocab.
 	return s.Alpha*s.SS(oLoc, uLoc) + (1-s.Alpha)*s.TS(oDoc, uDoc, norm)
 }
 
-// ScoreUser is STS against a dataset.User with a precomputed normalizer.
-func (s *Scorer) ScoreUser(oLoc geo.Point, oDoc vocab.Doc, u *dataset.User, norm float64) float64 {
-	return s.STS(oLoc, oDoc, u.Loc, u.Doc, norm)
-}
-
 // UserNorms precomputes Norm(u) for every user.
 func (s *Scorer) UserNorms(users []dataset.User) []float64 {
 	out := make([]float64, len(users))

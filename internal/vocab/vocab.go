@@ -24,9 +24,6 @@ type TermID int32
 // while being guaranteed to match no object document.
 func UnknownTerm(i int) TermID { return TermID(-1 - i) }
 
-// IsUnknown reports whether t is a reserved unknown-term id.
-func (t TermID) IsUnknown() bool { return t < 0 }
-
 // Vocabulary assigns dense TermIDs to terms. The zero value is not usable;
 // construct with New.
 //
@@ -249,42 +246,6 @@ func (d Doc) ForEach(fn func(t TermID, f int32)) {
 	}
 }
 
-// Overlaps reports whether d and other share at least one term — the
-// relevance predicate "o.d contains at least one term t ∈ u.d".
-func (d Doc) Overlaps(other Doc) bool {
-	i, j := 0, 0
-	for i < len(d.terms) && j < len(other.terms) {
-		switch {
-		case d.terms[i] < other.terms[j]:
-			i++
-		case d.terms[i] > other.terms[j]:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
-}
-
-// OverlapCount returns the number of distinct shared terms |d ∩ other|,
-// the numerator of the Keyword Overlap measure.
-func (d Doc) OverlapCount(other Doc) int {
-	i, j, n := 0, 0, 0
-	for i < len(d.terms) && j < len(other.terms) {
-		switch {
-		case d.terms[i] < other.terms[j]:
-			i++
-		case d.terms[i] > other.terms[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
 // MergeTerms returns a new Doc equal to d with each term of add inserted at
 // frequency 1 if absent (existing frequencies are retained). This models
 // "ox.d ∪ W'" from Definition 1: candidate keywords extend the object's
@@ -348,21 +309,6 @@ func (d Doc) MergeTermsInto(add []TermID, s *MergeScratch) Doc {
 	}
 	s.terms, s.freqs = terms, freqs
 	return Doc{terms: terms, freqs: freqs, total: total}
-}
-
-// Union returns the multiset-max union used for pseudo-documents: each
-// term's frequency is the maximum of its frequencies in d and other.
-func (d Doc) Union(other Doc) Doc {
-	tf := make(map[TermID]int32, len(d.terms)+len(other.terms))
-	for i, t := range d.terms {
-		tf[t] = d.freqs[i]
-	}
-	for i, t := range other.terms {
-		if f := other.freqs[i]; f > tf[t] {
-			tf[t] = f
-		}
-	}
-	return NewDoc(tf)
 }
 
 // Equal reports whether two documents have identical terms and frequencies.

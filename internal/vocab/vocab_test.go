@@ -1,9 +1,6 @@
 package vocab
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestVocabularyAddLookup(t *testing.T) {
 	v := New()
@@ -93,27 +90,6 @@ func TestDocEmpty(t *testing.T) {
 	if !d.IsEmpty() || d.Len() != 0 || d.Unique() != 0 {
 		t.Error("zero Doc should be empty")
 	}
-	if d.Overlaps(DocFromTerms([]TermID{1})) {
-		t.Error("empty doc overlaps nothing")
-	}
-}
-
-func TestOverlaps(t *testing.T) {
-	a := DocFromTerms([]TermID{1, 3, 5})
-	b := DocFromTerms([]TermID{2, 4, 5})
-	c := DocFromTerms([]TermID{0, 2, 4})
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("a and b share term 5")
-	}
-	if a.Overlaps(c) || c.Overlaps(a) {
-		t.Error("a and c are disjoint")
-	}
-	if got := a.OverlapCount(b); got != 1 {
-		t.Errorf("OverlapCount = %d, want 1", got)
-	}
-	if got := b.OverlapCount(c); got != 2 {
-		t.Errorf("OverlapCount = %d, want 2", got)
-	}
 }
 
 func TestMergeTerms(t *testing.T) {
@@ -130,15 +106,6 @@ func TestMergeTerms(t *testing.T) {
 	}
 }
 
-func TestUnionMaxFreq(t *testing.T) {
-	a := NewDoc(map[TermID]int32{1: 2, 2: 7})
-	b := NewDoc(map[TermID]int32{2: 3, 3: 4})
-	u := a.Union(b)
-	if u.Freq(1) != 2 || u.Freq(2) != 7 || u.Freq(3) != 4 {
-		t.Errorf("Union freqs = %d,%d,%d", u.Freq(1), u.Freq(2), u.Freq(3))
-	}
-}
-
 func TestDocEqual(t *testing.T) {
 	a := NewDoc(map[TermID]int32{1: 2, 2: 3})
 	b := NewDoc(map[TermID]int32{2: 3, 1: 2})
@@ -148,26 +115,5 @@ func TestDocEqual(t *testing.T) {
 	}
 	if a.Equal(c) {
 		t.Error("different freqs reported equal")
-	}
-}
-
-// Property: OverlapCount is symmetric and bounded by both unique sizes.
-func TestOverlapCountProperty(t *testing.T) {
-	f := func(as, bs []uint8) bool {
-		ta := make([]TermID, len(as))
-		for i, v := range as {
-			ta[i] = TermID(v)
-		}
-		tb := make([]TermID, len(bs))
-		for i, v := range bs {
-			tb[i] = TermID(v)
-		}
-		a, b := DocFromTerms(ta), DocFromTerms(tb)
-		n := a.OverlapCount(b)
-		return n == b.OverlapCount(a) && n <= a.Unique() && n <= b.Unique() &&
-			(n > 0) == a.Overlaps(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

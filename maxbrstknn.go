@@ -421,8 +421,11 @@ type IngestStats struct {
 	// 4 kB pages they span) superseded by published mutations and not yet
 	// reclaimed — a gauge, not a running total. An in-memory index frees
 	// them once no open Session pins an older snapshot, so it reads zero
-	// when idle; a file-backed index is append-only and keeps them until
-	// Save or Compact.
+	// when idle. A file-backed (loaded) index never frees them: its
+	// mutations append records to an in-memory overlay of the file, and
+	// retired overlay records stay resident until the process reloads the
+	// file or serves the index Compact returns. Save writes a new file but
+	// leaves this index's overlay as it is. This is a known limitation.
 	RetiredRecords, RetiredPages int64
 }
 

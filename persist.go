@@ -109,9 +109,8 @@ func LoadWithOptions(path string, o LoadOptions) (*Index, error) {
 		ExplicitLambda: true,
 		Fanout:         pix.Fanout,
 		// Carry the caller's decoded-cache setting into the loaded
-		// index's options, so session-level caches (the UserIndexed
-		// MIUR-tree cache) honor an explicit disable exactly as they
-		// do on a built index.
+		// index's options, so the index Compact builds from it honors
+		// an explicit disable exactly as one built in memory does.
 		DecodedCacheBytes: o.DecodedCacheBytes,
 	}
 	live := len(pix.DS.Objects) - len(pix.Deleted)

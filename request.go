@@ -343,18 +343,6 @@ func scanSpec(req Request) core.ScanSpec {
 func (s *Session) runUserIndexed(q core.Query) (core.Selection, core.UserIndexStats, error) {
 	s.uiOnce.Do(func() {
 		s.miur = miurtree.Build(s.users, s.engine.Scorer, s.ix.opts.fanout())
-		// Later UserIndexed runs re-traverse the same user tree; cache the
-		// decoded nodes (simulated I/O accounting is unaffected — miurtree
-		// hits still charge node visits). The session budget follows the
-		// index's DecodedCacheBytes knob, capped at 8 MiB — which
-		// comfortably holds the user trees a session carries — so many
-		// cached sessions cannot outgrow what the operator tuned.
-		if b := s.ix.opts.decodedCacheBytes(); b > 0 {
-			if b > 8<<20 {
-				b = 8 << 20
-			}
-			s.miur.EnableDecodedCache(b)
-		}
 	})
 	return s.engine.SelectUserIndexed(q, core.KeywordsExact, s.miur)
 }

@@ -269,8 +269,11 @@ func (s *Session) Phase1(seeds []float64, opts ParallelOptions) (ShardPhase1, er
 // the single-index list whenever that order is the single index's —
 // which it is for Phase1 always, and for TopK when scores are distinct.
 // One list is already a whole index's answer and comes back as it is,
-// truncated to k.
+// truncated to k. A non-positive k keeps nothing and returns nil.
 func MergeTopK(k int, lists ...[]RankedObject) []RankedObject {
+	if k <= 0 {
+		return nil
+	}
 	if len(lists) == 1 {
 		return lists[0][:min(k, len(lists[0]))]
 	}
@@ -293,9 +296,10 @@ func MergeTopK(k int, lists ...[]RankedObject) []RankedObject {
 // ThresholdFromMerged returns RSk(u) — the prepared phase-2 threshold —
 // from a user's merged global top-k list: the k-th best score when the
 // list is full, and the same "nothing qualifies yet" sentinel the
-// single-index refinement heap reports otherwise.
+// single-index refinement heap reports otherwise — also for a
+// non-positive k, which has no k-th score.
 func ThresholdFromMerged(merged []RankedObject, k int) float64 {
-	if len(merged) >= k {
+	if k > 0 && len(merged) >= k {
 		return merged[k-1].Score
 	}
 	return -math.MaxFloat64

@@ -407,6 +407,35 @@ func TestShardTopKMerge(t *testing.T) {
 	}
 }
 
+// TestMergeNonPositiveK: the merge helpers take any k. A non-positive k
+// keeps nothing (nil) and has no k-th score (the "nothing qualifies"
+// sentinel), from one list or several; k = 1 keeps the best object.
+func TestMergeNonPositiveK(t *testing.T) {
+	a := []RankedObject{{ObjectID: 3, Score: 0.9}, {ObjectID: 1, Score: 0.5}}
+	b := []RankedObject{{ObjectID: 2, Score: 0.7}}
+	for _, tc := range []struct {
+		k         int
+		lists     [][]RankedObject
+		want      []RankedObject
+		threshold float64
+	}{
+		{-1, [][]RankedObject{a}, nil, -math.MaxFloat64},
+		{-1, [][]RankedObject{a, b}, nil, -math.MaxFloat64},
+		{0, [][]RankedObject{a}, nil, -math.MaxFloat64},
+		{0, [][]RankedObject{a, b}, nil, -math.MaxFloat64},
+		{1, [][]RankedObject{a}, a[:1], 0.9},
+		{1, [][]RankedObject{b, a}, a[:1], 0.9},
+	} {
+		got := MergeTopK(tc.k, tc.lists...)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("MergeTopK(%d, %d lists) = %+v, want %+v", tc.k, len(tc.lists), got, tc.want)
+		}
+		if th := ThresholdFromMerged(got, tc.k); th != tc.threshold {
+			t.Errorf("ThresholdFromMerged(k=%d, %d lists) = %v, want %v", tc.k, len(tc.lists), th, tc.threshold)
+		}
+	}
+}
+
 // TestShardBuilderValidation covers the shard facade's rejection paths
 // and the immutability overrides.
 func TestShardBuilderValidation(t *testing.T) {
