@@ -244,10 +244,19 @@ func TestAddObjectAllOrNothing(t *testing.T) {
 // TestIngestRaceStress shares one index between 16 goroutines running
 // sustained inserts, deletes, one-shot queries across every strategy,
 // and session builds — the `go test -race` workout of the lock-free
-// reader path. After the storm settles, the batch-build oracle must
-// still hold.
+// reader path, on a built index and on a loaded one, whose file-resident
+// reads race the writer's reclamation. After the storm settles, the
+// batch-build oracle must still hold.
 func TestIngestRaceStress(t *testing.T) {
-	idx, req := stressInstance(t)
+	for _, kind := range storageKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			idx, req := stressInstance(t)
+			raceStress(t, kind.of(t, idx), req)
+		})
+	}
+}
+
+func raceStress(t *testing.T, idx *Index, req Request) {
 	strategies := []Strategy{Exact, Approx, Exhaustive, UserIndexed}
 
 	const goroutines = 16

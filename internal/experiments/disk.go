@@ -12,7 +12,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/irtree"
 	"repro/internal/persist"
-	"repro/internal/storage"
 	"repro/internal/textrel"
 )
 
@@ -76,7 +75,7 @@ func FigDisk(cfg Config) ([]*Table, error) {
 		var baseline core.Selection
 		measure := func(pi int, tree *irtree.Tree, scorer *textrel.Scorer) error {
 			tree.IO().Reset()
-			ioBefore := storage.BackendReadStats(tree.Backend())
+			ioBefore := tree.Backend().ReadStats()
 			hitsBefore, missesBefore := tree.CacheStats()
 
 			e := core.NewEngine(tree, scorer, w.US.Users)
@@ -93,7 +92,7 @@ func FigDisk(cfg Config) ([]*Table, error) {
 			}
 			points[pi].selMs += float64(time.Since(start).Microseconds()) / 1000
 
-			ioAfter := storage.BackendReadStats(tree.Backend())
+			ioAfter := tree.Backend().ReadStats()
 			hitsAfter, missesAfter := tree.CacheStats()
 			points[pi].simIO += tree.IO().Total()
 			points[pi].physRecords += ioAfter.Records - ioBefore.Records

@@ -17,9 +17,9 @@ import (
 // IR-tree" — as copy-on-write mutations over immutable snapshots. A
 // mutation prepares its changes entirely off to the side: it keeps a
 // working copy of every node it modifies, and when it publishes each such
-// node is encoded and appended to the (append-only) record store once and
-// the node-id → record table is path-copied chunk by chunk. Nothing a
-// published snapshot can reach is ever touched, so readers traverse
+// node is encoded and written to the record store once and the node-id →
+// record table is path-copied chunk by chunk. Nothing a published snapshot
+// can reach is touched until no reader pins it, so readers traverse
 // concurrently with zero synchronization; the facade installs the
 // returned successor snapshot with one atomic pointer swap.
 //
@@ -139,7 +139,7 @@ func (m *mutation) freeze() *Tree {
 	records, pages := m.retired.Apply(base.sh.decoded, base.sh.pager)
 	base.sh.retiredRecords.Add(records)
 	base.sh.retiredPages.Add(pages)
-	if base.sh.reclaim != nil && m.retired.Len() > 0 {
+	if m.retired.Len() > 0 {
 		// Queue the retired records for page reuse; ReclaimRetired frees
 		// them once no pinned snapshot below this epoch remains. Only
 		// enqueued here — reclaiming before the facade publishes nt would

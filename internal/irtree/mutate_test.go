@@ -22,6 +22,8 @@ func (c *countingBackend) WriteRecord(data []byte) storage.PageID {
 	return c.Backend.WriteRecord(data)
 }
 
+func (c *countingBackend) Reclaim([]storage.PageID) {}
+
 // TestMutationWritesEachNodeOnce: a mutation writes two records (node and
 // inverted file) for every node id the successor snapshot holds at a new
 // address, and nothing else: no intermediate record for a node touched

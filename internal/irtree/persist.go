@@ -85,7 +85,6 @@ func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, 
 		cfgFanout: fanout,
 		pins:      storage.NewEpochPins(),
 	}
-	sh.reclaim, _ = sh.pager.(storage.Reclaimer)
 	if cacheCapacity > 0 {
 		sh.cache = storage.NewBufferPool(sh.pager, cacheCapacity)
 	}

@@ -57,10 +57,10 @@ type Config struct {
 }
 
 // shared is the state every snapshot of one index has in common: the
-// append-only record store (records are never rewritten, so all epochs
-// read through the same backend), the relevance model frozen at Build
-// time, the caches, and the retirement ledger. One shared core is born at
-// Build/Restore and threaded through every successor snapshot.
+// record store (a record is never rewritten while a snapshot can read it,
+// so all epochs read through the same backend), the relevance model frozen
+// at Build time, the caches, and the retirement ledger. One shared core is
+// born at Build/Restore and threaded through every successor snapshot.
 type shared struct {
 	kind  Kind
 	model textrel.Model
@@ -73,20 +73,16 @@ type shared struct {
 	cfgFanout int
 
 	// Retirement ledger: records superseded by published mutations. Their
-	// decoded-cache entries are evicted at publish and these counters
-	// report the accumulated garbage. When the backend supports
-	// reclamation (the in-memory pager), retired sets are additionally
+	// decoded-cache entries are evicted at publish; the retired sets are
 	// queued on pending and freed by ReclaimRetired once no pinned
-	// snapshot can still read them; otherwise they wait for Save/Compact.
+	// snapshot can still read them. These counters report the garbage not
+	// yet freed.
 	retiredRecords atomic.Int64
 	retiredPages   atomic.Int64
 
 	// pins tracks snapshot epochs currently held by readers; its floor is
 	// the oldest epoch a new reader may still pin.
 	pins *storage.EpochPins
-	// reclaim is the backend's page-reuse hook, nil when the backend is
-	// append-only (FilePager).
-	reclaim storage.Reclaimer
 	// pending holds retired record sets not yet reclaimable, ascending by
 	// epoch. Writer-owned (guarded by the facade's writer mutex).
 	pending []pendingRetire
@@ -149,7 +145,6 @@ func Build(ds *dataset.Dataset, model textrel.Model, cfg Config) *Tree {
 		cfgFanout: fanout,
 		pins:      storage.NewEpochPins(),
 	}
-	sh.reclaim, _ = sh.pager.(storage.Reclaimer)
 	sh.decoded = storage.NewDecodedCache(cfg.DecodedCacheBytes, 0)
 	t := &Tree{
 		sh:       sh,
@@ -263,9 +258,8 @@ func (t *Tree) Epoch() uint64 { return t.epoch }
 // RetiredStats reports the records (and the pages they span) superseded
 // by published mutations and not yet reclaimed — a gauge, not a running
 // total: ReclaimRetired subtracts what it frees, so it reads zero whenever
-// no pinned reader holds reclamation back. On an append-only backend
-// nothing is freed and the garbage waits for Save/Compact. Safe to call
-// concurrently with the writer.
+// no pinned reader holds reclamation back. Safe to call concurrently with
+// the writer.
 func (t *Tree) RetiredStats() (records, pages int64) {
 	return t.sh.retiredRecords.Load(), t.sh.retiredPages.Load()
 }
@@ -274,7 +268,7 @@ func (t *Tree) RetiredStats() (records, pages int64) {
 func (t *Tree) DiskPages() int { return t.sh.pager.NumPages() }
 
 // Backend returns the record store holding the serialized nodes and
-// inverted files — the handle index persistence copies records from.
+// inverted files — the store index persistence writes to a file.
 func (t *Tree) Backend() storage.Backend { return t.sh.pager }
 
 // ReadNode fetches and decodes the node with the given id, charging one
@@ -406,11 +400,10 @@ func (t *Tree) Unpin() { t.sh.pins.Unpin(t.epoch) }
 // sets published at or below the floor to the backend for reuse. Call
 // from the writer only (under the facade's writer mutex) and only after
 // this snapshot has been published — advancing the floor to an
-// unpublished epoch would starve new readers. No-op when the backend is
-// append-only.
+// unpublished epoch would starve new readers.
 func (t *Tree) ReclaimRetired() {
 	sh := t.sh
-	if sh.reclaim == nil || len(sh.pending) == 0 {
+	if len(sh.pending) == 0 {
 		return
 	}
 	floor := sh.pins.AdvanceFloor(t.epoch)
@@ -420,14 +413,15 @@ func (t *Tree) ReclaimRetired() {
 		var pages int64
 		for _, id := range set.ids {
 			pages += int64(sh.pager.RecordPages(id))
-			// Evict again at reclaim time: a reader pinned on an older
-			// epoch may have re-inserted this record's decode after the
-			// publish-time eviction. With the floor at or past the
-			// retiring epoch no such reader remains, so the entry cannot
-			// reappear — and the address is now free to be reused.
+			// Evict from both caches now, not at publish: a reader pinned
+			// on an older epoch may have re-inserted this record after the
+			// publish-time eviction. With the floor at or past the retiring
+			// epoch no such reader remains, so neither entry can reappear —
+			// and the address is now free to be reused by a new record.
 			sh.decoded.Delete(id)
+			sh.cache.Delete(id)
 		}
-		sh.reclaim.Reclaim(set.ids)
+		sh.pager.Reclaim(set.ids)
 		sh.retiredRecords.Add(-int64(len(set.ids)))
 		sh.retiredPages.Add(-pages)
 	}

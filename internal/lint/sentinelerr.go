@@ -12,7 +12,7 @@ import (
 // sentinel error values — package-level error variables whose name
 // matches Err[A-Z]… — and tells the author to use errors.Is. The
 // storage and facade layers wrap sentinels with %w context as errors
-// propagate (filepager's ErrChecksum carries the page id, the facade's
+// propagate (storage's ErrChecksum carries the page id, the facade's
 // ErrNoSuchObject carries the object id), so an identity comparison
 // silently stops matching the moment a wrap is added upstream.
 var AnalyzerSentinelErr = &Analyzer{

@@ -1,23 +1,21 @@
 // Package persist implements index persistence: the full built index —
 // vocabulary, objects, relevance-model parameters, and the serialized
-// IR-/MIR-tree with its inverted files — written through the pager into a
-// single page-aligned index file (storage.FilePager) and read back over
-// the disk backend, fronted by the LRU buffer pool so hot tree nodes and
-// posting lists stay cached.
+// IR-/MIR-tree with its inverted files — written as a single page-aligned
+// index file (storage.WriteFile) and opened back as the file-resident
+// records of a storage.Pager, fronted by the LRU buffer pool so hot tree
+// nodes and posting lists stay cached.
 //
-// The save path copies the tree's pager records verbatim: because both
-// backends allocate record addresses contiguously, every node and
-// inverted-file record keeps its PageID, so a loaded tree reads exactly
-// the bytes the in-memory tree would — queries against a loaded index are
-// byte-identical to the original, for every strategy and parallelism
-// setting.
+// The file holds every tree record at its own page address, so a loaded
+// tree reads exactly the bytes the in-memory tree would — queries against
+// a loaded index are byte-identical to the original, for every strategy
+// and parallelism setting.
 //
-// On top of the copied records, Save appends one master record (the file
+// After the tree's records, Save appends one master record (the file
 // header's root) holding the measure parameters, the vocabulary, the
 // object collection, and the tree metadata. Load replays it: the
 // vocabulary is rebuilt term by term (reproducing every TermID), corpus
 // statistics and the model are recomputed deterministically from the
-// objects, and the tree is restored over the file-backed pager.
+// objects, and the tree is restored over the opened pager.
 package persist
 
 import (
@@ -35,8 +33,8 @@ import (
 // masterVersion is the encoding version of the master record, separate
 // from the file-level storage.FormatVersion: the file format governs the
 // pager layout, this governs the index payload. Version 2 appends the
-// deleted-object id list; version 3 indexes may contain one-page pad
-// records where the in-memory pager had reclaimed pages. Versions 1 and 2
+// deleted-object id list; version 3 indexes may contain one-page empty
+// records where the pager had reclaimed pages. Versions 1 and 2
 // are still accepted. Version 3 also introduced a trailing codec flag in
 // the tree metadata for the since-removed packed posting layout: the flag
 // is no longer written, absent or 0 loads as the flat layout every
@@ -63,9 +61,9 @@ type Index struct {
 	// reachable from the tree. Nil when nothing was deleted.
 	Deleted []int32
 
-	closer   *storage.FilePager // set for loaded indexes
-	treeMeta []byte             // decoded master → Restore handoff
-	frozenDS *dataset.Dataset   // build-time snapshot the model is rebuilt over
+	closer   *storage.Pager   // set for loaded indexes
+	treeMeta []byte           // decoded master → Restore handoff
+	frozenDS *dataset.Dataset // build-time snapshot the model is rebuilt over
 }
 
 // Close releases the index file of a loaded index (no-op otherwise).
@@ -87,102 +85,72 @@ func (ix *Index) NewModel(ds *dataset.Dataset) textrel.Model {
 	return textrel.NewModelWithLambda(ix.Measure, ds, ix.Lambda)
 }
 
-// Save writes ix to a single index file at path: the tree's records are
-// copied page-aligned and verbatim, then the master record is appended
-// and installed as the file's root. The new file is written to a
-// temporary sibling and renamed over path only after a successful
-// Finalize, so a failed save never destroys an existing index.
-func Save(path string, ix *Index) (err error) {
+// Save writes ix to a single index file at path: the tree's records at
+// their page addresses, then the master record as the file's root. The
+// new file is written to a temporary sibling and renamed over path only
+// once it is complete and synced, so a failed save never destroys an
+// existing index.
+func Save(path string, ix *Index) error {
 	tmp := path + ".tmp"
-	fp, err := storage.CreateFilePager(tmp)
+	err := storage.WriteFile(tmp, ix.Tree.Backend(), encodeMaster(ix))
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
-		return err
+		os.Remove(tmp)
+		return fmt.Errorf("persist: saving %s: %w", path, err)
 	}
-	defer func() {
-		if cerr := fp.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			os.Remove(tmp)
-		}
-	}()
-
-	src := ix.Tree.Backend()
-	records := src.Records()
-	// Re-saving a loaded index: its backend still lists the previous
-	// file's master record, which the new save replaces. When it is the
-	// trailing record (the usual read-mostly cycle — no inserts after
-	// load), drop it so repeated load→save cycles keep the file stable.
-	// A master in the middle (inserts appended records after it) must be
-	// copied to preserve the addresses of everything behind it; it stays
-	// as garbage until a compacting rebuild, like superseded node
-	// records.
-	if rp, ok := src.(interface{ Root() storage.PageID }); ok && len(records) > 0 {
-		if root := rp.Root(); root != storage.InvalidPage && root == records[len(records)-1] {
-			records = records[:len(records)-1]
-		}
-	}
-	// The source may have holes where the pager reclaimed retired records
-	// (the destination file pager is strictly append-only): pad each hole
-	// with one-page empty records so every live record keeps its address.
-	next := storage.PageID(0)
-	for _, id := range records {
-		data, rerr := src.ReadRecord(id)
-		if rerr != nil {
-			return fmt.Errorf("persist: reading record %d: %w", id, rerr)
-		}
-		for next < id && fp.Err() == nil {
-			next = fp.WriteRecord(nil) + 1
-		}
-		if got := fp.WriteRecord(data); got != id && fp.Err() == nil {
-			return fmt.Errorf("persist: record %d landed at page %d (non-contiguous source)", id, got)
-		}
-		pages := (len(data) + storage.PageSize - 1) / storage.PageSize
-		if pages == 0 {
-			pages = 1
-		}
-		next = id + storage.PageID(pages)
-	}
-	root := fp.WriteRecord(encodeMaster(ix))
-	if werr := fp.Err(); werr != nil {
-		return fmt.Errorf("persist: writing %s: %w", tmp, werr)
-	}
-	if err := fp.Finalize(root); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
-// Load opens the index file at path and reconstructs the index over the
-// disk backend. cacheCapacity records are cached in an LRU buffer pool in
+// Load opens the index file at path and reconstructs the index over its
+// records. cacheCapacity records are cached in an LRU buffer pool in
 // front of the file (0 disables caching — every node visit and
 // inverted-file load is a physical read, the cold-serving setting), and
 // decodedCacheBytes budgets the decoded-object cache above the pool (0
 // disables it, so every read decodes). The caller owns the returned
 // index's file handle: Close it.
 func Load(path string, cacheCapacity int, decodedCacheBytes int64) (*Index, error) {
-	fp, err := storage.OpenFilePager(path)
+	pager, root, err := storage.OpenPager(path)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := loadFrom(fp)
+	ix, err := restore(pager, root, cacheCapacity, decodedCacheBytes)
 	if err != nil {
-		fp.Close()
+		pager.Close()
 		return nil, fmt.Errorf("persist: %s: %w", path, err)
 	}
-	ix.closer = fp
+	// Nothing references the master record once it is decoded: freeing it
+	// lets writes reuse its pages, and lets the next Save write its
+	// successor in its place, so load → save reproduces the file.
+	pager.Reclaim([]storage.PageID{root})
+	ix.closer = pager
+	return ix, nil
+}
 
+// restore decodes the master record at root and restores the tree over
+// pager.
+func restore(pager *storage.Pager, root storage.PageID, cacheCapacity int, decodedCacheBytes int64) (*Index, error) {
+	if root == storage.InvalidPage {
+		return nil, fmt.Errorf("index file has no master record")
+	}
+	master, err := pager.ReadRecord(root)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := decodeMaster(master)
+	if err != nil {
+		return nil, err
+	}
 	// The model is rebuilt over the frozen build-time snapshot, exactly
 	// as Build derived it — objects and terms added after Build must not
 	// shift corpus statistics, or the loaded scores would drift from the
 	// in-memory index (whose model was frozen at Build time).
 	model := ix.NewModel(ix.frozenDS)
-	tree, err := irtree.Restore(ix.DS, model, fp, ix.treeMeta, cacheCapacity, decodedCacheBytes)
+	ix.Tree, err = irtree.Restore(ix.DS, model, pager, ix.treeMeta, cacheCapacity, decodedCacheBytes)
 	if err != nil {
-		fp.Close()
-		return nil, fmt.Errorf("persist: %s: %w", path, err)
+		return nil, err
 	}
-	ix.Tree = tree
 	ix.treeMeta = nil
 	ix.frozenDS = nil
 	return ix, nil
@@ -237,18 +205,6 @@ func encodeMaster(ix *Index) []byte {
 		prev = id
 	}
 	return buf
-}
-
-func loadFrom(fp *storage.FilePager) (*Index, error) {
-	root := fp.Root()
-	if root == storage.InvalidPage {
-		return nil, fmt.Errorf("index file has no master record")
-	}
-	master, err := fp.ReadRecord(root)
-	if err != nil {
-		return nil, err
-	}
-	return decodeMaster(master)
 }
 
 func decodeMaster(buf []byte) (*Index, error) {

@@ -452,11 +452,8 @@ type IndexStatsPayload struct {
 	// Ingest reports the copy-on-write ingestion machinery: the current
 	// epoch (one increment per published mutation), live vs allocated
 	// object ids, and the store records superseded by mutations and not
-	// yet reclaimed — a gauge that falls back to zero on an in-memory index
-	// once no session pins an older snapshot. On a file-backed (loaded)
-	// index it only grows: retired records stay resident in the file's
-	// in-memory overlay until the file is reloaded or the Compact()ed index
-	// is served, and Save does not free them (a known limitation).
+	// yet reclaimed — a gauge that falls back to zero once no session pins
+	// an older snapshot, on a built or a loaded index alike.
 	Ingest struct {
 		Epoch          uint64 `json:"epoch"`
 		LiveObjects    int    `json:"live_objects"`

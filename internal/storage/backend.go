@@ -1,24 +1,19 @@
 package storage
 
-// Backend is the record-store abstraction every disk-resident structure in
-// this codebase is built on. Two implementations exist: the in-memory
-// Pager (the original simulation substrate) and the disk-backed FilePager
-// (a single page-aligned index file). Both are append-oriented: records
-// are immutable once written and identified by their first PageID, and
-// PageIDs are allocated contiguously, so replaying the same WriteRecord
-// sequence against any Backend reproduces the same addresses — the
-// property index persistence relies on to keep saved and in-memory trees
-// byte-identical.
+// Backend is the record-store abstraction the object index is built on.
+// The Pager is its one implementation; the interface is the seam tests
+// substitute a wrapping store through. Records are immutable once written
+// and identified by their first PageID, and a store that never reclaims
+// allocates PageIDs contiguously, so replaying the same WriteRecord
+// sequence reproduces the same addresses.
 //
-// Concurrency contract: all methods except WriteRecord are safe for
-// concurrent use once writing has stopped; WriteRecord requires exclusive
-// access (a single writer with no concurrent readers). Index construction
-// and incremental inserts are single-writer operations, and the parallel
-// query engine only reads.
+// Concurrency contract: single writer, any number of concurrent readers.
+// WriteRecord and Reclaim require external single-writer serialization
+// (index construction and the facade's writer mutex provide it); every
+// other method is safe to call concurrently with them for addresses the
+// caller obtained from a published snapshot.
 type Backend interface {
-	// WriteRecord appends data as a new record and returns its address.
-	// Implementations that can fail (disk) record a sticky error
-	// retrievable via their Err method.
+	// WriteRecord stores data as a new record and returns its address.
 	WriteRecord(data []byte) PageID
 	// ReadRecord returns the record starting at id. The returned slice is
 	// a copy; callers may retain it.
@@ -28,41 +23,23 @@ type Backend interface {
 	RecordPages(id PageID) int
 	// NumPages returns the total number of allocated pages.
 	NumPages() int
-	// Records returns the addresses of all records in ascending order —
-	// which, because allocation is contiguous, is also append order.
+	// Records returns the addresses of all live records in ascending
+	// order.
 	Records() []PageID
-}
-
-// Reclaimer is implemented by backends that can take back the pages of
-// records no reader can reference anymore and reuse them for future
-// writes. The in-memory Pager implements it; the FilePager stays
-// append-only (its records are the on-disk format). Reclaim carries the
-// same exclusivity requirement as WriteRecord, plus the caller's promise
-// that no reader holds — or can obtain — the freed record addresses.
-type Reclaimer interface {
+	// Reclaim frees the given records for reuse by later writes. The
+	// caller promises that no reader holds — or can obtain — the freed
+	// addresses (the epoch-pin protocol).
 	Reclaim(ids []PageID)
+	// ReadStats reports the physical reads the store served.
+	ReadStats() ReadStats
 }
 
 // ReadStats counts physical record reads served by a backend — the
 // real-I/O side of the ledger, reported next to the simulated-I/O counter.
-// The in-memory Pager performs no physical reads and reports zeros.
+// Records held in memory are not physical reads.
 type ReadStats struct {
 	// Records is the number of ReadRecord calls that reached the medium.
 	Records int64
 	// Pages is the number of pages those reads transferred.
 	Pages int64
-}
-
-// StatsReader is implemented by backends that track physical reads.
-type StatsReader interface {
-	ReadStats() ReadStats
-}
-
-// BackendReadStats returns b's physical read counts, or zeros when the
-// backend does not track any (the in-memory Pager).
-func BackendReadStats(b Backend) ReadStats {
-	if sr, ok := b.(StatsReader); ok {
-		return sr.ReadStats()
-	}
-	return ReadStats{}
 }

@@ -2,11 +2,9 @@ package storage
 
 import "sync"
 
-// BufferPool is an LRU cache of records in front of a Backend. Over the
-// in-memory pager it keeps cold-query accounting honest (revisiting a node
-// within one query is not charged twice); over the disk pager it is the
-// buffer pool proper, keeping hot tree nodes and posting lists out of the
-// read path entirely.
+// BufferPool is an LRU cache of records in front of a Backend: the buffer
+// pool of a loaded index, keeping hot tree nodes and posting lists out of
+// the file read path entirely.
 //
 // The pool is safe for concurrent readers: the parallel query engine runs
 // several traversals over one tree, and every one of them funnels through
@@ -47,7 +45,8 @@ func NewBufferPool(backend Backend, capacity int) *BufferPool {
 // record. Callers must treat the bytes as immutable, exactly as they must
 // treat values obtained from a DecodedCache hit. Records themselves are
 // immutable once written (the Backend contract), so sharing is safe for
-// readers; writers never reuse a PageID.
+// readers; a reclaimed PageID is dropped with Delete before a writer can
+// reuse it.
 func (b *BufferPool) Read(id PageID) ([]byte, bool, error) {
 	b.mu.Lock()
 	if n, ok := b.entries[id]; ok {
@@ -84,6 +83,21 @@ func (b *BufferPool) Stats() (hits, misses int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.hits, b.misses
+}
+
+// Delete drops the cached record at id, if any — called when the record
+// is reclaimed, so a later record at the same PageID is read from the
+// backend rather than served stale. A nil pool is a no-op.
+func (b *BufferPool) Delete(id PageID) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if n, ok := b.entries[id]; ok {
+		b.unlink(n)
+		delete(b.entries, id)
+	}
 }
 
 func (b *BufferPool) insert(id PageID, data []byte) {

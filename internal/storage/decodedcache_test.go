@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -69,9 +68,10 @@ func TestDecodedCacheByteAccounting(t *testing.T) {
 }
 
 // TestDecodedCacheStressBothBackends hammers one sharded cache above a
-// BufferPool from 16 goroutines, over both the in-memory Pager and the
-// disk FilePager — the aliasing contract (shared immutable values) and
-// shard locking must hold under -race on either backend.
+// BufferPool from 16 goroutines, over a Pager holding its records in
+// memory and one serving them from an index file — the aliasing contract
+// (shared immutable values) and shard locking must hold under -race on
+// either kind of record.
 func TestDecodedCacheStressBothBackends(t *testing.T) {
 	const records = 256
 
@@ -82,23 +82,11 @@ func TestDecodedCacheStressBothBackends(t *testing.T) {
 			return p
 		},
 		"filepager": func(t *testing.T) Backend {
-			path := filepath.Join(t.TempDir(), "stress.idx")
-			fp, err := CreateFilePager(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			writeStressRecords(fp, records)
-			if err := fp.Finalize(0); err != nil {
-				t.Fatal(err)
-			}
-			if err := fp.Close(); err != nil {
-				t.Fatal(err)
-			}
-			reopened, err := OpenFilePager(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { reopened.Close() })
+			p := NewPager()
+			writeStressRecords(p, records-1)
+			// The root record lands at page records-1 and follows the same
+			// page id → id·7 rule as the others.
+			reopened, _ := reopen(t, p, binary.LittleEndian.AppendUint64(nil, uint64(records-1)*7))
 			return reopened
 		},
 	}

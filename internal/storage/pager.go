@@ -1,19 +1,21 @@
 // Package storage provides the disk substrate the object index is stored
-// and accounted on: two 4 KB-page record backends holding serialized tree
-// nodes and inverted files (the in-memory Pager, which can reclaim retired
-// records, and the append-only index-file FilePager), the I/O counter
-// implementing the paper's simulated-I/O rule (Section 8: +1 per tree-node
-// visit, +⌈bytes/4096⌉ per inverted-file load), the LRU buffer pool a
-// loaded index reads its file through, the decoded-object cache above it,
-// the epoch pins that gate reclamation, and the varint encoding helpers
-// shared by the node and posting-list serializers. The MIUR-tree keeps its
-// nodes in memory and uses only the I/O counter.
+// and accounted on: the Pager, a 4 KB-page record store holding the
+// serialized tree nodes and inverted files in memory and, for a loaded
+// index, in its index file; the I/O counter implementing the paper's
+// simulated-I/O rule (Section 8: +1 per tree-node visit, +⌈bytes/4096⌉ per
+// inverted-file load); the LRU buffer pool a loaded index reads its file
+// through, the decoded-object cache above it, the epoch pins that gate
+// reclamation, and the varint encoding helpers shared by the node and
+// posting-list serializers. The MIUR-tree keeps its nodes in memory and
+// uses only the I/O counter.
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
 	"sync/atomic"
 )
 
@@ -26,28 +28,35 @@ type PageID int64
 // InvalidPage is the zero-like sentinel for "no page".
 const InvalidPage PageID = -1
 
-// Pager is the in-memory Backend: an append-oriented page store. Records
-// larger than one page span consecutive pages; the pager tracks each
-// record's byte length so reads return exactly what was written.
+// Pager is the record store. Records larger than one page span
+// consecutive pages; the pager tracks each record's byte length so reads
+// return exactly what was written. A record is memory-resident when
+// WriteRecord stored it, and file-resident when it is one of the records
+// of the index file OpenPager opened: those are read from the file with a
+// positioned read (pread) on every ReadRecord. Reclaim frees either kind,
+// and a write into a reclaimed file slot is memory-resident.
 //
 // Concurrency: single writer, any number of lock-free readers. All state
 // lives behind one atomically-published pagerState; WriteRecord builds the
 // successor state and installs it with a release store, so a reader that
 // observes a PageID (through a published tree snapshot) is guaranteed to
-// observe the pages behind it. Readers never block on the writer and the
+// observe the record behind it. Readers never block on the writer and the
 // writer never waits for readers — the invariant the copy-on-write index
 // snapshots are built on. WriteRecord and Reclaim require external
 // single-writer serialization (the facade's writer mutex provides it).
 //
-// Reclaim weakens the pure append-only picture: slots of records every
-// reader is provably past may be rewritten in place and reused by later
-// WriteRecords. Readers only ever index pages behind addresses they took
-// from a published snapshot — which by the reclamation protocol never
-// include freed slots — so per-id reads stay lock-free and safe; only
-// full scans (Records) join WriteRecord on the writer side.
+// Reclaimed slots are rewritten in place by later WriteRecords. Readers
+// only ever index slots behind addresses they took from a published
+// snapshot — which by the reclamation protocol never include freed slots
+// — so per-id reads stay lock-free and safe; only full scans (Records)
+// join WriteRecord on the writer side.
 type Pager struct {
 	state atomic.Pointer[pagerState]
 	free  []pageRun // coalesced free page runs, ascending; writer-owned
+	file  *os.File  // holds the file-resident records; nil for NewPager
+
+	readRecords atomic.Int64 // physical reads of file-resident records
+	readPages   atomic.Int64
 }
 
 // pageRun is one maximal run of reclaimed, reusable pages.
@@ -63,13 +72,22 @@ type pageRun struct {
 // reusing a freed run — slots the reclamation protocol guarantees no
 // reader can index — so readers never observe a torn or reused entry.
 type pagerState struct {
-	pages  [][]byte
-	recLen []int64 // parallel to pages: record byte length at its first page, else -1 (continuation) / -2 (freed)
+	// recs holds, at a record's first page, its bytes in one exact-length
+	// slice once written in memory, and nil while the record is
+	// file-resident; nil at every other page.
+	recs [][]byte
+	// recLen parallels recs: the record's byte length at its first page,
+	// else continuationPage or freedPage.
+	recLen []int64
 }
 
-// freedPage marks a reclaimed page slot in recLen: not a record start, not
-// a continuation — readable by no one until a future write reuses it.
-const freedPage = -2
+const (
+	// continuationPage marks a page inside a multi-page record.
+	continuationPage = -1
+	// freedPage marks a reclaimed page slot: not a record start, not a
+	// continuation — readable by no one until a future write reuses it.
+	freedPage = -2
+)
 
 // NewPager returns an empty in-memory pager.
 func NewPager() *Pager {
@@ -78,18 +96,15 @@ func NewPager() *Pager {
 	return p
 }
 
-// WriteRecord writes data as a new record and returns its PageID. The
-// record occupies ⌈len(data)/PageSize⌉ pages (at least one, so that empty
-// records still have an address), carved from the first reclaimed run
-// that fits, or appended when none does.
+// WriteRecord stores data as a new memory-resident record and returns its
+// PageID. The record occupies ⌈len(data)/PageSize⌉ pages (at least one, so
+// that empty records still have an address), carved from the first
+// reclaimed run that fits, or appended when none does.
 func (p *Pager) WriteRecord(data []byte) PageID {
 	st := p.state.Load()
-	n := (len(data) + PageSize - 1) / PageSize
-	if n == 0 {
-		n = 1
-	}
-	pages, recLen := st.pages, st.recLen
-	id := PageID(-1)
+	n := recordPageCount(len(data))
+	recs, recLen := st.recs, st.recLen
+	id := InvalidPage
 	for fi := range p.free {
 		if p.free[fi].n >= n {
 			id = p.free[fi].start
@@ -102,60 +117,45 @@ func (p *Pager) WriteRecord(data []byte) PageID {
 			break
 		}
 	}
-	append_ := id < 0
-	if append_ {
-		id = PageID(len(pages))
+	if id == InvalidPage {
+		id = PageID(len(recs))
+		recs = append(recs, make([][]byte, n)...)
+		recLen = append(recLen, make([]int64, n)...)
 	}
-	for i := 0; i < n; i++ {
-		page := make([]byte, PageSize)
-		lo := i * PageSize
-		hi := min(lo+PageSize, len(data))
-		if lo < len(data) {
-			copy(page, data[lo:hi])
-		}
-		length := int64(-1)
-		if i == 0 {
-			length = int64(len(data))
-		}
-		if append_ {
-			pages = append(pages, page)
-			recLen = append(recLen, length)
-		} else {
-			pages[int(id)+i] = page
-			recLen[int(id)+i] = length
-		}
+	// Non-nil even when empty: nil marks a file-resident record.
+	recs[id] = append(make([]byte, 0, len(data)), data...)
+	recLen[id] = int64(len(data))
+	for i := 1; i < n; i++ {
+		recLen[int(id)+i] = continuationPage
 	}
-	p.state.Store(&pagerState{pages: pages, recLen: recLen})
+	p.state.Store(&pagerState{recs: recs, recLen: recLen})
 	return id
 }
 
-// Reclaim returns the pages of the given records to the free pool for
-// reuse by future WriteRecords. Callers must guarantee no reader holds or
-// can obtain the freed addresses (the epoch-pin protocol); like
-// WriteRecord, Reclaim requires external single-writer serialization.
-// Unknown or already-freed ids are ignored.
+// Reclaim returns the pages of the given records, memory- or
+// file-resident, to the free pool for reuse by future WriteRecords.
+// Callers must guarantee no reader holds or can obtain the freed addresses
+// (the epoch-pin protocol); like WriteRecord, Reclaim requires external
+// single-writer serialization. Unknown or already-freed ids are ignored.
 func (p *Pager) Reclaim(ids []PageID) {
 	st := p.state.Load()
 	changed := false
 	for _, id := range ids {
-		if id < 0 || int(id) >= len(st.pages) || st.recLen[id] < 0 {
+		if id < 0 || int(id) >= len(st.recLen) || st.recLen[id] < 0 {
 			continue
 		}
-		n := (int(st.recLen[id]) + PageSize - 1) / PageSize
-		if n == 0 {
-			n = 1
-		}
+		n := recordPageCount(int(st.recLen[id]))
 		for i := 0; i < n; i++ {
 			st.recLen[int(id)+i] = freedPage
-			st.pages[int(id)+i] = nil // release the resident 4 kB now
 		}
+		st.recs[id] = nil // release the resident bytes now
 		p.insertRun(pageRun{start: id, n: n})
 		changed = true
 	}
 	if changed {
 		// Republish (same backing arrays) so the in-place markers are
 		// ordered before any address a later write hands out.
-		p.state.Store(&pagerState{pages: st.pages, recLen: st.recLen})
+		p.state.Store(&pagerState{recs: st.recs, recLen: st.recLen})
 	}
 }
 
@@ -185,19 +185,23 @@ func (p *Pager) insertRun(r pageRun) {
 	}
 }
 
-// ReadRecord returns the record starting at id. The returned slice is a
-// copy; callers may retain it.
+// ReadRecord returns the record starting at id: a copy of a
+// memory-resident record, or a positioned read of a file-resident one,
+// counted in ReadStats. Callers may retain the returned slice.
 func (p *Pager) ReadRecord(id PageID) ([]byte, error) {
 	st := p.state.Load()
-	if id < 0 || int(id) >= len(st.pages) || st.recLen[id] < 0 {
+	if id < 0 || int(id) >= len(st.recLen) || st.recLen[id] < 0 {
 		return nil, fmt.Errorf("storage: no record at page %d", id)
 	}
-	length := int(st.recLen[id])
-	out := make([]byte, length)
-	for off := 0; off < length; off += PageSize {
-		page := st.pages[int(id)+off/PageSize]
-		copy(out[off:], page)
+	if rec := st.recs[id]; rec != nil {
+		return bytes.Clone(rec), nil
 	}
+	out := make([]byte, st.recLen[id])
+	if _, err := p.file.ReadAt(out, pageOffset(id)); err != nil {
+		return nil, fmt.Errorf("storage: record at page %d: %w", id, err)
+	}
+	p.readRecords.Add(1)
+	p.readPages.Add(int64(recordPageCount(len(out))))
 	return out, nil
 }
 
@@ -205,20 +209,16 @@ func (p *Pager) ReadRecord(id PageID) ([]byte, error) {
 // the block count the simulated I/O rule charges for loading it.
 func (p *Pager) RecordPages(id PageID) int {
 	st := p.state.Load()
-	if id < 0 || int(id) >= len(st.pages) || st.recLen[id] < 0 {
+	if id < 0 || int(id) >= len(st.recLen) || st.recLen[id] < 0 {
 		return 0
 	}
-	n := (int(st.recLen[id]) + PageSize - 1) / PageSize
-	if n == 0 {
-		n = 1
-	}
-	return n
+	return recordPageCount(int(st.recLen[id]))
 }
 
 // NumPages returns the total number of allocated pages.
-func (p *Pager) NumPages() int { return len(p.state.Load().pages) }
+func (p *Pager) NumPages() int { return len(p.state.Load().recLen) }
 
-// Records returns all record addresses in ascending (append) order.
+// Records returns all live record addresses in ascending order.
 func (p *Pager) Records() []PageID {
 	st := p.state.Load()
 	out := make([]PageID, 0, len(st.recLen))
@@ -228,6 +228,22 @@ func (p *Pager) Records() []PageID {
 		}
 	}
 	return out
+}
+
+// ReadStats reports the physical reads served from the index file:
+// memory-resident records and cache hits are not physical reads, so a
+// pager from NewPager reports zeros.
+func (p *Pager) ReadStats() ReadStats {
+	return ReadStats{Records: p.readRecords.Load(), Pages: p.readPages.Load()}
+}
+
+// Close releases the index file OpenPager opened (no-op for NewPager).
+// File-resident records cannot be read afterwards.
+func (p *Pager) Close() error {
+	if p.file == nil {
+		return nil
+	}
+	return p.file.Close()
 }
 
 // ---- varint encoding helpers ----

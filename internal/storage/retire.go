@@ -1,10 +1,10 @@
 package storage
 
 // RetireSet collects the records an in-flight copy-on-write mutation
-// supersedes. The backing store is append-only, so a superseded record is
-// never freed or overwritten — snapshots published before the mutation
-// keep reading it forever — but once the successor snapshot is installed
-// no future reader will ask for it, so its decoded form is dead weight in
+// supersedes. A superseded record stays readable while snapshots
+// published before the mutation may still read it, and is reclaimed once
+// no reader pins them — but once the successor snapshot is installed no
+// future reader will ask for it, so its decoded form is dead weight in
 // the DecodedCache. Apply runs at publish time (and only then: an
 // abandoned mutation retires nothing), evicting the decoded entries in
 // one batch. This replaces the old writer-side DecodedCache.Delete calls
@@ -29,8 +29,8 @@ func (r *RetireSet) Add(id PageID) {
 // Len returns the number of records retired so far.
 func (r *RetireSet) Len() int { return len(r.ids) }
 
-// IDs returns a copy of the retired record addresses — the list a
-// reclaiming backend frees once no snapshot can still read them.
+// IDs returns a copy of the retired record addresses — the list the
+// backend reclaims once no snapshot can still read them.
 func (r *RetireSet) IDs() []PageID {
 	out := make([]PageID, len(r.ids))
 	copy(out, r.ids)

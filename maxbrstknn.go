@@ -280,8 +280,8 @@ func newIndex(opts Options, model textrel.Model, mir *irtree.Tree, deleted []uin
 // corpus statistics — without taking any lock. The mutating operations
 // (AddObject, DeleteObject, UpdateObject) serialize against each other
 // on a writer mutex, prepare a successor snapshot copy-on-write off to
-// the side (modified tree nodes are appended to the store, never
-// rewritten), and install it with a single atomic swap. A query that
+// the side (modified tree nodes are written to fresh records, never
+// rewritten in place), and install it with a single atomic swap. A query that
 // started before the swap simply finishes on the epoch it pinned.
 //
 // The unit of consistency is one snapshot load: a one-shot query sees
@@ -419,13 +419,9 @@ type IngestStats struct {
 	LiveObjects, TotalObjects int
 	// RetiredRecords and RetiredPages count the store records (and the
 	// 4 kB pages they span) superseded by published mutations and not yet
-	// reclaimed — a gauge, not a running total. An in-memory index frees
-	// them once no open Session pins an older snapshot, so it reads zero
-	// when idle. A file-backed (loaded) index never frees them: its
-	// mutations append records to an in-memory overlay of the file, and
-	// retired overlay records stay resident until the process reloads the
-	// file or serves the index Compact returns. Save writes a new file but
-	// leaves this index's overlay as it is. This is a known limitation.
+	// reclaimed — a gauge, not a running total. Retired records are
+	// reclaimed once no open Session pins an older snapshot, on a built or
+	// a loaded index alike, so both read zero when idle.
 	RetiredRecords, RetiredPages int64
 }
 
@@ -550,8 +546,12 @@ func (ix *Index) UpdateObject(id int, x, y float64, keywords ...string) (int, er
 // retired store records. Objects are densely reassigned ids in their
 // original order (result object ids change when deletes happened). The
 // returned index is fully independent: it has its own vocabulary copy
-// and accepts its own writers.
+// and accepts its own writers. A shard index, which never holds deletions,
+// rejects Compact.
 func (ix *Index) Compact() (*Index, error) {
+	if ix.gids != nil {
+		return nil, fmt.Errorf("compact: %w", errShardImmutable)
+	}
 	sn := ix.snap.Load()
 	ds0 := sn.tree.Dataset()
 	live := make([]dataset.Object, 0, sn.live)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/persist"
-	"repro/internal/storage"
 	"repro/internal/textrel"
 )
 
@@ -56,11 +55,15 @@ func resolveDecodedCacheBytes(v int64) int64 {
 // answers every query byte-identically to this one.
 //
 // Objects added with AddObject are included; deleted objects are
-// recorded and stay deleted after Load. Save serializes one consistent
+// recorded and stay deleted after Load. A shard index (see ShardBuilder)
+// cannot be saved: its global id map is not part of the file format. Save serializes one consistent
 // snapshot: it holds the writer mutex — so it sees the index either
 // before or after any concurrent mutation, never mid-mutation — while
 // concurrent queries proceed unblocked on their own pinned snapshots.
 func (ix *Index) Save(path string) error {
+	if ix.gids != nil {
+		return fmt.Errorf("save: %w", errShardImmutable)
+	}
 	ix.writerMu.Lock()
 	defer ix.writerMu.Unlock()
 	sn := ix.snap.Load()
@@ -131,7 +134,7 @@ func (ix *Index) Close() error {
 // in-memory index reports zeros; for a loaded index the page count is the
 // real-I/O figure to hold next to SimulatedIO.
 func (ix *Index) ReadStats() (records, pages int64) {
-	s := storage.BackendReadStats(ix.snap.Load().tree.Backend())
+	s := ix.snap.Load().tree.Backend().ReadStats()
 	return s.Records, s.Pages
 }
 

@@ -1,6 +1,7 @@
 package maxbrstknn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -111,6 +112,61 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFormatFixture pins the on-disk format with a file another build
+// wrote: testdata/reclaim_fixture.mxbr is reclaimFixture's index, saved by
+// an earlier build of this package. Loading it must answer exactly as
+// the in-memory build does, and saving the build must reproduce it byte
+// for byte.
+func TestFormatFixture(t *testing.T) {
+	const fixture = "testdata/reclaim_fixture.mxbr"
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := reclaimFixture(t)
+	path := filepath.Join(t.TempDir(), "resaved.mxbr")
+	if err := idx.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Save wrote %d bytes (%v) that differ from the %d-byte fixture", len(got), err, len(want))
+	}
+
+	loaded, err := Load(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	for _, u := range reclaimRequest.Users {
+		want, err := idx.TopK(u.X, u.Y, u.Keywords, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loaded.TopK(u.X, u.Y, u.Keywords, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("TopK(%+v): fixture %+v != in-memory %+v", u, got, want)
+		}
+	}
+	for _, strat := range []Strategy{Exact, Approx, Exhaustive, UserIndexed} {
+		req := reclaimRequest
+		req.Strategy = strat
+		want, err := idx.MaxBRSTkNN(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loaded.MaxBRSTkNN(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: fixture %+v != in-memory %+v", strat, got, want)
+		}
+	}
+}
+
 // TestLoadedIndexPhysicalReads checks the real-I/O ledger: a cold-loaded
 // index reports physical page reads, and a warm buffer pool absorbs
 // repeat traffic.
@@ -161,7 +217,8 @@ func TestLoadedIndexPhysicalReads(t *testing.T) {
 }
 
 // TestLoadedIndexAddObject checks that a loaded index keeps accepting
-// inserts (records land in the memory overlay) and can be saved again.
+// inserts (records written in memory beside the file's) and can be saved
+// again.
 func TestLoadedIndexAddObject(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	idx, req := randomIndex(t, rng, Options{})

@@ -22,83 +22,128 @@ func reclaimFixture(t *testing.T) *Index {
 	return idx
 }
 
+// reclaimRequest is a MaxBRSTkNN request over reclaimFixture's keywords.
+var reclaimRequest = Request{
+	Users:       []UserSpec{{X: 1, Y: 1, Keywords: []string{"sushi"}}, {X: 5, Y: 2, Keywords: []string{"taco", "kebab"}}, {X: 7, Y: 4, Keywords: []string{"ramen"}}},
+	Locations:   [][2]float64{{2, 2}, {6, 3}, {3.3, 4.4}},
+	Keywords:    []string{"sushi", "ramen", "taco", "kebab"},
+	MaxKeywords: 2,
+	K:           3,
+}
+
+// reloaded saves idx and loads it back through an 8-record buffer pool
+// with no decoded cache above it, so a record the pool served stale after
+// its PageID was reused would surface as a wrong answer.
+func reloaded(t *testing.T, idx *Index) *Index {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "reloaded.mxbr")
+	if err := idx.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadWithOptions(path, LoadOptions{CacheCapacity: 8, DecodedCacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loaded.Close() })
+	return loaded
+}
+
+// storageKinds are the two ways an index holds its records: built in
+// memory, and file-resident in a loaded index.
+var storageKinds = []struct {
+	name string
+	of   func(*testing.T, *Index) *Index
+}{
+	{"built", func(_ *testing.T, idx *Index) *Index { return idx }},
+	{"loaded", reloaded},
+}
+
 // A long add/delete cycle must not grow the page store or the retired
 // counters without bound: with no reader pinning an old epoch, every
 // mutation's retired records are reclaimed right after it publishes and
 // their pages reused by the next one.
 func TestReclaimBoundsStorageUnderChurn(t *testing.T) {
-	idx := reclaimFixture(t)
-	// Warm up past the initial growth (vocabulary, first splits).
-	for i := 0; i < 20; i++ {
-		id, err := idx.AddObject(3.3, 4.4, "sushi", "taco")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := idx.DeleteObject(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plateau := idx.snap.Load().tree.DiskPages()
-	for i := 0; i < 300; i++ {
-		id, err := idx.AddObject(3.3, 4.4, "sushi", "taco")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := idx.DeleteObject(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := idx.snap.Load().tree.DiskPages(); got > plateau+8 {
-		t.Errorf("pager grew from %d to %d pages over a steady add/delete cycle; reclamation is not reusing pages", plateau, got)
-	}
-	st := idx.IngestStats()
-	if st.RetiredRecords != 0 || st.RetiredPages != 0 {
-		t.Errorf("retired counters %d records / %d pages after churn, want 0/0 (all reclaimed)", st.RetiredRecords, st.RetiredPages)
+	for _, kind := range storageKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			idx := kind.of(t, reclaimFixture(t))
+			// Warm up past the initial growth (vocabulary, first splits).
+			for i := 0; i < 20; i++ {
+				id, err := idx.AddObject(3.3, 4.4, "sushi", "taco")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := idx.DeleteObject(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			plateau := idx.snap.Load().tree.DiskPages()
+			for i := 0; i < 300; i++ {
+				id, err := idx.AddObject(3.3, 4.4, "sushi", "taco")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := idx.DeleteObject(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := idx.snap.Load().tree.DiskPages(); got > plateau+8 {
+				t.Errorf("pager grew from %d to %d pages over a steady add/delete cycle; reclamation is not reusing pages", plateau, got)
+			}
+			st := idx.IngestStats()
+			if st.RetiredRecords != 0 || st.RetiredPages != 0 {
+				t.Errorf("retired counters %d records / %d pages after churn, want 0/0 (all reclaimed)", st.RetiredRecords, st.RetiredPages)
+			}
+			assertAnswersMatchCompact(t, idx, reclaimRequest)
+		})
 	}
 }
 
 // A live session pins its epoch: pages it references must survive until
 // the session closes, and be reclaimed by the next publish after that.
 func TestReclaimWaitsForSessionPins(t *testing.T) {
-	idx := reclaimFixture(t)
-	users := []UserSpec{{X: 1, Y: 1, Keywords: []string{"sushi"}}, {X: 5, Y: 2, Keywords: []string{"taco"}}}
-	s, err := idx.NewSession(users, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := s.Phase1(nil, ParallelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := idx.DeleteObject(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := idx.IngestStats(); st.RetiredRecords == 0 {
-		t.Fatal("retired counters zero while a session pins the pre-mutation epoch; reclamation ran too early")
-	}
-	// The pinned session must still read its epoch intact.
-	after, err := s.Phase1(nil, ParallelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(before, after) {
-		t.Fatal("session answers drifted while mutations ran; its pinned epoch was disturbed")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Phase1(nil, ParallelOptions{}); err == nil {
-		t.Fatal("Phase1 after Close succeeded, want ErrSessionClosed")
-	}
-	// The next publish advances the floor past the released pin and
-	// reclaims everything.
-	if _, err := idx.AddObject(2, 2, "ramen"); err != nil {
-		t.Fatal(err)
-	}
-	if st := idx.IngestStats(); st.RetiredRecords != 0 || st.RetiredPages != 0 {
-		t.Errorf("retired counters %d records / %d pages after session close + publish, want 0/0", st.RetiredRecords, st.RetiredPages)
+	for _, kind := range storageKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			idx := kind.of(t, reclaimFixture(t))
+			users := []UserSpec{{X: 1, Y: 1, Keywords: []string{"sushi"}}, {X: 5, Y: 2, Keywords: []string{"taco"}}}
+			s, err := idx.NewSession(users, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := s.Phase1(nil, ParallelOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				if err := idx.DeleteObject(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := idx.IngestStats(); st.RetiredRecords == 0 {
+				t.Fatal("retired counters zero while a session pins the pre-mutation epoch; reclamation ran too early")
+			}
+			// The pinned session must still read its epoch intact.
+			after, err := s.Phase1(nil, ParallelOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(before, after) {
+				t.Fatal("session answers drifted while mutations ran; its pinned epoch was disturbed")
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Phase1(nil, ParallelOptions{}); err == nil {
+				t.Fatal("Phase1 after Close succeeded, want ErrSessionClosed")
+			}
+			// The next publish advances the floor past the released pin and
+			// reclaims everything.
+			if _, err := idx.AddObject(2, 2, "ramen"); err != nil {
+				t.Fatal(err)
+			}
+			if st := idx.IngestStats(); st.RetiredRecords != 0 || st.RetiredPages != 0 {
+				t.Errorf("retired counters %d records / %d pages after session close + publish, want 0/0", st.RetiredRecords, st.RetiredPages)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,10 @@
 package maxbrstknn
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -499,6 +501,21 @@ func TestShardBuilderValidation(t *testing.T) {
 	}
 	if _, err := ss.Phase1(rsk[:3], ParallelOptions{}); err == nil {
 		t.Fatal("short seed vector accepted")
+	}
+}
+
+// TestShardIndexRejectsSaveAndCompact: a shard index's file would lose its
+// global id map (Load then refuses the freeze point), and Compact would
+// rebuild the model over the global build-time object count; both must
+// fail as the mutators do.
+func TestShardIndexRejectsSaveAndCompact(t *testing.T) {
+	idx, objs, _, _ := newShardFixture(t, Options{})
+	six := buildShardSet(t, idx.FrozenCorpus(), objs, 2, Options{})[0]
+	if err := six.Save(filepath.Join(t.TempDir(), "shard.mxbr")); !errors.Is(err, errShardImmutable) {
+		t.Fatalf("shard Save: %v, want the immutable-shard error", err)
+	}
+	if _, err := six.Compact(); !errors.Is(err, errShardImmutable) {
+		t.Fatalf("shard Compact: %v, want the immutable-shard error", err)
 	}
 }
 
