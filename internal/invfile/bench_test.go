@@ -1,0 +1,89 @@
+package invfile
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/vocab"
+)
+
+// benchShapes are the min-max posting files a cold three-keyword read
+// meets on topk-ingest's index (20,000 generated objects, fanout 32, a
+// 3,333-term vocabulary): the root's, which never fits a decoded-cache
+// shard and is summed off its bytes on every read, and a typical leaf's.
+var benchShapes = []struct {
+	name                     string
+	entries, terms, postings int
+}{
+	{"root", 20, 3252, 22477},
+	{"leaf", 32, 107, 220},
+}
+
+// benchFile builds a synthetic file of the given shape: distinct term ids
+// drawn from a 3,333-term vocabulary, each term with at least one posting
+// and the remaining postings spread at random, on distinct entries.
+func benchFile(entries, terms, postings int) *File {
+	rng := rand.New(rand.NewSource(1))
+	ids := rng.Perm(3333)[:terms]
+	slices.Sort(ids)
+	counts := make([]int, terms)
+	for i := range counts {
+		counts[i] = 1
+	}
+	for extra := postings - terms; extra > 0; {
+		if i := rng.Intn(terms); counts[i] < entries {
+			counts[i]++
+			extra--
+		}
+	}
+	f := New()
+	for i, id := range ids {
+		es := rng.Perm(entries)[:counts[i]]
+		slices.Sort(es)
+		for _, e := range es {
+			f.Add(vocab.TermID(id), Posting{Entry: int32(e), MaxW: rng.Float64(), MinW: rng.Float64() / 2})
+		}
+	}
+	return f
+}
+
+// BenchmarkDecodeSumsInto is the cold read of one node: the bound sums of
+// three query terms (the first, middle and last stored) straight off the
+// encoded file, as Tree.TopK asks for them.
+func BenchmarkDecodeSumsInto(b *testing.B) {
+	for _, s := range benchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			f := benchFile(s.entries, s.terms, s.postings)
+			buf := f.Encode(true)
+			terms := f.Terms()
+			query := []vocab.TermID{terms[0], terms[len(terms)/2], terms[len(terms)-1]}
+			floorOf := func(vocab.TermID) float64 { return 0.01 }
+			var scratch SumScratch
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := DecodeSumsInto(buf, s.entries, query, nil, floorOf, &scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecode is the full decode a cacheable file pays once on a miss
+// and a mutation pays for every file it rewrites.
+func BenchmarkDecode(b *testing.B) {
+	for _, s := range benchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			buf := benchFile(s.entries, s.terms, s.postings).Encode(true)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Decode(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/vocab"
 )
 
 // fuzzSeedFiles builds a few deterministic files spanning the codec's
 // corners: empty terms boundary, single posting, dense multi-term lists,
-// duplicate entries (zero deltas), and wide entry gaps.
+// duplicate entries (zero deltas), wide entry gaps, and the two-byte
+// deltas of a node with more than 128 entries in runs both wanted and
+// skipped by FuzzDecodeSumsInto's term sets.
 func fuzzSeedFiles() []*File {
 	small := New()
 	small.Add(3, Posting{Entry: 0, MaxW: 1.5, MinW: 0.5})
@@ -32,7 +35,16 @@ func fuzzSeedFiles() []*File {
 	sparse.Add(1, Posting{Entry: 1 << 20, MaxW: 4})
 	sparse.Add(9000, Posting{Entry: 5, MaxW: 0.125, MinW: 0.125})
 
-	return []*File{small, dense, dup, sparse}
+	wide := New()
+	for _, e := range []int32{3, 140, 141, 199} {
+		wide.Add(5, Posting{Entry: e, MaxW: 0.5, MinW: 0.25})
+	}
+	for _, e := range []int32{0, 128, 199} {
+		wide.Add(7, Posting{Entry: e, MaxW: 1.25, MinW: 0.375})
+	}
+	wide.Add(9, Posting{Entry: 150, MaxW: 2})
+
+	return []*File{small, dense, dup, sparse, wide}
 }
 
 // fuzzSeedBuffers returns every seed file in both record versions, each
@@ -81,11 +93,9 @@ func FuzzDecode(f *testing.F) {
 // interchangeable.
 func FuzzDecodeSumsInto(f *testing.F) {
 	for _, buf := range fuzzSeedBuffers() {
-		f.Add(buf, uint16(50))
+		f.Add(buf, uint16(199))
 	}
-	floorOf := func(tm vocab.TermID) float64 { return float64(tm%3) * 0.125 }
-	maxTerms := []vocab.TermID{1, 3, 7, 9000}
-	minTerms := []vocab.TermID{2, 3}
+	floorOf, maxTerms, minTerms := fuzzSumsQuery()
 	f.Fuzz(func(t *testing.T, buf []byte, entries uint16) {
 		nEntries := int(entries)%2048 + 1
 		var scratch SumScratch
@@ -112,6 +122,36 @@ func FuzzDecodeSumsInto(f *testing.F) {
 		compareSums(t, "max", gotMax, wantMax)
 		compareSums(t, "min", gotMin, wantMin)
 	})
+}
+
+// fuzzSumsQuery is the floor function and the term sets FuzzDecodeSumsInto
+// sums every input for.
+func fuzzSumsQuery() (floorOf func(vocab.TermID) float64, maxTerms, minTerms []vocab.TermID) {
+	floorOf = func(tm vocab.TermID) float64 { return float64(tm%3) * 0.125 }
+	return floorOf, []vocab.TermID{1, 3, 7, 9000}, []vocab.TermID{2, 3}
+}
+
+// TestDecodeSumsIntoRejectsOverlongCount: a 9-byte record whose wanted
+// term claims about 3·10¹⁰ postings must fail at once. The count is
+// checked against the bytes left before any posting is read; the posting
+// loop once ignored the decoder's sticky error and iterated the whole
+// count. The record is also in the FuzzDecodeSumsInto corpus.
+func TestDecodeSumsIntoRejectsOverlongCount(t *testing.T) {
+	buf := []byte{0x01, 0x03, 0x01, 0xf0, 0xf0, 0xf0, 0xf0, 0xf0, 0x00}
+	floorOf, maxTerms, minTerms := fuzzSumsQuery()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := DecodeSumsInto(buf, 110, maxTerms, minTerms, floorOf, &SumScratch{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a term count the record cannot hold decoded without error")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("DecodeSumsInto still running after 1 s on a 9-byte record")
+	}
 }
 
 // compareSums requires bit-agreement except that any NaN matches any NaN

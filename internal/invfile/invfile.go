@@ -21,13 +21,24 @@
 // cache is configured or the file cannot fit it). The block-max packed
 // layout (record versions 3 and 4) was removed after it lost to the flat
 // one on every bench/ workload; its records are rejected by name.
+//
+// Both decoders read the bytes in place through one kernel built on the
+// one-byte delta: in a node of at most 128 entries (the default fanout is
+// 32) every entry delta is below 0x80, so every posting is exactly 9
+// (max-only) or 17 (min-max) bytes. Such a posting is decoded with one
+// byte load and one or two little-endian float loads, and a run of them
+// that a read does not want is stepped over in one jump once the high bit
+// of each delta byte has been checked at that stride. Any other encoding —
+// a longer delta, a varint past two bytes, a truncated or corrupt buffer —
+// goes to storage.Decoder, the general reader, so every input decodes, or
+// fails, exactly as it would without the fast paths.
 package invfile
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"repro/internal/storage"
@@ -321,103 +332,69 @@ func (f *File) encodedLen(version uint64, includeMin bool) int {
 	if includeMin {
 		weights = 16
 	}
-	n := uvarintLen(version) + uvarintLen(uint64(len(f.terms))) + weights*len(f.postings)
+	n := storage.UvarintLen(version) + storage.UvarintLen(uint64(len(f.terms))) + weights*len(f.postings)
 	for i, t := range f.terms {
 		ps := f.postings[f.starts[i]:f.starts[i+1]]
-		n += uvarintLen(uint64(t)) + uvarintLen(uint64(len(ps)))
+		n += storage.UvarintLen(uint64(t)) + storage.UvarintLen(uint64(len(ps)))
 		prev := int32(0)
 		for _, p := range ps {
-			n += uvarintLen(uint64(p.Entry - prev))
+			n += storage.UvarintLen(uint64(p.Entry - prev))
 			prev = p.Entry
 		}
 	}
 	return n
 }
 
-// uvarintLen is the number of bytes storage.AppendUvarint writes for v.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
 // Decode parses a file serialized by Encode, building the flat layout in
 // one pass — the decode-once path the decoded-object cache stores. Files
-// written by Encode store terms ascending and entries delta-coded (so
-// ascending within a term); a stored stream violating term order (foreign
-// or corrupt but structurally decodable) is re-sorted defensively.
+// written by Encode store terms strictly ascending and entries
+// delta-coded (so ascending within a term); a stored stream violating term
+// order is corrupt and rejected, as DecodeSumsInto rejects it.
 func Decode(buf []byte) (*File, error) {
-	d := storage.NewDecoder(buf)
-	version := d.Uvarint()
-	if err := checkVersion(version); err != nil && d.Err() == nil {
+	hasMin, n, off, err := readHeader(buf)
+	if err != nil {
 		return nil, err
 	}
-	n := d.Uvarint()
 	// Each stored term costs at least two encoded bytes (id and count
 	// varints), so a count beyond len(buf)/2 can only come from a corrupt
 	// buffer — reject it before sizing allocations from it (data pages
 	// are not checksummed; decode must fail, not panic or overallocate).
-	if d.Err() == nil && n > uint64(len(buf))/2 {
+	if n > uint64(len(buf))/2 {
 		return nil, fmt.Errorf("invfile: term count %d exceeds %d-byte buffer", n, len(buf))
 	}
 	f := &File{}
-	if n > 0 && d.Err() == nil {
+	if n > 0 {
 		f.terms = make([]vocab.TermID, 0, n)
 		f.starts = make([]int32, 0, n+1)
 		// One allocation for every posting, sized from the buffer and not
-		// from a stored count: a posting is at least one delta byte and one
-		// (max-only) or two (min-max) eight-byte weights.
-		perPosting := 9
-		if version == versionMinMax {
-			perPosting = 17
-		}
-		f.postings = make([]Posting, 0, len(buf)/perPosting)
+		// from a stored count: no posting is shorter than the stride.
+		f.postings = make([]Posting, 0, len(buf)/postingStride(hasMin))
 	}
-	ordered := true
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		t := vocab.TermID(d.Uvarint())
-		cnt := d.Uvarint()
-		if cnt == 0 && d.Err() == nil {
+	t := vocab.TermID(0)
+	for i := uint64(0); i < n; i++ {
+		var cnt uint64
+		if t, cnt, off, err = readTermHeader(buf, off, hasMin, i, t); err != nil {
+			return nil, err
+		}
+		if cnt == 0 {
 			// No encoder emits a posting-less term (terms exist only by
 			// Add'ing a posting); accepting one here would let a decoded
 			// file re-encode into forms other paths reject.
 			return nil, fmt.Errorf("invfile: term %d with no postings", t)
 		}
-		if len(f.terms) > 0 && t <= f.terms[len(f.terms)-1] {
-			ordered = false
-		}
 		f.terms = append(f.terms, t)
 		f.starts = append(f.starts, int32(len(f.postings)))
 		prev := int32(0)
-		for j := uint64(0); j < cnt && d.Err() == nil; j++ {
-			delta := d.Uvarint()
-			// Reject deltas that would wrap int32: a wrapped entry can go
-			// negative yet pass the "< nEntries" checks downstream, turning
-			// a corrupt page into an index-out-of-range panic.
-			if delta > maxEntry || int64(prev)+int64(delta) > maxEntry {
-				return nil, fmt.Errorf("invfile: posting entry delta %d overflows", delta)
+		for j := uint64(0); j < cnt; j++ {
+			var p Posting
+			if p, off, err = readPosting(buf, off, prev, hasMin); err != nil {
+				return nil, err
 			}
-			entry := prev + int32(delta)
-			prev = entry
-			maxw := d.Float64()
-			minw := 0.0
-			if version == versionMinMax {
-				minw = d.Float64()
-			}
-			f.postings = append(f.postings, Posting{Entry: entry, MaxW: maxw, MinW: minw})
+			prev = p.Entry
+			f.postings = append(f.postings, p)
 		}
-	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("invfile: %w", err)
 	}
 	f.starts = append(f.starts, int32(len(f.postings)))
-	if !ordered {
-		// Route the decoded postings through the defensive merge.
-		g := &File{}
-		for i, t := range f.terms {
-			for _, p := range f.postings[f.starts[i]:f.starts[i+1]] {
-				g.Add(t, p)
-			}
-		}
-		g.freeze()
-		*f = *g
-	}
 	return f, nil
 }
 
@@ -519,30 +496,34 @@ func (f *File) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf
 }
 
 // DecodeSumsInto computes the sums SumsInto defines in one pass over an
-// encoded file, without materializing posting lists: postings of terms in
-// neither set are skipped byte-wise. This is the cold traversal path —
-// taken when no decoded cache is configured (the paper-figure accounting)
-// or the file is too large to cache. The returned slices alias scratch and
-// stay valid only until its next use; with a reused scratch the per-node
-// cost is allocation-free.
+// encoded file, without materializing posting lists. This is the cold
+// traversal path — taken when no decoded cache is configured (the
+// paper-figure accounting) or the file is too large to cache, as the upper
+// levels' files of a large index always are — so its cost is the cost of
+// stepping over every term the read does not ask for. Term headers are
+// read in place; the run of a term in neither set is skipped in one jump
+// when all its deltas are one byte (see the package comment), and the
+// postings of a wanted term are decoded in place the same way, with the
+// general per-posting reader taking over wherever a longer delta appears.
+// The returned slices alias scratch and stay valid only until its next
+// use; with a reused scratch the per-node cost is allocation-free.
 //
 //maxbr:hotpath
 func DecodeSumsInto(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
-	d := storage.NewDecoder(buf)
-	version := d.Uvarint()
-	if err := checkVersion(version); err != nil && d.Err() == nil {
+	hasMin, n, off, err := readHeader(buf)
+	if err != nil {
 		return nil, nil, err
 	}
-	hasMin := version == versionMinMax
-
 	floorMax, floorMin := floorSums(maxTerms, minTerms, floorOf)
 	maxSums, minSums = scratch.buffers(nEntries, floorMax, floorMin)
 
 	mi, ni := 0, 0 // cursors into maxTerms / minTerms (stored terms ascend)
-	n := d.Uvarint()
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		t := vocab.TermID(d.Uvarint())
-		cnt := d.Uvarint()
+	t := vocab.TermID(0)
+	for i := uint64(0); i < n; i++ {
+		var cnt uint64
+		if t, cnt, off, err = readTermHeader(buf, off, hasMin, i, t); err != nil {
+			return nil, nil, err
+		}
 		for mi < len(maxTerms) && maxTerms[mi] < t {
 			mi++
 		}
@@ -552,36 +533,174 @@ func DecodeSumsInto(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID,
 		wantMax := mi < len(maxTerms) && maxTerms[mi] == t
 		wantMin := ni < len(minTerms) && minTerms[ni] == t
 		if !wantMax && !wantMin {
-			d.SkipPostings(cnt, hasMin)
+			if off, err = skipRun(buf, off, cnt, hasMin); err != nil {
+				return nil, nil, err
+			}
 			continue
 		}
 		floor := floorOf(t)
 		prev := int32(0)
 		for j := uint64(0); j < cnt; j++ {
-			delta := d.Uvarint()
-			if delta > maxEntry || int64(prev)+int64(delta) > maxEntry {
-				return nil, nil, fmt.Errorf("invfile: posting entry delta %d overflows", delta)
+			var p Posting
+			if p, off, err = readPosting(buf, off, prev, hasMin); err != nil {
+				return nil, nil, err
 			}
-			entry := prev + int32(delta)
-			prev = entry
-			maxw := d.Float64()
-			minw := 0.0
-			if hasMin {
-				minw = d.Float64()
-			}
-			if entry < 0 || int(entry) >= nEntries {
-				return nil, nil, fmt.Errorf("invfile: posting entry %d out of range", entry)
+			prev = p.Entry
+			if p.Entry < 0 || int(p.Entry) >= nEntries {
+				return nil, nil, fmt.Errorf("invfile: posting entry %d out of range", p.Entry)
 			}
 			if wantMax {
-				maxSums[entry] += maxw - floor
+				maxSums[p.Entry] += p.MaxW - floor
 			}
-			if wantMin && minw > floor {
-				minSums[entry] += minw - floor
+			if wantMin && p.MinW > floor {
+				minSums[p.Entry] += p.MinW - floor
 			}
 		}
 	}
-	if err := d.Err(); err != nil {
-		return nil, nil, fmt.Errorf("invfile: %w", err)
-	}
 	return maxSums, minSums, nil
+}
+
+// ---- the in-place posting kernel (see the package comment) ----
+
+// postingStride is the encoded size of a posting whose entry delta is one
+// byte: the delta, then one (max-only) or two (min-max) float64s. No
+// posting is shorter.
+func postingStride(hasMin bool) int {
+	if hasMin {
+		return 17
+	}
+	return 9
+}
+
+// readHeader reads an encoded file's version and term count and returns
+// whether its postings carry minimum weights, the term count, and the
+// offset of the first term.
+func readHeader(buf []byte) (hasMin bool, n uint64, off int, err error) {
+	version, off, err := readUvarint(buf, 0)
+	if err != nil {
+		return false, 0, off, err
+	}
+	if err := checkVersion(version); err != nil {
+		return false, 0, off, err
+	}
+	n, off, err = readUvarint(buf, off)
+	return version == versionMinMax, n, off, err
+}
+
+// readTermHeader reads the header of the file's i-th term at buf[off:], its
+// id and posting count, and returns the offset of the term's first
+// posting. Two corrupt forms are rejected here, before any loop is bounded
+// by them: a count the remaining bytes cannot hold at one stride per
+// posting, and a term not above prev, the one stored before it. Encode
+// writes terms strictly ascending; DecodeSumsInto's cursors over the query
+// terms, and its agreement with SumsInto over the decoded file, need that
+// order.
+func readTermHeader(buf []byte, off int, hasMin bool, i uint64, prev vocab.TermID) (t vocab.TermID, cnt uint64, next int, err error) {
+	id, off, err := readUvarint(buf, off)
+	if err != nil {
+		return 0, 0, off, err
+	}
+	t = vocab.TermID(id)
+	if i > 0 && t <= prev {
+		return 0, 0, off, fmt.Errorf("invfile: term %d stored after term %d", t, prev)
+	}
+	if cnt, off, err = readUvarint(buf, off); err != nil {
+		return 0, 0, off, err
+	}
+	rest := len(buf) - off
+	maxCnt := rest / 9 // constant divisors: this runs once per stored term
+	if hasMin {
+		maxCnt = rest / 17
+	}
+	if cnt > uint64(maxCnt) {
+		return 0, 0, off, fmt.Errorf("invfile: term %d claims %d postings in %d remaining bytes", t, cnt, rest)
+	}
+	return t, cnt, off, nil
+}
+
+// readUvarint reads the varint at buf[off:] and returns the offset past
+// it. One- and two-byte encodings (every value below 16,384) are decoded
+// in place, anything else by storage.Decoder.
+func readUvarint(buf []byte, off int) (uint64, int, error) {
+	if off < len(buf) && buf[off] < 0x80 {
+		return uint64(buf[off]), off + 1, nil
+	}
+	if off+1 < len(buf) && buf[off+1] < 0x80 {
+		return uint64(buf[off]&0x7f) | uint64(buf[off+1])<<7, off + 2, nil
+	}
+	d := storage.NewDecoderAt(buf, off)
+	v := d.Uvarint()
+	if err := d.Err(); err != nil {
+		return 0, off, fmt.Errorf("invfile: %w", err)
+	}
+	return v, len(buf) - d.Remaining(), nil
+}
+
+// readPosting decodes the posting at buf[off:], whose entry delta counts
+// from prev, and returns the offset past it. A one-byte delta is decoded in
+// place; anything else, or a posting the buffer cannot hold, by
+// storage.Decoder. Either way an entry past int32 is rejected: a wrapped
+// entry can go negative yet pass the "< nEntries" checks downstream,
+// turning a corrupt page into an index-out-of-range panic.
+func readPosting(buf []byte, off int, prev int32, hasMin bool) (Posting, int, error) {
+	if next := off + postingStride(hasMin); next <= len(buf) && buf[off] < 0x80 && prev <= maxEntry-0x7f {
+		p := Posting{Entry: prev + int32(buf[off]), MaxW: math.Float64frombits(binary.LittleEndian.Uint64(buf[off+1:]))}
+		if hasMin {
+			p.MinW = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+9:]))
+		}
+		return p, next, nil
+	}
+	d := storage.NewDecoderAt(buf, off)
+	delta := d.Uvarint()
+	if delta > maxEntry || int64(prev)+int64(delta) > maxEntry {
+		return Posting{}, off, fmt.Errorf("invfile: posting entry delta %d overflows", delta)
+	}
+	p := Posting{Entry: prev + int32(delta), MaxW: d.Float64()}
+	if hasMin {
+		p.MinW = d.Float64()
+	}
+	if err := d.Err(); err != nil {
+		return Posting{}, off, fmt.Errorf("invfile: %w", err)
+	}
+	return p, len(buf) - d.Remaining(), nil
+}
+
+// skipRun returns the offset past the cnt postings at buf[off:], which
+// readTermHeader has checked fit in cnt strides. When every delta in the
+// run is one byte the run is exactly cnt strides long: one pass checks the
+// high bit of each delta byte and the run is stepped over in one jump. The
+// check is what makes the jump exact — a longer delta makes the run longer
+// than cnt strides, and the jump would land inside it and misparse the
+// rest of the file — so on any such run the general per-posting walk runs
+// instead.
+func skipRun(buf []byte, off int, cnt uint64, hasMin bool) (int, error) {
+	stride := postingStride(hasMin)
+	end := off + int(cnt)*stride
+	if oneByteDeltas(buf[off:end], stride) {
+		return end, nil
+	}
+	d := storage.NewDecoderAt(buf, off)
+	for j := uint64(0); j < cnt && d.Err() == nil; j++ {
+		d.Uvarint()
+		d.Float64()
+		if hasMin {
+			d.Float64()
+		}
+	}
+	if err := d.Err(); err != nil {
+		return off, fmt.Errorf("invfile: %w", err)
+	}
+	return len(buf) - d.Remaining(), nil
+}
+
+// oneByteDeltas reports whether every stride-th byte of run, from the
+// first, is below 0x80: whether run read as postings of that stride has
+// one-byte deltas only.
+func oneByteDeltas(run []byte, stride int) bool {
+	for i := 0; i < len(run); i += stride {
+		if run[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }

@@ -90,6 +90,20 @@ func TestDecodeCorrupt(t *testing.T) {
 	if _, err := Decode(huge); err == nil {
 		t.Error("absurd term count should error, not allocate")
 	}
+	// Stored terms must strictly ascend: summed in stored order, a
+	// descending or repeated term would not agree with the decoded file.
+	for _, terms := range [][]uint64{{7, 3}, {3, 3}} {
+		buf := storage.AppendUvarint([]byte{versionMaxOnly}, uint64(len(terms)))
+		for _, tm := range terms {
+			buf = storage.AppendFloat64(append(storage.AppendUvarint(buf, tm), 1, 0), 0.5)
+		}
+		if _, err := Decode(buf); err == nil {
+			t.Errorf("terms stored as %v: Decode accepted them", terms)
+		}
+		if _, _, err := DecodeSumsInto(buf, 1, []vocab.TermID{3, 7}, nil, func(vocab.TermID) float64 { return 0 }, &SumScratch{}); err == nil {
+			t.Errorf("terms stored as %v: DecodeSumsInto accepted them", terms)
+		}
+	}
 }
 
 func TestEmptyFileRoundTrip(t *testing.T) {

@@ -128,7 +128,10 @@ func MinTextSums(model textrel.Model, inv *invfile.File, nEntries int, terms []v
 // of both index kinds and several term sets, including terms absent from
 // the corpus — with the decoded cache off (the streaming byte-wise scan)
 // and on (decode-and-cache on the first visit, sums over the cached file
-// after), the two surviving sum paths.
+// after), the two surviving sum paths. Every record is also summed both
+// ways directly, DecodeSumsInto against Decode + SumsInto, which must
+// agree bit for bit; at fanout 200 leaves hold more than 128 entries, so
+// two-byte posting deltas send both decoders to their general path.
 func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
 	termSets := [][]vocab.TermID{
 		nil,
@@ -138,10 +141,12 @@ func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
 	}
 	for _, kind := range []Kind{IRTree, MIRTree} {
 		for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF} {
-			for _, cacheBytes := range []int64{0, 8 << 20} {
+			for _, cfg := range []Config{{Fanout: 16}, {Fanout: 16, DecodedCacheBytes: 8 << 20}, {Fanout: 200}} {
+				cfg.Kind = kind
+				cacheBytes := cfg.DecodedCacheBytes
 				_, ds, scorer := buildSmall(t, kind, measure)
-				tree := Build(ds, scorer.Model, Config{Kind: kind, Fanout: 16, DecodedCacheBytes: cacheBytes})
-				var scratch invfile.SumScratch
+				tree := Build(ds, scorer.Model, cfg)
+				var scratch, streamed, decoded invfile.SumScratch
 				for _, maxTerms := range termSets {
 					for _, minTerms := range termSets {
 						var walk func(id int32)
@@ -170,6 +175,29 @@ func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
 								if math.Abs(gotMin[i]-wantMin[i]) > 1e-12 {
 									t.Fatalf("%v/%v cache %d node %d entry %d: minSum %v != %v (terms %v)",
 										kind, measure, cacheBytes, id, i, gotMin[i], wantMin[i], minTerms)
+								}
+							}
+							buf, err := tree.readInvBytes(node.InvID)
+							if err != nil {
+								t.Fatal(err)
+							}
+							floorOf := tree.Model().FloorWeight
+							sMax, sMin, err := invfile.DecodeSumsInto(buf, len(node.Entries), maxTerms, minTerms, floorOf, &streamed)
+							if err != nil {
+								t.Fatal(err)
+							}
+							f, err := invfile.Decode(buf)
+							if err != nil {
+								t.Fatal(err)
+							}
+							dMax, dMin, err := f.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, &decoded)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for i := range node.Entries {
+								if math.Float64bits(sMax[i]) != math.Float64bits(dMax[i]) || math.Float64bits(sMin[i]) != math.Float64bits(dMin[i]) {
+									t.Fatalf("%v/%v fanout %d node %d entry %d: streamed sums (%v, %v) != decoded (%v, %v)",
+										kind, measure, cfg.Fanout, id, i, sMax[i], sMin[i], dMax[i], dMin[i])
 								}
 							}
 							if !node.Leaf {

@@ -2,6 +2,7 @@ package irtree
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geo"
 	"repro/internal/storage"
@@ -62,26 +63,56 @@ func encodeNode(leaf bool, entries []NodeEntry, invID storage.PageID) []byte {
 	return buf
 }
 
-// decodeNode parses a record produced by encodeNode.
+// minEntryBytes is the smallest encoded node entry: one-byte child and
+// count varints and four float64s.
+const minEntryBytes = 34
+
+// decodeNode parses a record produced by encodeNode. Node pages are not
+// checksummed, so a corrupt record must fail here rather than size an
+// allocation or reach a reader: the entry count is bounded by the bytes
+// that could hold it, and only a record encodeNode could have written is
+// accepted — a leaf flag of 0 or 1, child refs and counts within int32,
+// the total equal to the sum of the counts, every varint in its shortest
+// form and no trailing bytes — so a decoded node re-encodes to its record.
 func decodeNode(id int32, buf []byte) (*NodeData, error) {
 	d := storage.NewDecoder(buf)
-	leaf := d.Uvarint() == 1
+	leaf := d.Uvarint()
 	cnt := d.Uvarint()
+	if d.Err() == nil && cnt > uint64(len(buf)/minEntryBytes) {
+		return nil, fmt.Errorf("irtree: node %d: entry count %d exceeds %d-byte record", id, cnt, len(buf))
+	}
+	canonical := storage.UvarintLen(leaf) + storage.UvarintLen(cnt) // the bytes encodeNode would write
 	entries := make([]NodeEntry, cnt)
+	sum := uint64(0)
 	for i := range entries {
-		entries[i].Child = int32(d.Uvarint())
-		entries[i].Count = int32(d.Uvarint())
+		child, count := d.Uvarint(), d.Uvarint()
+		if child > math.MaxInt32 || count > math.MaxInt32 {
+			return nil, fmt.Errorf("irtree: node %d: entry %d: child %d or count %d overflows int32", id, i, child, count)
+		}
+		canonical += storage.UvarintLen(child) + storage.UvarintLen(count) + 32
+		sum += count
+		entries[i].Child = int32(child)
+		entries[i].Count = int32(count)
 		entries[i].Rect.Min.X = d.Float64()
 		entries[i].Rect.Min.Y = d.Float64()
 		entries[i].Rect.Max.X = d.Float64()
 		entries[i].Rect.Max.Y = d.Float64()
 	}
-	total := int32(d.Uvarint())
-	invID := storage.PageID(d.Uvarint())
+	total := d.Uvarint()
+	invID := d.Uvarint()
+	canonical += storage.UvarintLen(total) + storage.UvarintLen(invID)
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("irtree: node %d: %w", id, err)
 	}
-	return &NodeData{ID: id, Leaf: leaf, Entries: entries, Count: total, InvID: invID}, nil
+	switch {
+	case leaf > 1:
+		return nil, fmt.Errorf("irtree: node %d: leaf flag %d", id, leaf)
+	case total != sum || total > math.MaxInt32:
+		return nil, fmt.Errorf("irtree: node %d: subtree count %d, entries sum to %d", id, total, sum)
+	case canonical != len(buf):
+		return nil, fmt.Errorf("irtree: node %d: %d-byte record, %d bytes in shortest form", id, len(buf), canonical)
+	}
+	return &NodeData{ID: id, Leaf: leaf == 1, Entries: entries, Count: int32(total), InvID: storage.PageID(invID)}, nil
 }
 
 func boolBit(b bool) uint64 {

@@ -6,9 +6,11 @@ import (
 )
 
 // AnalyzerImmutableAlias enforces the PR 5 aliasing contract: values
-// handed out by the cache layers are shared between concurrent readers
-// and must be treated as immutable. BufferPool.Read returns the pooled
-// page buffer, DecodedCache.Get returns the cached decoded object, and
+// handed out by the storage and cache layers are shared between
+// concurrent readers and must be treated as immutable. ReadRecord (on
+// the Backend interface and on the Pager) returns a memory-resident
+// record's own bytes, BufferPool.Read returns the pooled page buffer,
+// DecodedCache.Get returns the cached decoded object, and
 // the invfile accessors (Terms, Postings, the ForEach callback's posting
 // slice) return the file's own flat layout. Writing through any of them
 // corrupts every other reader of the same page — a data race no test
@@ -21,7 +23,7 @@ import (
 // methods on tainted values.
 var AnalyzerImmutableAlias = &Analyzer{
 	Name: "immutablealias",
-	Doc:  "flags writes through shared values returned by BufferPool.Read, DecodedCache.Get, and the invfile accessors",
+	Doc:  "flags writes through shared values returned by ReadRecord, BufferPool.Read, DecodedCache.Get, and the invfile accessors",
 	Run:  runImmutableAlias,
 }
 
@@ -33,6 +35,8 @@ type sharedSource struct {
 }
 
 var sharedSources = []sharedSource{
+	{"repro/internal/storage", "Backend", "ReadRecord", 0},
+	{"repro/internal/storage", "Pager", "ReadRecord", 0},
 	{"repro/internal/storage", "BufferPool", "Read", 0},
 	{"repro/internal/storage", "DecodedCache", "Get", 0},
 	{"repro/internal/invfile", "File", "Terms", 0},

@@ -19,6 +19,33 @@ func writeThroughPoolRead(pool *storage.BufferPool, id storage.PageID) error {
 	return nil
 }
 
+func writeThroughBackendRecord(b storage.Backend, id storage.PageID) error {
+	rec, err := b.ReadRecord(id)
+	if err != nil {
+		return err
+	}
+	rec[0] ^= 1 // want "write through shared value rec"
+	return nil
+}
+
+func appendToPagerRecord(p *storage.Pager, id storage.PageID) ([]byte, error) {
+	rec, err := p.ReadRecord(id)
+	if err != nil {
+		return nil, err
+	}
+	return append(rec, 0), nil // want "append to shared value rec"
+}
+
+func copyPagerRecordThenWrite(p *storage.Pager, id storage.PageID) ([]byte, error) { // negative: private copy
+	rec, err := p.ReadRecord(id)
+	if err != nil {
+		return nil, err
+	}
+	own := append([]byte(nil), rec...)
+	own[0] = 1
+	return own, nil
+}
+
 func writeThroughCacheHit(c *storage.DecodedCache, id storage.PageID) {
 	v, ok := c.Get(id)
 	if !ok {

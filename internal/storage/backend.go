@@ -16,7 +16,9 @@ type Backend interface {
 	// WriteRecord stores data as a new record and returns its address.
 	WriteRecord(data []byte) PageID
 	// ReadRecord returns the record starting at id. The returned slice is
-	// a copy; callers may retain it.
+	// shared and immutable, like a BufferPool.Read result: it may be the
+	// store's own copy, handed to every reader of the record, so callers
+	// may retain it but must not write through it.
 	ReadRecord(id PageID) ([]byte, error)
 	// RecordPages returns the number of pages the record at id occupies —
 	// the block count the simulated I/O rule charges for loading it.

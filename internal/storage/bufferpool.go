@@ -60,7 +60,7 @@ func (b *BufferPool) Read(id PageID) ([]byte, bool, error) {
 	b.mu.Unlock()
 
 	// Backend records are immutable while queries run (inserts are a
-	// single-writer operation), so the record copy happens outside the
+	// single-writer operation), so the backend read happens outside the
 	// lock — concurrent misses must not serialize on it. Two goroutines
 	// racing on the same id both perform (and are charged for) a real
 	// read; only one result is cached.

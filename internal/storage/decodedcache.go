@@ -162,11 +162,11 @@ func (c *DecodedCache) Put(id PageID, value any, bytes int64) {
 	}
 }
 
-// Delete drops the entry for id, if cached — the invalidation hook for
-// writers that supersede a record. Backends never reuse a PageID, so a
-// superseded record's cache entry can only waste budget (it is
-// unreachable through any live pointer); deleting it keeps the byte
-// accounting honest under insert-heavy workloads.
+// Delete drops the entry for id, if cached — the invalidation hook for a
+// record that is reclaimed. Backends reuse a reclaimed PageID for a later
+// record, so an entry left behind would serve the old record's decoded
+// value for the new one; deleting it also keeps the byte accounting
+// honest under insert-heavy workloads.
 func (c *DecodedCache) Delete(id PageID) {
 	if c == nil {
 		return

@@ -11,10 +11,10 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"sync/atomic"
 )
@@ -185,16 +185,20 @@ func (p *Pager) insertRun(r pageRun) {
 	}
 }
 
-// ReadRecord returns the record starting at id: a copy of a
-// memory-resident record, or a positioned read of a file-resident one,
-// counted in ReadStats. Callers may retain the returned slice.
+// ReadRecord returns the record starting at id: a memory-resident record's
+// own bytes, or a positioned read of a file-resident one, counted in
+// ReadStats. The slice is shared and immutable, as the Backend contract
+// says: callers may retain it but must not write through it. Handing out
+// the stored slice is safe because WriteRecord stores every record in a
+// fresh exact-length slice that nothing writes again, and Reclaim only
+// drops the pager's reference, so a reader's slice never changes.
 func (p *Pager) ReadRecord(id PageID) ([]byte, error) {
 	st := p.state.Load()
 	if id < 0 || int(id) >= len(st.recLen) || st.recLen[id] < 0 {
 		return nil, fmt.Errorf("storage: no record at page %d", id)
 	}
 	if rec := st.recs[id]; rec != nil {
-		return bytes.Clone(rec), nil
+		return rec, nil
 	}
 	out := make([]byte, st.recLen[id])
 	if _, err := p.file.ReadAt(out, pageOffset(id)); err != nil {
@@ -253,6 +257,9 @@ func AppendUvarint(buf []byte, v uint64) []byte {
 	return binary.AppendUvarint(buf, v)
 }
 
+// UvarintLen returns the number of bytes AppendUvarint writes for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // AppendFloat64 appends the IEEE-754 bits of f, little-endian.
 func AppendFloat64(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
@@ -267,6 +274,12 @@ type Decoder struct {
 
 // NewDecoder wraps buf for reading.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// NewDecoderAt wraps buf for reading from offset off (0 ≤ off ≤ len(buf)),
+// for a caller that walks the bytes in place and hands the encodings it
+// does not decode itself to the general reader. Error offsets count from
+// the start of buf, and len(buf)-Remaining() is the offset reached.
+func NewDecoderAt(buf []byte, off int) *Decoder { return &Decoder{buf: buf, off: off} }
 
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
@@ -286,25 +299,6 @@ func (d *Decoder) Uvarint() uint64 {
 	}
 	d.off += n
 	return v
-}
-
-// SkipPostings advances past cnt postings of an inverted-file term list —
-// each a varint entry delta followed by one float64 (or two when hasMin) —
-// without decoding the floats. This is the filtered-decode fast path: most
-// of a node's stored vocabulary is irrelevant to any one query group.
-func (d *Decoder) SkipPostings(cnt uint64, hasMin bool) {
-	floats := 8
-	if hasMin {
-		floats = 16
-	}
-	for j := uint64(0); j < cnt && d.err == nil; j++ {
-		d.Uvarint()
-		if d.off+floats > len(d.buf) {
-			d.err = fmt.Errorf("storage: truncated posting at offset %d", d.off)
-			return
-		}
-		d.off += floats
-	}
 }
 
 // Bytes reads n raw bytes and returns them as a copy.

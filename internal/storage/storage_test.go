@@ -32,6 +32,34 @@ func TestPagerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPagerReadRecordShares pins the zero-copy read of a memory-resident
+// record and the two facts that make it safe: WriteRecord keeps its own
+// copy of the caller's bytes, and a record's bytes never change after it
+// is written — not even when it is reclaimed and its slot is rewritten.
+func TestPagerReadRecordShares(t *testing.T) {
+	p := NewPager()
+	src := []byte("hello")
+	id := p.WriteRecord(src)
+	src[0] = 'j'
+	a, err := p.ReadRecord(id)
+	if err != nil || string(a) != "hello" {
+		t.Fatalf("record = %q, %v; want the bytes as written", a, err)
+	}
+	if b, _ := p.ReadRecord(id); &b[0] != &a[0] {
+		t.Fatal("two reads of a memory-resident record returned different copies")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.ReadRecord(id) }); allocs != 0 {
+		t.Fatalf("ReadRecord of a memory-resident record allocates %.0f times", allocs)
+	}
+	p.Reclaim([]PageID{id})
+	if reused := p.WriteRecord([]byte("world")); reused != id {
+		t.Fatalf("write after reclaim landed at %d, want the freed slot %d", reused, id)
+	}
+	if string(a) != "hello" {
+		t.Fatalf("a reader's record changed to %q when its slot was reused", a)
+	}
+}
+
 func TestPagerRecordPages(t *testing.T) {
 	p := NewPager()
 	tests := []struct {
@@ -130,6 +158,9 @@ func TestEncodingProperty(t *testing.T) {
 	f := func(vals []uint64, floats []float64) bool {
 		var buf []byte
 		for _, v := range vals {
+			if UvarintLen(v) != len(AppendUvarint(nil, v)) {
+				return false
+			}
 			buf = AppendUvarint(buf, v)
 		}
 		for _, fl := range floats {

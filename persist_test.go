@@ -167,6 +167,86 @@ func TestFormatFixture(t *testing.T) {
 	}
 }
 
+// TestWideNodesMatchWhenLoaded: at fanout 200 a leaf holds more than 128
+// entries, so posting deltas reach two bytes and the posting decoders
+// leave their one-byte fast paths for the general reader. A saved index
+// loaded all cold — an 8-record pool and no decoded cache, so every read
+// sums off the encoded bytes — must answer TopK and every MaxBRSTkNN
+// strategy exactly as the built one.
+func TestWideNodesMatchWhenLoaded(t *testing.T) {
+	rng := rand.New(rand.NewSource(200))
+	words := make([]string, 200)
+	for i := range words {
+		words[i] = fmt.Sprintf("w%03d", i)
+	}
+	pick := func() []string { return []string{words[rng.Intn(len(words))], words[rng.Intn(len(words))]} }
+	b := NewBuilder()
+	for i := 0; i < 1500; i++ {
+		b.AddObject(rng.Float64()*10, rng.Float64()*10, pick()...)
+	}
+	idx, err := b.Build(Options{Fanout: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := idx.snap.Load().tree
+	root, err := tree.ReadNode(tree.RootID())
+	if err != nil || root.Leaf {
+		t.Fatalf("root %+v, err %v: want an internal root", root, err)
+	}
+	widest := 0
+	for _, e := range root.Entries {
+		leaf, err := tree.ReadNode(e.Child)
+		if err != nil {
+			t.Fatal(err)
+		}
+		widest = max(widest, len(leaf.Entries))
+	}
+	if widest <= 128 {
+		t.Fatalf("widest leaf has %d entries; the test needs more than 128", widest)
+	}
+	loaded := reloaded(t, idx)
+
+	for i := 0; i < 20; i++ {
+		x, y, kws := rng.Float64()*10, rng.Float64()*10, pick()
+		want, err := idx.TopK(x, y, kws, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loaded.TopK(x, y, kws, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("TopK(%v): loaded %+v != built %+v", kws, got, want)
+		}
+	}
+	users := make([]UserSpec, 16)
+	for i := range users {
+		users[i] = UserSpec{X: rng.Float64() * 10, Y: rng.Float64() * 10, Keywords: pick()}
+	}
+	for _, strat := range []Strategy{Exact, Approx, Exhaustive, UserIndexed} {
+		req := Request{
+			Users:       users,
+			Locations:   [][2]float64{{2, 2}, {8, 8}, {5, 5}, {1, 9}},
+			Keywords:    append(pick(), pick()...),
+			MaxKeywords: 2,
+			K:           3,
+			Strategy:    strat,
+		}
+		want, err := idx.MaxBRSTkNN(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loaded.MaxBRSTkNN(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: loaded %+v != built %+v", strat, got, want)
+		}
+	}
+}
+
 // TestLoadedIndexPhysicalReads checks the real-I/O ledger: a cold-loaded
 // index reports physical page reads, and a warm buffer pool absorbs
 // repeat traffic.
