@@ -134,14 +134,16 @@ lint-external:
 
 # Bounded fuzz smoke: each codec fuzzer runs briefly (Go allows one
 # -fuzz target per invocation). The seeds assert decode↔encode fixpoints,
-# streaming-vs-decoded sum agreement, that the one-pass entry merge
-# equals a rebuild of the file and that an accepted node record re-encodes
-# to itself; the committed testdata corpora replay past
+# streaming-vs-decoded sum agreement, that the byte splice of one entry
+# and the aggregate read off a record equal their decoded-file references
+# (and fail exactly when decoding does), and that an accepted node record
+# re-encodes to itself; the committed testdata corpora replay past
 # crashers as regression tests on every plain `go test` too.
 fuzz-smoke:
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecodeSumsInto$$' -fuzztime 10s
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzReplaceEntry$$' -fuzztime 10s
+	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s
 	$(GO) test ./internal/irtree/ -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime 10s
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz '^FuzzDecodeMaster$$' -fuzztime 10s
 

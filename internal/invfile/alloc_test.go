@@ -81,3 +81,35 @@ func TestScratchVariantsMatchAllocatingPaths(t *testing.T) {
 		compareSums(t, "min", gotMin, wantMin)
 	}
 }
+
+// TestReplaceEntryOneAllocation pins the write path's splice at its one
+// allocation, the returned record: the header is written into a reserved
+// prefix, not prepended by a second copy, and the capacity bound holds.
+func TestReplaceEntryOneAllocation(t *testing.T) {
+	buf, _, _, _, _, _ := allocFixture()
+	agg := []EntryWeight{{Term: 1, MaxW: 2, MinW: 1}, {Term: 7, MaxW: 3}, {Term: 40, MaxW: 1, MinW: 0.5}}
+	for _, entry := range []int32{0, 5, 16} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ReplaceEntry(buf, entry, agg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("ReplaceEntry at entry %d allocates %.1f times, want 1", entry, allocs)
+		}
+	}
+}
+
+// TestAggregateOneAllocation: Aggregate allocates only the slice it
+// returns.
+func TestAggregateOneAllocation(t *testing.T) {
+	buf, _, nEntries, _, _, _ := allocFixture()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Aggregate(buf, nEntries); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Aggregate allocates %.1f times, want 1", allocs)
+	}
+}

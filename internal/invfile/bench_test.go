@@ -11,13 +11,18 @@ import (
 // benchShapes are the min-max posting files a cold three-keyword read
 // meets on topk-ingest's index (20,000 generated objects, fanout 32, a
 // 3,333-term vocabulary): the root's, which never fits a decoded-cache
-// shard and is summed off its bytes on every read, and a typical leaf's.
+// shard and is summed off its bytes on every read, a typical level-1
+// node's and a typical leaf's. aggTerms is the size of the aggregate a
+// mutation splices into such a file: a level-1 child's for the root, a
+// leaf's for level 1, one object's for a leaf.
 var benchShapes = []struct {
 	name                     string
 	entries, terms, postings int
+	aggTerms                 int
 }{
-	{"root", 20, 3252, 22477},
-	{"leaf", 32, 107, 220},
+	{"root", 20, 3252, 22477, 1500},
+	{"level1", 32, 1500, 3400, 107},
+	{"leaf", 32, 107, 220, 5},
 }
 
 // benchFile builds a synthetic file of the given shape: distinct term ids
@@ -81,6 +86,55 @@ func BenchmarkDecode(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				if _, err := Decode(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchAggregate draws an aggregate of n distinct terms from the same
+// 3,333-term vocabulary as benchFile.
+func benchAggregate(n int) []EntryWeight {
+	rng := rand.New(rand.NewSource(2))
+	ids := rng.Perm(3333)[:n]
+	slices.Sort(ids)
+	agg := make([]EntryWeight, n)
+	for i, id := range ids {
+		agg[i] = EntryWeight{Term: vocab.TermID(id), MaxW: rng.Float64(), MinW: rng.Float64() / 2}
+	}
+	return agg
+}
+
+// BenchmarkReplaceEntry is a mutation's edit of one file on its path:
+// the postings of a middle entry replaced by a child's new aggregate,
+// spliced into the encoded record.
+func BenchmarkReplaceEntry(b *testing.B) {
+	for _, s := range benchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			buf := benchFile(s.entries, s.terms, s.postings).Encode(true)
+			agg := benchAggregate(s.aggTerms)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := ReplaceEntry(buf, int32(s.entries/2), agg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAggregate is a mutation's read of a rewritten child: the
+// aggregate its parent stores for it, off the encoded record.
+func BenchmarkAggregate(b *testing.B) {
+	for _, s := range benchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			buf := benchFile(s.entries, s.terms, s.postings).Encode(true)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Aggregate(buf, s.entries); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,6 +32,14 @@
 // a longer delta, a varint past two bytes, a truncated or corrupt buffer —
 // goes to storage.Decoder, the general reader, so every input decodes, or
 // fails, exactly as it would without the fast paths.
+//
+// The same kernel serves the write path. A copy-on-write mutation keeps
+// the files it rewrites encoded: ReplaceEntry splices one entry's postings
+// into a record, copying every run the edit does not touch as bytes, and
+// Aggregate reads a child's aggregate off its record at the posting
+// stride. Both accept and reject exactly the buffers Decode does, and
+// ReplaceEntry returns exactly the bytes Encode would for the edited
+// decoded file.
 package invfile
 
 import (
@@ -147,57 +155,11 @@ func (f *File) push(t vocab.TermID, p Posting) {
 }
 
 // EntryWeight is one term of a child entry's subtree aggregate: the
-// weights ReplaceEntry stores for that entry under Term.
+// weights ReplaceEntry stores for that entry under Term, and what
+// Aggregate derives for a whole file.
 type EntryWeight struct {
 	Term       vocab.TermID
 	MaxW, MinW float64
-}
-
-// ReplaceEntry returns a new file whose postings for entry are exactly agg
-// (strictly ascending in Term) and whose other postings are the receiver's:
-// one merge of the two ordered inputs, so replacing one child's aggregate
-// in a parent costs a pass over the file and no sort. A term left without
-// postings disappears. A receiver with nothing pending, such as a shared
-// cached file, is not modified.
-func (f *File) ReplaceEntry(entry int32, agg []EntryWeight) *File {
-	f.freeze()
-	g := &File{
-		terms:    make([]vocab.TermID, 0, len(f.terms)+len(agg)),
-		starts:   make([]int32, 0, len(f.terms)+len(agg)+1),
-		postings: make([]Posting, 0, len(f.postings)+len(agg)),
-	}
-	ti, ai := 0, 0
-	for ti < len(f.terms) || ai < len(agg) {
-		// The next term is the smaller head of the two inputs, or both.
-		fromFile := ai == len(agg) || ti < len(f.terms) && f.terms[ti] <= agg[ai].Term
-		fromAgg := ti == len(f.terms) || ai < len(agg) && agg[ai].Term <= f.terms[ti]
-		var t vocab.TermID
-		var ps []Posting
-		if fromFile {
-			t, ps = f.terms[ti], f.postings[f.starts[ti]:f.starts[ti+1]]
-			ti++
-		}
-		begin := len(g.postings)
-		lo, _ := slices.BinarySearchFunc(ps, entry, func(p Posting, e int32) int { return cmp.Compare(p.Entry, e) })
-		g.postings = append(g.postings, ps[:lo]...)
-		if fromAgg {
-			t = agg[ai].Term
-			g.postings = append(g.postings, Posting{Entry: entry, MaxW: agg[ai].MaxW, MinW: agg[ai].MinW})
-			ai++
-		}
-		for lo < len(ps) && ps[lo].Entry == entry {
-			lo++
-		}
-		g.postings = append(g.postings, ps[lo:]...)
-		if len(g.postings) > begin {
-			g.terms = append(g.terms, t)
-			g.starts = append(g.starts, int32(begin))
-		}
-	}
-	if len(g.terms) > 0 {
-		g.starts = append(g.starts, int32(len(g.postings)))
-	}
-	return g
 }
 
 // termIndex returns the position of t in the sorted term slice, or -1.
@@ -220,12 +182,6 @@ func (f *File) Postings(t vocab.TermID) []Posting {
 	return f.postings[f.starts[i]:f.starts[i+1]:f.starts[i+1]]
 }
 
-// NumTerms returns the number of distinct terms in the file.
-func (f *File) NumTerms() int {
-	f.freeze()
-	return len(f.terms)
-}
-
 // NumPostings returns the total number of postings across all terms.
 func (f *File) NumPostings() int {
 	f.freeze()
@@ -239,16 +195,6 @@ func (f *File) NumPostings() int {
 func (f *File) Terms() []vocab.TermID {
 	f.freeze()
 	return f.terms
-}
-
-// ForEach visits every (term, postings) pair in ascending term order. The
-// postings slice passed to fn follows the same aliasing contract as
-// Postings.
-func (f *File) ForEach(fn func(t vocab.TermID, ps []Posting)) {
-	f.freeze()
-	for i, t := range f.terms {
-		fn(t, f.postings[f.starts[i]:f.starts[i+1]:f.starts[i+1]])
-	}
 }
 
 // MemBytes approximates the resident size of the decoded file — the
@@ -355,13 +301,6 @@ func Decode(buf []byte) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each stored term costs at least two encoded bytes (id and count
-	// varints), so a count beyond len(buf)/2 can only come from a corrupt
-	// buffer — reject it before sizing allocations from it (data pages
-	// are not checksummed; decode must fail, not panic or overallocate).
-	if n > uint64(len(buf))/2 {
-		return nil, fmt.Errorf("invfile: term count %d exceeds %d-byte buffer", n, len(buf))
-	}
 	f := &File{}
 	if n > 0 {
 		f.terms = make([]vocab.TermID, 0, n)
@@ -375,12 +314,6 @@ func Decode(buf []byte) (*File, error) {
 		var cnt uint64
 		if t, cnt, off, err = readTermHeader(buf, off, hasMin, i, t); err != nil {
 			return nil, err
-		}
-		if cnt == 0 {
-			// No encoder emits a posting-less term (terms exist only by
-			// Add'ing a posting); accepting one here would let a decoded
-			// file re-encode into forms other paths reject.
-			return nil, fmt.Errorf("invfile: term %d with no postings", t)
 		}
 		f.terms = append(f.terms, t)
 		f.starts = append(f.starts, int32(len(f.postings)))
@@ -560,6 +493,264 @@ func DecodeSumsInto(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID,
 	return maxSums, minSums, nil
 }
 
+// ---- copy-on-write edits of encoded files ----
+
+// headerRoom is the prefix ReplaceEntry reserves for the record header it
+// writes last: a one-byte version and a term count of up to ten bytes.
+const headerRoom = 1 + binary.MaxVarintLen64
+
+// ReplaceEntry returns a copy of the encoded file buf in which the
+// postings of entry are exactly agg (strictly ascending in Term), in buf's
+// record version. A stored term whose postings were all entry's
+// disappears, duplicates included; a term of agg the file lacks is
+// inserted with its one posting. The result is byte for byte the encoding
+// of the decoded file with that entry replaced, and every buffer Decode
+// rejects is rejected here; buf itself is only read.
+//
+// The file is edited as bytes, in one pass and one allocation. A term not
+// in agg without a posting for entry whose deltas are all one byte is
+// copied verbatim behind its re-encoded header. In a touched run of such
+// postings the ones before entry are copied, the new posting is written,
+// and only the delta of the first posting after entry is re-encoded
+// before the rest is copied. A run holding a longer delta is decoded
+// posting by posting and re-encoded. The term count is written last, into
+// a reserved prefix.
+func ReplaceEntry(buf []byte, entry int32, agg []EntryWeight) ([]byte, error) {
+	hasMin, n, off, err := readHeader(buf)
+	if err != nil {
+		return nil, err
+	}
+	// The edit never outgrows buf by more than agg's postings: a dropped
+	// posting frees at least a stride, more than re-encoding the delta
+	// after it can add, and a term header re-encodes no longer than it was
+	// stored. Each term of agg adds at most a term header or one count
+	// byte, its posting, and (only for a negative entry) a longer delta
+	// after it.
+	weights := postingStride(hasMin) - 1
+	size := headerRoom + len(buf)
+	for _, a := range agg {
+		size += storage.UvarintLen(uint64(a.Term)) + 1 + 2*storage.UvarintLen(uint64(entry)) + weights
+	}
+	out := make([]byte, headerRoom, size)
+
+	terms := uint64(0)
+	ai := 0
+	t := vocab.TermID(0)
+	for i := uint64(0); i < n; i++ {
+		var cnt uint64
+		if t, cnt, off, err = readTermHeader(buf, off, hasMin, i, t); err != nil {
+			return nil, err
+		}
+		for ; ai < len(agg) && agg[ai].Term < t; ai++ {
+			out = appendTerm(out, agg[ai].Term, 1)
+			out = appendPosting(out, entry, agg[ai], hasMin)
+			terms++
+		}
+		var a *EntryWeight
+		if ai < len(agg) && agg[ai].Term == t {
+			a = &agg[ai]
+			ai++
+		}
+		kept := false
+		if out, off, kept, err = spliceRun(out, buf, off, cnt, t, entry, a, hasMin); err != nil {
+			return nil, err
+		}
+		if kept {
+			terms++
+		}
+	}
+	for ; ai < len(agg); ai++ {
+		out = appendTerm(out, agg[ai].Term, 1)
+		out = appendPosting(out, entry, agg[ai], hasMin)
+		terms++
+	}
+
+	version := uint64(versionMaxOnly)
+	if hasMin {
+		version = versionMinMax
+	}
+	start := headerRoom - storage.UvarintLen(version) - storage.UvarintLen(terms)
+	storage.AppendUvarint(storage.AppendUvarint(out[start:start], version), terms)
+	return out[start:], nil
+}
+
+// spliceRun appends to out term t's run of cnt postings at buf[off:],
+// edited as ReplaceEntry defines: entry's postings replaced by a's weights,
+// or dropped when a is nil. It returns the offset past the run and whether
+// the term kept any posting (a term left with none writes nothing).
+func spliceRun(out, buf []byte, off int, cnt uint64, t vocab.TermID, entry int32, a *EntryWeight, hasMin bool) ([]byte, int, bool, error) {
+	stride := postingStride(hasMin)
+	c := int(cnt)
+	end := off + c*stride
+	if cnt > maxOneByteRun {
+		return spliceDecoded(out, buf, off, cnt, t, entry, a, hasMin)
+	}
+	// One pass over the delta bytes: lo is the first posting at or past
+	// entry and prev the entry before it, hi the first posting past entry.
+	j, e := 0, int32(0)
+	for ; j < c && buf[off+j*stride] < 0x80 && e+int32(buf[off+j*stride]) < entry; j++ {
+		e += int32(buf[off+j*stride])
+	}
+	lo, prev := j, e
+	for ; j < c && buf[off+j*stride] < 0x80 && e+int32(buf[off+j*stride]) == entry; j++ {
+		e = entry
+	}
+	hi, hiEntry := j, int32(0)
+	if hi < c {
+		hiEntry = e + int32(buf[off+hi*stride])
+		if !oneByteDeltas(buf[off+hi*stride:end], stride) {
+			return spliceDecoded(out, buf, off, cnt, t, entry, a, hasMin)
+		}
+	}
+	kept := c - (hi - lo)
+	if a != nil {
+		kept++
+	}
+	if kept == 0 {
+		return out, end, false, nil
+	}
+	out = appendTerm(out, t, kept)
+	if a == nil && hi == lo { // untouched
+		return append(out, buf[off:end]...), end, true, nil
+	}
+	out = append(out, buf[off:off+lo*stride]...)
+	last := prev
+	if a != nil {
+		out = appendPosting(out, entry-prev, *a, hasMin)
+		last = entry
+	}
+	if hi < c {
+		p := off + hi*stride
+		out = storage.AppendUvarint(out, uint64(hiEntry-last))
+		out = append(out, buf[p+1:end]...)
+	}
+	return out, end, true, nil
+}
+
+// spliceDecoded is spliceRun for a run the one-byte pass cannot take: a
+// first pass decodes it through readPosting, validating it and counting
+// entry's postings, and a second re-encodes it with the edit applied.
+func spliceDecoded(out, buf []byte, off int, cnt uint64, t vocab.TermID, entry int32, a *EntryWeight, hasMin bool) ([]byte, int, bool, error) {
+	kept := int(cnt)
+	if a != nil {
+		kept++
+	}
+	p, e := off, int32(0)
+	for j := uint64(0); j < cnt; j++ {
+		var q Posting
+		var err error
+		if q, p, err = readPosting(buf, p, e, hasMin); err != nil {
+			return nil, off, false, err
+		}
+		e = q.Entry
+		if e == entry {
+			kept--
+		}
+	}
+	end := p
+	if kept == 0 {
+		return out, end, false, nil
+	}
+	out = appendTerm(out, t, kept)
+	weights := postingStride(hasMin) - 1
+	p, e = off, 0
+	last, pending := int32(0), a != nil
+	for j := uint64(0); j < cnt; j++ {
+		q, next, _ := readPosting(buf, p, e, hasMin)
+		p, e = next, q.Entry
+		if pending && e >= entry {
+			out = appendPosting(out, entry-last, *a, hasMin)
+			last, pending = entry, false
+		}
+		if e == entry {
+			continue
+		}
+		out = storage.AppendUvarint(out, uint64(e-last))
+		out = append(out, buf[p-weights:p]...)
+		last = e
+	}
+	if pending {
+		out = appendPosting(out, entry-last, *a, hasMin)
+	}
+	return out, end, true, nil
+}
+
+// appendTerm appends a term header: the term id and its posting count.
+func appendTerm(out []byte, t vocab.TermID, cnt int) []byte {
+	return storage.AppendUvarint(storage.AppendUvarint(out, uint64(t)), uint64(cnt))
+}
+
+// appendPosting appends one posting of weights a, its entry delta-coded
+// as delta.
+func appendPosting(out []byte, delta int32, a EntryWeight, hasMin bool) []byte {
+	out = storage.AppendFloat64(storage.AppendUvarint(out, uint64(delta)), a.MaxW)
+	if hasMin {
+		out = storage.AppendFloat64(out, a.MinW)
+	}
+	return out
+}
+
+// Aggregate derives the subtree aggregate a node's parent stores for it
+// from the node's encoded inverted file buf, in one pass: per stored term,
+// ascending, the largest MaxW of its postings (never below zero) and,
+// when the term is covered — it has nEntries postings, each with a
+// positive MinW — the smallest MinW, otherwise zero. Every buffer Decode
+// rejects is rejected. A run whose deltas are all one byte is read at its
+// stride without decoding the deltas.
+func Aggregate(buf []byte, nEntries int) ([]EntryWeight, error) {
+	hasMin, n, off, err := readHeader(buf)
+	if err != nil {
+		return nil, err
+	}
+	stride := postingStride(hasMin)
+	agg := make([]EntryWeight, 0, n)
+	t := vocab.TermID(0)
+	for i := uint64(0); i < n; i++ {
+		var cnt uint64
+		if t, cnt, off, err = readTermHeader(buf, off, hasMin, i, t); err != nil {
+			return nil, err
+		}
+		maxW, minW, covered := 0.0, math.Inf(1), cnt == uint64(nEntries)
+		if end := off + int(cnt)*stride; cnt <= maxOneByteRun && oneByteDeltas(buf[off:end], stride) {
+			for ; off < end; off += stride {
+				pMax, pMin := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+1:])), 0.0
+				if hasMin {
+					pMin = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+9:]))
+				}
+				maxW, minW, covered = foldPosting(maxW, minW, covered, pMax, pMin)
+			}
+		} else {
+			e := int32(0)
+			for j := uint64(0); j < cnt; j++ {
+				var p Posting
+				if p, off, err = readPosting(buf, off, e, hasMin); err != nil {
+					return nil, err
+				}
+				e = p.Entry
+				maxW, minW, covered = foldPosting(maxW, minW, covered, p.MaxW, p.MinW)
+			}
+		}
+		if !covered {
+			minW = 0
+		}
+		agg = append(agg, EntryWeight{Term: t, MaxW: maxW, MinW: minW})
+	}
+	return agg, nil
+}
+
+// foldPosting folds one posting's weights into a term's aggregate: the
+// running maximum and minimum and whether every minimum so far was
+// positive. NaN weights never win a comparison, nor fail the minimum.
+func foldPosting(maxW, minW float64, covered bool, pMax, pMin float64) (float64, float64, bool) {
+	if pMax > maxW {
+		maxW = pMax
+	}
+	if pMin < minW {
+		minW = pMin
+	}
+	return maxW, minW, covered && !(pMin <= 0)
+}
+
 // ---- the in-place posting kernel (see the package comment) ----
 
 // postingStride is the encoded size of a posting whose entry delta is one
@@ -574,7 +765,11 @@ func postingStride(hasMin bool) int {
 
 // readHeader reads an encoded file's version and term count and returns
 // whether its postings carry minimum weights, the term count, and the
-// offset of the first term.
+// offset of the first term. Each stored term costs at least two encoded
+// bytes (id and count varints), so a count beyond len(buf)/2 can only
+// come from a corrupt buffer: it is rejected here, before a reader sizes
+// an allocation from it (data pages are not checksummed; decoding must
+// fail, not panic or overallocate).
 func readHeader(buf []byte) (hasMin bool, n uint64, off int, err error) {
 	version, off, err := readUvarint(buf, 0)
 	if err != nil {
@@ -583,18 +778,25 @@ func readHeader(buf []byte) (hasMin bool, n uint64, off int, err error) {
 	if err := checkVersion(version); err != nil {
 		return false, 0, off, err
 	}
-	n, off, err = readUvarint(buf, off)
-	return version == versionMinMax, n, off, err
+	if n, off, err = readUvarint(buf, off); err != nil {
+		return false, 0, off, err
+	}
+	if n > uint64(len(buf))/2 {
+		return false, 0, off, fmt.Errorf("invfile: term count %d exceeds %d-byte buffer", n, len(buf))
+	}
+	return version == versionMinMax, n, off, nil
 }
 
 // readTermHeader reads the header of the file's i-th term at buf[off:], its
 // id and posting count, and returns the offset of the term's first
-// posting. Two corrupt forms are rejected here, before any loop is bounded
-// by them: a count the remaining bytes cannot hold at one stride per
-// posting, and a term not above prev, the one stored before it. Encode
-// writes terms strictly ascending; DecodeSumsInto's cursors over the query
-// terms, and its agreement with SumsInto over the decoded file, need that
-// order.
+// posting. Three corrupt forms are rejected here, before any loop is
+// bounded by them: a count the remaining bytes cannot hold at one stride
+// per posting; a term not above prev, the one stored before it; and a term
+// without postings. Encode writes terms strictly ascending, and
+// DecodeSumsInto's cursors over the query terms, and its agreement with
+// SumsInto over the decoded file, need that order. No encoder emits a
+// posting-less term (terms exist only by Add'ing a posting); accepting one
+// would let a decoded file re-encode into forms other paths reject.
 func readTermHeader(buf []byte, off int, hasMin bool, i uint64, prev vocab.TermID) (t vocab.TermID, cnt uint64, next int, err error) {
 	id, off, err := readUvarint(buf, off)
 	if err != nil {
@@ -614,6 +816,9 @@ func readTermHeader(buf []byte, off int, hasMin bool, i uint64, prev vocab.TermI
 	}
 	if cnt > uint64(maxCnt) {
 		return 0, 0, off, fmt.Errorf("invfile: term %d claims %d postings in %d remaining bytes", t, cnt, rest)
+	}
+	if cnt == 0 {
+		return 0, 0, off, fmt.Errorf("invfile: term %d with no postings", t)
 	}
 	return t, cnt, off, nil
 }
@@ -692,6 +897,12 @@ func skipRun(buf []byte, off int, cnt uint64, hasMin bool) (int, error) {
 	}
 	return len(buf) - d.Remaining(), nil
 }
+
+// maxOneByteRun bounds the runs the one-byte paths of ReplaceEntry and
+// Aggregate take: the deltas of such a run sum to at most 0x7f per
+// posting, so none of its entries can pass maxEntry, and readPosting would
+// take its own one-byte path for every posting of it.
+const maxOneByteRun = maxEntry / 0x7f
 
 // oneByteDeltas reports whether every stride-th byte of run, from the
 // first, is below 0x80: whether run read as postings of that stride has

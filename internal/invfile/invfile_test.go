@@ -15,8 +15,8 @@ func TestFileAddPostings(t *testing.T) {
 	f.Add(3, Posting{Entry: 2, MaxW: 0.7, MinW: 0})
 	f.Add(1, Posting{Entry: 1, MaxW: 0.2, MinW: 0.2})
 
-	if f.NumTerms() != 2 {
-		t.Errorf("NumTerms = %d, want 2", f.NumTerms())
+	if len(f.Terms()) != 2 {
+		t.Errorf("%d terms, want 2", len(f.Terms()))
 	}
 	if got := f.Postings(3); len(got) != 2 {
 		t.Errorf("postings(3) = %v", got)
@@ -41,8 +41,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumTerms() != f.NumTerms() {
-		t.Fatalf("NumTerms = %d, want %d", got.NumTerms(), f.NumTerms())
+	if len(got.Terms()) != len(f.Terms()) {
+		t.Fatalf("%d terms, want %d", len(got.Terms()), len(f.Terms()))
 	}
 	for _, tm := range f.Terms() {
 		want := f.Postings(tm)
@@ -111,21 +111,20 @@ func TestEmptyFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumTerms() != 0 {
-		t.Errorf("NumTerms = %d, want 0", got.NumTerms())
+	if len(got.Terms()) != 0 {
+		t.Errorf("%d terms, want 0", len(got.Terms()))
 	}
 }
 
-func TestForEachOrder(t *testing.T) {
+func TestTermsOrder(t *testing.T) {
 	f := New()
 	for _, tm := range []vocab.TermID{7, 3, 9, 1} {
 		f.Add(tm, Posting{Entry: 0, MaxW: 1})
 	}
-	var order []vocab.TermID
-	f.ForEach(func(tm vocab.TermID, _ []Posting) { order = append(order, tm) })
+	order := f.Terms()
 	for i := 1; i < len(order); i++ {
 		if order[i-1] >= order[i] {
-			t.Fatalf("ForEach order not ascending: %v", order)
+			t.Fatalf("Terms order not ascending: %v", order)
 		}
 	}
 }
@@ -156,7 +155,7 @@ func TestRoundTripRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if got.NumTerms() != f.NumTerms() {
+		if len(got.Terms()) != len(f.Terms()) {
 			t.Fatalf("trial %d: term count mismatch", trial)
 		}
 		for _, tm := range f.Terms() {

@@ -2,6 +2,7 @@ package invfile
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,43 +10,54 @@ import (
 	"repro/internal/vocab"
 )
 
-// replaceEntryReference is the body ReplaceEntry replaced: re-Add every
-// posting of the file except the entry's, Add the aggregate, and leave
-// the ordering to freeze.
+// replaceEntryReference is the oracle ReplaceEntry's bytes are held to:
+// re-Add every posting of the file except the entry's, Add the aggregate,
+// and leave the ordering to freeze.
 func replaceEntryReference(f *File, entry int32, agg []EntryWeight) *File {
 	rebuilt := New()
-	f.ForEach(func(tm vocab.TermID, ps []Posting) {
-		for _, p := range ps {
+	for _, tm := range f.Terms() {
+		for _, p := range f.Postings(tm) {
 			if p.Entry != entry {
 				rebuilt.Add(tm, p)
 			}
 		}
-	})
+	}
 	for _, a := range agg {
 		rebuilt.Add(a.Term, Posting{Entry: entry, MaxW: a.MaxW, MinW: a.MinW})
 	}
 	return rebuilt
 }
 
-// checkReplaceEntry requires ReplaceEntry to encode to the reference's
-// bytes in both record versions and to leave its receiver as it was.
-func checkReplaceEntry(t *testing.T, f *File, entry int32, agg []EntryWeight) {
+// checkReplaceEntry requires ReplaceEntry on buf to fail exactly when
+// Decode does, and otherwise to return the reference's encoding in buf's
+// record version, leaving buf as it was.
+func checkReplaceEntry(t *testing.T, buf []byte, entry int32, agg []EntryWeight) []byte {
 	t.Helper()
-	before := f.Encode(true)
-	got := f.ReplaceEntry(entry, agg)
-	want := replaceEntryReference(f, entry, agg)
-	for _, includeMin := range []bool{true, false} {
-		if !bytes.Equal(got.Encode(includeMin), want.Encode(includeMin)) {
-			t.Fatalf("ReplaceEntry(%d, %v) (min %v): bytes differ from the rebuild-through-Add reference", entry, agg, includeMin)
-		}
+	before := bytes.Clone(buf)
+	got, err := ReplaceEntry(buf, entry, agg)
+	f, derr := Decode(buf)
+	if (err == nil) != (derr == nil) {
+		t.Fatalf("ReplaceEntry error %v, Decode error %v: want both or neither", err, derr)
 	}
-	if got.NumTerms() != want.NumTerms() || got.NumPostings() != want.NumPostings() || got.MemBytes() != want.MemBytes() {
-		t.Fatalf("ReplaceEntry(%d, %v): %d terms %d postings %d bytes, want %d %d %d", entry, agg,
-			got.NumTerms(), got.NumPostings(), got.MemBytes(), want.NumTerms(), want.NumPostings(), want.MemBytes())
+	if derr != nil {
+		return nil
 	}
-	if !bytes.Equal(f.Encode(true), before) {
-		t.Fatalf("ReplaceEntry(%d, %v) modified its receiver", entry, agg)
+	hasMin, _, _, _ := readHeader(buf)
+	if want := replaceEntryReference(f, entry, agg).Encode(hasMin); !bytes.Equal(got, want) {
+		t.Fatalf("ReplaceEntry(%d, %v) (min %v): bytes differ from the rebuild-through-Add reference\n got %x\nwant %x", entry, agg, hasMin, got, want)
 	}
+	if !bytes.Equal(buf, before) {
+		t.Fatalf("ReplaceEntry(%d, %v) modified its input", entry, agg)
+	}
+	return got
+}
+
+// checkReplaceEntryFile runs checkReplaceEntry on f in both record
+// versions and returns the min-max result.
+func checkReplaceEntryFile(t *testing.T, f *File, entry int32, agg []EntryWeight) []byte {
+	t.Helper()
+	checkReplaceEntry(t, f.Encode(false), entry, agg)
+	return checkReplaceEntry(t, f.Encode(true), entry, agg)
 }
 
 func TestReplaceEntryNamedCases(t *testing.T) {
@@ -58,11 +70,24 @@ func TestReplaceEntryNamedCases(t *testing.T) {
 		f.Add(20, Posting{Entry: 1, MaxW: 4, MinW: 4})
 		f.Add(30, Posting{Entry: 0, MaxW: 5, MinW: 0})
 		f.Add(30, Posting{Entry: 2, MaxW: 6, MinW: 1})
-		decoded, err := Decode(f.Encode(true))
-		if err != nil {
-			t.Fatal(err)
+		return f
+	}
+	// Entries 0, 1, 130 and 300 under term 10: deltas of two bytes, so
+	// the run is re-encoded posting by posting.
+	wide := func() *File {
+		f := file()
+		f.Add(10, Posting{Entry: 130, MaxW: 7, MinW: 0.5})
+		f.Add(10, Posting{Entry: 300, MaxW: 8, MinW: 0.5})
+		return f
+	}
+	// Term 40 holds entries 3, 100 and 200: one-byte deltas, but dropping
+	// 100 leaves a delta of 197, two bytes.
+	grow := func() *File {
+		f := file()
+		for _, e := range []int32{3, 100, 200} {
+			f.Add(40, Posting{Entry: e, MaxW: 1, MinW: 1})
 		}
-		return decoded
+		return f
 	}
 	w := func(tm vocab.TermID) EntryWeight { return EntryWeight{Term: tm, MaxW: 9, MinW: 0.125} }
 	cases := []struct {
@@ -70,7 +95,7 @@ func TestReplaceEntryNamedCases(t *testing.T) {
 		f     *File
 		entry int32
 		agg   []EntryWeight
-		terms int // NumTerms of the result
+		terms int // terms of the result
 	}{
 		{"same terms", file(), 1, []EntryWeight{w(10), w(20)}, 3},
 		{"entry absent from the file", file(), 7, []EntryWeight{w(10), w(30)}, 3},
@@ -81,12 +106,23 @@ func TestReplaceEntryNamedCases(t *testing.T) {
 		{"empty aggregate, entry absent", file(), 9, nil, 3},
 		{"empty file", New(), 0, []EntryWeight{w(1), w(2)}, 2},
 		{"empty file, empty aggregate", New(), 0, nil, 0},
+		{"negative entry", file(), -1, []EntryWeight{w(10), w(40)}, 4},
+		{"two-byte delta after a dropped posting", wide(), 1, nil, 2},
+		{"two-byte deltas around a new posting", wide(), 200, []EntryWeight{w(10)}, 3},
+		{"one-byte delta grows to two", grow(), 100, nil, 4},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			checkReplaceEntry(t, c.f, c.entry, c.agg)
-			if got := c.f.ReplaceEntry(c.entry, c.agg).NumTerms(); got != c.terms {
-				t.Fatalf("NumTerms = %d, want %d", got, c.terms)
+			got := checkReplaceEntryFile(t, c.f, c.entry, c.agg)
+			if c.entry < 0 {
+				return // the reference encodes it; no decoder accepts it
+			}
+			f, err := Decode(got)
+			if err != nil {
+				t.Fatalf("result does not decode: %v", err)
+			}
+			if len(f.Terms()) != c.terms {
+				t.Fatalf("result has terms %v, want %d of them", f.Terms(), c.terms)
 			}
 		})
 	}
@@ -112,52 +148,49 @@ func TestReplaceEntryMatchesRebuildRandomized(t *testing.T) {
 		// aggregate brings terms before, between and after the file's.
 		const universe = 40
 		entries := 1 + rng.Intn(12)
+		wide := round%3 == 0 // a sparse node past 128 entries: one- and two-byte deltas
+		if wide {
+			entries = 130 + rng.Intn(400)
+		}
 		f := New()
 		for tm := 4; tm < universe-4; tm++ {
 			if rng.Intn(2) == 0 {
 				continue
 			}
 			for e := 0; e < entries; e++ {
-				if rng.Intn(3) != 0 {
+				if wide && rng.Intn(40) == 0 || !wide && rng.Intn(3) != 0 {
 					f.Add(vocab.TermID(tm), Posting{Entry: int32(e), MaxW: rng.Float64(), MinW: rng.Float64() / 2})
 				}
 			}
 		}
-		if round%2 == 0 { // a decoded file and a built one take the same path
-			var err error
-			if f, err = Decode(f.Encode(true)); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for i := 0; i < 4; i++ {
 			entry := int32(rng.Intn(entries + 2)) // past the last one: absent
-			checkReplaceEntry(t, f, entry, randomAggregate(rng, universe))
+			checkReplaceEntryFile(t, f, entry, randomAggregate(rng, universe))
 		}
-		checkReplaceEntry(t, f, int32(rng.Intn(entries)), nil)
+		checkReplaceEntryFile(t, f, int32(rng.Intn(entries)), nil)
 	}
 }
 
-// FuzzReplaceEntry: on every buffer that decodes, for any entry and any
-// strictly ascending aggregate, ReplaceEntry equals the
-// rebuild-through-Add reference, duplicate (term, entry) postings of a
-// foreign file included.
+// FuzzReplaceEntry: on every input, for any entry and any strictly
+// ascending aggregate, ReplaceEntry fails exactly when Decode does and
+// otherwise returns the bytes of the rebuild-through-Add reference,
+// duplicate (term, entry) postings of a foreign file included.
 func FuzzReplaceEntry(f *testing.F) {
 	for i, sf := range fuzzSeedFiles() {
 		f.Add(sf.Encode(true), uint16(i), []byte{1, 40, 8, 3, 16, 0, 200, 7, 7})
 		f.Add(sf.Encode(false), uint16(5), []byte{})
 	}
+	for i, buf := range fuzzSeedBuffers() {
+		f.Add(buf, uint16(128+i), []byte{4, 1, 1, 0, 2, 2})
+	}
 	f.Fuzz(func(t *testing.T, buf []byte, entry uint16, seed []byte) {
-		file, err := Decode(buf)
-		if err != nil {
-			return
-		}
 		var agg []EntryWeight
 		tm := vocab.TermID(-1)
 		for ; len(seed) >= 3; seed = seed[3:] {
 			tm += 1 + vocab.TermID(seed[0])
 			agg = append(agg, EntryWeight{Term: tm, MaxW: float64(seed[1]) / 16, MinW: float64(seed[2]) / 32})
 		}
-		checkReplaceEntry(t, file, int32(entry), agg)
+		checkReplaceEntry(t, buf, int32(entry), agg)
 	})
 }
 
@@ -183,11 +216,11 @@ func TestFreezeMergesPendingLikeFullSort(t *testing.T) {
 		p    Posting
 	}
 	var all []tp
-	f.ForEach(func(tm vocab.TermID, ps []Posting) {
-		for _, p := range ps {
+	for _, tm := range f.Terms() {
+		for _, p := range f.Postings(tm) {
 			all = append(all, tp{tm, p})
 		}
-	})
+	}
 	flat := len(all)
 	existing := all[flat/2]
 	adds := []tp{
@@ -219,7 +252,8 @@ func TestFreezeMergesPendingLikeFullSort(t *testing.T) {
 	}
 	i := 0
 	prev := vocab.TermID(-1)
-	f.ForEach(func(tm vocab.TermID, ps []Posting) {
+	for _, tm := range f.Terms() {
+		ps := f.Postings(tm)
 		if tm <= prev || len(ps) == 0 {
 			t.Fatalf("term %d after %d with %d postings", tm, prev, len(ps))
 		}
@@ -230,7 +264,7 @@ func TestFreezeMergesPendingLikeFullSort(t *testing.T) {
 			}
 			i++
 		}
-	})
+	}
 	// The merged file is canonical: it survives a round trip unchanged.
 	back, err := Decode(f.Encode(true))
 	if err != nil {
@@ -239,4 +273,93 @@ func TestFreezeMergesPendingLikeFullSort(t *testing.T) {
 	if !bytes.Equal(back.Encode(true), f.Encode(true)) {
 		t.Fatal("merged file is not a decode↔encode fixpoint")
 	}
+}
+
+// aggregateReference is the rule Aggregate replaced, over a decoded file:
+// per term the largest MaxW from zero up, and the smallest MinW only when
+// the term has nEntries postings and none has a MinW at or below zero.
+func aggregateReference(f *File, nEntries int) []EntryWeight {
+	agg := make([]EntryWeight, 0, len(f.Terms()))
+	for _, tm := range f.Terms() {
+		ps := f.Postings(tm)
+		a := EntryWeight{Term: tm, MinW: math.Inf(1)}
+		covered := len(ps) == nEntries
+		for _, p := range ps {
+			if p.MaxW > a.MaxW {
+				a.MaxW = p.MaxW
+			}
+			if p.MinW < a.MinW {
+				a.MinW = p.MinW
+			}
+			if p.MinW <= 0 {
+				covered = false
+			}
+		}
+		if !covered {
+			a.MinW = 0
+		}
+		agg = append(agg, a)
+	}
+	return agg
+}
+
+// checkAggregate requires Aggregate on buf to fail exactly when Decode
+// does, and otherwise to equal the reference bit for bit.
+func checkAggregate(t *testing.T, buf []byte, nEntries int) {
+	t.Helper()
+	got, err := Aggregate(buf, nEntries)
+	f, derr := Decode(buf)
+	if (err == nil) != (derr == nil) {
+		t.Fatalf("Aggregate error %v, Decode error %v: want both or neither", err, derr)
+	}
+	if derr != nil {
+		return
+	}
+	want := aggregateReference(f, nEntries)
+	if len(got) != len(want) {
+		t.Fatalf("Aggregate: %d terms, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Term != w.Term || math.Float64bits(g.MaxW) != math.Float64bits(w.MaxW) || math.Float64bits(g.MinW) != math.Float64bits(w.MinW) {
+			t.Fatalf("Aggregate term %d: %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+func TestAggregateMatchesReferenceRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < 200; round++ {
+		entries := 1 + rng.Intn(6)
+		if round%4 == 0 {
+			entries = 129 + rng.Intn(200)
+		}
+		f := New()
+		for tm := 0; tm < 30; tm++ {
+			for e := 0; e < entries; e++ {
+				if rng.Intn(4) == 0 {
+					continue // not covered
+				}
+				minW := rng.Float64()
+				if rng.Intn(8) == 0 {
+					minW = 0 // covered by postings, but not by a positive minimum
+				}
+				f.Add(vocab.TermID(tm), Posting{Entry: int32(e), MaxW: rng.Float64(), MinW: minW})
+			}
+		}
+		for _, includeMin := range []bool{true, false} {
+			checkAggregate(t, f.Encode(includeMin), entries)
+		}
+	}
+}
+
+// FuzzAggregate: on every input Aggregate fails exactly when Decode does
+// and otherwise equals the decoded-file reference.
+func FuzzAggregate(f *testing.F) {
+	for _, buf := range fuzzSeedBuffers() {
+		f.Add(buf, uint16(3))
+	}
+	f.Fuzz(func(t *testing.T, buf []byte, entries uint16) {
+		checkAggregate(t, buf, int(entries)%300)
+	})
 }

@@ -1,8 +1,10 @@
 package irtree
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/invfile"
@@ -56,7 +58,7 @@ func TestReadInvBytesChargesBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded, err := invfile.Decode(buf); err != nil || loaded.NumTerms() != 300 {
+	if loaded, err := invfile.Decode(buf); err != nil || len(loaded.Terms()) != 300 {
 		t.Fatalf("decoded %v terms, err %v", loaded, err)
 	}
 	if got := tree.IO().InvBlocks(); got != int64(blocks) {
@@ -230,5 +232,33 @@ func TestRestoreRejectsPackedFlag(t *testing.T) {
 	_, err := Restore(ds, scorer.Model, tree.Backend(), storage.AppendUvarint(meta, 1), 0, 0)
 	if !errors.Is(err, storage.ErrVersionMismatch) {
 		t.Fatalf("packed-flagged metadata: got %v, want ErrVersionMismatch", err)
+	}
+}
+
+// TestRestoreRejectsSmallFanout: the tree metadata is an unchecksummed
+// data record, and a fanout below the R-tree minimum of 4 in it must fail
+// the restore rather than bound a later mutation's nodes.
+func TestRestoreRejectsSmallFanout(t *testing.T) {
+	tree, ds, scorer := buildSmall(t, MIRTree, textrel.LM)
+	meta := tree.EncodeMeta() // kind, then the fanout (16): one byte each
+	if meta[1] != 16 {
+		t.Fatalf("fanout byte %d, want 16", meta[1])
+	}
+	for _, fanout := range []byte{0, 1, 3} {
+		bad := bytes.Clone(meta)
+		bad[1] = fanout
+		_, err := Restore(ds, scorer.Model, tree.Backend(), bad, 0, 0)
+		if err == nil || !strings.Contains(err.Error(), "corrupt tree metadata") {
+			t.Fatalf("fanout %d: got %v, want a corrupt tree metadata error", fanout, err)
+		}
+	}
+	bad := bytes.Clone(meta)
+	bad[1] = 4
+	got, err := Restore(ds, scorer.Model, tree.Backend(), bad, 0, 0)
+	if err != nil {
+		t.Fatalf("fanout 4 refused: %v", err)
+	}
+	if got.Fanout() != 4 {
+		t.Fatalf("restored fanout %d, want 4", got.Fanout())
 	}
 }

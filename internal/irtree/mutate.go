@@ -18,10 +18,15 @@ import (
 // mutation prepares its changes entirely off to the side: it keeps a
 // working copy of every node it modifies, and when it publishes each such
 // node is encoded and written to the record store once and the node-id →
-// record table is path-copied chunk by chunk. Nothing a published snapshot
-// can reach is touched until no reader pins it, so readers traverse
-// concurrently with zero synchronization; the facade installs the
-// returned successor snapshot with one atomic pointer swap.
+// record table is path-copied chunk by chunk. A working copy's inverted
+// file is its encoded bytes: replacing one entry's postings splices the
+// record (invfile.ReplaceEntry) and a child's aggregate is read off its
+// record (invfile.Aggregate), so a mutation neither decodes nor re-encodes
+// the files along its path, and freeze stores the bytes as they are.
+// Nothing a published snapshot can reach is touched until no reader pins
+// it, so readers traverse concurrently with zero synchronization; the
+// facade installs the returned successor snapshot with one atomic pointer
+// swap.
 //
 // Term weights are computed under the corpus statistics frozen at Build
 // time (the standard IR practice: collection statistics refresh on
@@ -83,11 +88,12 @@ type mutation struct {
 	dirty   map[int32]*workNode
 }
 
-// workNode is the mutation's private copy of one rewritten node. Its
-// records do not exist yet: node.InvID is InvalidPage until freeze.
+// workNode is the mutation's private copy of one rewritten node, its
+// inverted file encoded. Its records do not exist yet: node.InvID is
+// InvalidPage until freeze.
 type workNode struct {
 	node *NodeData
-	inv  *invfile.File
+	inv  []byte
 }
 
 func (t *Tree) newMutation() *mutation {
@@ -119,7 +125,7 @@ func (m *mutation) freeze() *Tree {
 	slices.Sort(ids)
 	for _, id := range ids {
 		w := m.dirty[id]
-		invID := base.sh.pager.WriteRecord(w.inv.Encode(base.sh.kind == MIRTree))
+		invID := base.sh.pager.WriteRecord(w.inv)
 		m.edit.set(id, base.sh.pager.WriteRecord(encodeNode(w.node.Leaf, w.node.Entries, invID)))
 	}
 	nt := &Tree{
@@ -164,32 +170,23 @@ func (m *mutation) readNode(id int32) (*NodeData, error) {
 	return m.t.decodeNodeAt(id, page)
 }
 
-// readInv returns a node's working inverted file, or decodes a private
-// copy of the stored one.
-func (m *mutation) readInv(node *NodeData) (*invfile.File, error) {
+// readInv returns a node's working inverted file, or the stored record's
+// bytes, charged as any load of them. The stored bytes may be shared with
+// readers: they are only read, and every edit (invfile.ReplaceEntry)
+// writes a new buffer.
+func (m *mutation) readInv(node *NodeData) ([]byte, error) {
 	if w, ok := m.dirty[node.ID]; ok {
 		return w.inv, nil
 	}
-	buf, err := m.t.readInvBytes(node.InvID)
-	if err != nil {
-		return nil, err
-	}
-	return invfile.Decode(buf)
+	return m.t.readInvBytes(node.InvID)
 }
 
-func (m *mutation) fanout() int {
-	if f := m.t.sh.cfgFanout; f > 0 {
-		return f
-	}
-	return 64
-}
-
-// writeNodeData makes entries and inv the working copy of node id; freeze
-// encodes and stores it. The first write of a node the base snapshot holds
-// retires that snapshot's two records for it (oldInv is the inverted
-// file's, InvalidPage when the node is new): they leave the decoded cache
-// if and when this mutation publishes.
-func (m *mutation) writeNodeData(id int32, leaf bool, entries []NodeEntry, inv *invfile.File, oldInv storage.PageID) {
+// writeNodeData makes entries and the encoded inverted file inv the
+// working copy of node id; freeze stores them. The first write of a node
+// the base snapshot holds retires that snapshot's two records for it
+// (oldInv is the inverted file's, InvalidPage when the node is new): they
+// leave the decoded cache if and when this mutation publishes.
+func (m *mutation) writeNodeData(id int32, leaf bool, entries []NodeEntry, inv []byte, oldInv storage.PageID) {
 	if _, rewritten := m.dirty[id]; !rewritten {
 		m.retired.Add(m.edit.page(id))
 		m.retired.Add(oldInv)
@@ -241,7 +238,7 @@ func (m *mutation) insert(o dataset.Object) error {
 		})
 		m.writeNodeData(m.rootID, true, []NodeEntry{{
 			Rect: geo.RectFromPoint(o.Loc), Child: o.ID, Count: 1,
-		}}, inv, storage.InvalidPage)
+		}}, inv.Encode(m.t.sh.kind == MIRTree), storage.InvalidPage)
 		return nil
 	}
 
@@ -283,19 +280,23 @@ func (m *mutation) insert(o dataset.Object) error {
 	leaf.Entries = append(leaf.Entries, NodeEntry{
 		Rect: geo.RectFromPoint(o.Loc), Child: o.ID, Count: 1,
 	})
-	o.Doc.ForEach(func(tm vocab.TermID, _ int32) {
-		w := model.Weight(o.Doc, tm)
-		leafInv.Add(tm, invfile.Posting{Entry: entryIdx, MaxW: w, MinW: w})
-	})
 
 	splitID := int32(-1)
-	fanout := m.fanout()
+	fanout := m.t.sh.cfgFanout
 	if len(leaf.Entries) > fanout {
 		splitID, err = m.splitNode(id, leaf)
 		if err != nil {
 			return err
 		}
 	} else {
+		weights := make([]invfile.EntryWeight, 0, o.Doc.Unique())
+		o.Doc.ForEach(func(tm vocab.TermID, _ int32) {
+			w := model.Weight(o.Doc, tm)
+			weights = append(weights, invfile.EntryWeight{Term: tm, MaxW: w, MinW: w})
+		})
+		if leafInv, err = invfile.ReplaceEntry(leafInv, entryIdx, weights); err != nil {
+			return err
+		}
 		m.writeNodeData(id, true, leaf.Entries, leafInv, leaf.InvID)
 	}
 
@@ -319,7 +320,9 @@ func (m *mutation) insert(o dataset.Object) error {
 		}
 		parent.Entries[entryIdx].Rect = rect
 		parent.Entries[entryIdx].Count = count
-		parentInv = parentInv.ReplaceEntry(int32(entryIdx), agg)
+		if parentInv, err = invfile.ReplaceEntry(parentInv, int32(entryIdx), agg); err != nil {
+			return err
+		}
 
 		if childSplit >= 0 {
 			sAgg, sRect, sCount, err := m.aggregateOf(childSplit)
@@ -328,7 +331,9 @@ func (m *mutation) insert(o dataset.Object) error {
 			}
 			newIdx := int32(len(parent.Entries))
 			parent.Entries = append(parent.Entries, NodeEntry{Rect: sRect, Child: childSplit, Count: sCount})
-			parentInv = parentInv.ReplaceEntry(newIdx, sAgg)
+			if parentInv, err = invfile.ReplaceEntry(parentInv, newIdx, sAgg); err != nil {
+				return err
+			}
 		}
 
 		childSplit = -1
@@ -343,10 +348,11 @@ func (m *mutation) insert(o dataset.Object) error {
 		childID = parentID
 	}
 
-	// Root overflowed: grow the tree.
+	// Root overflowed: grow the tree, splicing both halves' aggregates
+	// into an empty file.
 	if childSplit >= 0 {
 		newRoot := m.edit.alloc()
-		inv := invfile.New()
+		inv := invfile.New().Encode(m.t.sh.kind == MIRTree)
 		var entries []NodeEntry
 		for i, cid := range []int32{childID, childSplit} {
 			agg, rect, count, err := m.aggregateOf(cid)
@@ -354,7 +360,9 @@ func (m *mutation) insert(o dataset.Object) error {
 				return err
 			}
 			entries = append(entries, NodeEntry{Rect: rect, Child: cid, Count: count})
-			inv = inv.ReplaceEntry(int32(i), agg)
+			if inv, err = invfile.ReplaceEntry(inv, int32(i), agg); err != nil {
+				return err
+			}
 		}
 		m.writeNodeData(newRoot, false, entries, inv, storage.InvalidPage)
 		m.rootID = newRoot
@@ -427,7 +435,9 @@ func (m *mutation) delete(oid int32) error {
 			}
 			parent.Entries[pIdx].Rect = rect
 			parent.Entries[pIdx].Count = count
-			parentInv = parentInv.ReplaceEntry(int32(pIdx), agg)
+			if parentInv, err = invfile.ReplaceEntry(parentInv, int32(pIdx), agg); err != nil {
+				return err
+			}
 			m.writeNodeData(parentID, false, parent.Entries, parentInv, parent.InvID)
 		}
 		childID = parentID
@@ -489,9 +499,9 @@ func (m *mutation) findLeaf(id, oid int32, loc geo.Point, path *[]step) (leafID 
 }
 
 // aggregateOf derives a node's subtree aggregate, ascending by term, in
-// one pass over its inverted file: a term's max weight is the posting
-// maximum over entries; it is "covered" (min weight > 0) only when every
-// entry carries a positive-minimum posting for it.
+// one pass over its encoded inverted file (invfile.Aggregate): a term's max
+// weight is the posting maximum over entries; it is "covered" (min weight
+// > 0) only when every entry carries a positive-minimum posting for it.
 func (m *mutation) aggregateOf(id int32) ([]invfile.EntryWeight, geo.Rect, int32, error) {
 	node, err := m.readNode(id)
 	if err != nil {
@@ -501,27 +511,10 @@ func (m *mutation) aggregateOf(id int32) ([]invfile.EntryWeight, geo.Rect, int32
 	if err != nil {
 		return nil, geo.Rect{}, 0, err
 	}
-	agg := make([]invfile.EntryWeight, 0, inv.NumTerms())
-	nEntries := len(node.Entries)
-	inv.ForEach(func(tm vocab.TermID, ps []invfile.Posting) {
-		a := invfile.EntryWeight{Term: tm, MinW: math.Inf(1)}
-		covered := len(ps) == nEntries
-		for _, p := range ps {
-			if p.MaxW > a.MaxW {
-				a.MaxW = p.MaxW
-			}
-			if p.MinW < a.MinW {
-				a.MinW = p.MinW
-			}
-			if p.MinW <= 0 {
-				covered = false
-			}
-		}
-		if !covered {
-			a.MinW = 0
-		}
-		agg = append(agg, a)
-	})
+	agg, err := invfile.Aggregate(inv, len(node.Entries))
+	if err != nil {
+		return nil, geo.Rect{}, 0, err
+	}
 	return agg, node.MBR(), node.Count, nil
 }
 
@@ -586,8 +579,12 @@ func (m *mutation) splitNode(id int32, node *NodeData) (int32, error) {
 }
 
 // rebuildNodeFromEntries recomputes a node's inverted file from scratch —
-// exact leaf weights for leaves, child aggregates for internal nodes — and
-// makes it the node's working copy, superseding oldInv.
+// exact leaf weights for leaves, child aggregates for internal nodes —
+// and makes its encoding the node's working copy, superseding oldInv.
+// A leaf that lost an entry, a parent that lost a child and the halves
+// of a split take this path: removing an entry shifts the indexes after
+// it, which a splice does not express, and each file rebuilt is one
+// node's.
 func (m *mutation) rebuildNodeFromEntries(id int32, leaf bool, entries []NodeEntry, oldInv storage.PageID) error {
 	model := m.t.sh.model
 	inv := invfile.New()
@@ -608,6 +605,6 @@ func (m *mutation) rebuildNodeFromEntries(id int32, leaf bool, entries []NodeEnt
 			inv.Add(a.Term, invfile.Posting{Entry: int32(i), MaxW: a.MaxW, MinW: a.MinW})
 		}
 	}
-	m.writeNodeData(id, leaf, entries, inv, oldInv)
+	m.writeNodeData(id, leaf, entries, inv.Encode(m.t.sh.kind == MIRTree), oldInv)
 	return nil
 }

@@ -147,7 +147,8 @@ func checkStoredAggregates(t *testing.T, tree *Tree) {
 		// minimum only where every entry has a positive one.
 		agg := map[vocab.TermID]invfile.Posting{}
 		stored := 0
-		inv.ForEach(func(tm vocab.TermID, ps []invfile.Posting) {
+		for _, tm := range inv.Terms() {
+			ps := inv.Postings(tm)
 			a := invfile.Posting{MinW: math.Inf(1)}
 			for j, p := range ps {
 				if j > 0 && ps[j-1].Entry >= p.Entry {
@@ -164,7 +165,7 @@ func checkStoredAggregates(t *testing.T, tree *Tree) {
 				a.MinW = 0
 			}
 			agg[tm] = a
-		})
+		}
 		if stored != len(want) {
 			t.Fatalf("node %d stores %d postings, want %d", id, stored, len(want))
 		}

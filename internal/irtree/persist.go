@@ -26,10 +26,12 @@ func (t *Tree) EncodeMeta() []byte {
 }
 
 // Restore reconstructs a Tree over a backend already holding its records,
-// from metadata produced by EncodeMeta. cacheCapacity front-loads an LRU
-// buffer pool over the backend, whose hits charge no simulated I/O (zero
-// keeps every query cold), and decodedCacheBytes a decoded-object cache
-// exactly as Config.DecodedCacheBytes does. The model must be built over
+// from metadata produced by EncodeMeta. The metadata is an unchecksummed
+// data record, so the fields a later mutation trusts are range-checked.
+// cacheCapacity front-loads an LRU buffer pool over the backend, whose
+// hits charge no simulated I/O (zero keeps every query cold), and
+// decodedCacheBytes a decoded-object cache exactly as
+// Config.DecodedCacheBytes does. The model must be built over
 // ds with the same measure the tree was built with; the restored tree
 // starts with a fresh I/O counter.
 func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, meta []byte, cacheCapacity int, decodedCacheBytes int64) (*Tree, error) {
@@ -44,6 +46,9 @@ func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, 
 	}
 	if kind != IRTree && kind != MIRTree {
 		return nil, fmt.Errorf("irtree: corrupt tree metadata: unknown kind %d", kind)
+	}
+	if fanout < minFanout {
+		return nil, fmt.Errorf("irtree: corrupt tree metadata: fanout %d below the R-tree minimum of %d", fanout, minFanout)
 	}
 	if numNodes < 0 || uint64(numNodes) > uint64(len(meta)) { // each entry takes ≥1 byte
 		return nil, fmt.Errorf("irtree: corrupt tree metadata: implausible node count %d", numNodes)

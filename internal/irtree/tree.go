@@ -43,6 +43,10 @@ func (k Kind) String() string {
 	return "IR-tree"
 }
 
+// minFanout is the smallest node capacity Restore accepts, the R-tree
+// minimum the facade's options enforce for Build.
+const minFanout = 4
+
 // Config controls index construction.
 type Config struct {
 	Kind   Kind
@@ -229,6 +233,9 @@ func (t *Tree) buildNode(rt *rtree.Tree, id int32) (nodeAgg, int32) {
 
 // Kind returns the index variant.
 func (t *Tree) Kind() Kind { return t.sh.kind }
+
+// Fanout returns the maximum number of entries per node.
+func (t *Tree) Fanout() int { return t.sh.cfgFanout }
 
 // Dataset returns the indexed dataset.
 func (t *Tree) Dataset() *dataset.Dataset { return t.ds }

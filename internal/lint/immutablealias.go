@@ -11,8 +11,8 @@ import (
 // the Backend interface and on the Pager) returns a memory-resident
 // record's own bytes, BufferPool.Read returns the pooled page buffer,
 // DecodedCache.Get returns the cached decoded object, and
-// the invfile accessors (Terms, Postings, the ForEach callback's posting
-// slice) return the file's own flat layout. Writing through any of them
+// the invfile accessors (Terms, Postings) return the file's own flat
+// layout. Writing through any of them
 // corrupts every other reader of the same page — a data race no test
 // reliably catches because the cache must be warm and shared.
 //
@@ -43,18 +43,6 @@ var sharedSources = []sharedSource{
 	{"repro/internal/invfile", "File", "Postings", 0},
 }
 
-// sharedCallbacks lists functions whose callback receives a shared
-// slice: (pkg, recv, name), index of the func-literal argument, and
-// index of the shared parameter within it.
-type sharedCallback struct {
-	pkg, recv, name  string
-	argIdx, paramIdx int
-}
-
-var sharedCallbacks = []sharedCallback{
-	{"repro/internal/invfile", "File", "ForEach", 0, 1},
-}
-
 // mutatingMethods are methods that write their receiver; calling one on
 // a tainted value is a write through the alias. (pkg, recv, method).
 var mutatingMethods = [][3]string{
@@ -71,20 +59,16 @@ var sortCalls = [][2]string{
 func runImmutableAlias(pass *Pass) {
 	for _, f := range pass.Files {
 		funcScopes(f, func(name string, decl *ast.FuncDecl, body *ast.BlockStmt) {
-			checkAliasScope(pass, body, nil)
+			checkAliasScope(pass, body)
 		})
 	}
 }
 
-// checkAliasScope walks one function body with the given pre-tainted
-// objects (a ForEach callback's shared parameter) and reports writes
-// through tainted values. Statements are visited in source order; taint
-// is a simple forward set over local objects.
-func checkAliasScope(pass *Pass, body *ast.BlockStmt, pre []types.Object) {
+// checkAliasScope walks one function body and reports writes through
+// tainted values. Statements are visited in source order; taint is a
+// simple forward set over local objects.
+func checkAliasScope(pass *Pass, body *ast.BlockStmt) {
 	tainted := map[types.Object]bool{}
-	for _, o := range pre {
-		tainted[o] = true
-	}
 	info := pass.Info
 
 	objOf := func(e ast.Expr) types.Object {
@@ -176,8 +160,7 @@ func checkAliasScope(pass *Pass, body *ast.BlockStmt, pre []types.Object) {
 	})
 }
 
-// checkAliasCall flags mutating calls involving tainted values and
-// recurses into shared-slice callbacks.
+// checkAliasCall flags mutating calls involving tainted values.
 func checkAliasCall(pass *Pass, call *ast.CallExpr, taintedExpr func(ast.Expr) bool) {
 	info := pass.Info
 	// Builtins: append and copy.
@@ -219,19 +202,6 @@ func checkAliasCall(pass *Pass, call *ast.CallExpr, taintedExpr func(ast.Expr) b
 			}
 		}
 	}
-	// Shared-slice callbacks: taint the callback parameter.
-	for _, cb := range sharedCallbacks {
-		if !matchesFunc(fn, cb.pkg, cb.recv, cb.name) || len(call.Args) <= cb.argIdx {
-			continue
-		}
-		if lit, ok := ast.Unparen(call.Args[cb.argIdx]).(*ast.FuncLit); ok {
-			if cb.paramIdx < len(flatParams(lit)) {
-				if obj := pass.Info.Defs[flatParams(lit)[cb.paramIdx]]; obj != nil {
-					checkAliasScope(pass, lit.Body, []types.Object{obj})
-				}
-			}
-		}
-	}
 }
 
 // sharedSourceOf reports whether call invokes a shared-value source and
@@ -247,15 +217,6 @@ func sharedSourceOf(info *types.Info, call *ast.CallExpr) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// flatParams flattens a func literal's parameter names.
-func flatParams(lit *ast.FuncLit) []*ast.Ident {
-	var out []*ast.Ident
-	for _, fl := range lit.Type.Params.List {
-		out = append(out, fl.Names...)
-	}
-	return out
 }
 
 func exprString(e ast.Expr) string {

@@ -70,10 +70,9 @@ func copyIntoShared(f *invfile.File, src []vocab.TermID) {
 	copy(ts, src) // want "copy into shared value ts"
 }
 
-func writeInForEach(f *invfile.File) {
-	f.ForEach(func(t vocab.TermID, ps []invfile.Posting) {
-		ps[0].MaxW = 0 // want "field write through shared value ps"
-	})
+func fieldWriteInPostings(f *invfile.File, t vocab.TermID) {
+	ps := f.Postings(t)
+	ps[0].MaxW = 0 // want "field write through shared value ps"
 }
 
 func resliceStillShared(pool *storage.BufferPool, id storage.PageID) error {

@@ -151,6 +151,11 @@ func restore(pager *storage.Pager, root storage.PageID, cacheCapacity int, decod
 	if err != nil {
 		return nil, err
 	}
+	// The tree's own fanout bounds every node a later mutation writes; the
+	// two unchecksummed copies must agree.
+	if f := ix.Tree.Fanout(); f != ix.Fanout {
+		return nil, fmt.Errorf("irtree: corrupt tree metadata: fanout %d, the master record's %d", f, ix.Fanout)
+	}
 	ix.treeMeta = nil
 	ix.frozenDS = nil
 	return ix, nil

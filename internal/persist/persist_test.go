@@ -246,3 +246,40 @@ func TestLoadRebuildsIdenticalState(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadRejectsCorruptTreeFanout: the tree metadata inside the master
+// record carries its own copy of the fanout, which a mutation trusts to
+// bound node sizes. A byte flipped to a fanout below 4, or to one that
+// disagrees with the master record's, must fail the load.
+func TestLoadRejectsCorruptTreeFanout(t *testing.T) {
+	ix := testIndex(t)
+	path := filepath.Join(t.TempDir(), "ix.mxbr")
+	if err := Save(path, ix); err != nil {
+		t.Fatal(err)
+	}
+	pristine, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := ix.Tree.EncodeMeta() // kind, then the fanout (8): one byte each
+	at := bytes.Index(pristine, meta)
+	if at < 0 || bytes.Index(pristine[at+1:], meta) >= 0 || meta[1] != 8 {
+		t.Fatalf("tree metadata found at %d in the saved file, fanout byte %d: want one copy, fanout 8", at, meta[1])
+	}
+	for _, fanout := range []byte{0, 3, 9} {
+		raw := bytes.Clone(pristine)
+		raw[at+1] = fanout
+		bad := filepath.Join(t.TempDir(), "bad.mxbr")
+		if err := os.WriteFile(bad, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(bad, 0, 0)
+		if err == nil {
+			got.Close()
+			t.Fatalf("fanout %d: Load accepted the corrupt tree metadata", fanout)
+		}
+		if !strings.Contains(err.Error(), "corrupt tree metadata") {
+			t.Fatalf("fanout %d: want a corrupt tree metadata error, got: %v", fanout, err)
+		}
+	}
+}

@@ -172,7 +172,10 @@ func TestFormatFixture(t *testing.T) {
 // leave their one-byte fast paths for the general reader. A saved index
 // loaded all cold — an 8-record pool and no decoded cache, so every read
 // sums off the encoded bytes — must answer TopK and every MaxBRSTkNN
-// strategy exactly as the built one.
+// strategy exactly as the built one. It must still after the same adds,
+// updates and deletes on both, whose leaf inserts splice postings into
+// runs of two-byte deltas (the splice's re-encoding path), and answer as a
+// batch build over the live objects.
 func TestWideNodesMatchWhenLoaded(t *testing.T) {
 	rng := rand.New(rand.NewSource(200))
 	words := make([]string, 200)
@@ -206,45 +209,70 @@ func TestWideNodesMatchWhenLoaded(t *testing.T) {
 	}
 	loaded := reloaded(t, idx)
 
-	for i := 0; i < 20; i++ {
-		x, y, kws := rng.Float64()*10, rng.Float64()*10, pick()
-		want, err := idx.TopK(x, y, kws, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.TopK(x, y, kws, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("TopK(%v): loaded %+v != built %+v", kws, got, want)
-		}
-	}
 	users := make([]UserSpec, 16)
 	for i := range users {
 		users[i] = UserSpec{X: rng.Float64() * 10, Y: rng.Float64() * 10, Keywords: pick()}
 	}
-	for _, strat := range []Strategy{Exact, Approx, Exhaustive, UserIndexed} {
-		req := Request{
-			Users:       users,
-			Locations:   [][2]float64{{2, 2}, {8, 8}, {5, 5}, {1, 9}},
-			Keywords:    append(pick(), pick()...),
-			MaxKeywords: 2,
-			K:           3,
-			Strategy:    strat,
+	req := Request{
+		Users:       users,
+		Locations:   [][2]float64{{2, 2}, {8, 8}, {5, 5}, {1, 9}},
+		Keywords:    append(pick(), pick()...),
+		MaxKeywords: 2,
+		K:           3,
+	}
+	compare := func(stage string) {
+		t.Helper()
+		for i := 0; i < 20; i++ {
+			x, y, kws := rng.Float64()*10, rng.Float64()*10, pick()
+			want, err := idx.TopK(x, y, kws, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.TopK(x, y, kws, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: TopK(%v): loaded %+v != built %+v", stage, kws, got, want)
+			}
 		}
-		want, err := idx.MaxBRSTkNN(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.MaxBRSTkNN(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: loaded %+v != built %+v", strat, got, want)
+		for _, strat := range []Strategy{Exact, Approx, Exhaustive, UserIndexed} {
+			r := req
+			r.Strategy = strat
+			want, err := idx.MaxBRSTkNN(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.MaxBRSTkNN(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %v: loaded %+v != built %+v", stage, strat, got, want)
+			}
 		}
 	}
+	compare("as built")
+
+	for i := 0; i < 60; i++ {
+		x, y, kws := rng.Float64()*10, rng.Float64()*10, pick()
+		for _, ix := range []*Index{idx, loaded} {
+			var err error
+			switch i % 3 {
+			case 0:
+				_, err = ix.AddObject(x, y, kws...)
+			case 1:
+				_, err = ix.UpdateObject(i, x, y, kws...)
+			default:
+				err = ix.DeleteObject(1000 + i)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	compare("after mutations")
+	assertAnswersMatchCompact(t, loaded, req)
 }
 
 // TestLoadedIndexPhysicalReads checks the real-I/O ledger: a cold-loaded
