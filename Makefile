@@ -140,11 +140,11 @@ lint-external:
 # re-encodes to itself; the committed testdata corpora replay past
 # crashers as regression tests on every plain `go test` too.
 fuzz-smoke:
-	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
-	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecodeSumsInto$$' -fuzztime 10s
-	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzReplaceEntry$$' -fuzztime 10s
-	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s
-	$(GO) test ./internal/irtree/ -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime 10s
-	$(GO) test ./internal/persist/ -run '^$$' -fuzz '^FuzzDecodeMaster$$' -fuzztime 10s
+	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecodeSumsInto$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzReplaceEntry$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/irtree/ -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/persist/ -run '^$$' -fuzz '^FuzzDecodeMaster$$' -fuzztime 10s -fuzzminimizetime 100x
 
 ci: build vet lint race bench cli-smoke shard-smoke fuzz-smoke

@@ -396,12 +396,7 @@ func coldFileIndex(b *testing.B) (*Index, *dataset.Dataset) {
 // disk-pages/op falls towards zero as b.N grows.
 func BenchmarkIngest_Cycle(b *testing.B) {
 	idx, ds := coldFileIndex(b)
-	rng := rand.New(rand.NewSource(1))
-	randomObject := func() (x, y float64, keywords []string) {
-		at := ds.Objects[rng.Intn(len(ds.Objects))].Loc
-		text := ds.Objects[rng.Intn(len(ds.Objects))].Doc
-		return at.X + rng.NormFloat64()*0.1, at.Y + rng.NormFloat64()*0.1, docKeywords(ds.Vocab, text)
-	}
+	randomObject := objectSource(ds)
 	var add, update, del time.Duration
 	pages := idx.snap.Load().tree.DiskPages()
 	b.ReportAllocs()
@@ -432,6 +427,17 @@ func BenchmarkIngest_Cycle(b *testing.B) {
 	b.ReportMetric(float64(idx.snap.Load().tree.DiskPages()-pages)/float64(b.N), "disk-pages/op")
 }
 
+// objectSource returns a seeded source of objects like the dataset's: a
+// location near one of its objects and the text of another.
+func objectSource(ds *dataset.Dataset) func() (x, y float64, keywords []string) {
+	rng := rand.New(rand.NewSource(1))
+	return func() (x, y float64, keywords []string) {
+		at := ds.Objects[rng.Intn(len(ds.Objects))].Loc
+		text := ds.Objects[rng.Intn(len(ds.Objects))].Doc
+		return at.X + rng.NormFloat64()*0.1, at.Y + rng.NormFloat64()*0.1, docKeywords(ds.Vocab, text)
+	}
+}
+
 // BenchmarkTopK_ColdFile measures the read path of the same workload: one
 // user's top-10 with three keywords from anywhere in the space, against
 // caches the index does not fit, so most node visits read their postings
@@ -451,4 +457,57 @@ func BenchmarkTopK_ColdFile(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTopK_ColdFileMixed is BenchmarkTopK_ColdFile with topk-ingest's
+// writes between the reads. BenchmarkTopK_ColdFile never writes, so the
+// root's record stays file-resident; here, after 60 warm-up mutations,
+// every fourth read is followed by an add, an update of the added object
+// or a delete of its replacement, in turn, so the root and its path are
+// memory-resident rewrites, as under bench/. An op is one read; only the
+// reads are timed, as read-ms/op.
+func BenchmarkTopK_ColdFileMixed(b *testing.B) {
+	idx, ds := coldFileIndex(b)
+	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 512, UL: 3, UW: 200, Area: 1000, Seed: 1})
+	keywords := make([][]string, len(us.Users))
+	for i, u := range us.Users {
+		keywords[i] = docKeywords(ds.Vocab, u.Doc)
+	}
+	randomObject := objectSource(ds)
+	id, step := 0, 0
+	mutate := func() {
+		x, y, kws := randomObject()
+		var err error
+		switch step % 3 {
+		case 0:
+			id, err = idx.AddObject(x, y, kws...)
+		case 1:
+			id, err = idx.UpdateObject(id, x, y, kws...)
+		default:
+			err = idx.DeleteObject(id)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		step++
+	}
+	for step < 60 {
+		mutate()
+	}
+	var reads time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := us.Users[i%len(us.Users)]
+		t0 := time.Now()
+		if _, err := idx.TopK(u.Loc.X, u.Loc.Y, keywords[i%len(us.Users)], 10); err != nil {
+			b.Fatal(err)
+		}
+		reads += time.Since(t0)
+		if i%4 == 3 {
+			mutate()
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(reads.Seconds()*1e3/float64(b.N), "read-ms/op")
 }

@@ -150,11 +150,12 @@ func applyFacadeWriteHistory(t *testing.T, idx *Index, seed int64) {
 // TestWriteHistoryDigest pins the bytes the copy-on-write write path
 // stores for the MIR-tree: a seeded add/update/delete history over a
 // 2,000-object index, applied to the built index and to it saved and
-// loaded, must Save the same file, whose digest was recorded before the
-// write path edited posting records as bytes. internal/irtree pins the
-// IR-tree's.
+// loaded, must Save the same file. Its digest was recorded when posting
+// records took their fixed-stride layout, and its length is the one the
+// varint-delta layout before it gave: at fanout 44 every record kept its
+// length. internal/irtree pins the IR-tree's.
 func TestWriteHistoryDigest(t *testing.T) {
-	const want = "1553130d34c0b093bf8cdd333af6dd371f92645b58c3ee3e02729be1a89f648a"
+	const want, wantLen = "2417f901e8861b935a2d80197047452038448c142dc72ab66cc3a346293992dd", 959088
 	for _, kind := range storageKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			idx := kind.of(t, historyIndex(t))
@@ -166,6 +167,9 @@ func TestWriteHistoryDigest(t *testing.T) {
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(raw) != wantLen {
+				t.Fatalf("saved file of %d bytes, want %d", len(raw), wantLen)
 			}
 			sum := sha256.Sum256(raw)
 			if got := hex.EncodeToString(sum[:]); got != want {

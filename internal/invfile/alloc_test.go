@@ -16,7 +16,7 @@ func allocFixture() (buf []byte, f *File, nEntries int, maxTerms, minTerms []voc
 			f.Add(t, Posting{Entry: e, MaxW: 0.5 + float64(t)/100, MinW: 0.1})
 		}
 	}
-	buf = f.Encode(true)
+	buf = f.Encode(true, nEntries)
 	maxTerms = []vocab.TermID{2, 7, 11, 23, 39}
 	minTerms = []vocab.TermID{7, 23}
 	floorOf = func(t vocab.TermID) float64 { return 0.01 }

@@ -60,7 +60,7 @@ func BenchmarkDecodeSumsInto(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
 			f := benchFile(s.entries, s.terms, s.postings)
-			buf := f.Encode(true)
+			buf := f.Encode(true, 32)
 			terms := f.Terms()
 			query := []vocab.TermID{terms[0], terms[len(terms)/2], terms[len(terms)-1]}
 			floorOf := func(vocab.TermID) float64 { return 0.01 }
@@ -81,7 +81,7 @@ func BenchmarkDecodeSumsInto(b *testing.B) {
 func BenchmarkDecode(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
-			buf := benchFile(s.entries, s.terms, s.postings).Encode(true)
+			buf := benchFile(s.entries, s.terms, s.postings).Encode(true, 32)
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
 			for b.Loop() {
@@ -112,7 +112,7 @@ func benchAggregate(n int) []EntryWeight {
 func BenchmarkReplaceEntry(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
-			buf := benchFile(s.entries, s.terms, s.postings).Encode(true)
+			buf := benchFile(s.entries, s.terms, s.postings).Encode(true, 32)
 			agg := benchAggregate(s.aggTerms)
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
@@ -130,7 +130,7 @@ func BenchmarkReplaceEntry(b *testing.B) {
 func BenchmarkAggregate(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
-			buf := benchFile(s.entries, s.terms, s.postings).Encode(true)
+			buf := benchFile(s.entries, s.terms, s.postings).Encode(true, 32)
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
 			for b.Loop() {

@@ -11,9 +11,9 @@ import (
 
 // fuzzSeedFiles builds a few deterministic files spanning the codec's
 // corners: empty terms boundary, single posting, dense multi-term lists,
-// duplicate entries (zero deltas), wide entry gaps, and the two-byte
-// deltas of a node with more than 128 entries in runs both wanted and
-// skipped by FuzzDecodeSumsInto's term sets.
+// duplicate entries (zero deltas), wide entry gaps (a four-byte delta),
+// and the entries past 128 of a node of more than 128 entries in runs both
+// wanted and skipped by the sums' term sets.
 func fuzzSeedFiles() []*File {
 	small := New()
 	small.Add(3, Posting{Entry: 0, MaxW: 1.5, MinW: 0.5})
@@ -47,80 +47,112 @@ func fuzzSeedFiles() []*File {
 	return []*File{small, dense, dup, sparse, wide}
 }
 
-// fuzzSeedBuffers returns every seed file in both record versions, each
-// followed by a copy relabelled with the removed packed layout's version
-// (1→3, 2→4) — the buffers the rejection branch must refuse, not panic on.
+// narrowest is the layout with the narrowest deltas that holds every
+// entry of f.
+func narrowest(f *File, includeMin bool) layout {
+	top := int32(0)
+	for _, tm := range f.Terms() {
+		for _, p := range f.Postings(tm) {
+			top = max(top, p.Entry)
+		}
+	}
+	return layoutFor(includeMin, int(top)+1)
+}
+
+// fuzzSeedBuffers returns every seed file in both posting formats at its
+// narrowest delta width, each followed by a copy relabelled with a version
+// of a replaced layout (1 to 4) — the buffers the rejection branch must
+// refuse, not panic on — and then the wide file at two-byte deltas.
 func fuzzSeedBuffers() [][]byte {
 	var out [][]byte
 	for _, sf := range fuzzSeedFiles() {
 		for _, includeMin := range []bool{false, true} {
-			enc := sf.Encode(includeMin)
-			removed := bytes.Clone(enc)
-			removed[0] += 2
-			out = append(out, enc, removed)
+			enc := sf.encode(narrowest(sf, includeMin))
+			replaced := bytes.Clone(enc)
+			replaced[0] = 1 + (enc[0]-firstVersion)%4
+			out = append(out, enc, replaced)
 		}
 	}
-	return out
+	wide := fuzzSeedFiles()[4]
+	return append(out, wide.Encode(false, 1<<16), wide.Encode(true, 1<<16))
 }
 
-// FuzzDecode: no input may panic the decoder, and any buffer that decodes
-// must re-encode to a canonical form that is a decode↔encode fixpoint.
+// bufLayout is the layout of a record Decode accepted.
+func bufLayout(buf []byte) layout {
+	d, _ := openDirectory(buf)
+	return d.layout
+}
+
+// checkRecord holds the four readers to one another on buf: they accept
+// exactly the same records, DecodeSumsInto equals SumsInto over the
+// decoded file bit for bit, Aggregate and ReplaceEntry equal their
+// decoded-file references, and a decoded record re-encodes to a
+// decode↔encode fixpoint in its layout.
+func checkRecord(t *testing.T, buf []byte, nEntries int, entry int32, agg []EntryWeight) {
+	t.Helper()
+	checkSums(t, buf, nEntries)
+	checkAggregate(t, buf, nEntries)
+	checkReplaceEntry(t, buf, entry, agg)
+	file, err := Decode(buf)
+	if err != nil {
+		return
+	}
+	l := bufLayout(buf)
+	enc := file.encode(l)
+	f2, err := Decode(enc)
+	if err != nil {
+		t.Fatalf("re-decoding canonical encoding: %v", err)
+	}
+	if !bytes.Equal(enc, f2.encode(l)) {
+		t.Fatal("encode is not a decode↔encode fixpoint")
+	}
+}
+
+// checkSums requires DecodeSumsInto on buf to fail exactly when Decode
+// does or SumsInto over the decoded file does (a summed posting out of
+// the node's entries), and otherwise to agree with it bit for bit.
+func checkSums(t *testing.T, buf []byte, nEntries int) {
+	t.Helper()
+	floorOf, maxTerms, minTerms := fuzzSumsQuery()
+	var scratch, ref SumScratch
+	gotMax, gotMin, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, &scratch)
+	file, derr := Decode(buf)
+	if derr != nil {
+		if err == nil {
+			t.Fatalf("DecodeSumsInto accepted a record Decode rejects (%v)", derr)
+		}
+		return
+	}
+	wantMax, wantMin, rerr := file.SumsInto(nEntries, maxTerms, minTerms, floorOf, &ref)
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("DecodeSumsInto error %v, decoded-file SumsInto error %v: want both or neither", err, rerr)
+	}
+	if err == nil {
+		compareSums(t, "max", gotMax, wantMax)
+		compareSums(t, "min", gotMin, wantMin)
+	}
+}
+
+// FuzzDecode: no input may panic a reader, and on every input the four
+// readers agree (checkRecord).
 func FuzzDecode(f *testing.F) {
 	for _, buf := range fuzzSeedBuffers() {
 		f.Add(buf)
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		file, err := Decode(buf)
-		if err != nil {
-			return
-		}
-		for _, includeMin := range []bool{false, true} {
-			enc := file.Encode(includeMin)
-			f2, err := Decode(enc)
-			if err != nil {
-				t.Fatalf("re-decoding canonical encoding: %v", err)
-			}
-			if !bytes.Equal(enc, f2.Encode(includeMin)) {
-				t.Fatal("encode is not a decode↔encode fixpoint")
-			}
-		}
+		checkRecord(t, buf, 200, 3, []EntryWeight{{Term: 3, MaxW: 1, MinW: 0.5}})
 	})
 }
 
-// FuzzDecodeSumsInto: the streaming sum path must never panic on arbitrary
-// input, and on every buffer that decodes it must agree with the
-// decoded-file reference (SumsInto), which the traversal treats as
-// interchangeable.
+// FuzzDecodeSumsInto: on every input, for any node size, the streaming sum
+// path agrees with the decoded-file reference (SumsInto), which the
+// traversal treats as interchangeable, and with the other readers.
 func FuzzDecodeSumsInto(f *testing.F) {
 	for _, buf := range fuzzSeedBuffers() {
 		f.Add(buf, uint16(199))
 	}
-	floorOf, maxTerms, minTerms := fuzzSumsQuery()
 	f.Fuzz(func(t *testing.T, buf []byte, entries uint16) {
-		nEntries := int(entries)%2048 + 1
-		var scratch SumScratch
-		gotMax, gotMin, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, &scratch)
-		file, derr := Decode(buf)
-		if derr != nil {
-			return // corrupt input: any error is fine, only panics are bugs
-		}
-		if err != nil {
-			// The streaming path may reject entries the decoded file also
-			// rejects (out-of-range entry ids); it must not reject a
-			// buffer whose decoded form sums cleanly.
-			var ref SumScratch
-			if _, _, rerr := file.SumsInto(nEntries, maxTerms, minTerms, floorOf, &ref); rerr == nil {
-				t.Fatalf("streaming sums failed (%v) where decoded-file sums succeed", err)
-			}
-			return
-		}
-		var ref SumScratch
-		wantMax, wantMin, rerr := file.SumsInto(nEntries, maxTerms, minTerms, floorOf, &ref)
-		if rerr != nil {
-			t.Fatalf("decoded-file sums failed (%v) where streaming sums succeeded", rerr)
-		}
-		compareSums(t, "max", gotMax, wantMax)
-		compareSums(t, "min", gotMin, wantMin)
+		checkRecord(t, buf, int(entries)%2048+1, int32(entries%256), nil)
 	})
 }
 
@@ -135,9 +167,10 @@ func fuzzSumsQuery() (floorOf func(vocab.TermID) float64, maxTerms, minTerms []v
 // term claims about 3·10¹⁰ postings must fail at once. The count is
 // checked against the bytes left before any posting is read; the posting
 // loop once ignored the decoder's sticky error and iterated the whole
-// count. The record is also in the FuzzDecodeSumsInto corpus.
+// count. The record (in the layout before this one) is in the
+// FuzzDecodeSumsInto corpus.
 func TestDecodeSumsIntoRejectsOverlongCount(t *testing.T) {
-	buf := []byte{0x01, 0x03, 0x01, 0xf0, 0xf0, 0xf0, 0xf0, 0xf0, 0x00}
+	buf := []byte{byte(layout{w: 1}.version()), 0x03, 0x01, 0xf0, 0xf0, 0xf0, 0xf0, 0xf0, 0x00}
 	floorOf, maxTerms, minTerms := fuzzSumsQuery()
 	done := make(chan error, 1)
 	go func() {
@@ -166,7 +199,7 @@ func compareSums(t *testing.T, label string, got, want []float64) {
 		if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
 			continue
 		}
-		if got[i] != want[i] {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s sums[%d] = %v, want %v", label, i, got[i], want[i])
 		}
 	}

@@ -2,44 +2,52 @@
 // family (Section 5.1). A posting associates a child entry of a node with
 // the maximum and minimum weight of a term among the documents in that
 // child's subtree — the 〈d, maxw_{d,t}, minw_{d,t}〉 tuples of the MIR-tree.
-// For the plain IR-tree the minimum weights are simply ignored. Files are
-// serialized with varint encoding; the irtree package writes them as pager
-// records and charges their loads (blocks = ⌈bytes/4096⌉), so the simulated
-// I/O reflects real list sizes.
+// For the plain IR-tree the minimum weights are simply ignored. The irtree
+// package writes files as pager records and charges their loads (blocks =
+// ⌈bytes/4096⌉), so the simulated I/O reflects real list sizes.
 //
 // In memory a File uses a flat, decode-once layout: one sorted term-id
 // slice, a parallel offset slice, and a single contiguous posting slice.
 // Term lookup is a binary search and iteration is cache-friendly — no maps
-// and no per-term allocations on the query hot path. The byte encoding is
-// unchanged from the original map-based representation, so files written
-// by earlier versions of this package load bit-for-bit.
+// and no per-term allocations on the query hot path.
 //
-// There is one codec (Encode/Decode, record versions 1 and 2) and two ways
-// to compute a traversal's per-entry bound sums from it: (*File).SumsInto
-// over a decoded file (what the decoded-object cache holds) and
-// DecodeSumsInto straight off the encoded bytes (the cold path, when no
-// cache is configured or the file cannot fit it). The block-max packed
-// layout (record versions 3 and 4) was removed after it lost to the flat
-// one on every bench/ workload; its records are rejected by name.
+// A record (Encode) puts its term directory first and every posting at one
+// stride:
 //
-// Both decoders read the bytes in place through one kernel built on the
-// one-byte delta: in a node of at most 128 entries (the default fanout is
-// 32) every entry delta is below 0x80, so every posting is exactly 9
-// (max-only) or 17 (min-max) bytes. Such a posting is decoded with one
-// byte load and one or two little-endian float loads, and a run of them
-// that a read does not want is stepped over in one jump once the high bit
-// of each delta byte has been checked at that stride. Any other encoding —
-// a longer delta, a varint past two bytes, a truncated or corrupt buffer —
-// goes to storage.Decoder, the general reader, so every input decodes, or
-// fails, exactly as it would without the fast paths.
+//	version | n | n × (term id, count), ascending | every posting, in term order
 //
-// The same kernel serves the write path. A copy-on-write mutation keeps
-// the files it rewrites encoded: ReplaceEntry splices one entry's postings
-// into a record, copying every run the edit does not touch as bytes, and
-// Aggregate reads a child's aggregate off its record at the posting
-// stride. Both accept and reject exactly the buffers Decode does, and
-// ReplaceEntry returns exactly the bytes Encode would for the edited
-// decoded file.
+// The version, n and the term headers are uvarints. A posting is its
+// entry's delta from the previous posting of its term (the first counts
+// from zero) in w bytes, little-endian, then MaxW and, in the MIR-tree's
+// min-max records, MinW as little-endian float64s. w is fixed per tree by
+// its fanout and carried in the version byte: 1 byte up to a fanout of 256
+// (the default is 32), 2 up to 65,536 and 4 beyond. A run of cnt postings
+// is therefore exactly cnt strides long and the runs' offsets are the
+// prefix sums of the counts, so a reader walks the headers and jumps to
+// the runs it wants. Below a fanout of 129 every delta was already one
+// varint byte, so records are exactly as long as in the varint layout
+// before this one (record versions 1 and 2); the block-max packed layout
+// (versions 3 and 4) lost to the flat one on every bench/ workload. Both
+// are rejected by name.
+//
+// The term directory is a record's whole validation, one walk shared by
+// every reader (directory): terms strictly ascend, no count is zero, and
+// the postings the counts add up to fill the rest of the record exactly.
+// Nothing in a posting can be malformed past that: a run's entries are the
+// running sums of its deltas modulo 2^(8w) (read as int32 when w is 4),
+// which never wrap in a file Encode writes — its entries ascend below the
+// fanout. So Decode, DecodeSumsInto, Aggregate and ReplaceEntry accept
+// exactly the same records, and no reader steps through a run it does not
+// use; a summed posting's entry is still checked against the node's.
+//
+// There are two ways to compute a traversal's per-entry bound sums:
+// (*File).SumsInto over a decoded file (what the decoded-object cache
+// holds) and DecodeSumsInto straight off the encoded bytes (the cold path,
+// when no cache is configured or the file cannot fit it). The write path
+// keeps a copy-on-write mutation's files encoded: ReplaceEntry splices one
+// entry's postings into a record, copying every run the edit does not
+// touch as bytes, and Aggregate reads a child's aggregate off its record at
+// the posting stride.
 package invfile
 
 import (
@@ -52,10 +60,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/vocab"
 )
-
-// maxEntry bounds decoded posting entries: they index per-node arrays, so
-// a value past int32 (or one whose delta wraps int32) is always corrupt.
-const maxEntry = math.MaxInt32
 
 // Posting links a term to one child entry of a node.
 type Posting struct {
@@ -215,129 +219,327 @@ func MaxDecodedBytes(buf []byte) int64 {
 	return 3*int64(len(buf)) + 128
 }
 
-// Serialization versions: the IR-tree stores only maximum weights (one
-// float per posting, as in Cong et al.); the MIR-tree stores both bounds.
-// The version byte makes the stored sizes — and therefore the simulated
-// block-I/O charges — faithful to each index.
-const (
-	versionMaxOnly = 1
-	versionMinMax  = 2
-)
+// ---- the record layout ----
 
-// checkVersion accepts the two record versions this package writes.
-// Versions 3 and 4 were the block-max packed layout, which this build no
-// longer reads: name it, so an operator holding such an index learns to
+// firstVersion is the first record version of the fixed-stride layout:
+// versions firstVersion to firstVersion+5 are, in order, max-only and
+// min-max postings with 1-, 2- and 4-byte entry deltas. The IR-tree stores
+// only maximum weights (one float per posting, as in Cong et al.); the
+// MIR-tree stores both bounds, so the stored sizes — and therefore the
+// simulated block-I/O charges — are faithful to each index.
+const firstVersion = 5
+
+// layout is the posting format of a record: whether postings carry a
+// minimum weight, and the width of their entry deltas.
+type layout struct {
+	hasMin bool
+	w      int // 1, 2 or 4 bytes
+}
+
+// layoutFor is the layout of a tree's records: the narrowest delta width
+// that holds every entry of a node of the given fanout.
+func layoutFor(includeMin bool, fanout int) layout {
+	w := 1
+	for w < 4 && fanout > 1<<(8*w) {
+		w *= 2
+	}
+	return layout{hasMin: includeMin, w: w}
+}
+
+// layoutOf reads a record version. Versions 1 to 4 are the layouts this
+// one replaced: name them, so an operator holding such an index learns to
 // rebuild rather than suspecting corruption.
-func checkVersion(version uint64) error {
-	switch version {
-	case versionMaxOnly, versionMinMax:
-		return nil
-	case 3, 4:
-		return fmt.Errorf("invfile: version %d is the removed packed posting layout; rebuild the index", version)
+func layoutOf(version uint64) (layout, error) {
+	switch {
+	case version >= firstVersion && version < firstVersion+6:
+		v := version - firstVersion
+		return layout{hasMin: v&1 == 1, w: 1 << (v >> 1)}, nil
+	case version == 1 || version == 2:
+		return layout{}, fmt.Errorf("invfile: version %d is the varint-delta posting layout this build no longer reads; rebuild the index", version)
+	case version == 3 || version == 4:
+		return layout{}, fmt.Errorf("invfile: version %d is the removed packed posting layout; rebuild the index", version)
 	default:
-		return fmt.Errorf("invfile: unknown version %d", version)
+		return layout{}, fmt.Errorf("invfile: unknown version %d", version)
 	}
 }
 
-// Encode serializes the file: version, term count, then per term
-// (ascending) the term id, posting count, and per posting the entry
-// (delta-coded) and weight(s). With includeMin=false the minimum weights
-// are omitted (IR-tree layout) and decode as zero. The byte layout is
-// identical to the pre-flat (map-based) encoder, so existing on-disk
-// indexes remain readable and re-saving produces identical files.
-func (f *File) Encode(includeMin bool) []byte {
-	f.freeze()
-	version := uint64(versionMaxOnly)
-	if includeMin {
-		version = versionMinMax
+// version is the record version byte of l.
+func (l layout) version() uint64 {
+	v := uint64(firstVersion + 2*(l.w/2)) // w 1, 2, 4 → 0, 2, 4
+	if l.hasMin {
+		v++
 	}
-	buf := make([]byte, 0, f.encodedLen(version, includeMin))
-	buf = storage.AppendUvarint(buf, version)
+	return v
+}
+
+// stride is the encoded size of every posting.
+func (l layout) stride() int {
+	if l.hasMin {
+		return l.w + 16
+	}
+	return l.w + 8
+}
+
+// mask keeps the low 8w bits: entries and deltas are taken modulo 2^(8w).
+func (l layout) mask() uint32 { return ^uint32(0) >> (32 - 8*l.w) }
+
+// fits reports whether entry is one a record of layout l can hold.
+func (l layout) fits(entry int32) bool { return uint32(entry)&^l.mask() == 0 }
+
+// delta reads the entry delta of the posting at buf[off:] as its low 8w
+// bits, which every caller takes through mask: four bytes are always
+// there, as the posting's weights follow its delta.
+func delta(buf []byte, off int) uint32 { return binary.LittleEndian.Uint32(buf[off:]) }
+
+// weights reads the weights of the posting at buf[off:]; MinW reads as
+// zero in a max-only record.
+func (l layout) weights(buf []byte, off int) (maxW, minW float64) {
+	maxW = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+l.w:]))
+	if l.hasMin {
+		minW = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+l.w+8:]))
+	}
+	return maxW, minW
+}
+
+// appendDelta appends an entry delta, already reduced by mask.
+func (l layout) appendDelta(out []byte, delta uint32) []byte {
+	switch l.w {
+	case 1:
+		return append(out, byte(delta))
+	case 2:
+		return binary.LittleEndian.AppendUint16(out, uint16(delta))
+	}
+	return binary.LittleEndian.AppendUint32(out, delta)
+}
+
+// appendPosting appends one posting: its delta, then its weights.
+func (l layout) appendPosting(out []byte, delta uint32, maxW, minW float64) []byte {
+	out = storage.AppendFloat64(l.appendDelta(out, delta), maxW)
+	if l.hasMin {
+		out = storage.AppendFloat64(out, minW)
+	}
+	return out
+}
+
+// Encode serializes the file for a tree of the given fanout: the term
+// directory, then every posting (see the package comment). With
+// includeMin=false the minimum weights are omitted (IR-tree layout) and
+// decode as zero. Every entry must be below the fanout's delta range —
+// 2^(8w), any int32 when w is 4 — as every node's entries are.
+func (f *File) Encode(includeMin bool, fanout int) []byte {
+	return f.encode(layoutFor(includeMin, fanout))
+}
+
+// encode is Encode in layout l, into one exactly sized buffer.
+func (f *File) encode(l layout) []byte {
+	f.freeze()
+	size := storage.UvarintLen(l.version()) + storage.UvarintLen(uint64(len(f.terms))) + len(f.postings)*l.stride()
+	for i, t := range f.terms {
+		size += storage.UvarintLen(uint64(t)) + storage.UvarintLen(uint64(f.starts[i+1]-f.starts[i]))
+	}
+	buf := make([]byte, 0, size)
+	buf = storage.AppendUvarint(buf, l.version())
 	buf = storage.AppendUvarint(buf, uint64(len(f.terms)))
 	for i, t := range f.terms {
-		ps := f.postings[f.starts[i]:f.starts[i+1]]
-		buf = storage.AppendUvarint(buf, uint64(t))
-		buf = storage.AppendUvarint(buf, uint64(len(ps)))
+		buf = appendTerm(buf, t, int(f.starts[i+1]-f.starts[i]))
+	}
+	for i := range f.terms {
 		prev := int32(0)
-		for _, p := range ps {
-			buf = storage.AppendUvarint(buf, uint64(p.Entry-prev))
-			prev = p.Entry
-			buf = storage.AppendFloat64(buf, p.MaxW)
-			if includeMin {
-				buf = storage.AppendFloat64(buf, p.MinW)
+		for _, p := range f.postings[f.starts[i]:f.starts[i+1]] {
+			if !l.fits(p.Entry) {
+				panic(fmt.Sprintf("invfile: entry %d does not fit a %d-byte delta", p.Entry, l.w))
 			}
+			buf = l.appendPosting(buf, uint32(p.Entry-prev)&l.mask(), p.MaxW, p.MinW)
+			prev = p.Entry
 		}
 	}
 	return buf
 }
 
-// encodedLen is the exact length Encode produces for a frozen file, so the
-// record buffer is allocated once instead of grown through every size.
-func (f *File) encodedLen(version uint64, includeMin bool) int {
-	weights := 8
-	if includeMin {
-		weights = 16
-	}
-	n := storage.UvarintLen(version) + storage.UvarintLen(uint64(len(f.terms))) + weights*len(f.postings)
-	for i, t := range f.terms {
-		ps := f.postings[f.starts[i]:f.starts[i+1]]
-		n += storage.UvarintLen(uint64(t)) + storage.UvarintLen(uint64(len(ps)))
-		prev := int32(0)
-		for _, p := range ps {
-			n += storage.UvarintLen(uint64(p.Entry - prev))
-			prev = p.Entry
-		}
-	}
-	return n
+// appendTerm appends a term header: the term id and its posting count.
+func appendTerm(out []byte, t vocab.TermID, cnt int) []byte {
+	return storage.AppendUvarint(storage.AppendUvarint(out, uint64(t)), uint64(cnt))
 }
 
-// Decode parses a file serialized by Encode, building the flat layout in
-// one pass — the decode-once path the decoded-object cache stores. Files
-// written by Encode store terms strictly ascending and entries
-// delta-coded (so ascending within a term); a stored stream violating term
-// order is corrupt and rejected, as DecodeSumsInto rejects it.
+// ---- the term directory: every reader's one validation ----
+
+// directory walks a record's n term headers in order, checking each as it
+// reads it (next) and, after the last, that the postings they count fill
+// the rest of the record exactly (body). Those checks are the whole
+// validation of a record; see the package comment.
+type directory struct {
+	layout
+	buf   []byte
+	n     int          // stored terms
+	first int          // offset of the first term header
+	off   int          // offset of the next header
+	t     vocab.TermID // the term read last; -1 before the first
+	total int          // postings counted by the headers read
+	limit int          // the most postings the bytes from the first header (from the first posting, once found) can hold
+}
+
+// openDirectory reads a record's version and term count. Each stored term
+// costs at least two header bytes, so a count beyond len(buf)/2 can only
+// come from a corrupt buffer: it is rejected here, before a reader sizes
+// an allocation from it (data pages are not checksummed; decoding must
+// fail, not panic or overallocate).
+func openDirectory(buf []byte) (directory, error) {
+	version, off, err := readUvarint(buf, 0)
+	if err != nil {
+		return directory{}, err
+	}
+	l, err := layoutOf(version)
+	if err != nil {
+		return directory{}, err
+	}
+	n, off, err := readUvarint(buf, off)
+	if err != nil {
+		return directory{}, err
+	}
+	if n > uint64(len(buf))/2 {
+		return directory{}, fmt.Errorf("invfile: term count %d exceeds %d-byte buffer", n, len(buf))
+	}
+	return directory{layout: l, buf: buf, n: int(n), first: off, off: off, t: -1, limit: (len(buf) - off) / l.stride()}, nil
+}
+
+// next reads the next term header: the term and its posting count. A
+// two-byte id with a one-byte count — every term from 128 to 16,383 with
+// fewer than 128 postings — that passes nextSlow's checks is read inline;
+// anything else is left to nextSlow.
+func (d *directory) next() (vocab.TermID, int, error) {
+	b, o := d.buf, d.off
+	if o+2 < len(b) && b[o] >= 0x80 && b[o+1] < 0x80 && b[o+2] < 0x80 {
+		t, cnt := vocab.TermID(b[o]&0x7f)|vocab.TermID(b[o+1])<<7, int(b[o+2])
+		if t > d.t && uint(cnt-1) < uint(d.limit-d.total) {
+			d.off, d.t, d.total = o+3, t, d.total+cnt
+			return t, cnt, nil
+		}
+	}
+	return d.nextSlow()
+}
+
+// nextSlow is next for any header. It rejects a term not above the one
+// before it (readers merge the stored terms with ascending query terms,
+// and DecodeSumsInto must agree with SumsInto over the decoded file), a
+// term without postings (no encoder writes one), and a count that takes
+// the running total past what the record's bytes can hold, before any
+// loop is bounded by it.
+func (d *directory) nextSlow() (vocab.TermID, int, error) {
+	id, off, err := readUvarint(d.buf, d.off)
+	if err != nil {
+		return 0, 0, err
+	}
+	cnt, off, err := readUvarint(d.buf, off)
+	if err != nil {
+		return 0, 0, err
+	}
+	t := vocab.TermID(id)
+	switch {
+	case id > math.MaxInt32:
+		return 0, 0, fmt.Errorf("invfile: term id %d out of range", id)
+	case t <= d.t:
+		return 0, 0, fmt.Errorf("invfile: term %d stored after term %d", t, d.t)
+	case cnt == 0:
+		return 0, 0, fmt.Errorf("invfile: term %d with no postings", t)
+	case cnt > uint64(d.limit-d.total):
+		return 0, 0, fmt.Errorf("invfile: term %d claims %d postings past the record's %d", t, cnt, d.limit)
+	}
+	d.off, d.t, d.total = off, t, d.total+int(cnt)
+	return t, int(cnt), nil
+}
+
+// body checks, once every header is read, that the postings they count
+// fill the rest of the record exactly, and returns the offset of the
+// first.
+func (d *directory) body() (int, error) {
+	if rest := len(d.buf) - d.off; rest != d.total*d.stride() {
+		return 0, fmt.Errorf("invfile: %d bytes of postings after the term directory, which counts %d", rest, d.total)
+	}
+	return d.off, nil
+}
+
+// bodyStart returns where the postings begin, found without decoding a
+// header: past the 2n-th byte that ends a uvarint. It bounds the running
+// total by the bytes from there, so a reader may take each run as its
+// header is read; body still checks the record after the last header.
+func (d *directory) bodyStart() int {
+	off := d.off
+	for k := 2 * d.n; k > 0 && off < len(d.buf); off++ {
+		if d.buf[off] < 0x80 {
+			k--
+		}
+	}
+	d.limit = (len(d.buf) - off) / d.stride()
+	return off
+}
+
+// readUvarint reads the varint at buf[off:] and returns the offset past
+// it.
+func readUvarint(buf []byte, off int) (uint64, int, error) {
+	v, n := binary.Uvarint(buf[off:])
+	if n <= 0 {
+		return 0, off, fmt.Errorf("invfile: corrupt uvarint at offset %d", off)
+	}
+	return v, off + n, nil
+}
+
+// ---- readers ----
+
+// Decode parses a file serialized by Encode, building the flat layout —
+// the decode-once path the decoded-object cache stores: the directory
+// gives the terms and exact posting count, then one sweep reads every
+// posting.
 func Decode(buf []byte) (*File, error) {
-	hasMin, n, off, err := readHeader(buf)
+	d, err := openDirectory(buf)
 	if err != nil {
 		return nil, err
 	}
-	f := &File{}
-	if n > 0 {
-		f.terms = make([]vocab.TermID, 0, n)
-		f.starts = make([]int32, 0, n+1)
-		// One allocation for every posting, sized from the buffer and not
-		// from a stored count: no posting is shorter than the stride.
-		f.postings = make([]Posting, 0, len(buf)/postingStride(hasMin))
-	}
-	t := vocab.TermID(0)
-	for i := uint64(0); i < n; i++ {
-		var cnt uint64
-		if t, cnt, off, err = readTermHeader(buf, off, hasMin, i, t); err != nil {
+	f := &File{terms: make([]vocab.TermID, 0, d.n), starts: make([]int32, 0, d.n+1)}
+	for range d.n {
+		t, cnt, err := d.next()
+		if err != nil {
 			return nil, err
 		}
 		f.terms = append(f.terms, t)
-		f.starts = append(f.starts, int32(len(f.postings)))
-		prev := int32(0)
-		for j := uint64(0); j < cnt; j++ {
-			var p Posting
-			if p, off, err = readPosting(buf, off, prev, hasMin); err != nil {
-				return nil, err
-			}
-			prev = p.Entry
-			f.postings = append(f.postings, p)
+		f.starts = append(f.starts, int32(d.total-cnt))
+	}
+	off, err := d.body()
+	if err != nil {
+		return nil, err
+	}
+	f.starts = append(f.starts, int32(d.total))
+	f.postings = make([]Posting, d.total)
+	stride, mask := d.stride(), d.mask()
+	for i := range f.terms {
+		e := uint32(0)
+		for j := f.starts[i]; j < f.starts[i+1]; j, off = j+1, off+stride {
+			e = (e + delta(buf, off)) & mask
+			p := &f.postings[j]
+			p.Entry = int32(e)
+			p.MaxW, p.MinW = d.weights(buf, off)
 		}
 	}
-	f.starts = append(f.starts, int32(len(f.postings)))
 	return f, nil
 }
 
 // SumScratch holds the reusable per-entry sum buffers a traversal threads
 // through its node visits, eliminating the two float64-slice allocations
-// every inverted-file read otherwise pays. The zero value is ready to use;
-// the slices returned by the Sums helpers alias the scratch and stay valid
+// every inverted-file read otherwise pays, and the runs DecodeSumsInto
+// notes on its walk of a directory. The zero value is ready to use; the
+// slices returned by the Sums helpers alias the scratch and stay valid
 // only until its next use.
 type SumScratch struct {
 	Max, Min []float64
+
+	runs []wantedRun
+}
+
+// wantedRun is one run DecodeSumsInto sums: its term, where it starts in
+// postings, how many it holds, and which of the two sums want it.
+type wantedRun struct {
+	term             vocab.TermID
+	first, cnt       int
+	wantMax, wantMin bool
 }
 
 // buffers returns the scratch's two sum buffers resized to n (reallocating
@@ -428,34 +630,34 @@ func (f *File) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf
 	return maxSums, minSums, nil
 }
 
-// DecodeSumsInto computes the sums SumsInto defines in one pass over an
+// DecodeSumsInto computes the sums SumsInto defines straight off an
 // encoded file, without materializing posting lists. This is the cold
 // traversal path — taken when no decoded cache is configured (the
 // paper-figure accounting) or the file is too large to cache, as the upper
-// levels' files of a large index always are — so its cost is the cost of
-// stepping over every term the read does not ask for. Term headers are
-// read in place; the run of a term in neither set is skipped in one jump
-// when all its deltas are one byte (see the package comment), and the
-// postings of a wanted term are decoded in place the same way, with the
-// general per-posting reader taking over wherever a longer delta appears.
-// The returned slices alias scratch and stay valid only until its next
-// use; with a reused scratch the per-node cost is allocation-free.
+// levels' files of a large index always are. It works in two steps: one
+// walk of the term directory, merged with the query terms, notes the runs
+// the sums want in scratch and validates the record; then each wanted run,
+// in ascending term order, is summed where the counts before it place it.
+// No run the read does not want is touched. The returned slices alias
+// scratch and stay valid only until its next use; with a reused scratch
+// the per-node cost is allocation-free.
 //
 //maxbr:hotpath
 func DecodeSumsInto(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
-	hasMin, n, off, err := readHeader(buf)
+	d, err := openDirectory(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	floorMax, floorMin := floorSums(maxTerms, minTerms, floorOf)
-	maxSums, minSums = scratch.buffers(nEntries, floorMax, floorMin)
-
+	runs := scratch.runs[:0]
 	mi, ni := 0, 0 // cursors into maxTerms / minTerms (stored terms ascend)
-	t := vocab.TermID(0)
-	for i := uint64(0); i < n; i++ {
-		var cnt uint64
-		if t, cnt, off, err = readTermHeader(buf, off, hasMin, i, t); err != nil {
+	want := least(maxTerms, minTerms, mi, ni)
+	for range d.n {
+		t, cnt, err := d.next()
+		if err != nil {
 			return nil, nil, err
+		}
+		if t < want {
+			continue
 		}
 		for mi < len(maxTerms) && maxTerms[mi] < t {
 			mi++
@@ -465,85 +667,105 @@ func DecodeSumsInto(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID,
 		}
 		wantMax := mi < len(maxTerms) && maxTerms[mi] == t
 		wantMin := ni < len(minTerms) && minTerms[ni] == t
-		if !wantMax && !wantMin {
-			if off, err = skipRun(buf, off, cnt, hasMin); err != nil {
-				return nil, nil, err
-			}
-			continue
+		if wantMax || wantMin {
+			//maxbr:ignore hotpathalloc scratch growth, amortized: runs is retained in scratch and grows only past the most runs one read has wanted
+			runs = append(runs, wantedRun{term: t, first: d.total - cnt, cnt: cnt, wantMax: wantMax, wantMin: wantMin})
 		}
-		floor := floorOf(t)
-		prev := int32(0)
-		for j := uint64(0); j < cnt; j++ {
-			var p Posting
-			if p, off, err = readPosting(buf, off, prev, hasMin); err != nil {
-				return nil, nil, err
+		want = least(maxTerms, minTerms, mi, ni)
+	}
+	scratch.runs = runs
+	off, err := d.body()
+	if err != nil {
+		return nil, nil, err
+	}
+	floorMax, floorMin := floorSums(maxTerms, minTerms, floorOf)
+	maxSums, minSums = scratch.buffers(nEntries, floorMax, floorMin)
+
+	stride, mask := d.stride(), d.mask()
+	for _, r := range runs {
+		floor := floorOf(r.term)
+		e := uint32(0)
+		for p, end := off+r.first*stride, off+(r.first+r.cnt)*stride; p < end; p += stride {
+			e = (e + delta(buf, p)) & mask
+			entry := int32(e)
+			if entry < 0 || int(entry) >= nEntries {
+				return nil, nil, fmt.Errorf("invfile: posting entry %d out of range", entry)
 			}
-			prev = p.Entry
-			if p.Entry < 0 || int(p.Entry) >= nEntries {
-				return nil, nil, fmt.Errorf("invfile: posting entry %d out of range", p.Entry)
+			maxW, minW := d.weights(buf, p)
+			if r.wantMax {
+				maxSums[entry] += maxW - floor
 			}
-			if wantMax {
-				maxSums[p.Entry] += p.MaxW - floor
-			}
-			if wantMin && p.MinW > floor {
-				minSums[p.Entry] += p.MinW - floor
+			if r.wantMin && minW > floor {
+				minSums[entry] += minW - floor
 			}
 		}
 	}
 	return maxSums, minSums, nil
 }
 
+// least returns the smaller of maxTerms[mi] and minTerms[ni], either
+// cursor possibly past its end: the next query term a directory walk can
+// meet. Past both ends it is the largest term id, which no smaller stored
+// term reaches.
+func least(maxTerms, minTerms []vocab.TermID, mi, ni int) vocab.TermID {
+	t := vocab.TermID(math.MaxInt32)
+	if mi < len(maxTerms) {
+		t = maxTerms[mi]
+	}
+	if ni < len(minTerms) && minTerms[ni] < t {
+		t = minTerms[ni]
+	}
+	return t
+}
+
 // ---- copy-on-write edits of encoded files ----
 
-// headerRoom is the prefix ReplaceEntry reserves for the record header it
-// writes last: a one-byte version and a term count of up to ten bytes.
+// headerRoom is the prefix ReplaceEntry reserves for the version and term
+// count it writes last: a one-byte version and a count of up to ten bytes.
 const headerRoom = 1 + binary.MaxVarintLen64
 
 // ReplaceEntry returns a copy of the encoded file buf in which the
 // postings of entry are exactly agg (strictly ascending in Term), in buf's
-// record version. A stored term whose postings were all entry's
-// disappears, duplicates included; a term of agg the file lacks is
-// inserted with its one posting. The result is byte for byte the encoding
-// of the decoded file with that entry replaced, and every buffer Decode
-// rejects is rejected here; buf itself is only read.
+// layout. A stored term whose postings were all entry's disappears,
+// duplicates included; a term of agg the file lacks is inserted with its
+// one posting. The result is byte for byte the encoding of the decoded
+// file with entry's postings removed and agg's merged in (for a file
+// Encode wrote, that file with the entry replaced); it fails exactly where
+// Decode does, and for an entry the layout cannot hold. buf itself is only
+// read.
 //
-// The file is edited as bytes, in one pass and one allocation. A term not
-// in agg without a posting for entry whose deltas are all one byte is
-// copied verbatim behind its re-encoded header. In a touched run of such
-// postings the ones before entry are copied, the new posting is written,
-// and only the delta of the first posting after entry is re-encoded
-// before the rest is copied. A run holding a longer delta is decoded
-// posting by posting and re-encoded. The term count is written last, into
-// a reserved prefix.
+// The file is edited as bytes, in one pass over its directory and runs and
+// one allocation: every run is copied as bytes but for the postings the
+// edit adds, drops or follows (spliceRun). The term headers are re-encoded into
+// a region ahead of the postings, which is moved up against them at the
+// end, with the version and term count before it.
 func ReplaceEntry(buf []byte, entry int32, agg []EntryWeight) ([]byte, error) {
-	hasMin, n, off, err := readHeader(buf)
+	d, err := openDirectory(buf)
 	if err != nil {
 		return nil, err
 	}
-	// The edit never outgrows buf by more than agg's postings: a dropped
-	// posting frees at least a stride, more than re-encoding the delta
-	// after it can add, and a term header re-encodes no longer than it was
-	// stored. Each term of agg adds at most a term header or one count
-	// byte, its posting, and (only for a negative entry) a longer delta
-	// after it.
-	weights := postingStride(hasMin) - 1
-	size := headerRoom + len(buf)
-	for _, a := range agg {
-		size += storage.UvarintLen(uint64(a.Term)) + 1 + 2*storage.UvarintLen(uint64(entry)) + weights
+	if !d.fits(entry) {
+		return nil, fmt.Errorf("invfile: entry %d does not fit a %d-byte delta", entry, d.w)
 	}
-	out := make([]byte, headerRoom, size)
+	// The result's headers take at most buf's plus, per term of agg, a new
+	// header with a one-byte count or one more byte of count; its postings
+	// at most buf's plus one per term of agg.
+	stride, delta, p := d.stride(), uint32(entry)&d.mask(), d.bodyStart()
+	dirEnd := headerRoom + p - d.first
+	for _, a := range agg {
+		dirEnd += storage.UvarintLen(uint64(a.Term)) + 1
+	}
+	out := make([]byte, dirEnd, dirEnd+len(buf)-p+len(agg)*stride)
+	dir := out[headerRoom:headerRoom:dirEnd]
 
-	terms := uint64(0)
-	ai := 0
-	t := vocab.TermID(0)
-	for i := uint64(0); i < n; i++ {
-		var cnt uint64
-		if t, cnt, off, err = readTermHeader(buf, off, hasMin, i, t); err != nil {
+	terms, ai := 0, 0
+	for range d.n {
+		t, cnt, err := d.next()
+		if err != nil {
 			return nil, err
 		}
 		for ; ai < len(agg) && agg[ai].Term < t; ai++ {
-			out = appendTerm(out, agg[ai].Term, 1)
-			out = appendPosting(out, entry, agg[ai], hasMin)
+			dir, out = appendTerm(dir, agg[ai].Term, 1), d.appendPosting(out, delta, agg[ai].MaxW, agg[ai].MinW)
 			terms++
 		}
 		var a *EntryWeight
@@ -551,367 +773,127 @@ func ReplaceEntry(buf []byte, entry int32, agg []EntryWeight) ([]byte, error) {
 			a = &agg[ai]
 			ai++
 		}
-		kept := false
-		if out, off, kept, err = spliceRun(out, buf, off, cnt, t, entry, a, hasMin); err != nil {
-			return nil, err
-		}
-		if kept {
+		kept := 0
+		out, kept = d.spliceRun(out, buf[p:p+cnt*stride], entry, a)
+		if kept > 0 {
+			dir = appendTerm(dir, t, kept)
 			terms++
 		}
+		p += cnt * stride
+	}
+	if _, err := d.body(); err != nil {
+		return nil, err
 	}
 	for ; ai < len(agg); ai++ {
-		out = appendTerm(out, agg[ai].Term, 1)
-		out = appendPosting(out, entry, agg[ai], hasMin)
+		dir, out = appendTerm(dir, agg[ai].Term, 1), d.appendPosting(out, delta, agg[ai].MaxW, agg[ai].MinW)
 		terms++
 	}
 
-	version := uint64(versionMaxOnly)
-	if hasMin {
-		version = versionMinMax
-	}
-	start := headerRoom - storage.UvarintLen(version) - storage.UvarintLen(terms)
-	storage.AppendUvarint(storage.AppendUvarint(out[start:start], version), terms)
+	start := dirEnd - len(dir)
+	copy(out[start:dirEnd], dir)
+	version := d.version()
+	start -= storage.UvarintLen(version) + storage.UvarintLen(uint64(terms))
+	storage.AppendUvarint(storage.AppendUvarint(out[start:start], version), uint64(terms))
 	return out[start:], nil
 }
 
-// spliceRun appends to out term t's run of cnt postings at buf[off:],
-// edited as ReplaceEntry defines: entry's postings replaced by a's weights,
-// or dropped when a is nil. It returns the offset past the run and whether
-// the term kept any posting (a term left with none writes nothing).
-func spliceRun(out, buf []byte, off int, cnt uint64, t vocab.TermID, entry int32, a *EntryWeight, hasMin bool) ([]byte, int, bool, error) {
-	stride := postingStride(hasMin)
-	c := int(cnt)
-	end := off + c*stride
-	if cnt > maxOneByteRun {
-		return spliceDecoded(out, buf, off, cnt, t, entry, a, hasMin)
-	}
-	// One pass over the delta bytes: lo is the first posting at or past
-	// entry and prev the entry before it, hi the first posting past entry.
-	j, e := 0, int32(0)
-	for ; j < c && buf[off+j*stride] < 0x80 && e+int32(buf[off+j*stride]) < entry; j++ {
-		e += int32(buf[off+j*stride])
-	}
-	lo, prev := j, e
-	for ; j < c && buf[off+j*stride] < 0x80 && e+int32(buf[off+j*stride]) == entry; j++ {
-		e = entry
-	}
-	hi, hiEntry := j, int32(0)
-	if hi < c {
-		hiEntry = e + int32(buf[off+hi*stride])
-		if !oneByteDeltas(buf[off+hi*stride:end], stride) {
-			return spliceDecoded(out, buf, off, cnt, t, entry, a, hasMin)
+// spliceRun appends run, one term's postings, edited as ReplaceEntry
+// defines, and returns how many postings it kept: entry's are dropped, and
+// a, when not nil, is written before the first posting past entry (after
+// the last when there is none). Between the postings the edit touches
+// (seek), postings are copied as bytes; only the first after a dropped or
+// new posting has its delta rewritten. An untouched run is one seek and
+// one copy.
+func (l layout) spliceRun(out, run []byte, entry int32, a *EntryWeight) ([]byte, int) {
+	stride, mask := l.stride(), l.mask()
+	target := uint32(entry) & mask
+	e, last := uint32(0), uint32(0) // the entry before p; the last one written
+	kept, from := 0, 0              // from: the first byte of run not yet in out
+	for p := 0; ; {
+		q, eq := l.seek(run, p, e, entry, a != nil)
+		if q > p { // the postings from p up to q are kept
+			if last != e {
+				first := (e + delta(run, p)) & mask
+				out = l.appendDelta(append(out, run[from:p]...), (first-last)&mask)
+				from = p + l.w
+			}
+			kept += (q - p) / stride
+			last = eq
 		}
-	}
-	kept := c - (hi - lo)
-	if a != nil {
-		kept++
-	}
-	if kept == 0 {
-		return out, end, false, nil
-	}
-	out = appendTerm(out, t, kept)
-	if a == nil && hi == lo { // untouched
-		return append(out, buf[off:end]...), end, true, nil
-	}
-	out = append(out, buf[off:off+lo*stride]...)
-	last := prev
-	if a != nil {
-		out = appendPosting(out, entry-prev, *a, hasMin)
-		last = entry
-	}
-	if hi < c {
-		p := off + hi*stride
-		out = storage.AppendUvarint(out, uint64(hiEntry-last))
-		out = append(out, buf[p+1:end]...)
-	}
-	return out, end, true, nil
-}
-
-// spliceDecoded is spliceRun for a run the one-byte pass cannot take: a
-// first pass decodes it through readPosting, validating it and counting
-// entry's postings, and a second re-encodes it with the edit applied.
-func spliceDecoded(out, buf []byte, off int, cnt uint64, t vocab.TermID, entry int32, a *EntryWeight, hasMin bool) ([]byte, int, bool, error) {
-	kept := int(cnt)
-	if a != nil {
-		kept++
-	}
-	p, e := off, int32(0)
-	for j := uint64(0); j < cnt; j++ {
-		var q Posting
-		var err error
-		if q, p, err = readPosting(buf, p, e, hasMin); err != nil {
-			return nil, off, false, err
+		if q == len(run) {
+			break
 		}
-		e = q.Entry
-		if e == entry {
-			kept--
-		}
-	}
-	end := p
-	if kept == 0 {
-		return out, end, false, nil
-	}
-	out = appendTerm(out, t, kept)
-	weights := postingStride(hasMin) - 1
-	p, e = off, 0
-	last, pending := int32(0), a != nil
-	for j := uint64(0); j < cnt; j++ {
-		q, next, _ := readPosting(buf, p, e, hasMin)
-		p, e = next, q.Entry
-		if pending && e >= entry {
-			out = appendPosting(out, entry-last, *a, hasMin)
-			last, pending = entry, false
-		}
-		if e == entry {
+		e = eq
+		if next := (e + delta(run, q)) & mask; int32(next) != entry { // past entry: a goes first
+			out = l.appendPosting(append(out, run[from:q]...), (target-last)&mask, a.MaxW, a.MinW)
+			last, from, a, p = target, q, nil, q
+			kept++
 			continue
 		}
-		out = storage.AppendUvarint(out, uint64(e-last))
-		out = append(out, buf[p-weights:p]...)
-		last = e
+		out = append(out, run[from:q]...) // entry's own: dropped
+		from, e, p = q+stride, target, q+stride
 	}
-	if pending {
-		out = appendPosting(out, entry-last, *a, hasMin)
+	out = append(out, run[from:]...)
+	if a != nil {
+		out = l.appendPosting(out, (target-last)&mask, a.MaxW, a.MinW)
+		kept++
 	}
-	return out, end, true, nil
+	return out, kept
 }
 
-// appendTerm appends a term header: the term id and its posting count.
-func appendTerm(out []byte, t vocab.TermID, cnt int) []byte {
-	return storage.AppendUvarint(storage.AppendUvarint(out, uint64(t)), uint64(cnt))
-}
-
-// appendPosting appends one posting of weights a, its entry delta-coded
-// as delta.
-func appendPosting(out []byte, delta int32, a EntryWeight, hasMin bool) []byte {
-	out = storage.AppendFloat64(storage.AppendUvarint(out, uint64(delta)), a.MaxW)
-	if hasMin {
-		out = storage.AppendFloat64(out, a.MinW)
+// seek returns the offset of the first posting of run, at or after p,
+// that the edit touches — entry's, or when insert is set one past entry —
+// or len(run), and the entry of the posting before it; e is the entry of
+// the posting before p.
+func (l layout) seek(run []byte, p int, e uint32, entry int32, insert bool) (int, uint32) {
+	stride, mask := l.stride(), l.mask()
+	for ; p < len(run); p += stride {
+		next := (e + delta(run, p)) & mask
+		if int32(next) == entry || insert && int32(next) > entry {
+			break
+		}
+		e = next
 	}
-	return out
+	return p, e
 }
 
 // Aggregate derives the subtree aggregate a node's parent stores for it
-// from the node's encoded inverted file buf, in one pass: per stored term,
-// ascending, the largest MaxW of its postings (never below zero) and,
-// when the term is covered — it has nEntries postings, each with a
-// positive MinW — the smallest MinW, otherwise zero. Every buffer Decode
-// rejects is rejected. A run whose deltas are all one byte is read at its
-// stride without decoding the deltas.
+// from the node's encoded inverted file buf: per stored term, ascending,
+// the largest MaxW of its postings (never below zero) and, when the term
+// is covered — it has nEntries postings, each with a positive MinW — the
+// smallest MinW, otherwise zero. It fails exactly where Decode does, and
+// reads the weights at the posting stride without decoding a delta.
 func Aggregate(buf []byte, nEntries int) ([]EntryWeight, error) {
-	hasMin, n, off, err := readHeader(buf)
+	d, err := openDirectory(buf)
 	if err != nil {
 		return nil, err
 	}
-	stride := postingStride(hasMin)
-	agg := make([]EntryWeight, 0, n)
-	t := vocab.TermID(0)
-	for i := uint64(0); i < n; i++ {
-		var cnt uint64
-		if t, cnt, off, err = readTermHeader(buf, off, hasMin, i, t); err != nil {
+	stride, off := d.stride(), d.bodyStart()
+	agg := make([]EntryWeight, 0, d.n)
+	for range d.n {
+		t, cnt, err := d.next()
+		if err != nil {
 			return nil, err
 		}
-		maxW, minW, covered := 0.0, math.Inf(1), cnt == uint64(nEntries)
-		if end := off + int(cnt)*stride; cnt <= maxOneByteRun && oneByteDeltas(buf[off:end], stride) {
-			for ; off < end; off += stride {
-				pMax, pMin := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+1:])), 0.0
-				if hasMin {
-					pMin = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+9:]))
-				}
-				maxW, minW, covered = foldPosting(maxW, minW, covered, pMax, pMin)
+		maxW, minW, covered := 0.0, math.Inf(1), cnt == nEntries
+		for end := off + cnt*stride; off < end; off += stride {
+			pMax, pMin := d.weights(buf, off)
+			if pMax > maxW {
+				maxW = pMax
 			}
-		} else {
-			e := int32(0)
-			for j := uint64(0); j < cnt; j++ {
-				var p Posting
-				if p, off, err = readPosting(buf, off, e, hasMin); err != nil {
-					return nil, err
-				}
-				e = p.Entry
-				maxW, minW, covered = foldPosting(maxW, minW, covered, p.MaxW, p.MinW)
+			if pMin < minW {
+				minW = pMin
 			}
+			// NaN weights never win a comparison, nor fail the minimum.
+			covered = covered && !(pMin <= 0)
 		}
 		if !covered {
 			minW = 0
 		}
 		agg = append(agg, EntryWeight{Term: t, MaxW: maxW, MinW: minW})
 	}
+	if _, err := d.body(); err != nil {
+		return nil, err
+	}
 	return agg, nil
-}
-
-// foldPosting folds one posting's weights into a term's aggregate: the
-// running maximum and minimum and whether every minimum so far was
-// positive. NaN weights never win a comparison, nor fail the minimum.
-func foldPosting(maxW, minW float64, covered bool, pMax, pMin float64) (float64, float64, bool) {
-	if pMax > maxW {
-		maxW = pMax
-	}
-	if pMin < minW {
-		minW = pMin
-	}
-	return maxW, minW, covered && !(pMin <= 0)
-}
-
-// ---- the in-place posting kernel (see the package comment) ----
-
-// postingStride is the encoded size of a posting whose entry delta is one
-// byte: the delta, then one (max-only) or two (min-max) float64s. No
-// posting is shorter.
-func postingStride(hasMin bool) int {
-	if hasMin {
-		return 17
-	}
-	return 9
-}
-
-// readHeader reads an encoded file's version and term count and returns
-// whether its postings carry minimum weights, the term count, and the
-// offset of the first term. Each stored term costs at least two encoded
-// bytes (id and count varints), so a count beyond len(buf)/2 can only
-// come from a corrupt buffer: it is rejected here, before a reader sizes
-// an allocation from it (data pages are not checksummed; decoding must
-// fail, not panic or overallocate).
-func readHeader(buf []byte) (hasMin bool, n uint64, off int, err error) {
-	version, off, err := readUvarint(buf, 0)
-	if err != nil {
-		return false, 0, off, err
-	}
-	if err := checkVersion(version); err != nil {
-		return false, 0, off, err
-	}
-	if n, off, err = readUvarint(buf, off); err != nil {
-		return false, 0, off, err
-	}
-	if n > uint64(len(buf))/2 {
-		return false, 0, off, fmt.Errorf("invfile: term count %d exceeds %d-byte buffer", n, len(buf))
-	}
-	return version == versionMinMax, n, off, nil
-}
-
-// readTermHeader reads the header of the file's i-th term at buf[off:], its
-// id and posting count, and returns the offset of the term's first
-// posting. Three corrupt forms are rejected here, before any loop is
-// bounded by them: a count the remaining bytes cannot hold at one stride
-// per posting; a term not above prev, the one stored before it; and a term
-// without postings. Encode writes terms strictly ascending, and
-// DecodeSumsInto's cursors over the query terms, and its agreement with
-// SumsInto over the decoded file, need that order. No encoder emits a
-// posting-less term (terms exist only by Add'ing a posting); accepting one
-// would let a decoded file re-encode into forms other paths reject.
-func readTermHeader(buf []byte, off int, hasMin bool, i uint64, prev vocab.TermID) (t vocab.TermID, cnt uint64, next int, err error) {
-	id, off, err := readUvarint(buf, off)
-	if err != nil {
-		return 0, 0, off, err
-	}
-	t = vocab.TermID(id)
-	if i > 0 && t <= prev {
-		return 0, 0, off, fmt.Errorf("invfile: term %d stored after term %d", t, prev)
-	}
-	if cnt, off, err = readUvarint(buf, off); err != nil {
-		return 0, 0, off, err
-	}
-	rest := len(buf) - off
-	maxCnt := rest / 9 // constant divisors: this runs once per stored term
-	if hasMin {
-		maxCnt = rest / 17
-	}
-	if cnt > uint64(maxCnt) {
-		return 0, 0, off, fmt.Errorf("invfile: term %d claims %d postings in %d remaining bytes", t, cnt, rest)
-	}
-	if cnt == 0 {
-		return 0, 0, off, fmt.Errorf("invfile: term %d with no postings", t)
-	}
-	return t, cnt, off, nil
-}
-
-// readUvarint reads the varint at buf[off:] and returns the offset past
-// it. One- and two-byte encodings (every value below 16,384) are decoded
-// in place, anything else by storage.Decoder.
-func readUvarint(buf []byte, off int) (uint64, int, error) {
-	if off < len(buf) && buf[off] < 0x80 {
-		return uint64(buf[off]), off + 1, nil
-	}
-	if off+1 < len(buf) && buf[off+1] < 0x80 {
-		return uint64(buf[off]&0x7f) | uint64(buf[off+1])<<7, off + 2, nil
-	}
-	d := storage.NewDecoderAt(buf, off)
-	v := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return 0, off, fmt.Errorf("invfile: %w", err)
-	}
-	return v, len(buf) - d.Remaining(), nil
-}
-
-// readPosting decodes the posting at buf[off:], whose entry delta counts
-// from prev, and returns the offset past it. A one-byte delta is decoded in
-// place; anything else, or a posting the buffer cannot hold, by
-// storage.Decoder. Either way an entry past int32 is rejected: a wrapped
-// entry can go negative yet pass the "< nEntries" checks downstream,
-// turning a corrupt page into an index-out-of-range panic.
-func readPosting(buf []byte, off int, prev int32, hasMin bool) (Posting, int, error) {
-	if next := off + postingStride(hasMin); next <= len(buf) && buf[off] < 0x80 && prev <= maxEntry-0x7f {
-		p := Posting{Entry: prev + int32(buf[off]), MaxW: math.Float64frombits(binary.LittleEndian.Uint64(buf[off+1:]))}
-		if hasMin {
-			p.MinW = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+9:]))
-		}
-		return p, next, nil
-	}
-	d := storage.NewDecoderAt(buf, off)
-	delta := d.Uvarint()
-	if delta > maxEntry || int64(prev)+int64(delta) > maxEntry {
-		return Posting{}, off, fmt.Errorf("invfile: posting entry delta %d overflows", delta)
-	}
-	p := Posting{Entry: prev + int32(delta), MaxW: d.Float64()}
-	if hasMin {
-		p.MinW = d.Float64()
-	}
-	if err := d.Err(); err != nil {
-		return Posting{}, off, fmt.Errorf("invfile: %w", err)
-	}
-	return p, len(buf) - d.Remaining(), nil
-}
-
-// skipRun returns the offset past the cnt postings at buf[off:], which
-// readTermHeader has checked fit in cnt strides. When every delta in the
-// run is one byte the run is exactly cnt strides long: one pass checks the
-// high bit of each delta byte and the run is stepped over in one jump. The
-// check is what makes the jump exact — a longer delta makes the run longer
-// than cnt strides, and the jump would land inside it and misparse the
-// rest of the file — so on any such run the general per-posting walk runs
-// instead.
-func skipRun(buf []byte, off int, cnt uint64, hasMin bool) (int, error) {
-	stride := postingStride(hasMin)
-	end := off + int(cnt)*stride
-	if oneByteDeltas(buf[off:end], stride) {
-		return end, nil
-	}
-	d := storage.NewDecoderAt(buf, off)
-	for j := uint64(0); j < cnt && d.Err() == nil; j++ {
-		d.Uvarint()
-		d.Float64()
-		if hasMin {
-			d.Float64()
-		}
-	}
-	if err := d.Err(); err != nil {
-		return off, fmt.Errorf("invfile: %w", err)
-	}
-	return len(buf) - d.Remaining(), nil
-}
-
-// maxOneByteRun bounds the runs the one-byte paths of ReplaceEntry and
-// Aggregate take: the deltas of such a run sum to at most 0x7f per
-// posting, so none of its entries can pass maxEntry, and readPosting would
-// take its own one-byte path for every posting of it.
-const maxOneByteRun = maxEntry / 0x7f
-
-// oneByteDeltas reports whether every stride-th byte of run, from the
-// first, is below 0x80: whether run read as postings of that stride has
-// one-byte deltas only.
-func oneByteDeltas(run []byte, stride int) bool {
-	for i := 0; i < len(run); i += stride {
-		if run[i] >= 0x80 {
-			return false
-		}
-	}
-	return true
 }

@@ -37,7 +37,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f.Add(0, Posting{Entry: 0, MaxW: 0.125, MinW: 0.125})
 	f.Add(1000, Posting{Entry: 9, MaxW: 3.5, MinW: 1})
 
-	got, err := Decode(f.Encode(true))
+	got, err := Decode(f.Encode(true, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestEncodeSortsUnorderedPostings(t *testing.T) {
 	f := New()
 	f.Add(1, Posting{Entry: 5, MaxW: 0.5, MinW: 0})
 	f.Add(1, Posting{Entry: 2, MaxW: 0.3, MinW: 0.1})
-	got, err := Decode(f.Encode(true))
+	got, err := Decode(f.Encode(true, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,36 +78,57 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 	f := New()
 	f.Add(1, Posting{Entry: 1, MaxW: 1, MinW: 0})
-	buf := f.Encode(true)
+	buf := f.Encode(true, 4)
 	if _, err := Decode(buf[:len(buf)-3]); err == nil {
 		t.Error("truncated buffer should error")
 	}
 	// A bit-flipped term count must be rejected before it sizes an
 	// allocation (data pages are unchecksummed): version byte, then a
 	// varint claiming ~2^62 terms in a 12-byte buffer.
-	huge := append([]byte{versionMinMax},
+	huge := append([]byte{byte(layout{hasMin: true, w: 1}.version())},
 		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0x01, 0x01)
 	if _, err := Decode(huge); err == nil {
 		t.Error("absurd term count should error, not allocate")
 	}
-	// Stored terms must strictly ascend: summed in stored order, a
-	// descending or repeated term would not agree with the decoded file.
-	for _, terms := range [][]uint64{{7, 3}, {3, 3}} {
-		buf := storage.AppendUvarint([]byte{versionMaxOnly}, uint64(len(terms)))
-		for _, tm := range terms {
-			buf = storage.AppendFloat64(append(storage.AppendUvarint(buf, tm), 1, 0), 0.5)
+	// Every check of the term directory: descending or repeated terms
+	// (summed in stored order, they would not agree with the decoded file),
+	// a term without postings, and counts whose postings do not fill the
+	// rest of the record exactly — short of it, or past it.
+	for name, c := range map[string]struct {
+		headers [][2]uint64 // term, count
+		trail   int         // bytes after the postings the counts give
+	}{
+		"descending":    {[][2]uint64{{7, 1}, {3, 1}}, 0},
+		"repeated":      {[][2]uint64{{3, 1}, {3, 1}}, 0},
+		"empty term":    {[][2]uint64{{3, 1}, {7, 0}}, 0},
+		"trailing byte": {[][2]uint64{{3, 1}, {7, 1}}, 1},
+		"short body":    {[][2]uint64{{3, 1}, {7, 2}}, -1},
+	} {
+		l := layout{w: 1}
+		rec := storage.AppendUvarint([]byte{byte(l.version())}, uint64(len(c.headers)))
+		postings := c.trail
+		for _, h := range c.headers {
+			rec = appendTerm(rec, vocab.TermID(h[0]), int(h[1]))
+			postings += int(h[1]) * l.stride()
 		}
-		if _, err := Decode(buf); err == nil {
-			t.Errorf("terms stored as %v: Decode accepted them", terms)
+		rec = append(rec, make([]byte, max(postings, 0))...)
+		if _, err := Decode(rec); err == nil {
+			t.Errorf("%s: Decode accepted it", name)
 		}
-		if _, _, err := DecodeSumsInto(buf, 1, []vocab.TermID{3, 7}, nil, func(vocab.TermID) float64 { return 0 }, &SumScratch{}); err == nil {
-			t.Errorf("terms stored as %v: DecodeSumsInto accepted them", terms)
+		if _, _, err := DecodeSumsInto(rec, 1, []vocab.TermID{3, 7}, nil, func(vocab.TermID) float64 { return 0 }, &SumScratch{}); err == nil {
+			t.Errorf("%s: DecodeSumsInto accepted it", name)
+		}
+		if _, err := Aggregate(rec, 1); err == nil {
+			t.Errorf("%s: Aggregate accepted it", name)
+		}
+		if _, err := ReplaceEntry(rec, 0, nil); err == nil {
+			t.Errorf("%s: ReplaceEntry accepted it", name)
 		}
 	}
 }
 
 func TestEmptyFileRoundTrip(t *testing.T) {
-	got, err := Decode(New().Encode(true))
+	got, err := Decode(New().Encode(true, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +172,7 @@ func TestRoundTripRandomized(t *testing.T) {
 				f.Add(tm, Posting{Entry: e, MaxW: rng.Float64() * 5, MinW: rng.Float64()})
 			}
 		}
-		got, err := Decode(f.Encode(true))
+		got, err := Decode(f.Encode(true, 64))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -183,8 +204,8 @@ func TestMaxOnlyEncodingDropsMinAndShrinks(t *testing.T) {
 	for e := int32(0); e < 100; e++ {
 		f.Add(1, Posting{Entry: e, MaxW: 0.5, MinW: 0.25})
 	}
-	full := f.Encode(true)
-	slim := f.Encode(false)
+	full := f.Encode(true, 100)
+	slim := f.Encode(false, 100)
 	if len(slim) >= len(full) {
 		t.Errorf("max-only encoding (%dB) should be smaller than min-max (%dB)", len(slim), len(full))
 	}
@@ -199,17 +220,34 @@ func TestMaxOnlyEncodingDropsMinAndShrinks(t *testing.T) {
 	}
 }
 
-// TestDecodeUnknownVersion: both readers refuse a version they do not
-// write, and name the removed packed layout (3, 4) rather than calling it
+// TestDecodeUnknownVersion: every reader refuses a version it does not
+// read, and names the layouts this one replaced — the varint-delta layout
+// (1, 2) and the removed packed one (3, 4) — rather than calling them
 // unknown.
 func TestDecodeUnknownVersion(t *testing.T) {
-	for version, want := range map[uint64]string{9: "unknown version", 3: "removed packed", 4: "removed packed"} {
+	for version, want := range map[uint64]string{11: "unknown version", 1: "varint-delta", 2: "varint-delta", 3: "removed packed", 4: "removed packed"} {
 		buf := storage.AppendUvarint(nil, version)
 		_, err := Decode(buf)
 		_, _, serr := DecodeSumsInto(buf, 1, nil, nil, nil, &SumScratch{})
-		for _, e := range []error{err, serr} {
+		_, aerr := Aggregate(buf, 1)
+		_, rerr := ReplaceEntry(buf, 0, nil)
+		for _, e := range []error{err, serr, aerr, rerr} {
 			if e == nil || !strings.Contains(e.Error(), want) {
 				t.Errorf("version %d: error %v, want one mentioning %q", version, e, want)
+			}
+		}
+	}
+}
+
+// TestVersionsNameTheirLayout: the six versions of the fixed-stride layout
+// read back as the layout that wrote them.
+func TestVersionsNameTheirLayout(t *testing.T) {
+	for _, fanout := range []int{4, 256, 257, 1 << 16, 1<<16 + 1} {
+		for _, includeMin := range []bool{false, true} {
+			l := layoutFor(includeMin, fanout)
+			got, err := layoutOf(l.version())
+			if err != nil || got != l {
+				t.Errorf("fanout %d min %v: version %d reads as %+v (%v), want %+v", fanout, includeMin, l.version(), got, err, l)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package invfile
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -11,17 +12,19 @@ import (
 )
 
 // replaceEntryReference is the oracle ReplaceEntry's bytes are held to:
-// re-Add every posting of the file except the entry's, Add the aggregate,
-// and leave the ordering to freeze.
+// the decoded file with every posting of entry removed and agg Added, its
+// merge left to freeze. For a file Encode wrote, whose entries ascend, this
+// is the file with the entry's postings replaced.
 func replaceEntryReference(f *File, entry int32, agg []EntryWeight) *File {
 	rebuilt := New()
 	for _, tm := range f.Terms() {
 		for _, p := range f.Postings(tm) {
 			if p.Entry != entry {
-				rebuilt.Add(tm, p)
+				rebuilt.push(tm, p)
 			}
 		}
 	}
+	rebuilt.starts = append(rebuilt.starts, int32(len(rebuilt.postings)))
 	for _, a := range agg {
 		rebuilt.Add(a.Term, Posting{Entry: entry, MaxW: a.MaxW, MinW: a.MinW})
 	}
@@ -29,35 +32,38 @@ func replaceEntryReference(f *File, entry int32, agg []EntryWeight) *File {
 }
 
 // checkReplaceEntry requires ReplaceEntry on buf to fail exactly when
-// Decode does, and otherwise to return the reference's encoding in buf's
-// record version, leaving buf as it was.
+// Decode does or the entry does not fit buf's layout, and otherwise to
+// return the reference's encoding in buf's layout, leaving buf as it was.
 func checkReplaceEntry(t *testing.T, buf []byte, entry int32, agg []EntryWeight) []byte {
 	t.Helper()
 	before := bytes.Clone(buf)
 	got, err := ReplaceEntry(buf, entry, agg)
+	if !bytes.Equal(buf, before) {
+		t.Fatalf("ReplaceEntry(%d, %v) modified its input", entry, agg)
+	}
 	f, derr := Decode(buf)
+	if derr == nil && !bufLayout(buf).fits(entry) {
+		derr = fmt.Errorf("entry %d does not fit", entry)
+	}
 	if (err == nil) != (derr == nil) {
-		t.Fatalf("ReplaceEntry error %v, Decode error %v: want both or neither", err, derr)
+		t.Fatalf("ReplaceEntry error %v, Decode or fit error %v: want both or neither", err, derr)
 	}
 	if derr != nil {
 		return nil
 	}
-	hasMin, _, _, _ := readHeader(buf)
-	if want := replaceEntryReference(f, entry, agg).Encode(hasMin); !bytes.Equal(got, want) {
-		t.Fatalf("ReplaceEntry(%d, %v) (min %v): bytes differ from the rebuild-through-Add reference\n got %x\nwant %x", entry, agg, hasMin, got, want)
-	}
-	if !bytes.Equal(buf, before) {
-		t.Fatalf("ReplaceEntry(%d, %v) modified its input", entry, agg)
+	l := bufLayout(buf)
+	if want := replaceEntryReference(f, entry, agg).encode(l); !bytes.Equal(got, want) {
+		t.Fatalf("ReplaceEntry(%d, %v) (%+v): bytes differ from the reference\n got %x\nwant %x", entry, agg, l, got, want)
 	}
 	return got
 }
 
-// checkReplaceEntryFile runs checkReplaceEntry on f in both record
-// versions and returns the min-max result.
-func checkReplaceEntryFile(t *testing.T, f *File, entry int32, agg []EntryWeight) []byte {
+// checkReplaceEntryFile runs checkReplaceEntry on f encoded for a tree of
+// the given fanout in both posting formats and returns the min-max result.
+func checkReplaceEntryFile(t *testing.T, f *File, fanout int, entry int32, agg []EntryWeight) []byte {
 	t.Helper()
-	checkReplaceEntry(t, f.Encode(false), entry, agg)
-	return checkReplaceEntry(t, f.Encode(true), entry, agg)
+	checkReplaceEntry(t, f.Encode(false, fanout), entry, agg)
+	return checkReplaceEntry(t, f.Encode(true, fanout), entry, agg)
 }
 
 func TestReplaceEntryNamedCases(t *testing.T) {
@@ -72,17 +78,17 @@ func TestReplaceEntryNamedCases(t *testing.T) {
 		f.Add(30, Posting{Entry: 2, MaxW: 6, MinW: 1})
 		return f
 	}
-	// Entries 0, 1, 130 and 300 under term 10: deltas of two bytes, so
-	// the run is re-encoded posting by posting.
+	// Entries 0, 1, 130 and 300 under term 10: at fanout 301 deltas take
+	// two bytes.
 	wide := func() *File {
 		f := file()
 		f.Add(10, Posting{Entry: 130, MaxW: 7, MinW: 0.5})
 		f.Add(10, Posting{Entry: 300, MaxW: 8, MinW: 0.5})
 		return f
 	}
-	// Term 40 holds entries 3, 100 and 200: one-byte deltas, but dropping
-	// 100 leaves a delta of 197, two bytes.
-	grow := func() *File {
+	// Term 40 holds entries 3, 100 and 200: dropping 100 leaves a delta of
+	// 197, the sum of the two it replaces.
+	fold := func() *File {
 		f := file()
 		for _, e := range []int32{3, 100, 200} {
 			f.Add(40, Posting{Entry: e, MaxW: 1, MinW: 1})
@@ -91,32 +97,31 @@ func TestReplaceEntryNamedCases(t *testing.T) {
 	}
 	w := func(tm vocab.TermID) EntryWeight { return EntryWeight{Term: tm, MaxW: 9, MinW: 0.125} }
 	cases := []struct {
-		name  string
-		f     *File
-		entry int32
-		agg   []EntryWeight
-		terms int // terms of the result
+		name   string
+		f      *File
+		fanout int
+		entry  int32
+		agg    []EntryWeight
+		terms  int // terms of the result
 	}{
-		{"same terms", file(), 1, []EntryWeight{w(10), w(20)}, 3},
-		{"entry absent from the file", file(), 7, []EntryWeight{w(10), w(30)}, 3},
-		{"entry between two others", file(), 2, []EntryWeight{w(10)}, 3},
-		{"lost term has no postings left", file(), 1, []EntryWeight{w(10)}, 2},
-		{"new terms before, between and after", file(), 1, []EntryWeight{w(5), w(15), w(20), w(25), w(35)}, 7},
-		{"empty aggregate", file(), 1, nil, 2},
-		{"empty aggregate, entry absent", file(), 9, nil, 3},
-		{"empty file", New(), 0, []EntryWeight{w(1), w(2)}, 2},
-		{"empty file, empty aggregate", New(), 0, nil, 0},
-		{"negative entry", file(), -1, []EntryWeight{w(10), w(40)}, 4},
-		{"two-byte delta after a dropped posting", wide(), 1, nil, 2},
-		{"two-byte deltas around a new posting", wide(), 200, []EntryWeight{w(10)}, 3},
-		{"one-byte delta grows to two", grow(), 100, nil, 4},
+		{"same terms", file(), 4, 1, []EntryWeight{w(10), w(20)}, 3},
+		{"entry absent from the file", file(), 8, 7, []EntryWeight{w(10), w(30)}, 3},
+		{"entry between two others", file(), 4, 2, []EntryWeight{w(10)}, 3},
+		{"lost term has no postings left", file(), 4, 1, []EntryWeight{w(10)}, 2},
+		{"new terms before, between and after", file(), 4, 1, []EntryWeight{w(5), w(15), w(20), w(25), w(35)}, 7},
+		{"empty aggregate", file(), 4, 1, nil, 2},
+		{"empty aggregate, entry absent", file(), 16, 9, nil, 3},
+		{"empty file", New(), 4, 0, []EntryWeight{w(1), w(2)}, 2},
+		{"empty file, empty aggregate", New(), 4, 0, nil, 0},
+		// Four-byte deltas hold any int32: the entry sorts first.
+		{"negative entry", file(), 1 << 17, -1, []EntryWeight{w(10), w(40)}, 4},
+		{"two-byte delta after a dropped posting", wide(), 301, 1, nil, 2},
+		{"two-byte deltas around a new posting", wide(), 301, 200, []EntryWeight{w(10)}, 3},
+		{"dropped posting folds its delta into the next", fold(), 256, 100, nil, 4},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := checkReplaceEntryFile(t, c.f, c.entry, c.agg)
-			if c.entry < 0 {
-				return // the reference encodes it; no decoder accepts it
-			}
+			got := checkReplaceEntryFile(t, c.f, c.fanout, c.entry, c.agg)
 			f, err := Decode(got)
 			if err != nil {
 				t.Fatalf("result does not decode: %v", err)
@@ -125,6 +130,15 @@ func TestReplaceEntryNamedCases(t *testing.T) {
 				t.Fatalf("result has terms %v, want %d of them", f.Terms(), c.terms)
 			}
 		})
+	}
+	// An entry a layout cannot hold is refused, not wrapped.
+	for _, c := range []struct {
+		fanout int
+		entry  int32
+	}{{4, -1}, {4, 256}, {301, -1}, {301, 1 << 16}} {
+		if _, err := ReplaceEntry(file().Encode(true, c.fanout), c.entry, nil); err == nil {
+			t.Errorf("fanout %d: entry %d accepted", c.fanout, c.entry)
+		}
 	}
 }
 
@@ -148,7 +162,7 @@ func TestReplaceEntryMatchesRebuildRandomized(t *testing.T) {
 		// aggregate brings terms before, between and after the file's.
 		const universe = 40
 		entries := 1 + rng.Intn(12)
-		wide := round%3 == 0 // a sparse node past 128 entries: one- and two-byte deltas
+		wide := round%3 == 0 // a sparse node past 128 entries: one- or two-byte deltas
 		if wide {
 			entries = 130 + rng.Intn(400)
 		}
@@ -165,20 +179,21 @@ func TestReplaceEntryMatchesRebuildRandomized(t *testing.T) {
 		}
 		for i := 0; i < 4; i++ {
 			entry := int32(rng.Intn(entries + 2)) // past the last one: absent
-			checkReplaceEntryFile(t, f, entry, randomAggregate(rng, universe))
+			checkReplaceEntryFile(t, f, entries, entry, randomAggregate(rng, universe))
 		}
-		checkReplaceEntryFile(t, f, int32(rng.Intn(entries)), nil)
+		checkReplaceEntryFile(t, f, entries, int32(rng.Intn(entries)), nil)
 	}
 }
 
 // FuzzReplaceEntry: on every input, for any entry and any strictly
-// ascending aggregate, ReplaceEntry fails exactly when Decode does and
-// otherwise returns the bytes of the rebuild-through-Add reference,
-// duplicate (term, entry) postings of a foreign file included.
+// ascending aggregate, ReplaceEntry fails exactly when Decode does or the
+// entry does not fit, and otherwise returns the bytes of the reference,
+// duplicate (term, entry) postings of a foreign file included; the other
+// readers agree too (checkRecord).
 func FuzzReplaceEntry(f *testing.F) {
 	for i, sf := range fuzzSeedFiles() {
-		f.Add(sf.Encode(true), uint16(i), []byte{1, 40, 8, 3, 16, 0, 200, 7, 7})
-		f.Add(sf.Encode(false), uint16(5), []byte{})
+		f.Add(sf.encode(narrowest(sf, true)), uint16(i), []byte{1, 40, 8, 3, 16, 0, 200, 7, 7})
+		f.Add(sf.encode(narrowest(sf, false)), uint16(5), []byte{})
 	}
 	for i, buf := range fuzzSeedBuffers() {
 		f.Add(buf, uint16(128+i), []byte{4, 1, 1, 0, 2, 2})
@@ -190,7 +205,7 @@ func FuzzReplaceEntry(f *testing.F) {
 			tm += 1 + vocab.TermID(seed[0])
 			agg = append(agg, EntryWeight{Term: tm, MaxW: float64(seed[1]) / 16, MinW: float64(seed[2]) / 32})
 		}
-		checkReplaceEntry(t, buf, int32(entry), agg)
+		checkRecord(t, buf, int(entry)%300+1, int32(entry), agg)
 	})
 }
 
@@ -207,7 +222,7 @@ func TestFreezeMergesPendingLikeFullSort(t *testing.T) {
 			big.Add(tm, Posting{Entry: e, MaxW: rng.Float64(), MinW: rng.Float64()})
 		}
 	}
-	f, err := Decode(big.Encode(true))
+	f, err := Decode(big.Encode(true, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +281,11 @@ func TestFreezeMergesPendingLikeFullSort(t *testing.T) {
 		}
 	}
 	// The merged file is canonical: it survives a round trip unchanged.
-	back, err := Decode(f.Encode(true))
+	back, err := Decode(f.Encode(true, 1<<16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(back.Encode(true), f.Encode(true)) {
+	if !bytes.Equal(back.Encode(true, 1<<16), f.Encode(true, 1<<16)) {
 		t.Fatal("merged file is not a decode↔encode fixpoint")
 	}
 }
@@ -348,18 +363,19 @@ func TestAggregateMatchesReferenceRandomized(t *testing.T) {
 			}
 		}
 		for _, includeMin := range []bool{true, false} {
-			checkAggregate(t, f.Encode(includeMin), entries)
+			checkAggregate(t, f.Encode(includeMin, entries), entries)
 		}
 	}
 }
 
 // FuzzAggregate: on every input Aggregate fails exactly when Decode does
-// and otherwise equals the decoded-file reference.
+// and otherwise equals the decoded-file reference; the other readers agree
+// too (checkRecord).
 func FuzzAggregate(f *testing.F) {
 	for _, buf := range fuzzSeedBuffers() {
 		f.Add(buf, uint16(3))
 	}
 	f.Fuzz(func(t *testing.T, buf []byte, entries uint16) {
-		checkAggregate(t, buf, int(entries)%300)
+		checkRecord(t, buf, int(entries)%300, int32(entries%7), nil)
 	})
 }

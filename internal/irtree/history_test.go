@@ -135,8 +135,8 @@ func applyWriteHistory(t *testing.T, tree *Tree, pool []dataset.Object, seed int
 }
 
 // fileDigest writes tree to an index file, its metadata as the root
-// record, and returns the file's sha256.
-func fileDigest(t *testing.T, tree *Tree) string {
+// record, and returns the file's sha256 and length.
+func fileDigest(t *testing.T, tree *Tree) (string, int) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "tree.idx")
 	if err := storage.WriteFile(path, tree.Backend(), tree.EncodeMeta()); err != nil {
@@ -147,7 +147,7 @@ func fileDigest(t *testing.T, tree *Tree) string {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:]), len(raw)
 }
 
 // reopen writes tree to an index file and restores it from the file, the
@@ -178,11 +178,12 @@ func reopen(t *testing.T, tree *Tree, ds *dataset.Dataset) *Tree {
 // TestWriteHistoryDigest pins the bytes the copy-on-write write path
 // stores for the IR-tree: the seeded history over a 2,000-object index,
 // applied to the built tree and to the tree written to a file and
-// restored from it, must leave the same file, whose digest was recorded
-// before the write path edited posting records as bytes. The MIR-tree's
-// twin runs through the facade.
+// restored from it, must leave the same file. Its digest was recorded when
+// posting records took their fixed-stride layout, and its length is the
+// one the varint-delta layout before it gave: at fanout 44 every record
+// kept its length. The MIR-tree's twin runs through the facade.
 func TestWriteHistoryDigest(t *testing.T) {
-	const want = "a3aac143b47941aa5cfee75fb6cdab802209b7a3bec89b75670a8ea53615ebf0"
+	const want, wantLen = "f2708526277a06fac5e7392702d8b9943e4b1bff7bb612c0ee09e72f6b17ebef", 807507
 	full := dataset.GenerateFlickr(dataset.FlickrConfig{
 		NumObjects: 2400, VocabSize: 400, MeanTags: 5, NumCluster: 8, Zipf: 1.1, Seed: 31,
 	})
@@ -202,7 +203,11 @@ func TestWriteHistoryDigest(t *testing.T) {
 			}
 			tree, ev := applyWriteHistory(t, tree, full.Objects[2000:], 7)
 			ev.check(t)
-			if got := fileDigest(t, tree); got != want {
+			got, n := fileDigest(t, tree)
+			if n != wantLen {
+				t.Fatalf("file of %d bytes, want %d", n, wantLen)
+			}
+			if got != want {
 				t.Fatalf("file sha256 %s, want %s", got, want)
 			}
 		})

@@ -236,3 +236,27 @@ func TestInsertRejectsBadID(t *testing.T) {
 		t.Error("deleting an unknown object should be rejected")
 	}
 }
+
+// TestSplitAtDeltaWidthBoundary: at fanout 256 a node's entries take the
+// whole one-byte delta range of its posting records. A root of 256 full
+// leaves that gains a 257th entry from a leaf split must itself split; its
+// record is never spliced at entry 256, which its deltas cannot hold.
+func TestSplitAtDeltaWidthBoundary(t *testing.T) {
+	const n = 256 * 256
+	full := dataset.GenerateFlickr(dataset.FlickrConfig{
+		NumObjects: n + 1, VocabSize: 50, MeanTags: 1, NumCluster: 4, Zipf: 1.1, Seed: 9,
+	})
+	ds := &dataset.Dataset{Objects: full.Objects[:n:n], Vocab: full.Vocab, Stats: full.Stats, Space: full.Space}
+	tree := Build(ds, textrel.NewScorer(full, textrel.LM, 0.5).Model, Config{Kind: MIRTree, Fanout: 256})
+	root, err := tree.ReadNode(tree.RootID())
+	if err != nil || len(root.Entries) != 256 {
+		t.Fatalf("root %d entries, err %v: want 256 full leaves", len(root.Entries), err)
+	}
+	grown, err := tree.WithInsert(full.Objects[n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.Height() != tree.Height()+1 {
+		t.Fatalf("height %d after the insert, want %d: the root did not split", grown.Height(), tree.Height()+1)
+	}
+}

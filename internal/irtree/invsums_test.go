@@ -2,7 +2,6 @@ package irtree
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -48,7 +47,7 @@ func TestReadInvBytesChargesBlocks(t *testing.T) {
 			f.Add(tm, invfile.Posting{Entry: e, MaxW: float64(e) * 0.1, MinW: 0.01})
 		}
 	}
-	id := tree.sh.pager.WriteRecord(f.Encode(true))
+	id := tree.sh.pager.WriteRecord(f.Encode(true, tree.Fanout()))
 	blocks := tree.sh.pager.RecordPages(id)
 	if blocks < 2 {
 		t.Fatalf("test file should span ≥2 pages, got %d", blocks)
@@ -132,8 +131,9 @@ func MinTextSums(model textrel.Model, inv *invfile.File, nEntries int, terms []v
 // and on (decode-and-cache on the first visit, sums over the cached file
 // after), the two surviving sum paths. Every record is also summed both
 // ways directly, DecodeSumsInto against Decode + SumsInto, which must
-// agree bit for bit; at fanout 200 leaves hold more than 128 entries, so
-// two-byte posting deltas send both decoders to their general path.
+// agree bit for bit. At fanout 200 leaves hold more than 128 entries, past
+// the one-byte varint deltas of the layout before this one, and at fanout
+// 300 more than 256, so their records take two-byte deltas.
 func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
 	termSets := [][]vocab.TermID{
 		nil,
@@ -143,12 +143,13 @@ func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
 	}
 	for _, kind := range []Kind{IRTree, MIRTree} {
 		for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF} {
-			for _, cfg := range []Config{{Fanout: 16}, {Fanout: 16, DecodedCacheBytes: 8 << 20}, {Fanout: 200}} {
+			for _, cfg := range []Config{{Fanout: 16}, {Fanout: 16, DecodedCacheBytes: 8 << 20}, {Fanout: 200}, {Fanout: 300}} {
 				cfg.Kind = kind
 				cacheBytes := cfg.DecodedCacheBytes
 				_, ds, scorer := buildSmall(t, kind, measure)
 				tree := Build(ds, scorer.Model, cfg)
 				var scratch, streamed, decoded invfile.SumScratch
+				widest := 0
 				for _, maxTerms := range termSets {
 					for _, minTerms := range termSets {
 						var walk func(id int32)
@@ -157,6 +158,7 @@ func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
+							widest = max(widest, len(node.Entries))
 							// Sums first: with the cache on, the first term set
 							// takes the miss branch, every later one the hit.
 							gotMax, gotMin, err := tree.ReadInvSums(node, maxTerms, minTerms, &scratch)
@@ -211,27 +213,11 @@ func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
 						walk(tree.RootID())
 					}
 				}
+				if cfg.Fanout == 300 && widest <= 256 {
+					t.Fatalf("widest node has %d entries at fanout 300; the test needs more than 256", widest)
+				}
 			}
 		}
-	}
-}
-
-// TestRestoreRejectsPackedFlag: tree metadata written while the packed
-// posting codec existed carries a trailing codec flag. Absent or 0 is the
-// flat layout and restores; non-zero marks an index this build cannot
-// read, refused at load with the typed version error.
-func TestRestoreRejectsPackedFlag(t *testing.T) {
-	tree, ds, scorer := buildSmall(t, MIRTree, textrel.LM)
-	meta := tree.EncodeMeta()
-	meta = meta[:len(meta):len(meta)] // appends below must not share a backing array
-	for _, flat := range [][]byte{meta, storage.AppendUvarint(meta, 0)} {
-		if _, err := Restore(ds, scorer.Model, tree.Backend(), flat, 0, 0); err != nil {
-			t.Fatalf("flat metadata (%d bytes) refused: %v", len(flat), err)
-		}
-	}
-	_, err := Restore(ds, scorer.Model, tree.Backend(), storage.AppendUvarint(meta, 1), 0, 0)
-	if !errors.Is(err, storage.ErrVersionMismatch) {
-		t.Fatalf("packed-flagged metadata: got %v, want ErrVersionMismatch", err)
 	}
 }
 

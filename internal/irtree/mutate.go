@@ -238,7 +238,7 @@ func (m *mutation) insert(o dataset.Object) error {
 		})
 		m.writeNodeData(m.rootID, true, []NodeEntry{{
 			Rect: geo.RectFromPoint(o.Loc), Child: o.ID, Count: 1,
-		}}, inv.Encode(m.t.sh.kind == MIRTree), storage.InvalidPage)
+		}}, inv.Encode(m.t.sh.kind == MIRTree, m.t.sh.cfgFanout), storage.InvalidPage)
 		return nil
 	}
 
@@ -320,29 +320,33 @@ func (m *mutation) insert(o dataset.Object) error {
 		}
 		parent.Entries[entryIdx].Rect = rect
 		parent.Entries[entryIdx].Count = count
-		if parentInv, err = invfile.ReplaceEntry(parentInv, int32(entryIdx), agg); err != nil {
-			return err
-		}
-
+		var sAgg []invfile.EntryWeight
 		if childSplit >= 0 {
-			sAgg, sRect, sCount, err := m.aggregateOf(childSplit)
+			a, sRect, sCount, err := m.aggregateOf(childSplit)
 			if err != nil {
 				return err
 			}
-			newIdx := int32(len(parent.Entries))
+			sAgg = a
 			parent.Entries = append(parent.Entries, NodeEntry{Rect: sRect, Child: childSplit, Count: sCount})
-			if parentInv, err = invfile.ReplaceEntry(parentInv, newIdx, sAgg); err != nil {
-				return err
-			}
 		}
 
-		childSplit = -1
+		// An overflowing parent is split, each half's file rebuilt from its
+		// children, so a splice only ever writes an entry below the fanout,
+		// which the record's delta width holds.
 		if len(parent.Entries) > fanout {
-			childSplit, err = m.splitNode(parentID, parent)
-			if err != nil {
+			if childSplit, err = m.splitNode(parentID, parent); err != nil {
 				return err
 			}
 		} else {
+			if parentInv, err = invfile.ReplaceEntry(parentInv, int32(entryIdx), agg); err != nil {
+				return err
+			}
+			if childSplit >= 0 {
+				if parentInv, err = invfile.ReplaceEntry(parentInv, int32(len(parent.Entries)-1), sAgg); err != nil {
+					return err
+				}
+			}
+			childSplit = -1
 			m.writeNodeData(parentID, false, parent.Entries, parentInv, parent.InvID)
 		}
 		childID = parentID
@@ -352,7 +356,7 @@ func (m *mutation) insert(o dataset.Object) error {
 	// into an empty file.
 	if childSplit >= 0 {
 		newRoot := m.edit.alloc()
-		inv := invfile.New().Encode(m.t.sh.kind == MIRTree)
+		inv := invfile.New().Encode(m.t.sh.kind == MIRTree, m.t.sh.cfgFanout)
 		var entries []NodeEntry
 		for i, cid := range []int32{childID, childSplit} {
 			agg, rect, count, err := m.aggregateOf(cid)
@@ -605,6 +609,6 @@ func (m *mutation) rebuildNodeFromEntries(id int32, leaf bool, entries []NodeEnt
 			inv.Add(a.Term, invfile.Posting{Entry: int32(i), MaxW: a.MaxW, MinW: a.MinW})
 		}
 	}
-	m.writeNodeData(id, leaf, entries, inv.Encode(m.t.sh.kind == MIRTree), oldInv)
+	m.writeNodeData(id, leaf, entries, inv.Encode(m.t.sh.kind == MIRTree, m.t.sh.cfgFanout), oldInv)
 	return nil
 }

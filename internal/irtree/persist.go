@@ -68,20 +68,6 @@ func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, 
 	if int(rootID) >= numNodes {
 		return nil, fmt.Errorf("irtree: corrupt tree metadata: root %d with %d nodes", rootID, numNodes)
 	}
-	// Metadata written between PR 7 and the packed codec's removal carries
-	// one trailing codec flag: 0 (flat) reads as before; non-zero marks an
-	// index this build cannot answer from, refused here rather than at the
-	// first inverted-file read of some later query.
-	if d.Remaining() > 0 {
-		flag := d.Uvarint()
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("irtree: corrupt tree metadata: %w", err)
-		}
-		if flag != 0 {
-			return nil, fmt.Errorf("irtree: %w: index stores packed postings, which this build no longer reads; rebuild it", storage.ErrVersionMismatch)
-		}
-	}
-
 	sh := &shared{
 		kind:      kind,
 		model:     model,

@@ -226,7 +226,7 @@ func (t *Tree) buildNode(rt *rtree.Tree, id int32) (nodeAgg, int32) {
 		agg[tm] = a
 	}
 
-	invID := t.sh.pager.WriteRecord(inv.Encode(t.sh.kind == MIRTree))
+	invID := t.sh.pager.WriteRecord(inv.Encode(t.sh.kind == MIRTree, t.sh.cfgFanout))
 	t.nodes.setRaw(id, t.sh.pager.WriteRecord(encodeNode(n.Leaf, entries, invID)))
 	return agg, total
 }

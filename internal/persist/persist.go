@@ -32,15 +32,14 @@ import (
 
 // masterVersion is the encoding version of the master record, separate
 // from the file-level storage.FormatVersion: the file format governs the
-// pager layout, this governs the index payload. Version 2 appends the
-// deleted-object id list; version 3 indexes may contain one-page empty
-// records where the pager had reclaimed pages. Versions 1 and 2
-// are still accepted. Version 3 also introduced a trailing codec flag in
-// the tree metadata for the since-removed packed posting layout: the flag
-// is no longer written, absent or 0 loads as the flat layout every
-// accepted file was written with, and a file flagged packed is refused by
-// irtree.Restore with storage.ErrVersionMismatch.
-const masterVersion = 3
+// pager layout, this governs the index payload, its posting records
+// included. Version 4 marks indexes whose posting records put the term
+// directory first and every posting at one stride (invfile); Load refuses
+// any other version with storage.ErrVersionMismatch, so an older index
+// fails at load, never at a first query, and is rebuilt from its data.
+// Its predecessors added the deleted-object id list (2) and one-page empty
+// records where the pager had reclaimed pages (3).
+const masterVersion = 4
 
 // Index is the persistable state of one built index: the measure
 // parameters the facade's Options carry, the dataset, and the object
@@ -202,7 +201,7 @@ func encodeMaster(ix *Index) []byte {
 	buf = storage.AppendUvarint(buf, uint64(len(meta)))
 	buf = append(buf, meta...)
 
-	// Version 2: the deleted-id list (ascending, delta-encoded).
+	// The deleted-id list (ascending, delta-encoded).
 	buf = storage.AppendUvarint(buf, uint64(len(ix.Deleted)))
 	prev := int32(0)
 	for _, id := range ix.Deleted {
@@ -215,8 +214,8 @@ func encodeMaster(ix *Index) []byte {
 func decodeMaster(buf []byte) (*Index, error) {
 	d := storage.NewDecoder(buf)
 	version := d.Uvarint()
-	if d.Err() == nil && (version < 1 || version > masterVersion) {
-		return nil, fmt.Errorf("%w: master record version %d, this build reads up to %d",
+	if d.Err() == nil && version != masterVersion {
+		return nil, fmt.Errorf("%w: master record version %d, this build reads version %d; rebuild it",
 			storage.ErrVersionMismatch, version, masterVersion)
 	}
 	ix := &Index{
@@ -287,25 +286,22 @@ func decodeMaster(buf []byte) (*Index, error) {
 	metaLen := d.Uvarint()
 	meta := d.Bytes(int(metaLen))
 
-	// Version 1 predates deletion support, so its deleted list is empty.
-	if version >= 2 {
-		numDeleted := d.Uvarint()
-		if d.Err() == nil && numDeleted > numObjects {
-			return nil, fmt.Errorf("corrupt master record: %d deleted ids for %d objects", numDeleted, numObjects)
+	numDeleted := d.Uvarint()
+	if d.Err() == nil && numDeleted > numObjects {
+		return nil, fmt.Errorf("corrupt master record: %d deleted ids for %d objects", numDeleted, numObjects)
+	}
+	prev := uint64(0)
+	for i := uint64(0); i < numDeleted && d.Err() == nil; i++ {
+		delta := d.Uvarint()
+		if i > 0 && delta == 0 {
+			return nil, fmt.Errorf("corrupt master record: duplicate deleted id %d", prev)
 		}
-		prev := uint64(0)
-		for i := uint64(0); i < numDeleted && d.Err() == nil; i++ {
-			delta := d.Uvarint()
-			if i > 0 && delta == 0 {
-				return nil, fmt.Errorf("corrupt master record: duplicate deleted id %d", prev)
-			}
-			id := prev + delta
-			if id >= numObjects {
-				return nil, fmt.Errorf("corrupt master record: deleted id %d beyond %d objects", id, numObjects)
-			}
-			ix.Deleted = append(ix.Deleted, int32(id))
-			prev = id
+		id := prev + delta
+		if id >= numObjects {
+			return nil, fmt.Errorf("corrupt master record: deleted id %d beyond %d objects", id, numObjects)
 		}
+		ix.Deleted = append(ix.Deleted, int32(id))
+		prev = id
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("corrupt master record: %w", err)

@@ -275,12 +275,6 @@ type Decoder struct {
 // NewDecoder wraps buf for reading.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
-// NewDecoderAt wraps buf for reading from offset off (0 ≤ off ≤ len(buf)),
-// for a caller that walks the bytes in place and hands the encodings it
-// does not decode itself to the general reader. Error offsets count from
-// the start of buf, and len(buf)-Remaining() is the offset reached.
-func NewDecoderAt(buf []byte, off int) *Decoder { return &Decoder{buf: buf, off: off} }
-
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
 

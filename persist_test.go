@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -113,10 +114,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestFormatFixture pins the on-disk format with a file another build
-// wrote: testdata/reclaim_fixture.mxbr is reclaimFixture's index, saved by
-// an earlier build of this package. Loading it must answer exactly as
-// the in-memory build does, and saving the build must reproduce it byte
-// for byte.
+// wrote: testdata/reclaim_fixture.mxbr is reclaimFixture's index, saved
+// when posting records took their fixed-stride layout. Loading it must
+// answer exactly as the in-memory build does, and saving the build must
+// reproduce it byte for byte. testdata/format_v3.mxbr is the same index in
+// the format before, which TestOldFormatFailsAtLoad pins.
 func TestFormatFixture(t *testing.T) {
 	const fixture = "testdata/reclaim_fixture.mxbr"
 	want, err := os.ReadFile(fixture)
@@ -167,17 +169,41 @@ func TestFormatFixture(t *testing.T) {
 	}
 }
 
+// TestOldFormatFailsAtLoad: an index saved before posting records took
+// their fixed-stride layout fails inside Load, with the typed version
+// error and a message that says to rebuild it — never at a first query.
+func TestOldFormatFailsAtLoad(t *testing.T) {
+	ix, err := Load("testdata/format_v3.mxbr")
+	if err == nil {
+		ix.Close()
+		t.Fatal("an index of the format before loaded")
+	}
+	if !errors.Is(err, storage.ErrVersionMismatch) || !strings.Contains(err.Error(), "rebuild") {
+		t.Fatalf("Load error %v: want storage.ErrVersionMismatch, saying to rebuild", err)
+	}
+}
+
 // TestWideNodesMatchWhenLoaded: at fanout 200 a leaf holds more than 128
-// entries, so posting deltas reach two bytes and the posting decoders
-// leave their one-byte fast paths for the general reader. A saved index
-// loaded all cold — an 8-record pool and no decoded cache, so every read
-// sums off the encoded bytes — must answer TopK and every MaxBRSTkNN
-// strategy exactly as the built one. It must still after the same adds,
-// updates and deletes on both, whose leaf inserts splice postings into
-// runs of two-byte deltas (the splice's re-encoding path), and answer as a
-// batch build over the live objects.
+// entries, past the one-byte varint deltas of the layout before this one,
+// and at fanout 300 more than 256, so its records take two-byte deltas. A
+// saved index loaded all cold — an 8-record pool and no decoded cache, so
+// every read sums off the encoded bytes — must answer TopK and every
+// MaxBRSTkNN strategy exactly as the built one. It must still after the
+// same adds, updates and deletes on both, whose leaf inserts splice
+// postings into those runs, and answer as a batch build over the live
+// objects.
 func TestWideNodesMatchWhenLoaded(t *testing.T) {
-	rng := rand.New(rand.NewSource(200))
+	for _, c := range []struct{ fanout, widest int }{{200, 128}, {300, 256}} {
+		t.Run(fmt.Sprintf("fanout_%d", c.fanout), func(t *testing.T) {
+			checkWideNodesMatchWhenLoaded(t, c.fanout, c.widest)
+		})
+	}
+}
+
+// checkWideNodesMatchWhenLoaded is TestWideNodesMatchWhenLoaded at one
+// fanout, whose widest leaf must hold more than widest entries.
+func checkWideNodesMatchWhenLoaded(t *testing.T, fanout, widest int) {
+	rng := rand.New(rand.NewSource(int64(fanout)))
 	words := make([]string, 200)
 	for i := range words {
 		words[i] = fmt.Sprintf("w%03d", i)
@@ -187,7 +213,7 @@ func TestWideNodesMatchWhenLoaded(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		b.AddObject(rng.Float64()*10, rng.Float64()*10, pick()...)
 	}
-	idx, err := b.Build(Options{Fanout: 200})
+	idx, err := b.Build(Options{Fanout: fanout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,16 +222,16 @@ func TestWideNodesMatchWhenLoaded(t *testing.T) {
 	if err != nil || root.Leaf {
 		t.Fatalf("root %+v, err %v: want an internal root", root, err)
 	}
-	widest := 0
+	leafMax := 0
 	for _, e := range root.Entries {
 		leaf, err := tree.ReadNode(e.Child)
 		if err != nil {
 			t.Fatal(err)
 		}
-		widest = max(widest, len(leaf.Entries))
+		leafMax = max(leafMax, len(leaf.Entries))
 	}
-	if widest <= 128 {
-		t.Fatalf("widest leaf has %d entries; the test needs more than 128", widest)
+	if leafMax <= widest {
+		t.Fatalf("widest leaf has %d entries; the test needs more than %d", leafMax, widest)
 	}
 	loaded := reloaded(t, idx)
 
