@@ -511,3 +511,54 @@ func BenchmarkTopK_ColdFileMixed(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(reads.Seconds()*1e3/float64(b.N), "read-ms/op")
 }
+
+// BenchmarkCohortFresh_Library is bench/'s cohort-fresh at the library:
+// the 100,000-object index it serves (default options, so a 64 MiB
+// decoded cache), and per op a 16-user cohort confined to a 2×2 sub-area
+// as genFresh draws them, with 50 candidate locations and the cohort's
+// 20-keyword pool, answered by MaxBRSTkNN (approx, at most 3 keywords,
+// k = 10). The library keeps no sessions, so every op pays phase 1; 64
+// cohorts drawn up front take turns. Beside B/op it reports decoded-MB,
+// what the decoded cache holds at the end.
+func BenchmarkCohortFresh_Library(b *testing.B) {
+	cfg := dataset.DefaultFlickrConfig(100000)
+	cfg.Seed = 1
+	ds := dataset.GenerateFlickr(cfg)
+	bld := NewBuilder()
+	for _, o := range ds.Objects {
+		bld.AddObject(o.Loc.X, o.Loc.Y, docKeywords(ds.Vocab, o.Doc)...)
+	}
+	idx, err := bld.Build(Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer idx.Close()
+	reqs := make([]Request, 64)
+	for i := range reqs {
+		seed := int64(1000003 + i)
+		us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 16, UL: 3, UW: 20, Area: 2, Seed: seed})
+		req := Request{MaxKeywords: 3, K: 10, Strategy: Approx}
+		for _, u := range us.Users {
+			req.Users = append(req.Users, UserSpec{X: u.Loc.X, Y: u.Loc.Y, Keywords: docKeywords(ds.Vocab, u.Doc)})
+		}
+		for _, p := range dataset.CandidateLocations(us.Region, 50, 0.5, seed) {
+			req.Locations = append(req.Locations, [2]float64{p.X, p.Y})
+		}
+		for _, t := range us.Keywords {
+			req.Keywords = append(req.Keywords, ds.Vocab.Term(t))
+		}
+		reqs[i] = req
+	}
+	if _, err := idx.MaxBRSTkNN(reqs[0]); err != nil { // fills the decoded cache
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := idx.MaxBRSTkNN(reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(idx.CacheStats().DecodedBytes)/(1<<20), "decoded-MB")
+}

@@ -1,0 +1,102 @@
+package maxbrstknn
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/invfile"
+	"repro/internal/vocab"
+)
+
+// TestDecodedCacheChargesDirectories: the decoded cache holds each
+// posting record's term directory indexed over the record's bytes. On a
+// built index the bytes are the pager's own, so a directory is charged its
+// arrays alone, and after every node and record has been read the cache
+// holds less than the records themselves. On a loaded index a record read
+// from the file is a private copy the directory keeps alive, so it is
+// charged those bytes too.
+func TestDecodedCacheChargesDirectories(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	b := NewBuilder()
+	for range 2000 {
+		kws := make([]string, 1+rng.Intn(6))
+		for i := range kws {
+			kws[i] = fmt.Sprintf("w%d", rng.Intn(300))
+		}
+		b.AddObject(rng.Float64()*100, rng.Float64()*100, kws...)
+	}
+	built, err := b.Build(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "charge.mxbr")
+	if err := built.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadWithOptions(path, LoadOptions{CacheCapacity: 8, DecodedCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+
+	terms := []vocab.TermID{0, 1, 2, 3}
+	for _, c := range []struct {
+		name    string
+		idx     *Index
+		private bool // whether a record read is a private copy
+	}{{"built", built, false}, {"loaded", loaded, true}} {
+		tree := c.idx.snap.Load().tree
+		var scratch invfile.SumScratch
+		nodes, checked, recordBytes := 0, 0, int64(0)
+		var walk func(id int32)
+		walk = func(id int32) {
+			node, err := tree.ReadNode(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf, err := tree.Backend().ReadRecord(node.InvID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes++
+			recordBytes += int64(len(buf))
+			before := c.idx.CacheStats()
+			if _, _, err := tree.ReadInvSums(node, terms, terms, &scratch); err != nil {
+				t.Fatal(err)
+			}
+			after := c.idx.CacheStats()
+			if after.DecodedEntries > before.DecodedEntries && after.DecodedEvictions == before.DecodedEvictions {
+				want := invfile.DirBytes(buf)
+				if c.private {
+					want += int64(len(buf))
+				}
+				if got := after.DecodedBytes - before.DecodedBytes; got != want {
+					t.Fatalf("%s: a %d-byte record's directory is charged %d, want %d", c.name, len(buf), got, want)
+				}
+				checked++
+			}
+			if !node.Leaf {
+				for _, e := range node.Entries {
+					walk(e.Child)
+				}
+			}
+		}
+		walk(tree.RootID())
+		if checked == 0 {
+			t.Fatalf("%s: no record's directory was cached", c.name)
+		}
+		if c.private {
+			continue
+		}
+		st := c.idx.CacheStats()
+		if st.DecodedEntries != 2*nodes || st.DecodedEvictions != 0 {
+			t.Fatalf("built: %d entries and %d evictions for %d nodes, want every node and directory cached", st.DecodedEntries, st.DecodedEvictions, nodes)
+		}
+		if st.DecodedBytes >= recordBytes {
+			t.Fatalf("built: the decoded cache holds %d bytes for %d bytes of records; it should hold nodes and directories only", st.DecodedBytes, recordBytes)
+		}
+		t.Logf("built: %d nodes, decoded cache %d bytes, posting records %d bytes", nodes, st.DecodedBytes, recordBytes)
+	}
+}

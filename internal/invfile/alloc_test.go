@@ -6,10 +6,10 @@ import (
 	"repro/internal/vocab"
 )
 
-// allocFixture builds an encoded file plus the term sets and floor
-// function of a typical traversal node visit.
-func allocFixture() (buf []byte, f *File, nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64) {
-	f = New()
+// allocFixture builds an encoded file and its Dir plus the term sets and
+// floor function of a typical traversal node visit.
+func allocFixture() (buf []byte, dir *Dir, nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64) {
+	f := New()
 	nEntries = 16
 	for t := vocab.TermID(0); t < 40; t++ {
 		for e := int32(0); e < int32(nEntries); e += 1 + int32(t)%3 {
@@ -17,6 +17,10 @@ func allocFixture() (buf []byte, f *File, nEntries int, maxTerms, minTerms []voc
 		}
 	}
 	buf = f.Encode(true, nEntries)
+	dir, err := OpenDir(buf)
+	if err != nil {
+		panic(err)
+	}
 	maxTerms = []vocab.TermID{2, 7, 11, 23, 39}
 	minTerms = []vocab.TermID{7, 23}
 	floorOf = func(t vocab.TermID) float64 { return 0.01 }
@@ -44,15 +48,15 @@ func TestDecodeSumsIntoAllocationFree(t *testing.T) {
 }
 
 // TestSumsIntoAllocationFree pins the decoded-cache hit path: computing
-// bound sums over the flat layout with warm scratch must not allocate.
+// bound sums through a Dir with warm scratch must not allocate.
 func TestSumsIntoAllocationFree(t *testing.T) {
-	_, f, nEntries, maxTerms, minTerms, floorOf := allocFixture()
+	_, dir, nEntries, maxTerms, minTerms, floorOf := allocFixture()
 	scratch := &SumScratch{}
-	if _, _, err := f.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch); err != nil {
+	if _, _, err := dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, err := f.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch); err != nil {
+		if _, _, err := dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -62,18 +66,18 @@ func TestSumsIntoAllocationFree(t *testing.T) {
 }
 
 // TestScratchVariantsMatchAllocatingPaths: the two sum paths the traversal
-// treats as interchangeable — the byte-wise scan of an encoded buffer and
-// the binary-search walk of its decoded file — must agree bit for bit,
-// whether their scratch is fresh (allocating) or reused.
+// treats as interchangeable — the directory walk of an encoded buffer and
+// the binary search of its Dir — must agree bit for bit, whether their
+// scratch is fresh (allocating) or reused.
 func TestScratchVariantsMatchAllocatingPaths(t *testing.T) {
-	buf, f, nEntries, maxTerms, minTerms, floorOf := allocFixture()
+	buf, dir, nEntries, maxTerms, minTerms, floorOf := allocFixture()
 	wantMax, wantMin, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, &SumScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := &SumScratch{Max: make([]float64, 64), Min: make([]float64, 64)}
 	for _, scratch := range []*SumScratch{{}, warm} {
-		gotMax, gotMin, err := f.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch)
+		gotMax, gotMin, err := dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}

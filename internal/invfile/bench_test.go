@@ -56,7 +56,14 @@ func benchFile(entries, terms, postings int) *File {
 // BenchmarkDecodeSumsInto is the cold read of one node: the bound sums of
 // three query terms (the first, middle and last stored) straight off the
 // encoded file, as Tree.TopK asks for them.
-func BenchmarkDecodeSumsInto(b *testing.B) {
+func BenchmarkDecodeSumsInto(b *testing.B) { benchSums(b, false) }
+
+// BenchmarkDirSumsInto is the same read on a decoded-cache hit, through
+// the record's Dir.
+func BenchmarkDirSumsInto(b *testing.B) { benchSums(b, true) }
+
+// benchSums times one sum path, through a Dir or not, on every shape.
+func benchSums(b *testing.B, throughDir bool) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
 			f := benchFile(s.entries, s.terms, s.postings)
@@ -65,10 +72,24 @@ func BenchmarkDecodeSumsInto(b *testing.B) {
 			query := []vocab.TermID{terms[0], terms[len(terms)/2], terms[len(terms)-1]}
 			floorOf := func(vocab.TermID) float64 { return 0.01 }
 			var scratch SumScratch
+			read := func() error {
+				_, _, err := DecodeSumsInto(buf, s.entries, query, nil, floorOf, &scratch)
+				return err
+			}
+			if throughDir {
+				dir, err := OpenDir(buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				read = func() error {
+					_, _, err := dir.SumsInto(s.entries, query, nil, floorOf, &scratch)
+					return err
+				}
+			}
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, _, err := DecodeSumsInto(buf, s.entries, query, nil, floorOf, &scratch); err != nil {
+				if err := read(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -76,16 +97,16 @@ func BenchmarkDecodeSumsInto(b *testing.B) {
 	}
 }
 
-// BenchmarkDecode is the full decode a cacheable file pays once on a miss
-// and a mutation pays for every file it rewrites.
-func BenchmarkDecode(b *testing.B) {
+// BenchmarkOpenDir is what a cacheable record's first read pays on top of
+// its sums: one walk of the directory into a Dir.
+func BenchmarkOpenDir(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
 			buf := benchFile(s.entries, s.terms, s.postings).Encode(true, 32)
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := Decode(buf); err != nil {
+				if _, err := OpenDir(buf); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -83,11 +83,11 @@ func bufLayout(buf []byte) layout {
 	return d.layout
 }
 
-// checkRecord holds the four readers to one another on buf: they accept
-// exactly the same records, DecodeSumsInto equals SumsInto over the
-// decoded file bit for bit, Aggregate and ReplaceEntry equal their
-// decoded-file references, and a decoded record re-encodes to a
-// decode↔encode fixpoint in its layout.
+// checkRecord holds the readers to one another on buf: they accept
+// exactly the same records, DecodeSumsInto and a Dir's SumsInto equal the
+// reference sums over the decoded file bit for bit, Aggregate and
+// ReplaceEntry equal their decoded-file references, and a decoded record
+// re-encodes to a decode↔encode fixpoint in its layout.
 func checkRecord(t *testing.T, buf []byte, nEntries int, entry int32, agg []EntryWeight) {
 	t.Helper()
 	checkSums(t, buf, nEntries)
@@ -108,48 +108,92 @@ func checkRecord(t *testing.T, buf []byte, nEntries int, entry int32, agg []Entr
 	}
 }
 
-// checkSums requires DecodeSumsInto on buf to fail exactly when Decode
-// does or SumsInto over the decoded file does (a summed posting out of
-// the node's entries), and otherwise to agree with it bit for bit.
+// reusedScratch carries one DecodeSumsInto scratch from input to input,
+// so its reuse of the arrays a larger or smaller record left is checked
+// too. Fuzz and seed inputs run one at a time within a process.
+var reusedScratch SumScratch
+
+// checkSums requires OpenDir to accept buf exactly when Decode does, and
+// DecodeSumsInto (with a fresh and a reused scratch) and the Dir's SumsInto
+// to fail exactly when the reference sums over the decoded file do (on a
+// directory Decode rejects, or a summed posting out of the node's entries)
+// and otherwise to equal them bit for bit. DirBytes must weigh the Dir
+// exactly.
 func checkSums(t *testing.T, buf []byte, nEntries int) {
 	t.Helper()
 	floorOf, maxTerms, minTerms := fuzzSumsQuery()
-	var scratch, ref SumScratch
+	var scratch, dirScratch SumScratch
 	gotMax, gotMin, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, &scratch)
+	reMax, reMin, reErr := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, &reusedScratch)
+	if (err == nil) != (reErr == nil) {
+		t.Fatalf("DecodeSumsInto error %v with a fresh scratch, %v with a reused one", err, reErr)
+	}
+	if err == nil {
+		compareSums(t, "reused max", reMax, gotMax)
+		compareSums(t, "reused min", reMin, gotMin)
+	}
+	dir, oerr := OpenDir(buf)
 	file, derr := Decode(buf)
+	if (oerr == nil) != (derr == nil) {
+		t.Fatalf("OpenDir error %v, Decode error %v: want both or neither", oerr, derr)
+	}
 	if derr != nil {
 		if err == nil {
 			t.Fatalf("DecodeSumsInto accepted a record Decode rejects (%v)", derr)
 		}
 		return
 	}
-	wantMax, wantMin, rerr := file.SumsInto(nEntries, maxTerms, minTerms, floorOf, &ref)
-	if (err == nil) != (rerr == nil) {
-		t.Fatalf("DecodeSumsInto error %v, decoded-file SumsInto error %v: want both or neither", err, rerr)
+	if got, want := DirBytes(buf), int64(4*(len(dir.terms)+len(dir.starts)))+dirHeader; got != want {
+		t.Fatalf("DirBytes = %d, the Dir holds %d", got, want)
+	}
+	dirMax, dirMin, dirErr := dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, &dirScratch)
+	wantMax, wantMin, rerr := referenceSums(file, nEntries, maxTerms, minTerms, floorOf)
+	if (err == nil) != (rerr == nil) || (dirErr == nil) != (rerr == nil) {
+		t.Fatalf("DecodeSumsInto error %v, Dir.SumsInto error %v, reference error %v: want all or none", err, dirErr, rerr)
 	}
 	if err == nil {
 		compareSums(t, "max", gotMax, wantMax)
 		compareSums(t, "min", gotMin, wantMin)
+		compareSums(t, "dir max", dirMax, wantMax)
+		compareSums(t, "dir min", dirMin, wantMin)
 	}
 }
 
-// FuzzDecode: no input may panic a reader, and on every input the four
-// readers agree (checkRecord).
+// TreeRecord is one posting record of a built tree and its node's entry
+// count.
+type TreeRecord struct {
+	Buf     []byte
+	Entries int
+}
+
+// TreeRecords returns every posting record of the built trees the fuzzers
+// also seed from. Building a tree takes irtree, which imports this
+// package, so the external test package sets it (tree_records_test.go).
+var TreeRecords func(testing.TB) []TreeRecord
+
+// FuzzDecode: no input may panic a reader, and on every input the readers
+// agree (checkRecord).
 func FuzzDecode(f *testing.F) {
 	for _, buf := range fuzzSeedBuffers() {
 		f.Add(buf)
+	}
+	for _, r := range TreeRecords(f) {
+		f.Add(r.Buf)
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		checkRecord(t, buf, 200, 3, []EntryWeight{{Term: 3, MaxW: 1, MinW: 0.5}})
 	})
 }
 
-// FuzzDecodeSumsInto: on every input, for any node size, the streaming sum
-// path agrees with the decoded-file reference (SumsInto), which the
-// traversal treats as interchangeable, and with the other readers.
+// FuzzDecodeSumsInto: on every input, for any node size, the two sum paths
+// the traversal treats as interchangeable — DecodeSumsInto and a Dir —
+// agree with the decoded-file reference, and with the other readers.
 func FuzzDecodeSumsInto(f *testing.F) {
 	for _, buf := range fuzzSeedBuffers() {
 		f.Add(buf, uint16(199))
+	}
+	for _, r := range TreeRecords(f) {
+		f.Add(r.Buf, uint16(r.Entries-1))
 	}
 	f.Fuzz(func(t *testing.T, buf []byte, entries uint16) {
 		checkRecord(t, buf, int(entries)%2048+1, int32(entries%256), nil)

@@ -6,10 +6,10 @@
 // package writes files as pager records and charges their loads (blocks =
 // ⌈bytes/4096⌉), so the simulated I/O reflects real list sizes.
 //
-// In memory a File uses a flat, decode-once layout: one sorted term-id
-// slice, a parallel offset slice, and a single contiguous posting slice.
-// Term lookup is a binary search and iteration is cache-friendly — no maps
-// and no per-term allocations on the query hot path.
+// A File is how tree construction stages one: postings added by Add,
+// merged into one sorted term-id slice, a parallel offset slice and one
+// contiguous posting slice, and written out by Encode. Readers never
+// rebuild it; they read the record.
 //
 // A record (Encode) puts its term directory first and every posting at one
 // stride:
@@ -36,18 +36,20 @@
 // Nothing in a posting can be malformed past that: a run's entries are the
 // running sums of its deltas modulo 2^(8w) (read as int32 when w is 4),
 // which never wrap in a file Encode writes — its entries ascend below the
-// fanout. So Decode, DecodeSumsInto, Aggregate and ReplaceEntry accept
+// fanout. So OpenDir, DecodeSumsInto, Aggregate and ReplaceEntry accept
 // exactly the same records, and no reader steps through a run it does not
 // use; a summed posting's entry is still checked against the node's.
 //
-// There are two ways to compute a traversal's per-entry bound sums:
-// (*File).SumsInto over a decoded file (what the decoded-object cache
-// holds) and DecodeSumsInto straight off the encoded bytes (the cold path,
-// when no cache is configured or the file cannot fit it). The write path
-// keeps a copy-on-write mutation's files encoded: ReplaceEntry splices one
-// entry's postings into a record, copying every run the edit does not
-// touch as bytes, and Aggregate reads a child's aggregate off its record at
-// the posting stride.
+// A traversal's per-entry bound sums are read off the record's bytes by a
+// Dir, which walks the directory once, keeps the term ids and run starts,
+// binary-searches them for the query terms and sums each wanted run in
+// place (sumRun). The decoded-object cache holds Dirs; DecodeSumsInto, the
+// cold path (no cache configured, or a record that cannot fit it), indexes
+// the record into a Dir kept in the caller's scratch on every read. The
+// write path keeps a copy-on-write mutation's files encoded: ReplaceEntry
+// splices one entry's postings into a record, copying every run the edit
+// does not touch as bytes, and Aggregate reads a child's aggregate off its
+// record at the posting stride.
 package invfile
 
 import (
@@ -73,19 +75,13 @@ type Posting struct {
 	MinW float64
 }
 
-// postingBytes approximates the resident size of one Posting (int32 padded
-// to 8 bytes plus two float64s) for cache byte accounting.
-const postingBytes = 24
-
 // File is the inverted file of one tree node: a posting list per term,
 // held in a flat layout. terms is ascending; the postings of terms[i] are
 // postings[starts[i]:starts[i+1]], ascending in Entry.
 //
-// Concurrency: a File that is only read (every file returned by Decode or
-// a decoded-object cache) is immutable and safe to share between
-// goroutines. Add stages postings in a pending buffer that the next read
-// accessor merges in, so a File being built must be confined to one
-// goroutine until its last Add.
+// Concurrency: Add stages postings in a pending buffer that the next read
+// merges in, so a File is confined to the goroutine that builds and
+// encodes it; readers share the encoded record, never the File.
 type File struct {
 	terms    []vocab.TermID
 	starts   []int32 // len(terms)+1 when terms non-empty
@@ -199,24 +195,6 @@ func (f *File) NumPostings() int {
 func (f *File) Terms() []vocab.TermID {
 	f.freeze()
 	return f.terms
-}
-
-// MemBytes approximates the resident size of the decoded file — the
-// figure the decoded-object cache accounts against its byte cap.
-func (f *File) MemBytes() int64 {
-	f.freeze()
-	return int64(len(f.postings))*postingBytes +
-		int64(len(f.terms))*4 + int64(len(f.starts))*4 + 96
-}
-
-// MaxDecodedBytes bounds the MemBytes of the File decoded from an encoded
-// buffer, letting readers test cacheability before paying for a full
-// decode. Every stored term costs ≥ 2 encoded bytes (id + count varints)
-// and holds ≥ 1 posting costing ≥ 9 (max-only) or ≥ 17 (min-max) encoded
-// bytes, against 8 + 24 decoded bytes — so 3·len plus the fixed header
-// dominates both.
-func MaxDecodedBytes(buf []byte) int64 {
-	return 3*int64(len(buf)) + 128
 }
 
 // ---- the record layout ----
@@ -420,7 +398,7 @@ func (d *directory) next() (vocab.TermID, int, error) {
 
 // nextSlow is next for any header. It rejects a term not above the one
 // before it (readers merge the stored terms with ascending query terms,
-// and DecodeSumsInto must agree with SumsInto over the decoded file), a
+// and DecodeSumsInto must agree with Dir.SumsInto's binary search), a
 // term without postings (no encoder writes one), and a count that takes
 // the running total past what the record's bytes can hold, before any
 // loop is bounded by it.
@@ -485,61 +463,16 @@ func readUvarint(buf []byte, off int) (uint64, int, error) {
 
 // ---- readers ----
 
-// Decode parses a file serialized by Encode, building the flat layout —
-// the decode-once path the decoded-object cache stores: the directory
-// gives the terms and exact posting count, then one sweep reads every
-// posting.
-func Decode(buf []byte) (*File, error) {
-	d, err := openDirectory(buf)
-	if err != nil {
-		return nil, err
-	}
-	f := &File{terms: make([]vocab.TermID, 0, d.n), starts: make([]int32, 0, d.n+1)}
-	for range d.n {
-		t, cnt, err := d.next()
-		if err != nil {
-			return nil, err
-		}
-		f.terms = append(f.terms, t)
-		f.starts = append(f.starts, int32(d.total-cnt))
-	}
-	off, err := d.body()
-	if err != nil {
-		return nil, err
-	}
-	f.starts = append(f.starts, int32(d.total))
-	f.postings = make([]Posting, d.total)
-	stride, mask := d.stride(), d.mask()
-	for i := range f.terms {
-		e := uint32(0)
-		for j := f.starts[i]; j < f.starts[i+1]; j, off = j+1, off+stride {
-			e = (e + delta(buf, off)) & mask
-			p := &f.postings[j]
-			p.Entry = int32(e)
-			p.MaxW, p.MinW = d.weights(buf, off)
-		}
-	}
-	return f, nil
-}
-
 // SumScratch holds the reusable per-entry sum buffers a traversal threads
 // through its node visits, eliminating the two float64-slice allocations
-// every inverted-file read otherwise pays, and the runs DecodeSumsInto
-// notes on its walk of a directory. The zero value is ready to use; the
-// slices returned by the Sums helpers alias the scratch and stay valid
-// only until its next use.
+// every inverted-file read otherwise pays, and the Dir DecodeSumsInto
+// indexes a record into. The zero value is ready to use; the slices
+// returned by the Sums helpers alias the scratch and stay valid only until
+// its next use.
 type SumScratch struct {
 	Max, Min []float64
 
-	runs []wantedRun
-}
-
-// wantedRun is one run DecodeSumsInto sums: its term, where it starts in
-// postings, how many it holds, and which of the two sums want it.
-type wantedRun struct {
-	term             vocab.TermID
-	first, cnt       int
-	wantMax, wantMin bool
+	dir Dir
 }
 
 // buffers returns the scratch's two sum buffers resized to n (reallocating
@@ -568,136 +501,147 @@ func floorSums(maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) flo
 	return floorMax, floorMin
 }
 
-// SumsInto computes the per-entry bound sums the super-user traversal
-// needs from a decoded file: for every entry i,
+// sumRun is the run-summing kernel of Dir.SumsInto: it adds the run of
+// postings at buf[from:to] to the sums the wants select, reading each
+// entry as the running sum of the run's deltas, and fails on an entry
+// outside the node's len(maxSums) entries.
+//
+//maxbr:hotpath
+func (l layout) sumRun(buf []byte, from, to int, floor float64, wantMax, wantMin bool, maxSums, minSums []float64) error {
+	stride, mask := l.stride(), l.mask()
+	e := uint32(0)
+	for p := from; p < to; p += stride {
+		e = (e + delta(buf, p)) & mask
+		entry := int32(e)
+		if entry < 0 || int(entry) >= len(maxSums) {
+			return fmt.Errorf("invfile: posting entry %d out of range", entry)
+		}
+		maxW, minW := l.weights(buf, p)
+		if wantMax {
+			maxSums[entry] += maxW - floor
+		}
+		if wantMin && minW > floor {
+			minSums[entry] += minW - floor
+		}
+	}
+	return nil
+}
+
+// DecodeSumsInto computes the per-entry bound sums the super-user
+// traversal needs straight off an encoded file: for every entry i,
 //
 //	maxSums[i] = Σ_{t∈maxTerms} max(MaxW(t,i), floor(t))
 //	minSums[i] = Σ_{t∈minTerms} max(MinW(t,i), floor(t))  (MinW > floor only)
 //
-// each sum starting from its all-floors baseline and adding one term at a
-// time in ascending term order (the order DecodeSumsInto also adds in, so
-// the two agree bit for bit). Term lookup is a binary search (the node
-// stores postings for its whole subtree vocabulary; a query cares about a
-// handful of terms) and the sums land in caller-supplied scratch, making
-// the warm hot path allocation-free. maxTerms and minTerms must be
-// ascending (the super-user keeps them sorted). The returned slices alias
-// scratch and stay valid only until its next use.
-//
-//maxbr:hotpath
-func (f *File) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
-	f.freeze()
-	floorMax, floorMin := floorSums(maxTerms, minTerms, floorOf)
-	maxSums, minSums = scratch.buffers(nEntries, floorMax, floorMin)
-
-	mi, ni := 0, 0
-	for mi < len(maxTerms) || ni < len(minTerms) {
-		var t vocab.TermID
-		switch {
-		case mi >= len(maxTerms):
-			t = minTerms[ni]
-		case ni >= len(minTerms):
-			t = maxTerms[mi]
-		case maxTerms[mi] <= minTerms[ni]:
-			t = maxTerms[mi]
-		default:
-			t = minTerms[ni]
-		}
-		wantMax := mi < len(maxTerms) && maxTerms[mi] == t
-		wantMin := ni < len(minTerms) && minTerms[ni] == t
-		if wantMax {
-			mi++
-		}
-		if wantMin {
-			ni++
-		}
-		ti := f.termIndex(t)
-		if ti < 0 {
-			continue
-		}
-		floor := floorOf(t)
-		for _, p := range f.postings[f.starts[ti]:f.starts[ti+1]] {
-			if p.Entry < 0 || int(p.Entry) >= nEntries {
-				return nil, nil, fmt.Errorf("invfile: posting entry %d out of range", p.Entry)
-			}
-			if wantMax {
-				maxSums[p.Entry] += p.MaxW - floor
-			}
-			if wantMin && p.MinW > floor {
-				minSums[p.Entry] += p.MinW - floor
-			}
-		}
-	}
-	return maxSums, minSums, nil
-}
-
-// DecodeSumsInto computes the sums SumsInto defines straight off an
-// encoded file, without materializing posting lists. This is the cold
+// each sum starting from its all-floors baseline and adding one stored
+// term's run at a time in ascending term order, so a cached Dir's
+// SumsInto agrees with it bit for bit. maxTerms and minTerms must
+// be ascending (the super-user keeps them sorted). This is the cold
 // traversal path — taken when no decoded cache is configured (the
-// paper-figure accounting) or the file is too large to cache, as the upper
-// levels' files of a large index always are. It works in two steps: one
-// walk of the term directory, merged with the query terms, notes the runs
-// the sums want in scratch and validates the record; then each wanted run,
-// in ascending term order, is summed where the counts before it place it.
-// No run the read does not want is touched. The returned slices alias
-// scratch and stay valid only until its next use; with a reused scratch
-// the per-node cost is allocation-free.
+// paper-figure accounting) or the record is too large to cache: it indexes
+// the record into the Dir scratch keeps (validating it) and reads that.
+// The returned slices alias scratch and stay valid only until its next
+// use; with a reused scratch the per-node cost is allocation-free.
 //
 //maxbr:hotpath
 func DecodeSumsInto(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
+	dir := &scratch.dir
+	if err = dir.open(buf); err == nil {
+		maxSums, minSums, err = dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch)
+	}
+	dir.buf = nil // keep no record alive past the read
+	return maxSums, minSums, err
+}
+
+// Dir is a record indexed in place — what the decoded-object cache holds.
+// OpenDir walks the term directory once, validating the record, and keeps
+// every stored term and where its run starts; SumsInto then binary-searches
+// the query terms and sums their runs straight off the record's bytes. A
+// Dir aliases its record and only reads it, so it is immutable and safe to
+// share between goroutines.
+type Dir struct {
+	layout
+	buf    []byte
+	body   int            // offset of the first posting
+	terms  []vocab.TermID // ascending
+	starts []int32        // the postings of terms[i] are starts[i] to starts[i+1]
+}
+
+// dirHeader is the resident size of a Dir besides its arrays: the struct,
+// rounded up to its allocation size class.
+const dirHeader = 96
+
+// DirBytes is what the Dir over buf holds besides buf itself — its term
+// and run-start arrays and the struct — read off the record's term count
+// without walking the directory, so a cache can weigh a Dir before OpenDir
+// builds it. It is exact for every record OpenDir accepts.
+func DirBytes(buf []byte) int64 {
+	d, _ := openDirectory(buf)
+	return int64(8*d.n+4) + dirHeader
+}
+
+// OpenDir validates buf with one walk of its term directory and indexes
+// it. It accepts exactly the records DecodeSumsInto accepts. The Dir
+// aliases buf, which must not change while the Dir is in use.
+func OpenDir(buf []byte) (*Dir, error) {
+	dir := &Dir{}
+	if err := dir.open(buf); err != nil {
+		return nil, err
+	}
+	return dir, nil
+}
+
+// open indexes buf into dir, reusing its arrays when they are large
+// enough.
+func (dir *Dir) open(buf []byte) error {
 	d, err := openDirectory(buf)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	runs := scratch.runs[:0]
-	mi, ni := 0, 0 // cursors into maxTerms / minTerms (stored terms ascend)
-	want := least(maxTerms, minTerms, mi, ni)
-	for range d.n {
-		t, cnt, err := d.next()
+	if cap(dir.starts) < d.n+1 {
+		dir.terms, dir.starts = make([]vocab.TermID, d.n), make([]int32, d.n+1)
+	}
+	dir.layout, dir.buf, dir.terms, dir.starts = d.layout, buf, dir.terms[:d.n], dir.starts[:d.n+1]
+	for i := range d.n {
+		t, _, err := d.next()
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		if t < want {
-			continue
-		}
-		for mi < len(maxTerms) && maxTerms[mi] < t {
-			mi++
-		}
-		for ni < len(minTerms) && minTerms[ni] < t {
-			ni++
-		}
-		wantMax := mi < len(maxTerms) && maxTerms[mi] == t
-		wantMin := ni < len(minTerms) && minTerms[ni] == t
-		if wantMax || wantMin {
-			//maxbr:ignore hotpathalloc scratch growth, amortized: runs is retained in scratch and grows only past the most runs one read has wanted
-			runs = append(runs, wantedRun{term: t, first: d.total - cnt, cnt: cnt, wantMax: wantMax, wantMin: wantMin})
-		}
-		want = least(maxTerms, minTerms, mi, ni)
+		dir.terms[i], dir.starts[i+1] = t, int32(d.total)
 	}
-	scratch.runs = runs
-	off, err := d.body()
-	if err != nil {
-		return nil, nil, err
-	}
+	dir.body, err = d.body()
+	return err
+}
+
+// SumsInto computes the sums DecodeSumsInto defines over the indexed
+// record, bit for bit: each query term, ascending, is binary-searched among
+// the stored ones (a node stores its whole subtree's vocabulary; a query
+// wants a handful of terms) and its run summed in place. The sums land in
+// caller-supplied scratch, so the warm hot path is allocation-free; the
+// returned slices alias scratch and stay valid only until its next use.
+//
+//maxbr:hotpath
+func (d *Dir) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
 	floorMax, floorMin := floorSums(maxTerms, minTerms, floorOf)
 	maxSums, minSums = scratch.buffers(nEntries, floorMax, floorMin)
-
-	stride, mask := d.stride(), d.mask()
-	for _, r := range runs {
-		floor := floorOf(r.term)
-		e := uint32(0)
-		for p, end := off+r.first*stride, off+(r.first+r.cnt)*stride; p < end; p += stride {
-			e = (e + delta(buf, p)) & mask
-			entry := int32(e)
-			if entry < 0 || int(entry) >= nEntries {
-				return nil, nil, fmt.Errorf("invfile: posting entry %d out of range", entry)
-			}
-			maxW, minW := d.weights(buf, p)
-			if r.wantMax {
-				maxSums[entry] += maxW - floor
-			}
-			if r.wantMin && minW > floor {
-				minSums[entry] += minW - floor
-			}
+	stride := d.stride()
+	for mi, ni := 0, 0; mi < len(maxTerms) || ni < len(minTerms); {
+		t := least(maxTerms, minTerms, mi, ni)
+		wantMax := mi < len(maxTerms) && maxTerms[mi] == t
+		wantMin := ni < len(minTerms) && minTerms[ni] == t
+		for mi < len(maxTerms) && maxTerms[mi] == t {
+			mi++
+		}
+		for ni < len(minTerms) && minTerms[ni] == t {
+			ni++
+		}
+		i, ok := slices.BinarySearch(d.terms, t)
+		if !ok {
+			continue
+		}
+		from, to := d.body+int(d.starts[i])*stride, d.body+int(d.starts[i+1])*stride
+		if err := d.sumRun(d.buf, from, to, floorOf(t), wantMax, wantMin, maxSums, minSums); err != nil {
+			return nil, nil, err
 		}
 	}
 	return maxSums, minSums, nil
@@ -731,7 +675,7 @@ const headerRoom = 1 + binary.MaxVarintLen64
 // one posting. The result is byte for byte the encoding of the decoded
 // file with entry's postings removed and agg's merged in (for a file
 // Encode wrote, that file with the entry replaced); it fails exactly where
-// Decode does, and for an entry the layout cannot hold. buf itself is only
+// OpenDir does, and for an entry the layout cannot hold. buf itself is only
 // read.
 //
 // The file is edited as bytes, in one pass over its directory and runs and
@@ -861,7 +805,7 @@ func (l layout) seek(run []byte, p int, e uint32, entry int32, insert bool) (int
 // from the node's encoded inverted file buf: per stored term, ascending,
 // the largest MaxW of its postings (never below zero) and, when the term
 // is covered — it has nEntries postings, each with a positive MinW — the
-// smallest MinW, otherwise zero. It fails exactly where Decode does, and
+// smallest MinW, otherwise zero. It fails exactly where OpenDir does, and
 // reads the weights at the posting stride without decoding a delta.
 func Aggregate(buf []byte, nEntries int) ([]EntryWeight, error) {
 	d, err := openDirectory(buf)

@@ -4,11 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/invfile"
 	"repro/internal/irtree"
 	"repro/internal/storage"
-	"repro/internal/textrel"
 	"repro/internal/vocab"
 )
 
@@ -66,39 +64,19 @@ func TestEncodeKeepsVarintLengths(t *testing.T) {
 // 2,000-object tree, of either kind at the default fanout and at 128, is
 // exactly as long as the varint layout made it.
 func TestBuiltTreeKeepsVarintLengths(t *testing.T) {
-	ds := dataset.GenerateFlickr(dataset.FlickrConfig{
-		NumObjects: 2000, VocabSize: 500, MeanTags: 5, NumCluster: 8, Zipf: 1.1, Seed: 3,
-	})
-	model := textrel.NewScorer(ds, textrel.LM, 0.5).Model
 	for _, kind := range []irtree.Kind{irtree.IRTree, irtree.MIRTree} {
 		for _, fanout := range []int{0, 128} {
-			tree := irtree.Build(ds, model, irtree.Config{Kind: kind, Fanout: fanout})
 			records := 0
-			var walk func(id int32)
-			walk = func(id int32) {
-				node, err := tree.ReadNode(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				buf, err := tree.Backend().ReadRecord(node.InvID)
-				if err != nil {
-					t.Fatal(err)
-				}
+			forEachRecord(t, kind, fanout, func(buf []byte, _ int) {
 				f, err := invfile.Decode(buf)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if old := varintLayoutLen(f, kind == irtree.MIRTree); len(buf) != old {
-					t.Fatalf("%v fanout %d node %d: %d-byte record, the varint layout's %d", kind, fanout, id, len(buf), old)
+					t.Fatalf("%v fanout %d: %d-byte record, the varint layout's %d", kind, fanout, len(buf), old)
 				}
 				records++
-				if !node.Leaf {
-					for _, e := range node.Entries {
-						walk(e.Child)
-					}
-				}
-			}
-			walk(tree.RootID())
+			})
 			if records < 10 {
 				t.Fatalf("%v fanout %d: %d records checked", kind, fanout, records)
 			}

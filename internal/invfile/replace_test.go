@@ -198,6 +198,9 @@ func FuzzReplaceEntry(f *testing.F) {
 	for i, buf := range fuzzSeedBuffers() {
 		f.Add(buf, uint16(128+i), []byte{4, 1, 1, 0, 2, 2})
 	}
+	for _, r := range TreeRecords(f) {
+		f.Add(r.Buf, uint16(r.Entries-1), []byte{2, 40, 8, 5, 16, 0})
+	}
 	f.Fuzz(func(t *testing.T, buf []byte, entry uint16, seed []byte) {
 		var agg []EntryWeight
 		tm := vocab.TermID(-1)
@@ -374,6 +377,9 @@ func TestAggregateMatchesReferenceRandomized(t *testing.T) {
 func FuzzAggregate(f *testing.F) {
 	for _, buf := range fuzzSeedBuffers() {
 		f.Add(buf, uint16(3))
+	}
+	for _, r := range TreeRecords(f) {
+		f.Add(r.Buf, uint16(r.Entries))
 	}
 	f.Fuzz(func(t *testing.T, buf []byte, entries uint16) {
 		checkRecord(t, buf, int(entries)%300, int32(entries%7), nil)

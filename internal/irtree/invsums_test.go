@@ -2,6 +2,7 @@ package irtree
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -12,26 +13,55 @@ import (
 	"repro/internal/vocab"
 )
 
-// ReadInvFile loads the inverted file referenced by a node, charging one
-// simulated I/O per 4 kB block (pool and decoded-cache hits charge
-// nothing). The returned file may be shared through the decoded cache and
-// must be treated as immutable. No production path reads a whole file —
-// every search sums through ReadInvSums and mutations decode privately —
-// so it lives here, as the whole-file view the tests check those paths
-// against.
+// ReadInvFile loads the inverted file referenced by a node as a whole
+// File, charging the simulated I/O of any load (buffer-pool hits charge
+// nothing). It reads past the decoded cache, which holds the Dirs the sum
+// path reads through, and decodes privately with decodeInv. No production
+// path reads a whole file — every search sums through ReadInvSums and
+// mutations splice records — so it lives here, as the whole-file view the
+// tests check those paths against.
 func (t *Tree) ReadInvFile(node *NodeData) (*invfile.File, error) {
-	if v, ok := t.sh.decoded.Get(node.InvID); ok {
-		return v.(*invfile.File), nil
-	}
 	buf, err := t.readInvBytes(node.InvID)
 	if err != nil {
 		return nil, err
 	}
-	f, err := invfile.Decode(buf)
-	if err != nil {
-		return nil, err
+	return decodeInv(buf)
+}
+
+// decodeInv reads a posting record (the layout of invfile's package
+// comment) into a File, independently of invfile's readers: the version
+// gives the postings' entry-delta width and whether they carry a minimum
+// weight, the term headers their counts, and every posting follows in
+// term order.
+func decodeInv(buf []byte) (*invfile.File, error) {
+	d := storage.NewDecoder(buf)
+	v := d.Uvarint() - 5 // versions 5 to 10
+	hasMin, w := v&1 == 1, 1<<(v>>1)
+	n := d.Uvarint()
+	if v > 5 || n > uint64(len(buf)) {
+		return nil, fmt.Errorf("decodeInv: version %d, %d terms in %d bytes", v+5, n, len(buf))
 	}
-	t.sh.decoded.Put(node.InvID, f, f.MemBytes())
+	terms, counts := make([]uint64, n), make([]uint64, n)
+	for i := range terms {
+		terms[i], counts[i] = d.Uvarint(), d.Uvarint()
+	}
+	f := invfile.New()
+	for i, tm := range terms {
+		entry := uint32(0)
+		for range min(counts[i], uint64(d.Remaining())) {
+			for j, b := range d.Bytes(w) {
+				entry += uint32(b) << (8 * j)
+			}
+			p := invfile.Posting{Entry: int32(entry), MaxW: d.Float64()}
+			if hasMin {
+				p.MinW = d.Float64()
+			}
+			f.Add(vocab.TermID(tm), p)
+		}
+	}
+	if d.Err() != nil || d.Remaining() != 0 {
+		return nil, fmt.Errorf("decodeInv: %v, %d bytes left", d.Err(), d.Remaining())
+	}
 	return f, nil
 }
 
@@ -57,7 +87,7 @@ func TestReadInvBytesChargesBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded, err := invfile.Decode(buf); err != nil || len(loaded.Terms()) != 300 {
+	if loaded, err := decodeInv(buf); err != nil || len(loaded.Terms()) != 300 {
 		t.Fatalf("decoded %v terms, err %v", loaded, err)
 	}
 	if got := tree.IO().InvBlocks(); got != int64(blocks) {
@@ -72,7 +102,7 @@ func TestReadInvBytesChargesBlocks(t *testing.T) {
 }
 
 // MaxTextSums and MinTextSums are the reference the production sum paths
-// (ReadInvSums over invfile.SumsInto / DecodeSumsInto) are tested against:
+// (ReadInvSums through a Dir or DecodeSumsInto) are tested against:
 // a full decode, then one allocating pass per bound.
 
 // MaxTextSums returns, for each entry of a node, an upper bound on
@@ -127,11 +157,10 @@ func MinTextSums(model textrel.Model, inv *invfile.File, nEntries int, terms []v
 // TestReadInvSumsMatchesDecodedSums verifies ReadInvSums against the
 // reference path (full decode + MaxTextSums / MinTextSums) on every node
 // of both index kinds and several term sets, including terms absent from
-// the corpus — with the decoded cache off (the streaming byte-wise scan)
-// and on (decode-and-cache on the first visit, sums over the cached file
-// after), the two surviving sum paths. Every record is also summed both
-// ways directly, DecodeSumsInto against Decode + SumsInto, which must
-// agree bit for bit. At fanout 200 leaves hold more than 128 entries, past
+// the corpus — with the decoded cache off (the directory walk on every
+// read) and on (a Dir cached on the first visit, binary-searched after),
+// the two sum paths. Every record is also summed both ways directly,
+// DecodeSumsInto against OpenDir + SumsInto, which must agree bit for bit. At fanout 200 leaves hold more than 128 entries, past
 // the one-byte varint deltas of the layout before this one, and at fanout
 // 300 more than 256, so their records take two-byte deltas.
 func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
@@ -148,7 +177,7 @@ func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
 				cacheBytes := cfg.DecodedCacheBytes
 				_, ds, scorer := buildSmall(t, kind, measure)
 				tree := Build(ds, scorer.Model, cfg)
-				var scratch, streamed, decoded invfile.SumScratch
+				var scratch, streamed, indexed invfile.SumScratch
 				widest := 0
 				for _, maxTerms := range termSets {
 					for _, minTerms := range termSets {
@@ -190,17 +219,17 @@ func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							f, err := invfile.Decode(buf)
+							dir, err := invfile.OpenDir(buf)
 							if err != nil {
 								t.Fatal(err)
 							}
-							dMax, dMin, err := f.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, &decoded)
+							dMax, dMin, err := dir.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, &indexed)
 							if err != nil {
 								t.Fatal(err)
 							}
 							for i := range node.Entries {
 								if math.Float64bits(sMax[i]) != math.Float64bits(dMax[i]) || math.Float64bits(sMin[i]) != math.Float64bits(dMin[i]) {
-									t.Fatalf("%v/%v fanout %d node %d entry %d: streamed sums (%v, %v) != decoded (%v, %v)",
+									t.Fatalf("%v/%v fanout %d node %d entry %d: streamed sums (%v, %v) != the Dir's (%v, %v)",
 										kind, measure, cfg.Fanout, id, i, sMax[i], sMin[i], dMax[i], dMin[i])
 								}
 							}

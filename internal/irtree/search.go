@@ -1,6 +1,8 @@
 package irtree
 
 import (
+	"sync"
+
 	"repro/internal/container"
 	"repro/internal/invfile"
 	"repro/internal/textrel"
@@ -11,6 +13,24 @@ type Result struct {
 	ObjID int32
 	Score float64
 }
+
+// searchCand is one queue entry of TopK: a node or an object.
+type searchCand struct {
+	ref    int32
+	isNode bool
+}
+
+// searchScratch is TopK's queue, result heap and sum buffers, pooled
+// across calls so a warm read allocates only the results it returns.
+type searchScratch struct {
+	pq   *container.Heap[searchCand]
+	tk   *container.TopK[Result]
+	sums invfile.SumScratch
+}
+
+var searchPool = sync.Pool{New: func() any {
+	return &searchScratch{pq: container.NewMaxHeap[searchCand](), tk: container.NewTopK[Result](1)}
+}}
 
 // TopK computes the k most spatial-textually relevant objects for a single
 // user with the best-first IR-tree search of Cong et al. [3] — the
@@ -23,20 +43,17 @@ type Result struct {
 // IOCounter, so baselines that call TopK per user accumulate the
 // duplicated I/O the joint algorithm of Section 5 is designed to avoid.
 func (t *Tree) TopK(scorer *textrel.Scorer, u UserView, k int) ([]Result, float64, error) {
-	tk := container.NewTopK[Result](k)
+	sc := searchPool.Get().(*searchScratch)
+	defer searchPool.Put(sc)
+	tk, pq := sc.tk, sc.pq
+	tk.Reset(k)
+	pq.Clear()
 	if t.rootID < 0 {
 		return nil, tk.Threshold(), nil
 	}
-
-	type cand struct {
-		ref    int32
-		isNode bool
-	}
-	pq := container.NewMaxHeap[cand]()
-	pq.Push(cand{t.rootID, true}, 1) // any key ≥ every true score works for the root
+	pq.Push(searchCand{t.rootID, true}, 1) // any key ≥ every true score works for the root
 
 	uRect := u.Rect()
-	var scratch invfile.SumScratch
 	for pq.Len() > 0 {
 		c, key := pq.Pop()
 		if tk.Full() && key <= tk.Threshold() {
@@ -50,7 +67,7 @@ func (t *Tree) TopK(scorer *textrel.Scorer, u UserView, k int) ([]Result, float6
 		if err != nil {
 			return nil, 0, err
 		}
-		sums, _, err := t.ReadInvSums(node, u.Terms, nil, &scratch)
+		sums, _, err := t.ReadInvSums(node, u.Terms, nil, &sc.sums)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -60,7 +77,7 @@ func (t *Tree) TopK(scorer *textrel.Scorer, u UserView, k int) ([]Result, float6
 			if tk.Full() && score < tk.Threshold() {
 				continue
 			}
-			pq.Push(cand{e.Child, !node.Leaf}, score)
+			pq.Push(searchCand{e.Child, !node.Leaf}, score)
 		}
 	}
 

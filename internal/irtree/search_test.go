@@ -245,7 +245,7 @@ func referenceTopK(t *Tree, scorer *textrel.Scorer, u UserView, k int) ([]Result
 // TestTopKMatchesWholeFileReference: reading only the query's postings
 // changes no bit of any answer, whichever way a node's file is read — the
 // byte-wise scan with no decoded cache, the same scan under a cache whose
-// budget no record fits, or the decoded file of a cache that holds
+// budget no record fits, or the cached Dir of a cache that holds
 // everything — and with no cache at all it charges exactly the simulated
 // I/O of the whole-file read, so the paper figures' I/O series cannot move.
 func TestTopKMatchesWholeFileReference(t *testing.T) {
@@ -285,11 +285,18 @@ func TestTopKMatchesWholeFileReference(t *testing.T) {
 	}
 }
 
-// TestTopKWarmAllocations: with every visited node and file in the decoded
-// cache, a TopK allocates for its two heaps and its result only — one
-// reusable sum scratch, nothing per node visited — so the count stays
-// under the same small bound on a tree with four times the nodes.
+// TestTopKWarmAllocations: with every visited node and directory in the
+// decoded cache, and its queues and sum scratch taken from the pool the
+// calls before it filled, a TopK allocates its result only — nothing per
+// node visited, nothing for the queues — on a tree with four times the
+// nodes too. Under the race detector sync.Pool drops a share of its Puts,
+// so a call may pay for fresh queues; there the bound is the one that held
+// before the queues were pooled.
 func TestTopKWarmAllocations(t *testing.T) {
+	limit := 1.0
+	if raceEnabled {
+		limit = 30
+	}
 	for _, n := range []int{800, 3200} {
 		ds := dataset.GenerateFlickr(dataset.FlickrConfig{
 			NumObjects: n, VocabSize: 300, MeanTags: 5, NumCluster: 8, Zipf: 1.2, Seed: 5,
@@ -305,8 +312,10 @@ func TestTopKWarmAllocations(t *testing.T) {
 				}
 			}
 			run() // warm the cache
-			if allocs := testing.AllocsPerRun(20, run); allocs > 30 {
-				t.Errorf("%d objects, user %d: warm TopK allocates %.0f times, want ≤ 30", n, ui, allocs)
+			// The average rounds down, so one call landing on a P whose
+			// pooled scratch is not filled yet does not count.
+			if allocs := testing.AllocsPerRun(20, run); allocs > limit {
+				t.Errorf("%d objects, user %d: warm TopK allocates %.0f times, want ≤ %.0f", n, ui, allocs, limit)
 			}
 		}
 	}

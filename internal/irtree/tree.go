@@ -52,8 +52,9 @@ type Config struct {
 	Kind   Kind
 	Fanout int // maximum entries per node; 0 selects rtree.DefaultMaxEntries
 	// DecodedCacheBytes enables the second cache level: a sharded,
-	// byte-capped cache of decoded nodes and inverted files keyed by
-	// record address, so repeated traversals skip varint decode entirely.
+	// byte-capped cache of decoded nodes and of inverted files' indexed
+	// directories (invfile.Dir) keyed by record address, so repeated
+	// traversals skip the decode and the directory walk.
 	// Hits charge no simulated I/O (the warm-serving setting, exactly
 	// like buffer-pool hits); zero keeps every read a decode — the
 	// Section 8 accounting setting the experiments run under.
@@ -341,39 +342,41 @@ func (t *Tree) readInvBytes(id storage.PageID) ([]byte, error) {
 }
 
 // ReadInvSums loads the inverted file referenced by a node and computes
-// the per-entry bound sums for the given (ascending) term sets in one
-// fused, term-filtered pass (see invfile.SumsInto for the definition) —
-// the one way a search reads postings, shared by the joint traversal and
-// the single-user TopK, and never materializing posting lists for the
-// node's whole subtree vocabulary when the file cannot be cached. The
-// simulated I/O charge is one per 4 kB block, as for any load of the file.
-// The returned slices alias scratch and stay valid only until its next use.
+// the per-entry bound sums for the given (ascending) term sets from the
+// runs of those terms alone (see invfile.DecodeSumsInto) — the one way a
+// search reads postings, shared by the joint traversal and the
+// single-user TopK. The simulated I/O charge is one per 4 kB block, as for
+// any load of the file. The returned slices alias scratch and stay valid
+// only until its next use.
 //
-// On a decoded-cache hit the sums are computed over the cached flat file
-// via binary-search term lookup — no bytes touched, no allocations. On a
-// miss the file is decoded and cached only when it can fit the cache's
-// shard budget; otherwise (no cache configured — the paper-figure cold
-// accounting — or a file too large to ever be cached) the fused byte-wise
-// scan decodes only the wanted terms, so such nodes never pay a futile
-// full decode per visit.
+// The decoded cache holds the record's invfile.Dir, its directory indexed
+// over its bytes: a hit binary-searches it and allocates nothing. A miss
+// caches the Dir when it fits a shard, charged its arrays plus, for a
+// file-resident record, the private copy it keeps alive (a memory-resident
+// record's bytes are the pager's anyway). A record that cannot fit, or
+// any with no cache (the paper-figure accounting), is summed off its bytes.
 func (t *Tree) ReadInvSums(node *NodeData, maxTerms, minTerms []vocab.TermID, scratch *invfile.SumScratch) (maxSums, minSums []float64, err error) {
 	floorOf := t.sh.model.FloorWeight
 	if v, ok := t.sh.decoded.Get(node.InvID); ok {
-		return v.(*invfile.File).SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch)
+		return v.(*invfile.Dir).SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch)
 	}
 	buf, err := t.readInvBytes(node.InvID)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !t.sh.decoded.FitsBudget(invfile.MaxDecodedBytes(buf)) {
+	charge := invfile.DirBytes(buf)
+	if !t.sh.pager.Resident(node.InvID) {
+		charge += int64(len(buf))
+	}
+	if !t.sh.decoded.FitsBudget(charge) {
 		return invfile.DecodeSumsInto(buf, len(node.Entries), maxTerms, minTerms, floorOf, scratch)
 	}
-	f, err := invfile.Decode(buf)
+	d, err := invfile.OpenDir(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	t.sh.decoded.Put(node.InvID, f, f.MemBytes())
-	return f.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch)
+	t.sh.decoded.Put(node.InvID, d, charge)
+	return d.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch)
 }
 
 // CacheStats returns buffer-pool hits and misses (zeros when cold).

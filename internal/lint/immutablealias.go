@@ -10,20 +10,17 @@ import (
 // concurrent readers and must be treated as immutable. ReadRecord (on
 // the Backend interface and on the Pager) returns a memory-resident
 // record's own bytes, BufferPool.Read returns the pooled page buffer,
-// DecodedCache.Get returns the cached decoded object, and
-// the invfile accessors (Terms, Postings) return the file's own flat
-// layout. Writing through any of them
-// corrupts every other reader of the same page — a data race no test
-// reliably catches because the cache must be warm and shared.
+// and DecodedCache.Get returns the cached object. Writing through any of
+// them corrupts every other reader of the same page — a data race no
+// test reliably catches because the cache must be warm and shared.
 //
 // The analyzer taints values assigned from those sources (following
 // plain copies, re-slicings, and type assertions within the function)
 // and flags element writes, copy-into, append (which may write the
-// shared backing array), in-place sorts, and calls to known mutating
-// methods on tainted values.
+// shared backing array) and in-place sorts of tainted values.
 var AnalyzerImmutableAlias = &Analyzer{
 	Name: "immutablealias",
-	Doc:  "flags writes through shared values returned by ReadRecord, BufferPool.Read, DecodedCache.Get, and the invfile accessors",
+	Doc:  "flags writes through shared values returned by ReadRecord, BufferPool.Read and DecodedCache.Get",
 	Run:  runImmutableAlias,
 }
 
@@ -39,14 +36,6 @@ var sharedSources = []sharedSource{
 	{"repro/internal/storage", "Pager", "ReadRecord", 0},
 	{"repro/internal/storage", "BufferPool", "Read", 0},
 	{"repro/internal/storage", "DecodedCache", "Get", 0},
-	{"repro/internal/invfile", "File", "Terms", 0},
-	{"repro/internal/invfile", "File", "Postings", 0},
-}
-
-// mutatingMethods are methods that write their receiver; calling one on
-// a tainted value is a write through the alias. (pkg, recv, method).
-var mutatingMethods = [][3]string{
-	{"repro/internal/invfile", "File", "Add"},
 }
 
 // sortCalls are stdlib helpers that mutate their slice argument in
@@ -188,17 +177,9 @@ func checkAliasCall(pass *Pass, call *ast.CallExpr, taintedExpr func(ast.Expr) b
 		for _, sc := range sortCalls {
 			if fn.Pkg().Path() == sc[0] && fn.Name() == sc[1] {
 				if len(call.Args) > 0 && taintedExpr(call.Args[0]) {
-					pass.Report(call.Pos(), "in-place sort of shared value %s: the accessors return pre-sorted shared slices; copy before reordering", exprString(call.Args[0]))
+					pass.Report(call.Pos(), "in-place sort of shared value %s: copy before reordering", exprString(call.Args[0]))
 				}
 				return
-			}
-		}
-	}
-	// Mutating methods on tainted receivers.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		for _, mm := range mutatingMethods {
-			if matchesFunc(fn, mm[0], mm[1], mm[2]) && taintedExpr(sel.X) {
-				pass.Report(call.Pos(), "mutating method %s called on shared cached value %s; decode a private copy instead", fn.Name(), exprString(sel.X))
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/invfile"
 	"repro/internal/storage"
-	"repro/internal/vocab"
 )
 
 func writeThroughPoolRead(pool *storage.BufferPool, id storage.PageID) error {
@@ -55,23 +54,30 @@ func writeThroughCacheHit(c *storage.DecodedCache, id storage.PageID) {
 	b[0] = 0 // want "write through shared value b"
 }
 
-func appendToTerms(f *invfile.File) []vocab.TermID {
-	ts := f.Terms()
-	return append(ts, 99) // want "append to shared value ts"
+func sortPoolPage(pool *storage.BufferPool, id storage.PageID) error {
+	buf, _, err := pool.Read(id)
+	if err != nil {
+		return err
+	}
+	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] }) // want "in-place sort of shared value buf"
+	return nil
 }
 
-func sortSharedPostings(f *invfile.File, t vocab.TermID) {
-	ps := f.Postings(t)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].MaxW < ps[j].MaxW }) // want "in-place sort of shared value ps"
+func copyIntoBackendRecord(b storage.Backend, id storage.PageID, src []byte) error {
+	rec, err := b.ReadRecord(id)
+	if err != nil {
+		return err
+	}
+	copy(rec, src) // want "copy into shared value rec"
+	return nil
 }
 
-func copyIntoShared(f *invfile.File, src []vocab.TermID) {
-	ts := f.Terms()
-	copy(ts, src) // want "copy into shared value ts"
-}
-
-func fieldWriteInPostings(f *invfile.File, t vocab.TermID) {
-	ps := f.Postings(t)
+func fieldWriteInCachedPostings(c *storage.DecodedCache, id storage.PageID) {
+	v, ok := c.Get(id)
+	if !ok {
+		return
+	}
+	ps := v.([]invfile.Posting)
 	ps[0].MaxW = 0 // want "field write through shared value ps"
 }
 
@@ -85,14 +91,6 @@ func resliceStillShared(pool *storage.BufferPool, id storage.PageID) error {
 	return nil
 }
 
-func copyThenWrite(f *invfile.File) []vocab.TermID { // negative: private copy
-	ts := f.Terms()
-	out := make([]vocab.TermID, len(ts))
-	copy(out, ts)
-	out[0] = 1
-	return out
-}
-
 func reassignKillsTaint(pool *storage.BufferPool, id storage.PageID) error { // negative
 	buf, _, err := pool.Read(id)
 	if err != nil {
@@ -103,10 +101,14 @@ func reassignKillsTaint(pool *storage.BufferPool, id storage.PageID) error { // 
 	return nil
 }
 
-func readOnlyUse(f *invfile.File, t vocab.TermID) float64 { // negative
-	var sum float64
-	for _, p := range f.Postings(t) {
-		sum += p.MaxW
+func readOnlyUse(pool *storage.BufferPool, id storage.PageID) int { // negative
+	buf, _, err := pool.Read(id)
+	if err != nil {
+		return 0
+	}
+	var sum int
+	for _, b := range buf {
+		sum += int(b)
 	}
 	return sum
 }

@@ -20,6 +20,9 @@ type Backend interface {
 	// store's own copy, handed to every reader of the record, so callers
 	// may retain it but must not write through it.
 	ReadRecord(id PageID) ([]byte, error)
+	// Resident reports whether the record at id is held in memory, so
+	// ReadRecord returns the store's own bytes, not a fresh copy.
+	Resident(id PageID) bool
 	// RecordPages returns the number of pages the record at id occupies —
 	// the block count the simulated I/O rule charges for loading it.
 	RecordPages(id PageID) int

@@ -3,10 +3,11 @@ package storage
 import "sync"
 
 // DecodedCache is the second cache level above BufferPool: where the pool
-// caches raw record bytes, this caches *decoded objects* (inverted files,
-// tree nodes) keyed by the PageID of the record they were decoded from, so
-// repeated traversals and concurrent serving requests skip varint decode
-// entirely.
+// caches raw record bytes, this caches objects read from records — tree
+// nodes decoded, and inverted files' term directories indexed over the
+// record's bytes — keyed by the PageID of their record, so repeated
+// traversals and concurrent serving requests skip the decode and the
+// directory walk.
 //
 // The cache is sharded — a power-of-two shard count, each shard its own
 // mutex plus LRU list — so the parallel query engine's workers and the
@@ -14,10 +15,11 @@ import "sync"
 // way they would on the byte-level pool.
 //
 // Capacity is a byte budget, not an entry count: every Put carries the
-// entry's approximate resident size (as reported by the value's own
-// accounting, e.g. invfile.File.MemBytes), each shard owns an equal slice
-// of the budget, and inserting past it evicts least-recently-used entries
-// until the shard fits. Stats reports the resident total honestly.
+// entry's approximate resident size (as its reader weighs it, e.g. a
+// directory's arrays plus the record bytes it alone keeps alive), each
+// shard owns an equal slice of the budget, and inserting past it evicts
+// least-recently-used entries until the shard fits. Stats reports the
+// resident total honestly.
 //
 // Aliasing contract: cached values are shared between all callers and
 // goroutines. A value obtained from Get (or inserted with Put) must be

@@ -209,6 +209,13 @@ func (p *Pager) ReadRecord(id PageID) ([]byte, error) {
 	return out, nil
 }
 
+// Resident reports whether the record at id is memory-resident, so
+// ReadRecord returns its own bytes, not a fresh copy read from the file.
+func (p *Pager) Resident(id PageID) bool {
+	st := p.state.Load()
+	return id >= 0 && int(id) < len(st.recs) && st.recs[id] != nil
+}
+
 // RecordPages returns the number of pages the record at id occupies —
 // the block count the simulated I/O rule charges for loading it.
 func (p *Pager) RecordPages(id PageID) int {

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/irtree"
@@ -60,5 +61,48 @@ func TestTraverseAllocations(t *testing.T) {
 	// traversal, regardless of nodes visited (hundreds at this scale).
 	if allocs > 16 {
 		t.Fatalf("traversal allocates %.1f times, want a small constant (<= 16)", allocs)
+	}
+}
+
+// TestJointTopKWarmAllocations pins phase 1's per-request allocation in
+// the warm serving configuration: a second JointTopK of the same shape
+// reads every node and directory from the decoded cache and takes its
+// queues from the pools the first filled, so it allocates about what it builds for its answer — the
+// candidate list, its refinement index, the per-user results — and not
+// the queues, which grow by doubling past the candidate count.
+func TestJointTopKWarmAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector")
+	}
+	cold, scorer, us := setup(t, textrel.LM, 4000, 16)
+	tree := irtree.Build(cold.Dataset(), scorer.Model,
+		irtree.Config{Kind: irtree.MIRTree, Fanout: 16, DecodedCacheBytes: 64 << 20})
+	tr, err := Traverse(tree, scorer, BuildSuperUser(us.Users, scorer), 10, -math.MaxFloat64, &TraverseScratch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		run := func() {
+			if _, err := JointTopK(tree, scorer, us.Users, 10, workers, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		// sync.Pool keeps a scratch per P, and a call may land on a P
+		// whose scratch it has not filled yet: take the cheapest of a
+		// few calls, which without the pools would all pay for queues.
+		least := uint64(math.MaxUint64)
+		for range 4 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		// RO, then its two suffix-maximum slices: 56 bytes a candidate.
+		t.Logf("workers %d: %d bytes for %d candidates", workers, least, len(tr.RO))
+		if budget := uint64(56*len(tr.RO)) + 64<<10; least > budget {
+			t.Errorf("workers %d: warm JointTopK allocates %d bytes for %d candidates, want ≤ %d", workers, least, len(tr.RO), budget)
+		}
 	}
 }

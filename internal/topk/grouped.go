@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/container"
 	"repro/internal/dataset"
@@ -152,13 +153,21 @@ func RefineUser(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, no
 	return UserTopK{Results: results, RSk: rsk, Scored: scored}
 }
 
+// traversePool and refinePool keep JointTopK's queues across calls: a
+// cohort's grow to tens of thousands of candidates a request would drop.
+var (
+	traversePool = sync.Pool{New: func() any { return new(TraverseScratch) }}
+	refinePool   = sync.Pool{New: func() any { return new(RefineScratch) }}
+)
+
 // JointTopK runs the full Section 5 pipeline: the user set is partitioned
 // into `groups` spatial groups, each group's super-user is traversed once
 // (Algorithm 1), and every user is refined against their group's
 // candidates (Algorithm 2), both steps on a pool of up to `workers`
 // goroutines. workers 1, groups 1 and nil seeds is the sequential paper
 // pipeline: PartitionUsers returns the users in their own order for one
-// group and the pool runs inline for one worker.
+// group and the pool runs inline for one worker. The queues of both steps
+// come from pools that outlive the call.
 //
 // Per-user results are identical for every workers/groups choice: each
 // group traversal yields a candidate superset of its users' top-k objects,
@@ -188,8 +197,9 @@ func JointTopK(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, 
 	auxes := make([]*RefineAux, len(parts))
 	errs := make([]error, len(parts))
 	groupOf := make([]int, len(users))
-	travScratch := make([]TraverseScratch, parallel.Workers(len(parts), workers))
-	parallel.ForNWorkers(len(parts), workers, func(w, g int) {
+	parallel.ForNWorkers(len(parts), workers, func(_, g int) {
+		sc := traversePool.Get().(*TraverseScratch)
+		defer traversePool.Put(sc)
 		gu := make([]dataset.User, len(parts[g]))
 		floor := math.MaxFloat64
 		for i, ui := range parts[g] {
@@ -197,7 +207,7 @@ func JointTopK(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, 
 			groupOf[ui] = g
 			floor = math.Min(floor, seedOf(ui))
 		}
-		travs[g], errs[g] = Traverse(tree, scorer, BuildSuperUser(gu, scorer), k, floor, &travScratch[w])
+		travs[g], errs[g] = Traverse(tree, scorer, BuildSuperUser(gu, scorer), k, floor, sc)
 		if errs[g] == nil {
 			auxes[g] = NewRefineAux(travs[g])
 		}
@@ -210,10 +220,11 @@ func JointTopK(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, 
 
 	res := &JointResult{PerUser: make([]UserTopK, len(users))}
 	ds := tree.Dataset()
-	refScratch := make([]RefineScratch, parallel.Workers(len(users), workers))
-	parallel.ForNWorkers(len(users), workers, func(w, ui int) {
+	parallel.ForNWorkers(len(users), workers, func(_, ui int) {
+		sc := refinePool.Get().(*RefineScratch)
+		defer refinePool.Put(sc)
 		g := groupOf[ui]
-		res.PerUser[ui] = RefineUser(ds, scorer, &users[ui], norms[ui], travs[g], auxes[g], k, seedOf(ui), &refScratch[w])
+		res.PerUser[ui] = RefineUser(ds, scorer, &users[ui], norms[ui], travs[g], auxes[g], k, seedOf(ui), sc)
 	})
 	for _, tr := range travs {
 		res.Visited += tr.Visited

@@ -57,8 +57,9 @@ type travCand struct {
 
 // TraverseScratch holds the reusable state of one traversal — the
 // priority queues and the per-node sum buffers — so a worker running many
-// group traversals allocates them once. The zero value is ready to use; a
-// scratch must not be shared between concurrent traversals.
+// group traversals allocates them once, and JointTopK keeps them across
+// calls in a pool. The zero value is ready to use; a scratch must not be
+// shared between concurrent traversals.
 type TraverseScratch struct {
 	sums invfile.SumScratch
 	pq   *container.Heap[travCand]
@@ -175,9 +176,12 @@ func Traverse(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int, fl
 	}
 
 	res.LO = lo.PopAscending()
-	for roHeap.Len() > 0 {
-		o, _ := roHeap.Pop()
-		res.RO = append(res.RO, o) //maxbr:ignore hotpathalloc result slice, sized by the traversal outcome; allocation is per query, not per node
+	if roHeap.Len() > 0 {
+		//maxbr:ignore hotpathalloc result slice, sized once by the traversal outcome; allocation is per query, not per node
+		res.RO = make([]BoundedObject, roHeap.Len())
+		for i := range res.RO {
+			res.RO[i], _ = roHeap.Pop()
+		}
 	}
 	return res, nil
 }

@@ -134,8 +134,8 @@ type Options struct {
 	Fanout int
 	// DecodedCacheBytes budgets the sharded decoded-object cache the
 	// index keeps above its page store: decoded tree nodes and posting
-	// lists are reused across traversals and concurrent queries instead
-	// of being re-decoded per visit. Zero selects
+	// records' indexed term directories are reused across traversals and
+	// concurrent queries instead of being re-read per visit. Zero selects
 	// DefaultDecodedCacheBytes; a negative value disables the cache (the
 	// cold-accounting setting, where SimulatedIO charges every visit).
 	// Purely a performance knob — results are byte-identical either way.

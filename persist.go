@@ -25,8 +25,9 @@ type LoadOptions struct {
 	// paper's Section 8 accounting models.
 	CacheCapacity int
 	// DecodedCacheBytes budgets the decoded-object cache above the buffer
-	// pool: tree nodes and posting lists decoded once are shared across
-	// traversals and concurrent requests. Zero selects
+	// pool: tree nodes and posting records' term directories, read once,
+	// are shared across traversals and concurrent requests; a directory
+	// also holds, and is charged, a copy of its record. Zero selects
 	// DefaultDecodedCacheBytes; a negative value disables the cache.
 	DecodedCacheBytes int64
 }

@@ -35,12 +35,17 @@ var reclaimRequest = Request{
 // with no decoded cache above it, so a record the pool served stale after
 // its PageID was reused would surface as a wrong answer.
 func reloaded(t *testing.T, idx *Index) *Index {
+	return reloadedWith(t, idx, LoadOptions{CacheCapacity: 8, DecodedCacheBytes: -1})
+}
+
+// reloadedWith saves idx and loads it back with opts.
+func reloadedWith(t *testing.T, idx *Index, opts LoadOptions) *Index {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "reloaded.mxbr")
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadWithOptions(path, LoadOptions{CacheCapacity: 8, DecodedCacheBytes: -1})
+	loaded, err := LoadWithOptions(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +53,21 @@ func reloaded(t *testing.T, idx *Index) *Index {
 	return loaded
 }
 
-// storageKinds are the two ways an index holds its records: built in
-// memory, and file-resident in a loaded index.
+// storageKinds are the ways an index holds its records: built in memory
+// (the decoded cache's directories index the pager's own bytes), and
+// file-resident in a loaded index, read through the buffer pool alone or
+// with a decoded cache whose directories keep private copies of the
+// records they index — a directory left behind after its PageID was
+// reused would surface as a wrong answer too.
 var storageKinds = []struct {
 	name string
 	of   func(*testing.T, *Index) *Index
 }{
 	{"built", func(_ *testing.T, idx *Index) *Index { return idx }},
 	{"loaded", reloaded},
+	{"loaded-decoded", func(t *testing.T, idx *Index) *Index {
+		return reloadedWith(t, idx, LoadOptions{CacheCapacity: 8, DecodedCacheBytes: 1 << 20})
+	}},
 }
 
 // A long add/delete cycle must not grow the page store or the retired
