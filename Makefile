@@ -147,4 +147,4 @@ fuzz-smoke:
 	$(GO) test ./internal/irtree/ -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz '^FuzzDecodeMaster$$' -fuzztime 10s -fuzzminimizetime 100x
 
-ci: build vet lint race bench cli-smoke shard-smoke fuzz-smoke
+ci: build vet lint test race bench cli-smoke shard-smoke fuzz-smoke

@@ -360,9 +360,8 @@ func docKeywords(v *vocab.Vocabulary, d vocab.Doc) []string {
 }
 
 // coldFileIndex builds the system bench/ runs topk-ingest on: 20,000
-// generated objects, saved and loaded back file-backed with a 256-record
-// buffer pool and a 1 MiB decoded cache, both far smaller than the index,
-// so reads miss and the upper levels' inverted files can never be cached.
+// generated objects, saved and loaded back file-backed with a 1 MiB
+// decoded cache, far smaller than the index, so reads miss.
 func coldFileIndex(b *testing.B) (*Index, *dataset.Dataset) {
 	b.Helper()
 	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(20000))
@@ -379,7 +378,7 @@ func coldFileIndex(b *testing.B) (*Index, *dataset.Dataset) {
 		b.Fatal(err)
 	}
 	built.Close()
-	idx, err := LoadWithOptions(path, LoadOptions{CacheCapacity: 256, DecodedCacheBytes: 1 << 20})
+	idx, err := LoadWithOptions(path, LoadOptions{DecodedCacheBytes: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,12 +11,12 @@ import (
 )
 
 // TestDecodedCacheChargesDirectories: the decoded cache holds each
-// posting record's term directory indexed over the record's bytes. On a
-// built index the bytes are the pager's own, so a directory is charged its
-// arrays alone, and after every node and record has been read the cache
-// holds less than the records themselves. On a loaded index a record read
-// from the file is a private copy the directory keeps alive, so it is
-// charged those bytes too.
+// posting record's term directory and never a private copy of the record.
+// On a built index the directory indexes the pager's own bytes; on a
+// loaded one it is detached from the record read from the file and reads
+// its runs by range. Either way a directory is charged its arrays alone,
+// and after every node and record has been read the cache holds less than
+// the records themselves.
 func TestDecodedCacheChargesDirectories(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	b := NewBuilder()
@@ -35,7 +35,7 @@ func TestDecodedCacheChargesDirectories(t *testing.T) {
 	if err := built.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadWithOptions(path, LoadOptions{CacheCapacity: 8, DecodedCacheBytes: 1 << 20})
+	loaded, err := LoadWithOptions(path, LoadOptions{DecodedCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +43,9 @@ func TestDecodedCacheChargesDirectories(t *testing.T) {
 
 	terms := []vocab.TermID{0, 1, 2, 3}
 	for _, c := range []struct {
-		name    string
-		idx     *Index
-		private bool // whether a record read is a private copy
-	}{{"built", built, false}, {"loaded", loaded, true}} {
+		name string
+		idx  *Index
+	}{{"built", built}, {"loaded", loaded}} {
 		tree := c.idx.snap.Load().tree
 		var scratch invfile.SumScratch
 		nodes, checked, recordBytes := 0, 0, int64(0)
@@ -68,11 +67,7 @@ func TestDecodedCacheChargesDirectories(t *testing.T) {
 			}
 			after := c.idx.CacheStats()
 			if after.DecodedEntries > before.DecodedEntries && after.DecodedEvictions == before.DecodedEvictions {
-				want := invfile.DirBytes(buf)
-				if c.private {
-					want += int64(len(buf))
-				}
-				if got := after.DecodedBytes - before.DecodedBytes; got != want {
+				if want, got := invfile.DirBytes(buf), after.DecodedBytes-before.DecodedBytes; got != want {
 					t.Fatalf("%s: a %d-byte record's directory is charged %d, want %d", c.name, len(buf), got, want)
 				}
 				checked++
@@ -87,16 +82,13 @@ func TestDecodedCacheChargesDirectories(t *testing.T) {
 		if checked == 0 {
 			t.Fatalf("%s: no record's directory was cached", c.name)
 		}
-		if c.private {
-			continue
-		}
 		st := c.idx.CacheStats()
 		if st.DecodedEntries != 2*nodes || st.DecodedEvictions != 0 {
-			t.Fatalf("built: %d entries and %d evictions for %d nodes, want every node and directory cached", st.DecodedEntries, st.DecodedEvictions, nodes)
+			t.Fatalf("%s: %d entries and %d evictions for %d nodes, want every node and directory cached", c.name, st.DecodedEntries, st.DecodedEvictions, nodes)
 		}
 		if st.DecodedBytes >= recordBytes {
-			t.Fatalf("built: the decoded cache holds %d bytes for %d bytes of records; it should hold nodes and directories only", st.DecodedBytes, recordBytes)
+			t.Fatalf("%s: the decoded cache holds %d bytes for %d bytes of records; it should hold nodes and directories only", c.name, st.DecodedBytes, recordBytes)
 		}
-		t.Logf("built: %d nodes, decoded cache %d bytes, posting records %d bytes", nodes, st.DecodedBytes, recordBytes)
+		t.Logf("%s: %d nodes, decoded cache %d bytes, posting records %d bytes", c.name, nodes, st.DecodedBytes, recordBytes)
 	}
 }

@@ -66,7 +66,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		indexPath = flag.String("index", "", "saved index file (from `maxbrstknn build`)")
 		dataDir   = flag.String("data", "", "directory holding objects.txt (build in memory instead of -index)")
-		cache     = flag.Int("cache", 0, "buffer-pool records for a loaded index (0 = default, negative = cold)")
 		inflight  = flag.Int("max-inflight", 0, "max concurrently executing queries (0 = 4×GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 		sessions  = flag.Int("sessions", 64, "cohort-cache capacity in user cohorts (negative = unbounded)")
@@ -80,7 +79,7 @@ func main() {
 	flag.Parse()
 
 	srv, banner, cleanup, err := buildServing(options{
-		addr: *addr, indexPath: *indexPath, dataDir: *dataDir, cache: *cache,
+		addr: *addr, indexPath: *indexPath, dataDir: *dataDir,
 		inflight: *inflight, timeout: *timeout, sessions: *sessions,
 		shardSpec: *shardSpec, coordinator: *coordinator, shardAddrs: *shardAddrs,
 		shardTimeout: *shardTimeout,
@@ -118,13 +117,13 @@ func main() {
 // options collects the parsed flags so mode selection is testable logic,
 // not flag plumbing.
 type options struct {
-	addr, indexPath, dataDir  string
-	cache, inflight, sessions int
-	timeout                   time.Duration
-	shardSpec                 string
-	coordinator               bool
-	shardAddrs                string
-	shardTimeout              time.Duration
+	addr, indexPath, dataDir string
+	inflight, sessions       int
+	timeout                  time.Duration
+	shardSpec                string
+	coordinator              bool
+	shardAddrs               string
+	shardTimeout             time.Duration
 }
 
 // buildServing picks and constructs the serving mode: coordinator, shard
@@ -173,7 +172,7 @@ func buildServing(o options) (srv *server.Server, banner string, cleanup func() 
 			six.Close, nil
 
 	default:
-		idx, err := openIndex(o.indexPath, o.dataDir, o.cache)
+		idx, err := openIndex(o.indexPath, o.dataDir)
 		if err != nil {
 			return nil, "", nil, err
 		}
@@ -235,12 +234,12 @@ func buildShard(dir string, id, total int) (*maxbrstknn.ShardIndex, error) {
 
 // openIndex loads a saved index file, or builds one in memory from a
 // datagen directory when -data is given instead.
-func openIndex(indexPath, dataDir string, cache int) (*maxbrstknn.Index, error) {
+func openIndex(indexPath, dataDir string) (*maxbrstknn.Index, error) {
 	switch {
 	case indexPath != "" && dataDir != "":
 		return nil, fmt.Errorf("maxbrserve: pass -index or -data, not both")
 	case indexPath != "":
-		return maxbrstknn.LoadWithOptions(indexPath, maxbrstknn.LoadOptions{CacheCapacity: cache})
+		return maxbrstknn.Load(indexPath)
 	case dataDir != "":
 		ds, err := readDataset(dataDir)
 		if err != nil {

@@ -12,10 +12,10 @@
 //	maxbrstknn query -index ./data/index.mxbr -data ./data -ws 3 -k 10
 //
 // build reads objects.txt from the data directory and writes the single
-// page-aligned index file; query loads it (through an LRU buffer pool —
-// size it with -cache, or pass -cache -1 to serve cold) and runs the
-// query described by users.txt and candidates.txt, reporting simulated
-// I/O next to the real page reads the index file served.
+// page-aligned index file; query loads it (its records stay in the file,
+// read on demand under a decoded cache) and runs the query described by
+// users.txt and candidates.txt, reporting simulated I/O next to the real
+// page reads the index file served.
 package main
 
 import (
@@ -99,12 +99,11 @@ func runQuery(args []string) {
 		strategy  = fs.String("strategy", "exact", "exact | approx | exhaustive | user-indexed")
 		topL      = fs.Int("top", 1, "report the top-L candidate locations")
 		workers   = fs.Int("workers", 0, "parallel engine workers (0 = sequential)")
-		cache     = fs.Int("cache", 0, "buffer-pool records (0 = default, negative = cold)")
 	)
 	fs.Parse(args)
 
 	start := time.Now()
-	idx, err := maxbrstknn.LoadWithOptions(*indexPath, maxbrstknn.LoadOptions{CacheCapacity: *cache})
+	idx, err := maxbrstknn.Load(*indexPath)
 	if err != nil {
 		fail(err)
 	}
@@ -215,8 +214,7 @@ func answer(idx *maxbrstknn.Index, req maxbrstknn.Request, topL int) {
 		float64(time.Since(start).Microseconds())/1000, idx.SimulatedIO())
 	if records, pages := idx.ReadStats(); records > 0 {
 		cs := idx.CacheStats()
-		fmt.Printf("physical reads: %d records / %d pages, buffer pool: %d hits / %d misses\n",
-			records, pages, cs.BufferHits, cs.BufferMisses)
+		fmt.Printf("physical reads: %d records / %d pages\n", records, pages)
 		fmt.Printf("decoded cache: %d hits / %d misses / %d evictions, %d entries, %d bytes resident\n",
 			cs.DecodedHits, cs.DecodedMisses, cs.DecodedEvictions, cs.DecodedEntries, cs.DecodedBytes)
 	}

@@ -201,7 +201,7 @@ func TestAddObjectAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Caches off: the insert's first node read must hit the (closed) file.
-	loaded, err := LoadWithOptions(path, LoadOptions{CacheCapacity: -1, DecodedCacheBytes: -1})
+	loaded, err := LoadWithOptions(path, LoadOptions{DecodedCacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

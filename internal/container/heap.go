@@ -3,8 +3,11 @@
 // scores (the PQ, LO, RO and Hu queues of Algorithms 1–2), bounded top-k
 // holders (TopK, and StableTopK with its deterministic tie order), and
 // k-subset combination enumeration (the exact keyword selection of
-// Algorithm 4).
+// Algorithm 4), and the two reductions of a scan's candidates to its
+// answer (FirstMax, TopByCount).
 package container
+
+import "sort"
 
 // Heap is a binary heap of items with float64 priorities. A max-heap pops
 // the highest priority first; a min-heap the lowest. The zero value is not
@@ -185,6 +188,41 @@ func (t *TopK[T]) PopAscending() []T {
 		v, _ := t.heap.Pop()
 		out = append(out, v)
 	}
+	return out
+}
+
+// FirstMax is the reduction of a scan to its answer, over any candidate
+// type C holding a result R: the result of the first candidate, in order,
+// whose count strictly beats every earlier one's, or none when no count is
+// positive. core.Best and the coordinator's replay of shard candidates
+// are this one function.
+func FirstMax[C, R any](cands []C, result func(C) R, count func(R) int, none R) R {
+	best, n := none, 0
+	for _, c := range cands {
+		if r := result(c); count(r) > n {
+			best, n = r, count(r)
+		}
+	}
+	return best
+}
+
+// TopByCount is the top-l reduction of a scan, as FirstMax is the top-1:
+// the results are offered in order to a TopK of l by count — eviction
+// among equal counts depends on that order — and the survivors returned
+// by count descending, then loc ascending. l must be positive.
+func TopByCount[C, R any](cands []C, l int, result func(C) R, count, loc func(R) int) []R {
+	best := NewTopK[R](l)
+	for _, c := range cands {
+		r := result(c)
+		best.Offer(r, float64(count(r)))
+	}
+	out := best.PopAscending()
+	sort.Slice(out, func(i, j int) bool {
+		if ci, cj := count(out[i]), count(out[j]); ci != cj {
+			return ci > cj
+		}
+		return loc(out[i]) < loc(out[j])
+	})
 	return out
 }
 

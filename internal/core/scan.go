@@ -194,13 +194,7 @@ func (e *Engine) Scan(q Query, th Thresholds, spec ScanSpec) ([]Candidate, ScanS
 // candidate in scan order whose count strictly beats every earlier one
 // (LocIndex -1 when no location attracts any user).
 func Best(cands []Candidate) Selection {
-	best := Selection{LocIndex: -1}
-	for _, c := range cands {
-		if c.Sel.Count() > best.Count() {
-			best = c.Sel
-		}
-	}
-	return best
+	return container.FirstMax(cands, candSel, Selection.Count, Selection{LocIndex: -1})
 }
 
 // TopL reduces a ScanTopL scan to up to l selections ranked by |BRSTkNN|
@@ -208,19 +202,10 @@ func Best(cands []Candidate) Selection {
 // the candidates are offered in scan order to a bounded heap, whose
 // eviction among equal counts depends on that order. l must be positive.
 func TopL(cands []Candidate, l int) []Selection {
-	best := container.NewTopK[Selection](l)
-	for _, c := range cands {
-		best.Offer(c.Sel, float64(c.Sel.Count()))
-	}
-	out := best.PopAscending()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count() != out[j].Count() {
-			return out[i].Count() > out[j].Count()
-		}
-		return out[i].LocIndex < out[j].LocIndex
-	})
-	return out
+	return container.TopByCount(cands, l, candSel, Selection.Count, func(s Selection) int { return s.LocIndex })
 }
+
+func candSel(c Candidate) Selection { return c.Sel }
 
 // SelectMultiple greedily places m objects (each with its own location and
 // keyword set) to maximize the number of *distinct* users covered — the

@@ -15,19 +15,17 @@ import (
 	"repro/internal/textrel"
 )
 
-// diskWarmCache is the buffer-pool capacity (records) of the warm rows.
-const diskWarmCache = 4096
-
 // FigDisk measures disk-backed query serving against the in-memory
 // substrate the paper's experiments simulate: the index is saved to a
 // page-aligned file, then the full query (joint top-k preparation plus
 // exact selection) runs against (a) the in-memory pager, (b) the index
-// file served cold — no buffer pool, every node visit and inverted-file
-// load is a physical read — and (c) the file behind an LRU buffer pool,
-// first touch and then fully warm. Each row reports the real page reads
-// the file served next to the simulated-I/O counter, which the cold row
-// lets us cross-check: with no cache, every simulated charge corresponds
-// to a physical record fetch.
+// file served cold — no cache, every node visit and inverted-file load is
+// a physical read — and (c) the file under a decoded cache, first touch
+// and then fully warm: warm, every node and posting directory is a hit,
+// and the file serves only the posting runs the query wants. Each row
+// reports the real page reads the file served next to the simulated-I/O
+// counter, which the cold row lets us cross-check: with no cache, every
+// simulated charge corresponds to a physical record fetch.
 //
 // Every backend's selection is checked against the in-memory result; a
 // mismatch is an error, making the byte-identical persistence guarantee
@@ -36,7 +34,7 @@ func FigDisk(cfg Config) ([]*Table, error) {
 	t := &Table{
 		Title: "Disk — cold vs warm serving from the saved index file",
 		Header: []string{"backend", "prep(ms)", "select(ms)", "sim I/O",
-			"phys records", "phys pages", "pool hit/miss", "|BRSTkNN|"},
+			"phys records", "phys pages", "decoded hit/miss", "|BRSTkNN|"},
 	}
 
 	type point struct {
@@ -46,7 +44,7 @@ func FigDisk(cfg Config) ([]*Table, error) {
 		hits, misses          int64
 		count                 int
 	}
-	rows := []string{"in-memory", "disk cold", "disk first touch", "disk warm"}
+	rows := []string{"in-memory", "disk cold", "decoded first touch", "decoded warm"}
 	points := make([]point, len(rows))
 
 	dir, err := os.MkdirTemp("", "maxbrstknn-disk-*")
@@ -76,7 +74,7 @@ func FigDisk(cfg Config) ([]*Table, error) {
 		measure := func(pi int, tree *irtree.Tree, scorer *textrel.Scorer) error {
 			tree.IO().Reset()
 			ioBefore := tree.Backend().ReadStats()
-			hitsBefore, missesBefore := tree.CacheStats()
+			cacheBefore := tree.DecodedCacheStats()
 
 			e := core.NewEngine(tree, scorer, w.US.Users)
 			start := time.Now()
@@ -93,12 +91,12 @@ func FigDisk(cfg Config) ([]*Table, error) {
 			points[pi].selMs += float64(time.Since(start).Microseconds()) / 1000
 
 			ioAfter := tree.Backend().ReadStats()
-			hitsAfter, missesAfter := tree.CacheStats()
+			cacheAfter := tree.DecodedCacheStats()
 			points[pi].simIO += tree.IO().Total()
 			points[pi].physRecords += ioAfter.Records - ioBefore.Records
 			points[pi].physPage += ioAfter.Pages - ioBefore.Pages
-			points[pi].hits += hitsAfter - hitsBefore
-			points[pi].misses += missesAfter - missesBefore
+			points[pi].hits += cacheAfter.Hits - cacheBefore.Hits
+			points[pi].misses += cacheAfter.Misses - cacheBefore.Misses
 			points[pi].count = sel.Count()
 
 			if pi == 0 {
@@ -114,12 +112,9 @@ func FigDisk(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 
-		// Both loads disable the decoded-object cache: this figure measures
-		// the byte-level ledgers (simulated I/O, physical reads, buffer
-		// pool), and its cold cross-check requires every read to reach the
-		// medium. The decoded cache is measured by bench/ (the storage.*
-		// rows of a traced run).
-		cold, err := persist.Load(path, 0, 0)
+		// The cold load has no decoded cache: its cross-check requires
+		// every read to reach the medium.
+		cold, err := persist.Load(path, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -130,12 +125,12 @@ func FigDisk(cfg Config) ([]*Table, error) {
 		}
 		cold.Close()
 
-		warm, err := persist.Load(path, diskWarmCache, 0)
+		warm, err := persist.Load(path, 64<<20) // room for every node and directory
 		if err != nil {
 			return nil, err
 		}
 		scorer = loadedScorer(warm, cfg, w)
-		if err := measure(2, warm.Tree, scorer); err != nil { // first touch populates the pool
+		if err := measure(2, warm.Tree, scorer); err != nil { // first touch populates the cache
 			warm.Close()
 			return nil, err
 		}

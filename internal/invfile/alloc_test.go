@@ -48,20 +48,29 @@ func TestDecodeSumsIntoAllocationFree(t *testing.T) {
 }
 
 // TestSumsIntoAllocationFree pins the decoded-cache hit path: computing
-// bound sums through a Dir with warm scratch must not allocate.
+// bound sums through a Dir with warm scratch must not allocate, whether
+// the Dir reads its record's bytes or, detached, reads its runs by range
+// into the scratch.
 func TestSumsIntoAllocationFree(t *testing.T) {
-	_, dir, nEntries, maxTerms, minTerms, floorOf := allocFixture()
-	scratch := &SumScratch{}
-	if _, _, err := dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch); err != nil {
+	buf, attached, nEntries, maxTerms, minTerms, floorOf := allocFixture()
+	detached, err := OpenDir(buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
+	detached.Detach(rangeReader(buf))
+	for name, dir := range map[string]*Dir{"attached": attached, "detached": detached} {
+		scratch := &SumScratch{}
 		if _, _, err := dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SumsInto allocates %.1f times per node visit, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, _, err := dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: SumsInto allocates %.1f times per node visit, want 0", name, allocs)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package invfile
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -117,8 +118,9 @@ var reusedScratch SumScratch
 // DecodeSumsInto (with a fresh and a reused scratch) and the Dir's SumsInto
 // to fail exactly when the reference sums over the decoded file do (on a
 // directory Decode rejects, or a summed posting out of the node's entries)
-// and otherwise to equal them bit for bit. DirBytes must weigh the Dir
-// exactly.
+// and otherwise to equal them bit for bit. So must the Dir detached from
+// buf, reading its runs by range from a copy of it. DirBytes must weigh
+// the Dir exactly.
 func checkSums(t *testing.T, buf []byte, nEntries int) {
 	t.Helper()
 	floorOf, maxTerms, minTerms := fuzzSumsQuery()
@@ -147,15 +149,32 @@ func checkSums(t *testing.T, buf []byte, nEntries int) {
 		t.Fatalf("DirBytes = %d, the Dir holds %d", got, want)
 	}
 	dirMax, dirMin, dirErr := dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, &dirScratch)
+	detached, _ := OpenDir(buf)
+	detached.Detach(rangeReader(bytes.Clone(buf)))
+	var detachedScratch SumScratch
+	detMax, detMin, detErr := detached.SumsInto(nEntries, maxTerms, minTerms, floorOf, &detachedScratch)
 	wantMax, wantMin, rerr := referenceSums(file, nEntries, maxTerms, minTerms, floorOf)
-	if (err == nil) != (rerr == nil) || (dirErr == nil) != (rerr == nil) {
-		t.Fatalf("DecodeSumsInto error %v, Dir.SumsInto error %v, reference error %v: want all or none", err, dirErr, rerr)
+	if (err == nil) != (rerr == nil) || (dirErr == nil) != (rerr == nil) || (detErr == nil) != (rerr == nil) {
+		t.Fatalf("DecodeSumsInto error %v, Dir.SumsInto error %v, detached %v, reference error %v: want all or none", err, dirErr, detErr, rerr)
 	}
 	if err == nil {
 		compareSums(t, "max", gotMax, wantMax)
 		compareSums(t, "min", gotMin, wantMin)
 		compareSums(t, "dir max", dirMax, wantMax)
 		compareSums(t, "dir min", dirMin, wantMin)
+		compareSums(t, "detached max", detMax, dirMax)
+		compareSums(t, "detached min", detMin, dirMin)
+	}
+}
+
+// rangeReader reads rec by range, copying into dst as a file-resident
+// record is read.
+func rangeReader(rec []byte) func(dst []byte, off int) ([]byte, error) {
+	return func(dst []byte, off int) ([]byte, error) {
+		if off < 0 || off+len(dst) > len(rec) {
+			return nil, fmt.Errorf("no bytes %d to %d in a %d-byte record", off, off+len(dst), len(rec))
+		}
+		return dst[:copy(dst, rec[off:])], nil
 	}
 }
 

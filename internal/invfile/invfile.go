@@ -43,9 +43,12 @@
 // A traversal's per-entry bound sums are read off the record's bytes by a
 // Dir, which walks the directory once, keeps the term ids and run starts,
 // binary-searches them for the query terms and sums each wanted run in
-// place (sumRun). The decoded-object cache holds Dirs; DecodeSumsInto, the
-// cold path (no cache configured, or a record that cannot fit it), indexes
-// the record into a Dir kept in the caller's scratch on every read. The
+// place (sumRun). The decoded-object cache holds Dirs: over a record held
+// in memory a Dir aliases its bytes; over one read from a file it is
+// detached (Detach), keeps no bytes, and reads each wanted run through the
+// record store's ranged read. DecodeSumsInto, the cold path (no cache
+// configured, or a record that cannot fit it), indexes the record into a
+// Dir kept in the caller's scratch on every read. The
 // write path keeps a copy-on-write mutation's files encoded: ReplaceEntry
 // splices one entry's postings into a record, copying every run the edit
 // does not touch as bytes, and Aggregate reads a child's aggregate off its
@@ -465,14 +468,15 @@ func readUvarint(buf []byte, off int) (uint64, int, error) {
 
 // SumScratch holds the reusable per-entry sum buffers a traversal threads
 // through its node visits, eliminating the two float64-slice allocations
-// every inverted-file read otherwise pays, and the Dir DecodeSumsInto
-// indexes a record into. The zero value is ready to use; the slices
-// returned by the Sums helpers alias the scratch and stay valid only until
-// its next use.
+// every inverted-file read otherwise pays, the Dir DecodeSumsInto indexes a
+// record into, and the buffer a detached Dir reads its runs into. The zero
+// value is ready to use; the slices returned by the Sums helpers alias the
+// scratch and stay valid only until its next use.
 type SumScratch struct {
 	Max, Min []float64
 
 	dir Dir
+	run []byte
 }
 
 // buffers returns the scratch's two sum buffers resized to n (reallocating
@@ -488,6 +492,15 @@ func (s *SumScratch) buffers(n int, floorMax, floorMin float64) (maxSums, minSum
 		minSums[i] = floorMin
 	}
 	return maxSums, minSums
+}
+
+// runBuf returns the scratch's run buffer resized to n, reallocating only
+// on growth.
+func (s *SumScratch) runBuf(n int) []byte {
+	if cap(s.run) < n {
+		s.run = make([]byte, n)
+	}
+	return s.run[:n]
 }
 
 // floorSums accumulates the all-floors baseline of both bound sums.
@@ -556,15 +569,16 @@ func DecodeSumsInto(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID,
 // Dir is a record indexed in place — what the decoded-object cache holds.
 // OpenDir walks the term directory once, validating the record, and keeps
 // every stored term and where its run starts; SumsInto then binary-searches
-// the query terms and sums their runs straight off the record's bytes. A
-// Dir aliases its record and only reads it, so it is immutable and safe to
-// share between goroutines.
+// the query terms and sums their runs straight off the record's bytes, or,
+// once the Dir is detached, off each run read from the record store. A Dir
+// only reads its record, so once shared it is immutable and safe to use
+// from any number of goroutines.
 type Dir struct {
 	layout
 	buf    []byte
-	body   int            // offset of the first posting
-	terms  []vocab.TermID // ascending
-	starts []int32        // the postings of terms[i] are starts[i] to starts[i+1]
+	read   func(dst []byte, off int) ([]byte, error) // a detached Dir's ranged read; nil while attached
+	terms  []vocab.TermID                            // ascending
+	starts []int32                                   // the postings of terms[i] are bytes starts[i] to starts[i+1]
 }
 
 // dirHeader is the resident size of a Dir besides its arrays: the struct,
@@ -574,7 +588,8 @@ const dirHeader = 96
 // DirBytes is what the Dir over buf holds besides buf itself — its term
 // and run-start arrays and the struct — read off the record's term count
 // without walking the directory, so a cache can weigh a Dir before OpenDir
-// builds it. It is exact for every record OpenDir accepts.
+// builds it. It is exact for every record OpenDir accepts, and is all a
+// detached Dir holds.
 func DirBytes(buf []byte) int64 {
 	d, _ := openDirectory(buf)
 	return int64(8*d.n+4) + dirHeader
@@ -591,6 +606,14 @@ func OpenDir(buf []byte) (*Dir, error) {
 	return dir, nil
 }
 
+// Detach drops the bytes d was opened over: from now on SumsInto reads each
+// run it sums with read, which returns bytes off to off+len(dst) of the
+// same record, read into dst (storage.Backend's ReadRecordAt, bound to the
+// record's address). Call it before d is shared.
+func (d *Dir) Detach(read func(dst []byte, off int) ([]byte, error)) {
+	d.buf, d.read = nil, read
+}
+
 // open indexes buf into dir, reusing its arrays when they are large
 // enough.
 func (dir *Dir) open(buf []byte) error {
@@ -602,6 +625,7 @@ func (dir *Dir) open(buf []byte) error {
 		dir.terms, dir.starts = make([]vocab.TermID, d.n), make([]int32, d.n+1)
 	}
 	dir.layout, dir.buf, dir.terms, dir.starts = d.layout, buf, dir.terms[:d.n], dir.starts[:d.n+1]
+	dir.starts[0] = 0
 	for i := range d.n {
 		t, _, err := d.next()
 		if err != nil {
@@ -609,8 +633,14 @@ func (dir *Dir) open(buf []byte) error {
 		}
 		dir.terms[i], dir.starts[i+1] = t, int32(d.total)
 	}
-	dir.body, err = d.body()
-	return err
+	body, err := d.body()
+	if err != nil {
+		return err
+	}
+	for i, cnt := range dir.starts { // posting counts to byte offsets
+		dir.starts[i] = int32(body + int(cnt)*d.stride())
+	}
+	return nil
 }
 
 // SumsInto computes the sums DecodeSumsInto defines over the indexed
@@ -618,13 +648,14 @@ func (dir *Dir) open(buf []byte) error {
 // the stored ones (a node stores its whole subtree's vocabulary; a query
 // wants a handful of terms) and its run summed in place. The sums land in
 // caller-supplied scratch, so the warm hot path is allocation-free; the
-// returned slices alias scratch and stay valid only until its next use.
+// returned slices alias scratch and stay valid only until its next use. A
+// detached Dir reads each wanted run into scratch first, and fails with
+// the record store's error, wrapped, when a read does.
 //
 //maxbr:hotpath
 func (d *Dir) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
 	floorMax, floorMin := floorSums(maxTerms, minTerms, floorOf)
 	maxSums, minSums = scratch.buffers(nEntries, floorMax, floorMin)
-	stride := d.stride()
 	for mi, ni := 0, 0; mi < len(maxTerms) || ni < len(minTerms); {
 		t := least(maxTerms, minTerms, mi, ni)
 		wantMax := mi < len(maxTerms) && maxTerms[mi] == t
@@ -639,8 +670,14 @@ func (d *Dir) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf 
 		if !ok {
 			continue
 		}
-		from, to := d.body+int(d.starts[i])*stride, d.body+int(d.starts[i+1])*stride
-		if err := d.sumRun(d.buf, from, to, floorOf(t), wantMax, wantMin, maxSums, minSums); err != nil {
+		buf, from, to := d.buf, int(d.starts[i]), int(d.starts[i+1])
+		if d.read != nil {
+			if buf, err = d.read(scratch.runBuf(to-from), from); err != nil {
+				return nil, nil, fmt.Errorf("invfile: run of term %d: %w", t, err)
+			}
+			from, to = 0, to-from
+		}
+		if err := d.sumRun(buf, from, to, floorOf(t), wantMax, wantMin, maxSums, minSums); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // saveAndLoad builds a MIR-tree over ds, saves it, and opens the file with
-// a buffer pool of capacity records (0: none) and no decoded cache, so
-// every pool miss is a charged read.
-func saveAndLoad(t *testing.T, ds *dataset.Dataset, measure textrel.MeasureKind, capacity int) *irtree.Tree {
+// a decoded cache of decodedBytes (0: none, so every read is a charged
+// physical read).
+func saveAndLoad(t *testing.T, ds *dataset.Dataset, measure textrel.MeasureKind, decodedBytes int64) *irtree.Tree {
 	t.Helper()
 	ix := &persist.Index{Measure: measure, Alpha: 0.5, Lambda: textrel.DefaultLambda, Fanout: 16, DS: ds}
 	ix.Tree = irtree.Build(ds, ix.NewModel(ds), irtree.Config{Kind: irtree.MIRTree, Fanout: 16})
@@ -22,7 +22,7 @@ func saveAndLoad(t *testing.T, ds *dataset.Dataset, measure textrel.MeasureKind,
 	if err := persist.Save(path, ix); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := persist.Load(path, capacity, 0)
+	loaded, err := persist.Load(path, decodedBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,39 +30,50 @@ func saveAndLoad(t *testing.T, ds *dataset.Dataset, measure textrel.MeasureKind,
 	return loaded.Tree
 }
 
+// TestWarmCacheReducesIO: on a loaded index the decoded cache absorbs
+// repeat traffic. Its hits charge no simulated I/O, and a warm directory
+// reads only the runs a query wants, so both ledgers fall below the cold
+// tree's, which records no cache traffic at all.
 func TestWarmCacheReducesIO(t *testing.T) {
 	ds := dataset.GenerateFlickr(dataset.FlickrConfig{
 		NumObjects: 800, VocabSize: 300, MeanTags: 5, NumCluster: 8, Zipf: 1.2, Seed: 5,
 	})
 	scorer := textrel.NewScorer(ds, textrel.LM, 0.5)
-	warm := saveAndLoad(t, ds, textrel.LM, 4096)
+	warm := saveAndLoad(t, ds, textrel.LM, 1<<20)
 	cold := saveAndLoad(t, ds, textrel.LM, 0)
 
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 30, UL: 3, UW: 15, Area: 20, Seed: 31})
 
-	runAll := func(tree *irtree.Tree) int64 {
+	// runAll returns the simulated I/O and the physical pages of one pass
+	// over every user.
+	runAll := func(tree *irtree.Tree) (int64, int64) {
 		tree.IO().Reset()
+		before := tree.Backend().ReadStats().Pages
 		for ui := range us.Users {
 			if _, _, err := tree.TopK(scorer, irtree.ViewOf(&us.Users[ui], scorer), 5); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return tree.IO().Total()
+		return tree.IO().Total(), tree.Backend().ReadStats().Pages - before
 	}
 
-	coldIO := runAll(cold)
-	warmIO := runAll(warm)
+	coldIO, coldPages := runAll(cold)
+	runAll(warm) // first touch fills the cache
+	warmIO, warmPages := runAll(warm)
 	if warmIO >= coldIO {
 		t.Errorf("warm cache I/O %d should be below cold %d", warmIO, coldIO)
 	}
-	hits, misses := warm.CacheStats()
-	if hits == 0 {
+	if warmPages >= coldPages {
+		t.Errorf("warm tree read %d pages, cold %d: a warm directory should read only its wanted runs", warmPages, coldPages)
+	}
+	st := warm.DecodedCacheStats()
+	if st.Hits == 0 {
 		t.Error("warm cache recorded no hits across repeated user queries")
 	}
-	if misses == 0 {
+	if st.Misses == 0 {
 		t.Error("first reads must miss")
 	}
-	if h, m := cold.CacheStats(); h != 0 || m != 0 {
+	if st := cold.DecodedCacheStats(); st.Hits != 0 || st.Misses != 0 {
 		t.Error("cold tree should have no cache stats")
 	}
 }
@@ -74,7 +85,7 @@ func TestWarmCacheSameResults(t *testing.T) {
 		NumObjects: 600, VocabSize: 250, MeanTags: 5, NumCluster: 6, Zipf: 1.2, Seed: 9,
 	})
 	scorer := textrel.NewScorer(ds, textrel.KO, 0.5)
-	warm := saveAndLoad(t, ds, textrel.KO, 1024)
+	warm := saveAndLoad(t, ds, textrel.KO, 64<<10) // small enough to evict
 	cold := irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: 16})
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 20, UL: 3, UW: 12, Area: 20, Seed: 33})
 	for ui := range us.Users {

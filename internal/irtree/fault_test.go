@@ -1,0 +1,121 @@
+package irtree
+
+import (
+	"errors"
+	"path/filepath"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/invfile"
+	"repro/internal/storage"
+	"repro/internal/textrel"
+)
+
+// errInjected is the read failure faultyBackend injects.
+var errInjected = errors.New("injected read fault")
+
+// faultyBackend wraps a record store so that its reads fail while fail is
+// set.
+type faultyBackend struct {
+	storage.Backend
+	fail atomic.Bool
+}
+
+func (f *faultyBackend) ReadRecord(id storage.PageID) ([]byte, error) {
+	if f.fail.Load() {
+		return nil, errInjected
+	}
+	return f.Backend.ReadRecord(id)
+}
+
+func (f *faultyBackend) ReadRecordAt(id storage.PageID, dst []byte, off int) ([]byte, error) {
+	if f.fail.Load() {
+		return nil, errInjected
+	}
+	return f.Backend.ReadRecordAt(id, dst, off)
+}
+
+// TestReadFaultsSurfaceAndClear restores a saved tree over a store whose
+// reads fail on demand. A failing read — a cold miss's whole record, or a
+// warm directory's ranged run — must reach TopK's and ReadInvSums' callers
+// as an error wrapping the injected one, never a panic. Once the fault
+// clears, every query answers exactly as the built tree does: neither
+// failure left anything wrong in the decoded cache.
+func TestReadFaultsSurfaceAndClear(t *testing.T) {
+	built, ds, scorer := buildSmall(t, MIRTree, textrel.LM)
+	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 12, UL: 3, UW: 15, Area: 20, Seed: 41})
+	path := filepath.Join(t.TempDir(), "tree.idx")
+	if err := storage.WriteFile(path, built.Backend(), nil); err != nil {
+		t.Fatal(err)
+	}
+	pager, _, err := storage.OpenPager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pager.Close() })
+	fb := &faultyBackend{Backend: pager}
+	tree, err := Restore(ds, built.Model(), fb, built.EncodeMeta(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type answer struct {
+		res []Result
+		rsk float64
+	}
+	want := make([]answer, len(us.Users))
+	for ui := range us.Users {
+		res, rsk, err := built.TopK(scorer, ViewOf(&us.Users[ui], scorer), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[ui] = answer{res, rsk}
+	}
+	check := func(phase string) {
+		t.Helper()
+		for ui := range us.Users {
+			res, rsk, err := tree.TopK(scorer, ViewOf(&us.Users[ui], scorer), 5)
+			if err != nil {
+				t.Fatalf("%s: user %d: %v", phase, ui, err)
+			}
+			if got := (answer{res, rsk}); !reflect.DeepEqual(got, want[ui]) {
+				t.Fatalf("%s: user %d answered %+v, the built tree %+v", phase, ui, got, want[ui])
+			}
+		}
+	}
+	mustFail := func(phase string) {
+		t.Helper()
+		for ui := range us.Users {
+			if _, _, err := tree.TopK(scorer, ViewOf(&us.Users[ui], scorer), 5); !errors.Is(err, errInjected) {
+				t.Fatalf("%s: user %d: TopK error %v, want one wrapping %v", phase, ui, err, errInjected)
+			}
+		}
+	}
+
+	fb.fail.Store(true) // cold: the root's node record cannot be read
+	mustFail("cold fault")
+	fb.fail.Store(false)
+	check("after the cold fault")
+
+	// Warm: every node and directory a query needs is cached, and the
+	// directories are detached from the file's records, so only their
+	// ranged run reads reach the store.
+	root, err := tree.ReadNode(tree.RootID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tree.sh.decoded.Get(root.InvID); !ok {
+		t.Fatal("the root's directory is not cached after a full pass")
+	}
+	fb.fail.Store(true)
+	mustFail("warm fault")
+	var scratch invfile.SumScratch
+	terms := ViewOf(&us.Users[0], scorer).Terms
+	if _, _, err := tree.ReadInvSums(root, terms, terms, &scratch); !errors.Is(err, errInjected) {
+		t.Fatalf("warm fault: ReadInvSums error %v, want one wrapping %v", err, errInjected)
+	}
+	fb.fail.Store(false)
+	check("after the warm fault")
+}

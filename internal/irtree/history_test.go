@@ -167,7 +167,7 @@ func reopen(t *testing.T, tree *Tree, ds *dataset.Dataset) *Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Restore(ds, tree.Model(), pager, meta, 0, 0)
+	loaded, err := Restore(ds, tree.Model(), pager, meta, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,7 @@ import (
 )
 
 // ReadInvFile loads the inverted file referenced by a node as a whole
-// File, charging the simulated I/O of any load (buffer-pool hits charge
-// nothing). It reads past the decoded cache, which holds the Dirs the sum
+// File, charging the simulated I/O of any load. It reads past the decoded cache, which holds the Dirs the sum
 // path reads through, and decodes privately with decodeInv. No production
 // path reads a whole file — every search sums through ReadInvSums and
 // mutations splice records — so it lives here, as the whole-file view the
@@ -262,14 +261,14 @@ func TestRestoreRejectsSmallFanout(t *testing.T) {
 	for _, fanout := range []byte{0, 1, 3} {
 		bad := bytes.Clone(meta)
 		bad[1] = fanout
-		_, err := Restore(ds, scorer.Model, tree.Backend(), bad, 0, 0)
+		_, err := Restore(ds, scorer.Model, tree.Backend(), bad, 0)
 		if err == nil || !strings.Contains(err.Error(), "corrupt tree metadata") {
 			t.Fatalf("fanout %d: got %v, want a corrupt tree metadata error", fanout, err)
 		}
 	}
 	bad := bytes.Clone(meta)
 	bad[1] = 4
-	got, err := Restore(ds, scorer.Model, tree.Backend(), bad, 0, 0)
+	got, err := Restore(ds, scorer.Model, tree.Backend(), bad, 0)
 	if err != nil {
 		t.Fatalf("fanout 4 refused: %v", err)
 	}

@@ -33,7 +33,7 @@ func (c *countingBackend) Reclaim([]storage.PageID) {}
 func TestMutationWritesEachNodeOnce(t *testing.T) {
 	built, rest, _, _ := insertFixture(t, 400, 101)
 	cb := &countingBackend{Backend: built.Backend()}
-	tree, err := Restore(built.Dataset(), built.Model(), cb, built.EncodeMeta(), 0, 0)
+	tree, err := Restore(built.Dataset(), built.Model(), cb, built.EncodeMeta(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

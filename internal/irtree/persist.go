@@ -28,13 +28,11 @@ func (t *Tree) EncodeMeta() []byte {
 // Restore reconstructs a Tree over a backend already holding its records,
 // from metadata produced by EncodeMeta. The metadata is an unchecksummed
 // data record, so the fields a later mutation trusts are range-checked.
-// cacheCapacity front-loads an LRU buffer pool over the backend, whose
-// hits charge no simulated I/O (zero keeps every query cold), and
-// decodedCacheBytes a decoded-object cache exactly as
-// Config.DecodedCacheBytes does. The model must be built over
+// decodedCacheBytes configures a decoded-object cache exactly as
+// Config.DecodedCacheBytes does (zero keeps every query cold). The model must be built over
 // ds with the same measure the tree was built with; the restored tree
 // starts with a fresh I/O counter.
-func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, meta []byte, cacheCapacity int, decodedCacheBytes int64) (*Tree, error) {
+func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, meta []byte, decodedCacheBytes int64) (*Tree, error) {
 	d := storage.NewDecoder(meta)
 	kind := Kind(d.Uvarint())
 	fanout := int(d.Uvarint())
@@ -75,9 +73,6 @@ func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, 
 		io:        &storage.IOCounter{},
 		cfgFanout: fanout,
 		pins:      storage.NewEpochPins(),
-	}
-	if cacheCapacity > 0 {
-		sh.cache = storage.NewBufferPool(sh.pager, cacheCapacity)
 	}
 	sh.decoded = storage.NewDecodedCache(decodedCacheBytes, 0)
 	return &Tree{

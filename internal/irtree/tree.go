@@ -51,13 +51,13 @@ const minFanout = 4
 type Config struct {
 	Kind   Kind
 	Fanout int // maximum entries per node; 0 selects rtree.DefaultMaxEntries
-	// DecodedCacheBytes enables the second cache level: a sharded,
-	// byte-capped cache of decoded nodes and of inverted files' indexed
-	// directories (invfile.Dir) keyed by record address, so repeated
-	// traversals skip the decode and the directory walk.
-	// Hits charge no simulated I/O (the warm-serving setting, exactly
-	// like buffer-pool hits); zero keeps every read a decode — the
-	// Section 8 accounting setting the experiments run under.
+	// DecodedCacheBytes enables the cache above the record store: a
+	// sharded, byte-capped cache of decoded nodes and of inverted files'
+	// indexed directories (invfile.Dir) keyed by record address, so
+	// repeated traversals skip the read, the decode and the directory
+	// walk. Hits charge no simulated I/O (the warm-serving setting); zero
+	// keeps every read a charged decode — the Section 8 accounting setting
+	// the experiments run under.
 	DecodedCacheBytes int64
 }
 
@@ -72,7 +72,6 @@ type shared struct {
 
 	pager   storage.Backend
 	io      *storage.IOCounter
-	cache   *storage.BufferPool   // nil unless Restore was given a capacity
 	decoded *storage.DecodedCache // nil when DecodedCacheBytes == 0
 
 	cfgFanout int
@@ -280,9 +279,8 @@ func (t *Tree) DiskPages() int { return t.sh.pager.NumPages() }
 func (t *Tree) Backend() storage.Backend { return t.sh.pager }
 
 // ReadNode fetches and decodes the node with the given id, charging one
-// simulated node-visit I/O (the Section 8 rule). With a warm buffer pool
-// configured, pool hits charge nothing; with a decoded cache configured,
-// hits skip both the charge and the decode, returning the shared
+// simulated node-visit I/O (the Section 8 rule). With a decoded cache
+// configured, hits skip both the charge and the decode, returning the shared
 // immutable *NodeData (callers must not modify it — mutations use private
 // uncached reads for exactly that reason).
 func (t *Tree) ReadNode(id int32) (*NodeData, error) {
@@ -302,19 +300,9 @@ func (t *Tree) ReadNode(id int32) (*NodeData, error) {
 }
 
 // decodeNodeAt reads and decodes the node record at page, charging one
-// simulated node-visit I/O on a buffer-pool miss. Mutations call it with
-// their private page table; readers through ReadNode.
+// simulated node-visit I/O. Mutations call it with their private page
+// table; readers through ReadNode.
 func (t *Tree) decodeNodeAt(id int32, page storage.PageID) (*NodeData, error) {
-	if t.sh.cache != nil {
-		buf, hit, err := t.sh.cache.Read(page)
-		if err != nil {
-			return nil, err
-		}
-		if !hit {
-			t.sh.io.NodeVisit()
-		}
-		return decodeNode(id, buf)
-	}
 	t.sh.io.NodeVisit()
 	buf, err := t.sh.pager.ReadRecord(page)
 	if err != nil {
@@ -325,18 +313,8 @@ func (t *Tree) decodeNodeAt(id int32, page storage.PageID) (*NodeData, error) {
 
 // readInvBytes fetches the raw encoded inverted file at id, applying the
 // simulated-I/O charging rule shared by every load path: one I/O per 4 kB
-// block, with buffer-pool hits charging nothing.
+// block.
 func (t *Tree) readInvBytes(id storage.PageID) ([]byte, error) {
-	if t.sh.cache != nil {
-		buf, hit, err := t.sh.cache.Read(id)
-		if err != nil {
-			return nil, err
-		}
-		if !hit {
-			t.sh.io.InvFileLoad(t.sh.pager.RecordPages(id))
-		}
-		return buf, nil
-	}
 	t.sh.io.InvFileLoad(t.sh.pager.RecordPages(id))
 	return t.sh.pager.ReadRecord(id)
 }
@@ -350,11 +328,15 @@ func (t *Tree) readInvBytes(id storage.PageID) ([]byte, error) {
 // only until its next use.
 //
 // The decoded cache holds the record's invfile.Dir, its directory indexed
-// over its bytes: a hit binary-searches it and allocates nothing. A miss
-// caches the Dir when it fits a shard, charged its arrays plus, for a
-// file-resident record, the private copy it keeps alive (a memory-resident
-// record's bytes are the pager's anyway). A record that cannot fit, or
-// any with no cache (the paper-figure accounting), is summed off its bytes.
+// over the record and charged its arrays alone (invfile.DirBytes): a
+// cached Dir never holds a private copy of its record. Over a
+// memory-resident record it aliases the pager's bytes; over a
+// file-resident one the miss reads the whole record once, sums it and
+// detaches the Dir, which then reads only the runs a query wants
+// (Backend.ReadRecordAt). A hit charges no simulated I/O, a miss one per
+// 4 kB block, on a built index and a loaded one alike. A record that
+// cannot fit, or any with no cache (the paper-figure accounting), is
+// summed off its bytes.
 func (t *Tree) ReadInvSums(node *NodeData, maxTerms, minTerms []vocab.TermID, scratch *invfile.SumScratch) (maxSums, minSums []float64, err error) {
 	floorOf := t.sh.model.FloorWeight
 	if v, ok := t.sh.decoded.Get(node.InvID); ok {
@@ -365,9 +347,6 @@ func (t *Tree) ReadInvSums(node *NodeData, maxTerms, minTerms []vocab.TermID, sc
 		return nil, nil, err
 	}
 	charge := invfile.DirBytes(buf)
-	if !t.sh.pager.Resident(node.InvID) {
-		charge += int64(len(buf))
-	}
 	if !t.sh.decoded.FitsBudget(charge) {
 		return invfile.DecodeSumsInto(buf, len(node.Entries), maxTerms, minTerms, floorOf, scratch)
 	}
@@ -375,16 +354,14 @@ func (t *Tree) ReadInvSums(node *NodeData, maxTerms, minTerms []vocab.TermID, sc
 	if err != nil {
 		return nil, nil, err
 	}
-	t.sh.decoded.Put(node.InvID, d, charge)
-	return d.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch)
-}
-
-// CacheStats returns buffer-pool hits and misses (zeros when cold).
-func (t *Tree) CacheStats() (hits, misses int64) {
-	if t.sh.cache == nil {
-		return 0, 0
+	if maxSums, minSums, err = d.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch); err != nil {
+		return nil, nil, err
 	}
-	return t.sh.cache.Stats()
+	if id, pager := node.InvID, t.sh.pager; !pager.Resident(id) {
+		d.Detach(func(dst []byte, off int) ([]byte, error) { return pager.ReadRecordAt(id, dst, off) })
+	}
+	t.sh.decoded.Put(node.InvID, d, charge)
+	return maxSums, minSums, nil
 }
 
 // DecodedCacheStats returns the decoded-object cache counters (zeros when
@@ -423,13 +400,16 @@ func (t *Tree) ReclaimRetired() {
 		var pages int64
 		for _, id := range set.ids {
 			pages += int64(sh.pager.RecordPages(id))
-			// Evict from both caches now, not at publish: a reader pinned
-			// on an older epoch may have re-inserted this record after the
-			// publish-time eviction. With the floor at or past the retiring
-			// epoch no such reader remains, so neither entry can reappear —
-			// and the address is now free to be reused by a new record.
+			// Evict from the decoded cache now, not only at publish: a
+			// reader pinned on an older epoch may have re-inserted this
+			// record after the publish-time eviction. With the floor at or
+			// past the retiring epoch no such reader remains, so the entry
+			// cannot reappear — and the address is now free to be reused
+			// by a new record. This eviction is load-bearing: a cached
+			// node and a detached Dir both name their record by address,
+			// and a detached Dir left behind would read its runs out of
+			// whatever record reuses the slot.
 			sh.decoded.Delete(id)
-			sh.cache.Delete(id)
 		}
 		sh.pager.Reclaim(set.ids)
 		sh.retiredRecords.Add(-int64(len(set.ids)))

@@ -7,10 +7,10 @@ import (
 
 // AnalyzerImmutableAlias enforces the PR 5 aliasing contract: values
 // handed out by the storage and cache layers are shared between
-// concurrent readers and must be treated as immutable. ReadRecord (on
-// the Backend interface and on the Pager) returns a memory-resident
-// record's own bytes, BufferPool.Read returns the pooled page buffer,
-// and DecodedCache.Get returns the cached object. Writing through any of
+// concurrent readers and must be treated as immutable. ReadRecord and
+// ReadRecordAt (on the Backend interface and on the Pager) return a
+// memory-resident record's own bytes, and DecodedCache.Get returns the
+// cached object. Writing through any of
 // them corrupts every other reader of the same page — a data race no
 // test reliably catches because the cache must be warm and shared.
 //
@@ -20,7 +20,7 @@ import (
 // shared backing array) and in-place sorts of tainted values.
 var AnalyzerImmutableAlias = &Analyzer{
 	Name: "immutablealias",
-	Doc:  "flags writes through shared values returned by ReadRecord, BufferPool.Read and DecodedCache.Get",
+	Doc:  "flags writes through shared values returned by ReadRecord, ReadRecordAt and DecodedCache.Get",
 	Run:  runImmutableAlias,
 }
 
@@ -34,7 +34,8 @@ type sharedSource struct {
 var sharedSources = []sharedSource{
 	{"repro/internal/storage", "Backend", "ReadRecord", 0},
 	{"repro/internal/storage", "Pager", "ReadRecord", 0},
-	{"repro/internal/storage", "BufferPool", "Read", 0},
+	{"repro/internal/storage", "Backend", "ReadRecordAt", 0},
+	{"repro/internal/storage", "Pager", "ReadRecordAt", 0},
 	{"repro/internal/storage", "DecodedCache", "Get", 0},
 }
 

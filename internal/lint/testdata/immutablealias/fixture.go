@@ -9,8 +9,8 @@ import (
 	"repro/internal/storage"
 )
 
-func writeThroughPoolRead(pool *storage.BufferPool, id storage.PageID) error {
-	buf, _, err := pool.Read(id)
+func writeThroughBackendRange(b storage.Backend, id storage.PageID, dst []byte) error {
+	buf, err := b.ReadRecordAt(id, dst, 0)
 	if err != nil {
 		return err
 	}
@@ -54,8 +54,8 @@ func writeThroughCacheHit(c *storage.DecodedCache, id storage.PageID) {
 	b[0] = 0 // want "write through shared value b"
 }
 
-func sortPoolPage(pool *storage.BufferPool, id storage.PageID) error {
-	buf, _, err := pool.Read(id)
+func sortPagerRange(p *storage.Pager, id storage.PageID, dst []byte) error {
+	buf, err := p.ReadRecordAt(id, dst, 8)
 	if err != nil {
 		return err
 	}
@@ -81,8 +81,8 @@ func fieldWriteInCachedPostings(c *storage.DecodedCache, id storage.PageID) {
 	ps[0].MaxW = 0 // want "field write through shared value ps"
 }
 
-func resliceStillShared(pool *storage.BufferPool, id storage.PageID) error {
-	buf, _, err := pool.Read(id)
+func resliceStillShared(p *storage.Pager, id storage.PageID, dst []byte) error {
+	buf, err := p.ReadRecordAt(id, dst, 0)
 	if err != nil {
 		return err
 	}
@@ -91,8 +91,8 @@ func resliceStillShared(pool *storage.BufferPool, id storage.PageID) error {
 	return nil
 }
 
-func reassignKillsTaint(pool *storage.BufferPool, id storage.PageID) error { // negative
-	buf, _, err := pool.Read(id)
+func reassignKillsTaint(b storage.Backend, id storage.PageID, dst []byte) error { // negative
+	buf, err := b.ReadRecordAt(id, dst, 0)
 	if err != nil {
 		return err
 	}
@@ -101,8 +101,8 @@ func reassignKillsTaint(pool *storage.BufferPool, id storage.PageID) error { // 
 	return nil
 }
 
-func readOnlyUse(pool *storage.BufferPool, id storage.PageID) int { // negative
-	buf, _, err := pool.Read(id)
+func readOnlyUse(b storage.Backend, id storage.PageID, dst []byte) int { // negative
+	buf, err := b.ReadRecordAt(id, dst, 0)
 	if err != nil {
 		return 0
 	}
@@ -111,4 +111,12 @@ func readOnlyUse(pool *storage.BufferPool, id storage.PageID) int { // negative
 		sum += int(b)
 	}
 	return sum
+}
+
+func appendToPagerRange(p *storage.Pager, id storage.PageID, dst []byte) ([]byte, error) {
+	run, err := p.ReadRecordAt(id, dst, 4)
+	if err != nil {
+		return nil, err
+	}
+	return append(run, 0), nil // want "append to shared value run"
 }

@@ -2,8 +2,8 @@
 // vocabulary, objects, relevance-model parameters, and the serialized
 // IR-/MIR-tree with its inverted files — written as a single page-aligned
 // index file (storage.WriteFile) and opened back as the file-resident
-// records of a storage.Pager, fronted by the LRU buffer pool so hot tree
-// nodes and posting lists stay cached.
+// records of a storage.Pager, read with pread on demand under the tree's
+// decoded cache.
 //
 // The file holds every tree record at its own page address, so a loaded
 // tree reads exactly the bytes the in-memory tree would — queries against
@@ -103,18 +103,17 @@ func Save(path string, ix *Index) error {
 }
 
 // Load opens the index file at path and reconstructs the index over its
-// records. cacheCapacity records are cached in an LRU buffer pool in
-// front of the file (0 disables caching — every node visit and
-// inverted-file load is a physical read, the cold-serving setting), and
-// decodedCacheBytes budgets the decoded-object cache above the pool (0
-// disables it, so every read decodes). The caller owns the returned
-// index's file handle: Close it.
-func Load(path string, cacheCapacity int, decodedCacheBytes int64) (*Index, error) {
+// records, which stay in the file and are read with pread on demand.
+// decodedCacheBytes budgets the decoded-object cache above the file (0
+// disables it — every node visit and inverted-file load is a physical
+// read, the cold-serving setting). The caller owns the returned index's
+// file handle: Close it.
+func Load(path string, decodedCacheBytes int64) (*Index, error) {
 	pager, root, err := storage.OpenPager(path)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := restore(pager, root, cacheCapacity, decodedCacheBytes)
+	ix, err := restore(pager, root, decodedCacheBytes)
 	if err != nil {
 		pager.Close()
 		return nil, fmt.Errorf("persist: %s: %w", path, err)
@@ -129,7 +128,7 @@ func Load(path string, cacheCapacity int, decodedCacheBytes int64) (*Index, erro
 
 // restore decodes the master record at root and restores the tree over
 // pager.
-func restore(pager *storage.Pager, root storage.PageID, cacheCapacity int, decodedCacheBytes int64) (*Index, error) {
+func restore(pager *storage.Pager, root storage.PageID, decodedCacheBytes int64) (*Index, error) {
 	if root == storage.InvalidPage {
 		return nil, fmt.Errorf("index file has no master record")
 	}
@@ -146,7 +145,7 @@ func restore(pager *storage.Pager, root storage.PageID, cacheCapacity int, decod
 	// shift corpus statistics, or the loaded scores would drift from the
 	// in-memory index (whose model was frozen at Build time).
 	model := ix.NewModel(ix.frozenDS)
-	ix.Tree, err = irtree.Restore(ix.DS, model, pager, ix.treeMeta, cacheCapacity, decodedCacheBytes)
+	ix.Tree, err = irtree.Restore(ix.DS, model, pager, ix.treeMeta, decodedCacheBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -86,7 +86,7 @@ func TestResaveIsStable(t *testing.T) {
 	}
 	size := st.Size()
 	for cycle := 0; cycle < 3; cycle++ {
-		loaded, err := Load(path, 0, 0)
+		loaded, err := Load(path, 0)
 		if err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
@@ -104,7 +104,7 @@ func TestResaveIsStable(t *testing.T) {
 		}
 	}
 	// And the final file still loads and matches.
-	final, err := Load(path, 0, 0)
+	final, err := Load(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestLoadRejectsCorruptLambda(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path, 0, 0)
+	got, err := Load(path, 0)
 	if err == nil {
 		got.Close()
 		t.Fatal("Load accepted a corrupt lambda")
@@ -192,7 +192,7 @@ func TestLoadRebuildsIdenticalState(t *testing.T) {
 	if err := Save(path, ix); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path, 0, 0)
+	got, err := Load(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestLoadRejectsCorruptTreeFanout(t *testing.T) {
 		if err := os.WriteFile(bad, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Load(bad, 0, 0)
+		got, err := Load(bad, 0)
 		if err == nil {
 			got.Close()
 			t.Fatalf("fanout %d: Load accepted the corrupt tree metadata", fanout)

@@ -190,33 +190,19 @@ func (s *Server) scatter(ctx context.Context, q *query, co *cohort, rsk []float6
 	return all, nil
 }
 
-// replayBest is Run's reduction over candidates in scan order: the first
-// whose count strictly beats every earlier one (location -1 when none
-// attracts a user).
+// replayBest is Run's reduction over candidates in scan order, core.Best's
+// own (container.FirstMax): the first whose count strictly beats every
+// earlier one (location -1 when none attracts a user).
 func replayBest(cands []maxbrstknn.ShardCandidate) maxbrstknn.Result {
-	best := maxbrstknn.Result{LocationIndex: -1}
-	for _, c := range cands {
-		if c.Result.Count() > best.Count() {
-			best = c.Result
-		}
-	}
-	return best
+	return container.FirstMax(cands, shardResult, maxbrstknn.Result.Count, maxbrstknn.Result{LocationIndex: -1})
 }
 
-// replayTopL is RunTopL's: the bounded-heap offers replayed in scan order
-// — tie eviction depends on the full offer sequence — then presented by
-// count descending, location ascending.
+// replayTopL is RunTopL's, core.TopL's own (container.TopByCount): the
+// bounded-heap offers replayed in scan order — tie eviction depends on the
+// full offer sequence — then presented by count descending, location
+// ascending.
 func replayTopL(cands []maxbrstknn.ShardCandidate, l int) []maxbrstknn.Result {
-	h := container.NewTopK[maxbrstknn.Result](l)
-	for _, c := range cands {
-		h.Offer(c.Result, float64(c.Result.Count()))
-	}
-	out := h.PopAscending()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count() != out[j].Count() {
-			return out[i].Count() > out[j].Count()
-		}
-		return out[i].LocationIndex < out[j].LocationIndex
-	})
-	return out
+	return container.TopByCount(cands, l, shardResult, maxbrstknn.Result.Count, func(r maxbrstknn.Result) int { return r.LocationIndex })
 }
+
+func shardResult(c maxbrstknn.ShardCandidate) maxbrstknn.Result { return c.Result }

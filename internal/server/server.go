@@ -436,10 +436,12 @@ type IndexStatsPayload struct {
 	SimulatedIO     int64 `json:"simulated_io"`
 	PhysicalRecords int64 `json:"physical_records"`
 	PhysicalPages   int64 `json:"physical_pages"`
-	BufferHits      int64 `json:"buffer_hits"`
-	BufferMisses    int64 `json:"buffer_misses"`
-	// DecodedCache reports the decoded-object cache above the buffer
-	// pool: decoded tree nodes and posting lists shared across requests.
+	// BufferHits and BufferMisses always read 0: they counted the record
+	// buffer pool loaded indexes no longer have.
+	BufferHits   int64 `json:"buffer_hits"`
+	BufferMisses int64 `json:"buffer_misses"`
+	// DecodedCache reports the decoded-object cache: decoded tree nodes
+	// and posting directories shared across requests.
 	DecodedCache struct {
 		Hits      int64   `json:"hits"`
 		Misses    int64   `json:"misses"`
@@ -470,7 +472,6 @@ func indexStats(ix *maxbrstknn.Index) IndexStatsPayload {
 	p.SimulatedIO = ix.SimulatedIO()
 	p.PhysicalRecords, p.PhysicalPages = ix.ReadStats()
 	cs := ix.CacheStats()
-	p.BufferHits, p.BufferMisses = cs.BufferHits, cs.BufferMisses
 	d := &p.DecodedCache
 	d.Hits, d.Misses, d.Evictions = cs.DecodedHits, cs.DecodedMisses, cs.DecodedEvictions
 	d.Entries, d.Bytes, d.CapBytes = cs.DecodedEntries, cs.DecodedBytes, cs.DecodedCapBytes
@@ -488,8 +489,6 @@ func (p *IndexStatsPayload) add(o IndexStatsPayload) {
 	p.SimulatedIO += o.SimulatedIO
 	p.PhysicalRecords += o.PhysicalRecords
 	p.PhysicalPages += o.PhysicalPages
-	p.BufferHits += o.BufferHits
-	p.BufferMisses += o.BufferMisses
 	d := &p.DecodedCache
 	d.Hits += o.DecodedCache.Hits
 	d.Misses += o.DecodedCache.Misses

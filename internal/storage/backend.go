@@ -16,10 +16,15 @@ type Backend interface {
 	// WriteRecord stores data as a new record and returns its address.
 	WriteRecord(data []byte) PageID
 	// ReadRecord returns the record starting at id. The returned slice is
-	// shared and immutable, like a BufferPool.Read result: it may be the
+	// shared and immutable, like a DecodedCache.Get result: it may be the
 	// store's own copy, handed to every reader of the record, so callers
 	// may retain it but must not write through it.
 	ReadRecord(id PageID) ([]byte, error)
+	// ReadRecordAt returns bytes off to off+len(dst) of the record at id,
+	// failing when the range is not inside it: a memory-resident record's
+	// own bytes, with no copy, or the range read from the medium into dst.
+	// The result is shared and immutable, as ReadRecord's is.
+	ReadRecordAt(id PageID, dst []byte, off int) ([]byte, error)
 	// Resident reports whether the record at id is held in memory, so
 	// ReadRecord returns the store's own bytes, not a fresh copy.
 	Resident(id PageID) bool
@@ -43,8 +48,9 @@ type Backend interface {
 // real-I/O side of the ledger, reported next to the simulated-I/O counter.
 // Records held in memory are not physical reads.
 type ReadStats struct {
-	// Records is the number of ReadRecord calls that reached the medium.
+	// Records is the number of ReadRecord and ReadRecordAt calls that
+	// reached the medium.
 	Records int64
-	// Pages is the number of pages those reads transferred.
+	// Pages is the number of pages those reads spanned.
 	Pages int64
 }

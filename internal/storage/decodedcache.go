@@ -2,21 +2,20 @@ package storage
 
 import "sync"
 
-// DecodedCache is the second cache level above BufferPool: where the pool
-// caches raw record bytes, this caches objects read from records — tree
-// nodes decoded, and inverted files' term directories indexed over the
-// record's bytes — keyed by the PageID of their record, so repeated
-// traversals and concurrent serving requests skip the decode and the
-// directory walk.
+// DecodedCache is the cache level above the Backend: it caches objects
+// read from records — tree nodes decoded, and inverted files' term
+// directories — keyed by the PageID of their record, so repeated
+// traversals and concurrent serving requests skip the read, the decode and
+// the directory walk. It holds no record bytes of its own: a cached
+// directory reads its runs from the Backend (ReadRecordAt).
 //
 // The cache is sharded — a power-of-two shard count, each shard its own
 // mutex plus LRU list — so the parallel query engine's workers and the
-// HTTP serving layer's request goroutines do not contend on one lock the
-// way they would on the byte-level pool.
+// HTTP serving layer's request goroutines do not contend on one lock.
 //
 // Capacity is a byte budget, not an entry count: every Put carries the
 // entry's approximate resident size (as its reader weighs it, e.g. a
-// directory's arrays plus the record bytes it alone keeps alive), each
+// directory's arrays), each
 // shard owns an equal slice of the budget, and inserting past it evicts
 // least-recently-used entries until the shard fits. Stats reports the
 // resident total honestly.

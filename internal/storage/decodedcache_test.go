@@ -67,11 +67,12 @@ func TestDecodedCacheByteAccounting(t *testing.T) {
 	}
 }
 
-// TestDecodedCacheStressBothBackends hammers one sharded cache above a
-// BufferPool from 16 goroutines, over a Pager holding its records in
-// memory and one serving them from an index file — the aliasing contract
-// (shared immutable values) and shard locking must hold under -race on
-// either kind of record.
+// TestDecodedCacheStressBothBackends hammers one sharded cache from 16
+// goroutines, over a Pager holding its records in memory and one serving
+// them from an index file, its misses read by range as a detached
+// directory reads its runs — the aliasing contract (shared immutable
+// values) and shard locking must hold under -race on either kind of
+// record.
 func TestDecodedCacheStressBothBackends(t *testing.T) {
 	const records = 256
 
@@ -94,7 +95,6 @@ func TestDecodedCacheStressBothBackends(t *testing.T) {
 	for name, open := range backends {
 		t.Run(name, func(t *testing.T) {
 			backend := open(t)
-			pool := NewBufferPool(backend, 64)
 			// A budget far below the working set forces constant eviction
 			// alongside the hits.
 			cache := NewDecodedCache(records*16, 8)
@@ -112,7 +112,7 @@ func TestDecodedCacheStressBothBackends(t *testing.T) {
 						if v, ok := cache.Get(id); ok {
 							got = v.(uint64)
 						} else {
-							data, _, err := pool.Read(id)
+							data, err := backend.ReadRecordAt(id, make([]byte, 8), 0)
 							if err != nil {
 								t.Error(err)
 								return

@@ -140,15 +140,14 @@ func TestFilePagerWritesAndReclaim(t *testing.T) {
 	}
 }
 
-// TestFilePagerConcurrentReads hammers one pager opened from a file (and a
-// buffer pool over it) from many goroutines — run under -race, this is the
-// concurrent-read-safety guarantee of the Backend contract.
+// TestFilePagerConcurrentReads hammers one pager opened from a file with
+// whole and ranged reads from many goroutines — run under -race, this is
+// the concurrent-read-safety guarantee of the Backend contract.
 func TestFilePagerConcurrentReads(t *testing.T) {
 	src := NewPager()
 	records := writeTestRecords(t, src, 30, 23)
 	re, _ := reopen(t, src, nil)
-	pool := NewBufferPool(re, 8)
-	hammerBackend(t, re, pool, records)
+	hammerBackend(t, re, records)
 }
 
 // TestPagerConcurrentReads is the same guarantee for the in-memory pager:
@@ -157,11 +156,10 @@ func TestFilePagerConcurrentReads(t *testing.T) {
 func TestPagerConcurrentReads(t *testing.T) {
 	p := NewPager()
 	records := writeTestRecords(t, p, 30, 29)
-	pool := NewBufferPool(p, 8)
-	hammerBackend(t, p, pool, records)
+	hammerBackend(t, p, records)
 }
 
-func hammerBackend(t *testing.T, b Backend, pool *BufferPool, records [][]byte) {
+func hammerBackend(t *testing.T, b Backend, records [][]byte) {
 	t.Helper()
 	ids := b.Records()[:len(records)]
 	var wg sync.WaitGroup
@@ -172,18 +170,21 @@ func hammerBackend(t *testing.T, b Backend, pool *BufferPool, records [][]byte) 
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 200; i++ {
 				j := rng.Intn(len(ids))
+				want := records[j]
 				var got []byte
 				var err error
 				if rng.Intn(2) == 0 {
 					got, err = b.ReadRecord(ids[j])
 				} else {
-					got, _, err = pool.Read(ids[j])
+					off := rng.Intn(len(want) + 1)
+					want = want[off : off+rng.Intn(len(want)-off+1)]
+					got, err = b.ReadRecordAt(ids[j], make([]byte, len(want)), off)
 				}
 				if err != nil {
 					t.Errorf("read %d: %v", ids[j], err)
 					return
 				}
-				if !bytes.Equal(got, records[j]) {
+				if !bytes.Equal(got, want) {
 					t.Errorf("read %d: content mismatch", ids[j])
 					return
 				}
@@ -193,4 +194,78 @@ func hammerBackend(t *testing.T, b Backend, pool *BufferPool, records [][]byte) 
 		}(int64(g))
 	}
 	wg.Wait()
+}
+
+// TestReadRecordAt pins the ranged read: a range outside the record, or a
+// freed or unknown id, is an error; a memory-resident record's range is its
+// own bytes, with no copy and no allocation; a file-resident range is read
+// into dst and counted as one record of exactly the pages it spans.
+func TestReadRecordAt(t *testing.T) {
+	src := NewPager()
+	small := []byte("eleven byte")
+	big := bytes.Repeat([]byte{0x11, 0x22, 0x33}, PageSize+5) // four pages
+	src.WriteRecord(small)
+	bigID := src.WriteRecord(big)
+	re, _ := reopen(t, src, nil)
+	memID := re.WriteRecord(big)
+	freed := re.WriteRecord(small)
+	re.Reclaim([]PageID{freed})
+
+	for _, c := range []struct {
+		id     PageID
+		n, off int
+		why    string
+	}{
+		{0, 1, len(small), "past the end"},
+		{0, len(small) + 1, 0, "longer than the record"},
+		{0, 1, -1, "a negative offset"},
+		{memID, 1, len(big), "past a resident record's end"},
+		{freed, 1, 0, "a freed record"},
+		{99, 1, 0, "an unknown page"},
+		{bigID + 1, 1, 0, "a continuation page"},
+	} {
+		if got, err := re.ReadRecordAt(c.id, make([]byte, c.n), c.off); err == nil {
+			t.Errorf("%s: read %d bytes, want an error", c.why, len(got))
+		}
+	}
+
+	// A resident range is the record's own bytes.
+	rec, err := re.ReadRecord(memID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 100)
+	got, err := re.ReadRecordAt(memID, dst, PageSize-50)
+	if err != nil || !bytes.Equal(got, big[PageSize-50:PageSize+50]) || &got[0] != &rec[PageSize-50] || cap(got) != len(got) {
+		t.Fatalf("resident range: %d bytes, %v; want the record's own capped bytes", len(got), err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := re.ReadRecordAt(memID, dst, 7); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a resident ranged read allocates %.1f times, want 0", allocs)
+	}
+
+	// File-resident ranges: one record, and the pages each spans.
+	for _, c := range []struct {
+		off, n, pages int
+	}{
+		{0, 1, 1},
+		{PageSize - 1, 1, 1},
+		{PageSize - 1, 2, 2},            // crosses one page boundary
+		{PageSize - 1, PageSize + 2, 3}, // crosses two
+		{PageSize, PageSize, 1},
+		{5, len(big) - 5, 4},
+		{len(big), 0, 0},
+	} {
+		before := re.ReadStats()
+		got, err := re.ReadRecordAt(bigID, make([]byte, c.n), c.off)
+		if err != nil || !bytes.Equal(got, big[c.off:c.off+c.n]) {
+			t.Fatalf("range %d+%d: %d bytes, %v", c.off, c.n, len(got), err)
+		}
+		if after := re.ReadStats(); after.Records != before.Records+1 || after.Pages != before.Pages+int64(c.pages) {
+			t.Fatalf("range %d+%d counted %+v -> %+v, want one record of %d pages", c.off, c.n, before, after, c.pages)
+		}
+	}
 }

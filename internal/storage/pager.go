@@ -1,13 +1,14 @@
 // Package storage provides the disk substrate the object index is stored
 // and accounted on: the Pager, a 4 KB-page record store holding the
 // serialized tree nodes and inverted files in memory and, for a loaded
-// index, in its index file; the I/O counter implementing the paper's
-// simulated-I/O rule (Section 8: +1 per tree-node visit, +⌈bytes/4096⌉ per
-// inverted-file load); the LRU buffer pool a loaded index reads its file
-// through, the decoded-object cache above it, the epoch pins that gate
-// reclamation, and the varint encoding helpers shared by the node and
-// posting-list serializers. The MIUR-tree keeps its nodes in memory and
-// uses only the I/O counter.
+// index, in its index file, read whole (ReadRecord) or by byte range
+// (ReadRecordAt); the I/O counter implementing the paper's simulated-I/O
+// rule (Section 8: +1 per tree-node visit, +⌈bytes/4096⌉ per inverted-file
+// load); the decoded-object cache above the Pager, which with the OS page
+// cache under the file is a loaded index's whole cache hierarchy; the epoch
+// pins that gate reclamation; and the varint encoding helpers shared by the
+// node and posting-list serializers. The MIUR-tree keeps its nodes in
+// memory and uses only the I/O counter.
 package storage
 
 import (
@@ -193,37 +194,63 @@ func (p *Pager) insertRun(r pageRun) {
 // fresh exact-length slice that nothing writes again, and Reclaim only
 // drops the pager's reference, so a reader's slice never changes.
 func (p *Pager) ReadRecord(id PageID) ([]byte, error) {
-	st := p.state.Load()
-	if id < 0 || int(id) >= len(st.recLen) || st.recLen[id] < 0 {
-		return nil, fmt.Errorf("storage: no record at page %d", id)
+	rec, n, err := p.record(id)
+	if err != nil || rec != nil {
+		return rec, err
 	}
-	if rec := st.recs[id]; rec != nil {
-		return rec, nil
+	return p.ReadRecordAt(id, make([]byte, n), 0)
+}
+
+// ReadRecordAt returns bytes off to off+len(dst) of the record at id: a
+// memory-resident record's own bytes, with no copy, or a positioned read
+// of a file-resident one into dst, counted in ReadStats as one record of
+// the pages the range spans. The result is shared and immutable, as
+// ReadRecord's is.
+func (p *Pager) ReadRecordAt(id PageID, dst []byte, off int) ([]byte, error) {
+	rec, n, err := p.record(id)
+	end := int64(off) + int64(len(dst))
+	switch {
+	case err != nil:
+		return nil, err
+	case off < 0 || end > n:
+		return nil, fmt.Errorf("storage: bytes %d to %d outside the %d-byte record at page %d", off, end, n, id)
+	case rec != nil:
+		return rec[off:end:end], nil
 	}
-	out := make([]byte, st.recLen[id])
-	if _, err := p.file.ReadAt(out, pageOffset(id)); err != nil {
+	if _, err := p.file.ReadAt(dst, pageOffset(id)+int64(off)); err != nil {
 		return nil, fmt.Errorf("storage: record at page %d: %w", id, err)
 	}
 	p.readRecords.Add(1)
-	p.readPages.Add(int64(recordPageCount(len(out))))
-	return out, nil
+	if len(dst) > 0 {
+		p.readPages.Add(int64((off+len(dst)-1)/PageSize - off/PageSize + 1))
+	}
+	return dst, nil
+}
+
+// record returns the length of the record at id and, when it is
+// memory-resident, its bytes.
+func (p *Pager) record(id PageID) ([]byte, int64, error) {
+	st := p.state.Load()
+	if id < 0 || int(id) >= len(st.recLen) || st.recLen[id] < 0 {
+		return nil, 0, fmt.Errorf("storage: no record at page %d", id)
+	}
+	return st.recs[id], st.recLen[id], nil
 }
 
 // Resident reports whether the record at id is memory-resident, so
 // ReadRecord returns its own bytes, not a fresh copy read from the file.
 func (p *Pager) Resident(id PageID) bool {
-	st := p.state.Load()
-	return id >= 0 && int(id) < len(st.recs) && st.recs[id] != nil
+	rec, _, _ := p.record(id)
+	return rec != nil
 }
 
 // RecordPages returns the number of pages the record at id occupies —
 // the block count the simulated I/O rule charges for loading it.
 func (p *Pager) RecordPages(id PageID) int {
-	st := p.state.Load()
-	if id < 0 || int(id) >= len(st.recLen) || st.recLen[id] < 0 {
-		return 0
+	if _, n, err := p.record(id); err == nil {
+		return recordPageCount(int(n))
 	}
-	return recordPageCount(int(st.recLen[id]))
+	return 0
 }
 
 // NumPages returns the total number of allocated pages.
@@ -242,8 +269,8 @@ func (p *Pager) Records() []PageID {
 }
 
 // ReadStats reports the physical reads served from the index file:
-// memory-resident records and cache hits are not physical reads, so a
-// pager from NewPager reports zeros.
+// memory-resident records are not physical reads, so a pager from NewPager
+// reports zeros.
 func (p *Pager) ReadStats() ReadStats {
 	return ReadStats{Records: p.readRecords.Load(), Pages: p.readPages.Load()}
 }

@@ -7,11 +7,7 @@ package storage
 // future reader will ask for it, so its decoded form is dead weight in
 // the DecodedCache. Apply runs at publish time (and only then: an
 // abandoned mutation retires nothing), evicting the decoded entries in
-// one batch. This replaces the old writer-side DecodedCache.Delete calls
-// that fired mid-mutation — those invalidated entries still-live
-// snapshots were reading, which was harmless for correctness (the cache
-// re-decodes from the store on a miss) but charged concurrent readers
-// decode work for records that had not actually changed under them.
+// one batch, never mid-mutation under readers of live snapshots.
 //
 // The zero value is an empty set, ready to use.
 type RetireSet struct {
@@ -39,9 +35,11 @@ func (r *RetireSet) IDs() []PageID {
 
 // Apply evicts every retired record's decoded entry from c and returns
 // the record and page counts retired, sized through b. Call it exactly
-// once, after the successor snapshot is published. Entries evicted here
-// may still be re-decoded by readers pinning older snapshots; that is a
-// cache-efficiency tradeoff, never a correctness one.
+// once, after the successor snapshot is published. Readers pinning older
+// snapshots may re-insert an entry evicted here, so the reclaimer evicts
+// once more before freeing the pages: correctness rests on that pair, as
+// a decoded node and a detached posting directory name their record by
+// address and would otherwise read whatever record reuses the slot.
 func (r *RetireSet) Apply(c *DecodedCache, b Backend) (records, pages int64) {
 	for _, id := range r.ids {
 		pages += int64(b.RecordPages(id))

@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -196,87 +195,5 @@ func TestIOCounter(t *testing.T) {
 	c.Reset()
 	if c.Total() != 0 {
 		t.Errorf("after reset total = %d", c.Total())
-	}
-}
-
-func TestBufferPoolHitMiss(t *testing.T) {
-	p := NewPager()
-	id1 := p.WriteRecord([]byte("one"))
-	id2 := p.WriteRecord([]byte("two"))
-
-	b := NewBufferPool(p, 8)
-	if _, hit, err := b.Read(id1); err != nil || hit {
-		t.Fatalf("first read: hit=%v err=%v", hit, err)
-	}
-	if data, hit, err := b.Read(id1); err != nil || !hit || string(data) != "one" {
-		t.Fatalf("second read: hit=%v data=%q err=%v", hit, data, err)
-	}
-	if _, hit, _ := b.Read(id2); hit {
-		t.Fatal("different record should miss")
-	}
-	hits, misses := b.Stats()
-	if hits != 1 || misses != 2 {
-		t.Errorf("stats = %d/%d, want 1/2", hits, misses)
-	}
-}
-
-func TestBufferPoolEviction(t *testing.T) {
-	p := NewPager()
-	var ids []PageID
-	for i := 0; i < 4; i++ {
-		ids = append(ids, p.WriteRecord([]byte{byte(i)}))
-	}
-	b := NewBufferPool(p, 2)
-	b.Read(ids[0])
-	b.Read(ids[1])
-	b.Read(ids[0]) // refresh 0, so 1 is LRU
-	b.Read(ids[2]) // evicts 1
-	if _, hit, _ := b.Read(ids[0]); !hit {
-		t.Error("0 should still be cached")
-	}
-	if _, hit, _ := b.Read(ids[1]); hit {
-		t.Error("1 should have been evicted")
-	}
-}
-
-func TestBufferPoolZeroCapacity(t *testing.T) {
-	p := NewPager()
-	id := p.WriteRecord([]byte("x"))
-	b := NewBufferPool(p, 0)
-	b.Read(id)
-	if _, hit, _ := b.Read(id); hit {
-		t.Error("zero-capacity pool must never hit")
-	}
-}
-
-func TestBufferPoolReadError(t *testing.T) {
-	b := NewBufferPool(NewPager(), 4)
-	if _, _, err := b.Read(PageID(42)); err == nil {
-		t.Error("reading unknown record through pool should error")
-	}
-}
-
-// Random mixed workload: the pool must always return correct data.
-func TestBufferPoolRandomized(t *testing.T) {
-	p := NewPager()
-	const n = 50
-	want := make([][]byte, n)
-	ids := make([]PageID, n)
-	rng := rand.New(rand.NewSource(8))
-	for i := range want {
-		want[i] = make([]byte, rng.Intn(3*PageSize))
-		rng.Read(want[i])
-		ids[i] = p.WriteRecord(want[i])
-	}
-	b := NewBufferPool(p, 7)
-	for trial := 0; trial < 2000; trial++ {
-		i := rng.Intn(n)
-		got, _, err := b.Read(ids[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want[i]) {
-			t.Fatalf("record %d corrupted through pool", i)
-		}
 	}
 }

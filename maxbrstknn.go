@@ -59,9 +59,9 @@
 //	loaded, _ := maxbrstknn.Load("index.mxbr")
 //	defer loaded.Close()
 //
-// Loaded indexes read tree nodes and posting lists from the file through
-// an LRU buffer pool (see LoadOptions); Index.ReadStats reports the
-// physical reads next to the simulated-I/O counter.
+// Loaded indexes read tree nodes and posting lists from the file on
+// demand, under the decoded cache (see LoadOptions); Index.ReadStats
+// reports the physical reads next to the simulated-I/O counter.
 package maxbrstknn
 
 import (

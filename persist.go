@@ -7,28 +7,25 @@ import (
 	"repro/internal/textrel"
 )
 
-// DefaultLoadCacheCapacity is the LRU buffer-pool size (in records) a
-// loaded index uses when LoadOptions leaves CacheCapacity zero: hot tree
-// nodes and posting lists are served from memory, cold ones from disk.
-const DefaultLoadCacheCapacity = 4096
-
 // DefaultDecodedCacheBytes is the byte budget of the decoded-object cache
 // when Options/LoadOptions leave DecodedCacheBytes zero (64 MiB).
 const DefaultDecodedCacheBytes int64 = 64 << 20
 
-// LoadOptions configures Load.
+// LoadOptions configures Load. A loaded index reads its records from the
+// index file with pread, under the OS page cache, through one cache of its
+// own: the decoded-object cache.
 type LoadOptions struct {
-	// CacheCapacity is the number of records the LRU buffer pool in front
-	// of the index file holds. Zero selects DefaultLoadCacheCapacity; a
-	// negative value disables caching entirely, so every node visit and
-	// inverted-file load is a physical read — the cold-serving setting the
-	// paper's Section 8 accounting models.
+	// CacheCapacity is accepted and ignored. It sized a record buffer pool
+	// in front of the index file, which the decoded cache made redundant.
 	CacheCapacity int
-	// DecodedCacheBytes budgets the decoded-object cache above the buffer
-	// pool: tree nodes and posting records' term directories, read once,
-	// are shared across traversals and concurrent requests; a directory
-	// also holds, and is charged, a copy of its record. Zero selects
-	// DefaultDecodedCacheBytes; a negative value disables the cache.
+	// DecodedCacheBytes budgets the decoded-object cache above the index
+	// file: tree nodes and posting records' term directories, read once,
+	// are shared across traversals and concurrent requests. A cached
+	// directory keeps no copy of its record; it reads only the posting
+	// runs a query wants from the file. Zero selects
+	// DefaultDecodedCacheBytes; a negative value disables the cache, so
+	// every node visit and inverted-file load is a physical read — the
+	// cold-serving setting the paper's Section 8 accounting models.
 	DecodedCacheBytes int64
 }
 
@@ -81,22 +78,15 @@ func (ix *Index) Save(path string) error {
 }
 
 // Load opens an index saved with Save, serving queries from the index
-// file through an LRU buffer pool (DefaultLoadCacheCapacity records).
-// Close the returned index to release the file.
+// file through a decoded cache of DefaultDecodedCacheBytes. Close the
+// returned index to release the file.
 func Load(path string) (*Index, error) {
 	return LoadWithOptions(path, LoadOptions{})
 }
 
 // LoadWithOptions is Load with an explicit cache configuration.
 func LoadWithOptions(path string, o LoadOptions) (*Index, error) {
-	capacity := o.CacheCapacity
-	if capacity == 0 {
-		capacity = DefaultLoadCacheCapacity
-	}
-	if capacity < 0 {
-		capacity = 0
-	}
-	pix, err := persist.Load(path, capacity, o.decodedCacheBytes())
+	pix, err := persist.Load(path, o.decodedCacheBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -139,13 +129,12 @@ func (ix *Index) ReadStats() (records, pages int64) {
 	return s.Records, s.Pages
 }
 
-// CacheStats reports the index's two cache levels: the byte-level buffer
-// pool in front of the page store (loaded indexes) and the decoded-object
-// cache above it (decoded tree nodes and posting lists, shared across
-// traversals and concurrent queries). Counters are zero for levels that
-// are not configured.
+// CacheStats reports the index's decoded-object cache (decoded tree nodes
+// and posting directories, shared across traversals and concurrent
+// queries). Counters are zero when it is not configured.
 type CacheStats struct {
-	// BufferHits and BufferMisses count buffer-pool lookups.
+	// BufferHits and BufferMisses always read zero: they counted the
+	// record buffer pool loaded indexes no longer have.
 	BufferHits, BufferMisses int64
 	// DecodedHits, DecodedMisses and DecodedEvictions count decoded-cache
 	// lookups and LRU evictions.
@@ -158,13 +147,11 @@ type CacheStats struct {
 	DecodedBytes, DecodedCapBytes int64
 }
 
-// CacheStats reports cache effectiveness and residency for both cache
-// levels (zeros for unconfigured levels).
+// CacheStats reports the decoded cache's effectiveness and residency
+// (zeros when it is not configured).
 func (ix *Index) CacheStats() CacheStats {
 	s := CacheStats{}
-	tree := ix.snap.Load().tree
-	s.BufferHits, s.BufferMisses = tree.CacheStats()
-	d := tree.DecodedCacheStats()
+	d := ix.snap.Load().tree.DecodedCacheStats()
 	s.DecodedHits, s.DecodedMisses, s.DecodedEvictions = d.Hits, d.Misses, d.Evictions
 	s.DecodedEntries, s.DecodedBytes, s.DecodedCapBytes = d.Entries, d.Bytes, d.CapBytes
 	return s

@@ -31,11 +31,10 @@ var reclaimRequest = Request{
 	K:           3,
 }
 
-// reloaded saves idx and loads it back through an 8-record buffer pool
-// with no decoded cache above it, so a record the pool served stale after
-// its PageID was reused would surface as a wrong answer.
+// reloaded saves idx and loads it back cold, with no decoded cache, so
+// every read goes to the record store.
 func reloaded(t *testing.T, idx *Index) *Index {
-	return reloadedWith(t, idx, LoadOptions{CacheCapacity: 8, DecodedCacheBytes: -1})
+	return reloadedWith(t, idx, LoadOptions{DecodedCacheBytes: -1})
 }
 
 // reloadedWith saves idx and loads it back with opts.
@@ -55,10 +54,10 @@ func reloadedWith(t *testing.T, idx *Index, opts LoadOptions) *Index {
 
 // storageKinds are the ways an index holds its records: built in memory
 // (the decoded cache's directories index the pager's own bytes), and
-// file-resident in a loaded index, read through the buffer pool alone or
-// with a decoded cache whose directories keep private copies of the
-// records they index — a directory left behind after its PageID was
-// reused would surface as a wrong answer too.
+// file-resident in a loaded index, read cold or under a decoded cache
+// whose directories are detached from their records and read their runs
+// by PageID — a node or directory left behind after its PageID was reused
+// would surface as a wrong answer.
 var storageKinds = []struct {
 	name string
 	of   func(*testing.T, *Index) *Index
@@ -66,7 +65,7 @@ var storageKinds = []struct {
 	{"built", func(_ *testing.T, idx *Index) *Index { return idx }},
 	{"loaded", reloaded},
 	{"loaded-decoded", func(t *testing.T, idx *Index) *Index {
-		return reloadedWith(t, idx, LoadOptions{CacheCapacity: 8, DecodedCacheBytes: 1 << 20})
+		return reloadedWith(t, idx, LoadOptions{DecodedCacheBytes: 1 << 20})
 	}},
 }
 

@@ -110,64 +110,38 @@ func splitRoundRobin(n, parts int) [][]int {
 	return out
 }
 
-// replayBestResults is the coordinator's Run merge: scan the union of
-// shard candidates in (|LU| descending, location ascending) order and
-// keep the first strictly greater count.
-func replayBestResults(cands []ShardCandidate) Result {
+// scanOrdered returns cands in the coordinator's scan order: |LU|
+// descending, then location ascending — location alone for an exhaustive
+// scan, whose LU is its count.
+func scanOrdered(cands []ShardCandidate, exhaustive bool) []ShardCandidate {
 	ordered := append([]ShardCandidate(nil), cands...)
 	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].LU != ordered[j].LU {
+		if !exhaustive && ordered[i].LU != ordered[j].LU {
 			return ordered[i].LU > ordered[j].LU
 		}
 		return ordered[i].Result.LocationIndex < ordered[j].Result.LocationIndex
 	})
-	best := Result{LocationIndex: -1}
-	for _, c := range ordered {
-		if c.Result.Count() > best.Count() {
-			best = c.Result
-		}
-	}
-	return best
+	return ordered
 }
 
-// replayTopLResults is the coordinator's RunTopL merge: replay the
-// bounded-heap offers in scan order, then present like the single index.
+func shardResult(c ShardCandidate) Result { return c.Result }
+
+// replayBestResults is the coordinator's Run merge: container.FirstMax
+// over the union of shard candidates in scan order.
+func replayBestResults(cands []ShardCandidate) Result {
+	return container.FirstMax(scanOrdered(cands, false), shardResult, Result.Count, Result{LocationIndex: -1})
+}
+
+// replayTopLResults is the coordinator's RunTopL merge:
+// container.TopByCount over the union in scan order.
 func replayTopLResults(cands []ShardCandidate, l int) []Result {
-	ordered := append([]ShardCandidate(nil), cands...)
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].LU != ordered[j].LU {
-			return ordered[i].LU > ordered[j].LU
-		}
-		return ordered[i].Result.LocationIndex < ordered[j].Result.LocationIndex
-	})
-	h := container.NewTopK[Result](l)
-	for _, c := range ordered {
-		h.Offer(c.Result, float64(c.Result.Count()))
-	}
-	out := h.PopAscending()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count() != out[j].Count() {
-			return out[i].Count() > out[j].Count()
-		}
-		return out[i].LocationIndex < out[j].LocationIndex
-	})
-	return out
+	return container.TopByCount(scanOrdered(cands, false), l, shardResult, Result.Count, func(r Result) int { return r.LocationIndex })
 }
 
 // replayExhaustiveResults folds per-location bests in ascending location
 // order with the flat Baseline scan's strict first-max.
 func replayExhaustiveResults(cands []ShardCandidate) Result {
-	ordered := append([]ShardCandidate(nil), cands...)
-	sort.Slice(ordered, func(i, j int) bool {
-		return ordered[i].Result.LocationIndex < ordered[j].Result.LocationIndex
-	})
-	best := Result{LocationIndex: -1}
-	for _, c := range ordered {
-		if c.Result.Count() > best.Count() {
-			best = c.Result
-		}
-	}
-	return best
+	return container.FirstMax(scanOrdered(cands, true), shardResult, Result.Count, Result{LocationIndex: -1})
 }
 
 // gatherRSK runs unseeded Phase1 on every shard and returns the merged
