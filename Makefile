@@ -39,9 +39,13 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Non-test Go lines per package and in total — a tracked number that
-# should go down (ROADMAP aim 2).
+# should go down (ROADMAP aim 2) — then the *_test.go total and its share
+# of the non-test total.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './internal/lint/testdata/*' ! -path './bench/.build/*' | xargs wc -l | awk '$$2=="total"{print $$1" total";next}{d=$$2;sub("/[^/]*$$","",d);n[d]+=$$1}END{for(d in n)print n[d],d}' | sort -k2
+	@code=$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/lint/testdata/*' ! -path './bench/.build/*' | xargs cat | wc -l); \
+	tests=$$(find . -name '*_test.go' ! -path './bench/.build/*' | xargs cat | wc -l); \
+	echo "$$tests tests ($$((100 * tests / code)) % of the non-test total)"
 
 # Save/load CLI smoke: datagen → build a saved index → query it, and
 # require the answer to match the in-memory one-shot pipeline. Guards the
@@ -138,7 +142,9 @@ lint-external:
 # and the aggregate read off a record equal their decoded-file references
 # (and fail exactly when decoding does), and that an accepted node record
 # re-encodes to itself; the committed testdata corpora replay past
-# crashers as regression tests on every plain `go test` too.
+# crashers as regression tests on every plain `go test` too. FuzzOracle
+# draws MaxBRSTkNN instances past TestOracleDifferential's seeds and holds
+# every answer path to the brute-force oracle.
 fuzz-smoke:
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecodeSumsInto$$' -fuzztime 10s -fuzzminimizetime 100x
@@ -146,5 +152,6 @@ fuzz-smoke:
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/irtree/ -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz '^FuzzDecodeMaster$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test . -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime 10s -fuzzminimizetime 100x
 
 ci: build vet lint test race bench cli-smoke shard-smoke fuzz-smoke

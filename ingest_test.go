@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -57,95 +56,16 @@ func applyIngestScript(t *testing.T, idx *Index, seed int64) int {
 	return len(live)
 }
 
-// idRemap returns the dense order-preserving old-id → compacted-id map
-// the Compact contract documents.
-func idRemap(idx *Index) map[int]int {
-	sn := idx.snap.Load()
-	m := make(map[int]int, sn.live)
-	next := 0
-	for id := 0; id < len(sn.tree.Dataset().Objects); id++ {
-		if !sn.isDeleted(int32(id)) {
-			m[id] = next
-			next++
-		}
-	}
-	return m
-}
-
-// assertAnswersMatchCompact is the standing invariant of the snapshot
-// design: idx must answer identically to a from-scratch batch build over
-// its live object set, for every strategy and every ParallelOptions
-// setting. Top-k lists are compared through the documented dense id
-// remap with exact score equality.
-func assertAnswersMatchCompact(t *testing.T, idx *Index, req Request) {
-	t.Helper()
-	compact, err := idx.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compact.NumObjects() != idx.NumObjects() {
-		t.Fatalf("compact has %d objects, original %d", compact.NumObjects(), idx.NumObjects())
-	}
-
-	remap := idRemap(idx)
-	rng := rand.New(rand.NewSource(999))
-	for i := 0; i < 10; i++ {
-		x, y := rng.Float64()*10, rng.Float64()*10
-		kws := []string{ingestWords[rng.Intn(len(ingestWords))], ingestWords[rng.Intn(len(ingestWords))]}
-		a, err := idx.TopK(x, y, kws, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := compact.TopK(x, y, kws, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("TopK(%v): %d results vs compact %d", kws, len(a), len(b))
-		}
-		for r := range a {
-			if remap[a[r].ObjectID] != b[r].ObjectID || a[r].Score != b[r].Score {
-				t.Fatalf("TopK(%v) rank %d: (%d→%d, %v) vs compact (%d, %v)",
-					kws, r, a[r].ObjectID, remap[a[r].ObjectID], a[r].Score, b[r].ObjectID, b[r].Score)
-			}
-		}
-	}
-
-	for _, strat := range []Strategy{Exact, Approx, Exhaustive, UserIndexed} {
-		for _, par := range []ParallelOptions{{}, {Workers: 2}, {Workers: 4, Groups: 8}} {
-			r := req
-			r.Strategy, r.Parallel = strat, par
-			a, err := idx.MaxBRSTkNN(r)
-			if err != nil {
-				t.Fatalf("%v/%+v: %v", strat, par, err)
-			}
-			b, err := compact.MaxBRSTkNN(r)
-			if err != nil {
-				t.Fatalf("%v/%+v compact: %v", strat, par, err)
-			}
-			// Pruning statistics may differ (the rebuilt tree has another
-			// shape); the answer must not.
-			a.Stats, b.Stats = PruningStats{}, PruningStats{}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%v/%+v: ingested answer %+v != batch rebuild %+v", strat, par, a, b)
-			}
-		}
-	}
-}
-
 // TestIngestOracleBuiltAndLoaded mutates a built index through the full
-// Add/Delete/Update surface, pins the batch-build equivalence oracle,
-// then round-trips the mutated index through Save/Load and pins the
-// oracle again on the loaded side — deletions must persist, answers must
-// be byte-identical between the built and loaded indexes.
+// Add/Delete/Update surface and round-trips it through Save/Load: the
+// deletions persist, the loaded index starts a fresh epoch counter, and
+// after more mutations it still answers as the oracle does.
 func TestIngestOracleBuiltAndLoaded(t *testing.T) {
 	idx, req := stressInstance(t)
 	wantLive := applyIngestScript(t, idx, 21)
 	if got := idx.NumObjects(); got != wantLive {
 		t.Fatalf("NumObjects = %d, script expects %d", got, wantLive)
 	}
-	assertAnswersMatchCompact(t, idx, req)
-
 	path := filepath.Join(t.TempDir(), "ingested.mxbr")
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
@@ -161,32 +81,13 @@ func TestIngestOracleBuiltAndLoaded(t *testing.T) {
 	if loaded.Epoch() != 0 {
 		t.Fatalf("loaded epoch = %d, want a fresh counter", loaded.Epoch())
 	}
-
-	// Byte-identity between built and loaded answers (ids included).
-	for _, strat := range []Strategy{Exact, Approx, Exhaustive, UserIndexed} {
-		r := req
-		r.Strategy = strat
-		a, err := idx.MaxBRSTkNN(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.MaxBRSTkNN(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%v: loaded answer %+v != built %+v", strat, b, a)
-		}
-	}
-
-	// The loaded index keeps mutating and still matches its batch build.
 	if _, err := loaded.AddObject(4, 4, "a", "post-load"); err != nil {
 		t.Fatal(err)
 	}
 	if err := loaded.DeleteObject(0); err != nil && !errors.Is(err, ErrNoSuchObject) {
 		t.Fatal(err)
 	}
-	assertAnswersMatchCompact(t, loaded, req)
+	checkAgainstOracle(t, loaded, req)
 }
 
 // TestAddObjectAllOrNothing is the regression test for the dirty error
@@ -246,7 +147,7 @@ func TestAddObjectAllOrNothing(t *testing.T) {
 // and session builds — the `go test -race` workout of the lock-free
 // reader path, on a built index and on a loaded one, whose file-resident
 // reads race the writer's reclamation. After the storm settles, the
-// batch-build oracle must still hold.
+// index must still answer as the oracle does.
 func TestIngestRaceStress(t *testing.T) {
 	for _, kind := range storageKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -351,5 +252,5 @@ func raceStress(t *testing.T, idx *Index, req Request) {
 	if st.LiveObjects != idx.NumObjects() {
 		t.Fatalf("ingest stats live %d != NumObjects %d", st.LiveObjects, idx.NumObjects())
 	}
-	assertAnswersMatchCompact(t, idx, req)
+	checkAgainstOracle(t, idx, req)
 }

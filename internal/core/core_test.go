@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/container"
@@ -136,20 +135,6 @@ func TestEngineRequiresPreparation(t *testing.T) {
 	q.K = 7
 	if _, _, err := f.engine.Scan(q, th, ScanSpec{}); err == nil {
 		t.Error("k mismatch should refuse")
-	}
-}
-
-func TestPrepareJointAndBaselineAgree(t *testing.T) {
-	f := newFixture(t, textrel.LM, 0.5, 500, 30, 5, 200)
-	joint := f.prepare(t, 5)
-	base, err := topk.BaselineTopK(f.tree, f.scorer, f.us.Users, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range joint.RSk {
-		if math.Abs(joint.RSk[i]-base[i].RSk) > 1e-9 {
-			t.Fatalf("user %d: joint RSk %v, baseline %v", i, joint.RSk[i], base[i].RSk)
-		}
 	}
 }
 

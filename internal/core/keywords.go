@@ -256,6 +256,14 @@ func (e *Engine) selectKeywordsGreedy(q Query, rsk []float64, lc locCandidate, w
 		}
 	}
 
+	// A keyword ox.d already holds leaves ox.d as it is: choosing it would
+	// spend a slot on its completion's credit.
+	for t := range luw {
+		if q.OxDoc.Has(t) {
+			delete(luw, t)
+		}
+	}
+
 	// Greedy maximum coverage over the LUW sets.
 	covered := make(map[int]bool)
 	var chosen []vocab.TermID

@@ -51,19 +51,3 @@ func TestParallelEquivalence(t *testing.T) {
 		})
 	}
 }
-
-// TestParallelSelectMatchesBruteForceCount re-anchors the parallel path to
-// ground truth, not just to the sequential implementation.
-func TestParallelSelectMatchesBruteForceCount(t *testing.T) {
-	f := newFixture(t, textrel.LM, 0.5, 250, 40, 6, 9)
-	q := f.query(2, 4)
-	want := bruteForceBestCount(t, f, q)
-
-	th, err := f.engine.Prepare(q.K, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel := f.best(t, q, th, ScanSpec{Workers: 4}); sel.Count() != want {
-		t.Fatalf("parallel exact count = %d, brute force = %d", sel.Count(), want)
-	}
-}

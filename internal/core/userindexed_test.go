@@ -39,26 +39,6 @@ func TestUserIndexedMatchesExact(t *testing.T) {
 	}
 }
 
-func TestUserIndexedApproxWithinExact(t *testing.T) {
-	f := newFixture(t, textrel.LM, 0.5, 400, 50, 4, 77)
-	q := f.query(3, 5)
-	ut := miurtree.Build(f.us.Users, f.scorer, 8)
-
-	exactEngine := NewEngine(f.tree, f.scorer, f.us.Users)
-	exact, _, err := exactEngine.SelectUserIndexed(q, KeywordsExact, ut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approxEngine := NewEngine(f.tree, f.scorer, f.us.Users)
-	approx, _, err := approxEngine.SelectUserIndexed(q, KeywordsApprox, ut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if approx.Count() > exact.Count() {
-		t.Fatalf("approx %d beats exact %d", approx.Count(), exact.Count())
-	}
-}
-
 func TestUserIndexedSometimesPrunes(t *testing.T) {
 	// Sparse users spread wide with distant candidate locations give the
 	// hierarchy something to prune. Aggregate over seeds: at least one run

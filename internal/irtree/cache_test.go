@@ -50,7 +50,7 @@ func TestWarmCacheReducesIO(t *testing.T) {
 		tree.IO().Reset()
 		before := tree.Backend().ReadStats().Pages
 		for ui := range us.Users {
-			if _, _, err := tree.TopK(scorer, irtree.ViewOf(&us.Users[ui], scorer), 5); err != nil {
+			if _, _, err := tree.TopK(scorer, &us.Users[ui], 5); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -89,12 +89,12 @@ func TestWarmCacheSameResults(t *testing.T) {
 	cold := irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: 16})
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 20, UL: 3, UW: 12, Area: 20, Seed: 33})
 	for ui := range us.Users {
-		view := irtree.ViewOf(&us.Users[ui], scorer)
-		a, rskA, err := warm.TopK(scorer, view, 5)
+		u := &us.Users[ui]
+		a, rskA, err := warm.TopK(scorer, u, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, rskB, err := cold.TopK(scorer, view, 5)
+		b, rskB, err := cold.TopK(scorer, u, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,7 @@ func TestDeleteStructureAndTopK(t *testing.T) {
 	us := dataset.GenerateUsers(full, dataset.UserConfig{NumUsers: 12, UL: 3, UW: 12, Area: 20, Seed: 93})
 	for ui := range us.Users {
 		u := &us.Users[ui]
-		got, _, err := tree.TopK(scorer, ViewOf(u, scorer), 5)
+		got, _, err := tree.TopK(scorer, u, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestSnapshotIsolationAndEpochs(t *testing.T) {
 	us := dataset.GenerateUsers(full, dataset.UserConfig{NumUsers: 6, UL: 3, UW: 10, Area: 20, Seed: 112})
 	for ui := range us.Users {
 		u := &us.Users[ui]
-		gotOld, _, err := nt.TopK(scorer, ViewOf(u, scorer), 3)
+		gotOld, _, err := nt.TopK(scorer, u, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestSnapshotIsolationAndEpochs(t *testing.T) {
 				t.Fatalf("old snapshot diverged at rank %d", i)
 			}
 		}
-		gotNew, _, err := nt2.TopK(scorer, ViewOf(u, scorer), 3)
+		gotNew, _, err := nt2.TopK(scorer, u, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package irtree
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
@@ -38,16 +39,22 @@ func (f *faultyBackend) ReadRecordAt(id storage.PageID, dst []byte, off int) ([]
 }
 
 // TestReadFaultsSurfaceAndClear restores a saved tree over a store whose
-// reads fail on demand. A failing read — a cold miss's whole record, or a
-// warm directory's ranged run — must reach TopK's and ReadInvSums' callers
-// as an error wrapping the injected one, never a panic. Once the fault
-// clears, every query answers exactly as the built tree does: neither
-// failure left anything wrong in the decoded cache.
+// reads fail on demand, two ways: the wrapper injects an error, or the
+// index file is truncated under the open store, whose reads then reach
+// EOF. A failing read — a cold miss's whole record, or a warm directory's
+// ranged run — must reach TopK's and ReadInvSums' callers as an error
+// wrapping the injected one or storage.ErrTruncated, never a panic. Once
+// the fault clears, every query answers exactly as the built tree does:
+// no failure left anything wrong in the decoded cache.
 func TestReadFaultsSurfaceAndClear(t *testing.T) {
 	built, ds, scorer := buildSmall(t, MIRTree, textrel.LM)
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 12, UL: 3, UW: 15, Area: 20, Seed: 41})
 	path := filepath.Join(t.TempDir(), "tree.idx")
 	if err := storage.WriteFile(path, built.Backend(), nil); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	pager, _, err := storage.OpenPager(path)
@@ -60,6 +67,13 @@ func TestReadFaultsSurfaceAndClear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	faults := []struct {
+		want       error
+		set, clear func() error
+	}{
+		{errInjected, func() error { fb.fail.Store(true); return nil }, func() error { fb.fail.Store(false); return nil }},
+		{storage.ErrTruncated, func() error { return os.Truncate(path, 0) }, func() error { return os.WriteFile(path, file, 0o644) }},
+	}
 
 	type answer struct {
 		res []Result
@@ -67,7 +81,7 @@ func TestReadFaultsSurfaceAndClear(t *testing.T) {
 	}
 	want := make([]answer, len(us.Users))
 	for ui := range us.Users {
-		res, rsk, err := built.TopK(scorer, ViewOf(&us.Users[ui], scorer), 5)
+		res, rsk, err := built.TopK(scorer, &us.Users[ui], 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +90,7 @@ func TestReadFaultsSurfaceAndClear(t *testing.T) {
 	check := func(phase string) {
 		t.Helper()
 		for ui := range us.Users {
-			res, rsk, err := tree.TopK(scorer, ViewOf(&us.Users[ui], scorer), 5)
+			res, rsk, err := tree.TopK(scorer, &us.Users[ui], 5)
 			if err != nil {
 				t.Fatalf("%s: user %d: %v", phase, ui, err)
 			}
@@ -85,19 +99,31 @@ func TestReadFaultsSurfaceAndClear(t *testing.T) {
 			}
 		}
 	}
-	mustFail := func(phase string) {
+	// inject runs fn under each fault in turn, clearing it afterwards.
+	inject := func(fn func(want error)) {
+		t.Helper()
+		for _, f := range faults {
+			if err := f.set(); err != nil {
+				t.Fatal(err)
+			}
+			fn(f.want)
+			if err := f.clear(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mustFail := func(phase string, want error) {
 		t.Helper()
 		for ui := range us.Users {
-			if _, _, err := tree.TopK(scorer, ViewOf(&us.Users[ui], scorer), 5); !errors.Is(err, errInjected) {
-				t.Fatalf("%s: user %d: TopK error %v, want one wrapping %v", phase, ui, err, errInjected)
+			if _, _, err := tree.TopK(scorer, &us.Users[ui], 5); !errors.Is(err, want) {
+				t.Fatalf("%s: user %d: TopK error %v, want one wrapping %v", phase, ui, err, want)
 			}
 		}
 	}
 
-	fb.fail.Store(true) // cold: the root's node record cannot be read
-	mustFail("cold fault")
-	fb.fail.Store(false)
-	check("after the cold fault")
+	// Cold: the root's node record cannot be read.
+	inject(func(want error) { mustFail("cold fault", want) })
+	check("after the cold faults")
 
 	// Warm: every node and directory a query needs is cached, and the
 	// directories are detached from the file's records, so only their
@@ -109,13 +135,13 @@ func TestReadFaultsSurfaceAndClear(t *testing.T) {
 	if _, ok := tree.sh.decoded.Get(root.InvID); !ok {
 		t.Fatal("the root's directory is not cached after a full pass")
 	}
-	fb.fail.Store(true)
-	mustFail("warm fault")
 	var scratch invfile.SumScratch
-	terms := ViewOf(&us.Users[0], scorer).Terms
-	if _, _, err := tree.ReadInvSums(root, terms, terms, &scratch); !errors.Is(err, errInjected) {
-		t.Fatalf("warm fault: ReadInvSums error %v, want one wrapping %v", err, errInjected)
-	}
-	fb.fail.Store(false)
-	check("after the warm fault")
+	terms := us.Users[0].Doc.Terms()
+	inject(func(want error) {
+		mustFail("warm fault", want)
+		if _, _, err := tree.ReadInvSums(root, terms, terms, &scratch); !errors.Is(err, want) {
+			t.Fatalf("warm fault: ReadInvSums error %v, want one wrapping %v", err, want)
+		}
+	})
+	check("after the warm faults")
 }

@@ -117,7 +117,7 @@ func TestInsertTopKMatchesBruteForce(t *testing.T) {
 	us := dataset.GenerateUsers(full, dataset.UserConfig{NumUsers: 15, UL: 3, UW: 12, Area: 20, Seed: 62})
 	for ui := range us.Users {
 		u := &us.Users[ui]
-		got, _, err := tree.TopK(scorer, ViewOf(u, scorer), 5)
+		got, _, err := tree.TopK(scorer, u, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

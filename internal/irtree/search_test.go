@@ -1,56 +1,63 @@
 package irtree
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
 
-	"repro/internal/container"
 	"repro/internal/dataset"
 	"repro/internal/invfile"
 	"repro/internal/textrel"
 	"repro/internal/vocab"
 )
 
-// bruteTopK ranks all objects for a user by exact STS.
+// bruteTopK ranks all objects for a user by exact STS, ties by ascending
+// id.
 func bruteTopK(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, k int) []Result {
 	norm := scorer.Norm(u.Doc)
 	all := make([]Result, len(ds.Objects))
 	for i, o := range ds.Objects {
 		all[i] = Result{ObjID: o.ID, Score: scorer.STS(o.Loc, o.Doc, u.Loc, u.Doc, norm)}
 	}
-	sortResults(all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	slices.SortFunc(all, func(a, b Result) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
+		}
+		return cmp.Compare(a.ObjID, b.ObjID)
+	})
+	return all[:min(k, len(all))]
 }
 
-// The headline correctness test: best-first IR-tree top-k must match an
-// exhaustive scan for every measure and several k.
+// The headline correctness test: best-first top-k must return exactly the
+// exhaustive scan's list — ids, scores and RSk bit for bit — on both tree
+// kinds, for every measure and several k, whichever way a node's postings
+// are read: the byte-wise scan with no decoded cache, the same scan under
+// a cache no record fits, or the cached directories of one that holds
+// everything.
 func TestTopKMatchesBruteForce(t *testing.T) {
-	for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF, textrel.KO, textrel.BM25} {
-		tree, ds, scorer := buildSmall(t, MIRTree, measure)
-		us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 25, UL: 3, UW: 15, Area: 20, Seed: 13})
-		for _, k := range []int{1, 5, 10} {
-			for ui := range us.Users {
-				u := &us.Users[ui]
-				got, rsk, err := tree.TopK(scorer, ViewOf(u, scorer), k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := bruteTopK(ds, scorer, u, k)
-				if len(got) != len(want) {
-					t.Fatalf("%s k=%d user %d: %d results, want %d", measure, k, u.ID, len(got), len(want))
-				}
-				for i := range want {
-					if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-						t.Fatalf("%s k=%d user %d rank %d: score %v, want %v (obj %d vs %d)",
-							measure, k, u.ID, i, got[i].Score, want[i].Score, got[i].ObjID, want[i].ObjID)
+	for _, kind := range []Kind{IRTree, MIRTree} {
+		for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF, textrel.KO, textrel.BM25} {
+			_, ds, scorer := buildSmall(t, kind, measure)
+			us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 25, UL: 3, UW: 15, Area: 20, Seed: 13})
+			for _, cacheBytes := range []int64{0, 1 << 10, 8 << 20} {
+				tree := Build(ds, scorer.Model, Config{Kind: kind, Fanout: 16, DecodedCacheBytes: cacheBytes})
+				for _, k := range []int{1, 5, 10} {
+					for ui := range us.Users {
+						u := &us.Users[ui]
+						got, rsk, err := tree.TopK(scorer, u, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := bruteTopK(ds, scorer, u, k)
+						if !slices.Equal(got, want) || rsk != want[len(want)-1].Score {
+							t.Fatalf("%v %s cache %d k=%d user %d: %v (RSk %v), exhaustive %v",
+								kind, measure, cacheBytes, k, u.ID, got, rsk, want)
+						}
 					}
 				}
-				if math.Abs(rsk-want[len(want)-1].Score) > 1e-9 {
-					t.Fatalf("%s k=%d user %d: RSk = %v, want %v", measure, k, u.ID, rsk, want[len(want)-1].Score)
+				if st := tree.DecodedCacheStats(); cacheBytes == 1<<10 && st.Entries != 0 {
+					t.Fatalf("a %d-byte decoded cache holds %d entries: the no-fit setting is not one", cacheBytes, st.Entries)
 				}
 			}
 		}
@@ -61,7 +68,7 @@ func TestTopKDescendingOrder(t *testing.T) {
 	tree, ds, scorer := buildSmall(t, MIRTree, textrel.LM)
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 5, UL: 3, UW: 10, Area: 20, Seed: 17})
 	u := &us.Users[0]
-	got, _, err := tree.TopK(scorer, ViewOf(u, scorer), 20)
+	got, _, err := tree.TopK(scorer, u, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +84,7 @@ func TestTopKPrunesIO(t *testing.T) {
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 5, UL: 2, UW: 10, Area: 5, Seed: 19})
 	u := &us.Users[0]
 	tree.IO().Reset()
-	if _, _, err := tree.TopK(scorer, ViewOf(u, scorer), 5); err != nil {
+	if _, _, err := tree.TopK(scorer, u, 5); err != nil {
 		t.Fatal(err)
 	}
 	if visits := tree.IO().NodeVisits(); visits >= int64(tree.NumNodes()) {
@@ -89,7 +96,7 @@ func TestTopKKLargerThanDataset(t *testing.T) {
 	tree, ds, scorer := buildSmall(t, MIRTree, textrel.KO)
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 2, UL: 2, UW: 10, Area: 20, Seed: 23})
 	u := &us.Users[0]
-	got, rsk, err := tree.TopK(scorer, ViewOf(u, scorer), len(ds.Objects)+10)
+	got, rsk, err := tree.TopK(scorer, u, len(ds.Objects)+10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,96 +202,6 @@ func TestTextSumsBracketDocSums(t *testing.T) {
 	check(tree.RootID())
 }
 
-// referenceTopK is Tree.TopK as it read postings before it moved to
-// ReadInvSums: every visited node's whole inverted file decoded through
-// ReadInvFile, its sums taken by MaxTextSums.
-func referenceTopK(t *Tree, scorer *textrel.Scorer, u UserView, k int) ([]Result, float64, error) {
-	tk := container.NewTopK[Result](k)
-	type cand struct {
-		ref    int32
-		isNode bool
-	}
-	pq := container.NewMaxHeap[cand]()
-	pq.Push(cand{t.rootID, true}, 1)
-	uRect := u.Rect()
-	for pq.Len() > 0 {
-		c, key := pq.Pop()
-		if tk.Full() && key <= tk.Threshold() {
-			break
-		}
-		if !c.isNode {
-			tk.Offer(Result{ObjID: c.ref, Score: key}, key)
-			continue
-		}
-		node, err := t.ReadNode(c.ref)
-		if err != nil {
-			return nil, 0, err
-		}
-		inv, err := t.ReadInvFile(node)
-		if err != nil {
-			return nil, 0, err
-		}
-		sums := MaxTextSums(t.sh.model, inv, len(node.Entries), u.Terms)
-		for i, e := range node.Entries {
-			score := scorer.Alpha*scorer.SSMax(e.Rect, uRect) + (1-scorer.Alpha)*sums[i]/u.Norm
-			if tk.Full() && score < tk.Threshold() {
-				continue
-			}
-			pq.Push(cand{e.Child, !node.Leaf}, score)
-		}
-	}
-	results := tk.PopAscending()
-	slices.Reverse(results)
-	rsk := -math.MaxFloat64
-	if len(results) == k {
-		rsk = results[len(results)-1].Score
-	}
-	return results, rsk, nil
-}
-
-// TestTopKMatchesWholeFileReference: reading only the query's postings
-// changes no bit of any answer, whichever way a node's file is read — the
-// byte-wise scan with no decoded cache, the same scan under a cache whose
-// budget no record fits, or the cached Dir of a cache that holds
-// everything — and with no cache at all it charges exactly the simulated
-// I/O of the whole-file read, so the paper figures' I/O series cannot move.
-func TestTopKMatchesWholeFileReference(t *testing.T) {
-	for _, kind := range []Kind{IRTree, MIRTree} {
-		_, ds, scorer := buildSmall(t, kind, textrel.LM)
-		us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 20, UL: 3, UW: 15, Area: 20, Seed: 41})
-		for _, cacheBytes := range []int64{0, 1 << 10, 8 << 20} {
-			tree := Build(ds, scorer.Model, Config{Kind: kind, Fanout: 16, DecodedCacheBytes: cacheBytes})
-			for ui := range us.Users {
-				view := ViewOf(&us.Users[ui], scorer)
-				for _, k := range []int{1, 10} {
-					tree.IO().Reset()
-					got, gotRSk, err := tree.TopK(scorer, view, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotIO := tree.IO().Total()
-					tree.IO().Reset()
-					want, wantRSk, err := referenceTopK(tree, scorer, view, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(got, want) || gotRSk != wantRSk {
-						t.Fatalf("%v cache %d user %d k=%d: %v (RSk %v), reference %v (RSk %v)",
-							kind, cacheBytes, ui, k, got, gotRSk, want, wantRSk)
-					}
-					if wantIO := tree.IO().Total(); cacheBytes == 0 && (gotIO != wantIO || gotIO == 0) {
-						t.Fatalf("%v user %d k=%d: cold TopK charged %d simulated I/Os, the whole-file read %d",
-							kind, ui, k, gotIO, wantIO)
-					}
-				}
-			}
-			if st := tree.DecodedCacheStats(); cacheBytes == 1<<10 && st.Entries != 0 {
-				t.Fatalf("a %d-byte decoded cache holds %d entries: the no-fit setting is not one", cacheBytes, st.Entries)
-			}
-		}
-	}
-}
-
 // TestTopKWarmAllocations: with every visited node and directory in the
 // decoded cache, and its queues and sum scratch taken from the pool the
 // calls before it filled, a TopK allocates its result only — nothing per
@@ -305,9 +222,9 @@ func TestTopKWarmAllocations(t *testing.T) {
 		tree := Build(ds, scorer.Model, Config{Kind: MIRTree, Fanout: 8, DecodedCacheBytes: 64 << 20})
 		us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 4, UL: 3, UW: 15, Area: 20, Seed: 43})
 		for ui := range us.Users {
-			view := ViewOf(&us.Users[ui], scorer)
+			u := &us.Users[ui]
 			run := func() {
-				if _, _, err := tree.TopK(scorer, view, 10); err != nil {
+				if _, _, err := tree.TopK(scorer, u, 10); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,7 +1,6 @@
 package irtree
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -216,12 +215,8 @@ func TestEmptyDataset(t *testing.T) {
 	if tree.RootID() >= 0 {
 		t.Error("empty dataset should have no root")
 	}
-	results, _, err := tree.TopK(scorer, UserView{Norm: 1}, 3)
+	results, _, err := tree.TopK(scorer, &dataset.User{}, 3)
 	if err != nil || len(results) != 0 {
 		t.Errorf("TopK on empty tree = %v, %v", results, err)
 	}
-}
-
-func sortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Score > rs[j].Score })
 }

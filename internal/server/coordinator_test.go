@@ -168,17 +168,46 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 			}
 		}
 
-		// /topk: scores on this fixture are distinct, the documented
-		// exactness condition for the cross-shard merge.
-		tkBody := TopKRequest{X: 4.2, Y: 5.1, Keywords: []string{"sushi", "tea"}, K: 5}
-		_, want := postJSON(t, single, "/topk", tkBody)
-		resp, got := postJSON(t, coordTS, "/topk", tkBody)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("n=%d /topk: status %d: %s", n, resp.StatusCode, got)
+		checkTopK(t, single, coordTS, TopKRequest{X: 4.2, Y: 5.1, Keywords: []string{"sushi", "tea"}, K: 5}, fmt.Sprintf("n=%d", n))
+	}
+
+	// /topk over exact ties: every object three times, at one point with
+	// the same keywords, the copies dealt to different shards. A single
+	// index ranks tied objects by ascending id, as the merge does, so the
+	// cut inside a tie group keeps the same copies.
+	var ties []coordObject
+	for _, o := range objs[:40] {
+		ties = append(ties, o, o, o)
+	}
+	tb := maxbrstknn.NewBuilder()
+	for _, o := range ties {
+		tb.AddObject(o.x, o.y, o.kws...)
+	}
+	tidx, err := tb.Build(maxbrstknn.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsingle := httptest.NewServer(New(tidx, Config{}).Handler())
+	defer tsingle.Close()
+	for _, n := range []int{2, 3} {
+		_, coordTS := newCoordinatorTS(t, buildShardServers(t, ties, tidx.FrozenCorpus(), n), CoordinatorConfig{})
+		for i, o := range ties[:12] {
+			checkTopK(t, tsingle, coordTS, TopKRequest{X: o.x, Y: o.y, Keywords: o.kws, K: 1 + i%5}, fmt.Sprintf("ties n=%d user %d", n, i))
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("n=%d /topk: not byte-identical:\n got %s\nwant %s", n, got, want)
-		}
+	}
+}
+
+// checkTopK requires the coordinator's /topk answer to be the single
+// index's bytes.
+func checkTopK(t *testing.T, single, coord *httptest.Server, body TopKRequest, label string) {
+	t.Helper()
+	_, want := postJSON(t, single, "/topk", body)
+	resp, got := postJSON(t, coord, "/topk", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s /topk: status %d: %s", label, resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s /topk: not byte-identical:\n got %s\nwant %s", label, got, want)
 	}
 }
 

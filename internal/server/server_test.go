@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -242,6 +243,37 @@ func TestServedFromLoadedIndexMatchesInMemory(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("loaded-index serving differs from in-memory library call:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestTruncatedIndexFileIsServerError: when the file under a cold-loaded
+// index is cut short, the failed reads are the server's fault — /topk and
+// /maxbrstknn answer 500 naming the truncation, never a client's 400.
+func TestTruncatedIndexFileIsServerError(t *testing.T) {
+	idx, wire := fixture(t)
+	path := filepath.Join(t.TempDir(), "served.mxbr")
+	if err := idx.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := maxbrstknn.LoadWithOptions(path, maxbrstknn.LoadOptions{DecodedCacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(loaded, Config{}).Handler())
+	defer ts.Close()
+
+	for endpoint, body := range map[string]any{
+		"/topk":       TopKRequest{X: 5, Y: 5, Keywords: []string{"a", "b"}, K: 4},
+		"/maxbrstknn": wire,
+	} {
+		resp, got := postJSON(t, ts, endpoint, body)
+		if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(got, []byte("truncated")) {
+			t.Errorf("%s on a truncated index file: status %d %s, want 500 naming the truncation", endpoint, resp.StatusCode, got)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -267,5 +269,31 @@ func TestReadRecordAt(t *testing.T) {
 		if after := re.ReadStats(); after.Records != before.Records+1 || after.Pages != before.Pages+int64(c.pages) {
 			t.Fatalf("range %d+%d counted %+v -> %+v, want one record of %d pages", c.off, c.n, before, after, c.pages)
 		}
+	}
+}
+
+// TestReadAfterTruncation: a file-resident record whose file was cut
+// short under the open pager reads as ErrTruncated — the index file's
+// fault, not the caller's — through ReadRecord and ReadRecordAt alike.
+func TestReadAfterTruncation(t *testing.T) {
+	src := NewPager()
+	id := src.WriteRecord(bytes.Repeat([]byte{7}, 3*PageSize))
+	path := filepath.Join(t.TempDir(), "ix.bin")
+	if err := WriteFile(path, src, nil); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := OpenPager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := os.Truncate(path, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ReadRecord(id); !errors.Is(err, ErrTruncated) {
+		t.Errorf("ReadRecord after truncation: %v, want ErrTruncated", err)
+	}
+	if _, err := p.ReadRecordAt(id, make([]byte, 10), 2*PageSize); !errors.Is(err, ErrTruncated) {
+		t.Errorf("ReadRecordAt after truncation: %v, want ErrTruncated", err)
 	}
 }

@@ -13,7 +13,9 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"os"
@@ -218,6 +220,9 @@ func (p *Pager) ReadRecordAt(id PageID, dst []byte, off int) ([]byte, error) {
 		return rec[off:end:end], nil
 	}
 	if _, err := p.file.ReadAt(dst, pageOffset(id)+int64(off)); err != nil {
+		if errors.Is(err, io.EOF) { // the file shrank under an open index
+			return nil, fmt.Errorf("%w: record at page %d: %w", ErrTruncated, id, err)
+		}
 		return nil, fmt.Errorf("storage: record at page %d: %w", id, err)
 	}
 	p.readRecords.Add(1)

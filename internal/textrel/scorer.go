@@ -6,6 +6,14 @@ import (
 	"repro/internal/vocab"
 )
 
+// BoundSlack is how far below a threshold a pruning test still keeps a
+// bound. A bound sums the same weights as the exact score it bounds, but
+// in its own order, so it can round below that score — and an object tied
+// with the k-th best, or an ulp above it, would be cut off. Scores lie in
+// [0, 1]: the slack is far above any such rounding and far below any
+// score gap a pruning decision turns on.
+const BoundSlack = 1e-9
+
 // Scorer evaluates the combined spatial-textual score of Equation 1:
 //
 //	STS(o,u) = α·SS(o.l,u.l) + (1−α)·TS(o.d,u.d)

@@ -122,14 +122,14 @@ func RefineUser(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, no
 	alpha := scorer.Alpha
 	for i := range tr.RO {
 		o := &tr.RO[i]
-		if o.UB < rsk {
+		if o.UB < rsk-textrel.BoundSlack {
 			break // the paper's break: RO is descending in group UB
 		}
 		if aux != nil {
-			if alpha*aux.sufS[i]+(1-alpha)*aux.sufR[i]/norm < rsk {
+			if alpha*aux.sufS[i]+(1-alpha)*aux.sufR[i]/norm < rsk-textrel.BoundSlack {
 				break // no remaining candidate can reach this user's top-k
 			}
-			if alpha*o.SMax+(1-alpha)*o.RawText/norm < rsk {
+			if alpha*o.SMax+(1-alpha)*o.RawText/norm < rsk-textrel.BoundSlack {
 				continue // this candidate provably cannot qualify
 			}
 		}

@@ -58,9 +58,9 @@ func TestPartitionUsersEmpty(t *testing.T) {
 
 // TestJointTopKEquivalence is the topk half of the determinism guarantee.
 // The sequential paper pipeline (workers 1, groups 1, nil seeds) must
-// reproduce the per-user baseline (independent IR-tree searches: same
-// objects in the same order; scores to 1e-9, since the two sum a score's
-// terms in different orders), and every other (workers, groups, seeds) —
+// reproduce the per-user baseline (independent IR-tree searches) bit for
+// bit — both score objects exactly and break ties by id — and every
+// other (workers, groups, seeds) —
 // grouped, concurrent, and seeded as a coordinator's waves seed it — must
 // reproduce the sequential row bit for bit: unseeded rows entirely, RSk
 // included; seeded rows on the entries scoring ≥ the user's seed, which is
@@ -105,14 +105,8 @@ func TestJointTopKEquivalence(t *testing.T) {
 		if seq == nil {
 			seq = got
 			for ui, b := range base {
-				g := got.PerUser[ui]
-				if len(g.Results) != len(b.Results) || math.Abs(g.RSk-b.RSk) > 1e-9 {
+				if g := got.PerUser[ui]; !reflect.DeepEqual(g.Results, b.Results) || g.RSk != b.RSk {
 					t.Fatalf("user %d: sequential %+v, baseline %+v", ui, g, b)
-				}
-				for i, r := range b.Results {
-					if g.Results[i].ObjID != r.ObjID || math.Abs(g.Results[i].Score-r.Score) > 1e-9 {
-						t.Fatalf("user %d rank %d: sequential %+v, baseline %+v", ui, i, g.Results[i], r)
-					}
 				}
 			}
 			continue

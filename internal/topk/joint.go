@@ -119,7 +119,7 @@ func Traverse(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int, fl
 		c, lb := pq.Pop()
 		if !c.isNode {
 			obj := BoundedObject{ObjID: c.ref, LB: lb, UB: c.ub, SMax: c.smax, RawText: c.braw}
-			if obj.UB < thr {
+			if obj.UB < thr-textrel.BoundSlack {
 				continue // cannot be a top-k object of any user
 			}
 			if !lo.Full() {
@@ -141,14 +141,14 @@ func Traverse(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int, fl
 				// obj itself did not enter LO; it is its own "evicted".
 				evicted = obj
 			}
-			if evicted.UB >= thr {
+			if evicted.UB >= thr-textrel.BoundSlack {
 				roHeap.Push(evicted, evicted.UB)
 			}
 			continue
 		}
 
 		// Node: prune unless it may contain a top-k object of some user.
-		if c.ub < thr {
+		if c.ub < thr-textrel.BoundSlack {
 			continue
 		}
 		res.Visited++
@@ -167,7 +167,7 @@ func Traverse(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int, fl
 		for i, e := range node.Entries {
 			smax := scorer.SSMax(e.Rect, su.MBR)
 			ub := scorer.Alpha*smax + (1-scorer.Alpha)*su.UBText(maxSums[i])
-			if ub < thr {
+			if ub < thr-textrel.BoundSlack {
 				continue
 			}
 			entryLB := scorer.Alpha*scorer.SSMin(e.Rect, su.MBR) + (1-scorer.Alpha)*su.LBText(minSums[i])
@@ -220,7 +220,7 @@ type JointResult struct {
 func BaselineTopK(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, k int) ([]UserTopK, error) {
 	out := make([]UserTopK, len(users))
 	for ui := range users {
-		results, rsk, err := tree.TopK(scorer, irtree.ViewOf(&users[ui], scorer), k)
+		results, rsk, err := tree.TopK(scorer, &users[ui], k)
 		if err != nil {
 			return nil, err
 		}

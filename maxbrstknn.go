@@ -606,7 +606,8 @@ type RankedObject struct {
 }
 
 // TopK returns the k most spatial-textually relevant objects for a user at
-// (x, y) with the given preference keywords. A shard index reports global
+// (x, y) with the given preference keywords: exact scores (Equation 1),
+// descending, ties by ascending object id. A shard index reports global
 // object ids; its scores are globally exact (frozen context), and
 // MergeTopK folds the shards' lists into the global one.
 func (ix *Index) TopK(x, y float64, keywords []string, k int) ([]RankedObject, error) {
@@ -615,14 +616,9 @@ func (ix *Index) TopK(x, y float64, keywords []string, k int) ([]RankedObject, e
 	}
 	sn := ix.acquire()
 	defer sn.tree.Unpin()
-	scorer := ix.scorerFor(sn, geo.RectFromPoint(geo.Point{X: x, Y: y}))
-	doc := sn.docFromKeywords(keywords, nil)
-	view := irtree.UserView{
-		Area:  geo.RectFromPoint(geo.Point{X: x, Y: y}),
-		Terms: doc.Terms(),
-		Norm:  scorer.Norm(doc),
-	}
-	results, _, err := sn.tree.TopK(scorer, view, k)
+	user := dataset.User{Loc: geo.Point{X: x, Y: y}, Doc: sn.docFromKeywords(keywords, nil)}
+	scorer := ix.scorerFor(sn, geo.RectFromPoint(user.Loc))
+	results, _, err := sn.tree.TopK(scorer, &user, k)
 	if err != nil {
 		return nil, err
 	}

