@@ -150,12 +150,12 @@ func applyFacadeWriteHistory(t *testing.T, idx *Index, seed int64) {
 // TestWriteHistoryDigest pins the bytes the copy-on-write write path
 // stores for the MIR-tree: a seeded add/update/delete history over a
 // 2,000-object index, applied to the built index and to it saved and
-// loaded, must Save the same file. Its digest was recorded when posting
-// records took their fixed-stride layout, and its length is the one the
-// varint-delta layout before it gave: at fanout 44 every record kept its
-// length. internal/irtree pins the IR-tree's.
+// loaded, must Save the same file. Its digest and length were recorded
+// when the master record took the corpus context; the tree's records did
+// not move then (internal/irtree's pin held). internal/irtree pins the
+// IR-tree's.
 func TestWriteHistoryDigest(t *testing.T) {
-	const want, wantLen = "2417f901e8861b935a2d80197047452038448c142dc72ab66cc3a346293992dd", 959088
+	const want, wantLen = "cae6067d6138b1721fd0f01732cb0fc15ff2af9925e187ed32da57cbf9edd517", 963184
 	for _, kind := range storageKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			idx := kind.of(t, historyIndex(t))

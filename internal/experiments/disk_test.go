@@ -26,6 +26,7 @@ func TestFigDisk(t *testing.T) {
 		t.Fatalf("got %d tables, want 1", len(tables))
 	}
 	tb := tables[0]
+	checkPinned(t, tb)
 	if len(tb.Rows) != 4 {
 		t.Fatalf("got %d rows, want 4:\n%s", len(tb.Rows), tb.String())
 	}

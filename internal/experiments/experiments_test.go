@@ -126,6 +126,148 @@ func TestFig15Pinned(t *testing.T) {
 	}
 }
 
+// figurePins holds, by title, the deterministic cells of every table
+// TestFigureRunnersSmoke, TestAblations, TestFigDisk and TestFigScaling
+// compute (see pinned): simulated I/O, counts, ratios and the parameter
+// columns. They move only when an answer or the work a query does moves.
+var figurePins = map[string][]string{
+	"Fig 5b — MIOCPU vs k": {
+		"k | B(LM) | J(LM) | B(TFIDF) | J(TFIDF) | B(KO) | J(KO)",
+		"2 | 32.7 | 1.8 | 23.9 | 1.8 | 23.2 | 1.8",
+	},
+	"Fig 5d — approximation ratio vs k": {
+		"k | LM | TFIDF | KO",
+		"2 | 0.944 | 0.174 | 0.800",
+	},
+	"Fig 6ab — top-k phase vs α": {
+		"alpha | B MIOCPU | J MIOCPU",
+		"0.5 | 48.0 | 1.8",
+	},
+	"Fig 6cd — candidate selection vs α": {
+		"alpha | ratio",
+		"0.5 | 1.000",
+	},
+	"Fig 7 — varying UL — top-k phase": {
+		"UL | B MIOCPU | J MIOCPU",
+		"2 | 44.4 | 1.8",
+	},
+	"Fig 7 — varying UL — candidate selection": {
+		"UL | ratio",
+		"2 | 1.000",
+	},
+	"Fig 8 — varying UW — top-k phase": {
+		"UW | B MIOCPU | J MIOCPU",
+		"8 | 46.1 | 1.8",
+	},
+	"Fig 8 — varying UW — candidate selection": {
+		"UW | ratio",
+		"8 | 1.000",
+	},
+	"Fig 9 — top-k phase vs Area": {
+		"Area | B MIOCPU | J MIOCPU",
+		"5.0 | 48.0 | 1.8",
+	},
+	"Fig 10 — candidate selection vs |L|": {
+		"|L| | ratio",
+		"5 | 1.000",
+	},
+	"Fig 11 — candidate selection vs ws": {
+		"ws | ratio",
+		"1 | 1.000",
+	},
+	"Fig 12ab — total top-k cost vs |U|": {
+		"|U| | B total I/O | J total I/O",
+		"50 | 2606 | 176",
+	},
+	"Fig 12cd — candidate selection vs |U|": {
+		"|U| | ratio",
+		"50 | 1.000",
+	},
+	"Fig 13ab — top-k phase vs |O|": {
+		"|O| | B MIOCPU | J MIOCPU",
+		"1000 | 36.0 | 0.9",
+	},
+	"Fig 13cd — candidate selection vs |O|": {
+		"|O| | ratio",
+		"1000 | 1.000",
+	},
+	"Fig 14 — varying k (Yelp) — top-k phase": {
+		"k | B MIOCPU | J MIOCPU",
+		"2 | 395.4 | 11.9",
+	},
+	"Fig 14 — varying k (Yelp) — candidate selection": {
+		"k | ratio",
+		"2 | 1.000",
+	},
+	"Fig 15 — user index (Section 7; selective workload: KO, k=1, ws=1, sparse users)": {
+		"|U| | Un-indexed I/O | Indexed I/O | Users pruned (%)",
+		"50 | 165 | 168 | 4.0",
+	},
+	"Ablation — MIR-tree min weights vs IR-tree (joint traversal)": {
+		"index | I/O | candidates",
+		"MIR (run 0) | 176 | 1230",
+		"IR  (run 0) | 144 | 1230",
+	},
+	"Ablation — super-user grouping (shared vs per-user traversal)": {
+		"strategy | total I/O",
+		"joint (super-user) | 176",
+		"per-user on MIR-tree | 6222",
+	},
+	"Ablation — Algorithm 3 best-first early termination": {
+		"strategy | count",
+		"best-first | 95",
+		"every location | 95",
+	},
+	"Disk — cold vs warm serving from the saved index file": {
+		"backend | sim I/O | phys records | phys pages | decoded hit/miss | |BRSTkNN|",
+		"in-memory | 67 | 0 | 0 | 0/0 | 57",
+		"disk cold | 67 | 52 | 67 | 0/0 | 57",
+		"decoded first touch | 67 | 52 | 67 | 0/52 | 57",
+		"decoded warm | 0 | 255 | 255 | 52/0 | 57",
+	},
+	"Scaling — parallel engine speedup vs workers (exact method)": {
+		"workers | groups | |BRSTkNN|",
+		"1 | 1 | 57",
+		"2 | 2 | 57",
+		"4 | 4 | 57",
+		"8 | 8 | 57",
+	},
+}
+
+// pinned renders tb's deterministic cells, header first, one line per
+// row: every column but the wall-clock ones, whose header mentions ms or a
+// speedup. A table titled "(ms)" is all wall-clock and renders as nil.
+func pinned(tb *Table) []string {
+	if strings.Contains(tb.Title, "(ms)") {
+		return nil
+	}
+	var keep []int
+	for i, h := range tb.Header {
+		if !strings.Contains(h, "ms") && !strings.Contains(h, "speedup") {
+			keep = append(keep, i)
+		}
+	}
+	var lines []string
+	for _, row := range append([][]string{tb.Header}, tb.Rows...) {
+		cells := make([]string, len(keep))
+		for j, i := range keep {
+			cells[j] = row[i]
+		}
+		lines = append(lines, strings.Join(cells, " | "))
+	}
+	return lines
+}
+
+// checkPinned holds every table's deterministic cells to figurePins.
+func checkPinned(t *testing.T, tables ...*Table) {
+	t.Helper()
+	for _, tb := range tables {
+		if got, want := pinned(tb), figurePins[tb.Title]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%q pinned cells:\n%s\nwant:\n%s", tb.Title, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
 func TestFigureRunnersSmoke(t *testing.T) {
 	cfg := Quick()
 	cfg.Runs = 1
@@ -160,6 +302,7 @@ func TestFigureRunnersSmoke(t *testing.T) {
 					t.Errorf("%s: empty rendering", name)
 				}
 			}
+			checkPinned(t, tables...)
 		})
 	}
 }
@@ -198,6 +341,7 @@ func TestAblations(t *testing.T) {
 			if len(tb.Rows) < 2 {
 				t.Errorf("ablation table too small:\n%s", tb)
 			}
+			checkPinned(t, tb)
 		})
 	}
 }

@@ -17,6 +17,7 @@ func TestFigScaling(t *testing.T) {
 	if len(tables) != 1 {
 		t.Fatalf("got %d tables, want 1", len(tables))
 	}
+	checkPinned(t, tables[0])
 	s := tables[0].String()
 	if !strings.Contains(s, "workers") || !strings.Contains(s, "speedup") {
 		t.Fatalf("missing columns in:\n%s", s)

@@ -17,7 +17,7 @@ import (
 func saveAndLoad(t *testing.T, ds *dataset.Dataset, measure textrel.MeasureKind, decodedBytes int64) *irtree.Tree {
 	t.Helper()
 	ix := &persist.Index{Measure: measure, Alpha: 0.5, Lambda: textrel.DefaultLambda, Fanout: 16, DS: ds}
-	ix.Tree = irtree.Build(ds, ix.NewModel(ds), irtree.Config{Kind: irtree.MIRTree, Fanout: 16})
+	ix.Tree = irtree.Build(ds, textrel.NewModelWithLambda(ix.Measure, ds, ix.Lambda), irtree.Config{Kind: irtree.MIRTree, Fanout: 16})
 	path := filepath.Join(t.TempDir(), "index.mxbr")
 	if err := persist.Save(path, ix); err != nil {
 		t.Fatal(err)

@@ -12,14 +12,19 @@
 //
 // After the tree's records, Save appends one master record (the file
 // header's root) holding the measure parameters, the vocabulary, the
-// object collection, and the tree metadata. Load replays it: the
-// vocabulary is rebuilt term by term (reproducing every TermID), corpus
-// statistics and the model are recomputed deterministically from the
+// corpus context, the object collection, and the tree metadata. The
+// corpus context is what every score depends on and Build computed once:
+// each build-time term's collection and document frequency and the
+// model's corpus-wide maximum weight, the total term count, the document
+// count and the object space. Load replays the record: the vocabulary is
+// rebuilt term by term (reproducing every TermID), the model is made from
+// the stored context (textrel.NewModelFrozen) without a pass over the
 // objects, and the tree is restored over the opened pager.
 package persist
 
 import (
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/dataset"
@@ -33,13 +38,14 @@ import (
 // masterVersion is the encoding version of the master record, separate
 // from the file-level storage.FormatVersion: the file format governs the
 // pager layout, this governs the index payload, its posting records
-// included. Version 4 marks indexes whose posting records put the term
-// directory first and every posting at one stride (invfile); Load refuses
-// any other version with storage.ErrVersionMismatch, so an older index
-// fails at load, never at a first query, and is rebuilt from its data.
-// Its predecessors added the deleted-object id list (2) and one-page empty
-// records where the pager had reclaimed pages (3).
-const masterVersion = 4
+// included. Version 5 stores the corpus context in place of version 4's
+// freeze point over the objects; Load refuses any other version with
+// storage.ErrVersionMismatch, so an older index fails at load, never at a
+// first query, and is rebuilt from its data. Its predecessors added the
+// deleted-object id list (2), one-page empty records where the pager had
+// reclaimed pages (3), and posting records that put the term directory
+// first and every posting at one stride (4, invfile).
+const masterVersion = 5
 
 // Index is the persistable state of one built index: the measure
 // parameters the facade's Options carry, the dataset, and the object
@@ -60,9 +66,9 @@ type Index struct {
 	// reachable from the tree. Nil when nothing was deleted.
 	Deleted []int32
 
-	closer   *storage.Pager   // set for loaded indexes
-	treeMeta []byte           // decoded master → Restore handoff
-	frozenDS *dataset.Dataset // build-time snapshot the model is rebuilt over
+	closer   *storage.Pager // set for loaded indexes
+	treeMeta []byte         // decoded master → Restore handoff
+	maxW     []float64      // decoded model maxima → NewModelFrozen handoff
 }
 
 // Close releases the index file of a loaded index (no-op otherwise).
@@ -71,17 +77,6 @@ func (ix *Index) Close() error {
 		return nil
 	}
 	return ix.closer.Close()
-}
-
-// NewModel builds the relevance model an Index describes, through the
-// construction path the facade's Build also uses
-// (textrel.NewModelWithLambda), so a loaded model is bit-for-bit the
-// model the index was built with. ds must be the dataset state the model
-// is (re)derived from: at build time the full dataset, at load time the
-// frozen build-time snapshot (objects inserted after Build never
-// contribute to model statistics).
-func (ix *Index) NewModel(ds *dataset.Dataset) textrel.Model {
-	return textrel.NewModelWithLambda(ix.Measure, ds, ix.Lambda)
 }
 
 // Save writes ix to a single index file at path: the tree's records at
@@ -140,11 +135,12 @@ func restore(pager *storage.Pager, root storage.PageID, decodedCacheBytes int64)
 	if err != nil {
 		return nil, err
 	}
-	// The model is rebuilt over the frozen build-time snapshot, exactly
-	// as Build derived it — objects and terms added after Build must not
-	// shift corpus statistics, or the loaded scores would drift from the
-	// in-memory index (whose model was frozen at Build time).
-	model := ix.NewModel(ix.frozenDS)
+	// The model is made from the stored corpus context, as the index's
+	// own was at Build: objects and terms added since never shift it.
+	model, err := textrel.NewModelFrozen(ix.Measure, ix.DS.Stats, ix.Lambda, ix.maxW)
+	if err != nil {
+		return nil, err
+	}
 	ix.Tree, err = irtree.Restore(ix.DS, model, pager, ix.treeMeta, decodedCacheBytes)
 	if err != nil {
 		return nil, err
@@ -154,8 +150,7 @@ func restore(pager *storage.Pager, root storage.PageID, decodedCacheBytes int64)
 	if f := ix.Tree.Fanout(); f != ix.Fanout {
 		return nil, fmt.Errorf("irtree: corrupt tree metadata: fanout %d, the master record's %d", f, ix.Fanout)
 	}
-	ix.treeMeta = nil
-	ix.frozenDS = nil
+	ix.treeMeta, ix.maxW = nil, nil
 	return ix, nil
 }
 
@@ -167,20 +162,27 @@ func encodeMaster(ix *Index) []byte {
 	buf = storage.AppendFloat64(buf, ix.Lambda)
 	buf = storage.AppendUvarint(buf, uint64(ix.Fanout))
 
-	// The build-time freeze point: objects and vocabulary terms beyond it
-	// were inserted after Build and are excluded from corpus statistics
-	// (the standard frozen-statistics IR practice AddObject documents).
-	// Both are implied by the dataset's stats, which Build sizes once and
-	// inserts never touch.
-	buf = storage.AppendUvarint(buf, uint64(ix.DS.Stats.NumDocs))
-	buf = storage.AppendUvarint(buf, uint64(len(ix.DS.Stats.CollectionFreq)))
-
 	v := ix.DS.Vocab
 	buf = storage.AppendUvarint(buf, uint64(v.Size()))
 	for t := 0; t < v.Size(); t++ {
 		term := v.Term(vocab.TermID(t))
 		buf = storage.AppendUvarint(buf, uint64(len(term)))
 		buf = append(buf, term...)
+	}
+
+	// The corpus context: the corpus totals and the object space, then
+	// each build-time term's statistics and the model's maximum weight.
+	st, sp := ix.DS.Stats, ix.DS.Space
+	buf = storage.AppendUvarint(buf, uint64(st.TotalTerms))
+	buf = storage.AppendUvarint(buf, uint64(st.NumDocs))
+	for _, c := range []float64{sp.Min.X, sp.Min.Y, sp.Max.X, sp.Max.Y} {
+		buf = storage.AppendFloat64(buf, c)
+	}
+	buf = storage.AppendUvarint(buf, uint64(len(st.CollectionFreq)))
+	for t, w := range textrel.MaxWeights(ix.Tree.Model(), len(st.CollectionFreq)) {
+		buf = storage.AppendUvarint(buf, uint64(st.CollectionFreq[t]))
+		buf = storage.AppendUvarint(buf, uint64(st.DocFreq[t]))
+		buf = storage.AppendFloat64(buf, w)
 	}
 
 	buf = storage.AppendUvarint(buf, uint64(len(ix.DS.Objects)))
@@ -224,8 +226,6 @@ func decodeMaster(buf []byte) (*Index, error) {
 		Lambda:        d.Float64(),
 		Fanout:        int(d.Uvarint()),
 	}
-	frozenObjects := d.Uvarint()
-	frozenTerms := d.Uvarint()
 	// Data pages carry no checksum (only the header and directory do), so
 	// decoded parameters must be validated here: a bit-flipped lambda or
 	// measure would otherwise reach the model constructors' panics.
@@ -250,6 +250,12 @@ func decodeMaster(buf []byte) (*Index, error) {
 		if v.Add(string(term)) != vocab.TermID(i) {
 			return nil, fmt.Errorf("corrupt master record: duplicate vocabulary term %q", term)
 		}
+	}
+
+	ds := &dataset.Dataset{Vocab: v}
+	maxW, err := decodeCorpus(d, ds)
+	if err != nil {
+		return nil, err
 	}
 
 	numObjects := d.Uvarint()
@@ -305,37 +311,46 @@ func decodeMaster(buf []byte) (*Index, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("corrupt master record: %w", err)
 	}
-	if frozenObjects > numObjects || frozenTerms > numTerms {
-		return nil, fmt.Errorf("corrupt master record: freeze point (%d objects, %d terms) beyond dataset (%d, %d)",
-			frozenObjects, frozenTerms, numObjects, numTerms)
-	}
+	ds.Objects = objects
+	ix.DS, ix.maxW, ix.treeMeta = ds, maxW, meta
+	return ix, nil
+}
 
-	// Rebuild the build-time snapshot: a vocabulary of the first
-	// frozenTerms terms and the first frozenObjects objects reproduce the
-	// corpus statistics — and therefore every model array, sized by the
-	// frozen vocabulary — exactly as Build computed them. The full
-	// dataset keeps every object (the tree's leaves reference them) but
-	// carries the frozen statistics and space, matching the in-memory
-	// index where inserts never touch either.
-	frozenVocab := vocab.New()
-	for i := 0; i < int(frozenTerms); i++ {
-		frozenVocab.Add(v.Term(vocab.TermID(i)))
-	}
-	for i, o := range objects[:frozenObjects] {
-		if ts := o.Doc.Terms(); len(ts) > 0 && uint64(ts[len(ts)-1]) >= frozenTerms {
-			return nil, fmt.Errorf("corrupt master record: build-time object %d references post-freeze term %d", i, ts[len(ts)-1])
+// decodeCorpus decodes the corpus context into ds's statistics and space
+// and returns the model maxima. It validates what keeps every model weight
+// finite and non-negative and the distance normalization sound: an
+// ordered space, a context over a prefix of the vocabulary, term
+// frequencies within the corpus totals, and finite maxima ≥ 0. The
+// document count may exceed the objects held: a compacted index holds
+// fewer than its corpus.
+func decodeCorpus(d *storage.Decoder, ds *dataset.Dataset) ([]float64, error) {
+	total, numDocs := d.Uvarint(), d.Uvarint()
+	ds.Space.Min.X, ds.Space.Min.Y, ds.Space.Max.X, ds.Space.Max.Y = d.Float64(), d.Float64(), d.Float64(), d.Float64()
+	n := d.Uvarint()
+	if d.Err() == nil {
+		switch {
+		case total > math.MaxInt64 || numDocs > math.MaxInt32:
+			return nil, fmt.Errorf("corrupt master record: %d term occurrences in %d documents", total, numDocs)
+		case !(ds.Space.Min.X <= ds.Space.Max.X && ds.Space.Min.Y <= ds.Space.Max.Y):
+			return nil, fmt.Errorf("corrupt master record: unordered object space %v", ds.Space)
+		case n > uint64(ds.Vocab.Size()) || n > uint64(d.Remaining())/10: // each term takes ≥10 bytes
+			return nil, fmt.Errorf("corrupt master record: corpus context of %d terms for a vocabulary of %d", n, ds.Vocab.Size())
 		}
 	}
-	frozenDS := dataset.Build(objects[:frozenObjects], frozenVocab)
-	ix.frozenDS = frozenDS
-	ix.DS = &dataset.Dataset{
-		Objects: objects,
-		Vocab:   v,
-		Stats:   frozenDS.Stats,
-		Space:   frozenDS.Space,
+	ds.Stats = dataset.CorpusStats{
+		CollectionFreq: make([]int64, n), DocFreq: make([]int32, n),
+		TotalTerms: int64(total), NumDocs: int32(numDocs),
 	}
-	ix.treeMeta = meta
-	return ix, nil
+	maxW := make([]float64, n)
+	for t := range maxW {
+		cf, df, w := d.Uvarint(), d.Uvarint(), d.Float64()
+		if cf > total || df > numDocs || !(w >= 0 && w <= math.MaxFloat64) {
+			return nil, fmt.Errorf("corrupt master record: term %d has frequencies (%d, %d) and maximum weight %v in a corpus of (%d, %d)",
+				t, cf, df, w, total, numDocs)
+		}
+		ds.Stats.CollectionFreq[t], ds.Stats.DocFreq[t], maxW[t] = int64(cf), int32(df), w
+	}
+	return maxW, nil
 }
 
 func boolBit(b bool) uint64 {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,7 +42,7 @@ func testIndex(t testing.TB) *Index {
 		Fanout:  8,
 		DS:      ds,
 	}
-	ix.Tree = irtree.Build(ds, ix.NewModel(ds), irtree.Config{Kind: irtree.MIRTree, Fanout: 8})
+	ix.Tree = irtree.Build(ds, textrel.NewModelWithLambda(ix.Measure, ds, ix.Lambda), irtree.Config{Kind: irtree.MIRTree, Fanout: 8})
 	return ix
 }
 
@@ -222,8 +223,12 @@ func TestLoadRebuildsIdenticalState(t *testing.T) {
 	if got.DS.Space != ix.DS.Space {
 		t.Fatalf("space %+v != %+v", got.DS.Space, ix.DS.Space)
 	}
-	if got.DS.Stats.TotalTerms != ix.DS.Stats.TotalTerms || got.DS.Stats.NumDocs != ix.DS.Stats.NumDocs {
+	if !reflect.DeepEqual(got.DS.Stats, ix.DS.Stats) {
 		t.Fatalf("stats drifted: %+v != %+v", got.DS.Stats, ix.DS.Stats)
+	}
+	n := len(ix.DS.Stats.CollectionFreq)
+	if g, w := textrel.MaxWeights(got.Tree.Model(), n), textrel.MaxWeights(ix.Tree.Model(), n); !reflect.DeepEqual(g, w) {
+		t.Fatalf("model maxima drifted: %v != %v", g, w)
 	}
 	if got.Tree.Kind() != ix.Tree.Kind() || got.Tree.NumNodes() != ix.Tree.NumNodes() ||
 		got.Tree.Height() != ix.Tree.Height() || got.Tree.RootID() != ix.Tree.RootID() ||

@@ -29,29 +29,36 @@ type BM25Model struct {
 	avgdl float64
 }
 
-// NewBM25 builds the model from corpus statistics.
+// NewBM25 builds the model from corpus statistics, then finds the
+// per-term corpus maxima in one pass over O.
 func NewBM25(ds *dataset.Dataset) *BM25Model {
-	n := ds.Vocab.Size()
-	m := &BM25Model{idf: make([]float64, n), maxW: make([]float64, n)}
-	numDocs := float64(ds.Stats.NumDocs)
-	if numDocs > 0 {
-		m.avgdl = float64(ds.Stats.TotalTerms) / numDocs
-	}
-	if m.avgdl == 0 {
-		m.avgdl = 1
-	}
-	for t := 0; t < n; t++ {
-		df := float64(ds.Stats.DocFreq[t])
-		if df > 0 {
-			m.idf[t] = math.Log(1 + (numDocs-df+0.5)/(df+0.5))
-		}
-	}
+	m := newBM25(ds.Stats)
+	m.maxW = make([]float64, len(m.idf))
 	for _, o := range ds.Objects {
 		o.Doc.ForEach(func(t vocab.TermID, f int32) {
 			if w := m.score(float64(f), float64(o.Doc.Len()), m.idf[t]); w > m.maxW[t] {
 				m.maxW[t] = w
 			}
 		})
+	}
+	return m
+}
+
+// newBM25 is the model's statistics-derived part: the per-term idf and
+// the average document length. The caller sets the maxima.
+func newBM25(st dataset.CorpusStats) *BM25Model {
+	m := &BM25Model{idf: make([]float64, len(st.DocFreq))}
+	numDocs := float64(st.NumDocs)
+	if numDocs > 0 {
+		m.avgdl = float64(st.TotalTerms) / numDocs
+	}
+	if m.avgdl == 0 {
+		m.avgdl = 1
+	}
+	for t, df := range st.DocFreq {
+		if df > 0 {
+			m.idf[t] = math.Log(1 + (numDocs-float64(df)+0.5)/(float64(df)+0.5))
+		}
 	}
 	return m
 }

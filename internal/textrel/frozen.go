@@ -2,7 +2,7 @@ package textrel
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/vocab"
@@ -20,66 +20,43 @@ func MaxWeights(m Model, n int) []float64 {
 	return out
 }
 
-// NewModelFrozen rebuilds the measure of the given kind from corpus
-// statistics plus injected per-term maxima, without scanning ds.Objects.
+// NewModelFrozen makes the measure of the given kind from corpus
+// statistics plus given per-term maxima, without scanning any objects.
 //
 // Every model's state splits into two parts: values derived purely from
-// ds.Stats (LM smoothing floors, TF-IDF/BM25 idf, BM25 avgdl) and the
-// per-term corpus maxima, which the ordinary constructors compute with a
-// pass over every object document. A shard index holds only a subset of
-// the objects but must score them under the *global* corpus context, so
-// the maxima are injected from a full-corpus dump (MaxWeights) while the
-// stats-derived parts are recomputed here by exactly the floating-point
-// operations of the ordinary constructors — making the frozen model
-// bit-for-bit identical to the model a whole-corpus build produces.
+// the statistics (LM smoothing floors, TF-IDF/BM25 idf, BM25 avgdl) and
+// the per-term corpus maxima, which the ordinary constructors compute
+// with a pass over every object document. A shard index holds only a
+// subset of the objects and a loaded index none of its build-time ones,
+// yet both must score under the build-time corpus context, so the maxima
+// are given (a MaxWeights dump) while the statistics-derived part comes
+// from the same code the ordinary constructors run — making the frozen
+// model bit-for-bit identical to the model a whole-corpus build produces.
 //
-// maxW must have ds.Vocab.Size() entries; KO is stateless and ignores it.
-func NewModelFrozen(kind MeasureKind, ds *dataset.Dataset, lambda float64, maxW []float64) (Model, error) {
-	if kind != KO && len(maxW) != ds.Vocab.Size() {
-		return nil, fmt.Errorf("textrel: frozen maxW has %d entries, vocabulary has %d", len(maxW), ds.Vocab.Size())
+// maxW must have one entry per term of st; KO is stateless and ignores
+// it.
+func NewModelFrozen(kind MeasureKind, st dataset.CorpusStats, lambda float64, maxW []float64) (Model, error) {
+	if n := len(st.CollectionFreq); len(st.DocFreq) != n || (kind != KO && len(maxW) != n) {
+		return nil, fmt.Errorf("textrel: frozen context has %d collection and %d document frequencies and %d maxima",
+			n, len(st.DocFreq), len(maxW))
 	}
 	switch kind {
 	case LM:
 		if lambda < 0 || lambda > 1 {
 			return nil, fmt.Errorf("textrel: lambda must be in [0,1], got %v", lambda)
 		}
-		n := ds.Vocab.Size()
-		m := &LanguageModel{lambda: lambda, floor: make([]float64, n), maxW: append([]float64(nil), maxW...)}
-		totalC := float64(ds.Stats.TotalTerms)
-		for t := 0; t < n; t++ {
-			if totalC > 0 {
-				m.floor[t] = lambda * float64(ds.Stats.CollectionFreq[t]) / totalC
-			}
-		}
+		m := newLanguageModel(st, lambda)
+		m.maxW = slices.Clone(maxW)
 		return m, nil
 	case TFIDF:
-		n := ds.Vocab.Size()
-		m := &TFIDFModel{idf: make([]float64, n), maxW: append([]float64(nil), maxW...)}
-		numDocs := float64(ds.Stats.NumDocs)
-		for t := 0; t < n; t++ {
-			if df := ds.Stats.DocFreq[t]; df > 0 {
-				m.idf[t] = math.Log(numDocs / float64(df))
-			}
-		}
+		m := newTFIDF(st)
+		m.maxW = slices.Clone(maxW)
 		return m, nil
 	case KO:
-		return NewKeywordOverlap(ds), nil
+		return &KeywordOverlapModel{}, nil
 	case BM25:
-		n := ds.Vocab.Size()
-		m := &BM25Model{idf: make([]float64, n), maxW: append([]float64(nil), maxW...)}
-		numDocs := float64(ds.Stats.NumDocs)
-		if numDocs > 0 {
-			m.avgdl = float64(ds.Stats.TotalTerms) / numDocs
-		}
-		if m.avgdl == 0 {
-			m.avgdl = 1
-		}
-		for t := 0; t < n; t++ {
-			df := float64(ds.Stats.DocFreq[t])
-			if df > 0 {
-				m.idf[t] = math.Log(1 + (numDocs-df+0.5)/(df+0.5))
-			}
-		}
+		m := newBM25(st)
+		m.maxW = slices.Clone(maxW)
 		return m, nil
 	default:
 		return nil, fmt.Errorf("textrel: unknown measure %d", int(kind))

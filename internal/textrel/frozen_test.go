@@ -15,13 +15,11 @@ import (
 func TestFrozenModelBitEquality(t *testing.T) {
 	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(300))
 	n := ds.Vocab.Size()
-	// A stand-in shard dataset: global vocab/stats/space, objects absent.
-	shard := &dataset.Dataset{Objects: nil, Vocab: ds.Vocab, Stats: ds.Stats, Space: ds.Space}
 
 	for _, kind := range []MeasureKind{LM, TFIDF, KO, BM25} {
 		full := NewModelWithLambda(kind, ds, DefaultLambda)
 		maxW := MaxWeights(full, n)
-		froz, err := NewModelFrozen(kind, shard, DefaultLambda, maxW)
+		froz, err := NewModelFrozen(kind, ds.Stats, DefaultLambda, maxW)
 		if err != nil {
 			t.Fatalf("%v: NewModelFrozen: %v", kind, err)
 		}
@@ -60,17 +58,22 @@ func TestFrozenModelBitEquality(t *testing.T) {
 
 func TestFrozenModelRejectsBadInput(t *testing.T) {
 	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(50))
-	if _, err := NewModelFrozen(LM, ds, DefaultLambda, nil); err == nil {
+	if _, err := NewModelFrozen(LM, ds.Stats, DefaultLambda, nil); err == nil {
 		t.Error("short maxW accepted")
 	}
-	if _, err := NewModelFrozen(LM, ds, -0.5, MaxWeights(NewModel(LM, ds), ds.Vocab.Size())); err == nil {
+	if _, err := NewModelFrozen(LM, ds.Stats, -0.5, MaxWeights(NewModel(LM, ds), ds.Vocab.Size())); err == nil {
 		t.Error("bad lambda accepted")
 	}
-	if _, err := NewModelFrozen(MeasureKind(99), ds, DefaultLambda, nil); err == nil {
+	if _, err := NewModelFrozen(MeasureKind(99), ds.Stats, DefaultLambda, nil); err == nil {
 		t.Error("unknown kind accepted")
 	}
+	uneven := ds.Stats
+	uneven.DocFreq = uneven.DocFreq[:1]
+	if _, err := NewModelFrozen(KO, uneven, DefaultLambda, nil); err == nil {
+		t.Error("statistics of unequal lengths accepted")
+	}
 	// KO is stateless: nil maxW is fine.
-	if _, err := NewModelFrozen(KO, ds, DefaultLambda, nil); err != nil {
+	if _, err := NewModelFrozen(KO, ds.Stats, DefaultLambda, nil); err != nil {
 		t.Errorf("KO frozen: %v", err)
 	}
 }
@@ -79,7 +82,7 @@ func TestFrozenModelEmptyCorpusStats(t *testing.T) {
 	ds := dataset.Build(nil, vocab.New())
 	for _, kind := range []MeasureKind{LM, TFIDF, KO, BM25} {
 		full := NewModelWithLambda(kind, ds, DefaultLambda)
-		froz, err := NewModelFrozen(kind, ds, DefaultLambda, MaxWeights(full, 0))
+		froz, err := NewModelFrozen(kind, ds.Stats, DefaultLambda, MaxWeights(full, 0))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

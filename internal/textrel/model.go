@@ -31,6 +31,7 @@ package textrel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/vocab"
@@ -97,9 +98,10 @@ func NewModel(kind MeasureKind, ds *dataset.Dataset) Model {
 }
 
 // NewModelWithLambda is NewModel with an explicit Jelinek–Mercer λ for
-// the Language Model (the other measures ignore it). This is the single
-// model-construction path shared by index building and index loading, so
-// a loaded model is bit-for-bit the model its index was built with.
+// the Language Model (the other measures ignore it). Index building makes
+// its model here; loaded, compacted and shard indexes carry it or make it
+// with NewModelFrozen, which runs the same statistics-derived code, so
+// their models are bit-for-bit the built one.
 func NewModelWithLambda(kind MeasureKind, ds *dataset.Dataset, lambda float64) Model {
 	switch kind {
 	case LM:
@@ -126,24 +128,13 @@ type LanguageModel struct {
 }
 
 // NewLanguageModel builds the model from the dataset's corpus statistics,
-// precomputing per-term floors and corpus maxima in one pass over O.
+// then finds the per-term corpus maxima in one pass over O.
 func NewLanguageModel(ds *dataset.Dataset, lambda float64) *LanguageModel {
 	if lambda < 0 || lambda > 1 {
 		panic("textrel: lambda must be in [0,1]")
 	}
-	n := ds.Vocab.Size()
-	m := &LanguageModel{
-		lambda: lambda,
-		floor:  make([]float64, n),
-		maxW:   make([]float64, n),
-	}
-	totalC := float64(ds.Stats.TotalTerms)
-	for t := 0; t < n; t++ {
-		if totalC > 0 {
-			m.floor[t] = lambda * float64(ds.Stats.CollectionFreq[t]) / totalC
-		}
-		m.maxW[t] = m.floor[t]
-	}
+	m := newLanguageModel(ds.Stats, lambda)
+	m.maxW = slices.Clone(m.floor)
 	// corpus maxima of the ML component
 	for _, o := range ds.Objects {
 		if o.Doc.Len() == 0 {
@@ -156,6 +147,18 @@ func NewLanguageModel(ds *dataset.Dataset, lambda float64) *LanguageModel {
 				m.maxW[t] = w
 			}
 		})
+	}
+	return m
+}
+
+// newLanguageModel is the model's statistics-derived part: the per-term
+// smoothing floors λ·tf(t,C)/|C|. The caller sets the maxima.
+func newLanguageModel(st dataset.CorpusStats, lambda float64) *LanguageModel {
+	m := &LanguageModel{lambda: lambda, floor: make([]float64, len(st.CollectionFreq))}
+	if totalC := float64(st.TotalTerms); totalC > 0 {
+		for t, cf := range st.CollectionFreq {
+			m.floor[t] = lambda * float64(cf) / totalC
+		}
 	}
 	return m
 }
@@ -240,22 +243,30 @@ type TFIDFModel struct {
 	maxW []float64 // maxtf(t) · idf(t)
 }
 
-// NewTFIDF builds the model from corpus statistics.
+// NewTFIDF builds the model from corpus statistics, then finds the
+// per-term corpus maxima in one pass over O.
 func NewTFIDF(ds *dataset.Dataset) *TFIDFModel {
-	n := ds.Vocab.Size()
-	m := &TFIDFModel{idf: make([]float64, n), maxW: make([]float64, n)}
-	numDocs := float64(ds.Stats.NumDocs)
-	for t := 0; t < n; t++ {
-		if df := ds.Stats.DocFreq[t]; df > 0 {
-			m.idf[t] = math.Log(numDocs / float64(df))
-		}
-	}
+	m := newTFIDF(ds.Stats)
+	m.maxW = make([]float64, len(m.idf))
 	for _, o := range ds.Objects {
 		o.Doc.ForEach(func(t vocab.TermID, f int32) {
 			if w := float64(f) * m.idf[t]; w > m.maxW[t] {
 				m.maxW[t] = w
 			}
 		})
+	}
+	return m
+}
+
+// newTFIDF is the model's statistics-derived part: the per-term idf. The
+// caller sets the maxima.
+func newTFIDF(st dataset.CorpusStats) *TFIDFModel {
+	m := &TFIDFModel{idf: make([]float64, len(st.DocFreq))}
+	numDocs := float64(st.NumDocs)
+	for t, df := range st.DocFreq {
+		if df > 0 {
+			m.idf[t] = math.Log(numDocs / float64(df))
+		}
 	}
 	return m
 }

@@ -188,12 +188,30 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// newModel constructs the relevance model the options describe, through
-// the one construction path the persistence loader also uses
-// (textrel.NewModelWithLambda), so a loaded model matches the built one
-// bit for bit.
+// newModel constructs the relevance model the options describe over a
+// whole corpus: the statistics-derived part and a maxima scan of ds's
+// objects. Every other index takes its model from one made here.
 func (o Options) newModel(ds *dataset.Dataset) textrel.Model {
 	return textrel.NewModelWithLambda(o.Measure.kind(), ds, o.lambda())
+}
+
+// assemble ends every index build: it builds the MIR-tree over objects
+// under one corpus context — build-time statistics, object space and
+// model — and wraps it in an index. The index owns a private copy of
+// terms (identical ids), so the source vocabulary can keep growing
+// without racing the index's lock-free readers.
+func (o Options) assemble(objects []dataset.Object, terms vocab.View, stats dataset.CorpusStats, space geo.Rect, model textrel.Model) *Index {
+	v := vocab.New()
+	for id := vocab.TermID(0); int(id) < terms.Size(); id++ {
+		v.Add(terms.Term(id))
+	}
+	ds := &dataset.Dataset{Objects: objects, Vocab: v, Stats: stats, Space: space}
+	mir := irtree.Build(ds, model, irtree.Config{
+		Kind:              irtree.MIRTree,
+		Fanout:            o.fanout(),
+		DecodedCacheBytes: o.decodedCacheBytes(),
+	})
+	return newIndex(o, model, mir, nil, 0, nil)
 }
 
 // Builder accumulates objects before index construction.
@@ -236,21 +254,10 @@ func (b *Builder) Build(opts Options) (*Index, error) {
 		return nil, err
 	}
 	objects := append([]dataset.Object(nil), b.objects...)
-	// The index owns a private vocabulary copy (identical ids), so the
-	// Builder can keep growing its own without racing the index's
-	// lock-free readers.
-	v := vocab.New()
-	for id := vocab.TermID(0); int(id) < b.vocab.Size(); id++ {
-		v.Add(b.vocab.Term(id))
-	}
-	ds := dataset.Build(objects, v)
-	model := opts.newModel(ds)
-	mir := irtree.Build(ds, model, irtree.Config{
-		Kind:              irtree.MIRTree,
-		Fanout:            opts.fanout(),
-		DecodedCacheBytes: opts.decodedCacheBytes(),
-	})
-	return newIndex(opts, model, mir, nil, 0, nil), nil
+	// The corpus context is computed here, once: Compact, Save and Load
+	// and shard builds carry it, never re-derive it.
+	corpus := dataset.Build(objects, b.vocab)
+	return opts.assemble(objects, b.vocab.View(), corpus.Stats, corpus.Space, opts.newModel(corpus)), nil
 }
 
 // newIndex assembles an Index around its first snapshot. deleted/live
@@ -442,7 +449,7 @@ func (ix *Index) IngestStats() IngestStats {
 // AddObject inserts one object into the live index (incremental
 // maintenance, Section 5.1). Term weights use the corpus statistics
 // frozen at Build time — the standard IR practice; rebuild periodically
-// (or Compact) to refresh statistics. Returns the new object's id. A
+// to refresh them (Compact keeps them). Returns the new object's id. A
 // shard index (see ShardBuilder) rejects every mutation.
 //
 // The insert is prepared copy-on-write and published atomically:
@@ -540,22 +547,22 @@ func (ix *Index) UpdateObject(id int, x, y float64, keywords ...string) (int, er
 }
 
 // Compact builds a fresh index over the current snapshot's live objects
-// under the same frozen context — vocabulary, corpus statistics, space
-// and model parameters — so the result answers every query
-// byte-identically to this index while shedding dead dataset slots and
-// retired store records. Objects are densely reassigned ids in their
+// under the same corpus context — build-time statistics, space and
+// relevance model, carried over as they are — so the result answers every
+// query byte-identically to this index while shedding dead dataset slots
+// and retired store records. Objects are densely reassigned ids in their
 // original order (result object ids change when deletes happened). The
 // returned index is fully independent: it has its own vocabulary copy
-// and accepts its own writers. A shard index, which never holds deletions,
-// rejects Compact.
+// and accepts its own writers, and compacts, saves and loads like any
+// other. A shard index, which never holds deletions, rejects Compact.
 func (ix *Index) Compact() (*Index, error) {
 	if ix.gids != nil {
 		return nil, fmt.Errorf("compact: %w", errShardImmutable)
 	}
 	sn := ix.snap.Load()
-	ds0 := sn.tree.Dataset()
+	ds := sn.tree.Dataset()
 	live := make([]dataset.Object, 0, sn.live)
-	for _, o := range ds0.Objects {
+	for _, o := range ds.Objects {
 		if sn.isDeleted(o.ID) {
 			continue
 		}
@@ -565,31 +572,10 @@ func (ix *Index) Compact() (*Index, error) {
 	if len(live) == 0 {
 		return nil, fmt.Errorf("maxbrstknn: cannot compact an empty index")
 	}
-	v := vocab.New()
-	for id := vocab.TermID(0); int(id) < sn.vocab.Size(); id++ {
-		v.Add(sn.vocab.Term(id))
-	}
-	// The frozen context is injected rather than recomputed: statistics
-	// and space refresh on a real rebuild, which would legitimately move
-	// every weight — Compact's contract is answer identity.
-	ds := &dataset.Dataset{Objects: live, Vocab: v, Stats: ds0.Stats, Space: ds0.Space}
-	// The model is rebuilt over the build-time snapshot — the first
-	// Stats.NumDocs objects under the frozen vocabulary — exactly as the
-	// persistence loader rederives a saved model, reproducing the
-	// original's parameters bit for bit.
-	frozen := vocab.New()
-	for id := vocab.TermID(0); int(id) < len(ds0.Stats.CollectionFreq); id++ {
-		frozen.Add(sn.vocab.Term(id))
-	}
-	model := ix.opts.newModel(&dataset.Dataset{
-		Objects: ds0.Objects[:ds0.Stats.NumDocs], Vocab: frozen, Stats: ds0.Stats, Space: ds0.Space,
-	})
-	mir := irtree.Build(ds, model, irtree.Config{
-		Kind:              irtree.MIRTree,
-		Fanout:            ix.opts.fanout(),
-		DecodedCacheBytes: ix.opts.decodedCacheBytes(),
-	})
-	return newIndex(ix.opts, model, mir, nil, 0, nil), nil
+	// Statistics and space refresh on a real rebuild, which would
+	// legitimately move every weight — Compact's contract is answer
+	// identity.
+	return ix.opts.assemble(live, sn.vocab, ds.Stats, ds.Space, ix.model), nil
 }
 
 // SimulatedIO returns the cumulative simulated I/O count (Section 8 cost

@@ -132,8 +132,8 @@ type instance struct {
 		par      ParallelOptions
 		cacheOff bool // build with the decoded cache disabled
 		storage  int  // 0 built in memory, 1 Save→Load, 2 Save→Load with no decoded cache
-		compact  bool
-		shards   int // > 1 only without a write history
+		compact  int  // 0 never, 1 mid-history (before the Save), 2 after the whole history, 3 both
+		shards   int  // > 1 only without a write history
 	}
 }
 
@@ -223,12 +223,12 @@ func drawInstance(seed int64) *instance {
 		in.reqs = append(in.reqs, req)
 	}
 	in.cfg.par = ParallelOptions{Workers: []int{0, 1, 2, 4}[rng.Intn(4)], Groups: []int{0, 1, m}[rng.Intn(3)]}
-	in.cfg.cacheOff, in.cfg.storage, in.cfg.compact, in.cfg.shards = rng.Intn(2) == 0, rng.Intn(3), rng.Intn(2) == 0, 1
+	in.cfg.cacheOff, in.cfg.storage, in.cfg.compact, in.cfg.shards = rng.Intn(2) == 0, rng.Intn(3), rng.Intn(4), 1
 	if in.script == nil {
 		in.cfg.shards = min(1+rng.Intn(3), n)
 	}
 	if in.cfg.shards > 1 { // a shard index is neither saved nor compacted
-		in.cfg.storage, in.cfg.compact = 0, false
+		in.cfg.storage, in.cfg.compact = 0, 0
 	}
 	return in
 }
@@ -284,9 +284,10 @@ func mutate(t testing.TB, ix *Index, live []int, ops []mutation) []int {
 
 // indexes returns the reference index, with the whole write history
 // applied in memory, and the configured indexes: one index — its history
-// split around the Save and Load, then compacted — or the shards of a
-// fleet, built round-robin (no spatial locality to lean on) under the
-// reference's frozen corpus.
+// split around the Save and Load, and compacted before the Save, after
+// the whole history, or both — or the shards of a fleet, built
+// round-robin (no spatial locality to lean on) under the reference's
+// frozen corpus.
 func (in *instance) indexes(t testing.TB) (ref *Index, configured []*Index) {
 	t.Helper()
 	live := make([]int, len(in.objects))
@@ -314,8 +315,25 @@ func (in *instance) indexes(t testing.TB) (ref *Index, configured []*Index) {
 		}
 		return ref, configured
 	}
+	compact := func(ix *Index) *Index {
+		t.Helper()
+		c, err := ix.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	ix := in.build(t, in.cfg.cacheOff)
 	live = mutate(t, ix, live, in.script[:len(in.script)/2])
+	if in.cfg.compact&1 != 0 {
+		// Compact renumbers the live objects densely in id order: each
+		// live id becomes its rank among them.
+		ix = compact(ix)
+		sorted := slices.Sorted(slices.Values(live))
+		for i, id := range live {
+			live[i], _ = slices.BinarySearch(sorted, id)
+		}
+	}
 	if in.cfg.storage > 0 {
 		path := filepath.Join(t.TempDir(), "oracle.mxbr")
 		if err := ix.Save(path); err != nil {
@@ -329,11 +347,8 @@ func (in *instance) indexes(t testing.TB) (ref *Index, configured []*Index) {
 		ix = loaded
 	}
 	mutate(t, ix, live, in.script[len(in.script)/2:])
-	if in.cfg.compact {
-		var err error
-		if ix, err = ix.Compact(); err != nil {
-			t.Fatal(err)
-		}
+	if in.cfg.compact&2 != 0 {
+		ix = compact(ix)
 	}
 	return ref, []*Index{ix}
 }
@@ -602,7 +617,7 @@ func checkInstance(t *testing.T, seed int64) {
 		delete(got, "phase1")
 		for label, g := range got {
 			w, ok := want[label]
-			if r, isResult := g.(Result); ok && isResult && in.cfg.compact {
+			if r, isResult := g.(Result); ok && isResult && in.cfg.compact != 0 {
 				wr := w.(Result)
 				r.Stats, wr.Stats = PruningStats{}, PruningStats{}
 				g, w = r, wr

@@ -47,10 +47,11 @@ func randomIndex(t *testing.T, rng *rand.Rand, opts Options) (*Index, Request) {
 
 // TestFormatFixture pins the on-disk format with a file another build
 // wrote: testdata/reclaim_fixture.mxbr is reclaimFixture's index, saved
-// when posting records took their fixed-stride layout. Loading it must
-// answer exactly as the in-memory build does, and saving the build must
-// reproduce it byte for byte. testdata/format_v3.mxbr is the same index in
-// the format before, which TestOldFormatFailsAtLoad pins.
+// when the master record took the corpus context. Loading it must answer
+// exactly as the in-memory build does, and saving the build must
+// reproduce it byte for byte. testdata/format_v3.mxbr and format_v4.mxbr
+// are the same index in the two formats before, which
+// TestOldFormatFailsAtLoad pins.
 func TestFormatFixture(t *testing.T) {
 	const fixture = "testdata/reclaim_fixture.mxbr"
 	want, err := os.ReadFile(fixture)
@@ -101,18 +102,75 @@ func TestFormatFixture(t *testing.T) {
 	}
 }
 
-// TestOldFormatFailsAtLoad: an index saved before posting records took
-// their fixed-stride layout fails inside Load, with the typed version
-// error and a message that says to rebuild it — never at a first query.
+// TestOldFormatFailsAtLoad: an index saved in a format before this one —
+// before posting records took their fixed-stride layout (v3), or before
+// the master record took the corpus context (v4) — fails inside Load, with
+// the typed version error and a message that says to rebuild it — never
+// at a first query.
 func TestOldFormatFailsAtLoad(t *testing.T) {
-	ix, err := Load("testdata/format_v3.mxbr")
-	if err == nil {
-		ix.Close()
-		t.Fatal("an index of the format before loaded")
+	for _, path := range []string{"testdata/format_v3.mxbr", "testdata/format_v4.mxbr"} {
+		ix, err := Load(path)
+		if err == nil {
+			ix.Close()
+			t.Fatalf("%s: an index of a format before loaded", path)
+		}
+		if !errors.Is(err, storage.ErrVersionMismatch) || !strings.Contains(err.Error(), "rebuild") {
+			t.Fatalf("%s: Load error %v: want storage.ErrVersionMismatch, saying to rebuild", path, err)
+		}
 	}
-	if !errors.Is(err, storage.ErrVersionMismatch) || !strings.Contains(err.Error(), "rebuild") {
-		t.Fatalf("Load error %v: want storage.ErrVersionMismatch, saying to rebuild", err)
+}
+
+// TestCompactedIndexSavesAndCompacts: a compacted index holds fewer
+// objects than its corpus, so its corpus context cannot be re-derived
+// from its objects. Compacted after deletes, it must compact again, save
+// and load, and save and load after adds, each answering as it did.
+func TestCompactedIndexSavesAndCompacts(t *testing.T) {
+	words := []string{"sushi", "ramen", "taco"}
+	b := NewBuilder()
+	for i := range 10 {
+		b.AddObject(float64(i), float64(i%3), words[i%3], words[(i+1)%3], words[i%2])
 	}
+	idx, err := b.Build(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, 4, 7} {
+		if err := idx.DeleteObject(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compacted, err := idx.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(what string, got, want *Index) {
+		t.Helper()
+		for _, kws := range [][]string{{"sushi"}, {"ramen", "taco"}, {"taco", "kebab"}} {
+			g, err := got.TopK(4, 1, kws, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := want.TopK(4, 1, kws, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: TopK(%v) = %v, want %v", what, kws, g, w)
+			}
+		}
+	}
+	again, err := compacted.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("compacted twice", again, compacted)
+	same("compacted, saved and loaded", reloaded(t, compacted), compacted)
+	for i := range 4 {
+		if _, err := compacted.AddObject(float64(i)+0.5, 2, words[i%3], words[i%3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("compacted, added to, saved and loaded", reloaded(t, compacted), compacted)
 }
 
 // TestWideNodesMatchWhenLoaded: at fanout 200 a leaf holds more than 128

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geo"
-	"repro/internal/irtree"
 	"repro/internal/textrel"
 	"repro/internal/topk"
 	"repro/internal/vocab"
@@ -134,8 +133,8 @@ func (b *ShardBuilder) Len() int { return len(b.objects) }
 
 // Build constructs the shard index. The shard's dataset carries the
 // frozen global statistics and space instead of recomputed local ones
-// (the same injection Compact performs), and the relevance model is
-// rebuilt frozen — so every score, normalizer, and upper bound matches
+// (the context Compact and Load carry too), and the relevance model is
+// made frozen — so every score, normalizer, and upper bound matches
 // the global index bit for bit. Objects get local dense ids in ascending
 // global-id order: local tie-breaks (always ascending object id) then
 // order exactly like global ones, which is what makes coordinator-side
@@ -162,36 +161,21 @@ func (b *ShardBuilder) Build(opts Options) (*ShardIndex, error) {
 		objects[li].ID = int32(li)
 		gids[li] = b.gids[oi]
 	}
-	// The index owns a private vocabulary copy (identical ids), like
-	// Builder.Build.
-	v := vocab.New()
-	for _, t := range b.frozen.Terms {
-		v.Add(t)
+	stats := dataset.CorpusStats{
+		CollectionFreq: append([]int64(nil), b.frozen.CollectionFreq...),
+		DocFreq:        append([]int32(nil), b.frozen.DocFreq...),
+		TotalTerms:     b.frozen.TotalTerms,
+		NumDocs:        b.frozen.NumDocs,
 	}
-	ds := &dataset.Dataset{
-		Objects: objects,
-		Vocab:   v,
-		Stats: dataset.CorpusStats{
-			CollectionFreq: append([]int64(nil), b.frozen.CollectionFreq...),
-			DocFreq:        append([]int32(nil), b.frozen.DocFreq...),
-			TotalTerms:     b.frozen.TotalTerms,
-			NumDocs:        b.frozen.NumDocs,
-		},
-		Space: geo.Rect{
-			Min: geo.Point{X: b.frozen.Space[0], Y: b.frozen.Space[1]},
-			Max: geo.Point{X: b.frozen.Space[2], Y: b.frozen.Space[3]},
-		},
+	space := geo.Rect{
+		Min: geo.Point{X: b.frozen.Space[0], Y: b.frozen.Space[1]},
+		Max: geo.Point{X: b.frozen.Space[2], Y: b.frozen.Space[3]},
 	}
-	model, err := textrel.NewModelFrozen(opts.Measure.kind(), ds, opts.lambda(), b.frozen.MaxW)
+	model, err := textrel.NewModelFrozen(opts.Measure.kind(), stats, opts.lambda(), b.frozen.MaxW)
 	if err != nil {
 		return nil, err
 	}
-	mir := irtree.Build(ds, model, irtree.Config{
-		Kind:              irtree.MIRTree,
-		Fanout:            opts.fanout(),
-		DecodedCacheBytes: opts.decodedCacheBytes(),
-	})
-	ix := newIndex(opts, model, mir, nil, 0, nil)
+	ix := opts.assemble(objects, b.vocab.View(), stats, space, model)
 	ix.gids = gids
 	return &ShardIndex{Index: ix}, nil
 }
