@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
+	"repro/internal/irtree"
 	"repro/internal/miurtree"
 	"repro/internal/topk"
 	"repro/internal/vocab"
@@ -335,14 +336,14 @@ func BenchmarkScaling_SelectExactW1(b *testing.B) { benchSelectParallel(b, 1) }
 func BenchmarkScaling_SelectExactW4(b *testing.B) { benchSelectParallel(b, 4) }
 
 // BenchmarkIndexBuild measures MIR-tree construction (index build cost,
-// discussed in the paper's Section 5.1 cost analysis).
+// discussed in the paper's Section 5.1 cost analysis): irtree.Build over
+// the benchmark workload's dataset and model, at its fanout.
 func BenchmarkIndexBuild(b *testing.B) {
 	w := benchWorkload(b)
-	ds := w.DS
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = experiments.NewWorkload(w.Cfg, i%3)
-		_ = ds
+	cfg := irtree.Config{Kind: irtree.MIRTree, Fanout: w.Cfg.Fanout}
+	b.ReportAllocs()
+	for b.Loop() {
+		irtree.Build(w.DS, w.Scorer.Model, cfg)
 	}
 }
 

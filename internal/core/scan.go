@@ -261,7 +261,7 @@ func (e *Engine) evalLocation(q Query, th Thresholds, method KeywordMethod, w te
 	// win users, and the keyword selectors' zero-keyword floor subsumes
 	// this count.
 	lbSuper := e.Scorer.Alpha*e.Scorer.SSMin(geo.RectFromPoint(q.Locations[lc.li]), e.su.MBR) +
-		(1-e.Scorer.Alpha)*e.su.LBText(e.intTextSum(q))
+		(1-e.Scorer.Alpha)*e.su.LBText(weightSum(e.Scorer, q.OxDoc, e.su.Int))
 	if lbSuper >= th.super {
 		users := e.countBRSTkNN(q, th.RSk, lc.li, nil, lc.users)
 		if len(users) == len(lc.users) {
@@ -332,14 +332,4 @@ func (e *Engine) locationCandidates(q Query, th Thresholds, w textrel.CandidateS
 		return lcs[i].li < lcs[j].li
 	})
 	return lcs
-}
-
-// intTextSum returns Σ_{t ∈ us.Int} Weight(ox.d, t): the unnormalized
-// textual lower bound of LBL(ℓ, us) using ox's existing description.
-func (e *Engine) intTextSum(q Query) float64 {
-	total := 0.0
-	for _, t := range e.su.Int {
-		total += e.Scorer.Model.Weight(q.OxDoc, t)
-	}
-	return total
 }

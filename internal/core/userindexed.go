@@ -44,7 +44,7 @@ func (el *luElement) count() int32 {
 	if el.isUser {
 		return 1
 	}
-	return el.entry.Count
+	return int32(el.entry.NumUsers)
 }
 
 // SelectUserIndexed answers the query with the Section 7 method: users
@@ -66,12 +66,7 @@ func (e *Engine) SelectUserIndexed(q Query, method KeywordMethod, ut *miurtree.T
 	// Phase 1: one shared traversal of the object index using the MIUR-tree
 	// root as the super-user (Section 7: "the root is essentially the same
 	// as the super-user").
-	root := ut.RootEntry
-	su := topk.SuperUser{
-		MBR: root.Rect, Uni: root.Uni, Int: root.Int,
-		MinNorm: root.MinNorm, MaxNorm: root.MaxNorm, NumUsers: int(root.Count),
-	}
-	tr, err := topk.Traverse(e.Tree, e.Scorer, su, q.K, -math.MaxFloat64, &topk.TraverseScratch{})
+	tr, err := topk.Traverse(e.Tree, e.Scorer, ut.RootEntry.SuperUser, q.K, -math.MaxFloat64, &topk.TraverseScratch{})
 	if err != nil {
 		return Selection{}, stats, err
 	}
@@ -229,15 +224,16 @@ func (e *Engine) nodeRSkBound(en miurtree.NodeEntry, cands []topk.BoundedObject,
 	tk := container.NewTopK[struct{}](k)
 	for _, c := range cands {
 		obj := &e.Tree.Dataset().Objects[c.ObjID]
-		lb := e.Scorer.Alpha*e.Scorer.SSMin(geo.RectFromPoint(obj.Loc), en.Rect) +
-			(1-e.Scorer.Alpha)*minTextOver(e.Scorer, obj.Doc, en.Int)/en.MaxNorm
+		lb := e.Scorer.Alpha*e.Scorer.SSMin(geo.RectFromPoint(obj.Loc), en.MBR) +
+			(1-e.Scorer.Alpha)*weightSum(e.Scorer, obj.Doc, en.Int)/en.MaxNorm
 		tk.Offer(struct{}{}, lb)
 	}
 	return tk.Threshold()
 }
 
-// minTextOver returns Σ_{t∈terms} Weight(d,t).
-func minTextOver(s *textrel.Scorer, d vocab.Doc, terms []vocab.TermID) float64 {
+// weightSum returns Σ_{t∈terms} Weight(d,t), summed in terms' order: over
+// a super-user's intersection, the unnormalized text of its lower bounds.
+func weightSum(s *textrel.Scorer, d vocab.Doc, terms []vocab.TermID) float64 {
 	total := 0.0
 	for _, t := range terms {
 		total += s.Model.Weight(d, t)
@@ -253,7 +249,7 @@ func (e *Engine) ublElement(q Query, li int, el *luElement, w textrel.CandidateS
 		ss := e.Scorer.SS(q.Locations[li], u.Loc)
 		return e.Scorer.STSAddUpperBound(ss, q.OxDoc, u.Doc, e.norms[el.ui], w, q.WS)
 	}
-	ss := e.Scorer.SSMax(geo.RectFromPoint(q.Locations[li]), el.entry.Rect)
+	ss := e.Scorer.SSMax(geo.RectFromPoint(q.Locations[li]), el.entry.MBR)
 	uniDoc := vocab.DocFromTerms(el.entry.Uni)
 	return e.Scorer.STSAddUpperBound(ss, q.OxDoc, uniDoc, el.entry.MinNorm, w, q.WS)
 }

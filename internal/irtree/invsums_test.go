@@ -276,3 +276,50 @@ func TestRestoreRejectsSmallFanout(t *testing.T) {
 		t.Fatalf("restored fanout %d, want 4", got.Fanout())
 	}
 }
+
+// TestRestoreRejectsCorruptRoot: the metadata's root field is the root's id
+// plus one. A field the node table cannot hold (one that truncates to a
+// negative id, or to the empty root), an empty root beside a nonzero height,
+// a root at height zero and a root whose node slot holds no record must each
+// fail the restore, not load a tree whose every query answers empty.
+func TestRestoreRejectsCorruptRoot(t *testing.T) {
+	tree, ds, scorer := buildSmall(t, MIRTree, textrel.LM)
+	pages := make([]storage.PageID, tree.NumNodes())
+	for id := range pages {
+		pages[id] = tree.nodes.page(int32(id))
+	}
+	meta := func(height int, rootField uint64, pages []storage.PageID) []byte {
+		buf := storage.AppendUvarint(nil, uint64(tree.Kind()))
+		buf = storage.AppendUvarint(buf, uint64(tree.Fanout()))
+		buf = storage.AppendUvarint(buf, uint64(height))
+		buf = storage.AppendUvarint(buf, rootField)
+		buf = storage.AppendUvarint(buf, uint64(len(pages)))
+		for _, p := range pages {
+			buf = storage.AppendUvarint(buf, uint64(p+1))
+		}
+		return buf
+	}
+	height, root := tree.Height(), uint64(tree.RootID()+1)
+	if good := meta(height, root, pages); !bytes.Equal(good, tree.EncodeMeta()) {
+		t.Fatal("the test's metadata encoding differs from EncodeMeta")
+	} else if _, err := Restore(ds, scorer.Model, tree.Backend(), good, 0); err != nil {
+		t.Fatalf("intact metadata refused: %v", err)
+	}
+	noRecord := append([]storage.PageID(nil), pages...)
+	noRecord[tree.RootID()] = storage.InvalidPage
+	for _, c := range []struct {
+		name string
+		meta []byte
+	}{
+		{"root field 2^31+1", meta(height, 1<<31+1, pages)},
+		{"root field 2^32", meta(height, 1<<32, pages)},
+		{"empty root at a nonzero height", meta(height, 0, pages)},
+		{"root at height 0", meta(0, root, pages)},
+		{"root slot without a record", meta(height, root, noRecord)},
+	} {
+		_, err := Restore(ds, scorer.Model, tree.Backend(), c.meta, 0)
+		if err == nil || !strings.Contains(err.Error(), "corrupt tree metadata") {
+			t.Errorf("%s: got %v, want a corrupt tree metadata error", c.name, err)
+		}
+	}
+}

@@ -22,7 +22,8 @@ import (
 // file is its encoded bytes: replacing one entry's postings splices the
 // record (invfile.ReplaceEntry) and a child's aggregate is read off its
 // record (invfile.Aggregate), so a mutation neither decodes nor re-encodes
-// the files along its path, and freeze stores the bytes as they are.
+// the files along its path, and freeze stores the bytes as they are. A
+// node whose whole file changes is composed by composeInv, as in Build.
 // Nothing a published snapshot can reach is touched until no reader pins
 // it, so readers traverse concurrently with zero synchronization; the
 // facade installs the returned successor snapshot with one atomic pointer
@@ -225,21 +226,14 @@ func (m *mutation) insert(o dataset.Object) error {
 		return fmt.Errorf("irtree: object ID %d must equal the object count %d", o.ID, len(m.objects))
 	}
 	m.objects = append(m.objects, o)
-	model := m.t.sh.model
 
 	if m.rootID < 0 {
 		// First object: a single leaf root.
 		m.rootID = m.edit.alloc()
 		m.height = 1
-		inv := invfile.New()
-		o.Doc.ForEach(func(tm vocab.TermID, _ int32) {
-			w := model.Weight(o.Doc, tm)
-			inv.Add(tm, invfile.Posting{Entry: 0, MaxW: w, MinW: w})
-		})
-		m.writeNodeData(m.rootID, true, []NodeEntry{{
+		return m.composeNode(m.rootID, true, []NodeEntry{{
 			Rect: geo.RectFromPoint(o.Loc), Child: o.ID, Count: 1,
-		}}, inv.Encode(m.t.sh.kind == MIRTree, m.t.sh.cfgFanout), storage.InvalidPage)
-		return nil
+		}}, storage.InvalidPage)
 	}
 
 	// Choose-leaf descent, remembering the path (node ids + entry index
@@ -290,8 +284,7 @@ func (m *mutation) insert(o dataset.Object) error {
 		}
 	} else {
 		weights := make([]invfile.EntryWeight, 0, o.Doc.Unique())
-		o.Doc.ForEach(func(tm vocab.TermID, _ int32) {
-			w := model.Weight(o.Doc, tm)
+		m.t.sh.eachWeight(o.Doc, func(tm vocab.TermID, w float64) {
 			weights = append(weights, invfile.EntryWeight{Term: tm, MaxW: w, MinW: w})
 		})
 		if leafInv, err = invfile.ReplaceEntry(leafInv, entryIdx, weights); err != nil {
@@ -314,20 +307,16 @@ func (m *mutation) insert(o dataset.Object) error {
 		}
 
 		// Refresh the taken entry from the child's new aggregate.
-		agg, rect, count, err := m.aggregateOf(childID)
-		if err != nil {
+		var agg, sAgg []invfile.EntryWeight
+		if parent.Entries[entryIdx], agg, err = m.aggregateOf(childID); err != nil {
 			return err
 		}
-		parent.Entries[entryIdx].Rect = rect
-		parent.Entries[entryIdx].Count = count
-		var sAgg []invfile.EntryWeight
 		if childSplit >= 0 {
-			a, sRect, sCount, err := m.aggregateOf(childSplit)
-			if err != nil {
+			var sEntry NodeEntry
+			if sEntry, sAgg, err = m.aggregateOf(childSplit); err != nil {
 				return err
 			}
-			sAgg = a
-			parent.Entries = append(parent.Entries, NodeEntry{Rect: sRect, Child: childSplit, Count: sCount})
+			parent.Entries = append(parent.Entries, sEntry)
 		}
 
 		// An overflowing parent is split, each half's file rebuilt from its
@@ -352,25 +341,19 @@ func (m *mutation) insert(o dataset.Object) error {
 		childID = parentID
 	}
 
-	// Root overflowed: grow the tree, splicing both halves' aggregates
-	// into an empty file.
+	// Root overflowed: grow the tree.
 	if childSplit >= 0 {
-		newRoot := m.edit.alloc()
-		inv := invfile.New().Encode(m.t.sh.kind == MIRTree, m.t.sh.cfgFanout)
-		var entries []NodeEntry
+		entries := make([]NodeEntry, 2)
 		for i, cid := range []int32{childID, childSplit} {
-			agg, rect, count, err := m.aggregateOf(cid)
+			child, err := m.readNode(cid)
 			if err != nil {
 				return err
 			}
-			entries = append(entries, NodeEntry{Rect: rect, Child: cid, Count: count})
-			if inv, err = invfile.ReplaceEntry(inv, int32(i), agg); err != nil {
-				return err
-			}
+			entries[i] = NodeEntry{Rect: child.MBR(), Child: cid, Count: child.Count}
 		}
-		m.writeNodeData(newRoot, false, entries, inv, storage.InvalidPage)
-		m.rootID = newRoot
+		m.rootID = m.edit.alloc()
 		m.height++
+		return m.composeNode(m.rootID, false, entries, storage.InvalidPage)
 	}
 	return nil
 }
@@ -405,7 +388,7 @@ func (m *mutation) delete(oid int32) error {
 	removed := len(entries) == 0
 	if removed {
 		m.dropNode(leafID, leaf)
-	} else if err := m.rebuildNodeFromEntries(leafID, true, entries, leaf.InvID); err != nil {
+	} else if err := m.composeNode(leafID, true, entries, leaf.InvID); err != nil {
 		return err
 	}
 
@@ -423,7 +406,7 @@ func (m *mutation) delete(oid int32) error {
 			removed = len(pEntries) == 0
 			if removed {
 				m.dropNode(parentID, parent)
-			} else if err := m.rebuildNodeFromEntries(parentID, false, pEntries, parent.InvID); err != nil {
+			} else if err := m.composeNode(parentID, false, pEntries, parent.InvID); err != nil {
 				return err
 			}
 		} else {
@@ -433,12 +416,10 @@ func (m *mutation) delete(oid int32) error {
 			if err != nil {
 				return err
 			}
-			agg, rect, count, err := m.aggregateOf(childID)
-			if err != nil {
+			var agg []invfile.EntryWeight
+			if parent.Entries[pIdx], agg, err = m.aggregateOf(childID); err != nil {
 				return err
 			}
-			parent.Entries[pIdx].Rect = rect
-			parent.Entries[pIdx].Count = count
 			if parentInv, err = invfile.ReplaceEntry(parentInv, int32(pIdx), agg); err != nil {
 				return err
 			}
@@ -502,24 +483,23 @@ func (m *mutation) findLeaf(id, oid int32, loc geo.Point, path *[]step) (leafID 
 	return 0, 0, false, nil
 }
 
-// aggregateOf derives a node's subtree aggregate, ascending by term, in
-// one pass over its encoded inverted file (invfile.Aggregate): a term's max
-// weight is the posting maximum over entries; it is "covered" (min weight
-// > 0) only when every entry carries a positive-minimum posting for it.
-func (m *mutation) aggregateOf(id int32) ([]invfile.EntryWeight, geo.Rect, int32, error) {
+// aggregateOf reads node id and returns the entry a parent holds for it —
+// its MBR and object count — and its subtree aggregate, ascending by term,
+// read in one pass off its encoded inverted file (invfile.Aggregate): a
+// term's max weight is the posting maximum over entries; it is "covered"
+// (min weight > 0) only when every entry carries a positive-minimum
+// posting for it.
+func (m *mutation) aggregateOf(id int32) (NodeEntry, []invfile.EntryWeight, error) {
 	node, err := m.readNode(id)
 	if err != nil {
-		return nil, geo.Rect{}, 0, err
+		return NodeEntry{}, nil, err
 	}
 	inv, err := m.readInv(node)
 	if err != nil {
-		return nil, geo.Rect{}, 0, err
+		return NodeEntry{}, nil, err
 	}
 	agg, err := invfile.Aggregate(inv, len(node.Entries))
-	if err != nil {
-		return nil, geo.Rect{}, 0, err
-	}
-	return agg, node.MBR(), node.Count, nil
+	return NodeEntry{Rect: node.MBR(), Child: id, Count: node.Count}, agg, err
 }
 
 // splitNode splits an overflowing decoded node (quadratic-split seeds,
@@ -573,42 +553,60 @@ func (m *mutation) splitNode(id int32, node *NodeData) (int32, error) {
 	}
 
 	sibID := m.edit.alloc()
-	if err := m.rebuildNodeFromEntries(id, node.Leaf, groupA, node.InvID); err != nil {
+	if err := m.composeNode(id, node.Leaf, groupA, node.InvID); err != nil {
 		return -1, err
 	}
-	if err := m.rebuildNodeFromEntries(sibID, node.Leaf, groupB, storage.InvalidPage); err != nil {
+	if err := m.composeNode(sibID, node.Leaf, groupB, storage.InvalidPage); err != nil {
 		return -1, err
 	}
 	return sibID, nil
 }
 
-// rebuildNodeFromEntries recomputes a node's inverted file from scratch —
-// exact leaf weights for leaves, child aggregates for internal nodes —
-// and makes its encoding the node's working copy, superseding oldInv.
-// A leaf that lost an entry, a parent that lost a child and the halves
-// of a split take this path: removing an entry shifts the indexes after
-// it, which a splice does not express, and each file rebuilt is one
-// node's.
-func (m *mutation) rebuildNodeFromEntries(id int32, leaf bool, entries []NodeEntry, oldInv storage.PageID) error {
-	model := m.t.sh.model
+// composeNode makes node id's working copy entries and the posting
+// record composeInv gives them, superseding oldInv. The first object, a
+// new root, the halves of a split, a leaf that lost an entry and a parent
+// that lost a child take this path: removing an entry shifts the indexes
+// after it, which a splice does not express, and each record composed is
+// one node's.
+func (m *mutation) composeNode(id int32, leaf bool, entries []NodeEntry, oldInv storage.PageID) error {
+	var aggs [][]invfile.EntryWeight
+	if !leaf {
+		aggs = make([][]invfile.EntryWeight, len(entries))
+		for i, e := range entries {
+			var err error
+			if _, aggs[i], err = m.aggregateOf(e.Child); err != nil {
+				return err
+			}
+		}
+	}
+	m.writeNodeData(id, leaf, entries, m.t.sh.composeInv(leaf, entries, m.objects, aggs), oldInv)
+	return nil
+}
+
+// composeInv encodes the posting record of a node holding entries — the
+// one definition of what a node stores, which Build and every mutation
+// that rewrites a whole record share. A leaf entry's postings are its
+// object's exact weights (eachWeight); an internal entry i's are aggs[i],
+// its child record's aggregate (invfile.Aggregate).
+func (sh *shared) composeInv(leaf bool, entries []NodeEntry, objects []dataset.Object, aggs [][]invfile.EntryWeight) []byte {
 	inv := invfile.New()
 	for i, e := range entries {
+		entry := int32(i)
 		if leaf {
-			doc := m.objects[e.Child].Doc
-			doc.ForEach(func(tm vocab.TermID, _ int32) {
-				w := model.Weight(doc, tm)
-				inv.Add(tm, invfile.Posting{Entry: int32(i), MaxW: w, MinW: w})
+			sh.eachWeight(objects[e.Child].Doc, func(tm vocab.TermID, w float64) {
+				inv.Add(tm, invfile.Posting{Entry: entry, MaxW: w, MinW: w})
 			})
 			continue
 		}
-		agg, _, _, err := m.aggregateOf(e.Child)
-		if err != nil {
-			return err
-		}
-		for _, a := range agg {
-			inv.Add(a.Term, invfile.Posting{Entry: int32(i), MaxW: a.MaxW, MinW: a.MinW})
+		for _, a := range aggs[i] {
+			inv.Add(a.Term, invfile.Posting{Entry: entry, MaxW: a.MaxW, MinW: a.MinW})
 		}
 	}
-	m.writeNodeData(id, leaf, entries, inv.Encode(m.t.sh.kind == MIRTree, m.t.sh.cfgFanout), oldInv)
-	return nil
+	return inv.Encode(sh.kind == MIRTree, sh.cfgFanout)
+}
+
+// eachWeight calls fn with every term of doc and the weight a leaf posting
+// stores for it: the one place leaf weights are produced.
+func (sh *shared) eachWeight(doc vocab.Doc, fn func(tm vocab.TermID, w float64)) {
+	doc.ForEach(func(tm vocab.TermID, _ int32) { fn(tm, sh.model.Weight(doc, tm)) })
 }

@@ -4,8 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/invfile"
 	"repro/internal/storage"
+	"repro/internal/textrel"
 	"repro/internal/vocab"
 )
 
@@ -111,7 +113,8 @@ func liveObjects(t *testing.T, tree *Tree) []int32 {
 // checkStoredAggregates recomputes, for every entry of every node, the
 // postings its inverted file must hold — the object's own weights in a
 // leaf, the child file's per-term aggregate above — and requires the
-// stored file to hold exactly those, in order.
+// stored file to hold exactly those, in order. An IR-tree record stores no
+// minimum weights: its MinW reads 0.
 func checkStoredAggregates(t *testing.T, tree *Tree) {
 	t.Helper()
 	type key struct {
@@ -134,7 +137,11 @@ func checkStoredAggregates(t *testing.T, tree *Tree) {
 				doc := tree.Dataset().Objects[e.Child].Doc
 				doc.ForEach(func(tm vocab.TermID, _ int32) {
 					w := tree.Model().Weight(doc, tm)
-					want[key{tm, int32(i)}] = invfile.Posting{Entry: int32(i), MaxW: w, MinW: w}
+					p := invfile.Posting{Entry: int32(i), MaxW: w, MinW: w}
+					if tree.Kind() == IRTree {
+						p.MinW = 0
+					}
+					want[key{tm, int32(i)}] = p
 				})
 				continue
 			}
@@ -172,6 +179,34 @@ func checkStoredAggregates(t *testing.T, tree *Tree) {
 		return agg
 	}
 	walk(tree.RootID())
+}
+
+// TestBuildStoresMutationAggregates: Build stores exactly the records a
+// mutation would, for both kinds under every measure. Every object carries
+// one common term; its TF-IDF weight is 0, so it is in every subtree yet
+// has no positive minimum, and its MinW must read 0 all the way up.
+func TestBuildStoresMutationAggregates(t *testing.T) {
+	gen := dataset.GenerateFlickr(dataset.FlickrConfig{
+		NumObjects: 600, VocabSize: 200, MeanTags: 5, NumCluster: 6, Zipf: 1.2, Seed: 11,
+	})
+	common := gen.Vocab.Add("everywhere")
+	objects := make([]dataset.Object, len(gen.Objects))
+	for i, o := range gen.Objects {
+		o.Doc = o.Doc.MergeTerms([]vocab.TermID{common})
+		objects[i] = o
+	}
+	ds := dataset.Build(objects, gen.Vocab)
+	for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF, textrel.KO, textrel.BM25} {
+		model := textrel.NewModel(measure, ds)
+		if w := model.Weight(objects[0].Doc, common); measure == textrel.TFIDF && w != 0 {
+			t.Fatalf("TF-IDF weight of the common term = %v, want 0", w)
+		}
+		for _, kind := range []Kind{IRTree, MIRTree} {
+			t.Run(kind.String()+"/"+measure.String(), func(t *testing.T) {
+				checkStoredAggregates(t, Build(ds, model, Config{Kind: kind, Fanout: 8}))
+			})
+		}
+	}
 }
 
 // The same consistency must hold after inserts and replaces alone, with

@@ -37,7 +37,7 @@ func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, 
 	kind := Kind(d.Uvarint())
 	fanout := int(d.Uvarint())
 	height := int(d.Uvarint())
-	rootID := int32(d.Uvarint()) - 1
+	rootField := d.Uvarint()
 	numNodes := int(d.Uvarint())
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("irtree: corrupt tree metadata: %w", err)
@@ -63,8 +63,17 @@ func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, 
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("irtree: corrupt tree metadata: %w", err)
 	}
-	if int(rootID) >= numNodes {
-		return nil, fmt.Errorf("irtree: corrupt tree metadata: root %d with %d nodes", rootID, numNodes)
+	// The root field is the root's id plus one, 0 for an empty tree; it is
+	// range-checked before the conversion, which would truncate it.
+	if rootField > uint64(numNodes) {
+		return nil, fmt.Errorf("irtree: corrupt tree metadata: root field %d with %d nodes", rootField, numNodes)
+	}
+	rootID := int32(rootField) - 1
+	if (rootID < 0) != (height == 0) {
+		return nil, fmt.Errorf("irtree: corrupt tree metadata: root %d at height %d", rootID, height)
+	}
+	if rootID >= 0 && nodes.page(rootID) == storage.InvalidPage {
+		return nil, fmt.Errorf("irtree: corrupt tree metadata: root %d has no node record", rootID)
 	}
 	sh := &shared{
 		kind:      kind,

@@ -5,6 +5,10 @@
 // per (term, entry); the MIR-tree additionally stores the minimum weight
 // over the subtree intersection, enabling the lower bounds of Section 5.3.
 //
+// Build and every mutation that rewrites a whole node compose its inverted
+// file with one function, composeInv: its objects' exact weights in a leaf,
+// each child's aggregate (invfile.Aggregate) above.
+//
 // Nodes and inverted files are serialized into a 4 kB pager and read back
 // through an accountable accessor: every node read charges one simulated
 // I/O and every inverted-file load charges one I/O per block, exactly the
@@ -117,19 +121,9 @@ type Tree struct {
 	epoch    uint64 // publication counter: Build/Restore is 0, +1 per mutation
 }
 
-// nodeAgg is the per-term aggregate of one subtree used during bottom-up
-// construction: the max and min weight over the subtree's documents, and
-// whether the term occurs in every document (the subtree "intersection").
-type nodeAgg map[vocab.TermID]aggEntry
-
-type aggEntry struct {
-	maxW    float64
-	minW    float64
-	covered bool // term present in every document of the subtree
-}
-
 // Build constructs the index over ds with the given relevance model. The
 // model provides the document term weights stored in the inverted files.
+// Nodes are written in post-order, each inverted file composed by composeInv.
 func Build(ds *dataset.Dataset, model textrel.Model, cfg Config) *Tree {
 	fanout := cfg.Fanout
 	if fanout == 0 {
@@ -164,70 +158,32 @@ func Build(ds *dataset.Dataset, model textrel.Model, cfg Config) *Tree {
 	return t
 }
 
-// buildNode serializes the subtree rooted at id bottom-up and returns its
-// aggregate and object count.
-func (t *Tree) buildNode(rt *rtree.Tree, id int32) (nodeAgg, int32) {
+// buildNode writes the subtree rooted at id bottom-up, each node right
+// after its children, and returns the aggregate of the node's posting
+// record, for its parent's entry, and its object count.
+func (t *Tree) buildNode(rt *rtree.Tree, id int32) ([]invfile.EntryWeight, int32) {
 	n := rt.Node(id)
-	inv := invfile.New()
 	entries := make([]NodeEntry, len(n.Entries))
-	agg := make(nodeAgg)
-	entryCovered := make([]nodeAgg, len(n.Entries))
+	var aggs [][]invfile.EntryWeight // the children's, above the leaves
+	if !n.Leaf {
+		aggs = make([][]invfile.EntryWeight, len(n.Entries))
+	}
 	total := int32(0)
-
 	for i, e := range n.Entries {
-		var childAgg nodeAgg
-		var childCount int32
-		if n.Leaf {
-			doc := t.ds.Objects[e.Child].Doc
-			childAgg = make(nodeAgg, doc.Unique())
-			doc.ForEach(func(tm vocab.TermID, _ int32) {
-				w := t.sh.model.Weight(doc, tm)
-				childAgg[tm] = aggEntry{maxW: w, minW: w, covered: true}
-			})
-			childCount = 1
-		} else {
-			childAgg, childCount = t.buildNode(rt, e.Child)
+		count := int32(1)
+		if !n.Leaf {
+			aggs[i], count = t.buildNode(rt, e.Child)
 		}
-		entries[i] = NodeEntry{Rect: e.Rect, Child: e.Child, Count: childCount}
-		total += childCount
-		entryCovered[i] = childAgg
-		for tm, a := range childAgg {
-			inv.Add(tm, invfile.Posting{Entry: int32(i), MaxW: a.maxW, MinW: a.minW})
-		}
+		entries[i] = NodeEntry{Rect: e.Rect, Child: e.Child, Count: count}
+		total += count
 	}
-
-	// Merge the entry aggregates into this node's subtree aggregate.
-	for _, childAgg := range entryCovered {
-		for tm, a := range childAgg {
-			cur, seen := agg[tm]
-			if !seen {
-				agg[tm] = a
-				continue
-			}
-			if a.maxW > cur.maxW {
-				cur.maxW = a.maxW
-			}
-			if a.minW < cur.minW {
-				cur.minW = a.minW
-			}
-			cur.covered = cur.covered && a.covered
-			agg[tm] = cur
-		}
-	}
-	// A term missing from any entry is not in the subtree intersection.
-	for tm, a := range agg {
-		for _, childAgg := range entryCovered {
-			if ca, ok := childAgg[tm]; !ok || !ca.covered {
-				a.covered = false
-				a.minW = 0
-				break
-			}
-		}
-		agg[tm] = a
-	}
-
-	invID := t.sh.pager.WriteRecord(inv.Encode(t.sh.kind == MIRTree, t.sh.cfgFanout))
+	inv := t.sh.composeInv(n.Leaf, entries, t.ds.Objects, aggs)
+	invID := t.sh.pager.WriteRecord(inv)
 	t.nodes.setRaw(id, t.sh.pager.WriteRecord(encodeNode(n.Leaf, entries, invID)))
+	agg, err := invfile.Aggregate(inv, len(entries))
+	if err != nil {
+		panic(fmt.Sprintf("irtree: Build cannot read the posting record it encoded: %v", err))
+	}
 	return agg, total
 }
 

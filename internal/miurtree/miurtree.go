@@ -1,9 +1,9 @@
 // Package miurtree implements the Modified IUR-tree of Section 7: an
-// R-tree over the user set in which every node entry is augmented with the
-// union and intersection vectors of the keywords appearing in its subtree,
-// the number of users stored there, and the subtree's extreme text
-// normalizers. The MaxBRSTkNN engine uses it to avoid computing top-k
-// objects for users that cannot affect the query result.
+// R-tree over the user set in which every node entry holds the super-user
+// of its subtree, the group aggregate of the joint top-k (topk.SuperUser):
+// a leaf entry is topk.OneUser of its user, any other topk.Merge of its
+// child node's entries. The MaxBRSTkNN engine uses it to avoid computing
+// top-k objects for users that cannot affect the query result.
 //
 // The tree holds its nodes in memory, as built: the user index is
 // per-query state, and the Section 8 cost model charges it one simulated
@@ -25,19 +25,16 @@ import (
 	"repro/internal/rtree"
 	"repro/internal/storage"
 	"repro/internal/textrel"
-	"repro/internal/vocab"
+	"repro/internal/topk"
 )
 
 // NodeEntry is one node slot: a child node (internal) or a user (leaf),
-// with the textual aggregates of the subtree below it.
+// and the super-user of the users beneath it — its MBR, keyword union and
+// intersection, user count and extreme normalizers (Section 7: an entry is
+// "essentially the same as the super-user").
 type NodeEntry struct {
-	Rect    geo.Rect
-	Child   int32 // node id, or user index for leaf entries
-	Count   int32 // users in the subtree (1 for leaf entries)
-	Uni     []vocab.TermID
-	Int     []vocab.TermID
-	MinNorm float64
-	MaxNorm float64
+	topk.SuperUser
+	Child int32 // node id, or user index for leaf entries
 }
 
 // NodeData is one MIUR-tree node. Nodes are shared by every reader of
@@ -88,66 +85,18 @@ func Build(users []dataset.User, scorer *textrel.Scorer, fanout int) *Tree {
 func (t *Tree) buildNode(rt *rtree.Tree, id int32, scorer *textrel.Scorer) NodeEntry {
 	n := rt.Node(id)
 	entries := make([]NodeEntry, len(n.Entries))
+	groups := make([]topk.SuperUser, len(n.Entries))
 	for i, e := range n.Entries {
 		if n.Leaf {
 			u := &t.users[e.Child]
-			norm := scorer.Norm(u.Doc)
-			entries[i] = NodeEntry{
-				Rect:    e.Rect,
-				Child:   e.Child,
-				Count:   1,
-				Uni:     u.Doc.Terms(),
-				Int:     u.Doc.Terms(),
-				MinNorm: norm,
-				MaxNorm: norm,
-			}
+			entries[i] = NodeEntry{SuperUser: topk.OneUser(u, scorer.Norm(u.Doc)), Child: e.Child}
 		} else {
 			entries[i] = t.buildNode(rt, e.Child, scorer)
 		}
+		groups[i] = entries[i].SuperUser
 	}
 	t.nodes[id] = &NodeData{ID: id, Leaf: n.Leaf, Entries: entries}
-	return mergeEntries(id, n.MBR(), entries)
-}
-
-// mergeEntries aggregates child entries into the parent-side entry.
-func mergeEntries(id int32, rect geo.Rect, entries []NodeEntry) NodeEntry {
-	out := NodeEntry{Rect: rect, Child: id}
-	uniSet := make(map[vocab.TermID]bool)
-	intCount := make(map[vocab.TermID]int)
-	for i, e := range entries {
-		out.Count += e.Count
-		for _, tm := range e.Uni {
-			uniSet[tm] = true
-		}
-		for _, tm := range e.Int {
-			intCount[tm]++
-		}
-		if i == 0 || e.MinNorm < out.MinNorm {
-			out.MinNorm = e.MinNorm
-		}
-		if i == 0 || e.MaxNorm > out.MaxNorm {
-			out.MaxNorm = e.MaxNorm
-		}
-	}
-	for tm := range uniSet {
-		out.Uni = append(out.Uni, tm)
-	}
-	for tm, c := range intCount {
-		if c == len(entries) {
-			out.Int = append(out.Int, tm)
-		}
-	}
-	sortTerms(out.Uni)
-	sortTerms(out.Int)
-	return out
-}
-
-func sortTerms(ts []vocab.TermID) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
+	return NodeEntry{SuperUser: topk.Merge(groups), Child: id}
 }
 
 // RootID returns the root node id (rtree.NoNode when empty).

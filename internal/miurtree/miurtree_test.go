@@ -1,10 +1,12 @@
 package miurtree
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/textrel"
+	"repro/internal/topk"
 	"repro/internal/vocab"
 )
 
@@ -21,11 +23,11 @@ func buildFixture(t testing.TB, nUsers int) (*Tree, []dataset.User, *textrel.Sco
 func TestBuildRootAggregates(t *testing.T) {
 	tree, users, scorer := buildFixture(t, 200)
 	root := tree.RootEntry
-	if root.Count != int32(len(users)) {
-		t.Errorf("root count = %d, want %d", root.Count, len(users))
+	if root.NumUsers != len(users) {
+		t.Errorf("root count = %d, want %d", root.NumUsers, len(users))
 	}
-	if root.Rect != dataset.UsersMBR(users) {
-		t.Errorf("root rect = %v, want users MBR", root.Rect)
+	if root.MBR != dataset.UsersMBR(users) {
+		t.Errorf("root rect = %v, want users MBR", root.MBR)
 	}
 	// Union must contain every user term; intersection must be contained in
 	// every user's terms; norms must bracket every user norm.
@@ -81,8 +83,8 @@ func TestEntryAggregatesConsistent(t *testing.T) {
 		}
 		for _, e := range n.Entries {
 			uis := usersUnder(e.Child, n.Leaf)
-			if int32(len(uis)) != e.Count {
-				t.Fatalf("entry count %d, %d users reachable", e.Count, len(uis))
+			if len(uis) != e.NumUsers {
+				t.Fatalf("entry count %d, %d users reachable", e.NumUsers, len(uis))
 			}
 			for i := 1; i < len(e.Uni); i++ {
 				if e.Uni[i-1] >= e.Uni[i] {
@@ -103,7 +105,7 @@ func TestEntryAggregatesConsistent(t *testing.T) {
 			}
 			for _, ui := range uis {
 				u := &users[ui]
-				if !e.Rect.Contains(u.Loc) {
+				if !e.MBR.Contains(u.Loc) {
 					t.Fatalf("user %d outside entry rect", ui)
 				}
 				norm := scorer.Norm(u.Doc)
@@ -127,6 +129,34 @@ func TestEntryAggregatesConsistent(t *testing.T) {
 		}
 	}
 	check(tree.RootID())
+}
+
+// Every entry, the root's included, stores exactly the super-user the
+// joint top-k builds for the users beneath it: one group aggregate.
+func TestEntriesAreSuperUsers(t *testing.T) {
+	tree, users, scorer := buildFixture(t, 300)
+	var walk func(e NodeEntry, leaf bool) []dataset.User
+	walk = func(e NodeEntry, leaf bool) []dataset.User {
+		var under []dataset.User
+		if leaf {
+			under = []dataset.User{users[e.Child]}
+		} else {
+			n, err := tree.ReadNode(e.Child)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range n.Entries {
+				under = append(under, walk(c, n.Leaf)...)
+			}
+		}
+		if want := topk.BuildSuperUser(under, scorer); !reflect.DeepEqual(e.SuperUser, want) {
+			t.Fatalf("entry over %d users = %+v, want %+v", len(under), e.SuperUser, want)
+		}
+		return under
+	}
+	if got := walk(tree.RootEntry, false); len(got) != len(users) {
+		t.Fatalf("root covers %d users, want %d", len(got), len(users))
+	}
 }
 
 func TestReadNodeChargesIO(t *testing.T) {
@@ -156,7 +186,7 @@ func TestEmptyUsers(t *testing.T) {
 	if tree.RootID() >= 0 {
 		t.Error("empty tree should have no root")
 	}
-	if tree.RootEntry.Count != 0 {
+	if tree.RootEntry.NumUsers != 0 {
 		t.Error("empty root entry count")
 	}
 }
@@ -166,8 +196,8 @@ func TestSingleUser(t *testing.T) {
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 1, UL: 2, UW: 5, Area: 10, Seed: 9})
 	scorer := textrel.NewScorer(ds, textrel.KO, 0.5)
 	tree := Build(us.Users, scorer, 8)
-	if tree.RootEntry.Count != 1 {
-		t.Errorf("count = %d", tree.RootEntry.Count)
+	if tree.RootEntry.NumUsers != 1 {
+		t.Errorf("count = %d", tree.RootEntry.NumUsers)
 	}
 	root, err := tree.ReadNode(tree.RootID())
 	if err != nil {

@@ -119,23 +119,3 @@ func (s *Scorer) UserNorms(users []dataset.User) []float64 {
 	}
 	return out
 }
-
-// GroupNorms returns the minimum and maximum Norm(u) over a set of users —
-// the denominators that keep the super-user bounds of Lemma 2 sound for
-// every measure when each user normalizes by its own Norm(u): an upper
-// bound divides by the minimum, a lower bound by the maximum.
-func GroupNorms(norms []float64) (minNorm, maxNorm float64) {
-	if len(norms) == 0 {
-		return 1, 1
-	}
-	minNorm, maxNorm = norms[0], norms[0]
-	for _, n := range norms[1:] {
-		if n < minNorm {
-			minNorm = n
-		}
-		if n > maxNorm {
-			maxNorm = n
-		}
-	}
-	return minNorm, maxNorm
-}

@@ -140,14 +140,6 @@ func TestUserNormsAndGroupNorms(t *testing.T) {
 	if norms[0] != 1 || norms[1] != 3 {
 		t.Fatalf("norms = %v", norms)
 	}
-	lo, hi := GroupNorms(norms)
-	if lo != 1 || hi != 3 {
-		t.Errorf("GroupNorms = %v,%v", lo, hi)
-	}
-	lo, hi = GroupNorms(nil)
-	if lo != 1 || hi != 1 {
-		t.Errorf("empty GroupNorms = %v,%v, want 1,1", lo, hi)
-	}
 }
 
 func TestNormFallbackForUnknownTerms(t *testing.T) {
