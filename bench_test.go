@@ -330,8 +330,8 @@ func benchSelectParallel(b *testing.B, workers int) {
 }
 
 // BenchmarkScaling_SelectExactW* is the phase-2 half of the scaling
-// figure: candidate locations and keyword-combination chunks fan out over
-// the worker pool.
+// figure: candidate locations fan out over the worker pool, and each
+// location's keyword-combination scan runs on the worker that took it.
 func BenchmarkScaling_SelectExactW1(b *testing.B) { benchSelectParallel(b, 1) }
 func BenchmarkScaling_SelectExactW4(b *testing.B) { benchSelectParallel(b, 4) }
 
@@ -512,15 +512,10 @@ func BenchmarkTopK_ColdFileMixed(b *testing.B) {
 	b.ReportMetric(reads.Seconds()*1e3/float64(b.N), "read-ms/op")
 }
 
-// BenchmarkCohortFresh_Library is bench/'s cohort-fresh at the library:
-// the 100,000-object index it serves (default options, so a 64 MiB
-// decoded cache), and per op a 16-user cohort confined to a 2×2 sub-area
-// as genFresh draws them, with 50 candidate locations and the cohort's
-// 20-keyword pool, answered by MaxBRSTkNN (approx, at most 3 keywords,
-// k = 10). The library keeps no sessions, so every op pays phase 1; 64
-// cohorts drawn up front take turns. Beside B/op it reports decoded-MB,
-// what the decoded cache holds at the end.
-func BenchmarkCohortFresh_Library(b *testing.B) {
+// cohortIndex builds the index bench/ serves its cohort workloads from:
+// 100,000 generated objects (dataset seed 1) under default options, so a
+// 64 MiB decoded cache.
+func cohortIndex(b *testing.B) (*Index, *dataset.Dataset) {
 	cfg := dataset.DefaultFlickrConfig(100000)
 	cfg.Seed = 1
 	ds := dataset.GenerateFlickr(cfg)
@@ -532,18 +527,43 @@ func BenchmarkCohortFresh_Library(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer idx.Close()
+	b.Cleanup(func() { idx.Close() })
+	return idx, ds
+}
+
+// cohortUsers is a generated cohort in the facade's terms.
+func cohortUsers(ds *dataset.Dataset, us dataset.UserSet) []UserSpec {
+	out := make([]UserSpec, len(us.Users))
+	for i, u := range us.Users {
+		out[i] = UserSpec{X: u.Loc.X, Y: u.Loc.Y, Keywords: docKeywords(ds.Vocab, u.Doc)}
+	}
+	return out
+}
+
+// cohortLocations draws n candidate locations over a cohort's region.
+func cohortLocations(us dataset.UserSet, n int, seed int64) [][2]float64 {
+	var out [][2]float64
+	for _, p := range dataset.CandidateLocations(us.Region, n, 0.5, seed) {
+		out = append(out, [2]float64{p.X, p.Y})
+	}
+	return out
+}
+
+// BenchmarkCohortFresh_Library is bench/'s cohort-fresh at the library:
+// the 100,000-object index it serves (cohortIndex), and per op a 16-user
+// cohort confined to a 2×2 sub-area as genFresh draws them, with 50
+// candidate locations and the cohort's 20-keyword pool, answered by
+// MaxBRSTkNN (approx, at most 3 keywords, k = 10). The library keeps no
+// sessions, so every op pays phase 1; 64 cohorts drawn up front take
+// turns. Beside B/op it reports decoded-MB, what the decoded cache holds
+// at the end.
+func BenchmarkCohortFresh_Library(b *testing.B) {
+	idx, ds := cohortIndex(b)
 	reqs := make([]Request, 64)
 	for i := range reqs {
 		seed := int64(1000003 + i)
 		us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 16, UL: 3, UW: 20, Area: 2, Seed: seed})
-		req := Request{MaxKeywords: 3, K: 10, Strategy: Approx}
-		for _, u := range us.Users {
-			req.Users = append(req.Users, UserSpec{X: u.Loc.X, Y: u.Loc.Y, Keywords: docKeywords(ds.Vocab, u.Doc)})
-		}
-		for _, p := range dataset.CandidateLocations(us.Region, 50, 0.5, seed) {
-			req.Locations = append(req.Locations, [2]float64{p.X, p.Y})
-		}
+		req := Request{Users: cohortUsers(ds, us), Locations: cohortLocations(us, 50, seed), MaxKeywords: 3, K: 10, Strategy: Approx}
 		for _, t := range us.Keywords {
 			req.Keywords = append(req.Keywords, ds.Vocab.Term(t))
 		}
@@ -561,4 +581,54 @@ func BenchmarkCohortFresh_Library(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(idx.CacheStats().DecodedBytes)/(1<<20), "decoded-MB")
+}
+
+// BenchmarkCohortRepeat_Library is bench/'s cohort-repeat at the library,
+// phase 2 alone: on the same index, eight 64-user cohorts (UL 3, UW 40,
+// area 5) whose sessions are prepared before the timer starts take turns,
+// and each op asks one of them about a fresh set of 50 candidate
+// locations and 20 of its keywords (Exact, at most 2 keywords, k = 10,
+// Workers 2) with Session.Run — every fifth op with RunTopL(…, 3), as
+// genRepeat sends every fifth request to /topl.
+func BenchmarkCohortRepeat_Library(b *testing.B) {
+	idx, ds := cohortIndex(b)
+	const cohorts, k = 8, 10
+	sessions := make([]*Session, cohorts)
+	regions := make([]dataset.UserSet, cohorts)
+	pools := make([][]string, cohorts)
+	for c := range sessions {
+		us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 64, UL: 3, UW: 40, Area: 5, Seed: 7919 + int64(c)})
+		s, err := idx.NewSession(cohortUsers(ds, us), k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { s.Close() })
+		sessions[c], regions[c] = s, us
+		for _, t := range us.Keywords {
+			pools[c] = append(pools[c], ds.Vocab.Term(t))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	reqs := make([]Request, b.N)
+	for i := range reqs {
+		c := i % cohorts
+		req := Request{Locations: cohortLocations(regions[c], 50, 1000003+int64(i)), MaxKeywords: 2, K: k, Strategy: Exact, Parallel: ParallelOptions{Workers: 2}}
+		for _, j := range rng.Perm(len(pools[c]))[:min(20, len(pools[c]))] {
+			req.Keywords = append(req.Keywords, pools[c][j])
+		}
+		reqs[i] = req
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, req := range reqs {
+		var err error
+		if s := sessions[i%cohorts]; i%5 == 4 {
+			_, err = s.RunTopL(req, 3)
+		} else {
+			_, err = s.Run(req)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }

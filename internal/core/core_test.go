@@ -138,48 +138,6 @@ func TestEngineRequiresPreparation(t *testing.T) {
 	}
 }
 
-// The central correctness test: the exact scan equals independent brute
-// force, for every measure and several α.
-func TestExactMatchesBruteForce(t *testing.T) {
-	for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF, textrel.KO, textrel.BM25} {
-		for _, alpha := range []float64{0.3, 0.5, 0.8} {
-			f := newFixture(t, measure, alpha, 300, 25, 4, 300)
-			// trim keyword set so brute force stays tiny
-			q := f.query(2, 5)
-			if len(q.Keywords) > 8 {
-				q.Keywords = q.Keywords[:8]
-			}
-			got := f.best(t, q, f.prepare(t, q.K), ScanSpec{})
-			want := bruteForceBestCount(t, f, q)
-			if got.Count() != want {
-				t.Fatalf("%s α=%v: exact count %d, brute force %d", measure, alpha, got.Count(), want)
-			}
-		}
-	}
-}
-
-// The exhaustive scan (exactly-ws enumeration) can never beat exact
-// (≤ ws), and under KO/TFIDF they must agree.
-func TestBaselineVsExact(t *testing.T) {
-	for _, measure := range []textrel.MeasureKind{textrel.KO, textrel.TFIDF, textrel.LM} {
-		f := newFixture(t, measure, 0.5, 300, 25, 4, 400)
-		q := f.query(2, 5)
-		if len(q.Keywords) > 8 {
-			q.Keywords = q.Keywords[:8]
-		}
-		th := f.prepare(t, q.K)
-		exact := f.best(t, q, th, ScanSpec{})
-		base := f.best(t, q, th, ScanSpec{Mode: ScanExhaustive})
-		if base.Count() > exact.Count() {
-			t.Fatalf("%s: baseline %d beats exact %d", measure, base.Count(), exact.Count())
-		}
-		if measure != textrel.LM && base.Count() != exact.Count() {
-			t.Fatalf("%s: baseline %d != exact %d (adding keywords never hurts here)",
-				measure, base.Count(), exact.Count())
-		}
-	}
-}
-
 func TestApproxNeverBeatsExactAndIsReasonable(t *testing.T) {
 	ratios := []float64{}
 	for seed := int64(500); seed < 510; seed++ {

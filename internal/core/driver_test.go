@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -30,7 +29,7 @@ func refSelect(e *Engine, q Query, th Thresholds, method KeywordMethod) (Selecti
 			break
 		}
 		evaluated++
-		if sel := e.evalLocation(q, th, method, w, lc, 1, &sc); sel.Count() > best.Count() {
+		if sel := e.evalLocation(q, th, method, w, lc, &sc); sel.Count() > best.Count() {
 			best = sel
 		}
 	}
@@ -50,13 +49,7 @@ func refTopL(e *Engine, q Query, th Thresholds, method KeywordMethod, l int) ([]
 			break
 		}
 		evaluated++
-		var sel Selection
-		if method == KeywordsApprox {
-			sel = e.selectKeywordsGreedy(q, th.RSk, lc, w)
-		} else {
-			sel = e.selectKeywordsExact(q, th.RSk, lc, w, 1, &sc)
-		}
-		if sel.Count() > 0 {
+		if sel := e.selectKeywords(q, th.RSk, method, lc, w, &sc); sel.Count() > 0 {
 			best.Offer(sel, float64(sel.Count()))
 		}
 	}
@@ -95,29 +88,6 @@ func refBaseline(e *Engine, q Query, th Thresholds) Selection {
 	}
 	best.normalize()
 	return best
-}
-
-// refMultiple is the old SelectMultiple: rounds of refSelect, poisoning
-// covered users' thresholds in place (on a copy here) between rounds.
-func refMultiple(e *Engine, q Query, th Thresholds, method KeywordMethod, m int) []Selection {
-	byID := make(map[int32]int, len(e.Users))
-	for i := range e.Users {
-		byID[e.Users[i].ID] = i
-	}
-	poisoned := th
-	poisoned.RSk = append([]float64(nil), th.RSk...)
-	var out []Selection
-	for round := 0; round < m; round++ {
-		sel, _ := refSelect(e, q, poisoned, method)
-		if sel.Count() == 0 {
-			break
-		}
-		out = append(out, sel)
-		for _, uid := range sel.Users {
-			poisoned.RSk[byID[uid]] = math.Inf(1)
-		}
-	}
-	return out
 }
 
 // randomFixture draws a small instance: dataset shape, cohort spread and
@@ -198,16 +168,6 @@ func TestDriverMatchesReferenceLoops(t *testing.T) {
 								t.Fatalf("%s top-%d split %d floor %d: replay differs", label, l, n, floor)
 							}
 						}
-					}
-				}
-				wantM := refMultiple(f.engine, q, th, method, 3)
-				for _, workers := range []int{1, 4} {
-					got, err := f.engine.SelectMultiple(q, th, method, workers, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, wantM) {
-						t.Fatalf("%s %v workers=%d multiple: %+v, reference %+v", name, method, workers, got, wantM)
 					}
 				}
 			}

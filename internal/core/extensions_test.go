@@ -62,65 +62,6 @@ func TestSelectTopLValidation(t *testing.T) {
 	}
 }
 
-func TestSelectMultipleCoversMoreDistinctUsers(t *testing.T) {
-	f := newFixture(t, textrel.LM, 0.5, 500, 60, 8, 1400)
-	q := f.query(2, 5)
-	th := f.prepare(t, q.K)
-	before := append([]float64(nil), th.RSk...)
-	single := f.best(t, q, th, ScanSpec{Method: KeywordsApprox})
-	multi, err := f.engine.SelectMultiple(q, th, KeywordsApprox, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(multi) == 0 {
-		t.Skip("no coverage on this instance")
-	}
-	// placements must cover disjoint user sets
-	covered := map[int32]bool{}
-	for _, sel := range multi {
-		for _, uid := range sel.Users {
-			if covered[uid] {
-				t.Fatalf("user %d covered twice", uid)
-			}
-			covered[uid] = true
-		}
-	}
-	if len(covered) < single.Count() {
-		t.Fatalf("multi-placement coverage %d below single placement %d", len(covered), single.Count())
-	}
-	// first round must match the single selection
-	if multi[0].Count() != single.Count() {
-		t.Fatalf("round 1 count %d != single %d", multi[0].Count(), single.Count())
-	}
-	// the rounds poisoned a copy: th is untouched
-	for i := range before {
-		if th.RSk[i] != before[i] {
-			t.Fatalf("user %d threshold changed from %v to %v", i, before[i], th.RSk[i])
-		}
-	}
-}
-
-func TestSelectMultipleStopsWhenExhausted(t *testing.T) {
-	f := newFixture(t, textrel.KO, 0.5, 300, 10, 3, 1500)
-	q := f.query(1, 5)
-	th := f.prepare(t, q.K)
-	// far more rounds than users: must stop early without error
-	multi, err := f.engine.SelectMultiple(q, th, KeywordsExact, 1, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, sel := range multi {
-		total += sel.Count()
-	}
-	if total > 10 {
-		t.Fatalf("covered %d users, only 10 exist", total)
-	}
-	if _, err := f.engine.SelectMultiple(q, th, KeywordsExact, 1, 0); err == nil {
-		t.Error("m=0 should be rejected")
-	}
-}
-
 // TestSelectNoBestFirstSameAnswer: evaluating every candidate location (a
 // top-l scan with l = |L| never stops early) finds the count Algorithm 3's
 // early termination finds — the ablation's "no early stop" row.

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/container"
-	"repro/internal/parallel"
 	"repro/internal/textrel"
 	"repro/internal/vocab"
 )
@@ -69,100 +68,41 @@ func (e *Engine) prepareExact(q Query, rsk []float64, lc locCandidate, w textrel
 	}
 }
 
-// exactUnit is one independently scannable chunk of the combination space:
-// the size-`size` combinations whose first (smallest) keyword is
-// cand[lead]. Units in (size, lead) order concatenate to exactly the
-// sequential enumeration order, which is what makes the parallel scan's
-// first-winner-wins reduction reproduce the sequential result.
-type exactUnit struct {
-	size, lead int
-}
-
-func (p *exactPrep) units() []exactUnit {
-	var out []exactUnit
-	for size := 1; size <= p.maxSize; size++ {
-		for lead := 0; lead+size <= len(p.cand); lead++ {
-			out = append(out, exactUnit{size: size, lead: lead})
-		}
-	}
-	return out
-}
-
 // exactScratch holds one worker's reusable buffers for the combination
-// scan: the combination being evaluated, the qualifying-user list, and
-// the merged-document buffers — the per-combination allocations of the
-// scan, paid once per worker instead. The zero value is ready to use; a
-// scratch must not be shared between concurrent scans.
+// scan: the qualifying-user list and the merged-document buffers — the
+// per-combination allocations of the scan, paid once per worker instead.
+// The zero value is ready to use; a scratch must not be shared between
+// concurrent scans.
 type exactScratch struct {
-	combo []vocab.TermID
 	users []int32
 	merge vocab.MergeScratch
 }
 
-// scanUnit evaluates one unit's combinations in enumeration order,
-// returning the first selection (if any) strictly beating the floor count
-// and every earlier combination in the unit.
+// selectKeywordsExact implements Algorithm 4: enumerate the combinations
+// of the pruned candidate keywords, size by size up to ws and each size in
+// lexicographic order, count each tuple's BRSTkNN exactly with the user-
+// and keyword-pruning of Section 6.2.2, and return the first combination
+// strictly beating the bare count and every earlier one.
 //
 //maxbr:hotpath
-func (e *Engine) scanUnit(q Query, p *exactPrep, u exactUnit, sc *exactScratch) (Selection, bool) {
-	best := Selection{}
-	bestCount := p.bare.Count()
-	found := false
-	if cap(sc.combo) < u.size {
-		//maxbr:ignore hotpathalloc scratch growth, amortized: combo is retained in sc and only re-made when a wider unit arrives
-		sc.combo = make([]vocab.TermID, u.size)
-	}
-	combo := sc.combo[:u.size]
-	combo[0] = p.cand[u.lead]
-	//maxbr:ignore hotpathalloc one closure per unit, not per combination: Combinations invokes it in a loop internally
-	container.Combinations(p.cand[u.lead+1:], u.size-1, func(rest []vocab.TermID) bool {
-		copy(combo[1:], rest)
-		users := e.tupleUsersInto(q, p, combo, sc)
-		if len(users) > bestCount {
-			bestCount = len(users)
+func (e *Engine) selectKeywordsExact(q Query, rsk []float64, lc locCandidate, w textrel.CandidateSet, sc *exactScratch) Selection {
+	p := e.prepareExact(q, rsk, lc, w)
+	best := p.bare
+	//maxbr:ignore hotpathalloc one closure per location, not per combination: Combinations invokes it in a loop internally
+	keep := func(combo []vocab.TermID) bool {
+		users := e.tupleUsersInto(q, &p, combo, sc)
+		if len(users) > best.Count() {
 			best = Selection{
 				LocIndex: p.li,
 				Location: q.Locations[p.li],
 				Keywords: append([]vocab.TermID(nil), combo...),
 				Users:    append([]int32(nil), users...),
 			}
-			found = true
 		}
 		return true
-	})
-	return best, found
-}
-
-// selectKeywordsExact implements Algorithm 4: enumerate size-ws
-// combinations of the pruned candidate keywords and count each tuple's
-// BRSTkNN exactly, with the user- and keyword-pruning of Section 6.2.2.
-// The combination space is chunked into units; with workers > 1 the units
-// fan out over a bounded pool, and the in-order reduction keeps the result
-// identical to the sequential scan, which runs on sc.
-func (e *Engine) selectKeywordsExact(q Query, rsk []float64, lc locCandidate, w textrel.CandidateSet, workers int, sc *exactScratch) Selection {
-	p := e.prepareExact(q, rsk, lc, w)
-	units := p.units()
-	best := p.bare
-
-	if workers <= 1 || len(units) <= 1 {
-		for _, u := range units {
-			if sel, ok := e.scanUnit(q, &p, u, sc); ok && sel.Count() > best.Count() {
-				best = sel
-			}
-		}
-		return best
 	}
-
-	sels := make([]Selection, len(units))
-	found := make([]bool, len(units))
-	scratches := make([]exactScratch, parallel.Workers(len(units), workers))
-	parallel.ForNWorkers(len(units), workers, func(w, i int) {
-		sels[i], found[i] = e.scanUnit(q, &p, units[i], &scratches[w])
-	})
-	for i := range units {
-		if found[i] && sels[i].Count() > best.Count() {
-			best = sels[i]
-		}
+	for size := 1; size <= p.maxSize; size++ {
+		container.Combinations(p.cand, size, keep)
 	}
 	return best
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -11,6 +9,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/parallel"
 	"repro/internal/textrel"
+	"repro/internal/topk"
 	"repro/internal/vocab"
 )
 
@@ -128,21 +127,21 @@ func (e *Engine) Scan(q Query, th Thresholds, spec ScanSpec) ([]Candidate, ScanS
 	w := textrel.NewCandidateSet(q.Keywords)
 	var lcs []locCandidate
 	if spec.Mode == ScanExhaustive {
+		// The baseline qualifies no user: every location counts over all
+		// of them, one shared list.
+		all := make([]int, len(e.Users))
+		for ui := range all {
+			all[ui] = ui
+		}
 		for li := range q.Locations {
 			if assigned == nil || assigned[li] {
-				lcs = append(lcs, locCandidate{li: li})
+				lcs = append(lcs, locCandidate{li: li, users: all})
 			}
 		}
 	} else {
 		lcs = e.locationCandidates(q, th, w, assigned)
 	}
 
-	// The exact keyword scan takes the workers the location fan-out
-	// leaves idle.
-	comboWorkers := 1
-	if len(lcs) > 0 && spec.Workers/len(lcs) > 1 {
-		comboWorkers = spec.Workers / len(lcs)
-	}
 	// beaten holds the beatenBy largest counts evaluated so far.
 	var mu sync.Mutex
 	beaten := container.NewTopK[struct{}](max(beatenBy, 1))
@@ -158,9 +157,9 @@ func (e *Engine) Scan(q Query, th Thresholds, spec ScanSpec) ([]Candidate, ScanS
 			return
 		}
 		if spec.Mode == ScanExhaustive {
-			sels[i] = e.exhaustiveLocationBest(q, th.RSk, lcs[i].li)
+			sels[i] = e.exhaustiveLocationBest(q, th.RSk, lcs[i])
 		} else {
-			sels[i] = e.evalLocation(q, th, spec.Method, w, lcs[i], comboWorkers, &scratch[wk])
+			sels[i] = e.evalLocation(q, th, spec.Method, w, lcs[i], &scratch[wk])
 		}
 		done[i] = true
 		mu.Lock()
@@ -207,48 +206,9 @@ func TopL(cands []Candidate, l int) []Selection {
 
 func candSel(c Candidate) Selection { return c.Sel }
 
-// SelectMultiple greedily places m objects (each with its own location and
-// keyword set) to maximize the number of *distinct* users covered — the
-// multi-service extension the FILM line of work motivates (Section 2.1).
-// Each round is a ScanBest scan reduced by Best under a copy of th in
-// which already-covered users are poisoned: an infinite RSk(u) fails every
-// upper-bound test and every exact comparison, so the whole pruning stack
-// skips them for free. The result inherits the greedy (1−1/e) coverage
-// guarantee with respect to the per-round selections.
-func (e *Engine) SelectMultiple(q Query, th Thresholds, method KeywordMethod, workers, m int) ([]Selection, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("core: m must be positive")
-	}
-	byID := make(map[int32]int, len(e.Users))
-	for i := range e.Users {
-		byID[e.Users[i].ID] = i
-	}
-	// The group bound stays th's: poisoning only raises thresholds.
-	poisoned := th
-	poisoned.RSk = slices.Clone(th.RSk)
-	var out []Selection
-	for round := 0; round < m; round++ {
-		cands, _, err := e.Scan(q, poisoned, ScanSpec{Method: method, Workers: workers})
-		if err != nil {
-			return nil, err
-		}
-		sel := Best(cands)
-		if sel.Count() == 0 {
-			break // nobody left to win
-		}
-		out = append(out, sel)
-		for _, uid := range sel.Users {
-			poisoned.RSk[byID[uid]] = math.Inf(1)
-		}
-	}
-	return out, nil
-}
-
 // evalLocation computes one candidate location's best selection — the
-// per-location body every ScanBest and ScanTopL scan shares. comboWorkers
-// bounds the goroutines the exact keyword scan may use (1 = sequential,
-// on sc).
-func (e *Engine) evalLocation(q Query, th Thresholds, method KeywordMethod, w textrel.CandidateSet, lc locCandidate, comboWorkers int, sc *exactScratch) Selection {
+// per-location body every ScanBest and ScanTopL scan shares.
+func (e *Engine) evalLocation(q Query, th Thresholds, method KeywordMethod, w textrel.CandidateSet, lc locCandidate, sc *exactScratch) Selection {
 	// Group-level lower-bound shortcut (lines 3.11–3.13): when even the
 	// intersection text of the bare ox.d clears the group threshold, no
 	// keyword is needed. We confirm per user with the exact zero-keyword
@@ -260,38 +220,36 @@ func (e *Engine) evalLocation(q Query, th Thresholds, method KeywordMethod, w te
 	// count and can win no user outside LU_ℓ; otherwise keywords may still
 	// win users, and the keyword selectors' zero-keyword floor subsumes
 	// this count.
-	lbSuper := e.Scorer.Alpha*e.Scorer.SSMin(geo.RectFromPoint(q.Locations[lc.li]), e.su.MBR) +
-		(1-e.Scorer.Alpha)*e.su.LBText(weightSum(e.Scorer, q.OxDoc, e.su.Int))
-	if lbSuper >= th.super {
+	if e.lbGroup(q.Locations[lc.li], q.OxDoc, e.su) >= th.super {
 		users := e.countBRSTkNN(q, th.RSk, lc.li, nil, lc.users)
 		if len(users) == len(lc.users) {
 			return Selection{LocIndex: lc.li, Location: q.Locations[lc.li], Users: users}
 		}
 	}
-	if method == KeywordsApprox {
-		return e.selectKeywordsGreedy(q, th.RSk, lc, w)
-	}
-	return e.selectKeywordsExact(q, th.RSk, lc, w, comboWorkers, sc)
+	return e.selectKeywords(q, th.RSk, method, lc, w, sc)
 }
 
-// exhaustiveLocationBest is the Section 4 baseline for one location: the
-// first combination of exactly ws keywords (in enumeration order)
-// achieving the location's maximum verified user count over every user.
+// selectKeywords runs method's keyword selection (Section 6.2) over one
+// location's qualifying users: Algorithm 4 on sc, or the greedy
+// approximation.
+func (e *Engine) selectKeywords(q Query, rsk []float64, method KeywordMethod, lc locCandidate, w textrel.CandidateSet, sc *exactScratch) Selection {
+	if method == KeywordsApprox {
+		return e.selectKeywordsGreedy(q, rsk, lc, w)
+	}
+	return e.selectKeywordsExact(q, rsk, lc, w, sc)
+}
+
+// exhaustiveLocationBest is the Section 4 baseline for one location, whose
+// list holds every user: the first combination of exactly ws keywords (in
+// enumeration order) achieving the location's maximum verified user count.
 // Folding these in location order with a strict first-max is the flat
 // location × combination scan.
-func (e *Engine) exhaustiveLocationBest(q Query, rsk []float64, li int) Selection {
+func (e *Engine) exhaustiveLocationBest(q Query, rsk []float64, lc locCandidate) Selection {
 	best := Selection{LocIndex: -1}
 	container.Combinations(q.Keywords, q.WS, func(combo []vocab.TermID) bool {
 		add := append([]vocab.TermID(nil), combo...)
-		doc := q.OxDoc.MergeTerms(add)
-		var users []int32
-		for ui := range e.Users {
-			if e.isBRSTkNN(q, rsk, li, doc, ui) {
-				users = append(users, e.Users[ui].ID)
-			}
-		}
-		if len(users) > best.Count() {
-			best = Selection{LocIndex: li, Location: q.Locations[li], Keywords: add, Users: users}
+		if users := e.countBRSTkNN(q, rsk, lc.li, add, lc.users); len(users) > best.Count() {
+			best = Selection{LocIndex: lc.li, Location: q.Locations[lc.li], Keywords: add, Users: users}
 		}
 		return true
 	})
@@ -308,16 +266,12 @@ func (e *Engine) locationCandidates(q Query, th Thresholds, w textrel.CandidateS
 		if assigned != nil && !assigned[li] {
 			continue
 		}
-		ssUB := e.Scorer.SSMax(geo.RectFromPoint(q.Locations[li]), e.su.MBR)
-		ubSuper := e.Scorer.STSAddUpperBound(ssUB, q.OxDoc, uniDoc, e.su.MinNorm, w, q.WS)
-		if ubSuper < th.super {
+		if e.ubGroup(q, li, e.su, uniDoc, w) < th.super {
 			continue
 		}
 		lc := locCandidate{li: li}
 		for ui := range e.Users {
-			ss := e.Scorer.SS(q.Locations[li], e.Users[ui].Loc)
-			ubl := e.Scorer.STSAddUpperBound(ss, q.OxDoc, e.Users[ui].Doc, e.norms[ui], w, q.WS)
-			if ubl >= th.RSk[ui] {
+			if e.ubUser(q, li, ui, w) >= th.RSk[ui] {
 				lc.users = append(lc.users, ui)
 			}
 		}
@@ -332,4 +286,30 @@ func (e *Engine) locationCandidates(q Query, th Thresholds, w textrel.CandidateS
 		return lcs[i].li < lcs[j].li
 	})
 	return lcs
+}
+
+// ubUser is UBL(ℓ, u): the upper bound on user ui's score for ox at
+// location li with any ws of the candidate keywords w.
+func (e *Engine) ubUser(q Query, li, ui int, w textrel.CandidateSet) float64 {
+	ss := e.Scorer.SS(q.Locations[li], e.Users[ui].Loc)
+	return e.Scorer.STSAddUpperBound(ss, q.OxDoc, e.Users[ui].Doc, e.norms[ui], w, q.WS)
+}
+
+// ubGroup is UBL(ℓ, us): the upper bound on any grouped user's score for
+// ox at location li with any ws of the candidate keywords w, over the
+// super-user su — the cohort's, or a MIUR-tree entry's — whose keyword
+// union uni spells out as a document.
+func (e *Engine) ubGroup(q Query, li int, su topk.SuperUser, uni vocab.Doc, w textrel.CandidateSet) float64 {
+	ss := e.Scorer.SSMax(geo.RectFromPoint(q.Locations[li]), su.MBR)
+	return e.Scorer.STSAddUpperBound(ss, q.OxDoc, uni, su.MinNorm, w, q.WS)
+}
+
+// lbGroup is the lower bound on any grouped user's score for an object at
+// loc with document doc, over the super-user su — the cohort's (Algorithm
+// 3's lines 3.11–3.13), or a MIUR-tree entry's: the least spatial
+// similarity to su's MBR, and doc's text over su's keyword intersection
+// under su's largest normalizer.
+func (e *Engine) lbGroup(loc geo.Point, doc vocab.Doc, su topk.SuperUser) float64 {
+	return e.Scorer.Alpha*e.Scorer.SSMin(geo.RectFromPoint(loc), su.MBR) +
+		(1-e.Scorer.Alpha)*su.LBText(weightSum(e.Scorer, doc, su.Int))
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/container"
-	"repro/internal/geo"
 	"repro/internal/miurtree"
 	"repro/internal/textrel"
 	"repro/internal/topk"
@@ -180,13 +179,7 @@ func (e *Engine) SelectUserIndexed(q Query, method KeywordMethod, ut *miurtree.T
 		for _, el := range ll.elems {
 			lc.users = append(lc.users, el.ui)
 		}
-		var sel Selection
-		if method == KeywordsApprox {
-			sel = e.selectKeywordsGreedy(q, rsk, lc, w)
-		} else {
-			sel = e.selectKeywordsExact(q, rsk, lc, w, 1, &sc)
-		}
-		if sel.Count() > best.Count() {
+		if sel := e.selectKeywords(q, rsk, method, lc, w, &sc); sel.Count() > best.Count() {
 			best = sel
 		}
 	}
@@ -224,9 +217,7 @@ func (e *Engine) nodeRSkBound(en miurtree.NodeEntry, cands []topk.BoundedObject,
 	tk := container.NewTopK[struct{}](k)
 	for _, c := range cands {
 		obj := &e.Tree.Dataset().Objects[c.ObjID]
-		lb := e.Scorer.Alpha*e.Scorer.SSMin(geo.RectFromPoint(obj.Loc), en.MBR) +
-			(1-e.Scorer.Alpha)*weightSum(e.Scorer, obj.Doc, en.Int)/en.MaxNorm
-		tk.Offer(struct{}{}, lb)
+		tk.Offer(struct{}{}, e.lbGroup(obj.Loc, obj.Doc, en.SuperUser))
 	}
 	return tk.Threshold()
 }
@@ -245,11 +236,7 @@ func weightSum(s *textrel.Scorer, d vocab.Doc, terms []vocab.TermID) float64 {
 // users, the aggregate bound for node entries.
 func (e *Engine) ublElement(q Query, li int, el *luElement, w textrel.CandidateSet) float64 {
 	if el.isUser {
-		u := &e.Users[el.ui]
-		ss := e.Scorer.SS(q.Locations[li], u.Loc)
-		return e.Scorer.STSAddUpperBound(ss, q.OxDoc, u.Doc, e.norms[el.ui], w, q.WS)
+		return e.ubUser(q, li, el.ui, w)
 	}
-	ss := e.Scorer.SSMax(geo.RectFromPoint(q.Locations[li]), el.entry.MBR)
-	uniDoc := vocab.DocFromTerms(el.entry.Uni)
-	return e.Scorer.STSAddUpperBound(ss, q.OxDoc, uniDoc, el.entry.MinNorm, w, q.WS)
+	return e.ubGroup(q, li, el.entry.SuperUser, vocab.DocFromTerms(el.entry.Uni), w)
 }

@@ -106,7 +106,7 @@ func TestHotPathAnnotationsPresent(t *testing.T) {
 		"invfile.DecodeSumsInto",
 		"topk.Traverse",
 		"topk.RefineUser",
-		"core.scanUnit",
+		"core.selectKeywordsExact",
 	} {
 		if !annotated[want] {
 			t.Errorf("%s lost its //maxbr:hotpath annotation", want)

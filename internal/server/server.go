@@ -8,10 +8,8 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
 	"net/http"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -273,9 +271,9 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) er
 // begin decodes and validates a public query and looks up its cohort,
 // answering the client itself on failure. Everything a request can be
 // refused for is refused before any shard is called or cohort built:
-// an invalid query, the user-indexed strategy on a fleet of more than
-// one shard, and (extension, for /topl and /multiple) any strategy but
-// exact and approx.
+// an invalid query, a negative l or m, the user-indexed strategy on a
+// fleet of more than one shard, and (extension, for /topl and /multiple)
+// any strategy but exact and approx.
 func (s *Server) begin(w http.ResponseWriter, r *http.Request, extension bool) (*query, *cohort, bool) {
 	q := &query{}
 	err := s.decodeBody(w, r, &q.wire)
@@ -285,6 +283,8 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, extension bool) (
 	strat := q.req.Strategy
 	switch {
 	case err != nil:
+	case q.wire.L < 0 || q.wire.M < 0:
+		err = fmt.Errorf("l (%d) and m (%d) must not be negative", q.wire.L, q.wire.M)
 	case extension && strat != maxbrstknn.Exact && strat != maxbrstknn.Approx:
 		err = fmt.Errorf("this endpoint does not support the %s strategy (use exact or approx)", strat)
 	case strat == maxbrstknn.UserIndexed && len(s.shards) > 1:
@@ -333,34 +333,22 @@ func (s *Server) handleTopL(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, func() ([]byte, error) { return ResultsJSON(replayTopL(cands, l)) })
 }
 
-// handleMultiple runs RunMultiple's greedy m rounds: each round is a
-// single-best scatter under a threshold vector whose already-covered
-// users are poisoned so no location can count them again. The poison is
-// math.MaxFloat64, not +Inf — JSON cannot carry infinities — and no
-// achievable score reaches either, so the keep test behaves identically.
+// handleMultiple runs RunMultiple's greedy rounds, maxbrstknn.Cover, over
+// the scatter: each round is a single-best scatter under the cohort's
+// thresholds with the users earlier rounds won poisoned by Cover's one
+// poison, math.MaxFloat64, which the shard wire carries as it is.
 func (s *Server) handleMultiple(w http.ResponseWriter, r *http.Request) {
 	q, co, ok := s.begin(w, r, true)
 	if !ok {
 		return
 	}
-	poisoned := slices.Clone(co.rsk)
-	var results []maxbrstknn.Result
-	for round := 0; round < max(q.wire.M, 1); round++ {
-		cands, err := s.scatter(r.Context(), q, co, poisoned, 0)
-		if err != nil {
-			writeError(w, errorStatus(err), err)
-			return
-		}
-		best := replayBest(cands)
-		if best.Count() == 0 {
-			break
-		}
-		results = append(results, best)
-		for _, uid := range best.UserIDs {
-			if uid >= 0 && uid < len(poisoned) {
-				poisoned[uid] = math.MaxFloat64
-			}
-		}
+	results, err := maxbrstknn.Cover(max(q.wire.M, 1), co.rsk, func(rsk []float64) (maxbrstknn.Result, error) {
+		cands, err := s.scatter(r.Context(), q, co, rsk, 0)
+		return replayBest(cands), err
+	})
+	if err != nil {
+		writeError(w, errorStatus(err), err)
+		return
 	}
 	writeJSON(w, func() ([]byte, error) { return ResultsJSON(results) })
 }

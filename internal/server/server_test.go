@@ -477,6 +477,18 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("no users: status %d body %s, want 400", resp.StatusCode, body)
 	}
 
+	// A negative list length or placement count (0 is the default of 1).
+	bad = wire
+	bad.L = -3
+	if resp, body := postJSON(t, ts, "/topl", bad); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("l = -3: status %d body %s, want 400", resp.StatusCode, body)
+	}
+	bad = wire
+	bad.M = -2
+	if resp, body := postJSON(t, ts, "/multiple", bad); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("m = -2: status %d body %s, want 400", resp.StatusCode, body)
+	}
+
 	// GET on a query endpoint.
 	resp, err = http.Get(ts.URL + "/maxbrstknn")
 	if err != nil {

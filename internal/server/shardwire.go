@@ -7,8 +7,7 @@ package server
 // the shard's assigned candidate locations under coordinator-supplied
 // global thresholds. Threshold and seed vectors are cohort-indexed and
 // strictly finite on the wire: the poison value for covered users is
-// math.MaxFloat64 (JSON cannot carry +Inf), which the selection engine
-// treats identically — no achievable score reaches it.
+// maxbrstknn.Cover's math.MaxFloat64, which no achievable score reaches.
 
 // Phase1Request is the body of /shard/phase1.
 type Phase1Request struct {

@@ -522,12 +522,9 @@ func (in *instance) fleetAnswers(t testing.TB, shards []*Index, par ParallelOpti
 					a[label(ri, "topl-work", st, l)] = work
 				}
 			}
-			poisoned, rounds := slices.Clone(rsk), []Result{}
-			for r := best(req, poisoned); r.Count() > 0 && len(rounds) < 3; r = best(req, poisoned) {
-				rounds = append(rounds, r)
-				for _, u := range r.UserIDs {
-					poisoned[u] = math.MaxFloat64
-				}
+			rounds, err := Cover(3, rsk, func(th []float64) (Result, error) { return best(req, th), nil })
+			if err != nil {
+				t.Fatal(err)
 			}
 			a[label(ri, "multiple", st, 3)] = rounds
 		}

@@ -298,42 +298,46 @@ func (s *Session) Run(req Request) (Result, error) {
 		return Result{}, err
 	}
 
-	var sel core.Selection
-	var stats core.UserIndexStats
-	switch req.Strategy {
-	case UserIndexed:
-		sel, stats, err = s.runUserIndexed(q)
-	case Exact, Approx, Exhaustive:
-		var cands []core.Candidate
-		cands, _, err = s.engine.Scan(q, s.th, scanSpec(req))
-		sel = core.Best(cands)
-	default:
-		// An out-of-range Strategy is a caller bug; running Exact in its
-		// place would be the silent-downgrade class this layer must not
-		// have.
-		return Result{}, fmt.Errorf("maxbrstknn: unknown strategy %d", int(req.Strategy))
+	if req.Strategy == UserIndexed {
+		sel, stats, err := s.runUserIndexed(q)
+		if err != nil {
+			return Result{}, err
+		}
+		return s.buildResult(req, sel, stats), nil
 	}
+	spec, err := scanSpec("Run", req, false)
 	if err != nil {
 		return Result{}, err
 	}
-	return s.buildResult(req, sel, stats), nil
+	cands, _, err := s.engine.Scan(q, s.th, spec)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.buildResult(req, core.Best(cands), core.UserIndexStats{}), nil
 }
 
-// scanSpec is the phase-2 driver spec of an Exact, Approx or Exhaustive
-// request: the strategy's keyword method and scan mode, and the request's
-// workers.
-func scanSpec(req Request) core.ScanSpec {
+// scanSpec maps a request's strategy to the phase-2 scan op runs, or
+// rejects it: the keyword method and scan mode, and the request's
+// workers. An extension — a top-l list or a greedy multi-placement —
+// accepts only Exact and Approx. UserIndexed is no scan (Run and Scatter
+// route it to SelectUserIndexed first), and an out-of-range strategy is a
+// caller bug: running Exact in its place would be the silent-downgrade
+// class this layer must not have.
+func scanSpec(op string, req Request, extension bool) (core.ScanSpec, error) {
 	spec := core.ScanSpec{Workers: req.Parallel.Workers}
 	switch req.Strategy {
 	case Exact:
 	case Approx:
 		spec.Method = core.KeywordsApprox
-	case Exhaustive:
+	case Exhaustive, UserIndexed:
+		if extension || req.Strategy == UserIndexed {
+			return spec, fmt.Errorf("maxbrstknn: %s does not support the %s strategy (use Exact or Approx)", op, req.Strategy)
+		}
 		spec.Mode = core.ScanExhaustive
-	case UserIndexed:
-		// Not a scan: Run and Scatter route it to SelectUserIndexed.
+	default:
+		return spec, fmt.Errorf("maxbrstknn: unknown strategy %d", int(req.Strategy))
 	}
-	return spec
+	return spec, nil
 }
 
 // runUserIndexed answers q with the Section 7 method, building the

@@ -320,28 +320,27 @@ type ScatterStats = core.ScanStats
 // one answer, pruning statistics included, as the only candidate.
 func (s *Session) Scatter(req Request, rsk []float64, assigned []int, floor, l int) ([]ShardCandidate, ScatterStats, error) {
 	var stats ScatterStats
-	switch req.Strategy {
-	case Exact, Approx:
-	case Exhaustive, UserIndexed:
-		if l > 0 {
-			return nil, stats, fmt.Errorf("maxbrstknn: top-l does not support the %s strategy", req.Strategy)
-		}
-		if req.Strategy == UserIndexed && s.ix.gids != nil {
+	if req.Strategy == UserIndexed && l == 0 {
+		if s.ix.gids != nil {
 			return nil, stats, fmt.Errorf("maxbrstknn: the %s strategy cannot be scattered", req.Strategy)
 		}
-	default:
-		return nil, stats, fmt.Errorf("maxbrstknn: unknown strategy %d", int(req.Strategy))
-	}
-	q, err := s.open("Scatter", req)
-	if err != nil {
-		return nil, stats, err
-	}
-	if req.Strategy == UserIndexed {
+		q, err := s.open("Scatter", req)
+		if err != nil {
+			return nil, stats, err
+		}
 		sel, ui, err := s.runUserIndexed(q)
 		if err != nil {
 			return nil, stats, err
 		}
 		return []ShardCandidate{{Result: s.buildResult(req, sel, ui), LU: sel.Count()}}, stats, nil
+	}
+	spec, err := scanSpec("top-l", req, l > 0)
+	if err != nil {
+		return nil, stats, err
+	}
+	q, err := s.open("Scatter", req)
+	if err != nil {
+		return nil, stats, err
 	}
 	th, err := s.engine.NewThresholds(s.k, rsk)
 	if err != nil {
@@ -350,7 +349,6 @@ func (s *Session) Scatter(req Request, rsk []float64, assigned []int, floor, l i
 	if assigned == nil {
 		assigned = []int{} // nil would scan every location; a shard scans only its own
 	}
-	spec := scanSpec(req)
 	spec.Assigned, spec.Floor = assigned, floor
 	if l > 0 {
 		spec.Mode, spec.L = core.ScanTopL, l
