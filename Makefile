@@ -140,7 +140,9 @@ lint-external:
 # -fuzz target per invocation). The seeds assert decode↔encode fixpoints,
 # streaming-vs-decoded sum agreement, that the byte splice of one entry
 # and the aggregate read off a record equal their decoded-file references
-# (and fail exactly when decoding does), and that an accepted node record
+# (and fail exactly when decoding does), that the Composer writes the
+# reference sort-then-encode's bytes for any term-ascending entry lists,
+# and that an accepted node record
 # re-encodes to itself; the committed testdata corpora replay past
 # crashers as regression tests on every plain `go test` too. FuzzOracle
 # draws MaxBRSTkNN instances past TestOracleDifferential's seeds and holds
@@ -150,6 +152,7 @@ fuzz-smoke:
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecodeSumsInto$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzReplaceEntry$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzCompose$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/irtree/ -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz '^FuzzDecodeMaster$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test . -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime 10s -fuzzminimizetime 100x

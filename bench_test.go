@@ -351,7 +351,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 // per occurrence (indexutil.KeywordStrings, which imports this package and
 // so cannot be imported from it).
 func docKeywords(v *vocab.Vocabulary, d vocab.Doc) []string {
-	var out []string
+	out := make([]string, 0, d.Len())
 	d.ForEach(func(t vocab.TermID, f int32) {
 		for ; f > 0; f-- {
 			out = append(out, v.Term(t))
@@ -360,17 +360,23 @@ func docKeywords(v *vocab.Vocabulary, d vocab.Doc) []string {
 	return out
 }
 
+// replay adds ds's objects, in id order, to a new Builder, as
+// indexutil.BuilderFromDataset does.
+func replay(ds *dataset.Dataset) *Builder {
+	bld := NewBuilder()
+	for _, o := range ds.Objects {
+		bld.AddObject(o.Loc.X, o.Loc.Y, docKeywords(ds.Vocab, o.Doc)...)
+	}
+	return bld
+}
+
 // coldFileIndex builds the system bench/ runs topk-ingest on: 20,000
 // generated objects, saved and loaded back file-backed with a 1 MiB
 // decoded cache, far smaller than the index, so reads miss.
 func coldFileIndex(b *testing.B) (*Index, *dataset.Dataset) {
 	b.Helper()
 	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(20000))
-	bld := NewBuilder()
-	for _, o := range ds.Objects {
-		bld.AddObject(o.Loc.X, o.Loc.Y, docKeywords(ds.Vocab, o.Doc)...)
-	}
-	built, err := bld.Build(Options{})
+	built, err := replay(ds).Build(Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -512,23 +518,50 @@ func BenchmarkTopK_ColdFileMixed(b *testing.B) {
 	b.ReportMetric(reads.Seconds()*1e3/float64(b.N), "read-ms/op")
 }
 
-// cohortIndex builds the index bench/ serves its cohort workloads from:
-// 100,000 generated objects (dataset seed 1) under default options, so a
-// 64 MiB decoded cache.
-func cohortIndex(b *testing.B) (*Index, *dataset.Dataset) {
+// cohortDataset is the dataset bench/ builds its cohort workloads' index
+// from: 100,000 generated objects, dataset seed 1.
+func cohortDataset() *dataset.Dataset {
 	cfg := dataset.DefaultFlickrConfig(100000)
 	cfg.Seed = 1
-	ds := dataset.GenerateFlickr(cfg)
-	bld := NewBuilder()
-	for _, o := range ds.Objects {
-		bld.AddObject(o.Loc.X, o.Loc.Y, docKeywords(ds.Vocab, o.Doc)...)
-	}
-	idx, err := bld.Build(Options{})
+	return dataset.GenerateFlickr(cfg)
+}
+
+// cohortIndex builds the index bench/ serves its cohort workloads from:
+// cohortDataset under default options, so a 64 MiB decoded cache.
+func cohortIndex(b *testing.B) (*Index, *dataset.Dataset) {
+	ds := cohortDataset()
+	idx, err := replay(ds).Build(Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { idx.Close() })
 	return idx, ds
+}
+
+// BenchmarkCohortIndex_Build is the set-up bench/ times (setup_s) for its
+// cohort workloads, at the library: cohortDataset replayed into a Builder
+// and built under default options. Beside the op's time and allocations
+// it reports the two halves, replay-ms and build-ms; Build composes the
+// index on GOMAXPROCS goroutines.
+func BenchmarkCohortIndex_Build(b *testing.B) {
+	ds := cohortDataset()
+	var replayed, built time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		bld := replay(ds)
+		t1 := time.Now()
+		idx, err := bld.Build(Options{})
+		replayed, built = replayed+t1.Sub(t0), built+time.Since(t1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		idx.Close()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(replayed.Milliseconds())/float64(b.N), "replay-ms")
+	b.ReportMetric(float64(built.Milliseconds())/float64(b.N), "build-ms")
 }
 
 // cohortUsers is a generated cohort in the facade's terms.

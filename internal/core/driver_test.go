@@ -22,7 +22,7 @@ import (
 // order, stop at the first location whose |LU_ℓ| is below the best count.
 func refSelect(e *Engine, q Query, th Thresholds, method KeywordMethod) (Selection, int) {
 	w := textrel.NewCandidateSet(q.Keywords)
-	var sc exactScratch
+	sc := newExactScratches(q, 1)[0]
 	best, evaluated := Selection{LocIndex: -1}, 0
 	for _, lc := range e.locationCandidates(q, th, w, nil) {
 		if len(lc.users) < best.Count() {
@@ -42,7 +42,7 @@ func refSelect(e *Engine, q Query, th Thresholds, method KeywordMethod) (Selecti
 // heap is full and the next |LU_ℓ| is below its minimum.
 func refTopL(e *Engine, q Query, th Thresholds, method KeywordMethod, l int) ([]Selection, int) {
 	w := textrel.NewCandidateSet(q.Keywords)
-	var sc exactScratch
+	sc := newExactScratches(q, 1)[0]
 	best, evaluated := container.NewTopK[Selection](l), 0
 	for _, lc := range e.locationCandidates(q, th, w, nil) {
 		if best.Full() && float64(len(lc.users)) < best.Threshold() {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/container"
 	"repro/internal/textrel"
@@ -23,12 +23,12 @@ type exactPrep struct {
 
 // prepareExact runs the user- and keyword-pruning of Section 6.2.2 once
 // for a location.
-func (e *Engine) prepareExact(q Query, rsk []float64, lc locCandidate, w textrel.CandidateSet) exactPrep {
+func (e *Engine) prepareExact(q Query, rsk []float64, lc locCandidate, sc *exactScratch) exactPrep {
 	li := lc.li
 
 	// Keyword pruning: only candidates occurring in at least one
 	// qualifying user's description can change any user's relevance.
-	cand := e.keywordsInUsers(q, lc.users, w)
+	cand := e.keywordsInUsers(lc.users, sc)
 
 	// Users already qualifying on ox's bare description (lower bound
 	// LBL(ℓ,u) = exact zero-keyword STS ≥ RSk(u)) count for every
@@ -69,13 +69,30 @@ func (e *Engine) prepareExact(q Query, rsk []float64, lc locCandidate, w textrel
 }
 
 // exactScratch holds one worker's reusable buffers for the combination
-// scan: the qualifying-user list and the merged-document buffers — the
-// per-combination allocations of the scan, paid once per worker instead.
-// The zero value is ready to use; a scratch must not be shared between
+// scan — the qualifying-user list and the merged-document buffers, the
+// per-combination allocations of the scan, paid once per worker instead —
+// and for keyword pruning: the scan's candidate keywords W, sorted once
+// and shared by its workers, a mark per keyword and the pruned list.
+// newExactScratches makes them; a scratch must not be shared between
 // concurrent scans.
 type exactScratch struct {
 	users []int32
 	merge vocab.MergeScratch
+
+	kw     []vocab.TermID // W, ascending and distinct; read-only
+	marked []bool         // marked[i]: kw[i] occurs in a user met so far
+	cand   []vocab.TermID // keywordsInUsers' result
+}
+
+// newExactScratches returns n scratches for the scans of q, sharing its
+// candidate keywords sorted once.
+func newExactScratches(q Query, n int) []exactScratch {
+	kw := slices.Compact(slices.Sorted(slices.Values(q.Keywords)))
+	out := make([]exactScratch, n)
+	for i := range out {
+		out[i].kw = kw
+	}
+	return out
 }
 
 // selectKeywordsExact implements Algorithm 4: enumerate the combinations
@@ -85,8 +102,8 @@ type exactScratch struct {
 // strictly beating the bare count and every earlier one.
 //
 //maxbr:hotpath
-func (e *Engine) selectKeywordsExact(q Query, rsk []float64, lc locCandidate, w textrel.CandidateSet, sc *exactScratch) Selection {
-	p := e.prepareExact(q, rsk, lc, w)
+func (e *Engine) selectKeywordsExact(q Query, rsk []float64, lc locCandidate, sc *exactScratch) Selection {
+	p := e.prepareExact(q, rsk, lc, sc)
 	best := p.bare
 	//maxbr:ignore hotpathalloc one closure per location, not per combination: Combinations invokes it in a loop internally
 	keep := func(combo []vocab.TermID) bool {
@@ -148,22 +165,31 @@ func overlapsAny(d vocab.Doc, terms []vocab.TermID) bool {
 	return false
 }
 
-// keywordsInUsers returns W ∩ (∪ u.d over the given users), ascending.
-func (e *Engine) keywordsInUsers(q Query, users []int, w textrel.CandidateSet) []vocab.TermID {
-	seen := make(map[vocab.TermID]bool)
+// keywordsInUsers returns W ∩ (∪ u.d over the given users), ascending:
+// it marks the keywords of sc.kw the users' terms meet and collects the
+// marked ones in order, clearing the marks. The result aliases sc and
+// stays valid until its next use.
+func (e *Engine) keywordsInUsers(users []int, sc *exactScratch) []vocab.TermID {
+	if cap(sc.marked) < len(sc.kw) {
+		sc.marked = make([]bool, len(sc.kw))
+	}
+	marked := sc.marked[:len(sc.kw)]
 	for _, ui := range users {
 		for _, t := range e.Users[ui].Doc.Terms() {
-			if w[t] {
-				seen[t] = true
+			if i, ok := slices.BinarySearch(sc.kw, t); ok {
+				marked[i] = true
 			}
 		}
 	}
-	out := make([]vocab.TermID, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
+	cand := sc.cand[:0]
+	for i, m := range marked {
+		if m {
+			cand = append(cand, sc.kw[i])
+			marked[i] = false
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	sc.cand = cand
+	return cand
 }
 
 // selectKeywordsGreedy implements the (1−1/e)-approximate keyword

@@ -147,7 +147,7 @@ func (e *Engine) Scan(q Query, th Thresholds, spec ScanSpec) ([]Candidate, ScanS
 	beaten := container.NewTopK[struct{}](max(beatenBy, 1))
 	sels := make([]Selection, len(lcs))
 	done := make([]bool, len(lcs))
-	scratch := make([]exactScratch, parallel.Workers(len(lcs), spec.Workers))
+	scratch := newExactScratches(q, parallel.Workers(len(lcs), spec.Workers))
 	parallel.ForNWorkers(len(lcs), spec.Workers, func(wk, i int) {
 		lu := len(lcs[i].users)
 		mu.Lock()
@@ -236,7 +236,7 @@ func (e *Engine) selectKeywords(q Query, rsk []float64, method KeywordMethod, lc
 	if method == KeywordsApprox {
 		return e.selectKeywordsGreedy(q, rsk, lc, w)
 	}
-	return e.selectKeywordsExact(q, rsk, lc, w, sc)
+	return e.selectKeywordsExact(q, rsk, lc, sc)
 }
 
 // exhaustiveLocationBest is the Section 4 baseline for one location, whose

@@ -81,7 +81,7 @@ func (e *Engine) SelectUserIndexed(q Query, method KeywordMethod, ut *miurtree.T
 
 	w := textrel.NewCandidateSet(q.Keywords)
 	cands := tr.Candidates()
-	var sc exactScratch // reused by every location's exact keyword scan
+	sc := &newExactScratches(q, 1)[0] // reused by every location's exact keyword scan
 
 	// Initial elements: the root node's entries.
 	rootNode, err := ut.ReadNode(ut.RootID())
@@ -179,7 +179,7 @@ func (e *Engine) SelectUserIndexed(q Query, method KeywordMethod, ut *miurtree.T
 		for _, el := range ll.elems {
 			lc.users = append(lc.users, el.ui)
 		}
-		if sel := e.selectKeywords(q, rsk, method, lc, w, &sc); sel.Count() > best.Count() {
+		if sel := e.selectKeywords(q, rsk, method, lc, w, sc); sel.Count() > best.Count() {
 			best = sel
 		}
 	}

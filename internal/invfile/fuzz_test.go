@@ -68,7 +68,7 @@ func fuzzSeedBuffers() [][]byte {
 	var out [][]byte
 	for _, sf := range fuzzSeedFiles() {
 		for _, includeMin := range []bool{false, true} {
-			enc := sf.encode(narrowest(sf, includeMin))
+			enc := sf.referenceEncode(narrowest(sf, includeMin))
 			replaced := bytes.Clone(enc)
 			replaced[0] = 1 + (enc[0]-firstVersion)%4
 			out = append(out, enc, replaced)
@@ -88,7 +88,7 @@ func bufLayout(buf []byte) layout {
 // exactly the same records, DecodeSumsInto and a Dir's SumsInto equal the
 // reference sums over the decoded file bit for bit, Aggregate and
 // ReplaceEntry equal their decoded-file references, and a decoded record
-// re-encodes to a decode↔encode fixpoint in its layout.
+// re-encodes (referenceEncode) to a decode↔encode fixpoint in its layout.
 func checkRecord(t *testing.T, buf []byte, nEntries int, entry int32, agg []EntryWeight) {
 	t.Helper()
 	checkSums(t, buf, nEntries)
@@ -99,12 +99,12 @@ func checkRecord(t *testing.T, buf []byte, nEntries int, entry int32, agg []Entr
 		return
 	}
 	l := bufLayout(buf)
-	enc := file.encode(l)
+	enc := file.referenceEncode(l)
 	f2, err := Decode(enc)
 	if err != nil {
 		t.Fatalf("re-decoding canonical encoding: %v", err)
 	}
-	if !bytes.Equal(enc, f2.encode(l)) {
+	if !bytes.Equal(enc, f2.referenceEncode(l)) {
 		t.Fatal("encode is not a decode↔encode fixpoint")
 	}
 }

@@ -6,13 +6,11 @@
 // package writes files as pager records and charges their loads (blocks =
 // ⌈bytes/4096⌉), so the simulated I/O reflects real list sizes.
 //
-// A File is how tree construction stages one: postings added by Add,
-// merged into one sorted term-id slice, a parallel offset slice and one
-// contiguous posting slice, and written out by Encode. Readers never
-// rebuild it; they read the record.
+// A Composer writes every record: given each entry's term-ascending list of
+// weights, it merges them in (term, entry) order and encodes the result
+// once. Readers never rebuild a record's postings; they read its bytes.
 //
-// A record (Encode) puts its term directory first and every posting at one
-// stride:
+// A record puts its term directory first and every posting at one stride:
 //
 //	version | n | n × (term id, count), ascending | every posting, in term order
 //
@@ -35,8 +33,8 @@
 // the postings the counts add up to fill the rest of the record exactly.
 // Nothing in a posting can be malformed past that: a run's entries are the
 // running sums of its deltas modulo 2^(8w) (read as int32 when w is 4),
-// which never wrap in a file Encode writes — its entries ascend below the
-// fanout. So OpenDir, DecodeSumsInto, Aggregate and ReplaceEntry accept
+// which never wrap in a record a Composer writes — its entries ascend below
+// the fanout. So OpenDir, DecodeSumsInto, Aggregate and ReplaceEntry accept
 // exactly the same records, and no reader steps through a run it does not
 // use; a summed posting's entry is still checked against the node's.
 //
@@ -56,7 +54,6 @@
 package invfile
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -66,138 +63,12 @@ import (
 	"repro/internal/vocab"
 )
 
-// Posting links a term to one child entry of a node.
-type Posting struct {
-	// Entry is the index of the child entry within its node.
-	Entry int32
-	// MaxW is the maximum weight of the term over the documents in the
-	// entry's subtree (for leaf entries: the document's weight itself).
-	MaxW float64
-	// MinW is the minimum weight over documents in the subtree, or zero
-	// when the term is absent from the subtree intersection (Section 5.1).
-	MinW float64
-}
-
-// File is the inverted file of one tree node: a posting list per term,
-// held in a flat layout. terms is ascending; the postings of terms[i] are
-// postings[starts[i]:starts[i+1]], ascending in Entry.
-//
-// Concurrency: Add stages postings in a pending buffer that the next read
-// merges in, so a File is confined to the goroutine that builds and
-// encodes it; readers share the encoded record, never the File.
-type File struct {
-	terms    []vocab.TermID
-	starts   []int32 // len(terms)+1 when terms non-empty
-	postings []Posting
-
-	pending []pendingPosting
-}
-
-// pendingPosting is one Add not yet merged into the flat arrays.
-type pendingPosting struct {
-	term vocab.TermID
-	p    Posting
-}
-
-// New returns an empty inverted file.
-func New() *File {
-	return &File{}
-}
-
-// Add appends a posting for term t. Postings for one term should be added
-// in ascending entry order (the flat merge sorts defensively).
-func (f *File) Add(t vocab.TermID, p Posting) {
-	f.pending = append(f.pending, pendingPosting{term: t, p: p})
-}
-
-// freeze merges pending Adds into the flat layout. It is a no-op (and
-// therefore safe on shared read-only files) when nothing is pending.
-// Only the pending postings are sorted; one pass then merges them into
-// the already ordered flat arrays. Postings with equal term and entry keep
-// the flat ones first, then the pending ones in Add order.
-func (f *File) freeze() {
-	if len(f.pending) == 0 {
-		return
-	}
-	pending := f.pending
-	slices.SortStableFunc(pending, func(a, b pendingPosting) int {
-		if a.term != b.term {
-			return cmp.Compare(a.term, b.term)
-		}
-		return cmp.Compare(a.p.Entry, b.p.Entry)
-	})
-	old := *f
-	*f = File{
-		terms:    make([]vocab.TermID, 0, len(old.terms)),
-		starts:   make([]int32, 0, len(old.starts)),
-		postings: make([]Posting, 0, len(old.postings)+len(pending)),
-	}
-	pi := 0
-	for ti, t := range old.terms {
-		for _, p := range old.postings[old.starts[ti]:old.starts[ti+1]] {
-			for ; pi < len(pending) && (pending[pi].term < t || pending[pi].term == t && pending[pi].p.Entry < p.Entry); pi++ {
-				f.push(pending[pi].term, pending[pi].p)
-			}
-			f.push(t, p)
-		}
-	}
-	for ; pi < len(pending); pi++ {
-		f.push(pending[pi].term, pending[pi].p)
-	}
-	f.starts = append(f.starts, int32(len(f.postings)))
-}
-
-// push appends one posting to a flat layout under construction. Callers
-// push in (term, entry) order and close starts once after the last one.
-func (f *File) push(t vocab.TermID, p Posting) {
-	if n := len(f.terms); n == 0 || f.terms[n-1] != t {
-		f.terms = append(f.terms, t)
-		f.starts = append(f.starts, int32(len(f.postings)))
-	}
-	f.postings = append(f.postings, p)
-}
-
 // EntryWeight is one term of a child entry's subtree aggregate: the
 // weights ReplaceEntry stores for that entry under Term, and what
 // Aggregate derives for a whole file.
 type EntryWeight struct {
 	Term       vocab.TermID
 	MaxW, MinW float64
-}
-
-// termIndex returns the position of t in the sorted term slice, or -1.
-func (f *File) termIndex(t vocab.TermID) int {
-	if i, ok := slices.BinarySearch(f.terms, t); ok {
-		return i
-	}
-	return -1
-}
-
-// Postings returns the posting list for t (nil when absent). The slice
-// aliases the file's flat layout; callers must not modify it and must not
-// retain it across a subsequent Add.
-func (f *File) Postings(t vocab.TermID) []Posting {
-	f.freeze()
-	i := f.termIndex(t)
-	if i < 0 {
-		return nil
-	}
-	return f.postings[f.starts[i]:f.starts[i+1]:f.starts[i+1]]
-}
-
-// NumPostings returns the total number of postings across all terms.
-func (f *File) NumPostings() int {
-	f.freeze()
-	return len(f.postings)
-}
-
-// Terms returns the file's terms in ascending order. The slice is the
-// file's own sorted term index — kept sorted once at decode/merge time,
-// never rebuilt per call. Callers must not modify it and must not retain
-// it across a subsequent Add.
-func (f *File) Terms() []vocab.TermID {
-	f.freeze()
-	return f.terms
 }
 
 // ---- the record layout ----
@@ -302,44 +173,165 @@ func (l layout) appendPosting(out []byte, delta uint32, maxW, minW float64) []by
 	return out
 }
 
-// Encode serializes the file for a tree of the given fanout: the term
-// directory, then every posting (see the package comment). With
-// includeMin=false the minimum weights are omitted (IR-tree layout) and
-// decode as zero. Every entry must be below the fanout's delta range —
-// 2^(8w), any int32 when w is 4 — as every node's entries are.
-func (f *File) Encode(includeMin bool, fanout int) []byte {
-	return f.encode(layoutFor(includeMin, fanout))
-}
-
-// encode is Encode in layout l, into one exactly sized buffer.
-func (f *File) encode(l layout) []byte {
-	f.freeze()
-	size := storage.UvarintLen(l.version()) + storage.UvarintLen(uint64(len(f.terms))) + len(f.postings)*l.stride()
-	for i, t := range f.terms {
-		size += storage.UvarintLen(uint64(t)) + storage.UvarintLen(uint64(f.starts[i+1]-f.starts[i]))
-	}
-	buf := make([]byte, 0, size)
-	buf = storage.AppendUvarint(buf, l.version())
-	buf = storage.AppendUvarint(buf, uint64(len(f.terms)))
-	for i, t := range f.terms {
-		buf = appendTerm(buf, t, int(f.starts[i+1]-f.starts[i]))
-	}
-	for i := range f.terms {
-		prev := int32(0)
-		for _, p := range f.postings[f.starts[i]:f.starts[i+1]] {
-			if !l.fits(p.Entry) {
-				panic(fmt.Sprintf("invfile: entry %d does not fit a %d-byte delta", p.Entry, l.w))
-			}
-			buf = l.appendPosting(buf, uint32(p.Entry-prev)&l.mask(), p.MaxW, p.MinW)
-			prev = p.Entry
-		}
-	}
-	return buf
-}
-
 // appendTerm appends a term header: the term id and its posting count.
 func appendTerm(out []byte, t vocab.TermID, cnt int) []byte {
 	return storage.AppendUvarint(storage.AppendUvarint(out, uint64(t)), uint64(cnt))
+}
+
+// ---- composing records ----
+
+// Composer composes posting records, the one encoder of the layout above.
+// A record's entries are given in order, each as its term-ascending list
+// of weights (Add, then EndEntry); Compose merges the lists in (term,
+// entry) order into a stream, sizes the record from it and encodes it once
+// into an exactly sized buffer, then starts over. The zero value is ready
+// to use, and a Composer reused across records reuses its buffers, so it
+// is confined to one goroutine; the records it returns are the caller's.
+type Composer struct {
+	lists  []EntryWeight // every entry's list, concatenated in entry order
+	ends   []int         // ends[i] is where entry i's list ends in lists
+	heads  []head        // the merge's heap of list heads, least key first
+	stream []posting     // the record's postings, in (term, entry) order
+	runs   []run         // the record's terms and their posting counts
+}
+
+// head is the next unmerged weight of one entry's list: key packs its
+// term above its entry, so keys order as (term, entry) pairs do.
+type head struct {
+	key      uint64
+	pos, end int
+}
+
+// posting is one posting of a record under composition.
+type posting struct {
+	term       vocab.TermID
+	entry      int32
+	maxW, minW float64
+}
+
+// run is one stored term of a record and its posting count.
+type run struct {
+	term vocab.TermID
+	cnt  int
+}
+
+// headKey is the merge key of term t in entry's list.
+func headKey(t vocab.TermID, entry int) uint64 { return uint64(t)<<32 | uint64(entry) }
+
+// Add appends w to the list of the entry being given: the first, or the
+// one after the last EndEntry. Within an entry, terms must strictly ascend
+// and be non-negative (Compose panics otherwise); a leaf entry's weights
+// are its object's, an internal entry's its child record's Aggregate.
+func (c *Composer) Add(w EntryWeight) { c.lists = append(c.lists, w) }
+
+// EndEntry ends the list of the entry being given, which may be empty.
+func (c *Composer) EndEntry() { c.ends = append(c.ends, len(c.lists)) }
+
+// Compose returns the record of the entries given since the last Compose,
+// for a tree of the given fanout, and forgets them. With includeMin false
+// the minimum weights are omitted (the IR-tree's layout). Every entry must
+// be below the fanout's delta range — 2^(8w), any int32 when w is 4 — as
+// every node's entries are.
+func (c *Composer) Compose(includeMin bool, fanout int) []byte {
+	c.merge()
+	buf := c.encode(layoutFor(includeMin, fanout))
+	c.lists, c.ends = c.lists[:0], c.ends[:0]
+	return buf
+}
+
+// merge fills the stream with every entry's list, merged in (term, entry)
+// order through a heap of the lists' heads.
+func (c *Composer) merge() {
+	h, start := c.heads[:0], 0
+	for entry, end := range c.ends {
+		if start < end {
+			h = append(h, head{key: c.keyAt(start, entry), pos: start, end: end})
+		}
+		start = end
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	c.stream = c.stream[:0]
+	for len(h) > 0 {
+		top := &h[0]
+		w := c.lists[top.pos]
+		entry := int(uint32(top.key))
+		c.stream = append(c.stream, posting{term: w.Term, entry: int32(entry), maxW: w.MaxW, minW: w.MinW})
+		if top.pos++; top.pos < top.end {
+			if next := c.keyAt(top.pos, entry); next > top.key {
+				top.key = next
+			} else {
+				panic(fmt.Sprintf("invfile: entry %d lists term %d after term %d", entry, c.lists[top.pos].Term, w.Term))
+			}
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	c.heads = h
+}
+
+// keyAt is the merge key of the weight at lists[pos], in entry's list.
+func (c *Composer) keyAt(pos, entry int) uint64 {
+	t := c.lists[pos].Term
+	if t < 0 {
+		panic(fmt.Sprintf("invfile: entry %d lists negative term %d", entry, t))
+	}
+	return headKey(t, entry)
+}
+
+// siftDown restores the heap order of h below i.
+func siftDown(h []head, i int) {
+	for {
+		least, l := i, 2*i+1
+		if l < len(h) && h[l].key < h[least].key {
+			least = l
+		}
+		if r := l + 1; r < len(h) && h[r].key < h[least].key {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// encode writes the stream as a record in layout l: it counts the runs
+// and sizes the record first, so the one buffer is allocated exactly.
+func (c *Composer) encode(l layout) []byte {
+	c.runs = c.runs[:0]
+	for i, p := range c.stream {
+		if i == 0 || p.term != c.stream[i-1].term {
+			c.runs = append(c.runs, run{term: p.term})
+		}
+		c.runs[len(c.runs)-1].cnt++
+	}
+	size := storage.UvarintLen(l.version()) + storage.UvarintLen(uint64(len(c.runs))) + len(c.stream)*l.stride()
+	for _, r := range c.runs {
+		size += storage.UvarintLen(uint64(r.term)) + storage.UvarintLen(uint64(r.cnt))
+	}
+	buf := make([]byte, 0, size)
+	buf = storage.AppendUvarint(buf, l.version())
+	buf = storage.AppendUvarint(buf, uint64(len(c.runs)))
+	for _, r := range c.runs {
+		buf = appendTerm(buf, r.term, r.cnt)
+	}
+	prev := int32(0)
+	for i, p := range c.stream {
+		if i == 0 || p.term != c.stream[i-1].term {
+			prev = 0
+		}
+		if !l.fits(p.entry) {
+			panic(fmt.Sprintf("invfile: entry %d does not fit a %d-byte delta", p.entry, l.w))
+		}
+		buf = l.appendPosting(buf, uint32(p.entry-prev)&l.mask(), p.maxW, p.minW)
+		prev = p.entry
+	}
+	return buf
 }
 
 // ---- the term directory: every reader's one validation ----
@@ -710,8 +702,8 @@ const headerRoom = 1 + binary.MaxVarintLen64
 // layout. A stored term whose postings were all entry's disappears,
 // duplicates included; a term of agg the file lacks is inserted with its
 // one posting. The result is byte for byte the encoding of the decoded
-// file with entry's postings removed and agg's merged in (for a file
-// Encode wrote, that file with the entry replaced); it fails exactly where
+// file with entry's postings removed and agg's merged in (for a record
+// a Composer wrote, the record of its entries with entry's list replaced); it fails exactly where
 // OpenDir does, and for an entry the layout cannot hold. buf itself is only
 // read.
 //

@@ -9,27 +9,6 @@ import (
 	"repro/internal/vocab"
 )
 
-func TestFileAddPostings(t *testing.T) {
-	f := New()
-	f.Add(3, Posting{Entry: 0, MaxW: 0.5, MinW: 0.1})
-	f.Add(3, Posting{Entry: 2, MaxW: 0.7, MinW: 0})
-	f.Add(1, Posting{Entry: 1, MaxW: 0.2, MinW: 0.2})
-
-	if len(f.Terms()) != 2 {
-		t.Errorf("%d terms, want 2", len(f.Terms()))
-	}
-	if got := f.Postings(3); len(got) != 2 {
-		t.Errorf("postings(3) = %v", got)
-	}
-	if got := f.Postings(99); got != nil {
-		t.Errorf("postings for absent term = %v, want nil", got)
-	}
-	terms := f.Terms()
-	if len(terms) != 2 || terms[0] != 1 || terms[1] != 3 {
-		t.Errorf("Terms = %v, want [1 3]", terms)
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := New()
 	f.Add(5, Posting{Entry: 1, MaxW: 1.5, MinW: 0.25})
@@ -55,20 +34,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				t.Errorf("term %d posting %d = %+v, want %+v", tm, i, have[i], want[i])
 			}
 		}
-	}
-}
-
-func TestEncodeSortsUnorderedPostings(t *testing.T) {
-	f := New()
-	f.Add(1, Posting{Entry: 5, MaxW: 0.5, MinW: 0})
-	f.Add(1, Posting{Entry: 2, MaxW: 0.3, MinW: 0.1})
-	got, err := Decode(f.Encode(true, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := got.Postings(1)
-	if ps[0].Entry != 2 || ps[1].Entry != 5 {
-		t.Errorf("postings not sorted after round-trip: %v", ps)
 	}
 }
 
@@ -134,19 +99,6 @@ func TestEmptyFileRoundTrip(t *testing.T) {
 	}
 	if len(got.Terms()) != 0 {
 		t.Errorf("%d terms, want 0", len(got.Terms()))
-	}
-}
-
-func TestTermsOrder(t *testing.T) {
-	f := New()
-	for _, tm := range []vocab.TermID{7, 3, 9, 1} {
-		f.Add(tm, Posting{Entry: 0, MaxW: 1})
-	}
-	order := f.Terms()
-	for i := 1; i < len(order); i++ {
-		if order[i-1] >= order[i] {
-			t.Fatalf("Terms order not ascending: %v", order)
-		}
 	}
 }
 

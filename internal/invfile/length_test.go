@@ -44,10 +44,15 @@ func TestEncodeKeepsVarintLengths(t *testing.T) {
 			fanout = 129 + rng.Intn(128)
 		}
 		f := invfile.New()
+		seen := map[[2]int]bool{} // a node stores one posting per (term, entry)
 		for tm := 0; tm < 1+rng.Intn(300); tm++ {
 			for e := 0; e < fanout; e++ {
 				if rng.Intn(4) == 0 {
-					f.Add(vocab.TermID(tm*(1+rng.Intn(90))), invfile.Posting{Entry: int32(e), MaxW: rng.Float64(), MinW: rng.Float64()})
+					id := tm * (1 + rng.Intn(90))
+					if !seen[[2]int{id, e}] {
+						seen[[2]int{id, e}] = true
+						f.Add(vocab.TermID(id), invfile.Posting{Entry: int32(e), MaxW: rng.Float64(), MinW: rng.Float64()})
+					}
 				}
 			}
 		}

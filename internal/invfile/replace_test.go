@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/vocab"
@@ -52,7 +51,7 @@ func checkReplaceEntry(t *testing.T, buf []byte, entry int32, agg []EntryWeight)
 		return nil
 	}
 	l := bufLayout(buf)
-	if want := replaceEntryReference(f, entry, agg).encode(l); !bytes.Equal(got, want) {
+	if want := replaceEntryReference(f, entry, agg).referenceEncode(l); !bytes.Equal(got, want) {
 		t.Fatalf("ReplaceEntry(%d, %v) (%+v): bytes differ from the reference\n got %x\nwant %x", entry, agg, l, got, want)
 	}
 	return got
@@ -192,8 +191,8 @@ func TestReplaceEntryMatchesRebuildRandomized(t *testing.T) {
 // readers agree too (checkRecord).
 func FuzzReplaceEntry(f *testing.F) {
 	for i, sf := range fuzzSeedFiles() {
-		f.Add(sf.encode(narrowest(sf, true)), uint16(i), []byte{1, 40, 8, 3, 16, 0, 200, 7, 7})
-		f.Add(sf.encode(narrowest(sf, false)), uint16(5), []byte{})
+		f.Add(sf.referenceEncode(narrowest(sf, true)), uint16(i), []byte{1, 40, 8, 3, 16, 0, 200, 7, 7})
+		f.Add(sf.referenceEncode(narrowest(sf, false)), uint16(5), []byte{})
 	}
 	for i, buf := range fuzzSeedBuffers() {
 		f.Add(buf, uint16(128+i), []byte{4, 1, 1, 0, 2, 2})
@@ -210,87 +209,6 @@ func FuzzReplaceEntry(f *testing.F) {
 		}
 		checkRecord(t, buf, int(entry)%300+1, int32(entry), agg)
 	})
-}
-
-// TestFreezeMergesPendingLikeFullSort: a few Adds on a large decoded file
-// must leave exactly the layout the old freeze produced by stable-sorting
-// every posting of the file, flat ones first: new terms before, between
-// and after, postings before, between and after a term's own, and
-// duplicates of a (term, entry) pair in flat-then-Add order.
-func TestFreezeMergesPendingLikeFullSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	big := New()
-	for tm := vocab.TermID(10); tm < 400; tm += 2 {
-		for e := int32(1); e < 60; e += 1 + int32(rng.Intn(3)) {
-			big.Add(tm, Posting{Entry: e, MaxW: rng.Float64(), MinW: rng.Float64()})
-		}
-	}
-	f, err := Decode(big.Encode(true, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	type tp struct {
-		term vocab.TermID
-		p    Posting
-	}
-	var all []tp
-	for _, tm := range f.Terms() {
-		for _, p := range f.Postings(tm) {
-			all = append(all, tp{tm, p})
-		}
-	}
-	flat := len(all)
-	existing := all[flat/2]
-	adds := []tp{
-		{401, Posting{Entry: 3, MaxW: 1}},                                 // a term after the last
-		{2, Posting{Entry: 9, MaxW: 2}},                                   // a term before the first
-		{2, Posting{Entry: 4, MaxW: 3}},                                   // out of entry order within it
-		{11, Posting{Entry: 5, MaxW: 4}},                                  // a term between two
-		{existing.term, Posting{Entry: 0, MaxW: 5}},                       // before a term's first posting
-		{existing.term, Posting{Entry: 1000, MaxW: 6}},                    // after its last
-		{existing.term, Posting{Entry: existing.p.Entry, MaxW: 7}},        // duplicate of a flat posting
-		{existing.term, Posting{Entry: existing.p.Entry, MaxW: 8}},        // and again: Add order decides
-		{401, Posting{Entry: 3, MaxW: 9}},                                 // duplicate of a pending posting
-		{all[0].term, Posting{Entry: all[0].p.Entry, MaxW: 10}},           // duplicate of the very first
-		{all[flat-1].term, Posting{Entry: all[flat-1].p.Entry, MaxW: 11}}, // and of the very last
-	}
-	for _, a := range adds {
-		f.Add(a.term, a.p)
-		all = append(all, a)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].term != all[j].term {
-			return all[i].term < all[j].term
-		}
-		return all[i].p.Entry < all[j].p.Entry
-	})
-
-	if f.NumPostings() != len(all) {
-		t.Fatalf("NumPostings = %d, want %d", f.NumPostings(), len(all))
-	}
-	i := 0
-	prev := vocab.TermID(-1)
-	for _, tm := range f.Terms() {
-		ps := f.Postings(tm)
-		if tm <= prev || len(ps) == 0 {
-			t.Fatalf("term %d after %d with %d postings", tm, prev, len(ps))
-		}
-		prev = tm
-		for _, p := range ps {
-			if all[i].term != tm || all[i].p != p {
-				t.Fatalf("posting %d = (%d, %+v), want (%d, %+v)", i, tm, p, all[i].term, all[i].p)
-			}
-			i++
-		}
-	}
-	// The merged file is canonical: it survives a round trip unchanged.
-	back, err := Decode(f.Encode(true, 1<<16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back.Encode(true, 1<<16), f.Encode(true, 1<<16)) {
-		t.Fatal("merged file is not a decode↔encode fixpoint")
-	}
 }
 
 // aggregateReference is the rule Aggregate replaced, over a decoded file:

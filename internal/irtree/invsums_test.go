@@ -13,13 +13,13 @@ import (
 	"repro/internal/vocab"
 )
 
-// ReadInvFile loads the inverted file referenced by a node as a whole
-// File, charging the simulated I/O of any load. It reads past the decoded cache, which holds the Dirs the sum
-// path reads through, and decodes privately with decodeInv. No production
-// path reads a whole file — every search sums through ReadInvSums and
-// mutations splice records — so it lives here, as the whole-file view the
-// tests check those paths against.
-func (t *Tree) ReadInvFile(node *NodeData) (*invfile.File, error) {
+// ReadInvFile loads the inverted file referenced by a node decoded whole,
+// charging the simulated I/O of any load. It reads past the decoded cache,
+// which holds the Dirs the sum path reads through, and decodes privately
+// with decodeInv. No production path reads a whole file — every search
+// sums through ReadInvSums and mutations splice records — so it lives
+// here, as the whole-file view the tests check those paths against.
+func (t *Tree) ReadInvFile(node *NodeData) (*decodedInv, error) {
 	buf, err := t.readInvBytes(node.InvID)
 	if err != nil {
 		return nil, err
@@ -27,12 +27,31 @@ func (t *Tree) ReadInvFile(node *NodeData) (*invfile.File, error) {
 	return decodeInv(buf)
 }
 
+// posting is one decoded posting: its entry and its weights.
+type posting struct {
+	Entry      int32
+	MaxW, MinW float64
+}
+
+// decodedInv is a posting record decoded whole: its terms, ascending, and
+// each term's postings in stored order.
+type decodedInv struct {
+	terms    []vocab.TermID
+	postings map[vocab.TermID][]posting
+}
+
+// Terms returns the record's terms in stored order.
+func (f *decodedInv) Terms() []vocab.TermID { return f.terms }
+
+// Postings returns the postings of t (nil when absent).
+func (f *decodedInv) Postings(t vocab.TermID) []posting { return f.postings[t] }
+
 // decodeInv reads a posting record (the layout of invfile's package
-// comment) into a File, independently of invfile's readers: the version
-// gives the postings' entry-delta width and whether they carry a minimum
-// weight, the term headers their counts, and every posting follows in
-// term order.
-func decodeInv(buf []byte) (*invfile.File, error) {
+// comment) independently of invfile's readers: the version gives the
+// postings' entry-delta width and whether they carry a minimum weight, the
+// term headers their counts, and every posting follows in term order. It
+// requires the terms to ascend.
+func decodeInv(buf []byte) (*decodedInv, error) {
 	d := storage.NewDecoder(buf)
 	v := d.Uvarint() - 5 // versions 5 to 10
 	hasMin, w := v&1 == 1, 1<<(v>>1)
@@ -44,19 +63,23 @@ func decodeInv(buf []byte) (*invfile.File, error) {
 	for i := range terms {
 		terms[i], counts[i] = d.Uvarint(), d.Uvarint()
 	}
-	f := invfile.New()
+	f := &decodedInv{postings: make(map[vocab.TermID][]posting, n)}
 	for i, tm := range terms {
+		if i > 0 && tm <= terms[i-1] {
+			return nil, fmt.Errorf("decodeInv: term %d stored after term %d", tm, terms[i-1])
+		}
 		entry := uint32(0)
 		for range min(counts[i], uint64(d.Remaining())) {
 			for j, b := range d.Bytes(w) {
 				entry += uint32(b) << (8 * j)
 			}
-			p := invfile.Posting{Entry: int32(entry), MaxW: d.Float64()}
+			p := posting{Entry: int32(entry), MaxW: d.Float64()}
 			if hasMin {
 				p.MinW = d.Float64()
 			}
-			f.Add(vocab.TermID(tm), p)
+			f.postings[vocab.TermID(tm)] = append(f.postings[vocab.TermID(tm)], p)
 		}
+		f.terms = append(f.terms, vocab.TermID(tm))
 	}
 	if d.Err() != nil || d.Remaining() != 0 {
 		return nil, fmt.Errorf("decodeInv: %v, %d bytes left", d.Err(), d.Remaining())
@@ -70,13 +93,14 @@ func decodeInv(buf []byte) (*invfile.File, error) {
 // address holding no record fails.
 func TestReadInvBytesChargesBlocks(t *testing.T) {
 	tree, _, _ := buildSmall(t, MIRTree, textrel.LM)
-	f := invfile.New()
-	for tm := vocab.TermID(0); tm < 300; tm++ {
-		for e := int32(0); e < 10; e++ {
-			f.Add(tm, invfile.Posting{Entry: e, MaxW: float64(e) * 0.1, MinW: 0.01})
+	var c invfile.Composer
+	for e := range 10 {
+		for tm := vocab.TermID(0); tm < 300; tm++ {
+			c.Add(invfile.EntryWeight{Term: tm, MaxW: float64(e) * 0.1, MinW: 0.01})
 		}
+		c.EndEntry()
 	}
-	id := tree.sh.pager.WriteRecord(f.Encode(true, tree.Fanout()))
+	id := tree.sh.pager.WriteRecord(c.Compose(true, tree.Fanout()))
 	blocks := tree.sh.pager.RecordPages(id)
 	if blocks < 2 {
 		t.Fatalf("test file should span ≥2 pages, got %d", blocks)
@@ -110,7 +134,7 @@ func TestReadInvBytesChargesBlocks(t *testing.T) {
 // the model's floor weight (LM smoothing) where it does not. For leaf
 // entries the result is exact, because the leaf posting weight is the
 // document's own weight.
-func MaxTextSums(model textrel.Model, inv *invfile.File, nEntries int, terms []vocab.TermID) []float64 {
+func MaxTextSums(model textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID) []float64 {
 	sums := make([]float64, nEntries)
 	floorSum := 0.0
 	for _, tm := range terms {
@@ -133,7 +157,7 @@ func MaxTextSums(model textrel.Model, inv *invfile.File, nEntries int, terms []v
 // the posting's minimum weight where positive (the term is in the subtree
 // intersection), otherwise the floor. Only meaningful on a MIR-tree; on an
 // IR-tree all stored minima are zero and the bound degrades to the floor.
-func MinTextSums(model textrel.Model, inv *invfile.File, nEntries int, terms []vocab.TermID) []float64 {
+func MinTextSums(model textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID) []float64 {
 	sums := make([]float64, nEntries)
 	floorSum := 0.0
 	for _, tm := range terms {

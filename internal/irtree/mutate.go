@@ -87,6 +87,8 @@ type mutation struct {
 	height  int
 	retired storage.RetireSet
 	dirty   map[int32]*workNode
+	// composer writes the records composeNode rewrites whole.
+	composer invfile.Composer
 }
 
 // workNode is the mutation's private copy of one rewritten node, its
@@ -579,30 +581,29 @@ func (m *mutation) composeNode(id int32, leaf bool, entries []NodeEntry, oldInv 
 			}
 		}
 	}
-	m.writeNodeData(id, leaf, entries, m.t.sh.composeInv(leaf, entries, m.objects, aggs), oldInv)
+	m.writeNodeData(id, leaf, entries, m.t.sh.composeInv(&m.composer, leaf, entries, m.objects, aggs), oldInv)
 	return nil
 }
 
-// composeInv encodes the posting record of a node holding entries — the
-// one definition of what a node stores, which Build and every mutation
-// that rewrites a whole record share. A leaf entry's postings are its
-// object's exact weights (eachWeight); an internal entry i's are aggs[i],
+// composeInv encodes the posting record of a node holding entries with c
+// — the one definition of what a node stores, which Build and every
+// mutation that rewrites a whole record share. A leaf entry's list is its
+// object's exact weights (eachWeight); an internal entry i's is aggs[i],
 // its child record's aggregate (invfile.Aggregate).
-func (sh *shared) composeInv(leaf bool, entries []NodeEntry, objects []dataset.Object, aggs [][]invfile.EntryWeight) []byte {
-	inv := invfile.New()
+func (sh *shared) composeInv(c *invfile.Composer, leaf bool, entries []NodeEntry, objects []dataset.Object, aggs [][]invfile.EntryWeight) []byte {
 	for i, e := range entries {
-		entry := int32(i)
 		if leaf {
 			sh.eachWeight(objects[e.Child].Doc, func(tm vocab.TermID, w float64) {
-				inv.Add(tm, invfile.Posting{Entry: entry, MaxW: w, MinW: w})
+				c.Add(invfile.EntryWeight{Term: tm, MaxW: w, MinW: w})
 			})
-			continue
+		} else {
+			for _, a := range aggs[i] {
+				c.Add(a)
+			}
 		}
-		for _, a := range aggs[i] {
-			inv.Add(a.Term, invfile.Posting{Entry: entry, MaxW: a.MaxW, MinW: a.MinW})
-		}
+		c.EndEntry()
 	}
-	return inv.Encode(sh.kind == MIRTree, sh.cfgFanout)
+	return c.Compose(sh.kind == MIRTree, sh.cfgFanout)
 }
 
 // eachWeight calls fn with every term of doc and the weight a leaf posting

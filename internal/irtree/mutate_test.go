@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/invfile"
 	"repro/internal/storage"
 	"repro/internal/textrel"
 	"repro/internal/vocab"
@@ -121,8 +120,8 @@ func checkStoredAggregates(t *testing.T, tree *Tree) {
 		term  vocab.TermID
 		entry int32
 	}
-	var walk func(id int32) map[vocab.TermID]invfile.Posting
-	walk = func(id int32) map[vocab.TermID]invfile.Posting {
+	var walk func(id int32) map[vocab.TermID]posting
+	walk = func(id int32) map[vocab.TermID]posting {
 		n, err := tree.ReadNode(id)
 		if err != nil {
 			t.Fatal(err)
@@ -131,13 +130,13 @@ func checkStoredAggregates(t *testing.T, tree *Tree) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := map[key]invfile.Posting{}
+		want := map[key]posting{}
 		for i, e := range n.Entries {
 			if n.Leaf {
 				doc := tree.Dataset().Objects[e.Child].Doc
 				doc.ForEach(func(tm vocab.TermID, _ int32) {
 					w := tree.Model().Weight(doc, tm)
-					p := invfile.Posting{Entry: int32(i), MaxW: w, MinW: w}
+					p := posting{Entry: int32(i), MaxW: w, MinW: w}
 					if tree.Kind() == IRTree {
 						p.MinW = 0
 					}
@@ -152,11 +151,11 @@ func checkStoredAggregates(t *testing.T, tree *Tree) {
 		}
 		// This node's own aggregate, for its parent: max of maxima, and a
 		// minimum only where every entry has a positive one.
-		agg := map[vocab.TermID]invfile.Posting{}
+		agg := map[vocab.TermID]posting{}
 		stored := 0
 		for _, tm := range inv.Terms() {
 			ps := inv.Postings(tm)
-			a := invfile.Posting{MinW: math.Inf(1)}
+			a := posting{MinW: math.Inf(1)}
 			for j, p := range ps {
 				if j > 0 && ps[j-1].Entry >= p.Entry {
 					t.Fatalf("node %d term %d: entries out of order", id, tm)

@@ -45,10 +45,18 @@ func (n *NodeData) MBR() geo.Rect {
 // encodeNode serializes a node: leaf flag, entry count, per entry the
 // child ref, subtree count and rectangle, then the total count and the
 // inverted-file page id. Construction and incremental maintenance share it.
+// The record is sized first and written into one exactly sized buffer,
+// which the record store keeps as it is.
 func encodeNode(leaf bool, entries []NodeEntry, invID storage.PageID) []byte {
-	buf := storage.AppendUvarint(nil, boolBit(leaf))
-	buf = storage.AppendUvarint(buf, uint64(len(entries)))
 	total := int32(0)
+	size := storage.UvarintLen(boolBit(leaf)) + storage.UvarintLen(uint64(len(entries))) + storage.UvarintLen(uint64(invID))
+	for _, e := range entries {
+		size += storage.UvarintLen(uint64(e.Child)) + storage.UvarintLen(uint64(e.Count)) + 32
+		total += e.Count
+	}
+	size += storage.UvarintLen(uint64(total))
+	buf := storage.AppendUvarint(make([]byte, 0, size), boolBit(leaf))
+	buf = storage.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
 		buf = storage.AppendUvarint(buf, uint64(e.Child))
 		buf = storage.AppendUvarint(buf, uint64(e.Count))
@@ -56,7 +64,6 @@ func encodeNode(leaf bool, entries []NodeEntry, invID storage.PageID) []byte {
 		buf = storage.AppendFloat64(buf, e.Rect.Min.Y)
 		buf = storage.AppendFloat64(buf, e.Rect.Max.X)
 		buf = storage.AppendFloat64(buf, e.Rect.Max.Y)
-		total += e.Count
 	}
 	buf = storage.AppendUvarint(buf, uint64(total))
 	buf = storage.AppendUvarint(buf, uint64(invID))

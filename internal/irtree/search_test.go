@@ -120,12 +120,18 @@ func TestMaxMinTextSums(t *testing.T) {
 	}()
 	model := textrel.NewKeywordOverlap(ds)
 
-	inv := invfile.New()
+	var c invfile.Composer
 	// entry 0 subtree: term a in all docs (min 1); term b absent
-	inv.Add(terms[0], invfile.Posting{Entry: 0, MaxW: 1, MinW: 1})
+	c.Add(invfile.EntryWeight{Term: terms[0], MaxW: 1, MinW: 1})
+	c.EndEntry()
 	// entry 1 subtree: a in some docs (min 0), b in all
-	inv.Add(terms[0], invfile.Posting{Entry: 1, MaxW: 1, MinW: 0})
-	inv.Add(terms[1], invfile.Posting{Entry: 1, MaxW: 1, MinW: 1})
+	c.Add(invfile.EntryWeight{Term: terms[0], MaxW: 1, MinW: 0})
+	c.Add(invfile.EntryWeight{Term: terms[1], MaxW: 1, MinW: 1})
+	c.EndEntry()
+	inv, err := decodeInv(c.Compose(true, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	maxSums := MaxTextSums(model, inv, 2, terms)
 	if maxSums[0] != 1 || maxSums[1] != 2 {

@@ -7,7 +7,8 @@
 //
 // Build and every mutation that rewrites a whole node compose its inverted
 // file with one function, composeInv: its objects' exact weights in a leaf,
-// each child's aggregate (invfile.Aggregate) above.
+// each child's aggregate (invfile.Aggregate) above, merged by an
+// invfile.Composer.
 //
 // Nodes and inverted files are serialized into a 4 kB pager and read back
 // through an accountable accessor: every node read charges one simulated
@@ -17,11 +18,13 @@ package irtree
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/invfile"
+	"repro/internal/parallel"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 	"repro/internal/textrel"
@@ -122,8 +125,11 @@ type Tree struct {
 }
 
 // Build constructs the index over ds with the given relevance model. The
-// model provides the document term weights stored in the inverted files.
-// Nodes are written in post-order, each inverted file composed by composeInv.
+// model provides the document term weights stored in the inverted files,
+// each composed by composeInv. The nodes are composed a level at a time
+// from the leaves up, on GOMAXPROCS goroutines (composeLevels), and then
+// written in post-order, each node right after its children, so every
+// record and address is the same whatever the number of goroutines.
 func Build(ds *dataset.Dataset, model textrel.Model, cfg Config) *Tree {
 	fanout := cfg.Fanout
 	if fanout == 0 {
@@ -153,38 +159,95 @@ func Build(ds *dataset.Dataset, model textrel.Model, cfg Config) *Tree {
 		numNodes: rt.NumNodes(),
 	}
 	if rt.RootID() != rtree.NoNode {
-		t.buildNode(rt, rt.RootID())
+		t.writeNode(rt, t.composeLevels(rt), rt.RootID())
 	}
 	return t
 }
 
-// buildNode writes the subtree rooted at id bottom-up, each node right
-// after its children, and returns the aggregate of the node's posting
-// record, for its parent's entry, and its object count.
-func (t *Tree) buildNode(rt *rtree.Tree, id int32) ([]invfile.EntryWeight, int32) {
-	n := rt.Node(id)
-	entries := make([]NodeEntry, len(n.Entries))
+// builtNode is one node composed by Build: its entries, its posting
+// record, and the record's aggregate and object count, which its parent's
+// entry takes.
+type builtNode struct {
+	entries []NodeEntry
+	inv     []byte
+	agg     []invfile.EntryWeight
+	count   int32
+}
+
+// composeLevels composes every node of rt, indexed by node id. It buckets
+// the nodes by depth and composes the deepest level first, each level's
+// nodes spread over GOMAXPROCS goroutines with a Composer each; a node
+// reads its children's aggregates from the level composed before it and
+// drops them once its own record holds them.
+func (t *Tree) composeLevels(rt *rtree.Tree) []builtNode {
+	levels := [][]int32{{rt.RootID()}}
+	for {
+		var next []int32
+		for _, id := range levels[len(levels)-1] {
+			if n := rt.Node(id); !n.Leaf {
+				for _, e := range n.Entries {
+					next = append(next, e.Child)
+				}
+			}
+		}
+		if len(next) == 0 {
+			break
+		}
+		levels = append(levels, next)
+	}
+	built := make([]builtNode, rt.NumNodes())
+	workers := runtime.GOMAXPROCS(0)
+	composers := make([]invfile.Composer, workers)
+	for d := len(levels) - 1; d >= 0; d-- {
+		level := levels[d]
+		parallel.ForNWorkers(len(level), workers, func(w, i int) {
+			t.buildNode(rt, built, level[i], &composers[w])
+		})
+	}
+	return built
+}
+
+// buildNode composes node id of rt into built[id] with c, its children
+// already composed.
+func (t *Tree) buildNode(rt *rtree.Tree, built []builtNode, id int32, c *invfile.Composer) {
+	n, b := rt.Node(id), &built[id]
+	b.entries = make([]NodeEntry, len(n.Entries))
 	var aggs [][]invfile.EntryWeight // the children's, above the leaves
 	if !n.Leaf {
 		aggs = make([][]invfile.EntryWeight, len(n.Entries))
 	}
-	total := int32(0)
 	for i, e := range n.Entries {
 		count := int32(1)
 		if !n.Leaf {
-			aggs[i], count = t.buildNode(rt, e.Child)
+			child := &built[e.Child]
+			aggs[i], count = child.agg, child.count
+			child.agg = nil
 		}
-		entries[i] = NodeEntry{Rect: e.Rect, Child: e.Child, Count: count}
-		total += count
+		b.entries[i] = NodeEntry{Rect: e.Rect, Child: e.Child, Count: count}
+		b.count += count
 	}
-	inv := t.sh.composeInv(n.Leaf, entries, t.ds.Objects, aggs)
-	invID := t.sh.pager.WriteRecord(inv)
-	t.nodes.setRaw(id, t.sh.pager.WriteRecord(encodeNode(n.Leaf, entries, invID)))
-	agg, err := invfile.Aggregate(inv, len(entries))
+	b.inv = t.sh.composeInv(c, n.Leaf, b.entries, t.ds.Objects, aggs)
+	agg, err := invfile.Aggregate(b.inv, len(b.entries))
 	if err != nil {
 		panic(fmt.Sprintf("irtree: Build cannot read the posting record it encoded: %v", err))
 	}
-	return agg, total
+	b.agg = agg
+}
+
+// writeNode writes the subtree rooted at id in post-order — each node's
+// posting record and then its node record, right after its children's —
+// handing the composed records to the store.
+func (t *Tree) writeNode(rt *rtree.Tree, built []builtNode, id int32) {
+	n := rt.Node(id)
+	if !n.Leaf {
+		for _, e := range n.Entries {
+			t.writeNode(rt, built, e.Child)
+		}
+	}
+	b := &built[id]
+	invID := t.sh.pager.WriteRecord(b.inv)
+	t.nodes.setRaw(id, t.sh.pager.WriteRecord(encodeNode(n.Leaf, b.entries, invID)))
+	*b = builtNode{}
 }
 
 // Kind returns the index variant.

@@ -14,22 +14,30 @@ import (
 // them corrupts every other reader of the same page — a data race no
 // test reliably catches because the cache must be warm and shared.
 //
-// The analyzer taints values assigned from those sources (following
-// plain copies, re-slicings, and type assertions within the function)
-// and flags element writes, copy-into, append (which may write the
-// shared backing array) and in-place sorts of tainted values.
+// The other way round, WriteRecord (on the Backend interface and on the
+// Pager) keeps the buffer it is handed and serves it to every reader of
+// the record, so a local buffer passed to it is shared from that call on.
+//
+// The analyzer taints values assigned from those sources and buffers
+// passed to those sinks (following plain copies, re-slicings, and type
+// assertions within the function) and flags element writes, copy-into,
+// append (which may write the shared backing array) and in-place sorts of
+// tainted values.
 var AnalyzerImmutableAlias = &Analyzer{
 	Name: "immutablealias",
-	Doc:  "flags writes through shared values returned by ReadRecord, ReadRecordAt and DecodedCache.Get",
+	Doc:  "flags writes through shared values returned by ReadRecord, ReadRecordAt and DecodedCache.Get, and through buffers handed to WriteRecord",
 	Run:  runImmutableAlias,
+}
+
+// sharedSource names a method whose result (a source) or argument (a
+// sink) at index at is shared immutable storage.
+type sharedSource struct {
+	pkg, recv, name string
+	at              int
 }
 
 // sharedSources lists the functions whose results alias shared immutable
 // storage: (pkg, receiver type, method) -> index of the shared result.
-type sharedSource struct {
-	pkg, recv, name string
-	result          int
-}
 
 var sharedSources = []sharedSource{
 	{"repro/internal/storage", "Backend", "ReadRecord", 0},
@@ -37,6 +45,13 @@ var sharedSources = []sharedSource{
 	{"repro/internal/storage", "Backend", "ReadRecordAt", 0},
 	{"repro/internal/storage", "Pager", "ReadRecordAt", 0},
 	{"repro/internal/storage", "DecodedCache", "Get", 0},
+}
+
+// handoverSinks lists the functions that keep a buffer they are passed as
+// a shared record: (pkg, receiver type, method) -> index of the argument.
+var handoverSinks = []sharedSource{
+	{"repro/internal/storage", "Backend", "WriteRecord", 0},
+	{"repro/internal/storage", "Pager", "WriteRecord", 0},
 }
 
 // sortCalls are stdlib helpers that mutate their slice argument in
@@ -91,10 +106,21 @@ func checkAliasScope(pass *Pass, body *ast.BlockStmt) {
 		return false
 	}
 
-	ast.Inspect(body, func(n ast.Node) bool {
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			// Propagate taint from RHS to LHS, kill on overwrite.
+			// The calls of both sides run before the assignment: check
+			// them (and taint what they hand over) under the taint as it
+			// stands, then propagate taint from RHS to LHS, killing it on
+			// overwrite — so buf = append(buf, …) of a shared buf is
+			// flagged before buf is taken as fresh.
+			for _, e := range n.Rhs {
+				ast.Inspect(e, visit)
+			}
+			for _, e := range n.Lhs {
+				ast.Inspect(e, visit)
+			}
 			for i, lhs := range n.Lhs {
 				obj := objOf(lhs)
 				var rhs ast.Expr
@@ -107,7 +133,7 @@ func checkAliasScope(pass *Pass, body *ast.BlockStmt) {
 				switch l := ast.Unparen(lhs).(type) {
 				case *ast.IndexExpr:
 					if taintedExpr(l.X) {
-						pass.Report(n.Pos(), "write through shared value %s: results of the cache/invfile accessors are shared between concurrent readers and immutable; copy before modifying", exprString(l.X))
+						pass.Report(n.Pos(), "write through shared value %s: records read from or handed to the store, and cached values, are shared between concurrent readers and immutable; copy before modifying", exprString(l.X))
 					}
 				case *ast.StarExpr:
 					if taintedExpr(l.X) {
@@ -143,11 +169,33 @@ func checkAliasScope(pass *Pass, body *ast.BlockStmt) {
 					delete(tainted, obj) // overwritten with a fresh value
 				}
 			}
+			return false
 		case *ast.CallExpr:
 			checkAliasCall(pass, n, taintedExpr)
+			if arg, ok := handoverArg(info, n); ok {
+				if o := objOf(arg); o != nil {
+					tainted[o] = true // the store's record from here on
+				}
+			}
 		}
 		return true
-	})
+	}
+	ast.Inspect(body, visit)
+}
+
+// handoverArg returns the buffer call hands over to a sink, if it calls
+// one.
+func handoverArg(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
+	fn := calleeFunc(info, call)
+	if fn == nil {
+		return nil, false
+	}
+	for _, s := range handoverSinks {
+		if matchesFunc(fn, s.pkg, s.recv, s.name) && s.at < len(call.Args) {
+			return call.Args[s.at], true
+		}
+	}
+	return nil, false
 }
 
 // checkAliasCall flags mutating calls involving tainted values.
@@ -195,7 +243,7 @@ func sharedSourceOf(info *types.Info, call *ast.CallExpr) (int, bool) {
 	}
 	for _, s := range sharedSources {
 		if matchesFunc(fn, s.pkg, s.recv, s.name) {
-			return s.result, true
+			return s.at, true
 		}
 	}
 	return 0, false

@@ -121,9 +121,6 @@ var testObservers = map[string]string{
 	"container.TopK.Items":         "tests inspect the retained items",
 	"container.TopK.Len":           "tests check the retained count",
 	"geo.Rect.ContainsRect":        "the R-tree structure checks in tests",
-	"invfile.File.NumPostings":     "tests compare posting counts",
-	"invfile.File.Postings":        "tests compare decoded posting lists",
-	"invfile.File.Terms":           "tests enumerate a file's terms",
 	"irtree.Tree.DiskPages":        "tests pin the pages an index occupies",
 	"irtree.Tree.Height":           "tests check the tree shape after mutations",
 	"irtree.Tree.Kind":             "tests check a restored tree kept its kind",

@@ -1,8 +1,10 @@
 // Fixture for the immutablealias analyzer: values handed out by the
-// cache layers are shared and must be treated as immutable.
+// cache layers, and buffers handed to the record store, are shared and
+// must be treated as immutable.
 package fixture
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/invfile"
@@ -77,7 +79,7 @@ func fieldWriteInCachedPostings(c *storage.DecodedCache, id storage.PageID) {
 	if !ok {
 		return
 	}
-	ps := v.([]invfile.Posting)
+	ps := v.([]invfile.EntryWeight)
 	ps[0].MaxW = 0 // want "field write through shared value ps"
 }
 
@@ -119,4 +121,44 @@ func appendToPagerRange(p *storage.Pager, id storage.PageID, dst []byte) ([]byte
 		return nil, err
 	}
 	return append(run, 0), nil // want "append to shared value run"
+}
+
+func writeAfterHandover(p *storage.Pager) storage.PageID {
+	buf := make([]byte, 8)
+	buf[1] = 2 // negative: before the handover
+	id := p.WriteRecord(buf)
+	buf[0] = 1 // want "write through shared value buf"
+	return id
+}
+
+func appendAfterHandover(b storage.Backend, rec []byte) []byte {
+	b.WriteRecord(rec)
+	rec = append(rec, 0) // want "append to shared value rec"
+	return rec
+}
+
+func copyIntoHandedOver(b storage.Backend, src []byte) {
+	buf := make([]byte, len(src))
+	copy(buf, src) // negative: before the handover
+	b.WriteRecord(buf)
+	copy(buf, src) // want "copy into shared value buf"
+}
+
+func sortHandedOver(p *storage.Pager, buf []byte) {
+	p.WriteRecord(buf)
+	slices.Sort(buf) // want "in-place sort of shared value buf"
+}
+
+func resliceHandedOver(p *storage.Pager, buf []byte) {
+	p.WriteRecord(buf)
+	tail := buf[4:]
+	tail[0] = 0 // want "write through shared value tail"
+}
+
+func freshBufferAfterHandover(p *storage.Pager) { // negative
+	buf := []byte{1}
+	p.WriteRecord(buf)
+	buf = make([]byte, 1)
+	buf[0] = 2
+	p.WriteRecord(buf)
 }

@@ -42,6 +42,12 @@ func FuzzDecodeMaster(f *testing.F) {
 				t.Fatalf("accepted object %d referencing term %d outside vocabulary of %d",
 					i, ts[len(ts)-1], ix.DS.Vocab.Size())
 			}
+			ts, fs := o.Doc.Terms(), o.Doc.Freqs()
+			for j := range ts {
+				if j > 0 && ts[j] <= ts[j-1] || fs[j] <= 0 {
+					t.Fatalf("accepted object %d with term %d at frequency %d after terms %v", i, ts[j], fs[j], ts[:j])
+				}
+			}
 		}
 		st := ix.DS.Stats
 		if terms := len(st.CollectionFreq); len(st.DocFreq) != terms || len(ix.maxW) != terms || terms > ix.DS.Vocab.Size() {

@@ -268,23 +268,37 @@ func decodeMaster(buf []byte) (*Index, error) {
 		unique := d.Uvarint()
 		// Each unique term takes ≥2 encoded bytes (delta + frequency); a
 		// larger claim is corruption and must be caught before it becomes
-		// a gigantic map allocation hint.
+		// a gigantic allocation.
 		if d.Err() == nil && unique > uint64(d.Remaining())/2 {
 			return nil, fmt.Errorf("corrupt master record: object %d claims %d unique terms in %d remaining bytes", i, unique, d.Remaining())
 		}
-		tf := make(map[vocab.TermID]int32, unique)
-		prev := vocab.TermID(0)
-		for j := uint64(0); j < unique && d.Err() == nil; j++ {
-			prev += vocab.TermID(d.Uvarint())
-			if prev < 0 || int(prev) >= v.Size() {
-				return nil, fmt.Errorf("corrupt master record: object %d references term %d outside vocabulary of %d", i, prev, v.Size())
+		// The terms are stored ascending, as deltas from the previous one
+		// (the first from zero), each with its frequency: Save writes no
+		// repeated term (a zero delta after the first) and no frequency
+		// outside 1..MaxInt32, so either is corruption, not a term to drop
+		// or to overwrite.
+		terms, freqs := make([]vocab.TermID, unique), make([]int32, unique)
+		term := uint64(0)
+		for j := uint64(0); j < unique; j++ {
+			delta, freq := d.Uvarint(), d.Uvarint()
+			if d.Err() != nil {
+				break
 			}
-			tf[prev] = int32(d.Uvarint())
+			switch size := uint64(v.Size()); {
+			case j > 0 && delta == 0:
+				return nil, fmt.Errorf("corrupt master record: object %d repeats term %d", i, term)
+			case delta >= size || term+delta >= size:
+				return nil, fmt.Errorf("corrupt master record: object %d references a term outside vocabulary of %d (delta %d after term %d)", i, size, delta, term)
+			case freq == 0 || freq > math.MaxInt32:
+				return nil, fmt.Errorf("corrupt master record: object %d gives term %d frequency %d outside 1..%d", i, term+delta, freq, math.MaxInt32)
+			}
+			term += delta
+			terms[j], freqs[j] = vocab.TermID(term), int32(freq)
 		}
 		objects = append(objects, dataset.Object{
 			ID:  int32(i),
 			Loc: geo.Point{X: x, Y: y},
-			Doc: vocab.NewDoc(tf),
+			Doc: vocab.DocFromSorted(terms, freqs),
 		})
 	}
 

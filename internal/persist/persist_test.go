@@ -288,3 +288,60 @@ func TestLoadRejectsCorruptTreeFanout(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadRejectsCorruptObjectTerms: an object's terms are stored
+// ascending, as deltas, each with a frequency Save never writes outside
+// 1..MaxInt32. A file whose second term delta of object 0 reads 0 (a
+// repeated term) or whose frequency reads 0 must fail to load with an
+// error naming the object — not load with a term silently dropped — and
+// so must a master record whose frequency exceeds MaxInt32.
+func TestLoadRejectsCorruptObjectTerms(t *testing.T) {
+	v := vocab.New()
+	a, b := v.Add("a"), v.Add("b")
+	objects := []dataset.Object{
+		{ID: 0, Loc: geo.Point{X: 1.25, Y: 2.5}, Doc: vocab.DocFromTerms([]vocab.TermID{a, b})},
+		{ID: 1, Loc: geo.Point{X: 3.75, Y: 4.5}, Doc: vocab.DocFromTerms([]vocab.TermID{b})},
+	}
+	ds := dataset.Build(objects, v)
+	ix := &Index{Measure: textrel.LM, Alpha: 0.5, Lambda: textrel.DefaultLambda, Fanout: 8, DS: ds}
+	ix.Tree = irtree.Build(ds, textrel.NewModelWithLambda(ix.Measure, ds, ix.Lambda), irtree.Config{Kind: irtree.MIRTree, Fanout: 8})
+	path := filepath.Join(t.TempDir(), "ix.mxbr")
+	if err := Save(path, ix); err != nil {
+		t.Fatal(err)
+	}
+	pristine, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Object 0: x, y, two unique terms, then (delta 0, freq 1) and
+	// (delta 1, freq 1).
+	obj0 := storage.AppendFloat64(storage.AppendFloat64(nil, 1.25), 2.5)
+	obj0 = append(obj0, 2, 0, 1, 1, 1)
+	at := bytes.Index(pristine, obj0)
+	if at < 0 || bytes.Index(pristine[at+1:], obj0) >= 0 {
+		t.Fatal("object 0's terms are not stored once where expected")
+	}
+	terms := at + 16 + 1 // past x, y and the term count
+	for name, off := range map[string]int{"repeated term": terms + 2, "zero frequency": terms + 3} {
+		raw := bytes.Clone(pristine)
+		raw[off] = 0
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(path, 0)
+		if err == nil {
+			t.Fatalf("%s: Load accepted object 0 as %v", name, got.DS.Objects[0].Doc.Terms())
+		}
+		if !strings.Contains(err.Error(), "object 0") {
+			t.Fatalf("%s: want an error naming object 0, got: %v", name, err)
+		}
+	}
+
+	master := encodeMaster(ix)
+	at = bytes.Index(master, obj0)
+	freq := at + 16 + 1 + 1                                                                              // object 0's first frequency
+	huge := append(append(bytes.Clone(master[:freq]), 0x80, 0x80, 0x80, 0x80, 0x08), master[freq+1:]...) // 2^31
+	if _, err := decodeMaster(huge); err == nil || !strings.Contains(err.Error(), "object 0") {
+		t.Fatalf("frequency 2^31: want an error naming object 0, got %v", err)
+	}
+}

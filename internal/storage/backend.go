@@ -14,6 +14,11 @@ package storage
 // caller obtained from a published snapshot.
 type Backend interface {
 	// WriteRecord stores data as a new record and returns its address.
+	// data is handed over: the store may keep the caller's slice and serve
+	// it to every reader of the record, without a copy, so from this call
+	// on the caller must not write to it — no element write, copy into it,
+	// append to it or in-place sort (the immutablealias analyzer flags
+	// them). Build and mutations pass records encoded for the call.
 	WriteRecord(data []byte) PageID
 	// ReadRecord returns the record starting at id. The returned slice is
 	// shared and immutable, like a DecodedCache.Get result: it may be the

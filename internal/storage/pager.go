@@ -102,7 +102,9 @@ func NewPager() *Pager {
 // WriteRecord stores data as a new memory-resident record and returns its
 // PageID. The record occupies ⌈len(data)/PageSize⌉ pages (at least one, so
 // that empty records still have an address), carved from the first
-// reclaimed run that fits, or appended when none does.
+// reclaimed run that fits, or appended when none does. The pager keeps
+// data itself, cut to its length, and serves it to every reader: it is
+// handed over, and the caller never writes to it again (Backend).
 func (p *Pager) WriteRecord(data []byte) PageID {
 	st := p.state.Load()
 	n := recordPageCount(len(data))
@@ -125,8 +127,10 @@ func (p *Pager) WriteRecord(data []byte) PageID {
 		recs = append(recs, make([][]byte, n)...)
 		recLen = append(recLen, make([]int64, n)...)
 	}
-	// Non-nil even when empty: nil marks a file-resident record.
-	recs[id] = append(make([]byte, 0, len(data)), data...)
+	if data == nil {
+		data = []byte{} // non-nil even when empty: nil marks a file-resident record
+	}
+	recs[id] = data[:len(data):len(data)]
 	recLen[id] = int64(len(data))
 	for i := 1; i < n; i++ {
 		recLen[int(id)+i] = continuationPage
@@ -192,9 +196,9 @@ func (p *Pager) insertRun(r pageRun) {
 // own bytes, or a positioned read of a file-resident one, counted in
 // ReadStats. The slice is shared and immutable, as the Backend contract
 // says: callers may retain it but must not write through it. Handing out
-// the stored slice is safe because WriteRecord stores every record in a
-// fresh exact-length slice that nothing writes again, and Reclaim only
-// drops the pager's reference, so a reader's slice never changes.
+// the stored slice is safe because WriteRecord keeps the slice its caller
+// handed over, which nothing writes again, and Reclaim only drops the
+// pager's reference, so a reader's slice never changes.
 func (p *Pager) ReadRecord(id PageID) ([]byte, error) {
 	rec, n, err := p.record(id)
 	if err != nil || rec != nil {

@@ -31,24 +31,35 @@ func TestPagerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPagerReadRecordShares pins the zero-copy read of a memory-resident
-// record and the two facts that make it safe: WriteRecord keeps its own
-// copy of the caller's bytes, and a record's bytes never change after it
-// is written — not even when it is reclaimed and its slot is rewritten.
+// TestPagerReadRecordShares pins the zero-copy handover and read of a
+// memory-resident record and the fact that makes them safe: WriteRecord
+// keeps the caller's own bytes, which the caller never writes again, and
+// serves them to every reader; a record's bytes never change after it is
+// written — not even when it is reclaimed and its slot is rewritten.
 func TestPagerReadRecordShares(t *testing.T) {
 	p := NewPager()
 	src := []byte("hello")
 	id := p.WriteRecord(src)
-	src[0] = 'j'
 	a, err := p.ReadRecord(id)
 	if err != nil || string(a) != "hello" {
 		t.Fatalf("record = %q, %v; want the bytes as written", a, err)
+	}
+	if &a[0] != &src[0] || cap(a) != len(src) {
+		t.Fatal("the store does not serve the caller's own bytes, cut to their length")
 	}
 	if b, _ := p.ReadRecord(id); &b[0] != &a[0] {
 		t.Fatal("two reads of a memory-resident record returned different copies")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { p.ReadRecord(id) }); allocs != 0 {
 		t.Fatalf("ReadRecord of a memory-resident record allocates %.0f times", allocs)
+	}
+	// A write and a reclaim publish one pager state each; a copy of the
+	// record would be a third allocation.
+	if allocs := testing.AllocsPerRun(100, func() { p.Reclaim([]PageID{p.WriteRecord(src)}) }); allocs > 2 {
+		t.Fatalf("WriteRecord and Reclaim of one slot allocate %.0f times; the record was copied", allocs)
+	}
+	if empty := p.WriteRecord(nil); !p.Resident(empty) {
+		t.Fatal("an empty record handed over as nil is not memory-resident")
 	}
 	p.Reclaim([]PageID{id})
 	if reused := p.WriteRecord([]byte("world")); reused != id {

@@ -1,6 +1,8 @@
 package textrel
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/vocab"
@@ -32,7 +34,8 @@ func NewCandidateSet(terms []vocab.TermID) CandidateSet {
 // gains, and at most ws of them, so the largest ws gains dominate.
 func (s *Scorer) TSAddUpperBound(oxDoc, ud vocab.Doc, norm float64, w CandidateSet, ws int) float64 {
 	base := 0.0
-	var gains []float64
+	var buf [8]float64 // the gains of a user of up to 8 terms stay off the heap
+	gains := buf[:0]
 	for _, t := range ud.Terms() {
 		base += s.Model.Weight(oxDoc, t)
 		if w[t] {
@@ -42,7 +45,7 @@ func (s *Scorer) TSAddUpperBound(oxDoc, ud vocab.Doc, norm float64, w CandidateS
 		}
 	}
 	if ws < len(gains) {
-		sort.Sort(sort.Reverse(sort.Float64Slice(gains)))
+		slices.SortFunc(gains, func(a, b float64) int { return cmp.Compare(b, a) })
 		gains = gains[:ws]
 	}
 	for _, g := range gains {

@@ -198,13 +198,39 @@ func NewDoc(tf map[TermID]int32) Doc {
 }
 
 // DocFromTerms builds a Doc where each listed term has frequency 1
-// (duplicates accumulate).
+// (duplicates accumulate): it sorts a copy of terms and counts its runs,
+// keeping the copy as the Doc's terms.
 func DocFromTerms(terms []TermID) Doc {
-	tf := make(map[TermID]int32, len(terms))
-	for _, t := range terms {
-		tf[t]++
+	sorted := append(make([]TermID, 0, len(terms)), terms...)
+	slices.Sort(sorted)
+	unique := 0
+	for i, t := range sorted {
+		if i == 0 || t != sorted[i-1] {
+			unique++
+		}
 	}
-	return NewDoc(tf)
+	d := Doc{terms: sorted[:0], freqs: make([]int32, 0, unique), total: int64(len(terms))}
+	for _, t := range sorted {
+		if n := len(d.terms); n > 0 && d.terms[n-1] == t {
+			d.freqs[n-1]++
+			continue
+		}
+		d.terms = append(d.terms, t)
+		d.freqs = append(d.freqs, 1)
+	}
+	return d
+}
+
+// DocFromSorted builds a Doc from strictly ascending terms and their
+// frequencies, each positive, keeping both slices: the caller hands them
+// over and validates them (a decoder rejects input that breaks either
+// rule).
+func DocFromSorted(terms []TermID, freqs []int32) Doc {
+	d := Doc{terms: terms, freqs: freqs}
+	for _, f := range freqs {
+		d.total += int64(f)
+	}
+	return d
 }
 
 // Unique returns the number of distinct terms.
@@ -250,17 +276,15 @@ func (d Doc) ForEach(fn func(t TermID, f int32)) {
 // frequency 1 if absent (existing frequencies are retained). This models
 // "ox.d ∪ W'" from Definition 1: candidate keywords extend the object's
 // existing text description.
+//
+// It is MergeTermsInto's linear merge, into fresh buffers, of a sorted and
+// deduplicated copy of add.
 func (d Doc) MergeTerms(add []TermID) Doc {
-	tf := make(map[TermID]int32, len(d.terms)+len(add))
-	for i, t := range d.terms {
-		tf[t] = d.freqs[i]
-	}
-	for _, t := range add {
-		if _, ok := tf[t]; !ok {
-			tf[t] = 1
-		}
-	}
-	return NewDoc(tf)
+	sorted := append(make([]TermID, 0, len(add)), add...)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	n := len(d.terms) + len(sorted)
+	return d.MergeTermsInto(sorted, &MergeScratch{terms: make([]TermID, 0, n), freqs: make([]int32, 0, n)})
 }
 
 // MergeScratch holds the reusable buffers of Doc.MergeTermsInto. The zero

@@ -1,6 +1,10 @@
 package vocab
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func TestVocabularyAddLookup(t *testing.T) {
 	v := New()
@@ -115,5 +119,43 @@ func TestDocEqual(t *testing.T) {
 	}
 	if a.Equal(c) {
 		t.Error("different freqs reported equal")
+	}
+}
+
+// TestMapFreeDocsMatchNewDoc: DocFromTerms and MergeTerms build exactly
+// the Doc the term-frequency map gave them — reflect.DeepEqual, so an
+// empty Doc's slices are non-nil as NewDoc's are — over random term lists
+// with duplicates, negative (unknown) terms and empty ones.
+func TestMapFreeDocsMatchNewDoc(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	randomTerms := func() []TermID {
+		out := make([]TermID, rng.Intn(12))
+		for i := range out {
+			out[i] = TermID(rng.Intn(20) - 3)
+		}
+		return out
+	}
+	for trial := 0; trial < 500; trial++ {
+		terms := randomTerms()
+		if trial == 0 {
+			terms = nil
+		}
+		tf := map[TermID]int32{}
+		for _, tm := range terms {
+			tf[tm]++
+		}
+		d := DocFromTerms(terms)
+		if want := NewDoc(tf); !reflect.DeepEqual(d, want) {
+			t.Fatalf("DocFromTerms(%v) = %+v, want %+v", terms, d, want)
+		}
+		add := randomTerms()
+		for _, tm := range add {
+			if _, ok := tf[tm]; !ok {
+				tf[tm] = 1
+			}
+		}
+		if got, want := d.MergeTerms(add), NewDoc(tf); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v.MergeTerms(%v) = %+v, want %+v", d, add, got, want)
+		}
 	}
 }
