@@ -292,7 +292,7 @@ func (e *Engine) locationCandidates(q Query, th Thresholds, w textrel.CandidateS
 // location li with any ws of the candidate keywords w.
 func (e *Engine) ubUser(q Query, li, ui int, w textrel.CandidateSet) float64 {
 	ss := e.Scorer.SS(q.Locations[li], e.Users[ui].Loc)
-	return e.Scorer.STSAddUpperBound(ss, q.OxDoc, e.Users[ui].Doc, e.norms[ui], w, q.WS)
+	return e.Scorer.Combine(ss, e.Scorer.TSAddUpperBound(q.OxDoc, e.Users[ui].Doc, w, q.WS), e.norms[ui])
 }
 
 // ubGroup is UBL(ℓ, us): the upper bound on any grouped user's score for
@@ -301,7 +301,7 @@ func (e *Engine) ubUser(q Query, li, ui int, w textrel.CandidateSet) float64 {
 // union uni spells out as a document.
 func (e *Engine) ubGroup(q Query, li int, su topk.SuperUser, uni vocab.Doc, w textrel.CandidateSet) float64 {
 	ss := e.Scorer.SSMax(geo.RectFromPoint(q.Locations[li]), su.MBR)
-	return e.Scorer.STSAddUpperBound(ss, q.OxDoc, uni, su.MinNorm, w, q.WS)
+	return e.Scorer.Combine(ss, e.Scorer.TSAddUpperBound(q.OxDoc, uni, w, q.WS), su.MinNorm)
 }
 
 // lbGroup is the lower bound on any grouped user's score for an object at
@@ -310,6 +310,5 @@ func (e *Engine) ubGroup(q Query, li int, su topk.SuperUser, uni vocab.Doc, w te
 // similarity to su's MBR, and doc's text over su's keyword intersection
 // under su's largest normalizer.
 func (e *Engine) lbGroup(loc geo.Point, doc vocab.Doc, su topk.SuperUser) float64 {
-	return e.Scorer.Alpha*e.Scorer.SSMin(geo.RectFromPoint(loc), su.MBR) +
-		(1-e.Scorer.Alpha)*su.LBText(weightSum(e.Scorer, doc, su.Int))
+	return e.Scorer.Combine(e.Scorer.SSMin(geo.RectFromPoint(loc), su.MBR), e.Scorer.Model.Sum(doc, su.Int), su.MaxNorm)
 }

@@ -222,16 +222,6 @@ func (e *Engine) nodeRSkBound(en miurtree.NodeEntry, cands []topk.BoundedObject,
 	return tk.Threshold()
 }
 
-// weightSum returns Σ_{t∈terms} Weight(d,t), summed in terms' order: over
-// a super-user's intersection, the unnormalized text of its lower bounds.
-func weightSum(s *textrel.Scorer, d vocab.Doc, terms []vocab.TermID) float64 {
-	total := 0.0
-	for _, t := range terms {
-		total += s.Model.Weight(d, t)
-	}
-	return total
-}
-
 // ublElement evaluates UBL(ℓ, element): the exact per-user upper bound for
 // users, the aggregate bound for node entries.
 func (e *Engine) ublElement(q Query, li int, el *luElement, w textrel.CandidateSet) float64 {

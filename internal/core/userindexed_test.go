@@ -7,38 +7,6 @@ import (
 	"repro/internal/textrel"
 )
 
-// The Section 7 method must return exactly the same maximized count as the
-// in-memory exact method — it only changes *which* users get their top-k
-// computed, never the answer.
-func TestUserIndexedMatchesExact(t *testing.T) {
-	for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.KO} {
-		for seed := int64(40); seed < 44; seed++ {
-			f := newFixture(t, measure, 0.5, 400, 60, 5, seed)
-			q := f.query(2, 5)
-			want := f.best(t, q, f.prepare(t, q.K), ScanSpec{})
-
-			ut := miurtree.Build(f.us.Users, f.scorer, 8)
-			engine2 := NewEngine(f.tree, f.scorer, f.us.Users)
-			got, stats, err := engine2.SelectUserIndexed(q, KeywordsExact, ut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Count() != want.Count() {
-				t.Fatalf("%s seed %d: user-indexed count %d, exact %d", measure, seed, got.Count(), want.Count())
-			}
-			if stats.TotalUsers != 60 {
-				t.Errorf("stats total = %d", stats.TotalUsers)
-			}
-			if stats.ResolvedUsers > stats.TotalUsers {
-				t.Errorf("resolved %d > total %d", stats.ResolvedUsers, stats.TotalUsers)
-			}
-			if p := stats.PrunedPercent(); p < 0 || p > 100 {
-				t.Errorf("pruned%% = %v", p)
-			}
-		}
-	}
-}
-
 func TestUserIndexedSometimesPrunes(t *testing.T) {
 	// Sparse users spread wide with distant candidate locations give the
 	// hierarchy something to prune. Aggregate over seeds: at least one run

@@ -96,8 +96,9 @@ func TestScratchVariantsMatchAllocatingPaths(t *testing.T) {
 }
 
 // TestReplaceEntryOneAllocation pins the write path's splice at its one
-// allocation, the returned record: the header is written into a reserved
-// prefix, not prepended by a second copy, and the capacity bound holds.
+// allocation with its pool warm, the returned record: the header is
+// written into a reserved prefix of the working buffer, not prepended by a
+// second copy, and the buffer's bound holds.
 func TestReplaceEntryOneAllocation(t *testing.T) {
 	buf, _, _, _, _, _ := allocFixture()
 	agg := []EntryWeight{{Term: 1, MaxW: 2, MinW: 1}, {Term: 7, MaxW: 3}, {Term: 40, MaxW: 1, MinW: 0.5}}

@@ -58,6 +58,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/storage"
 	"repro/internal/vocab"
@@ -707,11 +708,14 @@ const headerRoom = 1 + binary.MaxVarintLen64
 // OpenDir does, and for an entry the layout cannot hold. buf itself is only
 // read.
 //
-// The file is edited as bytes, in one pass over its directory and runs and
-// one allocation: every run is copied as bytes but for the postings the
-// edit adds, drops or follows (spliceRun). The term headers are re-encoded into
-// a region ahead of the postings, which is moved up against them at the
-// end, with the version and term count before it.
+// The file is edited as bytes, in one pass over its directory and runs:
+// every run is copied as bytes but for the postings the edit adds, drops or
+// follows (spliceRun). The term headers are re-encoded into a region ahead
+// of the postings, which is moved up against them at the end, with the
+// version and term count before it. The pass writes into a pooled buffer
+// sized for the most the edit can need, and the result is copied out
+// exactly sized: the pager keeps every record it is handed for the
+// record's life. With the pool warm, the result is the one allocation.
 func ReplaceEntry(buf []byte, entry int32, agg []EntryWeight) ([]byte, error) {
 	d, err := openDirectory(buf)
 	if err != nil {
@@ -728,7 +732,13 @@ func ReplaceEntry(buf []byte, entry int32, agg []EntryWeight) ([]byte, error) {
 	for _, a := range agg {
 		dirEnd += storage.UvarintLen(uint64(a.Term)) + 1
 	}
-	out := make([]byte, dirEnd, dirEnd+len(buf)-p+len(agg)*stride)
+	bp, _ := editPool.Get().(*[]byte)
+	if need := dirEnd + len(buf) - p + len(agg)*stride; bp == nil || cap(*bp) < need {
+		bp = new([]byte)
+		*bp = make([]byte, need)
+	}
+	defer editPool.Put(bp)
+	out := (*bp)[:dirEnd]
 	dir := out[headerRoom:headerRoom:dirEnd]
 
 	terms, ai := 0, 0
@@ -767,8 +777,14 @@ func ReplaceEntry(buf []byte, entry int32, agg []EntryWeight) ([]byte, error) {
 	version := d.version()
 	start -= storage.UvarintLen(version) + storage.UvarintLen(uint64(terms))
 	storage.AppendUvarint(storage.AppendUvarint(out[start:start], version), uint64(terms))
-	return out[start:], nil
+	out = out[start:]
+	rec := make([]byte, len(out))
+	copy(rec, out) // the compiler fuses these into one allocation it does not clear
+	return rec, nil
 }
+
+// editPool holds ReplaceEntry's working buffers (*[]byte).
+var editPool sync.Pool
 
 // spliceRun appends run, one term's postings, edited as ReplaceEntry
 // defines, and returns how many postings it kept: entry's are dropped, and

@@ -32,7 +32,8 @@ func replaceEntryReference(f *File, entry int32, agg []EntryWeight) *File {
 
 // checkReplaceEntry requires ReplaceEntry on buf to fail exactly when
 // Decode does or the entry does not fit buf's layout, and otherwise to
-// return the reference's encoding in buf's layout, leaving buf as it was.
+// return the reference's encoding in buf's layout, exactly sized, leaving
+// buf as it was.
 func checkReplaceEntry(t *testing.T, buf []byte, entry int32, agg []EntryWeight) []byte {
 	t.Helper()
 	before := bytes.Clone(buf)
@@ -53,6 +54,9 @@ func checkReplaceEntry(t *testing.T, buf []byte, entry int32, agg []EntryWeight)
 	l := bufLayout(buf)
 	if want := replaceEntryReference(f, entry, agg).referenceEncode(l); !bytes.Equal(got, want) {
 		t.Fatalf("ReplaceEntry(%d, %v) (%+v): bytes differ from the reference\n got %x\nwant %x", entry, agg, l, got, want)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("ReplaceEntry(%d, %v): a %d-byte result with capacity %d", entry, agg, len(got), cap(got))
 	}
 	return got
 }

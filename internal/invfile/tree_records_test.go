@@ -1,6 +1,8 @@
 package invfile_test
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -59,4 +61,52 @@ func forEachRecord(tb testing.TB, kind irtree.Kind, fanout int, fn func(buf []by
 		}
 	}
 	walk(tree.RootID())
+}
+
+// TestReplaceEntryExactAllocation: on a 20,000-object default build, a
+// ReplaceEntry of the root's entry 0 by its child's aggregate returns an
+// exactly sized record and allocates little else. The pager keeps every
+// record it is handed for the record's life, so slack here is slack for
+// good. It takes the least of a few calls: one that finds ReplaceEntry's
+// pool empty (the first, or one after the race detector dropped a pooled
+// buffer, as it does on purpose) also allocates the working buffer.
+func TestReplaceEntryExactAllocation(t *testing.T) {
+	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(20000))
+	tree := irtree.Build(ds, textrel.NewModel(textrel.LM, ds), irtree.Config{Kind: irtree.MIRTree})
+	read := func(id int32) (*irtree.NodeData, []byte) {
+		node, err := tree.ReadNode(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := tree.Backend().ReadRecord(node.InvID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node, buf
+	}
+	root, rootBuf := read(tree.RootID())
+	child, childBuf := read(root.Entries[0].Child)
+	agg, err := invfile.Aggregate(childBuf, len(child.Entries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	var got []byte
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err = invfile.ReplaceEntry(rootBuf, 0, agg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if cap(got) != len(got) {
+		t.Errorf("result of %d bytes has capacity %d", len(got), cap(got))
+	}
+	if least > uint64(len(got))+8<<10 {
+		t.Errorf("replacing entry 0 of a %d-byte root by a %d-term aggregate allocated %d bytes for a %d-byte result",
+			len(rootBuf), len(agg), least, len(got))
+	}
 }

@@ -134,7 +134,7 @@ func TestReadInvBytesChargesBlocks(t *testing.T) {
 // the model's floor weight (LM smoothing) where it does not. For leaf
 // entries the result is exact, because the leaf posting weight is the
 // document's own weight.
-func MaxTextSums(model textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID) []float64 {
+func MaxTextSums(model *textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID) []float64 {
 	sums := make([]float64, nEntries)
 	floorSum := 0.0
 	for _, tm := range terms {
@@ -157,7 +157,7 @@ func MaxTextSums(model textrel.Model, inv *decodedInv, nEntries int, terms []voc
 // the posting's minimum weight where positive (the term is in the subtree
 // intersection), otherwise the floor. Only meaningful on a MIR-tree; on an
 // IR-tree all stored minima are zero and the bound degrades to the floor.
-func MinTextSums(model textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID) []float64 {
+func MinTextSums(model *textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID) []float64 {
 	sums := make([]float64, nEntries)
 	floorSum := 0.0
 	for _, tm := range terms {

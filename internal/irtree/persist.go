@@ -32,7 +32,7 @@ func (t *Tree) EncodeMeta() []byte {
 // Config.DecodedCacheBytes does (zero keeps every query cold). The model must be built over
 // ds with the same measure the tree was built with; the restored tree
 // starts with a fresh I/O counter.
-func Restore(ds *dataset.Dataset, model textrel.Model, backend storage.Backend, meta []byte, decodedCacheBytes int64) (*Tree, error) {
+func Restore(ds *dataset.Dataset, model *textrel.Model, backend storage.Backend, meta []byte, decodedCacheBytes int64) (*Tree, error) {
 	d := storage.NewDecoder(meta)
 	kind := Kind(d.Uvarint())
 	fanout := int(d.Uvarint())

@@ -80,7 +80,7 @@ func (t *Tree) TopK(scorer *textrel.Scorer, u *dataset.User, k int) ([]Result, f
 		}
 		for i, e := range node.Entries {
 			ss := scorer.SSMax(e.Rect, uRect)
-			score := scorer.Alpha*ss + (1-scorer.Alpha)*sums[i]/norm
+			score := scorer.Combine(ss, sums[i], norm)
 			if tk.Full() && score < tk.Threshold()-textrel.BoundSlack {
 				continue
 			}

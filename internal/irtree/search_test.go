@@ -118,7 +118,7 @@ func TestMaxMinTextSums(t *testing.T) {
 		}
 		return dataset.Build(objs, v), []vocab.TermID{a, b}
 	}()
-	model := textrel.NewKeywordOverlap(ds)
+	model := textrel.NewModel(textrel.KO, ds)
 
 	var c invfile.Composer
 	// entry 0 subtree: term a in all docs (min 1); term b absent

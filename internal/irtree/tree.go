@@ -75,7 +75,7 @@ type Config struct {
 // born at Build/Restore and threaded through every successor snapshot.
 type shared struct {
 	kind  Kind
-	model textrel.Model
+	model *textrel.Model
 
 	pager   storage.Backend
 	io      *storage.IOCounter
@@ -130,7 +130,7 @@ type Tree struct {
 // from the leaves up, on GOMAXPROCS goroutines (composeLevels), and then
 // written in post-order, each node right after its children, so every
 // record and address is the same whatever the number of goroutines.
-func Build(ds *dataset.Dataset, model textrel.Model, cfg Config) *Tree {
+func Build(ds *dataset.Dataset, model *textrel.Model, cfg Config) *Tree {
 	fanout := cfg.Fanout
 	if fanout == 0 {
 		fanout = rtree.DefaultMaxEntries
@@ -260,7 +260,7 @@ func (t *Tree) Fanout() int { return t.sh.cfgFanout }
 func (t *Tree) Dataset() *dataset.Dataset { return t.ds }
 
 // Model returns the relevance model whose weights are stored in the index.
-func (t *Tree) Model() textrel.Model { return t.sh.model }
+func (t *Tree) Model() *textrel.Model { return t.sh.model }
 
 // IO returns the simulated I/O counter charged by node and inverted-file
 // reads.

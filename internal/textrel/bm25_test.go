@@ -12,11 +12,11 @@ import (
 func TestBM25WeightFormula(t *testing.T) {
 	ds, terms := corpus3(t)
 	a, b := terms[0], terms[1]
-	m := NewBM25(ds)
+	m := NewModel(BM25, ds)
 
 	// corpus: |C|=6 tokens over 3 docs → avgdl = 2
 	// idf(a) = ln(1 + (3−2+0.5)/(2+0.5)) = ln(1.6)
-	if got, want := m.IDF(a), math.Log(1.6); !near(got, want) {
+	if got, want := m.stat[a], math.Log(1.6); !near(got, want) {
 		t.Errorf("idf(a) = %v, want %v", got, want)
 	}
 	d1 := ds.Objects[1].Doc // {a:1, b:2}, len 3
@@ -33,14 +33,11 @@ func TestBM25WeightFormula(t *testing.T) {
 	if m.FloorWeight(a) != 0 {
 		t.Error("BM25 floor must be 0")
 	}
-	if m.Name() != "BM25" {
-		t.Error("name")
-	}
 }
 
 func TestBM25MaxWeightIsCorpusMax(t *testing.T) {
 	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(400))
-	m := NewBM25(ds)
+	m := NewModel(BM25, ds)
 	maxSeen := make(map[vocab.TermID]float64)
 	for _, o := range ds.Objects {
 		for _, tm := range o.Doc.Terms() {
@@ -58,7 +55,7 @@ func TestBM25MaxWeightIsCorpusMax(t *testing.T) {
 
 func TestBM25SaturationAndLengthNormalization(t *testing.T) {
 	ds, terms := corpus3(t)
-	m := NewBM25(ds)
+	m := NewModel(BM25, ds)
 	a := terms[0]
 	// more occurrences of the same term saturate, not explode
 	d1 := vocab.NewDoc(map[vocab.TermID]int32{a: 1})
@@ -79,10 +76,10 @@ func TestBM25SaturationAndLengthNormalization(t *testing.T) {
 
 func TestBM25UnknownTerm(t *testing.T) {
 	ds, _ := corpus3(t)
-	m := NewBM25(ds)
+	m := NewModel(BM25, ds)
 	unknown := vocab.TermID(4242)
 	d := vocab.DocFromTerms([]vocab.TermID{unknown})
-	if m.Weight(d, unknown) != 0 || m.MaxWeight(unknown) != 0 || m.IDF(unknown) != 0 {
+	if m.Weight(d, unknown) != 0 || m.MaxWeight(unknown) != 0 || m.FloorWeight(unknown) != 0 {
 		t.Error("out-of-corpus term must score zero")
 	}
 }
@@ -110,8 +107,8 @@ func TestBM25AddUpperBoundDominates(t *testing.T) {
 		}
 		ui := rng.Intn(len(us.Users))
 		u := &us.Users[ui]
-		ub := s.TSAddUpperBound(oxDoc, u.Doc, norms[ui], w, ws)
-		actual := s.TS(oxDoc.MergeTerms(c), u.Doc, norms[ui])
+		ub := s.TSAddUpperBound(oxDoc, u.Doc, w, ws) / norms[ui]
+		actual := ts(s, oxDoc.MergeTerms(c), u.Doc, norms[ui])
 		if actual > ub+1e-9 {
 			t.Fatalf("trial %d: BM25 TS %v exceeds bound %v", trial, actual, ub)
 		}
@@ -120,7 +117,7 @@ func TestBM25AddUpperBoundDominates(t *testing.T) {
 
 func TestBM25NotAdditionMonotone(t *testing.T) {
 	ds, terms := corpus3(t)
-	m := NewBM25(ds)
+	m := NewModel(BM25, ds)
 	if m.AdditionMonotone() {
 		t.Fatal("BM25 must report non-monotone additions")
 	}
@@ -134,7 +131,7 @@ func TestBM25NotAdditionMonotone(t *testing.T) {
 
 func TestBM25EmptyCorpus(t *testing.T) {
 	ds := dataset.Build(nil, vocab.New())
-	m := NewBM25(ds)
+	m := NewModel(BM25, ds)
 	if m.avgdl != 1 {
 		t.Errorf("empty-corpus avgdl fallback = %v", m.avgdl)
 	}

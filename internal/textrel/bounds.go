@@ -3,7 +3,6 @@ package textrel
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/vocab"
 )
@@ -20,24 +19,24 @@ func NewCandidateSet(terms []vocab.TermID) CandidateSet {
 	return s
 }
 
-// TSAddUpperBound returns an upper bound on TS(ox.d ∪ c, ud) over every
-// keyword set c ⊆ W with |c| ≤ ws — the Lemma 3 quantity, in the additive
-// form that stays sound for the Language Model (proof sketch below):
+// TSAddUpperBound returns an upper bound on Sum(ox.d ∪ c, ud) over every
+// keyword set c ⊆ W with |c| ≤ ws — the numerator of Lemma 3's quantity,
+// in the additive form that stays sound for the Language Model (proof
+// sketch below); Combine normalizes it into UBL(ℓ,u) of Section 6.1:
 //
-//	[ Σ_{t∈ud} Weight(ox.d,t) + Σ_{top-ws gains t ∈ ud∩W} AddWeight(ox.d,t) ] / norm
+//	Sum(ox.d, ud) + Σ_{top-ws gains t ∈ ud∩W} AddWeight(ox.d,t)
 //
 // Proof sketch. For any admissible c, Weight(ox.d∪c, t) ≤ Weight(ox.d,t) +
-// [t∈c]·AddWeight(ox.d,t) for all three models: for TF-IDF and KO weights
+// [t∈c]·AddWeight(ox.d,t) for every measure: for TF-IDF and KO weights
 // are independent across terms and the gain is exactly AddWeight; for LM,
 // adding s ≥ 1 terms yields (1−λ)(f+1)/(L+s) ≤ (1−λ)f/L + (1−λ)/(L+1),
-// and terms not in c can only lose weight. Only terms in ud∩W contribute
-// gains, and at most ws of them, so the largest ws gains dominate.
-func (s *Scorer) TSAddUpperBound(oxDoc, ud vocab.Doc, norm float64, w CandidateSet, ws int) float64 {
-	base := 0.0
+// and terms not in c can only lose weight; for BM25 see AddWeight. Only
+// terms in ud∩W contribute gains, and at most ws of them, so the largest
+// ws gains dominate.
+func (s *Scorer) TSAddUpperBound(oxDoc, ud vocab.Doc, w CandidateSet, ws int) float64 {
 	var buf [8]float64 // the gains of a user of up to 8 terms stay off the heap
 	gains := buf[:0]
 	for _, t := range ud.Terms() {
-		base += s.Model.Weight(oxDoc, t)
 		if w[t] {
 			if g := s.Model.AddWeight(oxDoc, t); g > 0 {
 				gains = append(gains, g)
@@ -48,22 +47,18 @@ func (s *Scorer) TSAddUpperBound(oxDoc, ud vocab.Doc, norm float64, w CandidateS
 		slices.SortFunc(gains, func(a, b float64) int { return cmp.Compare(b, a) })
 		gains = gains[:ws]
 	}
+	sum := s.Model.Sum(oxDoc, ud.Terms())
 	for _, g := range gains {
-		base += g
+		sum += g
 	}
-	return base / norm
-}
-
-// STSAddUpperBound combines TSAddUpperBound with an exact spatial proximity
-// for a fixed candidate location — the UBL(ℓ,u) bound of Section 6.1.
-func (s *Scorer) STSAddUpperBound(ss float64, oxDoc, ud vocab.Doc, norm float64, w CandidateSet, ws int) float64 {
-	return s.Alpha*ss + (1-s.Alpha)*s.TSAddUpperBound(oxDoc, ud, norm, w, ws)
+	return sum
 }
 
 // TopWeightedCandidates returns up to ws candidate keywords from the
 // intersection of ud's terms with W, ranked by the gain they can add to
-// oxDoc — the HW_{w,u} construction of Section 6.2.1. If include is a valid
-// term it is forced into the result (taking one slot).
+// oxDoc (ties by ascending term) — the HW_{w,u} construction of Section
+// 6.2.1. If include is a valid term it is forced into the result (taking
+// one slot).
 func (s *Scorer) TopWeightedCandidates(oxDoc, ud vocab.Doc, w CandidateSet, ws int, include vocab.TermID, forceInclude bool) []vocab.TermID {
 	type tg struct {
 		t vocab.TermID
@@ -75,11 +70,11 @@ func (s *Scorer) TopWeightedCandidates(oxDoc, ud vocab.Doc, w CandidateSet, ws i
 			cands = append(cands, tg{t, s.Model.AddWeight(oxDoc, t)})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].g != cands[j].g {
-			return cands[i].g > cands[j].g
+	slices.SortFunc(cands, func(a, b tg) int {
+		if c := cmp.Compare(b.g, a.g); c != 0 {
+			return c
 		}
-		return cands[i].t < cands[j].t // deterministic tie-break
+		return cmp.Compare(a.t, b.t)
 	})
 	out := make([]vocab.TermID, 0, ws)
 	if forceInclude {

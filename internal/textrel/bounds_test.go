@@ -10,8 +10,9 @@ import (
 
 // The central soundness property behind the candidate-selection pruning:
 // for every keyword subset c ⊆ W with |c| ≤ ws,
-// TS(ox.d ∪ c, u.d) ≤ TSAddUpperBound(ox.d, u.d, W, ws) — under all three
-// measures, including LM where adding keywords shrinks existing weights.
+// Sum(ox.d ∪ c, u.d) ≤ TSAddUpperBound(ox.d, u.d, W, ws) — under the
+// paper's three measures, including LM where adding keywords shrinks
+// existing weights (BM25: TestBM25AddUpperBoundDominates).
 func TestTSAddUpperBoundDominates(t *testing.T) {
 	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(400))
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 30, UL: 4, UW: 20, Area: 10, Seed: 9})
@@ -37,8 +38,8 @@ func TestTSAddUpperBoundDominates(t *testing.T) {
 			}
 			ui := rng.Intn(len(us.Users))
 			u := &us.Users[ui]
-			ub := s.TSAddUpperBound(oxDoc, u.Doc, norms[ui], w, ws)
-			actual := s.TS(oxDoc.MergeTerms(c), u.Doc, norms[ui])
+			ub := s.TSAddUpperBound(oxDoc, u.Doc, w, ws) / norms[ui]
+			actual := ts(s, oxDoc.MergeTerms(c), u.Doc, norms[ui])
 			if actual > ub+1e-9 {
 				t.Fatalf("%s trial %d: TS %v exceeds bound %v (|c|=%d ws=%d)",
 					kind, trial, actual, ub, len(c), ws)
@@ -51,10 +52,9 @@ func TestTSAddUpperBoundNoCandidates(t *testing.T) {
 	ds, terms := corpus3(t)
 	s := NewScorer(ds, LM, 0.5)
 	ud := vocab.DocFromTerms([]vocab.TermID{terms[0]})
-	norm := s.Norm(ud)
 	oxDoc := ds.Objects[0].Doc
-	// empty candidate set: the bound is just the current TS
-	if got, want := s.TSAddUpperBound(oxDoc, ud, norm, CandidateSet{}, 3), s.TS(oxDoc, ud, norm); !near(got, want) {
+	// empty candidate set: the bound is just the current sum
+	if got, want := s.TSAddUpperBound(oxDoc, ud, CandidateSet{}, 3), s.Model.Sum(oxDoc, ud.Terms()); got != want {
 		t.Errorf("bound with no candidates = %v, want plain TS %v", got, want)
 	}
 }
@@ -67,10 +67,10 @@ func TestSTSAddUpperBound(t *testing.T) {
 	w := NewCandidateSet([]vocab.TermID{terms[2]})
 	var empty vocab.Doc
 	// TS bound: term c addable with weight 1 → (0+1)/2 = 0.5
-	got := s.STSAddUpperBound(0.8, empty, ud, norm, w, 1)
+	got := s.Combine(0.8, s.TSAddUpperBound(empty, ud, w, 1), norm)
 	want := 0.6*0.8 + 0.4*0.5
 	if !near(got, want) {
-		t.Errorf("STSAddUpperBound = %v, want %v", got, want)
+		t.Errorf("UBL = %v, want %v", got, want)
 	}
 }
 

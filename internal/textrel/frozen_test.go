@@ -2,6 +2,7 @@ package textrel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -23,11 +24,8 @@ func TestFrozenModelBitEquality(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: NewModelFrozen: %v", kind, err)
 		}
-		if froz.Name() != full.Name() {
-			t.Fatalf("%v: name %q != %q", kind, froz.Name(), full.Name())
-		}
-		if froz.AdditionMonotone() != full.AdditionMonotone() {
-			t.Fatalf("%v: AdditionMonotone mismatch", kind)
+		if !reflect.DeepEqual(froz, full) {
+			t.Fatalf("%v: frozen model %+v, scanned %+v", kind, froz, full)
 		}
 		// Per-term state, including out-of-range and reserved-negative ids.
 		probes := []vocab.TermID{-1, -7, vocab.TermID(n), vocab.TermID(n + 5)}
@@ -67,6 +65,17 @@ func TestFrozenModelRejectsBadInput(t *testing.T) {
 	if _, err := NewModelFrozen(MeasureKind(99), ds.Stats, DefaultLambda, nil); err == nil {
 		t.Error("unknown kind accepted")
 	}
+	if got := MeasureKind(99).String(); got != "MeasureKind(99)" {
+		t.Errorf("unknown kind formats as %q", got)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewModel with an unknown kind should panic")
+			}
+		}()
+		NewModel(MeasureKind(99), ds)
+	}()
 	uneven := ds.Stats
 	uneven.DocFreq = uneven.DocFreq[:1]
 	if _, err := NewModelFrozen(KO, uneven, DefaultLambda, nil); err == nil {

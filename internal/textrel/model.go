@@ -1,20 +1,34 @@
-// Package textrel implements the three text relevance measures of Section 3
-// — TF-IDF, Language Model with Jelinek–Mercer smoothing, and Keyword
-// Overlap — behind one Model interface, plus the combined spatial-textual
-// scorer (Equation 1) and the per-term bound primitives the MIR-tree and
-// candidate-selection pruning rely on.
+// Package textrel implements the text relevance measures of Section 3 —
+// the Language Model with Jelinek–Mercer smoothing, TF-IDF and Keyword
+// Overlap, plus Okapi BM25 — as one Model, the combined spatial-textual
+// score of Equation 1 as one Scorer.Combine, and the per-term bound
+// primitives the MIR-tree and candidate-selection pruning rely on.
+//
+// # The four weights
+//
+// A measure is the weight it gives a term t that occurs f times in a
+// document d of |d| term occurrences. Model.weight states all four:
+//
+//	LM     floor(t) + (1−λ)·f/|d|             floor(t) = λ·tf(t,C)/|C|   (Equation 3)
+//	TFIDF  f·idf(t)                           idf(t) = ln(|O|/df(t))
+//	KO     1 if f > 0, else 0
+//	BM25   idf(t)·(k1+1)·f / (f + k1·(1−b + b·|d|/avgdl))
+//	                                          idf(t) = ln(1 + (|O|−df(t)+0.5)/(df(t)+0.5))
+//
+// BM25 goes beyond the paper's three measures; it demonstrates the claim
+// that its approaches apply to "any text-based relevance measure".
 //
 // # Unified normalization
 //
-// Every model exposes Weight(d,t) ≥ 0 (the weight of term t in document d)
-// and MaxWeight(t) (the corpus-wide maximum of that weight). The text
-// relevance of object o for user u is
+// Weight(d,t) ≥ 0 is that weight for t in d, MaxWeight(t) its maximum over
+// the corpus documents. The text relevance of object o for user u is
 //
-//	TS(o,u) = Σ_{t ∈ u.d} Weight(o.d,t) / Norm(u),   Norm(u) = Σ_{t ∈ u.d} MaxWeight(t).
+//	TS(o,u) = Sum(o.d, u.d) / Norm(u),   Sum(d, T) = Σ_{t ∈ T} Weight(d,t),   Norm(u) = Σ_{t ∈ u.d} MaxWeight(t).
 //
 // For the Language Model this is exactly Equation 4 (Norm = Pmax); for
-// Keyword Overlap it is exactly |u.d ∩ o.d| / |u.d|; for TF-IDF it is the
-// paper's score normalized into [0,1] the same way.
+// Keyword Overlap it is exactly |u.d ∩ o.d| / |u.d|; TF-IDF and BM25 are
+// normalized into [0,1] the same way. Every score and every bound is
+// Scorer.Combine over a spatial proximity, a weight sum and a normalizer.
 //
 // # Bound primitives
 //
@@ -37,33 +51,10 @@ import (
 	"repro/internal/vocab"
 )
 
-// Model is one text relevance measure over a fixed object corpus.
-type Model interface {
-	// Name identifies the measure ("LM", "TFIDF", or "KO").
-	Name() string
-	// Weight returns the weight of term t in document d (≥ 0).
-	Weight(d vocab.Doc, t vocab.TermID) float64
-	// MaxWeight returns max over corpus documents of Weight(d,t).
-	MaxWeight(t vocab.TermID) float64
-	// FloorWeight returns min over all possible documents of Weight(d,t).
-	FloorWeight(t vocab.TermID) float64
-	// AddWeight returns an upper bound on Weight(d∪c, t) − Weight(d, t)
-	// for any keyword set c ∋ t added to d.
-	AddWeight(d vocab.Doc, t vocab.TermID) float64
-	// AdditionMonotone reports whether adding new terms to a document can
-	// never decrease the weight of any term. True for TF-IDF and Keyword
-	// Overlap; false for the Language Model, whose length normalization
-	// dilutes existing weights. Pruning shortcuts of the form "user u
-	// qualifies regardless of the chosen keywords" are only sound when
-	// this holds.
-	AdditionMonotone() bool
-}
-
 // MeasureKind selects a text relevance measure by name.
 type MeasureKind int
 
-// The three measures evaluated in Section 8, plus BM25 (an extension
-// demonstrating the paper's "any text-based relevance measure" claim).
+// The three measures evaluated in Section 8, plus BM25.
 const (
 	LM MeasureKind = iota // Language Model, Jelinek–Mercer smoothing (default)
 	TFIDF
@@ -92,57 +83,63 @@ func (m MeasureKind) String() string {
 // the short user keyword sets here.
 const DefaultLambda = 0.4
 
+// BM25 parameters (standard Robertson–Spärck Jones defaults).
+const (
+	// BM25K1 controls term-frequency saturation.
+	BM25K1 = 1.2
+	// BM25B controls document-length normalization.
+	BM25B = 0.75
+)
+
+// Model is one text relevance measure under a fixed corpus context.
+type Model struct {
+	kind MeasureKind
+	// stat is the per-term statistic the weight reads: LM's smoothing
+	// floor, TF-IDF's or BM25's idf; KO has none.
+	stat []float64
+	// maxW is the per-term corpus maximum of the weight; KO has none.
+	maxW   []float64
+	lambda float64 // LM's Jelinek–Mercer λ
+	avgdl  float64 // BM25's average document length
+}
+
 // NewModel constructs the measure of the given kind over ds.
-func NewModel(kind MeasureKind, ds *dataset.Dataset) Model {
+func NewModel(kind MeasureKind, ds *dataset.Dataset) *Model {
 	return NewModelWithLambda(kind, ds, DefaultLambda)
 }
 
 // NewModelWithLambda is NewModel with an explicit Jelinek–Mercer λ for
-// the Language Model (the other measures ignore it). Index building makes
-// its model here; loaded, compacted and shard indexes carry it or make it
-// with NewModelFrozen, which runs the same statistics-derived code, so
-// their models are bit-for-bit the built one.
-func NewModelWithLambda(kind MeasureKind, ds *dataset.Dataset, lambda float64) Model {
-	switch kind {
-	case LM:
-		return NewLanguageModel(ds, lambda)
-	case TFIDF:
-		return NewTFIDF(ds)
-	case KO:
-		return NewKeywordOverlap(ds)
-	case BM25:
-		return NewBM25(ds)
-	default:
-		panic(fmt.Sprintf("textrel: unknown measure %d", int(kind)))
+// the Language Model (the other measures ignore it): the statistics-derived
+// part, then the per-term corpus maxima in one pass over ds's objects.
+// Index building makes its model here; loaded, compacted and shard indexes
+// carry it or make it with NewModelFrozen, which runs the same
+// statistics-derived code, so their models are bit-for-bit the built one.
+func NewModelWithLambda(kind MeasureKind, ds *dataset.Dataset, lambda float64) *Model {
+	m, err := newModel(kind, ds.Stats, lambda)
+	if err != nil {
+		panic(err)
 	}
-}
-
-// ---------------------------------------------------------------- Language Model
-
-// LanguageModel implements Equation 3: the Jelinek–Mercer smoothed maximum
-// likelihood estimate p̂(t|θd) = (1−λ)·tf(t,d)/|d| + λ·tf(t,C)/|C|.
-type LanguageModel struct {
-	lambda float64
-	floor  []float64 // per term: λ·tf(t,C)/|C|
-	maxW   []float64 // per term: max over corpus docs of p̂(t|θd)
-}
-
-// NewLanguageModel builds the model from the dataset's corpus statistics,
-// then finds the per-term corpus maxima in one pass over O.
-func NewLanguageModel(ds *dataset.Dataset, lambda float64) *LanguageModel {
-	if lambda < 0 || lambda > 1 {
-		panic("textrel: lambda must be in [0,1]")
+	if kind == KO {
+		return m // every KO weight is at most 1, what MaxWeight says without maxima
 	}
-	m := newLanguageModel(ds.Stats, lambda)
-	m.maxW = slices.Clone(m.floor)
-	// corpus maxima of the ML component
+	m.maxW = make([]float64, len(m.stat))
+	for t := range m.maxW {
+		m.maxW[t] = m.FloorWeight(vocab.TermID(t))
+	}
 	for _, o := range ds.Objects {
-		if o.Doc.Len() == 0 {
-			continue
-		}
-		invLen := 1.0 / float64(o.Doc.Len())
+		dl := o.Doc.Len()
+		invLen := 1.0 / float64(dl)
 		o.Doc.ForEach(func(t vocab.TermID, f int32) {
-			w := (1-lambda)*float64(f)*invLen + m.floor[t]
+			var w float64
+			if kind == LM {
+				// The LM maxima have always been (1−λ)·f·(1/|d|) + floor,
+				// which rounds differently from weight's floor + (1−λ)·f/|d|.
+				// Every Norm(u), every score and every saved index rests on
+				// these bits, so the scan keeps its own expression.
+				w = (1-lambda)*float64(f)*invLen + m.stat[t]
+			} else {
+				w = m.weight(t, f, dl)
+			}
 			if w > m.maxW[t] {
 				m.maxW[t] = w
 			}
@@ -151,244 +148,193 @@ func NewLanguageModel(ds *dataset.Dataset, lambda float64) *LanguageModel {
 	return m
 }
 
-// newLanguageModel is the model's statistics-derived part: the per-term
-// smoothing floors λ·tf(t,C)/|C|. The caller sets the maxima.
-func newLanguageModel(st dataset.CorpusStats, lambda float64) *LanguageModel {
-	m := &LanguageModel{lambda: lambda, floor: make([]float64, len(st.CollectionFreq))}
-	if totalC := float64(st.TotalTerms); totalC > 0 {
-		for t, cf := range st.CollectionFreq {
-			m.floor[t] = lambda * float64(cf) / totalC
-		}
+// NewModelFrozen makes the measure of the given kind from corpus
+// statistics plus given per-term maxima, without scanning any objects.
+//
+// A model splits into the values derived purely from the statistics (LM
+// smoothing floors, TF-IDF/BM25 idf, BM25 avgdl) and the per-term corpus
+// maxima, which NewModelWithLambda computes with a pass over every object
+// document. A shard index holds only a subset of the objects and a loaded
+// index none of its build-time ones, yet both must score under the
+// build-time corpus context, so the maxima are given (a MaxWeights dump)
+// while the statistics-derived part comes from the code NewModelWithLambda
+// runs — making the frozen model bit-for-bit the one a whole-corpus build
+// produces.
+//
+// maxW must have one entry per term of st; KO has no maxima and ignores
+// it.
+func NewModelFrozen(kind MeasureKind, st dataset.CorpusStats, lambda float64, maxW []float64) (*Model, error) {
+	if n := len(st.CollectionFreq); len(st.DocFreq) != n || (kind != KO && len(maxW) != n) {
+		return nil, fmt.Errorf("textrel: frozen context has %d collection and %d document frequencies and %d maxima",
+			n, len(st.DocFreq), len(maxW))
 	}
-	return m
-}
-
-// Name implements Model.
-func (m *LanguageModel) Name() string { return "LM" }
-
-// Weight implements Model (Equation 3). Terms outside the corpus vocabulary
-// have zero collection frequency and therefore only their ML component.
-func (m *LanguageModel) Weight(d vocab.Doc, t vocab.TermID) float64 {
-	w := m.floorOf(t)
-	if f := d.Freq(t); f > 0 && d.Len() > 0 {
-		w += (1 - m.lambda) * float64(f) / float64(d.Len())
+	m, err := newModel(kind, st, lambda)
+	if err != nil {
+		return nil, err
 	}
-	return w
-}
-
-// MaxWeight implements Model.
-func (m *LanguageModel) MaxWeight(t vocab.TermID) float64 {
-	if i := int(t); i >= 0 && i < len(m.maxW) {
-		return m.maxW[i]
+	if kind != KO {
+		m.maxW = slices.Clone(maxW)
 	}
-	// Unknown term: the best any (hypothetical single-term) document does.
-	return 1 - m.lambda
+	return m, nil
 }
 
-// FloorWeight implements Model.
-func (m *LanguageModel) FloorWeight(t vocab.TermID) float64 { return m.floorOf(t) }
-
-func (m *LanguageModel) floorOf(t vocab.TermID) float64 {
-	if i := int(t); i >= 0 && i < len(m.floor) {
-		return m.floor[i]
-	}
-	return 0
-}
-
-// AddWeight implements Model: adding t (frequency 1) to d lengthens it to
-// at least |d|+1, so the ML component gained is at most (1−λ)/(|d|+1).
-// Combined with the (f+1)/(L+s) ≤ f/L + 1/(L+1) inequality this dominates
-// the true gain for every added keyword set containing t (proof sketch on
-// TSAddUpperBound).
-func (m *LanguageModel) AddWeight(d vocab.Doc, t vocab.TermID) float64 {
-	return (1 - m.lambda) / float64(d.Len()+1)
-}
-
-// AdditionMonotone implements Model: LM length normalization dilutes
-// existing term weights when the document grows.
-func (m *LanguageModel) AdditionMonotone() bool { return false }
-
-// docTS computes Σ_{t ∈ ud} Weight(od, t) with a merge join over the two
-// sorted term lists — the devirtualized fast path of Scorer.TS. Each
-// term's weight is formed by exactly the floating-point operations of
-// Weight, accumulated in the same (ascending-term) order, so the sum is
-// bit-for-bit identical to the generic interface loop.
-func (m *LanguageModel) docTS(od, ud vocab.Doc) float64 {
-	udTerms := ud.Terms()
-	odTerms, odFreqs := od.Terms(), od.Freqs()
-	total := 0.0
-	j := 0
-	for _, t := range udTerms {
-		for j < len(odTerms) && odTerms[j] < t {
-			j++
-		}
-		w := m.floorOf(t)
-		if j < len(odTerms) && odTerms[j] == t {
-			if f := odFreqs[j]; f > 0 && od.Len() > 0 {
-				w += (1 - m.lambda) * float64(f) / float64(od.Len())
-			}
-		}
-		total += w
-	}
-	return total
-}
-
-// ---------------------------------------------------------------- TF-IDF
-
-// TFIDFModel weighs a term as tf(t,d) · idf(t,O) with
-// idf = log(|O| / df(t)). Scores are normalized by Norm(u) like the other
-// measures, keeping TS within [0,1] for corpus documents.
-type TFIDFModel struct {
-	idf  []float64
-	maxW []float64 // maxtf(t) · idf(t)
-}
-
-// NewTFIDF builds the model from corpus statistics, then finds the
-// per-term corpus maxima in one pass over O.
-func NewTFIDF(ds *dataset.Dataset) *TFIDFModel {
-	m := newTFIDF(ds.Stats)
-	m.maxW = make([]float64, len(m.idf))
-	for _, o := range ds.Objects {
-		o.Doc.ForEach(func(t vocab.TermID, f int32) {
-			if w := float64(f) * m.idf[t]; w > m.maxW[t] {
-				m.maxW[t] = w
-			}
-		})
-	}
-	return m
-}
-
-// newTFIDF is the model's statistics-derived part: the per-term idf. The
-// caller sets the maxima.
-func newTFIDF(st dataset.CorpusStats) *TFIDFModel {
-	m := &TFIDFModel{idf: make([]float64, len(st.DocFreq))}
+// newModel is the statistics-derived part of a model, which every
+// constructor shares: the per-term statistic and the measure's constants.
+// The caller sets the maxima.
+func newModel(kind MeasureKind, st dataset.CorpusStats, lambda float64) (*Model, error) {
+	m := &Model{kind: kind, lambda: lambda}
 	numDocs := float64(st.NumDocs)
-	for t, df := range st.DocFreq {
-		if df > 0 {
-			m.idf[t] = math.Log(numDocs / float64(df))
+	switch kind {
+	case LM:
+		if lambda < 0 || lambda > 1 {
+			return nil, fmt.Errorf("textrel: lambda must be in [0,1], got %v", lambda)
 		}
+		m.stat = make([]float64, len(st.CollectionFreq))
+		if totalC := float64(st.TotalTerms); totalC > 0 {
+			for t, cf := range st.CollectionFreq {
+				m.stat[t] = lambda * float64(cf) / totalC
+			}
+		}
+	case TFIDF:
+		m.stat = make([]float64, len(st.DocFreq))
+		for t, df := range st.DocFreq {
+			if df > 0 {
+				m.stat[t] = math.Log(numDocs / float64(df))
+			}
+		}
+	case KO:
+	case BM25:
+		if numDocs > 0 {
+			m.avgdl = float64(st.TotalTerms) / numDocs
+		}
+		if m.avgdl == 0 {
+			m.avgdl = 1
+		}
+		m.stat = make([]float64, len(st.DocFreq))
+		for t, df := range st.DocFreq {
+			if df > 0 {
+				m.stat[t] = math.Log(1 + (numDocs-float64(df)+0.5)/(float64(df)+0.5))
+			}
+		}
+	default:
+		return nil, fmt.Errorf("textrel: unknown measure %d", int(kind))
 	}
-	return m
+	return m, nil
 }
 
-// Name implements Model.
-func (m *TFIDFModel) Name() string { return "TFIDF" }
-
-// IDF returns idf(t); zero for terms absent from the corpus.
-func (m *TFIDFModel) IDF(t vocab.TermID) float64 {
-	if i := int(t); i >= 0 && i < len(m.idf) {
-		return m.idf[i]
+// MaxWeights dumps the per-term corpus maxima of a model for terms
+// 0..n-1 — the only model state that requires a pass over the full
+// object corpus. Together with the corpus statistics it freezes a model
+// so NewModelFrozen can rebuild it bit-for-bit without the objects.
+func MaxWeights(m *Model, n int) []float64 {
+	out := make([]float64, n)
+	for t := 0; t < n; t++ {
+		out[t] = m.MaxWeight(vocab.TermID(t))
 	}
-	return 0
+	return out
 }
 
-// Weight implements Model.
-func (m *TFIDFModel) Weight(d vocab.Doc, t vocab.TermID) float64 {
-	return float64(d.Freq(t)) * m.IDF(t)
-}
-
-// MaxWeight implements Model.
-func (m *TFIDFModel) MaxWeight(t vocab.TermID) float64 {
-	if i := int(t); i >= 0 && i < len(m.maxW) {
-		return m.maxW[i]
+// weight is the weight of term t occurring f times in a document of dl
+// term occurrences: the package comment's table. A term outside the corpus
+// has a zero statistic.
+//
+//maxbr:hotpath
+func (m *Model) weight(t vocab.TermID, f int32, dl int64) float64 {
+	var s float64
+	if i := int(t); i >= 0 && i < len(m.stat) {
+		s = m.stat[i]
 	}
-	return 0
-}
-
-// FloorWeight implements Model: a document may lack t entirely.
-func (m *TFIDFModel) FloorWeight(vocab.TermID) float64 { return 0 }
-
-// AddWeight implements Model: the added keyword appears with frequency 1
-// and TF-IDF weights are independent across terms, so the gain is exactly
-// idf(t) when t was absent (and zero extra when present).
-func (m *TFIDFModel) AddWeight(d vocab.Doc, t vocab.TermID) float64 {
-	if d.Has(t) {
+	switch m.kind {
+	case LM:
+		if f > 0 && dl > 0 {
+			s += (1 - m.lambda) * float64(f) / float64(dl)
+		}
+		return s
+	case TFIDF:
+		return float64(f) * s
+	case KO:
+		if f > 0 {
+			return 1
+		}
 		return 0
+	case BM25:
+		if f <= 0 || s <= 0 {
+			return 0
+		}
+		tf := float64(f)
+		k := BM25K1 * (1 - BM25B + BM25B*float64(dl)/m.avgdl)
+		return s * (BM25K1 + 1) * tf / (tf + k)
 	}
-	return m.IDF(t)
+	panic("textrel: model of an unknown measure")
 }
 
-// AdditionMonotone implements Model: TF-IDF weights are independent
-// across terms, so additions never reduce existing weights.
-func (m *TFIDFModel) AdditionMonotone() bool { return true }
-
-// docTS is the merge-join fast path of Scorer.TS (see LanguageModel.docTS
-// for the bit-identity argument).
-func (m *TFIDFModel) docTS(od, ud vocab.Doc) float64 {
-	udTerms := ud.Terms()
-	odTerms, odFreqs := od.Terms(), od.Freqs()
-	total := 0.0
-	j := 0
-	for _, t := range udTerms {
-		for j < len(odTerms) && odTerms[j] < t {
+// Sum returns Σ_{t∈terms} Weight(d,t), summed in terms' order, which must
+// ascend: the numerator of TS over a user's terms, and of a lower bound
+// over a super-user's intersection. It is one merge join of terms with d's
+// sorted terms.
+//
+//maxbr:hotpath
+func (m *Model) Sum(d vocab.Doc, terms []vocab.TermID) float64 {
+	dTerms, dFreqs, dl := d.Terms(), d.Freqs(), d.Len()
+	total, j := 0.0, 0
+	for _, t := range terms {
+		for j < len(dTerms) && dTerms[j] < t {
 			j++
 		}
 		var f int32
-		if j < len(odTerms) && odTerms[j] == t {
-			f = odFreqs[j]
+		if j < len(dTerms) && dTerms[j] == t {
+			f = dFreqs[j]
 		}
-		total += float64(f) * m.IDF(t)
+		total += m.weight(t, f, dl)
 	}
 	return total
 }
 
-// ---------------------------------------------------------------- Keyword Overlap
-
-// KeywordOverlapModel scores TS(o,u) = |u.d ∩ o.d| / |u.d|: each shared
-// term weighs 1, so with Norm(u) = |u.d| the unified framework reproduces
-// the measure exactly.
-type KeywordOverlapModel struct{}
-
-// NewKeywordOverlap returns the (stateless) keyword overlap measure.
-func NewKeywordOverlap(*dataset.Dataset) *KeywordOverlapModel {
-	return &KeywordOverlapModel{}
+// Weight returns the weight of term t in document d (≥ 0).
+func (m *Model) Weight(d vocab.Doc, t vocab.TermID) float64 {
+	return m.weight(t, d.Freq(t), d.Len())
 }
 
-// Name implements Model.
-func (*KeywordOverlapModel) Name() string { return "KO" }
-
-// Weight implements Model.
-func (*KeywordOverlapModel) Weight(d vocab.Doc, t vocab.TermID) float64 {
-	if d.Has(t) {
-		return 1
+// MaxWeight returns the maximum over corpus documents of Weight(d,t).
+func (m *Model) MaxWeight(t vocab.TermID) float64 {
+	if i := int(t); i >= 0 && i < len(m.maxW) {
+		return m.maxW[i]
 	}
-	return 0
+	// A term outside the corpus, and every KO term: the best a one-term
+	// document does.
+	return m.weight(t, 1, 1)
 }
 
-// MaxWeight implements Model.
-func (*KeywordOverlapModel) MaxWeight(vocab.TermID) float64 { return 1 }
+// FloorWeight returns the minimum over all possible documents of
+// Weight(d,t): the weight of t in a document that lacks it.
+func (m *Model) FloorWeight(t vocab.TermID) float64 { return m.weight(t, 0, 0) }
 
-// FloorWeight implements Model.
-func (*KeywordOverlapModel) FloorWeight(vocab.TermID) float64 { return 0 }
-
-// AddWeight implements Model.
-func (m *KeywordOverlapModel) AddWeight(d vocab.Doc, t vocab.TermID) float64 {
-	if d.Has(t) {
+// AddWeight returns an upper bound on Weight(d∪c, t) − Weight(d, t) for
+// any keyword set c ∋ t added to d: at most the weight of t once in a
+// document one occurrence longer than d, less the floor.
+//
+// For LM that is (1−λ)/(|d|+1); with (f+1)/(L+s) ≤ f/L + 1/(L+1) it
+// dominates the true gain for every added keyword set containing t. TF-IDF
+// and KO weigh terms independently, so a term d has gains nothing and an
+// absent one its weight at frequency 1, exactly. BM25 is decreasing in
+// document length (so |c| = 1 is the best case) and concave with zero
+// intercept in tf (so increments are subadditive), which makes
+// Weight(d,t) + AddWeight(d,t) dominate Weight(d∪c, t). Proof sketch on
+// TSAddUpperBound.
+func (m *Model) AddWeight(d vocab.Doc, t vocab.TermID) float64 {
+	if m.kind == LM {
+		return (1 - m.lambda) / float64(d.Len()+1)
+	}
+	if m.AdditionMonotone() && d.Has(t) {
 		return 0
 	}
-	return 1
+	return m.weight(t, 1, d.Len()+1)
 }
 
-// AdditionMonotone implements Model: membership of existing terms is
-// unaffected by additions.
-func (*KeywordOverlapModel) AdditionMonotone() bool { return true }
-
-// docTS is the merge-join fast path of Scorer.TS (see LanguageModel.docTS
-// for the bit-identity argument).
-func (*KeywordOverlapModel) docTS(od, ud vocab.Doc) float64 {
-	udTerms := ud.Terms()
-	odTerms := od.Terms()
-	total := 0.0
-	j := 0
-	for _, t := range udTerms {
-		for j < len(odTerms) && odTerms[j] < t {
-			j++
-		}
-		var w float64
-		if j < len(odTerms) && odTerms[j] == t {
-			w = 1
-		}
-		total += w
-	}
-	return total
-}
+// AdditionMonotone reports whether adding new terms to a document can
+// never decrease the weight of any term: true for TF-IDF and Keyword
+// Overlap, whose weights are independent across terms; false for LM and
+// BM25, whose length normalization dilutes existing weights. Pruning
+// shortcuts of the form "user u qualifies regardless of the chosen
+// keywords" are only sound when this holds.
+func (m *Model) AdditionMonotone() bool { return m.kind == TFIDF || m.kind == KO }

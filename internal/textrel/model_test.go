@@ -30,10 +30,15 @@ func corpus3(t testing.TB) (*dataset.Dataset, [3]vocab.TermID) {
 
 func near(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
+// ts is TS(od, ud): ud's weight sum in od over ud's normalizer norm.
+func ts(s *Scorer, od, ud vocab.Doc, norm float64) float64 {
+	return s.Model.Sum(od, ud.Terms()) / norm
+}
+
 func TestLMWeightEquation3(t *testing.T) {
 	ds, terms := corpus3(t)
 	a, b, c := terms[0], terms[1], terms[2]
-	lm := NewLanguageModel(ds, 0.4)
+	lm := NewModelWithLambda(LM, ds, 0.4)
 
 	d1 := ds.Objects[1].Doc // {a:1, b:2}, len 3
 	// p̂(a|θd1) = 0.6·(1/3) + 0.4·(2/6) = 0.2 + 0.1333…
@@ -55,7 +60,7 @@ func TestLMWeightEquation3(t *testing.T) {
 
 func TestLMMaxWeightIsCorpusMax(t *testing.T) {
 	ds, terms := corpus3(t)
-	lm := NewLanguageModel(ds, 0.4)
+	lm := NewModelWithLambda(LM, ds, 0.4)
 	for _, tm := range terms {
 		want := lm.FloorWeight(tm)
 		for _, o := range ds.Objects {
@@ -71,7 +76,7 @@ func TestLMMaxWeightIsCorpusMax(t *testing.T) {
 
 func TestLMUnknownTerm(t *testing.T) {
 	ds, _ := corpus3(t)
-	lm := NewLanguageModel(ds, 0.4)
+	lm := NewModelWithLambda(LM, ds, 0.4)
 	unknown := vocab.TermID(999)
 	if got := lm.FloorWeight(unknown); got != 0 {
 		t.Errorf("floor of unknown term = %v, want 0", got)
@@ -94,7 +99,7 @@ func TestLMLambdaValidation(t *testing.T) {
 					t.Errorf("lambda %v should panic", bad)
 				}
 			}()
-			NewLanguageModel(ds, bad)
+			NewModelWithLambda(LM, ds, bad)
 		}()
 	}
 }
@@ -102,13 +107,13 @@ func TestLMLambdaValidation(t *testing.T) {
 func TestTFIDF(t *testing.T) {
 	ds, terms := corpus3(t)
 	a, b, c := terms[0], terms[1], terms[2]
-	m := NewTFIDF(ds)
+	m := NewModel(TFIDF, ds)
 
 	// idf(a) = ln(3/2), idf(c) = ln(3/1)
-	if got := m.IDF(a); !near(got, math.Log(1.5)) {
+	if got := m.stat[a]; !near(got, math.Log(1.5)) {
 		t.Errorf("idf(a) = %v", got)
 	}
-	if got := m.IDF(c); !near(got, math.Log(3)) {
+	if got := m.stat[c]; !near(got, math.Log(3)) {
 		t.Errorf("idf(c) = %v", got)
 	}
 	d1 := ds.Objects[1].Doc
@@ -136,7 +141,7 @@ func TestTFIDF(t *testing.T) {
 
 func TestKeywordOverlap(t *testing.T) {
 	ds, terms := corpus3(t)
-	m := NewKeywordOverlap(ds)
+	m := NewModel(KO, ds)
 	d := ds.Objects[1].Doc // has a, b
 	if m.Weight(d, terms[0]) != 1 || m.Weight(d, terms[2]) != 0 {
 		t.Error("KO weight must be membership indicator")
@@ -149,39 +154,20 @@ func TestKeywordOverlap(t *testing.T) {
 	}
 }
 
-func TestNewModelDispatch(t *testing.T) {
-	ds, _ := corpus3(t)
-	for _, kind := range []MeasureKind{LM, TFIDF, KO} {
-		m := NewModel(kind, ds)
-		if m.Name() != kind.String() {
-			t.Errorf("NewModel(%v).Name() = %q", kind, m.Name())
-		}
-	}
-	if MeasureKind(42).String() == "" {
-		t.Error("unknown kind should still format")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewModel with bad kind should panic")
-		}
-	}()
-	NewModel(MeasureKind(42), ds)
-}
-
 // Property, all models: FloorWeight ≤ Weight(d,·) ≤ MaxWeight for every
 // corpus document — the invariant the MIR-tree bounds depend on.
 func TestWeightBoundsInvariant(t *testing.T) {
 	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(500))
-	for _, kind := range []MeasureKind{LM, TFIDF, KO} {
+	for _, kind := range []MeasureKind{LM, TFIDF, KO, BM25} {
 		m := NewModel(kind, ds)
 		for _, o := range ds.Objects {
 			for _, tm := range o.Doc.Terms() {
 				w := m.Weight(o.Doc, tm)
 				if w < m.FloorWeight(tm)-1e-12 {
-					t.Fatalf("%s: weight %v below floor %v", m.Name(), w, m.FloorWeight(tm))
+					t.Fatalf("%s: weight %v below floor %v", kind, w, m.FloorWeight(tm))
 				}
 				if w > m.MaxWeight(tm)+1e-12 {
-					t.Fatalf("%s: weight %v above corpus max %v", m.Name(), w, m.MaxWeight(tm))
+					t.Fatalf("%s: weight %v above corpus max %v", kind, w, m.MaxWeight(tm))
 				}
 			}
 		}

@@ -7,11 +7,15 @@ import (
 )
 
 // BoundSlack is how far below a threshold a pruning test still keeps a
-// bound. A bound sums the same weights as the exact score it bounds, but
-// in its own order, so it can round below that score — and an object tied
-// with the k-th best, or an ulp above it, would be cut off. Scores lie in
-// [0, 1]: the slack is far above any such rounding and far below any
-// score gap a pruning decision turns on.
+// bound. Every bound evaluates the exact score's expression (Combine) on
+// bounding operands, but two operands are not formed the way the exact
+// score forms its own: a node's posting sums add the term floors first and
+// then each present term's excess (invfile's kernel), an order other than
+// Model.Sum's, and MinDist and Dist go through math.Hypot, which is not
+// provably monotone. So a bound can round below the score it bounds — and
+// an object tied with the k-th best, or an ulp above it, would be cut off.
+// Scores lie in [0, 1]: the slack is far above any such rounding and far
+// below any score gap a pruning decision turns on.
 const BoundSlack = 1e-9
 
 // Scorer evaluates the combined spatial-textual score of Equation 1:
@@ -21,7 +25,7 @@ const BoundSlack = 1e-9
 // with SS(a,b) = 1 − dist(a,b)/dmax (Equation 2) and TS per the unified
 // model normalization described in the package comment.
 type Scorer struct {
-	Model Model
+	Model *Model
 	Alpha float64
 	DMax  float64
 }
@@ -38,35 +42,17 @@ func NewScorer(ds *dataset.Dataset, kind MeasureKind, alpha float64, extra ...ge
 
 // SS returns the spatial proximity of two points (Equation 2), clamped at
 // zero for points beyond dmax.
-func (s *Scorer) SS(a, b geo.Point) float64 {
-	v := 1 - a.Dist(b)/s.DMax
-	if v < 0 {
-		return 0
-	}
-	return v
-}
+func (s *Scorer) SS(a, b geo.Point) float64 { return max(0, 1-a.Dist(b)/s.DMax) }
 
 // SSMin returns the *smallest possible* spatial proximity between any point
 // of rectangle a and any point of b — derived from the maximum distance.
 // This is the MaxSS-from-MaxDist quantity of the paper's lower bounds.
-func (s *Scorer) SSMin(a, b geo.Rect) float64 {
-	v := 1 - a.MaxDist(b)/s.DMax
-	if v < 0 {
-		return 0
-	}
-	return v
-}
+func (s *Scorer) SSMin(a, b geo.Rect) float64 { return max(0, 1-a.MaxDist(b)/s.DMax) }
 
 // SSMax returns the *largest possible* spatial proximity between any point
 // of rectangle a and any point of b — derived from the minimum distance.
 // This is the MinSS-from-MinDist quantity of the paper's upper bounds.
-func (s *Scorer) SSMax(a, b geo.Rect) float64 {
-	v := 1 - a.MinDist(b)/s.DMax
-	if v < 0 {
-		return 0
-	}
-	return v
-}
+func (s *Scorer) SSMax(a, b geo.Rect) float64 { return max(0, 1-a.MinDist(b)/s.DMax) }
 
 // Norm returns Norm(d) = Σ_{t∈d} MaxWeight(t), the user-side normalizer
 // (Pmax in Equation 4 when the model is LM).
@@ -81,34 +67,25 @@ func (s *Scorer) Norm(d vocab.Doc) float64 {
 	return total
 }
 
-// TS returns the normalized text relevance of object document od for a user
-// document ud whose precomputed normalizer is norm (use Norm(ud)). The
-// built-in measures take a devirtualized merge-join path — one linear pass
-// over the two sorted term lists instead of an interface call plus binary
-// search per user term — that performs the exact floating-point operations
-// of the generic loop in the same order, so scores are bit-identical.
-func (s *Scorer) TS(od, ud vocab.Doc, norm float64) float64 {
-	var total float64
-	switch m := s.Model.(type) {
-	case *LanguageModel:
-		total = m.docTS(od, ud)
-	case *TFIDFModel:
-		total = m.docTS(od, ud)
-	case *KeywordOverlapModel:
-		total = m.docTS(od, ud)
-	default:
-		for _, t := range ud.Terms() {
-			total += s.Model.Weight(od, t)
-		}
-	}
-	return total / norm
+// Combine is Equation 1 over its operands, α·ss + (1−α)·(sum/norm), for a
+// spatial proximity ss, a text weight sum (Model.Sum) and a user
+// normalizer norm, and the one place α appears. The exact score passes the
+// exact operands; a bound passes bounding ones — SSMax or SSMin for ss, a
+// node's posting maxima or minima for the sum, a group's MinNorm or
+// MaxNorm for norm — and so rounds through the same operations. It is not
+// fused with math.FMA: every score and saved answer rests on its two
+// roundings.
+//
+//maxbr:hotpath
+func (s *Scorer) Combine(ss, sum, norm float64) float64 {
+	return s.Alpha*ss + (1-s.Alpha)*(sum/norm)
 }
 
 // STS returns the combined score of Equation 1 for an object at oLoc with
 // document oDoc against a user at uLoc with document uDoc and normalizer
 // norm.
 func (s *Scorer) STS(oLoc geo.Point, oDoc vocab.Doc, uLoc geo.Point, uDoc vocab.Doc, norm float64) float64 {
-	return s.Alpha*s.SS(oLoc, uLoc) + (1-s.Alpha)*s.TS(oDoc, uDoc, norm)
+	return s.Combine(s.SS(oLoc, uLoc), s.Model.Sum(oDoc, uDoc.Terms()), norm)
 }
 
 // UserNorms precomputes Norm(u) for every user.

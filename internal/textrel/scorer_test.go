@@ -70,11 +70,11 @@ func TestKOScoreExactFormula(t *testing.T) {
 		t.Fatalf("Norm = %v, want |u.d| = 2", norm)
 	}
 	// o1 = {a,b}: overlap 1 → TS = 1/2
-	if got := s.TS(ds.Objects[1].Doc, ud, norm); !near(got, 0.5) {
+	if got := ts(s, ds.Objects[1].Doc, ud, norm); !near(got, 0.5) {
 		t.Errorf("KO TS = %v, want 0.5", got)
 	}
 	// o2 = {b,c}: overlap 1 → 0.5; o0 = {a}: 0.5
-	if got := s.TS(ds.Objects[2].Doc, ud, norm); !near(got, 0.5) {
+	if got := ts(s, ds.Objects[2].Doc, ud, norm); !near(got, 0.5) {
 		t.Errorf("KO TS = %v, want 0.5", got)
 	}
 }
@@ -82,7 +82,7 @@ func TestKOScoreExactFormula(t *testing.T) {
 func TestLMScoreEquation4(t *testing.T) {
 	ds, terms := corpus3(t)
 	s := NewScorer(ds, LM, 0.5)
-	lm := s.Model.(*LanguageModel)
+	lm := s.Model
 	ud := vocab.DocFromTerms([]vocab.TermID{terms[0], terms[1]})
 	// Pmax = maxp(a) + maxp(b)
 	wantNorm := lm.MaxWeight(terms[0]) + lm.MaxWeight(terms[1])
@@ -91,7 +91,7 @@ func TestLMScoreEquation4(t *testing.T) {
 	}
 	d1 := ds.Objects[1].Doc
 	want := (lm.Weight(d1, terms[0]) + lm.Weight(d1, terms[1])) / wantNorm
-	if got := s.TS(d1, ud, wantNorm); !near(got, want) {
+	if got := ts(s, d1, ud, wantNorm); !near(got, want) {
 		t.Errorf("TS = %v, want %v", got, want)
 	}
 }
@@ -104,7 +104,7 @@ func TestSTSCombination(t *testing.T) {
 		norm := s.Norm(ud)
 		uLoc := geo.Point{X: 0, Y: 0}
 		o := ds.Objects[1]
-		want := alpha*s.SS(o.Loc, uLoc) + (1-alpha)*s.TS(o.Doc, ud, norm)
+		want := alpha*s.SS(o.Loc, uLoc) + (1-alpha)*ts(s, o.Doc, ud, norm)
 		if got := s.STS(o.Loc, o.Doc, uLoc, ud, norm); !near(got, want) {
 			t.Errorf("α=%v: STS = %v, want %v", alpha, got, want)
 		}
@@ -120,7 +120,7 @@ func TestTSNormalizedRange(t *testing.T) {
 		norms := s.UserNorms(us.Users)
 		for ui := range us.Users {
 			for _, o := range ds.Objects[:100] {
-				ts := s.TS(o.Doc, us.Users[ui].Doc, norms[ui])
+				ts := ts(s, o.Doc, us.Users[ui].Doc, norms[ui])
 				if ts < 0 || ts > 1+1e-9 {
 					t.Fatalf("%s: TS = %v out of [0,1]", kind, ts)
 				}
@@ -149,7 +149,7 @@ func TestNormFallbackForUnknownTerms(t *testing.T) {
 	if got := s.Norm(ud); got != 1 {
 		t.Errorf("norm for out-of-corpus doc = %v, want fallback 1", got)
 	}
-	if ts := s.TS(ds.Objects[0].Doc, ud, s.Norm(ud)); math.IsNaN(ts) {
+	if ts := ts(s, ds.Objects[0].Doc, ud, s.Norm(ud)); math.IsNaN(ts) {
 		t.Error("TS must not be NaN")
 	}
 }

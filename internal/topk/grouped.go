@@ -119,17 +119,16 @@ func RefineUser(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, no
 	if seed > rsk {
 		rsk = seed
 	}
-	alpha := scorer.Alpha
 	for i := range tr.RO {
 		o := &tr.RO[i]
 		if o.UB < rsk-textrel.BoundSlack {
 			break // the paper's break: RO is descending in group UB
 		}
 		if aux != nil {
-			if alpha*aux.sufS[i]+(1-alpha)*aux.sufR[i]/norm < rsk-textrel.BoundSlack {
+			if scorer.Combine(aux.sufS[i], aux.sufR[i], norm) < rsk-textrel.BoundSlack {
 				break // no remaining candidate can reach this user's top-k
 			}
-			if alpha*o.SMax+(1-alpha)*o.RawText/norm < rsk-textrel.BoundSlack {
+			if scorer.Combine(o.SMax, o.RawText, norm) < rsk-textrel.BoundSlack {
 				continue // this candidate provably cannot qualify
 			}
 		}

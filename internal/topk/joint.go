@@ -166,11 +166,11 @@ func Traverse(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int, fl
 		}
 		for i, e := range node.Entries {
 			smax := scorer.SSMax(e.Rect, su.MBR)
-			ub := scorer.Alpha*smax + (1-scorer.Alpha)*su.UBText(maxSums[i])
+			ub := scorer.Combine(smax, maxSums[i], su.MinNorm)
 			if ub < thr-textrel.BoundSlack {
 				continue
 			}
-			entryLB := scorer.Alpha*scorer.SSMin(e.Rect, su.MBR) + (1-scorer.Alpha)*su.LBText(minSums[i])
+			entryLB := scorer.Combine(scorer.SSMin(e.Rect, su.MBR), minSums[i], su.MaxNorm)
 			pq.Push(travCand{ref: e.Child, isNode: !node.Leaf, ub: ub, smax: smax, braw: maxSums[i]}, entryLB)
 		}
 	}

@@ -100,11 +100,3 @@ func BuildSuperUser(users []dataset.User, scorer *textrel.Scorer) SuperUser {
 	}
 	return Merge(groups)
 }
-
-// UBText converts an entry's maximum text sum over the union terms into
-// the textual component of MaxSTS(E, us).
-func (su SuperUser) UBText(maxSum float64) float64 { return maxSum / su.MinNorm }
-
-// LBText converts an entry's minimum text sum over the intersection terms
-// into the textual component of LB(E, us).
-func (su SuperUser) LBText(minSum float64) float64 { return minSum / su.MaxNorm }

@@ -191,7 +191,7 @@ func (o Options) Validate() error {
 // newModel constructs the relevance model the options describe over a
 // whole corpus: the statistics-derived part and a maxima scan of ds's
 // objects. Every other index takes its model from one made here.
-func (o Options) newModel(ds *dataset.Dataset) textrel.Model {
+func (o Options) newModel(ds *dataset.Dataset) *textrel.Model {
 	return textrel.NewModelWithLambda(o.Measure.kind(), ds, o.lambda())
 }
 
@@ -200,7 +200,7 @@ func (o Options) newModel(ds *dataset.Dataset) textrel.Model {
 // model — and wraps it in an index. The index owns a private copy of
 // terms (identical ids), so the source vocabulary can keep growing
 // without racing the index's lock-free readers.
-func (o Options) assemble(objects []dataset.Object, terms vocab.View, stats dataset.CorpusStats, space geo.Rect, model textrel.Model) *Index {
+func (o Options) assemble(objects []dataset.Object, terms vocab.View, stats dataset.CorpusStats, space geo.Rect, model *textrel.Model) *Index {
 	v := vocab.New()
 	for id := vocab.TermID(0); int(id) < terms.Size(); id++ {
 		v.Add(terms.Term(id))
@@ -263,7 +263,7 @@ func (b *Builder) Build(opts Options) (*Index, error) {
 // newIndex assembles an Index around its first snapshot. deleted/live
 // describe objects already dead in the tree (a loaded index); a nil
 // bitmap means every object is live.
-func newIndex(opts Options, model textrel.Model, mir *irtree.Tree, deleted []uint64, live int, closer io.Closer) *Index {
+func newIndex(opts Options, model *textrel.Model, mir *irtree.Tree, deleted []uint64, live int, closer io.Closer) *Index {
 	if deleted == nil {
 		live = len(mir.Dataset().Objects)
 	}
@@ -298,7 +298,7 @@ func newIndex(opts Options, model textrel.Model, mir *irtree.Tree, deleted []uin
 // one-shot query) after they complete.
 type Index struct {
 	opts  Options
-	model textrel.Model
+	model *textrel.Model
 
 	// snap is the atomically-published current snapshot. Readers Load it
 	// exactly once per operation; writers Store a successor under

@@ -750,7 +750,7 @@ func (o *oracle) check(in *instance, a answers, fail func(string, ...any)) {
 		}
 		upTo, exactly := o.best(q, false), o.best(q, true)
 		if o.s.engine.Scorer.Model.AdditionMonotone() && exactly != upTo {
-			fail("req%d: adding keywords never hurts under %s, yet best= %d, best≤ %d", ri, o.s.engine.Scorer.Model.Name(), exactly, upTo)
+			fail("req%d: adding keywords never hurts under %s, yet best= %d, best≤ %d", ri, in.opts.Measure.kind(), exactly, upTo)
 		}
 		// answer checks one answer: a candidate location with at most ws
 		// keywords, whose users are exactly those it reaches, less the

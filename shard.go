@@ -67,7 +67,7 @@ func FrozenCorpusOf(ds *dataset.Dataset, opts Options) (FrozenCorpus, error) {
 
 // frozenCorpus copies a dataset's build-time statistics and space, and
 // the model's maxima, naming each build-time term id through term.
-func frozenCorpus(ds *dataset.Dataset, model textrel.Model, term func(vocab.TermID) string) FrozenCorpus {
+func frozenCorpus(ds *dataset.Dataset, model *textrel.Model, term func(vocab.TermID) string) FrozenCorpus {
 	n := len(ds.Stats.CollectionFreq) // build-time vocabulary size
 	fc := FrozenCorpus{
 		Terms:          make([]string, n),
