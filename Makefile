@@ -144,9 +144,12 @@ lint-external:
 # reference sort-then-encode's bytes for any term-ascending entry lists,
 # and that an accepted node record
 # re-encodes to itself; the committed testdata corpora replay past
-# crashers as regression tests on every plain `go test` too. FuzzOracle
-# draws MaxBRSTkNN instances past TestOracleDifferential's seeds and holds
-# every answer path to the brute-force oracle.
+# crashers as regression tests on every plain `go test` too. The three
+# bound fuzzers hold every pruning bound to the exact score it bounds, bit
+# for bit: UBL and the spatial bounds (textrel), the MIR-tree node bounds
+# (topk) and the MIUR-tree entry bounds (core). FuzzOracle draws
+# MaxBRSTkNN instances past TestOracleDifferential's seeds and holds every
+# answer path to the brute-force oracle.
 fuzz-smoke:
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecodeSumsInto$$' -fuzztime 10s -fuzzminimizetime 100x
@@ -155,6 +158,9 @@ fuzz-smoke:
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzCompose$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/irtree/ -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz '^FuzzDecodeMaster$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/textrel/ -run '^$$' -fuzz '^FuzzBoundsDominate$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/topk/ -run '^$$' -fuzz '^FuzzNodeBoundsDominate$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzEntryBoundsDominate$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test . -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime 10s -fuzzminimizetime 100x
 
 ci: build vet lint test race bench cli-smoke shard-smoke fuzz-smoke

@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,6 +31,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/indexutil"
+	"repro/internal/server"
 	"repro/internal/vocab"
 )
 
@@ -60,8 +62,7 @@ func runBuild(args []string) {
 	)
 	fs.Parse(args)
 
-	ds := loadObjects(filepath.Join(*dir, "objects.txt"), vocab.New())
-	b := indexutil.BuilderFromDataset(ds)
+	b := indexutil.BuilderFromDataset(loadObjects(*dir, vocab.New()))
 	opts := maxbrstknn.Options{
 		Measure: parseMeasure(*measure), Fanout: *fanout,
 		Alpha: *alpha, ExplicitAlpha: true,
@@ -101,6 +102,10 @@ func runQuery(args []string) {
 		workers   = fs.Int("workers", 0, "parallel engine workers (0 = sequential)")
 	)
 	fs.Parse(args)
+	strat, err := server.ParseStrategy(*strategy)
+	if err != nil {
+		fail(err)
+	}
 
 	start := time.Now()
 	idx, err := maxbrstknn.Load(*indexPath)
@@ -113,21 +118,11 @@ func runQuery(args []string) {
 
 	// The query-side files carry keyword strings; parse them through a
 	// scratch vocabulary (the index file owns the real one).
-	scratch := vocab.New()
-	users := loadUsers(filepath.Join(*dir, "users.txt"), scratch)
-	locs, kws := loadCandidates(filepath.Join(*dir, "candidates.txt"))
-	specs := indexutil.UserSpecs(scratch, users)
-	req := maxbrstknn.Request{
-		Users:       specs,
-		Locations:   pointPairs(locs),
-		Keywords:    kws,
-		MaxKeywords: *ws,
-		K:           *k,
-		Strategy:    parseStrategy(*strategy),
-		Parallel:    maxbrstknn.ParallelOptions{Workers: *workers},
-	}
+	req := loadRequest(*dir, vocab.New())
+	req.MaxKeywords, req.K, req.Strategy = *ws, *k, strat
+	req.Parallel = maxbrstknn.ParallelOptions{Workers: *workers}
 	fmt.Printf("users=%d candidate locations=%d candidate keywords=%d strategy=%s k=%d ws=%d\n",
-		len(specs), len(locs), len(kws), req.Strategy, *k, *ws)
+		len(req.Users), len(req.Locations), len(req.Keywords), req.Strategy, *k, *ws)
 	answer(idx, req, *topL)
 }
 
@@ -145,11 +140,15 @@ func runOneShot(args []string) {
 		topL     = fs.Int("top", 1, "report the top-L candidate locations")
 	)
 	fs.Parse(args)
+	strat, err := server.ParseStrategy(*strategy)
+	if err != nil {
+		fail(err)
+	}
 
 	v := vocab.New()
-	ds := loadObjects(filepath.Join(*dir, "objects.txt"), v)
-	users := loadUsers(filepath.Join(*dir, "users.txt"), v)
-	locs, kws := loadCandidates(filepath.Join(*dir, "candidates.txt"))
+	ds := loadObjects(*dir, v)
+	req := loadRequest(*dir, v)
+	req.MaxKeywords, req.K, req.Strategy = *ws, *k, strat
 
 	opts := maxbrstknn.Options{Alpha: *alpha, ExplicitAlpha: true, Measure: parseMeasure(*measure)}
 	idx, err := indexutil.BuilderFromDataset(ds).Build(opts)
@@ -157,18 +156,8 @@ func runOneShot(args []string) {
 		fail(err)
 	}
 
-	specs := indexutil.UserSpecs(v, users)
-	req := maxbrstknn.Request{
-		Users:       specs,
-		Locations:   pointPairs(locs),
-		Keywords:    kws,
-		MaxKeywords: *ws,
-		K:           *k,
-		Strategy:    parseStrategy(*strategy),
-	}
-
 	fmt.Printf("objects=%d users=%d candidate locations=%d candidate keywords=%d\n",
-		idx.NumObjects(), len(specs), len(locs), len(kws))
+		idx.NumObjects(), len(req.Users), len(req.Locations), len(req.Keywords))
 	fmt.Printf("strategy=%s k=%d ws=%d alpha=%.2f measure=%s\n", req.Strategy, *k, *ws, *alpha, *measure)
 	answer(idx, req, *topL)
 }
@@ -236,67 +225,39 @@ func parseMeasure(s string) maxbrstknn.Measure {
 	}
 }
 
-func parseStrategy(s string) maxbrstknn.Strategy {
-	switch strings.ToLower(s) {
-	case "exact":
-		return maxbrstknn.Exact
-	case "approx":
-		return maxbrstknn.Approx
-	case "exhaustive":
-		return maxbrstknn.Exhaustive
-	case "user-indexed", "userindexed":
-		return maxbrstknn.UserIndexed
-	default:
-		fail(fmt.Errorf("unknown strategy %q", s))
-		panic("unreachable")
-	}
+// loadObjects reads objects.txt of dir, its keywords through v.
+func loadObjects(dir string, v *vocab.Vocabulary) *dataset.Dataset {
+	return load(filepath.Join(dir, "objects.txt"), func(r io.Reader) (*dataset.Dataset, error) { return dataset.ReadObjects(r, v) })
 }
 
-func pointPairs(locs []geo.Point) [][2]float64 {
-	out := make([][2]float64, len(locs))
-	for i, l := range locs {
-		out[i] = [2]float64{l.X, l.Y}
+// loadRequest reads users.txt and candidates.txt of dir, their keywords
+// through v, into a request's users, locations and keywords.
+func loadRequest(dir string, v *vocab.Vocabulary) maxbrstknn.Request {
+	users := load(filepath.Join(dir, "users.txt"), func(r io.Reader) ([]dataset.User, error) { return dataset.ReadUsers(r, v) })
+	var req maxbrstknn.Request
+	locs := load(filepath.Join(dir, "candidates.txt"), func(r io.Reader) (locs []geo.Point, err error) {
+		locs, req.Keywords, err = dataset.ReadCandidates(r)
+		return locs, err
+	})
+	req.Users = indexutil.UserSpecs(v, users)
+	for _, l := range locs {
+		req.Locations = append(req.Locations, [2]float64{l.X, l.Y})
 	}
-	return out
+	return req
 }
 
-func loadObjects(path string, v *vocab.Vocabulary) *dataset.Dataset {
+// load reads the file at path with read, exiting on any error.
+func load[T any](path string, read func(io.Reader) (T, error)) T {
 	f, err := os.Open(path)
 	if err != nil {
 		fail(err)
 	}
 	defer f.Close()
-	ds, err := dataset.ReadObjects(f, v)
+	v, err := read(f)
 	if err != nil {
 		fail(err)
 	}
-	return ds
-}
-
-func loadUsers(path string, v *vocab.Vocabulary) []dataset.User {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	users, err := dataset.ReadUsers(f, v)
-	if err != nil {
-		fail(err)
-	}
-	return users
-}
-
-func loadCandidates(path string) ([]geo.Point, []string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	locs, kws, err := dataset.ReadCandidates(f)
-	if err != nil {
-		fail(err)
-	}
-	return locs, kws
+	return v
 }
 
 func fail(err error) {

@@ -41,16 +41,16 @@
 // A traversal's per-entry bound sums are read off the record's bytes by a
 // Dir, which walks the directory once, keeps the term ids and run starts,
 // binary-searches them for the query terms and sums each wanted run in
-// place (sumRun). The decoded-object cache holds Dirs: over a record held
-// in memory a Dir aliases its bytes; over one read from a file it is
-// detached (Detach), keeps no bytes, and reads each wanted run through the
-// record store's ranged read. DecodeSumsInto, the cold path (no cache
-// configured, or a record that cannot fit it), indexes the record into a
-// Dir kept in the caller's scratch on every read. The
-// write path keeps a copy-on-write mutation's files encoded: ReplaceEntry
-// splices one entry's postings into a record, copying every run the edit
-// does not touch as bytes, and Aggregate reads a child's aggregate off its
-// record at the posting stride.
+// place (sumRun) in textrel's Model.Sum order. The decoded-object cache
+// holds Dirs: over a record held in memory a Dir aliases its bytes; over
+// one read from a file it is detached (Detach), keeps no bytes, and reads
+// each wanted run through the record store's ranged read. DecodeSumsInto,
+// the cold path (no cache configured, or a record that cannot fit it),
+// indexes the record into a Dir kept in the caller's scratch on every
+// read. The write path keeps a copy-on-write mutation's files encoded:
+// ReplaceEntry splices one entry's postings into a record, copying every
+// run the edit does not touch as bytes, and Aggregate reads a child's
+// aggregate off its record at the posting stride.
 package invfile
 
 import (
@@ -473,17 +473,14 @@ type SumScratch struct {
 }
 
 // buffers returns the scratch's two sum buffers resized to n (reallocating
-// only on growth) and zero-filled with the given floor constants.
-func (s *SumScratch) buffers(n int, floorMax, floorMin float64) (maxSums, minSums []float64) {
-	if cap(s.Max) < n {
-		s.Max = make([]float64, n)
-		s.Min = make([]float64, n)
+// only on growth) and zeroed.
+func (s *SumScratch) buffers(n int) (maxSums, minSums []float64) {
+	if cap(s.Max) < n || cap(s.Min) < n {
+		s.Max, s.Min = make([]float64, n), make([]float64, n)
 	}
 	maxSums, minSums = s.Max[:n], s.Min[:n]
-	for i := range maxSums {
-		maxSums[i] = floorMax
-		minSums[i] = floorMin
-	}
+	clear(maxSums)
+	clear(minSums)
 	return maxSums, minSums
 }
 
@@ -496,53 +493,68 @@ func (s *SumScratch) runBuf(n int) []byte {
 	return s.run[:n]
 }
 
-// floorSums accumulates the all-floors baseline of both bound sums.
-func floorSums(maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64) (floorMax, floorMin float64) {
-	for _, tm := range maxTerms {
-		floorMax += floorOf(tm)
-	}
-	for _, tm := range minTerms {
-		floorMin += floorOf(tm)
-	}
-	return floorMax, floorMin
-}
-
-// sumRun is the run-summing kernel of Dir.SumsInto: it adds the run of
-// postings at buf[from:to] to the sums the wants select, reading each
-// entry as the running sum of the run's deltas, and fails on an entry
-// outside the node's len(maxSums) entries.
+// sumRun is the summing kernel of Dir.SumsInto: it adds one term to every
+// entry's sums the wants select — the weights of the entry's posting in
+// the run at buf[from:to], floor for an entry the run lacks (a zero floor
+// not at all). It reads each entry as the running sum of the run's deltas
+// and fails on one outside the node's len(maxSums) entries. A posting
+// whose entry does not ascend (no Composer writes one) counts for nothing.
 //
 //maxbr:hotpath
 func (l layout) sumRun(buf []byte, from, to int, floor float64, wantMax, wantMin bool, maxSums, minSums []float64) error {
 	stride, mask := l.stride(), l.mask()
-	e := uint32(0)
+	e, next := uint32(0), 0 // next: the first entry past the last counted posting
 	for p := from; p < to; p += stride {
 		e = (e + delta(buf, p)) & mask
-		entry := int32(e)
-		if entry < 0 || int(entry) >= len(maxSums) {
+		entry := int(int32(e))
+		if entry < 0 || entry >= len(maxSums) {
 			return fmt.Errorf("invfile: posting entry %d out of range", entry)
+		}
+		if entry < next {
+			continue
+		}
+		if floor != 0 {
+			addFloor(maxSums[next:entry], minSums[next:entry], floor, wantMax, wantMin)
 		}
 		maxW, minW := l.weights(buf, p)
 		if wantMax {
-			maxSums[entry] += maxW - floor
+			maxSums[entry] += maxW
 		}
-		if wantMin && minW > floor {
-			minSums[entry] += minW - floor
+		if wantMin {
+			minSums[entry] += max(minW, floor)
 		}
+		next = entry + 1
+	}
+	if floor != 0 {
+		addFloor(maxSums[next:], minSums[next:], floor, wantMax, wantMin)
 	}
 	return nil
+}
+
+// addFloor adds floor to the sums the wants select.
+func addFloor(maxSums, minSums []float64, floor float64, wantMax, wantMin bool) {
+	if wantMax {
+		for i := range maxSums {
+			maxSums[i] += floor
+		}
+	}
+	if wantMin {
+		for i := range minSums {
+			minSums[i] += floor
+		}
+	}
 }
 
 // DecodeSumsInto computes the per-entry bound sums the super-user
 // traversal needs straight off an encoded file: for every entry i,
 //
-//	maxSums[i] = Σ_{t∈maxTerms} max(MaxW(t,i), floor(t))
-//	minSums[i] = Σ_{t∈minTerms} max(MinW(t,i), floor(t))  (MinW > floor only)
+//	maxSums[i] = Σ_{t∈maxTerms} MaxW(t,i)             (floor(t) if i has no posting of t)
+//	minSums[i] = Σ_{t∈minTerms} max(MinW(t,i), floor(t))  (floor(t) likewise)
 //
-// each sum starting from its all-floors baseline and adding one stored
-// term's run at a time in ascending term order, so a cached Dir's
-// SumsInto agrees with it bit for bit. maxTerms and minTerms must
-// be ascending (the super-user keeps them sorted). This is the cold
+// each sum adding one value per term to zero in ascending term order, as
+// textrel's Model.Sum does, so it bounds Model.Sum as that rounds (see the
+// textrel package comment). A cached Dir's SumsInto agrees with it bit for
+// bit. maxTerms and minTerms must be ascending. This is the cold
 // traversal path — taken when no decoded cache is configured (the
 // paper-figure accounting) or the record is too large to cache: it indexes
 // the record into the Dir scratch keeps (validating it) and reads that.
@@ -647,10 +659,15 @@ func (dir *Dir) open(buf []byte) error {
 //
 //maxbr:hotpath
 func (d *Dir) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
-	floorMax, floorMin := floorSums(maxTerms, minTerms, floorOf)
-	maxSums, minSums = scratch.buffers(nEntries, floorMax, floorMin)
+	maxSums, minSums = scratch.buffers(nEntries)
 	for mi, ni := 0, 0; mi < len(maxTerms) || ni < len(minTerms); {
-		t := least(maxTerms, minTerms, mi, ni)
+		t := vocab.TermID(math.MaxInt32) // the next query term: the least at either cursor
+		if mi < len(maxTerms) {
+			t = maxTerms[mi]
+		}
+		if ni < len(minTerms) {
+			t = min(t, minTerms[ni])
+		}
 		wantMax := mi < len(maxTerms) && maxTerms[mi] == t
 		wantMin := ni < len(minTerms) && minTerms[ni] == t
 		for mi < len(maxTerms) && maxTerms[mi] == t {
@@ -659,37 +676,21 @@ func (d *Dir) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf 
 		for ni < len(minTerms) && minTerms[ni] == t {
 			ni++
 		}
-		i, ok := slices.BinarySearch(d.terms, t)
-		if !ok {
-			continue
-		}
-		buf, from, to := d.buf, int(d.starts[i]), int(d.starts[i+1])
-		if d.read != nil {
-			if buf, err = d.read(scratch.runBuf(to-from), from); err != nil {
-				return nil, nil, fmt.Errorf("invfile: run of term %d: %w", t, err)
+		buf, from, to := d.buf, 0, 0 // a term the record lacks has an empty run
+		if i, ok := slices.BinarySearch(d.terms, t); ok {
+			from, to = int(d.starts[i]), int(d.starts[i+1])
+			if d.read != nil {
+				if buf, err = d.read(scratch.runBuf(to-from), from); err != nil {
+					return nil, nil, fmt.Errorf("invfile: run of term %d: %w", t, err)
+				}
+				from, to = 0, to-from
 			}
-			from, to = 0, to-from
 		}
 		if err := d.sumRun(buf, from, to, floorOf(t), wantMax, wantMin, maxSums, minSums); err != nil {
 			return nil, nil, err
 		}
 	}
 	return maxSums, minSums, nil
-}
-
-// least returns the smaller of maxTerms[mi] and minTerms[ni], either
-// cursor possibly past its end: the next query term a directory walk can
-// meet. Past both ends it is the largest term id, which no smaller stored
-// term reaches.
-func least(maxTerms, minTerms []vocab.TermID, mi, ni int) vocab.TermID {
-	t := vocab.TermID(math.MaxInt32)
-	if mi < len(maxTerms) {
-		t = maxTerms[mi]
-	}
-	if ni < len(minTerms) && minTerms[ni] < t {
-		t = minTerms[ni]
-	}
-	return t
 }
 
 // ---- copy-on-write edits of encoded files ----

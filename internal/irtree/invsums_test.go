@@ -125,53 +125,45 @@ func TestReadInvBytesChargesBlocks(t *testing.T) {
 }
 
 // MaxTextSums and MinTextSums are the reference the production sum paths
-// (ReadInvSums through a Dir or DecodeSumsInto) are tested against:
-// a full decode, then one allocating pass per bound.
+// (ReadInvSums through a Dir or DecodeSumsInto) are tested against: a full
+// decode, then one allocating pass per bound that adds, term by term in
+// the ascending order of Model.Sum, each entry's value for the term.
 
 // MaxTextSums returns, for each entry of a node, an upper bound on
 // Σ_{t∈terms} Weight(d,t) over every document d in the entry's subtree:
 // the posting's maximum weight where the subtree contains the term, and
 // the model's floor weight (LM smoothing) where it does not. For leaf
-// entries the result is exact, because the leaf posting weight is the
-// document's own weight.
+// entries it is Model.Sum of the entry's document, bit for bit, because the
+// leaf posting weight is the document's own weight.
 func MaxTextSums(model *textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID) []float64 {
-	sums := make([]float64, nEntries)
-	floorSum := 0.0
-	for _, tm := range terms {
-		floorSum += model.FloorWeight(tm)
-	}
-	for i := range sums {
-		sums[i] = floorSum
-	}
-	for _, tm := range terms {
-		floor := model.FloorWeight(tm)
-		for _, p := range inv.Postings(tm) {
-			sums[p.Entry] += p.MaxW - floor
-		}
-	}
-	return sums
+	return textSums(model, inv, nEntries, terms, func(p posting, _ float64) float64 { return p.MaxW })
 }
 
 // MinTextSums returns, for each entry of a node, a lower bound on
 // Σ_{t∈terms} Weight(d,t) over every document d in the entry's subtree:
-// the posting's minimum weight where positive (the term is in the subtree
-// intersection), otherwise the floor. Only meaningful on a MIR-tree; on an
-// IR-tree all stored minima are zero and the bound degrades to the floor.
+// the posting's minimum weight where above the floor (the term is in the
+// subtree intersection), otherwise the floor. Only meaningful on a
+// MIR-tree; on an IR-tree all stored minima are zero and the bound
+// degrades to the floor.
 func MinTextSums(model *textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID) []float64 {
+	return textSums(model, inv, nEntries, terms, func(p posting, floor float64) float64 { return max(p.MinW, floor) })
+}
+
+// textSums adds to each entry, per term in order, value of the entry's
+// posting of the term, or the term's floor where it has none.
+func textSums(model *textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID, value func(p posting, floor float64) float64) []float64 {
 	sums := make([]float64, nEntries)
-	floorSum := 0.0
-	for _, tm := range terms {
-		floorSum += model.FloorWeight(tm)
-	}
-	for i := range sums {
-		sums[i] = floorSum
-	}
 	for _, tm := range terms {
 		floor := model.FloorWeight(tm)
+		vals := make([]float64, nEntries)
+		for i := range vals {
+			vals[i] = floor
+		}
 		for _, p := range inv.Postings(tm) {
-			if p.MinW > floor {
-				sums[p.Entry] += p.MinW - floor
-			}
+			vals[p.Entry] = value(p, floor)
+		}
+		for i, v := range vals {
+			sums[i] += v
 		}
 	}
 	return sums
@@ -223,14 +215,23 @@ func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
 							}
 							wantMax := MaxTextSums(tree.Model(), inv, len(node.Entries), maxTerms)
 							wantMin := MinTextSums(tree.Model(), inv, len(node.Entries), minTerms)
-							for i := range node.Entries {
-								if math.Abs(gotMax[i]-wantMax[i]) > 1e-12 {
+							for i, e := range node.Entries {
+								if math.Float64bits(gotMax[i]) != math.Float64bits(wantMax[i]) {
 									t.Fatalf("%v/%v cache %d node %d entry %d: maxSum %v != %v (terms %v)",
 										kind, measure, cacheBytes, id, i, gotMax[i], wantMax[i], maxTerms)
 								}
-								if math.Abs(gotMin[i]-wantMin[i]) > 1e-12 {
+								if math.Float64bits(gotMin[i]) != math.Float64bits(wantMin[i]) {
 									t.Fatalf("%v/%v cache %d node %d entry %d: minSum %v != %v (terms %v)",
 										kind, measure, cacheBytes, id, i, gotMin[i], wantMin[i], minTerms)
+								}
+								if !node.Leaf {
+									continue
+								}
+								doc := ds.Objects[e.Child].Doc
+								m := tree.Model() // an IR-tree stores no minima
+								if gotMax[i] != m.Sum(doc, maxTerms) || (kind == MIRTree && gotMin[i] != m.Sum(doc, minTerms)) {
+									t.Fatalf("%v/%v node %d entry %d: leaf sums (%v, %v), the object's Model.Sum (%v, %v)",
+										kind, measure, id, i, gotMax[i], gotMin[i], m.Sum(doc, maxTerms), m.Sum(doc, minTerms))
 								}
 							}
 							buf, err := tree.readInvBytes(node.InvID)

@@ -1,6 +1,7 @@
 package irtree
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/container"
@@ -61,7 +62,7 @@ func (t *Tree) TopK(scorer *textrel.Scorer, u *dataset.User, k int) ([]Result, f
 	uRect, terms, norm := geo.RectFromPoint(u.Loc), u.Doc.Terms(), scorer.Norm(u.Doc)
 	for pq.Len() > 0 {
 		c, key := pq.Pop()
-		if tk.Full() && key < tk.Threshold()-textrel.BoundSlack {
+		if tk.Full() && key < tk.Threshold() {
 			break // best-first: nothing better or tied remains
 		}
 		if !c.isNode {
@@ -81,7 +82,7 @@ func (t *Tree) TopK(scorer *textrel.Scorer, u *dataset.User, k int) ([]Result, f
 		for i, e := range node.Entries {
 			ss := scorer.SSMax(e.Rect, uRect)
 			score := scorer.Combine(ss, sums[i], norm)
-			if tk.Full() && score < tk.Threshold()-textrel.BoundSlack {
+			if tk.Full() && score < tk.Threshold() {
 				continue
 			}
 			pq.Push(searchCand{e.Child, !node.Leaf}, score)
@@ -89,9 +90,7 @@ func (t *Tree) TopK(scorer *textrel.Scorer, u *dataset.User, k int) ([]Result, f
 	}
 
 	results := tk.PopAscending()
-	for i, j := 0, len(results)-1; i < j; i, j = i+1, j-1 {
-		results[i], results[j] = results[j], results[i]
-	}
+	slices.Reverse(results)
 	// Threshold was consumed by PopAscending; recompute from results.
 	rsk := -1.7976931348623157e308
 	if len(results) == k {

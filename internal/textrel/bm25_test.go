@@ -2,7 +2,6 @@ package textrel
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -81,37 +80,6 @@ func TestBM25UnknownTerm(t *testing.T) {
 	d := vocab.DocFromTerms([]vocab.TermID{unknown})
 	if m.Weight(d, unknown) != 0 || m.MaxWeight(unknown) != 0 || m.FloorWeight(unknown) != 0 {
 		t.Error("out-of-corpus term must score zero")
-	}
-}
-
-// The AddWeight dominance property — the pruning soundness requirement —
-// holds for BM25 exactly as for the paper's three measures.
-func TestBM25AddUpperBoundDominates(t *testing.T) {
-	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(400))
-	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 30, UL: 4, UW: 20, Area: 10, Seed: 5})
-	w := NewCandidateSet(us.Keywords)
-	s := NewScorer(ds, BM25, 0.5)
-	norms := s.UserNorms(us.Users)
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 300; trial++ {
-		var oxDoc vocab.Doc
-		if rng.Intn(4) > 0 {
-			oxDoc = ds.Objects[rng.Intn(len(ds.Objects))].Doc
-		}
-		ws := 1 + rng.Intn(4)
-		var c []vocab.TermID
-		for _, kw := range us.Keywords {
-			if len(c) < ws && rng.Intn(3) == 0 {
-				c = append(c, kw)
-			}
-		}
-		ui := rng.Intn(len(us.Users))
-		u := &us.Users[ui]
-		ub := s.TSAddUpperBound(oxDoc, u.Doc, w, ws) / norms[ui]
-		actual := ts(s, oxDoc.MergeTerms(c), u.Doc, norms[ui])
-		if actual > ub+1e-9 {
-			t.Fatalf("trial %d: BM25 TS %v exceeds bound %v", trial, actual, ub)
-		}
 	}
 }
 

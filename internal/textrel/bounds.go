@@ -2,6 +2,7 @@ package textrel
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"repro/internal/vocab"
@@ -33,6 +34,16 @@ func NewCandidateSet(terms []vocab.TermID) CandidateSet {
 // and terms not in c can only lose weight; for BM25 see AddWeight. Only
 // terms in ud∩W contribute gains, and at most ws of them, so the largest
 // ws gains dominate.
+//
+// Guard. The exact score adds each gain inside its term's weight, the
+// bound after the sum, which no reordering mends (every LM gain is
+// (1−λ)/(|ox.d|+1)). A sum of n nonnegative values rounds within (n−1)u of
+// its real total, u = 2⁻⁵³ (Higham, Accuracy and Stability of Numerical
+// Algorithms, §4.2); with n = |ud| + the gains, and an LM weight rounding
+// once more inside, the score is < (1+u)^|ud|/(1−u)ⁿ < 1 + 2nu times the
+// bound's sum. So that sum is multiplied by 1 + 2n·2⁻⁵³ (exact) and
+// stepped up one float. With no gain, it is Model.Sum over values that
+// bound the score's, and needs no guard.
 func (s *Scorer) TSAddUpperBound(oxDoc, ud vocab.Doc, w CandidateSet, ws int) float64 {
 	var buf [8]float64 // the gains of a user of up to 8 terms stay off the heap
 	gains := buf[:0]
@@ -48,10 +59,14 @@ func (s *Scorer) TSAddUpperBound(oxDoc, ud vocab.Doc, w CandidateSet, ws int) fl
 		gains = gains[:ws]
 	}
 	sum := s.Model.Sum(oxDoc, ud.Terms())
+	if len(gains) == 0 {
+		return sum
+	}
 	for _, g := range gains {
 		sum += g
 	}
-	return sum
+	n := len(ud.Terms()) + len(gains)
+	return math.Nextafter(sum*(1+float64(n)*0x1p-52), math.Inf(1))
 }
 
 // TopWeightedCandidates returns up to ws candidate keywords from the

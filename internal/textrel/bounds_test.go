@@ -1,52 +1,10 @@
 package textrel
 
 import (
-	"math/rand"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/vocab"
 )
-
-// The central soundness property behind the candidate-selection pruning:
-// for every keyword subset c ⊆ W with |c| ≤ ws,
-// Sum(ox.d ∪ c, u.d) ≤ TSAddUpperBound(ox.d, u.d, W, ws) — under the
-// paper's three measures, including LM where adding keywords shrinks
-// existing weights (BM25: TestBM25AddUpperBoundDominates).
-func TestTSAddUpperBoundDominates(t *testing.T) {
-	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(400))
-	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 30, UL: 4, UW: 20, Area: 10, Seed: 9})
-	w := NewCandidateSet(us.Keywords)
-	rng := rand.New(rand.NewSource(4))
-
-	for _, kind := range []MeasureKind{LM, TFIDF, KO} {
-		s := NewScorer(ds, kind, 0.5)
-		norms := s.UserNorms(us.Users)
-		for trial := 0; trial < 300; trial++ {
-			// random base object doc (sometimes empty ox.d)
-			var oxDoc vocab.Doc
-			if rng.Intn(4) > 0 {
-				oxDoc = ds.Objects[rng.Intn(len(ds.Objects))].Doc
-			}
-			ws := 1 + rng.Intn(4)
-			// random candidate subset of size ≤ ws
-			var c []vocab.TermID
-			for _, kw := range us.Keywords {
-				if len(c) < ws && rng.Intn(3) == 0 {
-					c = append(c, kw)
-				}
-			}
-			ui := rng.Intn(len(us.Users))
-			u := &us.Users[ui]
-			ub := s.TSAddUpperBound(oxDoc, u.Doc, w, ws) / norms[ui]
-			actual := ts(s, oxDoc.MergeTerms(c), u.Doc, norms[ui])
-			if actual > ub+1e-9 {
-				t.Fatalf("%s trial %d: TS %v exceeds bound %v (|c|=%d ws=%d)",
-					kind, trial, actual, ub, len(c), ws)
-			}
-		}
-	}
-}
 
 func TestTSAddUpperBoundNoCandidates(t *testing.T) {
 	ds, terms := corpus3(t)

@@ -40,6 +40,15 @@
 // every other term's share, and the bound adds a per-term gain to the
 // current weight instead of substituting a new one (proof sketch on
 // TSAddUpperBound).
+//
+// Every bound is sound by construction, with no slack: it evaluates the
+// exact score's expression, Combine over Model.Sum in ascending term
+// order, on operands that bound the exact ones, and round-to-nearest is
+// monotone — a larger operand, or one more nonnegative term, never rounds
+// lower. Posting sums add per term a posting's weight or the floor, as
+// Model.Sum does. Two operands round otherwise and carry a derived guard:
+// distances, through the non-monotone math.Hypot (hypotUlps), and the
+// gains UBL adds after the sum (TSAddUpperBound).
 package textrel
 
 import (

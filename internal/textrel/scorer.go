@@ -1,22 +1,12 @@
 package textrel
 
 import (
+	"math"
+
 	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/vocab"
 )
-
-// BoundSlack is how far below a threshold a pruning test still keeps a
-// bound. Every bound evaluates the exact score's expression (Combine) on
-// bounding operands, but two operands are not formed the way the exact
-// score forms its own: a node's posting sums add the term floors first and
-// then each present term's excess (invfile's kernel), an order other than
-// Model.Sum's, and MinDist and Dist go through math.Hypot, which is not
-// provably monotone. So a bound can round below the score it bounds — and
-// an object tied with the k-th best, or an ulp above it, would be cut off.
-// Scores lie in [0, 1]: the slack is far above any such rounding and far
-// below any score gap a pruning decision turns on.
-const BoundSlack = 1e-9
 
 // Scorer evaluates the combined spatial-textual score of Equation 1:
 //
@@ -42,17 +32,35 @@ func NewScorer(ds *dataset.Dataset, kind MeasureKind, alpha float64, extra ...ge
 
 // SS returns the spatial proximity of two points (Equation 2), clamped at
 // zero for points beyond dmax.
-func (s *Scorer) SS(a, b geo.Point) float64 { return max(0, 1-a.Dist(b)/s.DMax) }
+func (s *Scorer) SS(a, b geo.Point) float64 { return s.ss(a.Dist(b)) }
 
 // SSMin returns the *smallest possible* spatial proximity between any point
-// of rectangle a and any point of b — derived from the maximum distance.
-// This is the MaxSS-from-MaxDist quantity of the paper's lower bounds.
-func (s *Scorer) SSMin(a, b geo.Rect) float64 { return max(0, 1-a.MaxDist(b)/s.DMax) }
+// of rectangle a and any point of b, from the maximum distance stepped up
+// hypotUlps floats: the MaxSS-from-MaxDist quantity of the lower bounds.
+func (s *Scorer) SSMin(a, b geo.Rect) float64 { return s.ss(step(a.MaxDist(b), hypotUlps)) }
 
 // SSMax returns the *largest possible* spatial proximity between any point
-// of rectangle a and any point of b — derived from the minimum distance.
-// This is the MinSS-from-MinDist quantity of the paper's upper bounds.
-func (s *Scorer) SSMax(a, b geo.Rect) float64 { return max(0, 1-a.MinDist(b)/s.DMax) }
+// of rectangle a and any point of b, from the minimum distance stepped down
+// hypotUlps floats: the MinSS-from-MinDist quantity of the upper bounds.
+func (s *Scorer) SSMax(a, b geo.Rect) float64 { return s.ss(step(a.MinDist(b), -hypotUlps)) }
+
+// ss is Equation 2 at distance d, the one expression of SS, SSMin and SSMax.
+func (s *Scorer) ss(d float64) float64 { return max(0, 1-d/s.DMax) }
+
+// hypotUlps is how far SSMin and SSMax step their distances. A rectangle's
+// axis gaps bound those of every point pair in it as they round, but
+// math.Hypot (MinDist, MaxDist and geo.Dist) is not monotone: p·√(1+(q/p)²),
+// p the larger argument, is five operations each within u = 2⁻⁵³, and
+// (q/p)² is at most half the sum, so the result is within 1.5u+u, halved,
+// +u, +u = 3.25u of the exact distance. Results of ordered distances can
+// invert by < 6.5u times either; 7 floats step a result x by more.
+const hypotUlps = 7
+
+// step moves a distance n floats up, or −n down to no less than zero.
+func step(d float64, n int64) float64 {
+	b := int64(math.Float64bits(d)) + n
+	return math.Float64frombits(uint64(min(max(b, 0), int64(math.Float64bits(math.Inf(1))))))
+}
 
 // Norm returns Norm(d) = Σ_{t∈d} MaxWeight(t), the user-side normalizer
 // (Pmax in Equation 4 when the model is LM).

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/container"
@@ -121,14 +122,14 @@ func RefineUser(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, no
 	}
 	for i := range tr.RO {
 		o := &tr.RO[i]
-		if o.UB < rsk-textrel.BoundSlack {
+		if o.UB < rsk {
 			break // the paper's break: RO is descending in group UB
 		}
 		if aux != nil {
-			if scorer.Combine(aux.sufS[i], aux.sufR[i], norm) < rsk-textrel.BoundSlack {
+			if scorer.Combine(aux.sufS[i], aux.sufR[i], norm) < rsk {
 				break // no remaining candidate can reach this user's top-k
 			}
-			if scorer.Combine(o.SMax, o.RawText, norm) < rsk-textrel.BoundSlack {
+			if scorer.Combine(o.SMax, o.RawText, norm) < rsk {
 				continue // this candidate provably cannot qualify
 			}
 		}
@@ -146,9 +147,7 @@ func RefineUser(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, no
 	// PopAscending yields worst→best under (score, then object ID);
 	// reversing gives descending score with ascending-ID tie-breaks.
 	results := hu.PopAscending()
-	for i, j := 0, len(results)-1; i < j; i, j = i+1, j-1 {
-		results[i], results[j] = results[j], results[i]
-	}
+	slices.Reverse(results)
 	return UserTopK{Results: results, RSk: rsk, Scored: scored}
 }
 

@@ -119,36 +119,25 @@ func Traverse(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int, fl
 		c, lb := pq.Pop()
 		if !c.isNode {
 			obj := BoundedObject{ObjID: c.ref, LB: lb, UB: c.ub, SMax: c.smax, RawText: c.braw}
-			if obj.UB < thr-textrel.BoundSlack {
+			if obj.UB < thr {
 				continue // cannot be a top-k object of any user
 			}
-			if !lo.Full() {
-				lo.Offer(obj, obj.LB)
-				if lo.Full() {
-					res.RSkSuper = lo.Threshold()
-					if res.RSkSuper > thr {
-						thr = res.RSkSuper
-					}
-				}
-				continue
+			// Once LO is full, the object it turns away — the one it
+			// evicts, or obj itself — goes to RO if it can still qualify.
+			wasFull := lo.Full()
+			evicted, _, _ := lo.Offer(obj, obj.LB)
+			if lo.Full() {
+				res.RSkSuper = lo.Threshold()
+				thr = max(thr, res.RSkSuper)
 			}
-			evicted, _, wasEvicted := lo.Offer(obj, obj.LB)
-			res.RSkSuper = lo.Threshold()
-			if res.RSkSuper > thr {
-				thr = res.RSkSuper
-			}
-			if !wasEvicted {
-				// obj itself did not enter LO; it is its own "evicted".
-				evicted = obj
-			}
-			if evicted.UB >= thr-textrel.BoundSlack {
+			if wasFull && evicted.UB >= thr {
 				roHeap.Push(evicted, evicted.UB)
 			}
 			continue
 		}
 
 		// Node: prune unless it may contain a top-k object of some user.
-		if c.ub < thr-textrel.BoundSlack {
+		if c.ub < thr {
 			continue
 		}
 		res.Visited++
@@ -167,7 +156,7 @@ func Traverse(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int, fl
 		for i, e := range node.Entries {
 			smax := scorer.SSMax(e.Rect, su.MBR)
 			ub := scorer.Combine(smax, maxSums[i], su.MinNorm)
-			if ub < thr-textrel.BoundSlack {
+			if ub < thr {
 				continue
 			}
 			entryLB := scorer.Combine(scorer.SSMin(e.Rect, su.MBR), minSums[i], su.MaxNorm)

@@ -191,7 +191,7 @@ func TestTraverseROUBDescending(t *testing.T) {
 		}
 	}
 	for _, o := range tr.Candidates() {
-		if o.LB > o.UB+1e-12 {
+		if o.LB > o.UB {
 			t.Fatalf("object %d has LB %v > UB %v", o.ObjID, o.LB, o.UB)
 		}
 	}
