@@ -2,6 +2,7 @@ package textrel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -81,6 +82,14 @@ func TestBM25UnknownTerm(t *testing.T) {
 	if m.Weight(d, unknown) != 0 || m.MaxWeight(unknown) != 0 || m.FloorWeight(unknown) != 0 {
 		t.Error("out-of-corpus term must score zero")
 	}
+}
+
+// The AddWeight dominance property — the pruning soundness requirement —
+// holds for BM25 exactly as for the paper's three measures.
+func TestBM25AddUpperBoundDominates(t *testing.T) {
+	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(400))
+	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 30, UL: 4, UW: 20, Area: 10, Seed: 5})
+	checkAddUpperBound(t, NewScorer(ds, BM25, 0.5), ds, us, rand.New(rand.NewSource(17)))
 }
 
 func TestBM25NotAdditionMonotone(t *testing.T) {

@@ -1,10 +1,52 @@
 package textrel
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/vocab"
 )
+
+// The central soundness property behind the candidate-selection pruning:
+// for every keyword subset c ⊆ W with |c| ≤ ws,
+// Sum(ox.d ∪ c, u.d) ≤ TSAddUpperBound(ox.d, u.d, W, ws), with no slack —
+// under the paper's three measures, including LM where adding keywords
+// shrinks existing weights (BM25: TestBM25AddUpperBoundDominates).
+// FuzzBoundsDominate holds the same bound to every such c.
+func TestTSAddUpperBoundDominates(t *testing.T) {
+	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(400))
+	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 30, UL: 4, UW: 20, Area: 10, Seed: 9})
+	for _, kind := range []MeasureKind{LM, TFIDF, KO} {
+		checkAddUpperBound(t, NewScorer(ds, kind, 0.5), ds, us, rand.New(rand.NewSource(4)))
+	}
+}
+
+// checkAddUpperBound draws 300 (ox.d, c, u) triples, ox.d sometimes empty,
+// and fails on any exact sum above TSAddUpperBound.
+func checkAddUpperBound(t *testing.T, s *Scorer, ds *dataset.Dataset, us dataset.UserSet, rng *rand.Rand) {
+	t.Helper()
+	w := NewCandidateSet(us.Keywords)
+	for trial := 0; trial < 300; trial++ {
+		var oxDoc vocab.Doc
+		if rng.Intn(4) > 0 {
+			oxDoc = ds.Objects[rng.Intn(len(ds.Objects))].Doc
+		}
+		ws := 1 + rng.Intn(4)
+		var c []vocab.TermID
+		for _, kw := range us.Keywords {
+			if len(c) < ws && rng.Intn(3) == 0 {
+				c = append(c, kw)
+			}
+		}
+		ud := us.Users[rng.Intn(len(us.Users))].Doc
+		ub := s.TSAddUpperBound(oxDoc, ud, w, ws)
+		if actual := s.Model.Sum(oxDoc.MergeTerms(c), ud.Terms()); actual > ub {
+			t.Fatalf("%s trial %d: Sum %v exceeds bound %v (|c|=%d ws=%d)",
+				s.Model.kind, trial, actual, ub, len(c), ws)
+		}
+	}
+}
 
 func TestTSAddUpperBoundNoCandidates(t *testing.T) {
 	ds, terms := corpus3(t)
