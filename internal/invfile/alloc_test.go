@@ -6,9 +6,12 @@ import (
 	"repro/internal/vocab"
 )
 
-// allocFixture builds an encoded file and its Dir plus the term sets and
-// floor function of a typical traversal node visit.
-func allocFixture() (buf []byte, dir *Dir, nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64) {
+// The sum starts of allocFixture's node visit.
+const allocMaxStart, allocMinStart = 0.05, 0.02
+
+// allocFixture builds an encoded file and its Dir plus the term sets of a
+// typical traversal node visit.
+func allocFixture() (buf []byte, dir *Dir, nEntries int, maxTerms, minTerms []vocab.TermID) {
 	f := New()
 	nEntries = 16
 	for t := vocab.TermID(0); t < 40; t++ {
@@ -23,7 +26,6 @@ func allocFixture() (buf []byte, dir *Dir, nEntries int, maxTerms, minTerms []vo
 	}
 	maxTerms = []vocab.TermID{2, 7, 11, 23, 39}
 	minTerms = []vocab.TermID{7, 23}
-	floorOf = func(t vocab.TermID) float64 { return 0.01 }
 	return
 }
 
@@ -32,13 +34,13 @@ func allocFixture() (buf []byte, dir *Dir, nEntries int, maxTerms, minTerms []vo
 // must not allocate at all. A regression here silently re-introduces the
 // two slice allocations per node visit this PR removed.
 func TestDecodeSumsIntoAllocationFree(t *testing.T) {
-	buf, _, nEntries, maxTerms, minTerms, floorOf := allocFixture()
+	buf, _, nEntries, maxTerms, minTerms := allocFixture()
 	scratch := &SumScratch{}
-	if _, _, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, scratch); err != nil {
+	if _, _, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, allocMaxStart, allocMinStart, scratch); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, scratch); err != nil {
+		if _, _, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, allocMaxStart, allocMinStart, scratch); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -52,7 +54,7 @@ func TestDecodeSumsIntoAllocationFree(t *testing.T) {
 // the Dir reads its record's bytes or, detached, reads its runs by range
 // into the scratch.
 func TestSumsIntoAllocationFree(t *testing.T) {
-	buf, attached, nEntries, maxTerms, minTerms, floorOf := allocFixture()
+	buf, attached, nEntries, maxTerms, minTerms := allocFixture()
 	detached, err := OpenDir(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -60,11 +62,11 @@ func TestSumsIntoAllocationFree(t *testing.T) {
 	detached.Detach(rangeReader(buf))
 	for name, dir := range map[string]*Dir{"attached": attached, "detached": detached} {
 		scratch := &SumScratch{}
-		if _, _, err := dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch); err != nil {
+		if _, _, err := dir.SumsInto(nEntries, maxTerms, minTerms, allocMaxStart, allocMinStart, scratch); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, _, err := dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch); err != nil {
+			if _, _, err := dir.SumsInto(nEntries, maxTerms, minTerms, allocMaxStart, allocMinStart, scratch); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -79,14 +81,14 @@ func TestSumsIntoAllocationFree(t *testing.T) {
 // the binary search of its Dir — must agree bit for bit, whether their
 // scratch is fresh (allocating) or reused.
 func TestScratchVariantsMatchAllocatingPaths(t *testing.T) {
-	buf, dir, nEntries, maxTerms, minTerms, floorOf := allocFixture()
-	wantMax, wantMin, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, &SumScratch{})
+	buf, dir, nEntries, maxTerms, minTerms := allocFixture()
+	wantMax, wantMin, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, allocMaxStart, allocMinStart, &SumScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := &SumScratch{Max: make([]float64, 64), Min: make([]float64, 64)}
 	for _, scratch := range []*SumScratch{{}, warm} {
-		gotMax, gotMin, err := dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch)
+		gotMax, gotMin, err := dir.SumsInto(nEntries, maxTerms, minTerms, allocMaxStart, allocMinStart, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +102,7 @@ func TestScratchVariantsMatchAllocatingPaths(t *testing.T) {
 // written into a reserved prefix of the working buffer, not prepended by a
 // second copy, and the buffer's bound holds.
 func TestReplaceEntryOneAllocation(t *testing.T) {
-	buf, _, _, _, _, _ := allocFixture()
+	buf, _, _, _, _ := allocFixture()
 	agg := []EntryWeight{{Term: 1, MaxW: 2, MinW: 1}, {Term: 7, MaxW: 3}, {Term: 40, MaxW: 1, MinW: 0.5}}
 	for _, entry := range []int32{0, 5, 16} {
 		allocs := testing.AllocsPerRun(100, func() {
@@ -117,7 +119,7 @@ func TestReplaceEntryOneAllocation(t *testing.T) {
 // TestAggregateOneAllocation: Aggregate allocates only the slice it
 // returns.
 func TestAggregateOneAllocation(t *testing.T) {
-	buf, _, nEntries, _, _, _ := allocFixture()
+	buf, _, nEntries, _, _ := allocFixture()
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := Aggregate(buf, nEntries); err != nil {
 			t.Fatal(err)

@@ -55,25 +55,41 @@ func benchFile(entries, terms, postings int) *File {
 
 // BenchmarkDecodeSumsInto is the cold read of one node: the bound sums of
 // three query terms (the first, middle and last stored) straight off the
-// encoded file, as Tree.TopK asks for them.
+// encoded file, as Tree.TopK asks for them, and of sixteen terms spread
+// over a level-1 node's, as a cohort's super-user asks for them.
 func BenchmarkDecodeSumsInto(b *testing.B) { benchSums(b, false) }
 
 // BenchmarkDirSumsInto is the same read on a decoded-cache hit, through
 // the record's Dir.
 func BenchmarkDirSumsInto(b *testing.B) { benchSums(b, true) }
 
-// benchSums times one sum path, through a Dir or not, on every shape.
+// benchSums times one sum path, through a Dir or not, on every shape with
+// three wanted terms and on level 1's with sixteen. Each sum starts at a
+// nonzero floor, as under the Language Model.
 func benchSums(b *testing.B, throughDir bool) {
+	type sumShape struct {
+		name                     string
+		entries, terms, postings int
+		wanted                   int
+	}
+	var shapes []sumShape
 	for _, s := range benchShapes {
+		shapes = append(shapes, sumShape{s.name, s.entries, s.terms, s.postings, 3})
+	}
+	shapes = append(shapes, sumShape{"level1-16terms", 32, 1500, 3400, 16})
+	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {
 			f := benchFile(s.entries, s.terms, s.postings)
 			buf := f.Encode(true, 32)
 			terms := f.Terms()
-			query := []vocab.TermID{terms[0], terms[len(terms)/2], terms[len(terms)-1]}
-			floorOf := func(vocab.TermID) float64 { return 0.01 }
+			var query []vocab.TermID
+			for i := range s.wanted {
+				query = append(query, terms[i*(len(terms)-1)/(s.wanted-1)])
+			}
+			start := 0.01 * float64(s.wanted)
 			var scratch SumScratch
 			read := func() error {
-				_, _, err := DecodeSumsInto(buf, s.entries, query, nil, floorOf, &scratch)
+				_, _, err := DecodeSumsInto(buf, s.entries, query, nil, start, 0, &scratch)
 				return err
 			}
 			if throughDir {
@@ -82,7 +98,7 @@ func benchSums(b *testing.B, throughDir bool) {
 					b.Fatal(err)
 				}
 				read = func() error {
-					_, _, err := dir.SumsInto(s.entries, query, nil, floorOf, &scratch)
+					_, _, err := dir.SumsInto(s.entries, query, nil, start, 0, &scratch)
 					return err
 				}
 			}

@@ -44,36 +44,33 @@ func Decode(buf []byte) (*File, error) {
 }
 
 // referenceSums is the sums DecodeSumsInto defines, over a decoded file:
-// every term a query wants, in ascending order, adds to each entry the
-// weights of its posting in the term's run, or the term's floor where the
-// run lacks the entry. A posting whose entry is not above every entry
-// before it in the run counts for nothing.
-func referenceSums(f *File, nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64) (maxSums, minSums []float64, err error) {
+// every entry's sums start at maxStart and minStart, and every term a
+// query wants, in ascending order, adds to each entry the weights of its
+// posting in the term's run, if it has one. A posting whose entry is not
+// above every entry before it in the run counts for nothing.
+func referenceSums(f *File, nEntries int, maxTerms, minTerms []vocab.TermID, maxStart, minStart float64) (maxSums, minSums []float64, err error) {
 	maxSums, minSums = make([]float64, nEntries), make([]float64, nEntries)
+	for i := range nEntries {
+		maxSums[i], minSums[i] = maxStart, minStart
+	}
 	wanted := slices.Concat(maxTerms, minTerms)
 	slices.Sort(wanted)
 	for _, t := range slices.Compact(wanted) {
 		wantMax, wantMin := slices.Contains(maxTerms, t), slices.Contains(minTerms, t)
-		floor := floorOf(t)
-		counted, top := make(map[int32]Posting), int32(-1)
+		top := int32(-1)
 		for _, p := range f.Postings(t) {
 			if p.Entry < 0 || int(p.Entry) >= nEntries {
 				return nil, nil, fmt.Errorf("posting entry %d out of range", p.Entry)
 			}
-			if p.Entry > top {
-				counted[p.Entry], top = p, p.Entry
+			if p.Entry <= top {
+				continue
 			}
-		}
-		for i := range nEntries {
-			maxW, minW := floor, floor
-			if p, ok := counted[int32(i)]; ok {
-				maxW, minW = p.MaxW, max(p.MinW, floor)
-			}
+			top = p.Entry
 			if wantMax {
-				maxSums[i] += maxW
+				maxSums[p.Entry] += p.MaxW
 			}
 			if wantMin {
-				minSums[i] += minW
+				minSums[p.Entry] += p.MinW
 			}
 		}
 	}

@@ -123,10 +123,10 @@ var reusedScratch SumScratch
 // the Dir exactly.
 func checkSums(t *testing.T, buf []byte, nEntries int) {
 	t.Helper()
-	floorOf, maxTerms, minTerms := fuzzSumsQuery()
+	maxTerms, minTerms, maxStart, minStart := fuzzSumsQuery()
 	var scratch, dirScratch SumScratch
-	gotMax, gotMin, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, &scratch)
-	reMax, reMin, reErr := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, floorOf, &reusedScratch)
+	gotMax, gotMin, err := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, maxStart, minStart, &scratch)
+	reMax, reMin, reErr := DecodeSumsInto(buf, nEntries, maxTerms, minTerms, maxStart, minStart, &reusedScratch)
 	if (err == nil) != (reErr == nil) {
 		t.Fatalf("DecodeSumsInto error %v with a fresh scratch, %v with a reused one", err, reErr)
 	}
@@ -148,12 +148,12 @@ func checkSums(t *testing.T, buf []byte, nEntries int) {
 	if got, want := DirBytes(buf), int64(4*(len(dir.terms)+len(dir.starts)))+dirHeader; got != want {
 		t.Fatalf("DirBytes = %d, the Dir holds %d", got, want)
 	}
-	dirMax, dirMin, dirErr := dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, &dirScratch)
+	dirMax, dirMin, dirErr := dir.SumsInto(nEntries, maxTerms, minTerms, maxStart, minStart, &dirScratch)
 	detached, _ := OpenDir(buf)
 	detached.Detach(rangeReader(bytes.Clone(buf)))
 	var detachedScratch SumScratch
-	detMax, detMin, detErr := detached.SumsInto(nEntries, maxTerms, minTerms, floorOf, &detachedScratch)
-	wantMax, wantMin, rerr := referenceSums(file, nEntries, maxTerms, minTerms, floorOf)
+	detMax, detMin, detErr := detached.SumsInto(nEntries, maxTerms, minTerms, maxStart, minStart, &detachedScratch)
+	wantMax, wantMin, rerr := referenceSums(file, nEntries, maxTerms, minTerms, maxStart, minStart)
 	if (err == nil) != (rerr == nil) || (dirErr == nil) != (rerr == nil) || (detErr == nil) != (rerr == nil) {
 		t.Fatalf("DecodeSumsInto error %v, Dir.SumsInto error %v, detached %v, reference error %v: want all or none", err, dirErr, detErr, rerr)
 	}
@@ -219,11 +219,10 @@ func FuzzDecodeSumsInto(f *testing.F) {
 	})
 }
 
-// fuzzSumsQuery is the floor function and the term sets FuzzDecodeSumsInto
-// sums every input for.
-func fuzzSumsQuery() (floorOf func(vocab.TermID) float64, maxTerms, minTerms []vocab.TermID) {
-	floorOf = func(tm vocab.TermID) float64 { return float64(tm%3) * 0.125 }
-	return floorOf, []vocab.TermID{1, 3, 7, 9000}, []vocab.TermID{2, 3}
+// fuzzSumsQuery is the term sets and sum starts FuzzDecodeSumsInto reads
+// every record with.
+func fuzzSumsQuery() (maxTerms, minTerms []vocab.TermID, maxStart, minStart float64) {
+	return []vocab.TermID{1, 3, 7, 9000}, []vocab.TermID{2, 3}, 0.375, 0.25
 }
 
 // TestDecodeSumsIntoRejectsOverlongCount: a 9-byte record whose wanted
@@ -234,10 +233,10 @@ func fuzzSumsQuery() (floorOf func(vocab.TermID) float64, maxTerms, minTerms []v
 // FuzzDecodeSumsInto corpus.
 func TestDecodeSumsIntoRejectsOverlongCount(t *testing.T) {
 	buf := []byte{byte(layout{w: 1}.version()), 0x03, 0x01, 0xf0, 0xf0, 0xf0, 0xf0, 0xf0, 0x00}
-	floorOf, maxTerms, minTerms := fuzzSumsQuery()
+	maxTerms, minTerms, maxStart, minStart := fuzzSumsQuery()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := DecodeSumsInto(buf, 110, maxTerms, minTerms, floorOf, &SumScratch{})
+		_, _, err := DecodeSumsInto(buf, 110, maxTerms, minTerms, maxStart, minStart, &SumScratch{})
 		done <- err
 	}()
 	select {

@@ -41,7 +41,9 @@
 // A traversal's per-entry bound sums are read off the record's bytes by a
 // Dir, which walks the directory once, keeps the term ids and run starts,
 // binary-searches them for the query terms and sums each wanted run in
-// place (sumRun) in textrel's Model.Sum order. The decoded-object cache
+// place (sumRun): an entry's sums start at one given value a side, the
+// wanted terms' floors, and add one stored value per posting, in textrel's
+// Model.Sum order. The decoded-object cache
 // holds Dirs: over a record held in memory a Dir aliases its bytes; over
 // one read from a file it is detached (Detach), keeps no bytes, and reads
 // each wanted run through the record store's ranged read. DecodeSumsInto,
@@ -473,14 +475,16 @@ type SumScratch struct {
 }
 
 // buffers returns the scratch's two sum buffers resized to n (reallocating
-// only on growth) and zeroed.
-func (s *SumScratch) buffers(n int) (maxSums, minSums []float64) {
+// only on growth), every max sum set to maxStart and every min sum to
+// minStart.
+func (s *SumScratch) buffers(n int, maxStart, minStart float64) (maxSums, minSums []float64) {
 	if cap(s.Max) < n || cap(s.Min) < n {
 		s.Max, s.Min = make([]float64, n), make([]float64, n)
 	}
 	maxSums, minSums = s.Max[:n], s.Min[:n]
-	clear(maxSums)
-	clear(minSums)
+	for i := range n {
+		maxSums[i], minSums[i] = maxStart, minStart
+	}
 	return maxSums, minSums
 }
 
@@ -493,15 +497,15 @@ func (s *SumScratch) runBuf(n int) []byte {
 	return s.run[:n]
 }
 
-// sumRun is the summing kernel of Dir.SumsInto: it adds one term to every
-// entry's sums the wants select — the weights of the entry's posting in
-// the run at buf[from:to], floor for an entry the run lacks (a zero floor
-// not at all). It reads each entry as the running sum of the run's deltas
-// and fails on one outside the node's len(maxSums) entries. A posting
-// whose entry does not ascend (no Composer writes one) counts for nothing.
+// sumRun is the summing kernel of Dir.SumsInto: it adds the run of
+// postings at buf[from:to] to the sums the wants select, each posting's
+// MaxW to its entry's max sum and its MinW to the min sum. It reads each
+// entry as the running sum of the run's deltas and fails on one outside
+// the node's len(maxSums) entries. A posting whose entry does not ascend
+// (no Composer writes one) counts for nothing.
 //
 //maxbr:hotpath
-func (l layout) sumRun(buf []byte, from, to int, floor float64, wantMax, wantMin bool, maxSums, minSums []float64) error {
+func (l layout) sumRun(buf []byte, from, to int, wantMax, wantMin bool, maxSums, minSums []float64) error {
 	stride, mask := l.stride(), l.mask()
 	e, next := uint32(0), 0 // next: the first entry past the last counted posting
 	for p := from; p < to; p += stride {
@@ -513,59 +517,41 @@ func (l layout) sumRun(buf []byte, from, to int, floor float64, wantMax, wantMin
 		if entry < next {
 			continue
 		}
-		if floor != 0 {
-			addFloor(maxSums[next:entry], minSums[next:entry], floor, wantMax, wantMin)
-		}
 		maxW, minW := l.weights(buf, p)
 		if wantMax {
 			maxSums[entry] += maxW
 		}
 		if wantMin {
-			minSums[entry] += max(minW, floor)
+			minSums[entry] += minW
 		}
 		next = entry + 1
 	}
-	if floor != 0 {
-		addFloor(maxSums[next:], minSums[next:], floor, wantMax, wantMin)
-	}
 	return nil
-}
-
-// addFloor adds floor to the sums the wants select.
-func addFloor(maxSums, minSums []float64, floor float64, wantMax, wantMin bool) {
-	if wantMax {
-		for i := range maxSums {
-			maxSums[i] += floor
-		}
-	}
-	if wantMin {
-		for i := range minSums {
-			minSums[i] += floor
-		}
-	}
 }
 
 // DecodeSumsInto computes the per-entry bound sums the super-user
 // traversal needs straight off an encoded file: for every entry i,
 //
-//	maxSums[i] = Σ_{t∈maxTerms} MaxW(t,i)             (floor(t) if i has no posting of t)
-//	minSums[i] = Σ_{t∈minTerms} max(MinW(t,i), floor(t))  (floor(t) likewise)
+//	maxSums[i] = maxStart + Σ_{t∈maxTerms, i has a posting of t} MaxW(t,i)
+//	minSums[i] = minStart + Σ_{t∈minTerms, i has a posting of t} MinW(t,i)
 //
-// each sum adding one value per term to zero in ascending term order, as
-// textrel's Model.Sum does, so it bounds Model.Sum as that rounds (see the
-// textrel package comment). A cached Dir's SumsInto agrees with it bit for
-// bit. maxTerms and minTerms must be ascending. This is the cold
-// traversal path — taken when no decoded cache is configured (the
-// paper-figure accounting) or the record is too large to cache: it indexes
-// the record into the Dir scratch keeps (validating it) and reads that.
-// The returned slices alias scratch and stay valid only until its next
-// use; with a reused scratch the per-node cost is allocation-free.
+// each sum adding its postings in ascending term order. With the floors
+// F(maxTerms) and F(minTerms) as the starts and postings that store
+// increments, that is textrel's Model.Sum fold, so it bounds Model.Sum as
+// that rounds (see the textrel package comment). A cached Dir's SumsInto
+// agrees with it bit for bit. maxTerms and minTerms must be ascending.
+// This is the cold traversal path — taken when no decoded cache is
+// configured (the paper-figure accounting) or the record is too large to
+// cache: it indexes the record into the Dir scratch keeps (validating it)
+// and reads that. The returned slices alias scratch and stay valid only
+// until its next use; with a reused scratch the per-node cost is
+// allocation-free.
 //
 //maxbr:hotpath
-func DecodeSumsInto(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
+func DecodeSumsInto(buf []byte, nEntries int, maxTerms, minTerms []vocab.TermID, maxStart, minStart float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
 	dir := &scratch.dir
 	if err = dir.open(buf); err == nil {
-		maxSums, minSums, err = dir.SumsInto(nEntries, maxTerms, minTerms, floorOf, scratch)
+		maxSums, minSums, err = dir.SumsInto(nEntries, maxTerms, minTerms, maxStart, minStart, scratch)
 	}
 	dir.buf = nil // keep no record alive past the read
 	return maxSums, minSums, err
@@ -658,8 +644,8 @@ func (dir *Dir) open(buf []byte) error {
 // the record store's error, wrapped, when a read does.
 //
 //maxbr:hotpath
-func (d *Dir) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf func(vocab.TermID) float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
-	maxSums, minSums = scratch.buffers(nEntries)
+func (d *Dir) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, maxStart, minStart float64, scratch *SumScratch) (maxSums, minSums []float64, err error) {
+	maxSums, minSums = scratch.buffers(nEntries, maxStart, minStart)
 	for mi, ni := 0, 0; mi < len(maxTerms) || ni < len(minTerms); {
 		t := vocab.TermID(math.MaxInt32) // the next query term: the least at either cursor
 		if mi < len(maxTerms) {
@@ -676,17 +662,18 @@ func (d *Dir) SumsInto(nEntries int, maxTerms, minTerms []vocab.TermID, floorOf 
 		for ni < len(minTerms) && minTerms[ni] == t {
 			ni++
 		}
-		buf, from, to := d.buf, 0, 0 // a term the record lacks has an empty run
-		if i, ok := slices.BinarySearch(d.terms, t); ok {
-			from, to = int(d.starts[i]), int(d.starts[i+1])
-			if d.read != nil {
-				if buf, err = d.read(scratch.runBuf(to-from), from); err != nil {
-					return nil, nil, fmt.Errorf("invfile: run of term %d: %w", t, err)
-				}
-				from, to = 0, to-from
-			}
+		i, ok := slices.BinarySearch(d.terms, t)
+		if !ok {
+			continue
 		}
-		if err := d.sumRun(buf, from, to, floorOf(t), wantMax, wantMin, maxSums, minSums); err != nil {
+		buf, from, to := d.buf, int(d.starts[i]), int(d.starts[i+1])
+		if d.read != nil {
+			if buf, err = d.read(scratch.runBuf(to-from), from); err != nil {
+				return nil, nil, fmt.Errorf("invfile: run of term %d: %w", t, err)
+			}
+			from, to = 0, to-from
+		}
+		if err := d.sumRun(buf, from, to, wantMax, wantMin, maxSums, minSums); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -80,7 +80,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		if _, err := Decode(rec); err == nil {
 			t.Errorf("%s: Decode accepted it", name)
 		}
-		if _, _, err := DecodeSumsInto(rec, 1, []vocab.TermID{3, 7}, nil, func(vocab.TermID) float64 { return 0 }, &SumScratch{}); err == nil {
+		if _, _, err := DecodeSumsInto(rec, 1, []vocab.TermID{3, 7}, nil, 0, 0, &SumScratch{}); err == nil {
 			t.Errorf("%s: DecodeSumsInto accepted it", name)
 		}
 		if _, err := Aggregate(rec, 1); err == nil {
@@ -180,7 +180,7 @@ func TestDecodeUnknownVersion(t *testing.T) {
 	for version, want := range map[uint64]string{11: "unknown version", 1: "varint-delta", 2: "varint-delta", 3: "removed packed", 4: "removed packed"} {
 		buf := storage.AppendUvarint(nil, version)
 		_, err := Decode(buf)
-		_, _, serr := DecodeSumsInto(buf, 1, nil, nil, nil, &SumScratch{})
+		_, _, serr := DecodeSumsInto(buf, 1, nil, nil, 0, 0, &SumScratch{})
 		_, aerr := Aggregate(buf, 1)
 		_, rerr := ReplaceEntry(buf, 0, nil)
 		for _, e := range []error{err, serr, aerr, rerr} {

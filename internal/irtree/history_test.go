@@ -179,11 +179,12 @@ func reopen(t *testing.T, tree *Tree, ds *dataset.Dataset) *Tree {
 // stores for the IR-tree: the seeded history over a 2,000-object index,
 // applied to the built tree and to the tree written to a file and
 // restored from it, must leave the same file. Its digest was recorded when
-// posting records took their fixed-stride layout, and its length is the
-// one the varint-delta layout before it gave: at fanout 44 every record
-// kept its length. The MIR-tree's twin runs through the facade.
+// LM postings came to store increments without the smoothing floor, and
+// its length is the one the varint-delta layout before the fixed-stride
+// one gave: at fanout 44 every record kept its length. The MIR-tree's twin
+// runs through the facade.
 func TestWriteHistoryDigest(t *testing.T) {
-	const want, wantLen = "f2708526277a06fac5e7392702d8b9943e4b1bff7bb612c0ee09e72f6b17ebef", 807507
+	const want, wantLen = "dba8cf1810add90b3cdf0d1678c21e070558676cde6880f637145e00618cd675", 807507
 	full := dataset.GenerateFlickr(dataset.FlickrConfig{
 		NumObjects: 2400, VocabSize: 400, MeanTags: 5, NumCluster: 8, Zipf: 1.1, Seed: 31,
 	})

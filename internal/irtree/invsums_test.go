@@ -126,44 +126,40 @@ func TestReadInvBytesChargesBlocks(t *testing.T) {
 
 // MaxTextSums and MinTextSums are the reference the production sum paths
 // (ReadInvSums through a Dir or DecodeSumsInto) are tested against: a full
-// decode, then one allocating pass per bound that adds, term by term in
-// the ascending order of Model.Sum, each entry's value for the term.
+// decode, then one allocating pass per bound that starts each entry at the
+// floors of the terms, F(terms), and adds, term by term in the ascending
+// order of Model.Sum, the entry's stored increment for the term where it
+// has a posting of it.
 
 // MaxTextSums returns, for each entry of a node, an upper bound on
-// Σ_{t∈terms} Weight(d,t) over every document d in the entry's subtree:
-// the posting's maximum weight where the subtree contains the term, and
-// the model's floor weight (LM smoothing) where it does not. For leaf
-// entries it is Model.Sum of the entry's document, bit for bit, because the
-// leaf posting weight is the document's own weight.
+// Model.Sum(d, terms) over every document d in the entry's subtree: F(terms)
+// plus the posting's maximum increment of each term the subtree contains.
+// For leaf entries it is Model.Sum of the entry's document, bit for bit,
+// because the leaf posting is the document's own increment.
 func MaxTextSums(model *textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID) []float64 {
-	return textSums(model, inv, nEntries, terms, func(p posting, _ float64) float64 { return p.MaxW })
+	return textSums(model, inv, nEntries, terms, func(p posting) float64 { return p.MaxW })
 }
 
 // MinTextSums returns, for each entry of a node, a lower bound on
-// Σ_{t∈terms} Weight(d,t) over every document d in the entry's subtree:
-// the posting's minimum weight where above the floor (the term is in the
-// subtree intersection), otherwise the floor. Only meaningful on a
-// MIR-tree; on an IR-tree all stored minima are zero and the bound
-// degrades to the floor.
+// Model.Sum(d, terms) over every document d in the entry's subtree:
+// F(terms) plus the posting's minimum increment of each term, which is
+// zero unless the term is in every document of the subtree. Only
+// meaningful on a MIR-tree; on an IR-tree all stored minima are zero and
+// the bound degrades to F(terms).
 func MinTextSums(model *textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID) []float64 {
-	return textSums(model, inv, nEntries, terms, func(p posting, floor float64) float64 { return max(p.MinW, floor) })
+	return textSums(model, inv, nEntries, terms, func(p posting) float64 { return p.MinW })
 }
 
-// textSums adds to each entry, per term in order, value of the entry's
-// posting of the term, or the term's floor where it has none.
-func textSums(model *textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID, value func(p posting, floor float64) float64) []float64 {
-	sums := make([]float64, nEntries)
+// textSums starts each entry at F(terms) and adds, per term in order, value
+// of the entry's posting of the term where it has one.
+func textSums(model *textrel.Model, inv *decodedInv, nEntries int, terms []vocab.TermID, value func(p posting) float64) []float64 {
+	sums, floor := make([]float64, nEntries), model.Floor(terms)
+	for i := range sums {
+		sums[i] = floor
+	}
 	for _, tm := range terms {
-		floor := model.FloorWeight(tm)
-		vals := make([]float64, nEntries)
-		for i := range vals {
-			vals[i] = floor
-		}
 		for _, p := range inv.Postings(tm) {
-			vals[p.Entry] = value(p, floor)
-		}
-		for i, v := range vals {
-			sums[i] += v
+			sums[p.Entry] += value(p)
 		}
 	}
 	return sums
@@ -238,8 +234,8 @@ func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							floorOf := tree.Model().FloorWeight
-							sMax, sMin, err := invfile.DecodeSumsInto(buf, len(node.Entries), maxTerms, minTerms, floorOf, &streamed)
+							maxStart, minStart := tree.Model().Floor(maxTerms), tree.Model().Floor(minTerms)
+							sMax, sMin, err := invfile.DecodeSumsInto(buf, len(node.Entries), maxTerms, minTerms, maxStart, minStart, &streamed)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -247,7 +243,7 @@ func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							dMax, dMin, err := dir.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, &indexed)
+							dMax, dMin, err := dir.SumsInto(len(node.Entries), maxTerms, minTerms, maxStart, minStart, &indexed)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -607,7 +607,9 @@ func (sh *shared) composeInv(c *invfile.Composer, leaf bool, entries []NodeEntry
 }
 
 // eachWeight calls fn with every term of doc and the weight a leaf posting
-// stores for it: the one place leaf weights are produced.
+// stores for it, the term's increment in doc (textrel's Model.Weight; the
+// floor a sum starts at is no posting's): the one place leaf weights are
+// produced.
 func (sh *shared) eachWeight(doc vocab.Doc, fn func(tm vocab.TermID, w float64)) {
 	doc.ForEach(func(tm vocab.TermID, _ int32) { fn(tm, sh.model.Weight(doc, tm)) })
 }

@@ -156,13 +156,6 @@ func TestTextSumsBracketDocSums(t *testing.T) {
 	terms := us.Users[0].Doc.Terms()
 	model := tree.Model()
 
-	docSum := func(d vocab.Doc) float64 {
-		s := 0.0
-		for _, tm := range terms {
-			s += model.Weight(d, tm)
-		}
-		return s
-	}
 	var docsUnder func(ref int32, isObj bool) []vocab.Doc
 	docsUnder = func(ref int32, isObj bool) []vocab.Doc {
 		if isObj {
@@ -190,11 +183,11 @@ func TestTextSumsBracketDocSums(t *testing.T) {
 		minSums := MinTextSums(model, inv, len(n.Entries), terms)
 		for i, e := range n.Entries {
 			for _, d := range docsUnder(e.Child, n.Leaf) {
-				s := docSum(d)
-				if s > maxSums[i]+1e-9 {
+				s := model.Sum(d, terms)
+				if s > maxSums[i] {
 					t.Fatalf("doc sum %v exceeds MaxTextSums %v", s, maxSums[i])
 				}
-				if s < minSums[i]-1e-9 {
+				if s < minSums[i] {
 					t.Fatalf("doc sum %v below MinTextSums %v", s, minSums[i])
 				}
 			}

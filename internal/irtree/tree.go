@@ -343,7 +343,9 @@ func (t *Tree) readInvBytes(id storage.PageID) ([]byte, error) {
 // runs of those terms alone (see invfile.DecodeSumsInto) — the one way a
 // search reads postings, shared by the joint traversal and the
 // single-user TopK. The simulated I/O charge is one per 4 kB block, as for
-// any load of the file. The returned slices alias scratch and stay valid
+// any load of the file. Each entry's sums start at the tree model's
+// floors of the wanted terms (textrel.Model.Floor) and add the entry's
+// stored increments. The returned slices alias scratch and stay valid
 // only until its next use.
 //
 // The decoded cache holds the record's invfile.Dir, its directory indexed
@@ -357,9 +359,9 @@ func (t *Tree) readInvBytes(id storage.PageID) ([]byte, error) {
 // cannot fit, or any with no cache (the paper-figure accounting), is
 // summed off its bytes.
 func (t *Tree) ReadInvSums(node *NodeData, maxTerms, minTerms []vocab.TermID, scratch *invfile.SumScratch) (maxSums, minSums []float64, err error) {
-	floorOf := t.sh.model.FloorWeight
+	maxStart, minStart := t.sh.model.Floor(maxTerms), t.sh.model.Floor(minTerms)
 	if v, ok := t.sh.decoded.Get(node.InvID); ok {
-		return v.(*invfile.Dir).SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch)
+		return v.(*invfile.Dir).SumsInto(len(node.Entries), maxTerms, minTerms, maxStart, minStart, scratch)
 	}
 	buf, err := t.readInvBytes(node.InvID)
 	if err != nil {
@@ -367,13 +369,13 @@ func (t *Tree) ReadInvSums(node *NodeData, maxTerms, minTerms []vocab.TermID, sc
 	}
 	charge := invfile.DirBytes(buf)
 	if !t.sh.decoded.FitsBudget(charge) {
-		return invfile.DecodeSumsInto(buf, len(node.Entries), maxTerms, minTerms, floorOf, scratch)
+		return invfile.DecodeSumsInto(buf, len(node.Entries), maxTerms, minTerms, maxStart, minStart, scratch)
 	}
 	d, err := invfile.OpenDir(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	if maxSums, minSums, err = d.SumsInto(len(node.Entries), maxTerms, minTerms, floorOf, scratch); err != nil {
+	if maxSums, minSums, err = d.SumsInto(len(node.Entries), maxTerms, minTerms, maxStart, minStart, scratch); err != nil {
 		return nil, nil, err
 	}
 	if id, pager := node.InvID, t.sh.pager; !pager.Resident(id) {

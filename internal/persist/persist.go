@@ -38,14 +38,16 @@ import (
 // masterVersion is the encoding version of the master record, separate
 // from the file-level storage.FormatVersion: the file format governs the
 // pager layout, this governs the index payload, its posting records
-// included. Version 5 stores the corpus context in place of version 4's
-// freeze point over the objects; Load refuses any other version with
-// storage.ErrVersionMismatch, so an older index fails at load, never at a
-// first query, and is rebuilt from its data. Its predecessors added the
-// deleted-object id list (2), one-page empty records where the pager had
-// reclaimed pages (3), and posting records that put the term directory
-// first and every posting at one stride (4, invfile).
-const masterVersion = 5
+// included. Version 6 stores the Language Model's postings and corpus
+// maxima as increments without the smoothing floor (textrel); Load refuses
+// any other version with storage.ErrVersionMismatch, so an older index
+// fails at load, never at a first query, and is rebuilt from its data. Its
+// predecessors added the deleted-object id list (2), one-page empty
+// records where the pager had reclaimed pages (3), posting records that
+// put the term directory first and every posting at one stride (4,
+// invfile), and the corpus context in place of a freeze point over the
+// objects (5).
+const masterVersion = 6
 
 // Index is the persistable state of one built index: the measure
 // parameters the facade's Options carry, the dataset, and the object

@@ -35,15 +35,18 @@ func NewCandidateSet(terms []vocab.TermID) CandidateSet {
 // terms in ud∩W contribute gains, and at most ws of them, so the largest
 // ws gains dominate.
 //
-// Guard. The exact score adds each gain inside its term's weight, the
+// Guard. The exact score adds each gain inside its term's increment, the
 // bound after the sum, which no reordering mends (every LM gain is
-// (1−λ)/(|ox.d|+1)). A sum of n nonnegative values rounds within (n−1)u of
-// its real total, u = 2⁻⁵³ (Higham, Accuracy and Stability of Numerical
-// Algorithms, §4.2); with n = |ud| + the gains, and an LM weight rounding
-// once more inside, the score is < (1+u)^|ud|/(1−u)ⁿ < 1 + 2nu times the
-// bound's sum. So that sum is multiplied by 1 + 2n·2⁻⁵³ (exact) and
-// stepped up one float. With no gain, it is Model.Sum over values that
-// bound the score's, and needs no guard.
+// (1−λ)/(|ox.d|+1)). Both fold the same floors F(ud) first; after them the
+// score adds up to |ud| increments, the bound up to |ud| increments and
+// the gains. A recursive sum of n nonnegative values rounds within (n−1)u
+// of its operands' real total, u = 2⁻⁵³ (Higham, Accuracy and Stability of
+// Numerical Algorithms, §4.2), and an increment rounds up to twice inside
+// (an LM product and quotient) and a gain once. So with n = 2|ud| + the
+// gains + 1, the score is < 1 + (2n−g)u times the bound's sum, g ≥ 1 the
+// gains, and that sum multiplied by 1 + 2n·2⁻⁵³ (rounded) and stepped up
+// one float exceeds the score. With no gain, it is Model.Sum over values
+// that bound the score's, and needs no guard.
 func (s *Scorer) TSAddUpperBound(oxDoc, ud vocab.Doc, w CandidateSet, ws int) float64 {
 	var buf [8]float64 // the gains of a user of up to 8 terms stay off the heap
 	gains := buf[:0]
@@ -65,7 +68,7 @@ func (s *Scorer) TSAddUpperBound(oxDoc, ud vocab.Doc, w CandidateSet, ws int) fl
 	for _, g := range gains {
 		sum += g
 	}
-	n := len(ud.Terms()) + len(gains)
+	n := 2*len(ud.Terms()) + len(gains) + 1
 	return math.Nextafter(sum*(1+float64(n)*0x1p-52), math.Inf(1))
 }
 

@@ -6,49 +6,53 @@
 //
 // # The four weights
 //
-// A measure is the weight it gives a term t that occurs f times in a
-// document d of |d| term occurrences. Model.weight states all four:
+// A measure gives each term t a floor and, in a document d of |d| term
+// occurrences that holds t f > 0 times, an increment (Model.weight):
 //
-//	LM     floor(t) + (1−λ)·f/|d|             floor(t) = λ·tf(t,C)/|C|   (Equation 3)
-//	TFIDF  f·idf(t)                           idf(t) = ln(|O|/df(t))
-//	KO     1 if f > 0, else 0
-//	BM25   idf(t)·(k1+1)·f / (f + k1·(1−b + b·|d|/avgdl))
-//	                                          idf(t) = ln(1 + (|O|−df(t)+0.5)/(df(t)+0.5))
+//	       floor(t)        increment δ_t(d)
+//	LM     λ·tf(t,C)/|C|   (1−λ)·f/|d|          (their sum is Equation 3)
+//	TFIDF  0               f·idf(t)             idf(t) = ln(|O|/df(t))
+//	KO     0               1
+//	BM25   0               idf(t)·(k1+1)·f / (f + k1·(1−b + b·|d|/avgdl))
+//	                                            idf(t) = ln(1 + (|O|−df(t)+0.5)/(df(t)+0.5))
 //
-// BM25 goes beyond the paper's three measures; it demonstrates the claim
-// that its approaches apply to "any text-based relevance measure".
+// For the Language Model this is Zhai & Lafferty's rank-equivalent form: a
+// document that lacks t adds only the floor, which no index stores. BM25
+// goes beyond the paper's three measures; it demonstrates the claim that
+// its approaches apply to "any text-based relevance measure".
 //
 // # Unified normalization
 //
-// Weight(d,t) ≥ 0 is that weight for t in d, MaxWeight(t) its maximum over
-// the corpus documents. The text relevance of object o for user u is
+// Weight(d,t) ≥ 0 is t's increment in d (zero when d lacks t) and
+// MaxWeight(t) its maximum over the corpus documents. The text relevance
+// of object o for user u is
 //
-//	TS(o,u) = Sum(o.d, u.d) / Norm(u),   Sum(d, T) = Σ_{t ∈ T} Weight(d,t),   Norm(u) = Σ_{t ∈ u.d} MaxWeight(t).
+//	TS(o,u) = Sum(o.d, u.d) / Norm(u),   Sum(d, T) = F(T) + Σ_{t ∈ T∩d} Weight(d,t),
+//	F(T) = Σ_{t ∈ T} FloorWeight(t),     Norm(u) = F(u.d) + Σ_{t ∈ u.d} MaxWeight(t),
 //
-// For the Language Model this is exactly Equation 4 (Norm = Pmax); for
-// Keyword Overlap it is exactly |u.d ∩ o.d| / |u.d|; TF-IDF and BM25 are
-// normalized into [0,1] the same way. Every score and every bound is
-// Scorer.Combine over a spatial proximity, a weight sum and a normalizer.
+// each one fold from zero in ascending term order, the floors first
+// (Floor). For the Language Model this is exactly Equation 4 (Norm =
+// Pmax); for Keyword Overlap it is exactly |u.d ∩ o.d| / |u.d|; TF-IDF and
+// BM25 are normalized into [0,1] the same way, and TS ≤ 1 holds as the
+// folds round. Every score and every bound is Scorer.Combine over a
+// spatial proximity, a weight sum and a normalizer.
 //
 // # Bound primitives
 //
-// FloorWeight(t) is a lower bound on Weight(d,t) over every document d
-// (the smoothing floor λ·tf(t,C)/|C| for LM; zero otherwise). AddWeight(d,t)
-// is an upper bound on the weight t attains in d ∪ c for any keyword set c
-// containing t with |c| ≥ 1 — the quantity Lemma 3's upper bound needs.
-// LM needs it in additive form: adding keywords lengthens d and so lowers
-// every other term's share, and the bound adds a per-term gain to the
-// current weight instead of substituting a new one (proof sketch on
+// AddWeight(d,t) is an upper bound on what t's increment can gain when any
+// keyword set c ∋ t is added to d — the quantity Lemma 3's upper bound
+// needs, in the additive form that stays sound for LM, where adding
+// keywords lowers every other term's share (proof sketch on
 // TSAddUpperBound).
 //
 // Every bound is sound by construction, with no slack: it evaluates the
-// exact score's expression, Combine over Model.Sum in ascending term
-// order, on operands that bound the exact ones, and round-to-nearest is
-// monotone — a larger operand, or one more nonnegative term, never rounds
-// lower. Posting sums add per term a posting's weight or the floor, as
-// Model.Sum does. Two operands round otherwise and carry a derived guard:
-// distances, through the non-monotone math.Hypot (hypotUlps), and the
-// gains UBL adds after the sum (TSAddUpperBound).
+// exact score's expression, Combine over Model.Sum's fold, on operands
+// that bound the exact ones, and round-to-nearest is monotone — a larger
+// operand, or one more nonnegative term, never rounds lower. Posting sums
+// start at the floors of the wanted terms and add one stored increment a
+// posting, as Model.Sum does. Two operands round otherwise and carry a
+// derived guard: distances, through the non-monotone math.Hypot
+// (hypotUlps), and the gains UBL adds after the sum (TSAddUpperBound).
 package textrel
 
 import (
@@ -103,10 +107,10 @@ const (
 // Model is one text relevance measure under a fixed corpus context.
 type Model struct {
 	kind MeasureKind
-	// stat is the per-term statistic the weight reads: LM's smoothing
-	// floor, TF-IDF's or BM25's idf; KO has none.
+	// stat is the per-term statistic: LM's smoothing floor, TF-IDF's or
+	// BM25's idf, which their increments read; KO has none.
 	stat []float64
-	// maxW is the per-term corpus maximum of the weight; KO has none.
+	// maxW is the per-term corpus maximum of the increment; KO has none.
 	maxW   []float64
 	lambda float64 // LM's Jelinek–Mercer λ
 	avgdl  float64 // BM25's average document length
@@ -132,24 +136,10 @@ func NewModelWithLambda(kind MeasureKind, ds *dataset.Dataset, lambda float64) *
 		return m // every KO weight is at most 1, what MaxWeight says without maxima
 	}
 	m.maxW = make([]float64, len(m.stat))
-	for t := range m.maxW {
-		m.maxW[t] = m.FloorWeight(vocab.TermID(t))
-	}
 	for _, o := range ds.Objects {
 		dl := o.Doc.Len()
-		invLen := 1.0 / float64(dl)
 		o.Doc.ForEach(func(t vocab.TermID, f int32) {
-			var w float64
-			if kind == LM {
-				// The LM maxima have always been (1−λ)·f·(1/|d|) + floor,
-				// which rounds differently from weight's floor + (1−λ)·f/|d|.
-				// Every Norm(u), every score and every saved index rests on
-				// these bits, so the scan keeps its own expression.
-				w = (1-lambda)*float64(f)*invLen + m.stat[t]
-			} else {
-				w = m.weight(t, f, dl)
-			}
-			if w > m.maxW[t] {
+			if w := m.weight(t, f, dl); w > m.maxW[t] {
 				m.maxW[t] = w
 			}
 		})
@@ -243,9 +233,9 @@ func MaxWeights(m *Model, n int) []float64 {
 	return out
 }
 
-// weight is the weight of term t occurring f times in a document of dl
-// term occurrences: the package comment's table. A term outside the corpus
-// has a zero statistic.
+// weight is the increment of term t occurring f times in a document of dl
+// term occurrences, zero when t does not occur: the package comment's
+// table. A term outside the corpus has a zero statistic.
 //
 //maxbr:hotpath
 func (m *Model) weight(t vocab.TermID, f int32, dl int64) float64 {
@@ -253,23 +243,17 @@ func (m *Model) weight(t vocab.TermID, f int32, dl int64) float64 {
 	if i := int(t); i >= 0 && i < len(m.stat) {
 		s = m.stat[i]
 	}
+	if f <= 0 {
+		return 0
+	}
 	switch m.kind {
 	case LM:
-		if f > 0 && dl > 0 {
-			s += (1 - m.lambda) * float64(f) / float64(dl)
-		}
-		return s
+		return (1 - m.lambda) * float64(f) / float64(dl)
 	case TFIDF:
 		return float64(f) * s
 	case KO:
-		if f > 0 {
-			return 1
-		}
-		return 0
+		return 1
 	case BM25:
-		if f <= 0 || s <= 0 {
-			return 0
-		}
 		tf := float64(f)
 		k := BM25K1 * (1 - BM25B + BM25B*float64(dl)/m.avgdl)
 		return s * (BM25K1 + 1) * tf / (tf + k)
@@ -277,29 +261,38 @@ func (m *Model) weight(t vocab.TermID, f int32, dl int64) float64 {
 	panic("textrel: model of an unknown measure")
 }
 
-// Sum returns Σ_{t∈terms} Weight(d,t), summed in terms' order, which must
-// ascend: the numerator of TS over a user's terms, and of a lower bound
-// over a super-user's intersection. It is one merge join of terms with d's
-// sorted terms.
-//
-//maxbr:hotpath
-func (m *Model) Sum(d vocab.Doc, terms []vocab.TermID) float64 {
-	dTerms, dFreqs, dl := d.Terms(), d.Freqs(), d.Len()
-	total, j := 0.0, 0
+// Floor returns F(terms) = Σ_{t∈terms} FloorWeight(t), added to zero in
+// terms' order: where Sum, Scorer.Norm and every posting read start.
+func (m *Model) Floor(terms []vocab.TermID) float64 {
+	total := 0.0
 	for _, t := range terms {
-		for j < len(dTerms) && dTerms[j] < t {
-			j++
-		}
-		var f int32
-		if j < len(dTerms) && dTerms[j] == t {
-			f = dFreqs[j]
-		}
-		total += m.weight(t, f, dl)
+		total += m.FloorWeight(t)
 	}
 	return total
 }
 
-// Weight returns the weight of term t in document d (≥ 0).
+// Sum returns F(terms) + Σ_{t∈terms∩d} Weight(d,t), the increments added
+// in terms' order, which must ascend: the numerator of TS over a user's
+// terms, and of a lower bound over a super-user's intersection. It is one
+// merge join of terms with d's sorted terms.
+//
+//maxbr:hotpath
+func (m *Model) Sum(d vocab.Doc, terms []vocab.TermID) float64 {
+	dTerms, dFreqs, dl := d.Terms(), d.Freqs(), d.Len()
+	total, j := m.Floor(terms), 0
+	for _, t := range terms {
+		for j < len(dTerms) && dTerms[j] < t {
+			j++
+		}
+		if j < len(dTerms) && dTerms[j] == t {
+			total += m.weight(t, dFreqs[j], dl)
+		}
+	}
+	return total
+}
+
+// Weight returns the increment of term t in document d (≥ 0; zero when d
+// lacks t).
 func (m *Model) Weight(d vocab.Doc, t vocab.TermID) float64 {
 	return m.weight(t, d.Freq(t), d.Len())
 }
@@ -314,13 +307,18 @@ func (m *Model) MaxWeight(t vocab.TermID) float64 {
 	return m.weight(t, 1, 1)
 }
 
-// FloorWeight returns the minimum over all possible documents of
-// Weight(d,t): the weight of t in a document that lacks it.
-func (m *Model) FloorWeight(t vocab.TermID) float64 { return m.weight(t, 0, 0) }
+// FloorWeight returns the floor of t: LM's smoothing λ·tf(t,C)/|C|, zero
+// for the other measures and for a term outside the corpus.
+func (m *Model) FloorWeight(t vocab.TermID) float64 {
+	if i := int(t); m.kind == LM && i >= 0 && i < len(m.stat) {
+		return m.stat[i]
+	}
+	return 0
+}
 
 // AddWeight returns an upper bound on Weight(d∪c, t) − Weight(d, t) for
-// any keyword set c ∋ t added to d: at most the weight of t once in a
-// document one occurrence longer than d, less the floor.
+// any keyword set c ∋ t added to d: at most the increment of t once in a
+// document one occurrence longer than d.
 //
 // For LM that is (1−λ)/(|d|+1); with (f+1)/(L+s) ≤ f/L + 1/(L+1) it
 // dominates the true gain for every added keyword set containing t. TF-IDF
@@ -331,9 +329,6 @@ func (m *Model) FloorWeight(t vocab.TermID) float64 { return m.weight(t, 0, 0) }
 // Weight(d,t) + AddWeight(d,t) dominate Weight(d∪c, t). Proof sketch on
 // TSAddUpperBound.
 func (m *Model) AddWeight(d vocab.Doc, t vocab.TermID) float64 {
-	if m.kind == LM {
-		return (1 - m.lambda) / float64(d.Len()+1)
-	}
 	if m.AdditionMonotone() && d.Has(t) {
 		return 0
 	}

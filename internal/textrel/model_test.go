@@ -41,20 +41,28 @@ func TestLMWeightEquation3(t *testing.T) {
 	lm := NewModelWithLambda(LM, ds, 0.4)
 
 	d1 := ds.Objects[1].Doc // {a:1, b:2}, len 3
-	// p̂(a|θd1) = 0.6·(1/3) + 0.4·(2/6) = 0.2 + 0.1333…
-	if got, want := lm.Weight(d1, a), 0.6*(1.0/3)+0.4*(2.0/6); !near(got, want) {
+	// p̂(a|θd1) = 0.4·(2/6) + 0.6·(1/3): the floor plus the increment
+	if got, want := lm.FloorWeight(a), 0.4*(2.0/6); !near(got, want) {
+		t.Errorf("FloorWeight(a) = %v, want %v", got, want)
+	}
+	if got, want := lm.Weight(d1, a), 0.6*(1.0/3); !near(got, want) {
 		t.Errorf("Weight(d1,a) = %v, want %v", got, want)
 	}
-	// p̂(b|θd1) = 0.6·(2/3) + 0.4·(3/6)
-	if got, want := lm.Weight(d1, b), 0.6*(2.0/3)+0.4*(3.0/6); !near(got, want) {
+	// p̂(b|θd1) = 0.4·(3/6) + 0.6·(2/3)
+	if got, want := lm.Weight(d1, b), 0.6*(2.0/3); !near(got, want) {
 		t.Errorf("Weight(d1,b) = %v, want %v", got, want)
 	}
-	// absent term: smoothing floor only
-	if got, want := lm.Weight(d1, c), 0.4*(1.0/6); !near(got, want) {
-		t.Errorf("Weight(d1,c) = %v, want floor %v", got, want)
+	// absent term: no increment, the smoothing floor only
+	if got := lm.Weight(d1, c); got != 0 {
+		t.Errorf("Weight(d1,c) = %v, want 0", got)
 	}
 	if got := lm.FloorWeight(c); !near(got, 0.4*(1.0/6)) {
 		t.Errorf("FloorWeight(c) = %v", got)
+	}
+	// The sum is Equation 3's probabilities summed.
+	want := 0.4*(2.0/6) + 0.6*(1.0/3) + 0.4*(3.0/6) + 0.6*(2.0/3) + 0.4*(1.0/6)
+	if got := lm.Sum(d1, []vocab.TermID{a, b, c}); !near(got, want) {
+		t.Errorf("Sum(d1, {a,b,c}) = %v, want %v", got, want)
 	}
 }
 
@@ -62,13 +70,11 @@ func TestLMMaxWeightIsCorpusMax(t *testing.T) {
 	ds, terms := corpus3(t)
 	lm := NewModelWithLambda(LM, ds, 0.4)
 	for _, tm := range terms {
-		want := lm.FloorWeight(tm)
+		want := 0.0
 		for _, o := range ds.Objects {
-			if w := lm.Weight(o.Doc, tm); w > want {
-				want = w
-			}
+			want = max(want, lm.Weight(o.Doc, tm))
 		}
-		if got := lm.MaxWeight(tm); !near(got, want) {
+		if got := lm.MaxWeight(tm); got != want {
 			t.Errorf("MaxWeight(%d) = %v, corpus max is %v", tm, got, want)
 		}
 	}
@@ -154,28 +160,19 @@ func TestKeywordOverlap(t *testing.T) {
 	}
 }
 
-// Property, all models: FloorWeight ≤ Weight(d,·) ≤ MaxWeight for every
-// corpus document, exactly. The LM maxima alone are formed by another
-// expression than the weights (NewModelWithLambda), (1−λ)·f·(1/|d|) +
-// floor against floor + (1−λ)·f/|d|: the two products are within 3u of
-// each other (u = 2⁻⁵³; one rounding of 1/|d| and one of each product),
-// and the sums add a rounding each, so a weight can exceed its maximum by
-// up to 4 floats. Norm is the maxima's one use; no bound rests on them.
+// Property, all models and five values of λ: 0 ≤ Weight(d,·) ≤ MaxWeight
+// for every corpus document, exactly. The maxima are the increments'
+// own maxima, formed by the same expression.
 func TestWeightBoundsInvariant(t *testing.T) {
 	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(500))
 	for _, kind := range []MeasureKind{LM, TFIDF, KO, BM25} {
-		m := NewModel(kind, ds)
-		for _, o := range ds.Objects {
-			for _, tm := range o.Doc.Terms() {
-				w, maxW := m.Weight(o.Doc, tm), m.MaxWeight(tm)
-				if w < m.FloorWeight(tm) {
-					t.Fatalf("%s: weight %v below floor %v", kind, w, m.FloorWeight(tm))
-				}
-				if kind == LM {
-					maxW = math.Float64frombits(math.Float64bits(maxW) + 4)
-				}
-				if w > maxW {
-					t.Fatalf("%s: weight %v above corpus max %v", kind, w, m.MaxWeight(tm))
+		for _, lambda := range []float64{0.1, DefaultLambda, 0.5, 0.85, 0.99} {
+			m := NewModelWithLambda(kind, ds, lambda)
+			for _, o := range ds.Objects {
+				for _, tm := range o.Doc.Terms() {
+					if w, maxW := m.Weight(o.Doc, tm), m.MaxWeight(tm); w < 0 || w > maxW {
+						t.Fatalf("%s λ=%v: weight %v outside [0, corpus max %v]", kind, lambda, w, maxW)
+					}
 				}
 			}
 		}

@@ -62,10 +62,11 @@ func step(d float64, n int64) float64 {
 	return math.Float64frombits(uint64(min(max(b, 0), int64(math.Float64bits(math.Inf(1))))))
 }
 
-// Norm returns Norm(d) = Σ_{t∈d} MaxWeight(t), the user-side normalizer
-// (Pmax in Equation 4 when the model is LM).
+// Norm returns Norm(d) = F(d) + Σ_{t∈d} MaxWeight(t), the user-side
+// normalizer (Pmax in Equation 4 when the model is LM): Model.Sum's fold
+// with every increment at its maximum.
 func (s *Scorer) Norm(d vocab.Doc) float64 {
-	total := 0.0
+	total := s.Model.Floor(d.Terms())
 	for _, t := range d.Terms() {
 		total += s.Model.MaxWeight(t)
 	}

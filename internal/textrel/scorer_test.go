@@ -84,13 +84,13 @@ func TestLMScoreEquation4(t *testing.T) {
 	s := NewScorer(ds, LM, 0.5)
 	lm := s.Model
 	ud := vocab.DocFromTerms([]vocab.TermID{terms[0], terms[1]})
-	// Pmax = maxp(a) + maxp(b)
-	wantNorm := lm.MaxWeight(terms[0]) + lm.MaxWeight(terms[1])
+	// Pmax = maxp(a) + maxp(b), each the floor plus the largest increment
+	wantNorm := lm.FloorWeight(terms[0]) + lm.FloorWeight(terms[1]) + lm.MaxWeight(terms[0]) + lm.MaxWeight(terms[1])
 	if got := s.Norm(ud); !near(got, wantNorm) {
 		t.Errorf("Norm = %v, want %v", got, wantNorm)
 	}
 	d1 := ds.Objects[1].Doc
-	want := (lm.Weight(d1, terms[0]) + lm.Weight(d1, terms[1])) / wantNorm
+	want := (lm.FloorWeight(terms[0]) + lm.FloorWeight(terms[1]) + lm.Weight(d1, terms[0]) + lm.Weight(d1, terms[1])) / wantNorm
 	if got := ts(s, d1, ud, wantNorm); !near(got, want) {
 		t.Errorf("TS = %v, want %v", got, want)
 	}
@@ -115,13 +115,13 @@ func TestSTSCombination(t *testing.T) {
 func TestTSNormalizedRange(t *testing.T) {
 	ds := dataset.GenerateFlickr(dataset.DefaultFlickrConfig(400))
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 50, UL: 3, UW: 15, Area: 10, Seed: 3})
-	for _, kind := range []MeasureKind{LM, TFIDF, KO} {
+	for _, kind := range []MeasureKind{LM, TFIDF, KO, BM25} {
 		s := NewScorer(ds, kind, 0.5)
 		norms := s.UserNorms(us.Users)
 		for ui := range us.Users {
-			for _, o := range ds.Objects[:100] {
+			for _, o := range ds.Objects {
 				ts := ts(s, o.Doc, us.Users[ui].Doc, norms[ui])
-				if ts < 0 || ts > 1+1e-9 {
+				if ts < 0 || ts > 1 {
 					t.Fatalf("%s: TS = %v out of [0,1]", kind, ts)
 				}
 			}

@@ -209,7 +209,9 @@ func isSubset(a, b []vocab.TermID) bool {
 // FuzzNodeBoundsDominate: on every drawn instance, every node bound holds
 // for every object beneath it and every user it bounds, bit for bit
 // (nodeViolations). Seeds 0, 30, 31 and 52 are instances on which sums
-// that added the term floors first fell outside a Language Model score.
+// that added the term floors first and then each posting's weight less
+// its floor fell outside a Language Model score, and seed 0 one on which
+// a kernel adding the floors after the increments did.
 func FuzzNodeBoundsDominate(f *testing.F) {
 	for seed := range int64(64) {
 		f.Add(seed)

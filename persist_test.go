@@ -47,10 +47,11 @@ func randomIndex(t *testing.T, rng *rand.Rand, opts Options) (*Index, Request) {
 
 // TestFormatFixture pins the on-disk format with a file another build
 // wrote: testdata/reclaim_fixture.mxbr is reclaimFixture's index, saved
-// when the master record took the corpus context. Loading it must answer
-// exactly as the in-memory build does, and saving the build must
-// reproduce it byte for byte. testdata/format_v3.mxbr and format_v4.mxbr
-// are the same index in the two formats before, which
+// when the Language Model's postings and maxima became increments without
+// the smoothing floor (master version 6). Loading it must answer exactly
+// as the in-memory build does, and saving the build must reproduce it
+// byte for byte. testdata/format_v3.mxbr, format_v4.mxbr and
+// format_v5.mxbr are the same index in the three formats before, which
 // TestOldFormatFailsAtLoad pins.
 func TestFormatFixture(t *testing.T) {
 	const fixture = "testdata/reclaim_fixture.mxbr"
@@ -103,12 +104,13 @@ func TestFormatFixture(t *testing.T) {
 }
 
 // TestOldFormatFailsAtLoad: an index saved in a format before this one —
-// before posting records took their fixed-stride layout (v3), or before
-// the master record took the corpus context (v4) — fails inside Load, with
+// before posting records took their fixed-stride layout (v3), before the
+// master record took the corpus context (v4), or before LM postings stored
+// increments without the smoothing floor (v5) — fails inside Load, with
 // the typed version error and a message that says to rebuild it — never
 // at a first query.
 func TestOldFormatFailsAtLoad(t *testing.T) {
-	for _, path := range []string{"testdata/format_v3.mxbr", "testdata/format_v4.mxbr"} {
+	for _, path := range []string{"testdata/format_v3.mxbr", "testdata/format_v4.mxbr", "testdata/format_v5.mxbr"} {
 		ix, err := Load(path)
 		if err == nil {
 			ix.Close()
