@@ -17,7 +17,7 @@ LINT_EXTERNAL ?= auto
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build vet test race bench loc cli-smoke shard-smoke fuzz-smoke lint lint-maxbr lint-external ci
+.PHONY: all build vet test race bench loc fma-check cli-smoke shard-smoke fuzz-smoke lint lint-maxbr lint-external ci
 
 all: ci
 
@@ -46,6 +46,23 @@ loc:
 	@code=$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/lint/testdata/*' ! -path './bench/.build/*' | xargs cat | wc -l); \
 	tests=$$(find . -name '*_test.go' ! -path './bench/.build/*' | xargs cat | wc -l); \
 	echo "$$tests tests ($$((100 * tests / code)) % of the non-test total)"
+
+# Same bits on every GOARCH. Go may fuse x*y + z into one instruction
+# with one rounding, and does on arm64, ppc64le, s390x and riscv64 (never
+# on amd64), so a fused score, bound or generated coordinate would differ
+# from amd64's. This cross-compiles every package but bench/ and
+# examples/ for those targets and fails on any fused instruction in the
+# assembly; a product that feeds a sum takes an explicit float64(...),
+# which rounds it and prevents the fusion.
+FMA_ARCHS ?= arm64 ppc64le s390x riscv64
+fma-check:
+	@pkgs=$$($(GO) list ./... | grep -v '/bench$$\|/bench/\|/examples/'); status=0; \
+	for arch in $(FMA_ARCHS); do \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $$pkgs 2>&1) || { printf '%s\n' "$$asm" | grep -E '^[^[:space:]]*\.go:[0-9]'; exit 1; }; \
+		fused=$$(printf '%s\n' "$$asm" | grep -E '\s(WFM[AS]DB|FN?M(ADD|SUB)[DS]?)\s' | grep -oE '\([^)]*\)' | sort | uniq -c); \
+		echo "fma-check: $$arch: $$(printf '%s' "$$fused" | awk '{n+=$$1}END{print n+0}') fused instructions"; \
+		if [ -n "$$fused" ]; then printf '%s\n' "$$fused"; status=1; fi; \
+	done; exit $$status
 
 # Save/load CLI smoke: datagen → build a saved index → query it, and
 # require the answer to match the in-memory one-shot pipeline. Guards the
@@ -163,4 +180,4 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzEntryBoundsDominate$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test . -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime 10s -fuzzminimizetime 100x
 
-ci: build vet lint test race bench cli-smoke shard-smoke fuzz-smoke
+ci: build vet lint fma-check test race bench cli-smoke shard-smoke fuzz-smoke

@@ -55,7 +55,7 @@ func main() {
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{
 		NumUsers: *users, UL: *ul, UW: *uw, Area: *area, Seed: *seed + 1,
 	})
-	cands := dataset.CandidateLocations(us.Region, *locs, *area/4+0.5, *seed+2)
+	cands := dataset.CandidateLocations(us.Region, *locs, float64(*area/4)+0.5, *seed+2)
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fail(err)

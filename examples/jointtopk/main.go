@@ -39,7 +39,7 @@ func main() {
 	users := make([]maxbrstknn.UserSpec, 250)
 	for i := range users {
 		users[i] = maxbrstknn.UserSpec{
-			X: 20 + rng.Float64()*10, Y: 20 + rng.Float64()*10,
+			X: 20 + float64(rng.Float64()*10), Y: 20 + float64(rng.Float64()*10),
 			Keywords: []string{topics[rng.Intn(len(topics))]},
 		}
 	}

@@ -34,7 +34,7 @@ func main() {
 		for j := range menu {
 			menu[j] = dishes[rng.Intn(len(dishes))]
 		}
-		b.AddObject(c[0]+rng.NormFloat64()*0.8, c[1]+rng.NormFloat64()*0.8, menu...)
+		b.AddObject(c[0]+float64(rng.NormFloat64()*0.8), c[1]+float64(rng.NormFloat64()*0.8), menu...)
 	}
 	idx, err := b.Build(maxbrstknn.Options{Measure: maxbrstknn.LanguageModel})
 	if err != nil {

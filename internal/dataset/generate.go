@@ -220,7 +220,7 @@ func pickRegion(ds *Dataset, area float64, rng *rand.Rand) geo.Rect {
 		area = 1
 	}
 	anchor := ds.Objects[rng.Intn(len(ds.Objects))].Loc
-	half := area / 2
+	half := float64(area / 2)
 	return geo.Rect{
 		Min: geo.Point{X: anchor.X - half, Y: anchor.Y - half},
 		Max: geo.Point{X: anchor.X + half, Y: anchor.Y + half},
@@ -276,8 +276,8 @@ func CandidateLocations(region geo.Rect, n int, margin float64, seed int64) []ge
 	out := make([]geo.Point, n)
 	for i := range out {
 		out[i] = geo.Point{
-			X: r.Min.X + rng.Float64()*r.Width(),
-			Y: r.Min.Y + rng.Float64()*r.Height(),
+			X: r.Min.X + float64(rng.Float64()*r.Width()),
+			Y: r.Min.Y + float64(rng.Float64()*r.Height()),
 		}
 	}
 	return out
@@ -305,8 +305,8 @@ func makeClusters(n int, rng *rand.Rand) clusterSet {
 func (c clusterSet) sample(rng *rand.Rand) geo.Point {
 	ctr := c.centers[rng.Intn(len(c.centers))]
 	return geo.Point{
-		X: ctr.X + rng.NormFloat64()*c.sigma,
-		Y: ctr.Y + rng.NormFloat64()*c.sigma,
+		X: ctr.X + float64(rng.NormFloat64()*c.sigma),
+		Y: ctr.Y + float64(rng.NormFloat64()*c.sigma),
 	}
 }
 

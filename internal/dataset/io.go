@@ -167,7 +167,11 @@ func parsePoint(xs, ys string) (geo.Point, error) {
 	if err != nil {
 		return geo.Point{}, fmt.Errorf("bad y %q: %w", ys, err)
 	}
-	return geo.Point{X: x, Y: y}, nil
+	p := geo.Point{X: x, Y: y}
+	if !p.Valid() {
+		return p, fmt.Errorf("bad point (%g, %g): coordinates must be finite and at most 1e150 in magnitude", x, y)
+	}
+	return p, nil
 }
 
 // formatDoc expands frequencies into repeated comma-separated terms, so

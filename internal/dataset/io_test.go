@@ -95,6 +95,9 @@ func TestReadErrors(t *testing.T) {
 		"too few fields": "0\t1.0\t2.0\n",
 		"bad x":          "0\tnope\t2.0\tfoo\n",
 		"bad y":          "0\t1.0\tnope\tfoo\n",
+		"NaN x":          "0\tNaN\t2.0\tfoo\n",
+		"Inf y":          "0\t1.0\t-Inf\tfoo\n",
+		"1e300 x":        "0\t1e300\t2.0\tfoo\n",
 	}
 	for name, input := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -111,6 +114,9 @@ func TestReadErrors(t *testing.T) {
 	}
 	if _, _, err := ReadCandidates(strings.NewReader("loc\t1\n")); err == nil {
 		t.Error("short loc record should error")
+	}
+	if _, _, err := ReadCandidates(strings.NewReader("loc\tInf\t1\n")); err == nil {
+		t.Error("an infinite candidate location should error")
 	}
 }
 

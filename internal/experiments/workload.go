@@ -75,7 +75,7 @@ func NewWorkload(cfg Config, run int) *Workload {
 		NumUsers: cfg.NumUsers, UL: cfg.UL, UW: cfg.UW, Area: cfg.Area,
 		Seed: cfg.Seed*1000 + int64(run),
 	})
-	margin := cfg.Area/4 + 0.5
+	margin := float64(cfg.Area/4) + 0.5
 	if cfg.LocMargin != 0 {
 		margin = cfg.LocMargin
 	}

@@ -2,6 +2,11 @@
 // indexes: points, axis-aligned rectangles, and the minimum / maximum
 // Euclidean distance functions the paper's bound estimations rely on
 // (MinSS and MaxSS in Section 5.3 are derived from MinDist and MaxDist).
+//
+// Every distance is dist's √(dx² + dy²), each operation rounded on its
+// own, so it is monotone in |dx| and |dy| and the same on every GOARCH. Its
+// squares need coordinates of magnitude at most 1e150 (then dx² + dy² ≤
+// 8·10³⁰⁰ < math.MaxFloat64): Point.Valid, which every entry point checks.
 package geo
 
 import (
@@ -17,8 +22,17 @@ type Point struct {
 
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
+	return dist(p.X-q.X, p.Y-q.Y)
 }
+
+// dist is every distance: float64(…) rounds each square, so none fuses.
+func dist(dx, dy float64) float64 {
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
+}
+
+// Valid reports whether both coordinates of p are finite and at most 1e150
+// in magnitude: the range the package comment states.
+func (p Point) Valid() bool { return math.Abs(p.X) <= 1e150 && math.Abs(p.Y) <= 1e150 }
 
 // Rect is a closed axis-aligned rectangle [Min.X,Max.X] × [Min.Y,Max.Y].
 // A degenerate rectangle with Min == Max represents a point.
@@ -118,7 +132,7 @@ func (r Rect) Enlargement(s Rect) float64 {
 func (r Rect) MinDist(s Rect) float64 {
 	dx := axisGap(r.Min.X, r.Max.X, s.Min.X, s.Max.X)
 	dy := axisGap(r.Min.Y, r.Max.Y, s.Min.Y, s.Max.Y)
-	return math.Hypot(dx, dy)
+	return dist(dx, dy)
 }
 
 // MaxDist returns the maximum Euclidean distance between any point of r and
@@ -126,7 +140,7 @@ func (r Rect) MinDist(s Rect) float64 {
 func (r Rect) MaxDist(s Rect) float64 {
 	dx := math.Max(math.Abs(r.Max.X-s.Min.X), math.Abs(s.Max.X-r.Min.X))
 	dy := math.Max(math.Abs(r.Max.Y-s.Min.Y), math.Abs(s.Max.Y-r.Min.Y))
-	return math.Hypot(dx, dy)
+	return dist(dx, dy)
 }
 
 // axisGap returns the separation of intervals [aLo,aHi] and [bLo,bHi] along

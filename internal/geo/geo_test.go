@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -172,8 +173,9 @@ func TestMaxDist(t *testing.T) {
 	}
 }
 
-// MinDist ≤ dist(center_a, center_b) ≤ MaxDist, and both bounds must hold
-// for every pair of contained points — the property Lemma 2 depends on.
+// MinDist ≤ dist(p, q) ≤ MaxDist for every pair of contained points, as
+// they round — the property Lemma 2 depends on, exact because dist is
+// monotone.
 func TestMinMaxDistBoundsProperty(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy, dx, dy float64, fx, fy, gx, gy float64) bool {
 		// clamp generated values into a sane range
@@ -182,10 +184,11 @@ func TestMinMaxDistBoundsProperty(t *testing.T) {
 		b := Rect{Point{cl(cx), cl(cy)}, Point{cl(cx) + cl(dx), cl(cy) + cl(dy)}}
 		// a point inside each rect, by fractional interpolation
 		frac := func(v float64) float64 { return math.Mod(math.Abs(v), 1) }
-		pa := Point{a.Min.X + frac(fx)*a.Width(), a.Min.Y + frac(fy)*a.Height()}
-		pb := Point{b.Min.X + frac(gx)*b.Width(), b.Min.Y + frac(gy)*b.Height()}
-		d := pa.Dist(pb)
-		return a.MinDist(b) <= d+1e-9 && d <= a.MaxDist(b)+1e-9
+		in := func(r Rect, fx, fy float64) Point {
+			return Point{min(r.Min.X+frac(fx)*r.Width(), r.Max.X), min(r.Min.Y+frac(fy)*r.Height(), r.Max.Y)}
+		}
+		d := in(a, fx, fy).Dist(in(b, gx, gy))
+		return a.MinDist(b) <= d && d <= a.MaxDist(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -227,5 +230,47 @@ func TestStringers(t *testing.T) {
 	}
 	if s := (Rect{Point{0, 0}, Point{1, 1}}).String(); s == "" {
 		t.Error("empty Rect string")
+	}
+}
+
+// dist never falls when |dx| or |dy| grows by a few floats: each of its
+// operations rounds correctly. The standard library's Hypot, which it
+// replaced, falls on some of these draws.
+func TestDistMonotone(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	up := func(v float64, n int) float64 {
+		for range n {
+			v = math.Nextafter(v, math.Inf(1))
+		}
+		return v
+	}
+	for range 200000 {
+		dx, dy, n := rng.Float64()*10, rng.Float64()*10, 1+rng.Intn(3)
+		if d := dist(dx, dy); dist(up(dx, n), dy) < d || dist(dx, up(dy, n)) < d {
+			t.Fatalf("dist(%v, %v) = %v falls when one side grows %d floats", dx, dy, d, n)
+		}
+	}
+}
+
+func TestValid(t *testing.T) {
+	for _, c := range []struct {
+		p    Point
+		want bool
+	}{
+		{Point{0, 0}, true},
+		{Point{1e150, -1e150}, true},
+		{Point{math.Nextafter(1e150, 2e150), 0}, false},
+		{Point{0, -1e300}, false},
+		{Point{math.NaN(), 0}, false},
+		{Point{0, math.Inf(1)}, false},
+		{Point{math.Inf(-1), 0}, false},
+	} {
+		if got := c.p.Valid(); got != c.want {
+			t.Errorf("%v.Valid() = %v, want %v", c.p, got, c.want)
+		}
+	}
+	// The farthest valid points are a finite distance apart.
+	if d := (Point{-1e150, -1e150}).Dist(Point{1e150, 1e150}); math.IsInf(d, 0) || !approx(d/1e150, 2*math.Sqrt2) {
+		t.Errorf("distance across the valid range = %v", d)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -612,6 +613,42 @@ func TestTopKRejectsNonPositiveKEverywhere(t *testing.T) {
 			resp, body := postJSON(t, srv.ts, "/topk", TopKRequest{X: 5, Y: 5, Keywords: []string{"tea"}, K: c.k})
 			if resp.StatusCode != c.status {
 				t.Errorf("%s /topk k=%d: status %d, want %d: %s", srv.name, c.k, resp.StatusCode, c.status, body)
+			}
+		}
+	}
+}
+
+// TestBadCoordinatesAre400: a coordinate above 1e150 in magnitude, or one
+// past float64's range (JSON has no NaN or Inf), is a 400 from the single
+// server, a shard and the coordinator on every endpoint that takes a point.
+func TestBadCoordinatesAre400(t *testing.T) {
+	objs, idx, wire := coordFixture(t)
+	single := httptest.NewServer(New(idx, Config{}).Handler())
+	defer single.Close()
+	shardTS := buildShardServers(t, objs, idx.FrozenCorpus(), 2)
+	_, coordTS := newCoordinatorTS(t, shardTS, CoordinatorConfig{})
+	user, loc := wire, wire
+	user.Users = slices.Clone(wire.Users)
+	user.Users[3].X = 1e300
+	loc.Locations = slices.Clone(wire.Locations)
+	loc.Locations[4][1] = -1e300
+	all, queries := []*httptest.Server{single, shardTS[0], coordTS}, []*httptest.Server{single, coordTS}
+	for _, c := range []struct {
+		servers []*httptest.Server
+		path    string
+		body    any
+	}{
+		{all, "/topk", TopKRequest{X: 1e300, Y: 5, Keywords: []string{"tea"}, K: 3}},
+		{all, "/topk", json.RawMessage(`{"x":5,"y":-1e999,"keywords":["tea"],"k":3}`)},
+		{queries, "/maxbrstknn", user},
+		{queries, "/topl", loc},
+		{queries, "/multiple", loc},
+		{[]*httptest.Server{single}, "/add", AddRequest{X: 5, Y: -1e300, Keywords: []string{"tea"}}},
+		{[]*httptest.Server{single}, "/update", UpdateRequest{ID: 0, X: 1e300, Y: 5}},
+	} {
+		for i, ts := range c.servers {
+			if resp, body := postJSON(t, ts, c.path, c.body); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s on server %d: status %d, want 400: %s", c.path, i, resp.StatusCode, body)
 			}
 		}
 	}

@@ -68,8 +68,8 @@ func (s *Scorer) TSAddUpperBound(oxDoc, ud vocab.Doc, w CandidateSet, ws int) fl
 	for _, g := range gains {
 		sum += g
 	}
-	n := 2*len(ud.Terms()) + len(gains) + 1
-	return math.Nextafter(sum*(1+float64(n)*0x1p-52), math.Inf(1))
+	n := float64(2*len(ud.Terms()) + len(gains) + 1)
+	return math.Nextafter(sum*(1+float64(n*0x1p-52)), math.Inf(1))
 }
 
 // TopWeightedCandidates returns up to ws candidate keywords from the

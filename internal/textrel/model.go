@@ -48,11 +48,11 @@
 // Every bound is sound by construction, with no slack: it evaluates the
 // exact score's expression, Combine over Model.Sum's fold, on operands
 // that bound the exact ones, and round-to-nearest is monotone — a larger
-// operand, or one more nonnegative term, never rounds lower. Posting sums
-// start at the floors of the wanted terms and add one stored increment a
-// posting, as Model.Sum does. Two operands round otherwise and carry a
-// derived guard: distances, through the non-monotone math.Hypot
-// (hypotUlps), and the gains UBL adds after the sum (TSAddUpperBound).
+// operand, or one more nonnegative term, never rounds lower. Distances are
+// monotone too (package geo), and posting sums start at the floors of the
+// wanted terms and add one stored increment a posting, as Model.Sum does.
+// One operand rounds otherwise and carries a derived guard: the gains UBL
+// adds after the sum (TSAddUpperBound).
 package textrel
 
 import (
@@ -255,7 +255,7 @@ func (m *Model) weight(t vocab.TermID, f int32, dl int64) float64 {
 		return 1
 	case BM25:
 		tf := float64(f)
-		k := BM25K1 * (1 - BM25B + BM25B*float64(dl)/m.avgdl)
+		k := float64(BM25K1 * (1 - BM25B + BM25B*float64(dl)/m.avgdl))
 		return s * (BM25K1 + 1) * tf / (tf + k)
 	}
 	panic("textrel: model of an unknown measure")

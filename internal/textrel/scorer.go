@@ -1,8 +1,6 @@
 package textrel
 
 import (
-	"math"
-
 	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/vocab"
@@ -35,32 +33,17 @@ func NewScorer(ds *dataset.Dataset, kind MeasureKind, alpha float64, extra ...ge
 func (s *Scorer) SS(a, b geo.Point) float64 { return s.ss(a.Dist(b)) }
 
 // SSMin returns the *smallest possible* spatial proximity between any point
-// of rectangle a and any point of b, from the maximum distance stepped up
-// hypotUlps floats: the MaxSS-from-MaxDist quantity of the lower bounds.
-func (s *Scorer) SSMin(a, b geo.Rect) float64 { return s.ss(step(a.MaxDist(b), hypotUlps)) }
+// of rectangle a and any point of b, from their maximum distance: the
+// MaxSS-from-MaxDist quantity of the lower bounds.
+func (s *Scorer) SSMin(a, b geo.Rect) float64 { return s.ss(a.MaxDist(b)) }
 
 // SSMax returns the *largest possible* spatial proximity between any point
-// of rectangle a and any point of b, from the minimum distance stepped down
-// hypotUlps floats: the MinSS-from-MinDist quantity of the upper bounds.
-func (s *Scorer) SSMax(a, b geo.Rect) float64 { return s.ss(step(a.MinDist(b), -hypotUlps)) }
+// of rectangle a and any point of b, from their minimum distance: the
+// MinSS-from-MinDist quantity of the upper bounds.
+func (s *Scorer) SSMax(a, b geo.Rect) float64 { return s.ss(a.MinDist(b)) }
 
 // ss is Equation 2 at distance d, the one expression of SS, SSMin and SSMax.
 func (s *Scorer) ss(d float64) float64 { return max(0, 1-d/s.DMax) }
-
-// hypotUlps is how far SSMin and SSMax step their distances. A rectangle's
-// axis gaps bound those of every point pair in it as they round, but
-// math.Hypot (MinDist, MaxDist and geo.Dist) is not monotone: p·√(1+(q/p)²),
-// p the larger argument, is five operations each within u = 2⁻⁵³, and
-// (q/p)² is at most half the sum, so the result is within 1.5u+u, halved,
-// +u, +u = 3.25u of the exact distance. Results of ordered distances can
-// invert by < 6.5u times either; 7 floats step a result x by more.
-const hypotUlps = 7
-
-// step moves a distance n floats up, or −n down to no less than zero.
-func step(d float64, n int64) float64 {
-	b := int64(math.Float64bits(d)) + n
-	return math.Float64frombits(uint64(min(max(b, 0), int64(math.Float64bits(math.Inf(1))))))
-}
 
 // Norm returns Norm(d) = F(d) + Σ_{t∈d} MaxWeight(t), the user-side
 // normalizer (Pmax in Equation 4 when the model is LM): Model.Sum's fold
@@ -81,13 +64,14 @@ func (s *Scorer) Norm(d vocab.Doc) float64 {
 // normalizer norm, and the one place α appears. The exact score passes the
 // exact operands; a bound passes bounding ones — SSMax or SSMin for ss, a
 // node's posting maxima or minima for the sum, a group's MinNorm or
-// MaxNorm for norm — and so rounds through the same operations. It is not
-// fused with math.FMA: every score and saved answer rests on its two
-// roundings.
+// MaxNorm for norm — and so rounds through the same operations. The
+// conversions round each product on its own, so no target fuses one into
+// the sum: every score and saved answer rests on the same roundings on
+// every GOARCH.
 //
 //maxbr:hotpath
 func (s *Scorer) Combine(ss, sum, norm float64) float64 {
-	return s.Alpha*ss + (1-s.Alpha)*(sum/norm)
+	return float64(s.Alpha*ss) + float64((1-s.Alpha)*(sum/norm))
 }
 
 // STS returns the combined score of Equation 1 for an object at oLoc with

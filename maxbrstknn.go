@@ -253,6 +253,11 @@ func (b *Builder) Build(opts Options) (*Index, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	for _, o := range b.objects {
+		if !o.Loc.Valid() {
+			return nil, fmt.Errorf("%w: object %d at %g", ErrBadPoint, o.ID, o.Loc)
+		}
+	}
 	objects := append([]dataset.Object(nil), b.objects...)
 	// The corpus context is computed here, once: Compact, Save and Load
 	// and shard builds carry it, never re-derive it.
@@ -384,6 +389,10 @@ func (sn *snapshot) withDeleted(id int32) []uint64 {
 // for an id that was never assigned or is already deleted.
 var ErrNoSuchObject = errors.New("maxbrstknn: no such object")
 
+// ErrBadPoint is returned (wrapped) for a coordinate that is NaN, ±Inf or
+// above 1e150 in magnitude, which no distance can hold (package geo).
+var ErrBadPoint = errors.New("maxbrstknn: coordinates must be finite and at most 1e150 in magnitude")
+
 // acquire loads the current snapshot and pins its epoch so the records it
 // references survive until the matching Unpin. TryPin only fails when the
 // reclamation floor already passed the loaded epoch — which implies a
@@ -461,6 +470,9 @@ func (ix *Index) AddObject(x, y float64, keywords ...string) (int, error) {
 	if ix.gids != nil {
 		return 0, errShardImmutable
 	}
+	if !(geo.Point{X: x, Y: y}).Valid() {
+		return 0, fmt.Errorf("%w: (%g, %g)", ErrBadPoint, x, y)
+	}
 	ix.writerMu.Lock()
 	defer ix.writerMu.Unlock()
 	sn := ix.snap.Load()
@@ -519,6 +531,9 @@ func (ix *Index) DeleteObject(id int) error {
 func (ix *Index) UpdateObject(id int, x, y float64, keywords ...string) (int, error) {
 	if ix.gids != nil {
 		return 0, errShardImmutable
+	}
+	if !(geo.Point{X: x, Y: y}).Valid() {
+		return 0, fmt.Errorf("%w: (%g, %g)", ErrBadPoint, x, y)
 	}
 	ix.writerMu.Lock()
 	defer ix.writerMu.Unlock()
@@ -599,6 +614,9 @@ type RankedObject struct {
 func (ix *Index) TopK(x, y float64, keywords []string, k int) ([]RankedObject, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("maxbrstknn: k must be positive")
+	}
+	if !(geo.Point{X: x, Y: y}).Valid() {
+		return nil, fmt.Errorf("%w: (%g, %g)", ErrBadPoint, x, y)
 	}
 	sn := ix.acquire()
 	defer sn.tree.Unpin()

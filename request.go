@@ -258,6 +258,11 @@ func (ix *Index) NewUnpreparedSession(users []UserSpec, k int) (*Session, error)
 	if k <= 0 {
 		return nil, fmt.Errorf("maxbrstknn: k must be positive")
 	}
+	for i, u := range users {
+		if !(geo.Point{X: u.X, Y: u.Y}).Valid() {
+			return nil, fmt.Errorf("%w: user %d at (%g, %g)", ErrBadPoint, i, u.X, u.Y)
+		}
+	}
 	sn := ix.acquire()
 	pin := &snapPin{tree: sn.tree}
 	// One unknown-term registry spans all user documents, so distinct
@@ -367,6 +372,9 @@ func (s *Session) buildQuery(req Request) (core.Query, error) {
 	locs := make([]geo.Point, len(req.Locations))
 	for i, l := range req.Locations {
 		locs[i] = geo.Point{X: l[0], Y: l[1]}
+		if !locs[i].Valid() {
+			return core.Query{}, fmt.Errorf("%w: location %d at %g", ErrBadPoint, i, l)
+		}
 	}
 	kws := make([]vocab.TermID, 0, len(req.Keywords))
 	for _, kw := range req.Keywords {
