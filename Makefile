@@ -48,18 +48,17 @@ loc:
 	echo "$$tests tests ($$((100 * tests / code)) % of the non-test total)"
 
 # Same bits on every GOARCH. Go may fuse x*y + z into one instruction
-# with one rounding, and does on arm64, ppc64le, s390x and riscv64 (never
-# on amd64), so a fused score, bound or generated coordinate would differ
-# from amd64's. This cross-compiles every package but bench/ and
-# examples/ for those targets and fails on any fused instruction in the
-# assembly; a product that feeds a sum takes an explicit float64(...),
-# which rounds it and prevents the fusion.
-FMA_ARCHS ?= arm64 ppc64le s390x riscv64
+# with one rounding, and does on arm64, loong64, ppc64, ppc64le, riscv64
+# and s390x (never on amd64), so a fused score, bound or generated
+# coordinate would differ from amd64's. This cross-compiles every package
+# but bench/ and examples/ for those targets and fails on any fused
+# instruction in the assembly; a product that feeds a sum takes an
+# explicit float64(...), which rounds it and prevents the fusion.
 fma-check:
 	@pkgs=$$($(GO) list ./... | grep -v '/bench$$\|/bench/\|/examples/'); status=0; \
-	for arch in $(FMA_ARCHS); do \
+	for arch in arm64 loong64 ppc64 ppc64le riscv64 s390x; do \
 		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $$pkgs 2>&1) || { printf '%s\n' "$$asm" | grep -E '^[^[:space:]]*\.go:[0-9]'; exit 1; }; \
-		fused=$$(printf '%s\n' "$$asm" | grep -E '\s(WFM[AS]DB|FN?M(ADD|SUB)[DS]?)\s' | grep -oE '\([^)]*\)' | sort | uniq -c); \
+		fused=$$(printf '%s\n' "$$asm" | grep -E '\s(WFM[AS]DB|FN?M(ADD|SUB)[DFS]?)\s' | grep -oE '\([^)]*\)' | sort | uniq -c); \
 		echo "fma-check: $$arch: $$(printf '%s' "$$fused" | awk '{n+=$$1}END{print n+0}') fused instructions"; \
 		if [ -n "$$fused" ]; then printf '%s\n' "$$fused"; status=1; fi; \
 	done; exit $$status

@@ -169,7 +169,7 @@ func parsePoint(xs, ys string) (geo.Point, error) {
 	}
 	p := geo.Point{X: x, Y: y}
 	if !p.Valid() {
-		return p, fmt.Errorf("bad point (%g, %g): coordinates must be finite and at most 1e150 in magnitude", x, y)
+		return p, fmt.Errorf("bad point (%g, %g): coordinates must be finite and at most %g in magnitude", x, y, geo.MaxCoord)
 	}
 	return p, nil
 }

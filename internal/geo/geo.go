@@ -5,8 +5,8 @@
 //
 // Every distance is dist's √(dx² + dy²), each operation rounded on its
 // own, so it is monotone in |dx| and |dy| and the same on every GOARCH. Its
-// squares need coordinates of magnitude at most 1e150 (then dx² + dy² ≤
-// 8·10³⁰⁰ < math.MaxFloat64): Point.Valid, which every entry point checks.
+// squares need |coordinates| ≤ MaxCoord = 1e150 (then dx² + dy² ≤ 8·10³⁰⁰ <
+// math.MaxFloat64): Point.Valid, which every entry point checks.
 package geo
 
 import (
@@ -30,9 +30,12 @@ func dist(dx, dy float64) float64 {
 	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
-// Valid reports whether both coordinates of p are finite and at most 1e150
-// in magnitude: the range the package comment states.
-func (p Point) Valid() bool { return math.Abs(p.X) <= 1e150 && math.Abs(p.Y) <= 1e150 }
+// MaxCoord is the largest coordinate magnitude a distance can hold.
+const MaxCoord = 1e150
+
+// Valid reports whether both coordinates of p are finite and at most
+// MaxCoord in magnitude.
+func (p Point) Valid() bool { return math.Abs(p.X) <= MaxCoord && math.Abs(p.Y) <= MaxCoord }
 
 // Rect is a closed axis-aligned rectangle [Min.X,Max.X] × [Min.Y,Max.Y].
 // A degenerate rectangle with Min == Max represents a point.

@@ -38,6 +38,9 @@ func FuzzDecodeMaster(f *testing.F) {
 			}
 		}
 		for i, o := range ix.DS.Objects {
+			if !o.Loc.Valid() {
+				t.Fatalf("accepted object %d at %v, outside the coordinate range", i, o.Loc)
+			}
 			if ts := o.Doc.Terms(); len(ts) > 0 && int(ts[len(ts)-1]) >= ix.DS.Vocab.Size() {
 				t.Fatalf("accepted object %d referencing term %d outside vocabulary of %d",
 					i, ts[len(ts)-1], ix.DS.Vocab.Size())

@@ -267,6 +267,10 @@ func decodeMaster(buf []byte) (*Index, error) {
 	objects := make([]dataset.Object, 0, int(numObjects))
 	for i := uint64(0); i < numObjects && d.Err() == nil; i++ {
 		x, y := d.Float64(), d.Float64()
+		// Format 6 predates the coordinate range: refuse a point outside it.
+		if p := (geo.Point{X: x, Y: y}); d.Err() == nil && !p.Valid() {
+			return nil, fmt.Errorf("master record: object %d at (%g, %g): coordinates must be finite and at most %g in magnitude", i, x, y, geo.MaxCoord)
+		}
 		unique := d.Uvarint()
 		// Each unique term takes ≥2 encoded bytes (delta + frequency); a
 		// larger claim is corruption and must be caught before it becomes

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -343,5 +344,36 @@ func TestLoadRejectsCorruptObjectTerms(t *testing.T) {
 	huge := append(append(bytes.Clone(master[:freq]), 0x80, 0x80, 0x80, 0x80, 0x08), master[freq+1:]...) // 2^31
 	if _, err := decodeMaster(huge); err == nil || !strings.Contains(err.Error(), "object 0") {
 		t.Fatalf("frequency 2^31: want an error naming object 0, got %v", err)
+	}
+}
+
+// TestLoadRejectsOutOfRangePoint: format 6 predates the coordinate range,
+// so a file saved before it may hold an object at 1e300, whose distances
+// overflow and make every score NaN. Load must refuse it with an error
+// naming the object, and so must it an infinite coordinate (a NaN one
+// already fails the corpus's object space check).
+func TestLoadRejectsOutOfRangePoint(t *testing.T) {
+	for _, x := range []float64{1e300, -1e300, math.Inf(1)} {
+		v := vocab.New()
+		a := v.Add("a")
+		objects := []dataset.Object{
+			{ID: 0, Loc: geo.Point{X: 1.25, Y: 2.5}, Doc: vocab.DocFromTerms([]vocab.TermID{a})},
+			{ID: 1, Loc: geo.Point{X: x, Y: 0.5}, Doc: vocab.DocFromTerms([]vocab.TermID{a})},
+		}
+		ds := dataset.Build(objects, v)
+		ix := &Index{Measure: textrel.LM, Alpha: 0.5, Lambda: textrel.DefaultLambda, Fanout: 8, DS: ds}
+		ix.Tree = irtree.Build(ds, textrel.NewModelWithLambda(ix.Measure, ds, ix.Lambda), irtree.Config{Kind: irtree.MIRTree, Fanout: 8})
+		path := filepath.Join(t.TempDir(), "ix.mxbr")
+		if err := Save(path, ix); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(path, 0)
+		if err == nil {
+			got.Close()
+			t.Fatalf("x = %g: Load accepted object 1 at %v", x, got.DS.Objects[1].Loc)
+		}
+		if !strings.Contains(err.Error(), "object 1") {
+			t.Fatalf("x = %g: want an error naming object 1, got: %v", x, err)
+		}
 	}
 }

@@ -254,8 +254,8 @@ func (b *Builder) Build(opts Options) (*Index, error) {
 		return nil, err
 	}
 	for _, o := range b.objects {
-		if !o.Loc.Valid() {
-			return nil, fmt.Errorf("%w: object %d at %g", ErrBadPoint, o.ID, o.Loc)
+		if err := checkPoint(o.Loc.X, o.Loc.Y); err != nil {
+			return nil, err
 		}
 	}
 	objects := append([]dataset.Object(nil), b.objects...)
@@ -390,8 +390,16 @@ func (sn *snapshot) withDeleted(id int32) []uint64 {
 var ErrNoSuchObject = errors.New("maxbrstknn: no such object")
 
 // ErrBadPoint is returned (wrapped) for a coordinate that is NaN, ±Inf or
-// above 1e150 in magnitude, which no distance can hold (package geo).
-var ErrBadPoint = errors.New("maxbrstknn: coordinates must be finite and at most 1e150 in magnitude")
+// above geo.MaxCoord in magnitude, which no distance can hold.
+var ErrBadPoint = fmt.Errorf("maxbrstknn: coordinates must be finite and at most %g in magnitude", geo.MaxCoord)
+
+// checkPoint is every entry point's check of a point it is handed.
+func checkPoint(x, y float64) error {
+	if !(geo.Point{X: x, Y: y}).Valid() {
+		return fmt.Errorf("%w: (%g, %g)", ErrBadPoint, x, y)
+	}
+	return nil
+}
 
 // acquire loads the current snapshot and pins its epoch so the records it
 // references survive until the matching Unpin. TryPin only fails when the
@@ -470,8 +478,8 @@ func (ix *Index) AddObject(x, y float64, keywords ...string) (int, error) {
 	if ix.gids != nil {
 		return 0, errShardImmutable
 	}
-	if !(geo.Point{X: x, Y: y}).Valid() {
-		return 0, fmt.Errorf("%w: (%g, %g)", ErrBadPoint, x, y)
+	if err := checkPoint(x, y); err != nil {
+		return 0, err
 	}
 	ix.writerMu.Lock()
 	defer ix.writerMu.Unlock()
@@ -532,8 +540,8 @@ func (ix *Index) UpdateObject(id int, x, y float64, keywords ...string) (int, er
 	if ix.gids != nil {
 		return 0, errShardImmutable
 	}
-	if !(geo.Point{X: x, Y: y}).Valid() {
-		return 0, fmt.Errorf("%w: (%g, %g)", ErrBadPoint, x, y)
+	if err := checkPoint(x, y); err != nil {
+		return 0, err
 	}
 	ix.writerMu.Lock()
 	defer ix.writerMu.Unlock()
@@ -615,8 +623,8 @@ func (ix *Index) TopK(x, y float64, keywords []string, k int) ([]RankedObject, e
 	if k <= 0 {
 		return nil, fmt.Errorf("maxbrstknn: k must be positive")
 	}
-	if !(geo.Point{X: x, Y: y}).Valid() {
-		return nil, fmt.Errorf("%w: (%g, %g)", ErrBadPoint, x, y)
+	if err := checkPoint(x, y); err != nil {
+		return nil, err
 	}
 	sn := ix.acquire()
 	defer sn.tree.Unpin()

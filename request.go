@@ -258,9 +258,9 @@ func (ix *Index) NewUnpreparedSession(users []UserSpec, k int) (*Session, error)
 	if k <= 0 {
 		return nil, fmt.Errorf("maxbrstknn: k must be positive")
 	}
-	for i, u := range users {
-		if !(geo.Point{X: u.X, Y: u.Y}).Valid() {
-			return nil, fmt.Errorf("%w: user %d at (%g, %g)", ErrBadPoint, i, u.X, u.Y)
+	for _, u := range users {
+		if err := checkPoint(u.X, u.Y); err != nil {
+			return nil, err
 		}
 	}
 	sn := ix.acquire()
@@ -371,10 +371,10 @@ func (s *Session) open(op string, req Request) (core.Query, error) {
 func (s *Session) buildQuery(req Request) (core.Query, error) {
 	locs := make([]geo.Point, len(req.Locations))
 	for i, l := range req.Locations {
-		locs[i] = geo.Point{X: l[0], Y: l[1]}
-		if !locs[i].Valid() {
-			return core.Query{}, fmt.Errorf("%w: location %d at %g", ErrBadPoint, i, l)
+		if err := checkPoint(l[0], l[1]); err != nil {
+			return core.Query{}, err
 		}
+		locs[i] = geo.Point{X: l[0], Y: l[1]}
 	}
 	kws := make([]vocab.TermID, 0, len(req.Keywords))
 	for _, kw := range req.Keywords {

@@ -112,8 +112,8 @@ func (b *ShardBuilder) AddObject(globalID int, x, y float64, keywords ...string)
 	if globalID < 0 {
 		return fmt.Errorf("maxbrstknn: negative global object id %d", globalID)
 	}
-	if !(geo.Point{X: x, Y: y}).Valid() {
-		return fmt.Errorf("%w: (%g, %g)", ErrBadPoint, x, y)
+	if err := checkPoint(x, y); err != nil {
+		return err
 	}
 	terms := make([]vocab.TermID, len(keywords))
 	for i, kw := range keywords {
