@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/container"
@@ -12,6 +9,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/irtree"
 	"repro/internal/miurtree"
+	"repro/internal/testgen"
 	"repro/internal/textrel"
 	"repro/internal/topk"
 	"repro/internal/vocab"
@@ -26,83 +24,33 @@ type entryInstance struct {
 	q    Query
 }
 
-// drawEntryInstance draws an instance from seed over all four measures, α
-// and λ: objects that include duplicates and keywordless ones, users and
-// candidate keywords that include unknown terms, and a MIUR-tree of a
-// random fanout.
+// drawEntryInstance builds from draw seed an engine over a MIR-tree, a
+// MIUR-tree over its users, both at the draw's fanout, and the first
+// query.
 func drawEntryInstance(seed int64) *entryInstance {
-	rng := rand.New(rand.NewSource(seed))
-	v := vocab.New()
-	nWords := 1 + rng.Intn(10)
-	for i := range nWords {
-		v.Add(fmt.Sprintf("w%d", i))
-	}
-	term := func() vocab.TermID {
-		if rng.Intn(6) == 0 {
-			return vocab.UnknownTerm(rng.Intn(2))
-		}
-		return vocab.TermID(float64(nWords) * math.Pow(rng.Float64(), 2))
-	}
-	terms := func(n int) []vocab.TermID {
-		out := make([]vocab.TermID, rng.Intn(n+1))
-		for i := range out {
-			out[i] = term()
-		}
-		return out
-	}
-	point := func() geo.Point {
-		if rng.Intn(4) == 0 {
-			return geo.Point{X: float64(rng.Intn(5)) * 2.5, Y: float64(rng.Intn(5)) * 2.5}
-		}
-		return geo.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
-	}
-	objs := make([]dataset.Object, 1+rng.Intn(40))
-	for i := range objs {
-		f := map[vocab.TermID]int32{}
-		for _, t := range terms(6) {
-			f[max(t, 0)]++ // objects hold corpus terms
-		}
-		objs[i] = dataset.Object{ID: int32(i), Loc: point(), Doc: vocab.NewDoc(f)}
-		if i > 0 && rng.Intn(6) == 0 {
-			objs[i].Loc, objs[i].Doc = objs[rng.Intn(i)].Loc, objs[rng.Intn(i)].Doc
-		}
-	}
-	ds := dataset.Build(objs, v)
-	kind := textrel.MeasureKind(rng.Intn(4))
-	lambda := []float64{rng.Float64(), textrel.DefaultLambda, 0.85, 0.1, 0, 1}[rng.Intn(6)]
-	users := make([]dataset.User, 1+rng.Intn(12))
-	for i := range users {
-		users[i] = dataset.User{ID: int32(i), Loc: point(), Doc: vocab.DocFromTerms(terms(4))}
-	}
-	q := Query{OxDoc: vocab.DocFromTerms(terms(3)), WS: 1 + rng.Intn(4), K: 1}
-	for range 1 + rng.Intn(4) {
-		q.Locations = append(q.Locations, point())
-	}
-	q.Keywords = terms(6)
-	slices.Sort(q.Keywords)
-	q.Keywords = slices.Compact(q.Keywords)
-	scorer := &textrel.Scorer{Model: textrel.NewModelWithLambda(kind, ds, lambda), Alpha: rng.Float64(),
-		DMax: ds.DMax(dataset.UsersMBR(users), geo.MBR(q.Locations))}
-	tree := irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: 4})
-	return &entryInstance{e: NewEngine(tree, scorer, users), kind: kind,
-		ut: miurtree.Build(users, scorer, []int{4, 5, 8}[rng.Intn(3)]), q: q}
+	d := testgen.Draw(seed)
+	ds, q, kind := testgen.Dataset(d), d.Queries[0], textrel.MeasureKind(d.Measure)
+	scorer := &textrel.Scorer{Model: textrel.NewModelWithLambda(kind, ds, d.Lambda), Alpha: d.Alpha,
+		DMax: ds.DMax(dataset.UsersMBR(d.Users), geo.MBR(q.Locations))}
+	tree := irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: d.Fanout})
+	return &entryInstance{e: NewEngine(tree, scorer, d.Users), kind: kind, ut: miurtree.Build(d.Users, scorer, d.Fanout),
+		q: Query{OxDoc: q.OxDoc, Locations: q.Locations, Keywords: testgen.Candidates(q), WS: q.WS, K: d.K}}
 }
 
 // entryViolations holds phase 2's bounds of in to the exact scores they
-// bound, with no slack, and returns how many comparisons it made and a
-// description of each that failed: for the cohort's super-user and every
-// MIUR-tree entry, and each user u beneath it,
+// bound, with no slack, and returns a description of each that failed:
+// for the cohort's super-user and every MIUR-tree entry, and each user u
+// beneath it,
 //
 //   - ubGroup, UBL(ℓ,us), against u's exact score of ox.d ∪ c at ℓ for
 //     every location ℓ and every c ⊆ W with |c| ≤ ws, as is ubUser,
 //     UBL(ℓ,u);
 //   - lbGroup against u's exact score of every object and of ox.d at
 //     every location.
-func entryViolations(in *entryInstance) (cases int, bad []string, err error) {
+func entryViolations(in *entryInstance) (bad []string, err error) {
 	e, q := in.e, in.q
 	w := textrel.NewCandidateSet(q.Keywords)
 	check := func(ok bool, format string, args ...any) {
-		cases++
 		if !ok {
 			bad = append(bad, fmt.Sprintf(format, args...))
 		}
@@ -144,7 +92,7 @@ func entryViolations(in *entryInstance) (cases int, bad []string, err error) {
 		return below, nil
 	}
 	if _, err := walk(in.ut.RootID()); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	objs := e.Tree.Dataset().Objects
 	for _, en := range entries {
@@ -179,7 +127,7 @@ func entryViolations(in *entryInstance) (cases int, bad []string, err error) {
 			}
 		}
 	}
-	return cases, bad, nil
+	return bad, nil
 }
 
 // FuzzEntryBoundsDominate: on every drawn instance, every phase-2 bound
@@ -190,12 +138,12 @@ func FuzzEntryBoundsDominate(f *testing.F) {
 	for seed := range int64(64) {
 		f.Add(seed)
 	}
-	for _, seed := range []int64{147, 256, 257} {
+	for _, seed := range []int64{5125, 5821, 8433} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		in := drawEntryInstance(seed)
-		_, bad, err := entryViolations(in)
+		bad, err := entryViolations(in)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -1,7 +1,6 @@
 package irtree_test
 
 import (
-	"math"
 	"path/filepath"
 	"testing"
 
@@ -98,11 +97,11 @@ func TestWarmCacheSameResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(rskA-rskB) > 1e-12 || len(a) != len(b) {
+		if rskA != rskB || len(a) != len(b) {
 			t.Fatalf("user %d: warm/cold disagree", ui)
 		}
 		for i := range a {
-			if math.Abs(a[i].Score-b[i].Score) > 1e-12 {
+			if a[i].Score != b[i].Score {
 				t.Fatalf("user %d rank %d: %v vs %v", ui, i, a[i].Score, b[i].Score)
 			}
 		}

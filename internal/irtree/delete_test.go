@@ -1,7 +1,6 @@
 package irtree
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -106,7 +105,7 @@ func TestDeleteStructureAndTopK(t *testing.T) {
 			t.Fatalf("user %d: %d results, want %d", ui, len(got), len(want))
 		}
 		for i := range want {
-			if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+			if got[i].Score != want[i].Score {
 				t.Fatalf("user %d rank %d: %v vs %v", ui, i, got[i].Score, want[i].Score)
 			}
 		}
@@ -202,7 +201,7 @@ func TestSnapshotIsolationAndEpochs(t *testing.T) {
 		}
 		wantOld := bruteTopK(nt.Dataset(), scorer, u, 3)
 		for i := range wantOld {
-			if math.Abs(gotOld[i].Score-wantOld[i].Score) > 1e-9 {
+			if gotOld[i].Score != wantOld[i].Score {
 				t.Fatalf("old snapshot diverged at rank %d", i)
 			}
 		}
@@ -211,7 +210,7 @@ func TestSnapshotIsolationAndEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range wantOld {
-			if math.Abs(gotNew[i].Score-wantOld[i].Score) > 1e-9 {
+			if gotNew[i].Score != wantOld[i].Score {
 				t.Fatalf("replace changed scores at rank %d (same doc at a new id)", i)
 			}
 		}

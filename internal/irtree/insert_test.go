@@ -1,7 +1,6 @@
 package irtree
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -126,7 +125,7 @@ func TestInsertTopKMatchesBruteForce(t *testing.T) {
 			t.Fatalf("user %d: %d results, want %d", ui, len(got), len(want))
 		}
 		for i := range want {
-			if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+			if got[i].Score != want[i].Score {
 				t.Fatalf("user %d rank %d: %v vs %v", ui, i, got[i].Score, want[i].Score)
 			}
 		}
@@ -146,54 +145,7 @@ func TestInsertPostingBoundsInvariant(t *testing.T) {
 		}
 		tree = nt
 	}
-	model := tree.Model()
-	ds := tree.Dataset()
-
-	var docsUnder func(ref int32, isObj bool) []vocab.Doc
-	docsUnder = func(ref int32, isObj bool) []vocab.Doc {
-		if isObj {
-			return []vocab.Doc{ds.Objects[ref].Doc}
-		}
-		n, err := tree.ReadNode(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []vocab.Doc
-		for _, e := range n.Entries {
-			out = append(out, docsUnder(e.Child, n.Leaf)...)
-		}
-		return out
-	}
-	var check func(id int32)
-	check = func(id int32) {
-		n, err := tree.ReadNode(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inv, err := tree.ReadInvFile(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tm := range inv.Terms() {
-			for _, p := range inv.Postings(tm) {
-				for _, d := range docsUnder(n.Entries[p.Entry].Child, n.Leaf) {
-					w := model.Weight(d, tm)
-					if w > p.MaxW+1e-12 {
-						t.Fatalf("doc weight %v exceeds posting max %v", w, p.MaxW)
-					}
-					if p.MinW > 0 && w < p.MinW-1e-12 {
-						t.Fatalf("doc weight %v below posting min %v", w, p.MinW)
-					}
-				}
-			}
-		}
-		if !n.Leaf {
-			for _, e := range n.Entries {
-				check(e.Child)
-			}
-		}
-	}
-	check(tree.RootID())
+	checkSubtreeBounds(t, tree, rest[0].Doc.Terms())
 }
 
 func TestInsertIntoEmptyTree(t *testing.T) {

@@ -153,52 +153,7 @@ func TestMaxMinTextSums(t *testing.T) {
 func TestTextSumsBracketDocSums(t *testing.T) {
 	tree, ds, _ := buildSmall(t, MIRTree, textrel.LM)
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 3, UL: 4, UW: 12, Area: 20, Seed: 29})
-	terms := us.Users[0].Doc.Terms()
-	model := tree.Model()
-
-	var docsUnder func(ref int32, isObj bool) []vocab.Doc
-	docsUnder = func(ref int32, isObj bool) []vocab.Doc {
-		if isObj {
-			return []vocab.Doc{ds.Objects[ref].Doc}
-		}
-		n, _ := tree.ReadNode(ref)
-		var out []vocab.Doc
-		for _, e := range n.Entries {
-			out = append(out, docsUnder(e.Child, n.Leaf)...)
-		}
-		return out
-	}
-
-	var check func(id int32)
-	check = func(id int32) {
-		n, err := tree.ReadNode(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inv, err := tree.ReadInvFile(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		maxSums := MaxTextSums(model, inv, len(n.Entries), terms)
-		minSums := MinTextSums(model, inv, len(n.Entries), terms)
-		for i, e := range n.Entries {
-			for _, d := range docsUnder(e.Child, n.Leaf) {
-				s := model.Sum(d, terms)
-				if s > maxSums[i] {
-					t.Fatalf("doc sum %v exceeds MaxTextSums %v", s, maxSums[i])
-				}
-				if s < minSums[i] {
-					t.Fatalf("doc sum %v below MinTextSums %v", s, minSums[i])
-				}
-			}
-		}
-		if !n.Leaf {
-			for _, e := range n.Entries {
-				check(e.Child)
-			}
-		}
-	}
-	check(tree.RootID())
+	checkSubtreeBounds(t, tree, us.Users[0].Doc.Terms())
 }
 
 // TestTopKWarmAllocations: with every visited node and directory in the

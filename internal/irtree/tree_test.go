@@ -125,58 +125,58 @@ func TestNodeRoundTripStructure(t *testing.T) {
 // above, and the stored MinW — when positive — from below.
 func TestPostingWeightsBoundSubtreeDocs(t *testing.T) {
 	for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF, textrel.KO} {
-		tree, ds, _ := buildSmall(t, MIRTree, measure)
-		model := tree.Model()
+		tree, _, _ := buildSmall(t, MIRTree, measure)
+		checkSubtreeBounds(t, tree, nil)
+	}
+}
 
-		// collect subtree docs per node entry
-		var docsUnder func(id int32, leaf bool) []vocab.Doc
-		docsUnder = func(ref int32, isObj bool) []vocab.Doc {
-			if isObj {
-				return []vocab.Doc{ds.Objects[ref].Doc}
-			}
-			n, err := tree.ReadNode(ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out []vocab.Doc
-			for _, e := range n.Entries {
-				out = append(out, docsUnder(e.Child, n.Leaf)...)
-			}
-			return out
+// checkSubtreeBounds walks every node of tree once and holds each entry's
+// postings and text sums to every document beneath it, exactly: MaxW at
+// or above, and a positive MinW at or below, each document's weight of
+// the posting's term; MaxTextSums at or above, and MinTextSums at or
+// below, each document's Model.Sum of terms.
+func checkSubtreeBounds(t *testing.T, tree *Tree, terms []vocab.TermID) {
+	t.Helper()
+	model, ds := tree.Model(), tree.Dataset()
+	var walk func(id int32) []vocab.Doc // the documents beneath node id
+	walk = func(id int32) []vocab.Doc {
+		n, err := tree.ReadNode(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		var check func(id int32)
-		check = func(id int32) {
-			n, err := tree.ReadNode(id)
-			if err != nil {
-				t.Fatal(err)
+		inv, err := tree.ReadInvFile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		under, all := make([][]vocab.Doc, len(n.Entries)), []vocab.Doc(nil)
+		for i, e := range n.Entries {
+			if n.Leaf {
+				under[i] = []vocab.Doc{ds.Objects[e.Child].Doc}
+			} else {
+				under[i] = walk(e.Child)
 			}
-			inv, err := tree.ReadInvFile(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tm := range inv.Terms() {
-				for _, p := range inv.Postings(tm) {
-					docs := docsUnder(n.Entries[p.Entry].Child, n.Leaf)
-					for _, d := range docs {
-						w := model.Weight(d, tm)
-						if w > p.MaxW+1e-12 {
-							t.Fatalf("%s: doc weight %v exceeds posting max %v", measure, w, p.MaxW)
-						}
-						if p.MinW > 0 && w < p.MinW-1e-12 {
-							t.Fatalf("%s: doc weight %v below posting min %v", measure, w, p.MinW)
-						}
+			all = append(all, under[i]...)
+		}
+		for _, tm := range inv.Terms() {
+			for _, p := range inv.Postings(tm) {
+				for _, d := range under[p.Entry] {
+					if w := model.Weight(d, tm); w > p.MaxW || p.MinW > 0 && w < p.MinW {
+						t.Fatalf("node %d entry %d: weight %v of term %d outside [MinW %v, MaxW %v]", id, p.Entry, w, tm, p.MinW, p.MaxW)
 					}
 				}
 			}
-			if !n.Leaf {
-				for _, e := range n.Entries {
-					check(e.Child)
+		}
+		maxSums, minSums := MaxTextSums(model, inv, len(n.Entries), terms), MinTextSums(model, inv, len(n.Entries), terms)
+		for i, docs := range under {
+			for _, d := range docs {
+				if s := model.Sum(d, terms); s < minSums[i] || s > maxSums[i] {
+					t.Fatalf("node %d entry %d: doc sum %v outside [MinTextSums %v, MaxTextSums %v]", id, i, s, minSums[i], maxSums[i])
 				}
 			}
 		}
-		check(tree.RootID())
+		return all
 	}
+	walk(tree.RootID())
 }
 
 func TestIRTreeStoresNoMinWeights(t *testing.T) {

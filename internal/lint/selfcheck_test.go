@@ -2,8 +2,11 @@ package lint
 
 import (
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -142,7 +145,10 @@ var testObservers = map[string]string{
 // another package is a different types.Object, so declarations and uses
 // meet on their declaration position (file:line:name). A method also counts
 // as used when its receiver satisfies a module interface declaring it, or
-// when it is Error, Unwrap or String.
+// when it is Error, Unwrap or String. The test support package
+// (testSupport) is held to a stricter rule: no non-test file may import
+// it, and each of its declarations must be used by another of them or be
+// named by a _test.go file.
 func TestNoUnreachableInternalDecls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -170,11 +176,39 @@ func TestNoUnreachableInternalDecls(t *testing.T) {
 	}
 	decls := map[string]*decl{}
 	var ifaces []*types.Interface
+	testUses := map[string]bool{} // testSupport's declarations a _test.go file names
 	for _, pkg := range pkgs {
+		tests, _ := filepath.Glob(filepath.Join(filepath.Dir(fset.Position(pkg.Files[0].Pos()).Filename), "*_test.go"))
+		for _, name := range tests {
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(src), strconv.Quote(testSupport)) {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), name, src, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == path.Base(testSupport) {
+						testUses[x.Name+"."+sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
 		for _, f := range pkg.Files {
 			file := fset.Position(f.Pos()).Filename
 			rel, _ := filepath.Rel(root, file)
 			internal := strings.HasPrefix(rel, "internal"+string(filepath.Separator))
+			for _, im := range f.Imports {
+				if p, _ := strconv.Unquote(im.Path.Value); p == testSupport {
+					t.Errorf("%s imports the test support package %s", rel, p)
+				}
+			}
 			add := func(id *ast.Ident, recv string, node ast.Node) {
 				if !internal || id.Name == "_" || id.Name == "init" {
 					return
@@ -274,7 +308,7 @@ func TestNoUnreachableInternalDecls(t *testing.T) {
 	matched := map[string]bool{}
 	var dead []string
 	for k, d := range decls {
-		if used[k] || (d.method != nil && satisfiesInterface(d.method)) {
+		if used[k] || testUses[d.name] || (d.method != nil && satisfiesInterface(d.method)) {
 			continue
 		}
 		if _, ok := testObservers[d.name]; ok {
@@ -293,6 +327,10 @@ func TestNoUnreachableInternalDecls(t *testing.T) {
 		}
 	}
 }
+
+// testSupport is the package of test support: only _test.go files import
+// it.
+const testSupport = "repro/internal/testgen"
 
 // recvName returns the receiver's type name of a method, or "".
 func recvName(fd *ast.FuncDecl) string {

@@ -37,7 +37,7 @@ func TestBuildRootAggregates(t *testing.T) {
 	}
 	for _, u := range users {
 		norm := scorer.Norm(u.Doc)
-		if norm < root.MinNorm-1e-12 || norm > root.MaxNorm+1e-12 {
+		if norm < root.MinNorm || norm > root.MaxNorm {
 			t.Fatalf("user norm %v outside [%v,%v]", norm, root.MinNorm, root.MaxNorm)
 		}
 		for _, tm := range u.Doc.Terms() {
@@ -109,7 +109,7 @@ func TestEntryAggregatesConsistent(t *testing.T) {
 					t.Fatalf("user %d outside entry rect", ui)
 				}
 				norm := scorer.Norm(u.Doc)
-				if norm < e.MinNorm-1e-12 || norm > e.MaxNorm+1e-12 {
+				if norm < e.MinNorm || norm > e.MaxNorm {
 					t.Fatalf("user norm %v outside entry [%v,%v]", norm, e.MinNorm, e.MaxNorm)
 				}
 				for _, tm := range u.Doc.Terms() {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -17,66 +16,48 @@ import (
 	"time"
 
 	maxbrstknn "repro"
+	"repro/internal/dataset"
+	"repro/internal/testgen"
 )
 
-// coordObject is one global object of the sharded fixture — kept outside
-// the index so shard builders can replay the exact same inputs.
-type coordObject struct {
-	x, y float64
-	kws  []string
-}
-
-// coordFixture builds a deterministic object set, the matching global
-// index, and a wire query (including one user with an unknown keyword,
-// which every shard must treat identically).
-func coordFixture(t testing.TB) ([]coordObject, *maxbrstknn.Index, QueryRequest) {
+// coordFixture builds testgen's draw 322, 108 objects, into a global
+// index, and returns them with a wire query of its first request: 12
+// users, three holding a keyword of no vocabulary, which every shard must
+// treat identically.
+func coordFixture(t testing.TB) ([]dataset.Object, *maxbrstknn.Index, QueryRequest) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(29))
-	words := []string{"tea", "jazz", "vinyl", "sushi", "fog", "neon", "moss", "kite"}
-	objs := make([]coordObject, 150)
+	d := testgen.Draw(322)
+	q := d.Queries[0]
 	b := maxbrstknn.NewBuilder()
-	for i := range objs {
-		objs[i] = coordObject{
-			x: rng.Float64() * 10, y: rng.Float64() * 10,
-			kws: []string{words[rng.Intn(len(words))], words[rng.Intn(len(words))], words[rng.Intn(len(words))]},
-		}
-		b.AddObject(objs[i].x, objs[i].y, objs[i].kws...)
+	for _, o := range d.Corpus {
+		b.AddObject(o.Loc.X, o.Loc.Y, testgen.Keywords(o.Doc)...)
 	}
 	idx, err := b.Build(maxbrstknn.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	users := make([]UserSpec, 24)
-	for i := range users {
-		users[i] = UserSpec{
-			X: rng.Float64() * 10, Y: rng.Float64() * 10,
-			Keywords: []string{words[rng.Intn(len(words))], words[rng.Intn(len(words))]},
-		}
+	wire := QueryRequest{MaxKeywords: q.WS, K: d.K, ExistingKeywords: testgen.Keywords(q.OxDoc)}
+	for _, u := range d.Users {
+		wire.Users = append(wire.Users, UserSpec{X: u.Loc.X, Y: u.Loc.Y, Keywords: testgen.Keywords(u.Doc)})
 	}
-	users[7].Keywords = []string{"griffins"} // unknown everywhere
-	locations := make([][2]float64, 9)
-	for i := range locations {
-		locations[i] = [2]float64{rng.Float64() * 10, rng.Float64() * 10}
+	for _, p := range q.Locations {
+		wire.Locations = append(wire.Locations, [2]float64{p.X, p.Y})
 	}
-	return objs, idx, QueryRequest{
-		Users:            users,
-		Locations:        locations,
-		Keywords:         words[:5],
-		MaxKeywords:      2,
-		K:                3,
-		ExistingKeywords: []string{"tea"},
+	for _, t := range q.W {
+		wire.Keywords = append(wire.Keywords, testgen.Name(t))
 	}
+	return d.Corpus, idx, wire
 }
 
 // buildShardIndexes splits the objects round-robin into n shard indexes
 // under the global frozen corpus.
-func buildShardIndexes(t testing.TB, objs []coordObject, fc maxbrstknn.FrozenCorpus, n int) []*maxbrstknn.ShardIndex {
+func buildShardIndexes(t testing.TB, objs []dataset.Object, fc maxbrstknn.FrozenCorpus, n int) []*maxbrstknn.ShardIndex {
 	t.Helper()
 	out := make([]*maxbrstknn.ShardIndex, n)
 	for s := range out {
 		sb := maxbrstknn.NewShardBuilder(fc)
 		for gid := s; gid < len(objs); gid += n {
-			if err := sb.AddObject(gid, objs[gid].x, objs[gid].y, objs[gid].kws...); err != nil {
+			if err := sb.AddObject(gid, objs[gid].Loc.X, objs[gid].Loc.Y, testgen.Keywords(objs[gid].Doc)...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -103,7 +84,7 @@ func serveShards(t testing.TB, shards []*maxbrstknn.ShardIndex) []*httptest.Serv
 
 // buildShardServers splits the objects into n shard indexes and serves
 // each from its own listener.
-func buildShardServers(t testing.TB, objs []coordObject, fc maxbrstknn.FrozenCorpus, n int) []*httptest.Server {
+func buildShardServers(t testing.TB, objs []dataset.Object, fc maxbrstknn.FrozenCorpus, n int) []*httptest.Server {
 	t.Helper()
 	return serveShards(t, buildShardIndexes(t, objs, fc, n))
 }
@@ -169,20 +150,20 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 			}
 		}
 
-		checkTopK(t, single, coordTS, TopKRequest{X: 4.2, Y: 5.1, Keywords: []string{"sushi", "tea"}, K: 5}, fmt.Sprintf("n=%d", n))
+		checkTopK(t, single, coordTS, TopKRequest{X: 4.2, Y: 5.1, Keywords: []string{"w0", "w1"}, K: 5}, fmt.Sprintf("n=%d", n))
 	}
 
 	// /topk over exact ties: every object three times, at one point with
 	// the same keywords, the copies dealt to different shards. A single
 	// index ranks tied objects by ascending id, as the merge does, so the
 	// cut inside a tie group keeps the same copies.
-	var ties []coordObject
+	var ties []dataset.Object
 	for _, o := range objs[:40] {
 		ties = append(ties, o, o, o)
 	}
 	tb := maxbrstknn.NewBuilder()
 	for _, o := range ties {
-		tb.AddObject(o.x, o.y, o.kws...)
+		tb.AddObject(o.Loc.X, o.Loc.Y, testgen.Keywords(o.Doc)...)
 	}
 	tidx, err := tb.Build(maxbrstknn.Options{})
 	if err != nil {
@@ -193,7 +174,7 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		_, coordTS := newCoordinatorTS(t, buildShardServers(t, ties, tidx.FrozenCorpus(), n), CoordinatorConfig{})
 		for i, o := range ties[:12] {
-			checkTopK(t, tsingle, coordTS, TopKRequest{X: o.x, Y: o.y, Keywords: o.kws, K: 1 + i%5}, fmt.Sprintf("ties n=%d user %d", n, i))
+			checkTopK(t, tsingle, coordTS, TopKRequest{X: o.Loc.X, Y: o.Loc.Y, Keywords: testgen.Keywords(o.Doc), K: 1 + i%5}, fmt.Sprintf("ties n=%d user %d", n, i))
 		}
 	}
 }
@@ -284,7 +265,7 @@ func TestCoordinatorForwardingSavesWork(t *testing.T) {
 func TestCoordinatorKilledShard(t *testing.T) {
 	objs, idx, wire := coordFixture(t)
 	shardTS := buildShardServers(t, objs, idx.FrozenCorpus(), 2)
-	_, coordTS := newCoordinatorTS(t, shardTS, CoordinatorConfig{})
+	coord, coordTS := newCoordinatorTS(t, shardTS, CoordinatorConfig{})
 	shardTS[1].Close()
 
 	q := wire
@@ -295,6 +276,9 @@ func TestCoordinatorKilledShard(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "shard 1") {
 		t.Fatalf("502 does not name the failing shard: %s", body)
+	}
+	if coord.shardErrors.Load() == 0 {
+		t.Fatal("a dead shard's 502 counted no shard error")
 	}
 
 	hresp, hbody := getBody(t, coordTS, "/healthz")
@@ -505,8 +489,8 @@ func TestCoordinatorStatsAggregation(t *testing.T) {
 		if ps.Calls <= 0 {
 			t.Fatalf("shard %d has no recorded calls", i)
 		}
-		if ps.Stats.Objects != 75 {
-			t.Fatalf("shard %d reports %d objects, want 75", i, ps.Stats.Objects)
+		if ps.Stats.Objects != len(objs)/2 {
+			t.Fatalf("shard %d reports %d objects, want %d", i, ps.Stats.Objects, len(objs)/2)
 		}
 	}
 }
@@ -550,7 +534,7 @@ func TestCoordinatorAndShardRejections(t *testing.T) {
 	if after := calls(); !reflect.DeepEqual(after, before) {
 		t.Fatalf("rejected requests reached the shards: shard_errors and per-shard calls %v -> %v", before, after)
 	}
-	if resp, body := postJSON(t, coordTS, "/add", AddRequest{X: 1, Y: 1, Keywords: []string{"tea"}}); resp.StatusCode != http.StatusNotImplemented {
+	if resp, body := postJSON(t, coordTS, "/add", AddRequest{X: 1, Y: 1, Keywords: []string{"w1"}}); resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("coordinator /add: status %d, want 501: %s", resp.StatusCode, body)
 	}
 
@@ -610,7 +594,7 @@ func TestTopKRejectsNonPositiveKEverywhere(t *testing.T) {
 		{-1, http.StatusBadRequest}, {0, http.StatusBadRequest}, {1, http.StatusOK},
 	} {
 		for _, srv := range servers {
-			resp, body := postJSON(t, srv.ts, "/topk", TopKRequest{X: 5, Y: 5, Keywords: []string{"tea"}, K: c.k})
+			resp, body := postJSON(t, srv.ts, "/topk", TopKRequest{X: 5, Y: 5, Keywords: []string{"w1"}, K: c.k})
 			if resp.StatusCode != c.status {
 				t.Errorf("%s /topk k=%d: status %d, want %d: %s", srv.name, c.k, resp.StatusCode, c.status, body)
 			}
@@ -626,24 +610,24 @@ func TestBadCoordinatesAre400(t *testing.T) {
 	single := httptest.NewServer(New(idx, Config{}).Handler())
 	defer single.Close()
 	shardTS := buildShardServers(t, objs, idx.FrozenCorpus(), 2)
-	_, coordTS := newCoordinatorTS(t, shardTS, CoordinatorConfig{})
+	coord, coordTS := newCoordinatorTS(t, shardTS, CoordinatorConfig{})
 	user, loc := wire, wire
 	user.Users = slices.Clone(wire.Users)
 	user.Users[3].X = 1e300
 	loc.Locations = slices.Clone(wire.Locations)
-	loc.Locations[4][1] = -1e300
+	loc.Locations[3][1] = -1e300
 	all, queries := []*httptest.Server{single, shardTS[0], coordTS}, []*httptest.Server{single, coordTS}
 	for _, c := range []struct {
 		servers []*httptest.Server
 		path    string
 		body    any
 	}{
-		{all, "/topk", TopKRequest{X: 1e300, Y: 5, Keywords: []string{"tea"}, K: 3}},
-		{all, "/topk", json.RawMessage(`{"x":5,"y":-1e999,"keywords":["tea"],"k":3}`)},
+		{all, "/topk", TopKRequest{X: 1e300, Y: 5, Keywords: []string{"w1"}, K: 3}},
+		{all, "/topk", json.RawMessage(`{"x":5,"y":-1e999,"keywords":["w1"],"k":3}`)},
 		{queries, "/maxbrstknn", user},
 		{queries, "/topl", loc},
 		{queries, "/multiple", loc},
-		{[]*httptest.Server{single}, "/add", AddRequest{X: 5, Y: -1e300, Keywords: []string{"tea"}}},
+		{[]*httptest.Server{single}, "/add", AddRequest{X: 5, Y: -1e300, Keywords: []string{"w1"}}},
 		{[]*httptest.Server{single}, "/update", UpdateRequest{ID: 0, X: 1e300, Y: 5}},
 	} {
 		for i, ts := range c.servers {
@@ -651,5 +635,8 @@ func TestBadCoordinatesAre400(t *testing.T) {
 				t.Errorf("%s on server %d: status %d, want 400: %s", c.path, i, resp.StatusCode, body)
 			}
 		}
+	}
+	if got := coord.shardErrors.Load(); got != 0 {
+		t.Fatalf("shard_errors = %d after requests the shards refused, want 0", got)
 	}
 }

@@ -610,27 +610,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, func() ([]byte, error) { return appendNewline(json.Marshal(body)) })
 }
 
-// errorStatus classifies an error from the serving path. A shard's 400
-// is the client's own request validated remotely and passes through; any
-// other shard failure — unreachable shard, shard-side 5xx, bad payload —
-// is the fleet's fault, 502. A missing object id is the client's mistake
-// (404). Storage faults (a corrupt or truncated index file surfacing
-// mid-traversal, an I/O error from the backing file) are server errors;
-// everything else the library returns is request validation, 400.
+// errorStatus classifies an error from the serving path: a request a shard
+// refused is the client's 400; any other shard failure the fleet's 502; a
+// missing object id 404; a storage fault (a corrupt or truncated index
+// file, an I/O error from the backing file) 500; the rest, validation, 400.
 func errorStatus(err error) int {
-	var se *statusError
-	var ce *shardCallError
-	var pathErr *fs.PathError
 	switch {
-	case errors.As(err, &se) && se.code == http.StatusBadRequest:
+	case refusedByShard(err):
 		return http.StatusBadRequest
-	case errors.As(err, &ce):
+	case errors.As(err, new(*shardCallError)):
 		return http.StatusBadGateway
 	case errors.Is(err, maxbrstknn.ErrNoSuchObject):
 		return http.StatusNotFound
 	case errors.Is(err, storage.ErrBadMagic), errors.Is(err, storage.ErrVersionMismatch),
 		errors.Is(err, storage.ErrChecksum), errors.Is(err, storage.ErrTruncated),
-		errors.As(err, &pathErr), errors.Is(err, io.ErrUnexpectedEOF):
+		errors.As(err, new(*fs.PathError)), errors.Is(err, io.ErrUnexpectedEOF):
 		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest

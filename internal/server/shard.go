@@ -94,6 +94,12 @@ type statusError struct {
 
 func (e *statusError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.code, e.msg) }
 
+// refusedByShard reports whether a shard refused the client's request (400).
+func refusedByShard(err error) bool {
+	var se *statusError
+	return errors.As(err, &se) && se.code == http.StatusBadRequest
+}
+
 // shardCallError wraps any shard-call failure with the failing shard's
 // identity, so a 502 names the process an operator must look at.
 type shardCallError struct {
@@ -114,8 +120,8 @@ func (h *httpShard) fail(err error) error {
 // call performs one shard RPC: JSON in, JSON out, under a fresh
 // ShardTimeout. Transport failures retry exactly once (fresh timeout)
 // while the parent request is still alive; delivered HTTP errors never
-// retry. Every failure is wrapped to name the shard, and counted as a
-// shard error unless the caller's own context ended it.
+// retry. Every failure is wrapped to name the shard; it is a shard error
+// unless the caller's context ended it or the shard refused the request.
 func (h *httpShard) call(ctx context.Context, method, path string, body, into any) error {
 	var payload []byte
 	if body != nil {
@@ -165,7 +171,7 @@ func (h *httpShard) call(ctx context.Context, method, path string, body, into an
 		err = attempt()
 	}
 	if err != nil {
-		if ctx.Err() == nil {
+		if ctx.Err() == nil && !refusedByShard(err) {
 			h.s.shardErrors.Add(1)
 		}
 		return h.fail(err)

@@ -45,7 +45,7 @@ func TestScorerSSMinMax(t *testing.T) {
 		pa := geo.Point{X: rng.Float64(), Y: rng.Float64()}
 		pb := geo.Point{X: 4 + rng.Float64(), Y: 4 + rng.Float64()}
 		ss := s.SS(pa, pb)
-		if ss < s.SSMin(a, b)-1e-12 || ss > s.SSMax(a, b)+1e-12 {
+		if ss < s.SSMin(a, b) || ss > s.SSMax(a, b) {
 			t.Fatalf("SS %v outside [%v,%v]", ss, s.SSMin(a, b), s.SSMax(a, b))
 		}
 	}

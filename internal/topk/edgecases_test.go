@@ -1,7 +1,6 @@
 package topk
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -65,7 +64,7 @@ func TestJointEdgeCases(t *testing.T) {
 					t.Fatalf("%s k=%d user %d: %d results, want %d", measure, k, ui, len(got), len(want))
 				}
 				for i := range want {
-					if math.Abs(got[i].Score-want[i]) > 1e-9 {
+					if got[i].Score != want[i] {
 						t.Fatalf("%s k=%d user %d rank %d: %v, want %v",
 							measure, k, ui, i, got[i].Score, want[i])
 					}
@@ -92,7 +91,7 @@ func TestJointSingleObject(t *testing.T) {
 	if len(joint.PerUser[0].Results) != 1 {
 		t.Fatalf("results = %v", joint.PerUser[0].Results)
 	}
-	if got := joint.PerUser[0].Results[0].Score; math.Abs(got-1.0) > 1e-12 {
+	if got := joint.PerUser[0].Results[0].Score; got != 1.0 {
 		t.Errorf("perfect-match score = %v, want 1", got)
 	}
 }
@@ -123,7 +122,7 @@ func TestJointIdenticalUsers(t *testing.T) {
 	}
 	first := joint.PerUser[0].RSk
 	for ui := 1; ui < len(users); ui++ {
-		if math.Abs(joint.PerUser[ui].RSk-first) > 1e-12 {
+		if joint.PerUser[ui].RSk != first {
 			t.Fatalf("identical users got different RSk: %v vs %v", joint.PerUser[ui].RSk, first)
 		}
 	}

@@ -80,14 +80,14 @@ func TestJointMatchesBaseline(t *testing.T) {
 			}
 			for ui := range us.Users {
 				j, b := joint.PerUser[ui], base[ui]
-				if math.Abs(j.RSk-b.RSk) > 1e-9 {
+				if j.RSk != b.RSk {
 					t.Fatalf("%s k=%d user %d: joint RSk %v, baseline %v", measure, k, ui, j.RSk, b.RSk)
 				}
 				if len(j.Results) != len(b.Results) {
 					t.Fatalf("%s k=%d user %d: %d vs %d results", measure, k, ui, len(j.Results), len(b.Results))
 				}
 				for i := range j.Results {
-					if math.Abs(j.Results[i].Score-b.Results[i].Score) > 1e-9 {
+					if j.Results[i].Score != b.Results[i].Score {
 						t.Fatalf("%s k=%d user %d rank %d: %v vs %v",
 							measure, k, ui, i, j.Results[i].Score, b.Results[i].Score)
 					}
@@ -164,7 +164,7 @@ func TestTraversalCandidatesComplete(t *testing.T) {
 						obj := &tree.Dataset().Objects[o.ObjID]
 						u := &us.Users[ui]
 						s := scorer.STS(obj.Loc, obj.Doc, u.Loc, u.Doc, scorer.Norm(u.Doc))
-						if math.Abs(s-r.Score) < 1e-12 {
+						if s == r.Score {
 							tied = true
 							break
 						}

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -15,7 +14,9 @@ import (
 
 	"repro/internal/container"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/geo"
+	"repro/internal/testgen"
 	"repro/internal/vocab"
 )
 
@@ -104,27 +105,13 @@ func checkAxis(t *testing.T, has func(*instance) bool) {
 	}
 }
 
-// oracleObject is one object as the Builder receives it.
-type oracleObject struct {
-	x, y float64
-	kws  []string
-}
-
-// mutation is one step of a write history: an add (op 0), or an update
-// (1) or delete (2) of the live object at position pick mod the live
-// count.
-type mutation struct {
-	op, pick int
-	obj      oracleObject
-}
-
 // instance is one random problem: objects, index options, a write history
 // (possibly empty), a user cohort with its k, two requests, and the
 // configuration point it also runs at.
 type instance struct {
-	objects []oracleObject
+	objects []dataset.Object
 	opts    Options
-	script  []mutation
+	script  []testgen.Write
 	users   []UserSpec
 	k       int
 	reqs    []Request
@@ -137,95 +124,30 @@ type instance struct {
 	}
 }
 
-// drawInstance draws instance seed. Words skew toward w0; "q0" and "q1"
-// are never indexed, and "new0"/"new1" only once the write history adds
-// them. Shared coordinates make duplicate points and exact ties.
+// drawInstance is testgen's draw seed in facade terms, under testgen's
+// term names, and a configuration point drawn from a second stream.
 func drawInstance(seed int64) *instance {
-	rng := rand.New(rand.NewSource(seed))
-	nWords := 2 + rng.Intn(9)
-	word := func() string { return fmt.Sprintf("w%d", int(float64(nWords)*math.Pow(rng.Float64(), 2))) }
-	unknown := func() string { return []string{"q0", "q1", "new0"}[rng.Intn(3)] }
-	coord := func() float64 {
-		if rng.Intn(4) == 0 {
-			return float64(rng.Intn(5)) * 2.5
-		}
-		return rng.Float64() * 10
+	d := testgen.Draw(seed)
+	in := &instance{objects: d.Corpus, script: d.Script, k: d.K, opts: Options{Measure: Measure(d.Measure), Alpha: d.Alpha,
+		ExplicitAlpha: true, Lambda: d.Lambda, ExplicitLambda: true, Fanout: d.Fanout}}
+	for _, u := range d.Users {
+		in.users = append(in.users, UserSpec{X: u.Loc.X, Y: u.Loc.Y, Keywords: testgen.Keywords(u.Doc)})
 	}
-	words := func(n int) []string {
-		out := make([]string, rng.Intn(n+1))
-		for i := range out {
-			out[i] = word()
+	for _, q := range d.Queries {
+		req := Request{Users: in.users, K: in.k, ExistingKeywords: testgen.Keywords(q.OxDoc), MaxKeywords: q.WS}
+		for _, t := range q.W {
+			req.Keywords = append(req.Keywords, testgen.Name(t))
 		}
-		return out
-	}
-	in := &instance{}
-	fanouts := []int{4, 5, 8, 16, 32, 300}
-	in.opts = Options{Measure: Measure(rng.Intn(4)), Alpha: 0.1 + 0.8*rng.Float64(), Fanout: fanouts[rng.Intn(len(fanouts))]}
-	n := 1 + rng.Intn(120)
-	if in.opts.Fanout == 300 && rng.Intn(2) == 0 {
-		n = 257 + rng.Intn(40) // a root leaf wider than 256 entries
-	}
-	for i := range n {
-		o := oracleObject{coord(), coord(), words(4)}
-		if i > 0 && rng.Intn(8) == 0 {
-			o = in.objects[rng.Intn(i)]
-		} else if i > 0 && rng.Intn(8) == 0 {
-			o.x, o.y = in.objects[rng.Intn(i)].x, in.objects[rng.Intn(i)].y
-		}
-		in.objects = append(in.objects, o)
-	}
-	if rng.Intn(2) == 0 {
-		for range 3 + rng.Intn(18) {
-			o := oracleObject{coord(), coord(), words(3)}
-			if rng.Intn(4) == 0 {
-				o.kws = append(o.kws, fmt.Sprintf("new%d", rng.Intn(2)))
-			}
-			in.script = append(in.script, mutation{rng.Intn(3), rng.Intn(1 << 20), o})
-		}
-	}
-	m := 1 + rng.Intn(12)
-	for i := range m {
-		u := UserSpec{X: coord(), Y: coord()}
-		switch r := rng.Intn(10); {
-		case i > 0 && r == 0:
-			u = in.users[rng.Intn(i)]
-		case r == 1: // no keywords
-		case r == 2:
-			u.Keywords = []string{unknown()}
-		default:
-			u.Keywords = words(3)
-			if rng.Intn(4) == 0 {
-				u.Keywords = append(u.Keywords, unknown())
-			}
-		}
-		in.users = append(in.users, u)
-	}
-	in.k = 1 + rng.Intn(5)
-	if rng.Intn(4) == 0 {
-		in.k = 1 + rng.Intn(n+3)
-	}
-	for range 2 {
-		req := Request{Users: in.users, K: in.k, ExistingKeywords: words(2)}
-		for range 1 + rng.Intn(5) {
-			req.Locations = append(req.Locations, [2]float64{coord(), coord()})
-		}
-		for range rng.Intn(6) {
-			kw := word()
-			if rng.Intn(6) == 0 {
-				kw = unknown()
-			}
-			req.Keywords = append(req.Keywords, kw)
-		}
-		req.MaxKeywords = rng.Intn(len(req.Keywords) + 2)
-		if rng.Intn(4) == 0 {
-			req.ExistingKeywords = append(req.ExistingKeywords, unknown())
+		for _, p := range q.Locations {
+			req.Locations = append(req.Locations, [2]float64{p.X, p.Y})
 		}
 		in.reqs = append(in.reqs, req)
 	}
-	in.cfg.par = ParallelOptions{Workers: []int{0, 1, 2, 4}[rng.Intn(4)], Groups: []int{0, 1, m}[rng.Intn(3)]}
-	in.cfg.cacheOff, in.cfg.storage, in.cfg.compact, in.cfg.shards = rng.Intn(2) == 0, rng.Intn(3), rng.Intn(4), 1
+	rng := rand.New(rand.NewSource(-1 - seed))
+	in.cfg.par = ParallelOptions{Workers: []int{0, 1, 2, 4}[rng.Intn(4)], Groups: []int{0, 1, len(in.users)}[rng.Intn(3)]}
+	in.cfg.cacheOff, in.cfg.storage, in.cfg.compact, in.cfg.shards = !d.Cached, rng.Intn(3), rng.Intn(4), 1
 	if in.script == nil {
-		in.cfg.shards = min(1+rng.Intn(3), n)
+		in.cfg.shards = min(2+rng.Intn(2), len(in.objects))
 	}
 	if in.cfg.shards > 1 { // a shard index is neither saved nor compacted
 		in.cfg.storage, in.cfg.compact = 0, 0
@@ -248,7 +170,7 @@ func (in *instance) build(t testing.TB, cacheOff bool) *Index {
 	t.Helper()
 	b := NewBuilder()
 	for _, o := range in.objects {
-		b.AddObject(o.x, o.y, o.kws...)
+		b.AddObject(o.Loc.X, o.Loc.Y, testgen.Keywords(o.Doc)...)
 	}
 	ix, err := b.Build(in.options(cacheOff))
 	if err != nil {
@@ -259,19 +181,19 @@ func (in *instance) build(t testing.TB, cacheOff bool) *Index {
 
 // mutate applies ops to ix and returns the live ids after them. A delete
 // leaves at least one object.
-func mutate(t testing.TB, ix *Index, live []int, ops []mutation) []int {
+func mutate(t testing.TB, ix *Index, live []int, ops []testgen.Write) []int {
 	t.Helper()
 	for _, m := range ops {
-		j := m.pick % len(live)
+		j, p, kws := m.Pick%len(live), m.Object.Loc, testgen.Keywords(m.Object.Doc)
 		var err error
 		switch {
-		case m.op == 0:
+		case m.Op == testgen.Insert:
 			var id int
-			id, err = ix.AddObject(m.obj.x, m.obj.y, m.obj.kws...)
+			id, err = ix.AddObject(p.X, p.Y, kws...)
 			live = append(live, id)
-		case m.op == 1:
-			live[j], err = ix.UpdateObject(live[j], m.obj.x, m.obj.y, m.obj.kws...)
-		case len(live) > 1:
+		case m.Op == testgen.Update:
+			live[j], err = ix.UpdateObject(live[j], p.X, p.Y, kws...)
+		case m.Op == testgen.Delete && len(live) > 1:
 			err = ix.DeleteObject(live[j])
 			live = slices.Delete(live, j, j+1)
 		}
@@ -297,20 +219,7 @@ func (in *instance) indexes(t testing.TB) (ref *Index, configured []*Index) {
 	ref = in.build(t, false)
 	mutate(t, ref, slices.Clone(live), in.script)
 	if in.cfg.shards > 1 {
-		builders := make([]*ShardBuilder, in.cfg.shards)
-		for i := range builders {
-			builders[i] = NewShardBuilder(ref.FrozenCorpus())
-		}
-		for gid, o := range in.objects {
-			if err := builders[gid%len(builders)].AddObject(gid, o.x, o.y, o.kws...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, b := range builders {
-			six, err := b.Build(in.options(in.cfg.cacheOff))
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, six := range buildShardSet(t, ref.FrozenCorpus(), in.objects, in.cfg.shards, in.options(in.cfg.cacheOff)) {
 			configured = append(configured, six.Index)
 		}
 		return ref, configured
@@ -681,18 +590,22 @@ func newOracle(t testing.TB, ix *Index, users []UserSpec, k int) *oracle {
 }
 
 // ranked returns the k best live objects of sn for a user by exact score,
-// descending, then by ascending id.
+// descending, then by ascending id: a bounded list, each object inserted
+// at its rank.
 func ranked(ix *Index, sn *snapshot, sts func(geo.Point, vocab.Doc, geo.Point, vocab.Doc, float64) float64, p geo.Point, doc vocab.Doc, norm float64, k int) []RankedObject {
-	var all []RankedObject
+	var top []RankedObject
 	for _, o := range sn.tree.Dataset().Objects {
-		if !sn.isDeleted(o.ID) {
-			all = append(all, RankedObject{ObjectID: ix.globalID(o.ID), Score: sts(o.Loc, o.Doc, p, doc, norm)})
+		if sn.isDeleted(o.ID) {
+			continue
+		}
+		r := RankedObject{ObjectID: ix.globalID(o.ID), Score: sts(o.Loc, o.Doc, p, doc, norm)}
+		if i, _ := slices.BinarySearchFunc(top, r, func(a, b RankedObject) int {
+			return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.ObjectID, b.ObjectID))
+		}); i < k {
+			top = slices.Insert(top, i, r)[:min(k, len(top)+1)]
 		}
 	}
-	slices.SortFunc(all, func(a, b RankedObject) int {
-		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.ObjectID, b.ObjectID))
-	})
-	return all[:min(k, len(all))]
+	return top
 }
 
 // oracleTopK is Index.TopK's exact answer for user u.
@@ -718,23 +631,25 @@ func (o *oracle) reached(q core.Query, li int, doc vocab.Doc, covered map[int]bo
 
 // best returns the largest count over every location × every subset of
 // the query's candidate keywords of size ≤ ws (best≤), or of size exactly
-// ws (best=, the Section 4 baseline's space).
+// ws (best=, the Section 4 baseline's space). It enumerates those subsets
+// alone, each extending a smaller one by a later keyword.
 func (o *oracle) best(q core.Query, exactlyWS bool) int {
 	best := 0
-	for li := range q.Locations {
-		for mask := uint(0); mask < 1<<len(q.Keywords); mask++ {
-			if n := bits.OnesCount(mask); n > q.WS || exactlyWS && n != q.WS {
-				continue
+	var add []vocab.TermID
+	var grow func(from int)
+	grow = func(from int) {
+		if !exactlyWS || len(add) == q.WS {
+			for li := range q.Locations {
+				best = max(best, len(o.reached(q, li, q.OxDoc.MergeTerms(add), nil)))
 			}
-			var add []vocab.TermID
-			for i, kw := range q.Keywords {
-				if mask>>i&1 == 1 {
-					add = append(add, kw)
-				}
-			}
-			best = max(best, len(o.reached(q, li, q.OxDoc.MergeTerms(add), nil)))
+		}
+		for i := from; i < len(q.Keywords) && len(add) < q.WS; i++ {
+			add = append(add, q.Keywords[i])
+			grow(i + 1)
+			add = add[:len(add)-1]
 		}
 	}
+	grow(0)
 	return best
 }
 

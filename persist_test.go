@@ -15,34 +15,13 @@ import (
 	"repro/internal/storage"
 )
 
-// randomIndex builds a random 60-object index plus a matching request.
-func randomIndex(t *testing.T, rng *rand.Rand, opts Options) (*Index, Request) {
+// randomIndex builds the corpus of drawInstance(seed) under the default
+// options, and returns its first request.
+func randomIndex(t *testing.T, seed int64) (*Index, Request) {
 	t.Helper()
-	words := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	b := NewBuilder()
-	for i := 0; i < 60; i++ {
-		kws := []string{words[rng.Intn(len(words))], words[rng.Intn(len(words))]}
-		b.AddObject(rng.Float64()*10, rng.Float64()*10, kws...)
-	}
-	idx, err := b.Build(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	users := make([]UserSpec, 16)
-	for i := range users {
-		users[i] = UserSpec{
-			X: rng.Float64() * 10, Y: rng.Float64() * 10,
-			Keywords: []string{words[rng.Intn(len(words))], words[rng.Intn(len(words))]},
-		}
-	}
-	req := Request{
-		Users:       users,
-		Locations:   [][2]float64{{2, 2}, {8, 8}, {5, 5}, {1, 9}},
-		Keywords:    words,
-		MaxKeywords: 2,
-		K:           3,
-	}
-	return idx, req
+	in := drawInstance(seed)
+	in.opts = Options{}
+	return in.build(t, false), in.reqs[0]
 }
 
 // TestFormatFixture pins the on-disk format with a file another build
@@ -248,8 +227,7 @@ func TestWideNodesMatchWhenLoaded(t *testing.T) {
 // simulated I/O. The file still serves it the posting runs it wants, which
 // the cached directories read by range.
 func TestLoadedIndexPhysicalReads(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	idx, req := randomIndex(t, rng, Options{})
+	idx, req := randomIndex(t, 114)
 	path := filepath.Join(t.TempDir(), "ix.mxbr")
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
@@ -296,8 +274,7 @@ func TestLoadedIndexPhysicalReads(t *testing.T) {
 // inserts (records written in memory beside the file's) and can be saved
 // again.
 func TestLoadedIndexAddObject(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	idx, req := randomIndex(t, rng, Options{})
+	idx, req := randomIndex(t, 395)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ix.mxbr")
 	if err := idx.Save(path); err != nil {
@@ -312,10 +289,10 @@ func TestLoadedIndexAddObject(t *testing.T) {
 	// model arrays, and the space MBR must all stay frozen at their
 	// build-time values on both sides (the load path must not recompute
 	// them over the grown object set).
-	if _, err := loaded.AddObject(3, 3, "a", "brand-new"); err != nil {
+	if _, err := loaded.AddObject(3, 3, "w0", "brand-new"); err != nil {
 		t.Fatalf("AddObject on loaded index: %v", err)
 	}
-	if _, err := idx.AddObject(3, 3, "a", "brand-new"); err != nil {
+	if _, err := idx.AddObject(3, 3, "w0", "brand-new"); err != nil {
 		t.Fatal(err)
 	}
 	want, err := idx.MaxBRSTkNN(req)
@@ -330,11 +307,11 @@ func TestLoadedIndexAddObject(t *testing.T) {
 		t.Fatalf("after AddObject: loaded %+v != in-memory %+v", got, want)
 	}
 	// TopK compares raw scores, so even a tiny statistics drift fails.
-	wantTop, err := idx.TopK(3, 3, []string{"a", "brand-new"}, 5)
+	wantTop, err := idx.TopK(3, 3, []string{"w0", "brand-new"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTop, err := loaded.TopK(3, 3, []string{"a", "brand-new"}, 5)
+	gotTop, err := loaded.TopK(3, 3, []string{"w0", "brand-new"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +336,7 @@ func TestLoadedIndexAddObject(t *testing.T) {
 	if !reflect.DeepEqual(got2, want) {
 		t.Fatalf("after re-save: reloaded %+v != in-memory %+v", got2, want)
 	}
-	gotTop2, err := reloaded.TopK(3, 3, []string{"a", "brand-new"}, 5)
+	gotTop2, err := reloaded.TopK(3, 3, []string{"w0", "brand-new"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +348,7 @@ func TestLoadedIndexAddObject(t *testing.T) {
 // TestLoadRejectsCorruptFiles drives the error paths of the on-disk
 // format: wrong magic, version mismatches, flipped bytes, truncation.
 func TestLoadRejectsCorruptFiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	idx, _ := randomIndex(t, rng, Options{})
+	idx, _ := randomIndex(t, 646)
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.mxbr")
 	if err := idx.Save(good); err != nil {

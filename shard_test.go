@@ -3,72 +3,36 @@ package maxbrstknn
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/testgen"
 )
 
-// shardFixtureObject is one global object kept around in facade terms so
-// the test can replay it into shard builders.
-type shardFixtureObject struct {
-	x, y float64
-	kws  []string
-}
-
-// newShardFixture builds a global index plus the raw objects, users, and
-// request the sharded paths must reproduce it on. One user carries an
-// out-of-vocabulary keyword so the unknown-term handling is exercised
-// identically on every shard.
-func newShardFixture(t *testing.T, opts Options) (*Index, []shardFixtureObject, []UserSpec, Request) {
+// newShardFixture builds drawInstance(501)'s 260 objects into a global
+// index under the default options, and returns them with its users, five
+// holding a keyword of no vocabulary (every shard must handle it
+// identically), and its first request.
+func newShardFixture(t *testing.T) (*Index, []dataset.Object, []UserSpec, Request) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(47))
-	words := []string{"sushi", "noodles", "coffee", "books", "vinyl", "tacos", "ramen", "pizza", "tea", "bagels", "soup", "cake"}
-	objs := make([]shardFixtureObject, 300)
-	b := NewBuilder()
-	for i := range objs {
-		kws := []string{words[rng.Intn(len(words))], words[rng.Intn(len(words))], words[rng.Intn(len(words))]}
-		objs[i] = shardFixtureObject{x: rng.Float64() * 10, y: rng.Float64() * 10, kws: kws}
-		b.AddObject(objs[i].x, objs[i].y, kws...)
-	}
-	idx, err := b.Build(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	users := make([]UserSpec, 30)
-	for i := range users {
-		users[i] = UserSpec{
-			X: rng.Float64() * 10, Y: rng.Float64() * 10,
-			Keywords: []string{words[rng.Intn(len(words))], words[rng.Intn(len(words))]},
-		}
-	}
-	users[7].Keywords = append(users[7].Keywords, "griffins") // unknown everywhere
-	locs := make([][2]float64, 18)
-	for i := range locs {
-		locs[i] = [2]float64{rng.Float64() * 10, rng.Float64() * 10}
-	}
-	req := Request{
-		Users:            users,
-		Locations:        locs,
-		Keywords:         words[:6],
-		ExistingKeywords: []string{"tea", "griffins"},
-		MaxKeywords:      2,
-		K:                3,
-	}
-	return idx, objs, users, req
+	in := drawInstance(501)
+	in.opts = Options{}
+	return in.build(t, false), in.objects, in.users, in.reqs[0]
 }
 
 // buildShardSet splits the fixture objects round-robin (adversarial for
 // spatial locality — exactness must not depend on the split) into n
 // shard indexes under the global frozen context.
-func buildShardSet(t *testing.T, fc FrozenCorpus, objs []shardFixtureObject, n int, opts Options) []*ShardIndex {
+func buildShardSet(t testing.TB, fc FrozenCorpus, objs []dataset.Object, n int, opts Options) []*ShardIndex {
 	t.Helper()
 	builders := make([]*ShardBuilder, n)
 	for i := range builders {
 		builders[i] = NewShardBuilder(fc)
 	}
 	for gid, o := range objs {
-		if err := builders[gid%n].AddObject(gid, o.x, o.y, o.kws...); err != nil {
+		if err := builders[gid%n].AddObject(gid, o.Loc.X, o.Loc.Y, testgen.Keywords(o.Doc)...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +52,7 @@ func buildShardSet(t *testing.T, fc FrozenCorpus, objs []shardFixtureObject, n i
 // or refine more candidates than they do unseeded. That the merged lists
 // and thresholds are the single index's is checkInstance's fleet axis.
 func TestShardPhase1MergeEquivalence(t *testing.T) {
-	idx, objs, users, req := newShardFixture(t, Options{})
+	idx, objs, users, req := newShardFixture(t)
 	for _, n := range []int{2, 4} {
 		shards := buildShardSet(t, idx.FrozenCorpus(), objs, n, Options{})
 		phase1 := func(six *ShardIndex, seeds []float64) ShardPhase1 {
@@ -153,7 +117,7 @@ func TestMergeNonPositiveK(t *testing.T) {
 // TestShardBuilderValidation covers the shard facade's rejection paths
 // and the immutability overrides.
 func TestShardBuilderValidation(t *testing.T) {
-	idx, objs, users, req := newShardFixture(t, Options{})
+	idx, objs, users, req := newShardFixture(t)
 	fc := idx.FrozenCorpus()
 
 	sb := NewShardBuilder(fc)
@@ -163,13 +127,13 @@ func TestShardBuilderValidation(t *testing.T) {
 	if err := sb.AddObject(0, 1, 1, "not-in-vocab"); err == nil {
 		t.Fatal("out-of-vocabulary keyword accepted")
 	}
-	if err := sb.AddObject(-1, 1, 1, "sushi"); err == nil {
+	if err := sb.AddObject(-1, 1, 1, "w0"); err == nil {
 		t.Fatal("negative global id accepted")
 	}
-	if err := sb.AddObject(5, 1, 1, "sushi"); err != nil {
+	if err := sb.AddObject(5, 1, 1, "w0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.AddObject(5, 2, 2, "tea"); err != nil {
+	if err := sb.AddObject(5, 2, 2, "w1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sb.Build(Options{}); err == nil {
@@ -177,13 +141,13 @@ func TestShardBuilderValidation(t *testing.T) {
 	}
 
 	shards := buildShardSet(t, fc, objs, 2, Options{})
-	if _, err := shards[0].AddObject(1, 1, "sushi"); err == nil {
+	if _, err := shards[0].AddObject(1, 1, "w0"); err == nil {
 		t.Fatal("shard AddObject succeeded")
 	}
 	if err := shards[0].DeleteObject(0); err == nil {
 		t.Fatal("shard DeleteObject succeeded")
 	}
-	if _, err := shards[0].UpdateObject(0, 1, 1, "tea"); err == nil {
+	if _, err := shards[0].UpdateObject(0, 1, 1, "w1"); err == nil {
 		t.Fatal("shard UpdateObject succeeded")
 	}
 
@@ -221,7 +185,7 @@ func TestShardBuilderValidation(t *testing.T) {
 // rebuild the model over the global build-time object count; both must
 // fail as the mutators do.
 func TestShardIndexRejectsSaveAndCompact(t *testing.T) {
-	idx, objs, _, _ := newShardFixture(t, Options{})
+	idx, objs, _, _ := newShardFixture(t)
 	six := buildShardSet(t, idx.FrozenCorpus(), objs, 2, Options{})[0]
 	if err := six.Save(filepath.Join(t.TempDir(), "shard.mxbr")); !errors.Is(err, errShardImmutable) {
 		t.Fatalf("shard Save: %v, want the immutable-shard error", err)
