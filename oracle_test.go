@@ -147,7 +147,7 @@ func drawInstance(seed int64) *instance {
 	in.cfg.par = ParallelOptions{Workers: []int{0, 1, 2, 4}[rng.Intn(4)], Groups: []int{0, 1, len(in.users)}[rng.Intn(3)]}
 	in.cfg.cacheOff, in.cfg.storage, in.cfg.compact, in.cfg.shards = !d.Cached, rng.Intn(3), rng.Intn(4), 1
 	if in.script == nil {
-		in.cfg.shards = min(2+rng.Intn(2), len(in.objects))
+		in.cfg.shards = min(1+rng.Intn(3), len(in.objects))
 	}
 	if in.cfg.shards > 1 { // a shard index is neither saved nor compacted
 		in.cfg.storage, in.cfg.compact = 0, 0
