@@ -38,11 +38,11 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Non-test Go lines per package and in total — a tracked number that
-# should go down (ROADMAP aim 2) — then the *_test.go total and its share
-# of the non-test total.
+# Go lines per package, non-test beside _test.go, and the non-test total
+# — a tracked number that should go down (ROADMAP aim 2) — then the
+# *_test.go total and its share of the non-test total.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './internal/lint/testdata/*' ! -path './bench/.build/*' | xargs wc -l | awk '$$2=="total"{print $$1" total";next}{d=$$2;sub("/[^/]*$$","",d);n[d]+=$$1}END{for(d in n)print n[d],d}' | sort -k2
+	@find . -name '*.go' ! -path './internal/lint/testdata/*' ! -path './bench/.build/*' | xargs wc -l | awk '$$2=="total"{next}{d=$$2;sub("/[^/]*$$","",d);p[d];if($$2~/_test\.go$$/)t[d]+=$$1;else{n[d]+=$$1;s+=$$1}}END{print "code test package";for(d in p)print n[d]+0,t[d]+0,d | "sort -k3";close("sort -k3");print s" total"}'
 	@code=$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/lint/testdata/*' ! -path './bench/.build/*' | xargs cat | wc -l); \
 	tests=$$(find . -name '*_test.go' ! -path './bench/.build/*' | xargs cat | wc -l); \
 	echo "$$tests tests ($$((100 * tests / code)) % of the non-test total)"
@@ -165,7 +165,9 @@ lint-external:
 # for bit: UBL and the spatial bounds (textrel), the MIR-tree node bounds
 # (topk) and the MIUR-tree entry bounds (core). FuzzOracle draws
 # MaxBRSTkNN instances past TestOracleDifferential's seeds and holds every
-# answer path to the brute-force oracle.
+# answer path to the brute-force oracle. FuzzMutations applies drawn write
+# histories to both tree kinds and holds every stored posting to the
+# entries after each write.
 fuzz-smoke:
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecodeSumsInto$$' -fuzztime 10s -fuzzminimizetime 100x
@@ -173,6 +175,7 @@ fuzz-smoke:
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzAggregate$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzCompose$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/irtree/ -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/irtree/ -run '^$$' -fuzz '^FuzzMutations$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz '^FuzzDecodeMaster$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/textrel/ -run '^$$' -fuzz '^FuzzBoundsDominate$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/topk/ -run '^$$' -fuzz '^FuzzNodeBoundsDominate$$' -fuzztime 10s -fuzzminimizetime 100x

@@ -14,7 +14,7 @@ import (
 func TestDeleteStructureAndTopK(t *testing.T) {
 	tree, rest, scorer, full := insertFixture(t, 400, 91)
 	for _, o := range rest {
-		nt, err := tree.WithInsert(o)
+		nt, err := tree.With(-1, &o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestDeleteStructureAndTopK(t *testing.T) {
 	}
 	rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
 	for _, id := range victims[:len(victims)/3] {
-		nt, err := tree.WithDelete(id)
+		nt, err := tree.With(id, nil)
 		if err != nil {
 			t.Fatalf("delete %d: %v", id, err)
 		}
@@ -121,7 +121,7 @@ func TestDeleteStructureAndTopK(t *testing.T) {
 func TestDeleteToEmptyAndReinsert(t *testing.T) {
 	tree, rest, _, _ := insertFixture(t, 60, 101)
 	for _, o := range rest {
-		nt, err := tree.WithInsert(o)
+		nt, err := tree.With(-1, &o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestDeleteToEmptyAndReinsert(t *testing.T) {
 	}
 	n := len(tree.Dataset().Objects)
 	for id := 0; id < n; id++ {
-		nt, err := tree.WithDelete(int32(id))
+		nt, err := tree.With(int32(id), nil)
 		if err != nil {
 			t.Fatalf("delete %d: %v", id, err)
 		}
@@ -138,13 +138,13 @@ func TestDeleteToEmptyAndReinsert(t *testing.T) {
 	if tree.RootID() >= 0 || tree.Height() != 0 {
 		t.Fatalf("empty tree has root %d height %d", tree.RootID(), tree.Height())
 	}
-	if _, err := tree.WithDelete(0); err == nil {
+	if _, err := tree.With(0, nil); err == nil {
 		t.Fatal("double delete should fail")
 	}
 
 	o := tree.Dataset().Objects[0]
 	o.ID = int32(len(tree.Dataset().Objects))
-	nt, err := tree.WithInsert(o)
+	nt, err := tree.With(-1, &o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,15 +160,15 @@ func TestDeleteToEmptyAndReinsert(t *testing.T) {
 
 // A snapshot taken before a mutation must keep answering from its own
 // epoch: the old tree still sees the deleted object, the new one does not,
-// and epochs advance by exactly one per publication (WithReplace counts
-// as one).
+// and epochs advance by exactly one per publication (a With that deletes
+// and inserts counts as one).
 func TestSnapshotIsolationAndEpochs(t *testing.T) {
 	tree, rest, scorer, full := insertFixture(t, 200, 111)
 	if tree.Epoch() != 0 {
 		t.Fatalf("fresh build epoch = %d", tree.Epoch())
 	}
 	old := tree
-	nt, err := tree.WithInsert(rest[0])
+	nt, err := tree.With(-1, &rest[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSnapshotIsolationAndEpochs(t *testing.T) {
 	// Replace object 0 with a fresh copy at a new id: one epoch.
 	repl := nt.Dataset().Objects[0]
 	repl.ID = int32(len(nt.Dataset().Objects))
-	nt2, err := nt.WithReplace(0, repl)
+	nt2, err := nt.With(0, &repl)
 	if err != nil {
 		t.Fatal(err)
 	}

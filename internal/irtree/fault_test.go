@@ -18,22 +18,37 @@ import (
 var errInjected = errors.New("injected read fault")
 
 // faultyBackend wraps a record store so that its reads fail while fail is
-// set.
+// set. It counts the reads asked of it in reads; failAt, when set to
+// n > 0, counts them down and sets fail at the n-th.
 type faultyBackend struct {
 	storage.Backend
-	fail atomic.Bool
+	fail   atomic.Bool
+	failAt atomic.Int64
+	reads  atomic.Int64
+}
+
+// read counts one read and returns the error it fails with, if any.
+func (f *faultyBackend) read() error {
+	f.reads.Add(1)
+	if f.failAt.Load() > 0 && f.failAt.Add(-1) == 0 {
+		f.fail.Store(true)
+	}
+	if f.fail.Load() {
+		return errInjected
+	}
+	return nil
 }
 
 func (f *faultyBackend) ReadRecord(id storage.PageID) ([]byte, error) {
-	if f.fail.Load() {
-		return nil, errInjected
+	if err := f.read(); err != nil {
+		return nil, err
 	}
 	return f.Backend.ReadRecord(id)
 }
 
 func (f *faultyBackend) ReadRecordAt(id storage.PageID, dst []byte, off int) ([]byte, error) {
-	if f.fail.Load() {
-		return nil, errInjected
+	if err := f.read(); err != nil {
+		return nil, err
 	}
 	return f.Backend.ReadRecordAt(id, dst, off)
 }

@@ -114,21 +114,21 @@ func applyWriteHistory(t *testing.T, tree *Tree, pool []dataset.Object, seed int
 				break
 			}
 		}
-		step(tree.WithDelete(id))
+		step(tree.With(id, nil))
 		steps++
 	}
 	for ; steps < 300; steps++ {
 		switch r := rng.Intn(4); {
 		case r < 2:
 			o := newObject()
-			step(tree.WithInsert(o))
+			step(tree.With(-1, &o))
 			live = append(live, o.ID)
 		case r == 2:
 			del, o := removeLive(rng.Intn(len(live))), newObject()
-			step(tree.WithReplace(del, o))
+			step(tree.With(del, &o))
 			live = append(live, o.ID)
 		default:
-			step(tree.WithDelete(removeLive(rng.Intn(len(live)))))
+			step(tree.With(removeLive(rng.Intn(len(live))), nil))
 		}
 	}
 	return tree, ev

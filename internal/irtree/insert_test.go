@@ -37,7 +37,7 @@ func TestInsertGrowsAndStaysConsistent(t *testing.T) {
 	tree, rest, _, _ := insertFixture(t, 600, 51)
 	before := len(tree.Dataset().Objects)
 	for _, o := range rest {
-		nt, err := tree.WithInsert(o)
+		nt, err := tree.With(-1, &o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestInsertGrowsAndStaysConsistent(t *testing.T) {
 func TestInsertTopKMatchesBruteForce(t *testing.T) {
 	tree, rest, scorer, full := insertFixture(t, 500, 61)
 	for _, o := range rest {
-		nt, err := tree.WithInsert(o)
+		nt, err := tree.With(-1, &o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestInsertPostingBoundsInvariant(t *testing.T) {
 	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
 	for i := range rest {
 		rest[i].ID = int32(len(tree.Dataset().Objects)) // IDs must stay dense
-		nt, err := tree.WithInsert(rest[i])
+		nt, err := tree.With(-1, &rest[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestInsertIntoEmptyTree(t *testing.T) {
 	scorer := textrel.NewScorer(ds, textrel.KO, 0.5)
 	tree := Build(ds, scorer.Model, Config{Kind: MIRTree, Fanout: 8})
 	for i := 0; i < 30; i++ {
-		nt, err := tree.WithInsert(dataset.Object{
+		nt, err := tree.With(-1, &dataset.Object{
 			ID:  int32(i),
 			Loc: geo.Point{X: float64(i % 6), Y: float64(i / 6)},
 			Doc: vocab.DocFromTerms([]vocab.TermID{a}),
@@ -181,10 +181,10 @@ func TestInsertRejectsBadID(t *testing.T) {
 	tree, rest, _, _ := insertFixture(t, 100, 81)
 	bad := rest[0]
 	bad.ID = 9999
-	if _, err := tree.WithInsert(bad); err == nil {
+	if _, err := tree.With(-1, &bad); err == nil {
 		t.Error("non-dense ID should be rejected")
 	}
-	if _, err := tree.WithDelete(9999); err == nil {
+	if _, err := tree.With(9999, nil); err == nil {
 		t.Error("deleting an unknown object should be rejected")
 	}
 }
@@ -204,7 +204,7 @@ func TestSplitAtDeltaWidthBoundary(t *testing.T) {
 	if err != nil || len(root.Entries) != 256 {
 		t.Fatalf("root %d entries, err %v: want 256 full leaves", len(root.Entries), err)
 	}
-	grown, err := tree.WithInsert(full.Objects[n])
+	grown, err := tree.With(-1, &full.Objects[n])
 	if err != nil {
 		t.Fatal(err)
 	}

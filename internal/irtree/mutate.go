@@ -2,6 +2,7 @@ package irtree
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -14,88 +15,80 @@ import (
 
 // This file implements incremental maintenance — the paper's Section 5.1
 // promise that "the update costs of the MIR-tree are the same as the
-// IR-tree" — as copy-on-write mutations over immutable snapshots. A
-// mutation prepares its changes entirely off to the side: it keeps a
-// working copy of every node it modifies, and when it publishes each such
-// node is encoded and written to the record store once and the node-id →
-// record table is path-copied chunk by chunk. A working copy's inverted
-// file is its encoded bytes: replacing one entry's postings splices the
-// record (invfile.ReplaceEntry) and a child's aggregate is read off its
-// record (invfile.Aggregate), so a mutation neither decodes nor re-encodes
-// the files along its path, and freeze stores the bytes as they are. A
-// node whose whole file changes is composed by composeInv, as in Build.
-// Nothing a published snapshot can reach is touched until no reader pins
-// it, so readers traverse concurrently with zero synchronization; the
-// facade installs the returned successor snapshot with one atomic pointer
-// swap.
+// IR-tree" — as Guttman's R-tree insert and delete, copy-on-write over
+// immutable snapshots. The tree operations change entries only: insert
+// chooses a leaf and delete finds one, edit its entries, and hand it to
+// carry, which takes the change up to the root. Every node they change
+// becomes a private working copy; nothing is written, and nothing is
+// visible to readers, until freeze publishes the mutation. Freeze first
+// settles each working copy's posting record once, rewritten children
+// before parents: a new node, a split half or a node whose entries
+// shifted is composed whole by composeInv, as in Build; any other keeps
+// its base record with each changed entry spliced (invfile.ReplaceEntry)
+// — a rewritten child's aggregate, read off the child's settled record
+// (invfile.Aggregate), or a newly inserted object's weights. It then
+// writes each node's two records and path-copies the node-id → record
+// table chunk by chunk. Nothing a published snapshot can reach is touched
+// until no reader pins it, so readers traverse concurrently with zero
+// synchronization; the facade installs the returned successor snapshot
+// with one atomic pointer swap.
 //
 // Term weights are computed under the corpus statistics frozen at Build
 // time (the standard IR practice: collection statistics refresh on
 // rebuild, not per document), which is what makes every snapshot answer
 // byte-identically to a batch build over its live objects.
 
-// WithInsert returns a successor snapshot containing o. The object's ID
-// must equal the snapshot's object count (ids are append-only; deletes
-// leave dead slots); o is appended to the successor's dataset. On error
-// the receiver is unchanged and no state was published. Single writer
-// only.
-func (t *Tree) WithInsert(o dataset.Object) (*Tree, error) {
+// With returns a successor snapshot: object del is deleted unless del is
+// negative, then o is inserted unless it is nil. Both publish as one
+// snapshot (one epoch), so no reader can observe an update with the
+// object missing. A deleted object keeps its dataset slot (ids never
+// shift) but is no longer reachable from the tree; o's ID must equal the
+// snapshot's object count (ids are append-only), and o is appended to the
+// successor's dataset. On error the receiver is unchanged and nothing was
+// published, written or retired. Single writer only.
+func (t *Tree) With(del int32, o *dataset.Object) (*Tree, error) {
 	m := t.newMutation()
-	if err := m.insert(o); err != nil {
-		return nil, err
+	if del >= 0 {
+		if err := m.delete(del); err != nil {
+			return nil, err
+		}
 	}
-	return m.freeze(), nil
-}
-
-// WithDelete returns a successor snapshot without object id. The object
-// keeps its dataset slot (ids never shift) but is no longer reachable
-// from the tree. On error the receiver is unchanged. Single writer only.
-func (t *Tree) WithDelete(id int32) (*Tree, error) {
-	m := t.newMutation()
-	if err := m.delete(id); err != nil {
-		return nil, err
+	if o != nil {
+		if err := m.insert(*o); err != nil {
+			return nil, err
+		}
 	}
-	return m.freeze(), nil
-}
-
-// WithReplace deletes object del and inserts o as one mutation: the two
-// steps publish as a single successor snapshot (one epoch), so no reader
-// can ever observe the in-between state with the object missing. On
-// error the receiver is unchanged. Single writer only.
-func (t *Tree) WithReplace(del int32, o dataset.Object) (*Tree, error) {
-	m := t.newMutation()
-	if err := m.delete(del); err != nil {
-		return nil, err
-	}
-	if err := m.insert(o); err != nil {
-		return nil, err
-	}
-	return m.freeze(), nil
+	return m.freeze()
 }
 
 // mutation is the writer's private workspace: a copy-on-write node-table
 // edit, the working object slice, the working copy of every node rewritten
 // so far, and the records this mutation supersedes. Reads are served from
 // the working copies first, so a later step of the same mutation sees an
-// earlier step's writes without a trip through the store; nothing is
-// written, and nothing is visible to readers, until freeze.
+// earlier step's entries.
 type mutation struct {
 	t       *Tree
 	edit    *tableEdit
 	objects []dataset.Object
 	rootID  int32
 	height  int
-	retired storage.RetireSet
 	dirty   map[int32]*workNode
-	// composer writes the records composeNode rewrites whole.
+	// retired lists the base snapshot's records of every node rewritten
+	// or dropped, in the order the nodes were first touched.
+	retired []storage.PageID
+	// composer writes the records settle composes whole.
 	composer invfile.Composer
 }
 
-// workNode is the mutation's private copy of one rewritten node, its
-// inverted file encoded. Its records do not exist yet: node.InvID is
-// InvalidPage until freeze.
+// workNode is the mutation's private copy of one rewritten node. Its
+// records do not exist until freeze: node.InvID is InvalidPage, and inv
+// is nil until the node is settled.
 type workNode struct {
 	node *NodeData
+	// base is the stored posting record settle splices, or InvalidPage
+	// when the record is composed whole: the node is new or a split half,
+	// or its entries shifted.
+	base storage.PageID
 	inv  []byte
 }
 
@@ -110,22 +103,27 @@ func (t *Tree) newMutation() *mutation {
 	}
 }
 
-// freeze writes every working copy to the store, one node record and one
-// inverted file each, in ascending node id so the record addresses are a
-// function of the mutation alone. It then publishes the mutation as an
-// immutable successor snapshot and applies the retirement set:
-// decoded-cache entries of superseded records are evicted in one batch
-// (readers pinning older snapshots simply re-decode on demand), and the
-// shared ledger is advanced. The working object slice grows append-only
-// over the base snapshot's, so existing readers never observe the new
-// elements.
-func (m *mutation) freeze() *Tree {
+// freeze settles every working copy, then writes each one's posting
+// record and node record, in ascending node id so the record addresses
+// are a function of the mutation alone. A settle that fails returns its
+// error before anything is written or retired. freeze then publishes the
+// mutation as an immutable successor snapshot and retires the superseded
+// records: their decoded-cache entries are evicted in one batch (readers
+// pinning older snapshots simply re-decode on demand), and they join the
+// shared ledger. Such a reader may re-insert an entry evicted here, so
+// ReclaimRetired evicts once more before freeing the pages: correctness
+// rests on that pair, as a decoded node and a detached posting directory
+// name their record by address and would otherwise read whatever record
+// reuses the slot. The working object slice grows append-only over the
+// base snapshot's, so existing readers never observe the new elements.
+func (m *mutation) freeze() (*Tree, error) {
 	base := m.t
-	ids := make([]int32, 0, len(m.dirty))
-	for id := range m.dirty {
-		ids = append(ids, id)
+	ids := slices.Sorted(maps.Keys(m.dirty))
+	for _, id := range ids {
+		if err := m.settle(m.dirty[id]); err != nil {
+			return nil, err
+		}
 	}
-	slices.Sort(ids)
 	for _, id := range ids {
 		w := m.dirty[id]
 		invID := base.sh.pager.WriteRecord(w.inv)
@@ -145,23 +143,27 @@ func (m *mutation) freeze() *Tree {
 		numNodes: m.edit.n,
 		epoch:    base.epoch + 1,
 	}
-	records, pages := m.retired.Apply(base.sh.decoded, base.sh.pager)
-	base.sh.retiredRecords.Add(records)
-	base.sh.retiredPages.Add(pages)
-	if m.retired.Len() > 0 {
+	if len(m.retired) > 0 {
+		var pages int64
+		for _, id := range m.retired {
+			pages += int64(base.sh.pager.RecordPages(id))
+			base.sh.decoded.Delete(id)
+		}
+		base.sh.retiredRecords.Add(int64(len(m.retired)))
+		base.sh.retiredPages.Add(pages)
 		// Queue the retired records for page reuse; ReclaimRetired frees
 		// them once no pinned snapshot below this epoch remains. Only
 		// enqueued here — reclaiming before the facade publishes nt would
 		// starve readers racing TryPin against an unpublished epoch.
-		base.sh.pending = append(base.sh.pending, pendingRetire{epoch: nt.epoch, ids: m.retired.IDs()})
+		base.sh.pending = append(base.sh.pending, pendingRetire{epoch: nt.epoch, ids: m.retired})
 	}
-	return nt
+	return nt, nil
 }
 
 // readNode returns the working copy of a node this mutation has rewritten,
 // and otherwise decodes a private *NodeData through the edit table. Never
-// from the decoded cache: the returned node may be mutated freely, as long
-// as a node already rewritten is handed back to writeNodeData.
+// from the decoded cache: the returned node may be edited freely, as long
+// as it is then handed to rewrite or drop.
 func (m *mutation) readNode(id int32) (*NodeData, error) {
 	if w, ok := m.dirty[id]; ok {
 		return w.node, nil
@@ -173,85 +175,85 @@ func (m *mutation) readNode(id int32) (*NodeData, error) {
 	return m.t.decodeNodeAt(id, page)
 }
 
-// readInv returns a node's working inverted file, or the stored record's
-// bytes, charged as any load of them. The stored bytes may be shared with
-// readers: they are only read, and every edit (invfile.ReplaceEntry)
-// writes a new buffer.
-func (m *mutation) readInv(node *NodeData) ([]byte, error) {
-	if w, ok := m.dirty[node.ID]; ok {
-		return w.inv, nil
+// rewrite makes node, its entries edited, the working copy of its id and
+// recounts its objects. shifted says an entry was removed: the indexes
+// after it moved, which a splice does not express, so the record is
+// composed whole. The first rewrite of a node the base snapshot holds
+// retires that snapshot's two records for it.
+func (m *mutation) rewrite(node *NodeData, shifted bool) {
+	w, ok := m.dirty[node.ID]
+	if !ok {
+		m.retire(node)
+		w = &workNode{base: node.InvID}
+		m.dirty[node.ID] = w
 	}
-	return m.t.readInvBytes(node.InvID)
-}
-
-// writeNodeData makes entries and the encoded inverted file inv the
-// working copy of node id; freeze stores them. The first write of a node
-// the base snapshot holds retires that snapshot's two records for it
-// (oldInv is the inverted file's, InvalidPage when the node is new): they
-// leave the decoded cache if and when this mutation publishes.
-func (m *mutation) writeNodeData(id int32, leaf bool, entries []NodeEntry, inv []byte, oldInv storage.PageID) {
-	if _, rewritten := m.dirty[id]; !rewritten {
-		m.retired.Add(m.edit.page(id))
-		m.retired.Add(oldInv)
+	if shifted {
+		w.base = storage.InvalidPage
 	}
-	node := &NodeData{ID: id, Leaf: leaf, Entries: entries, InvID: storage.InvalidPage}
-	for _, e := range entries {
+	node.Count, node.InvID = 0, storage.InvalidPage
+	for _, e := range node.Entries {
 		node.Count += e.Count
 	}
-	m.dirty[id] = &workNode{node: node, inv: inv}
+	w.node = node
 }
 
-// dropNode removes a node that lost its last entry: its id becomes a dead
-// slot, and its stored records join the retirement set unless an earlier
-// write of this mutation has retired them already.
-func (m *mutation) dropNode(id int32, node *NodeData) {
-	if _, rewritten := m.dirty[id]; rewritten {
-		delete(m.dirty, id)
+// newNode allocates a node holding entries, to be composed whole.
+func (m *mutation) newNode(leaf bool, entries []NodeEntry) *NodeData {
+	node := &NodeData{ID: m.edit.alloc(), Leaf: leaf, Entries: entries, InvID: storage.InvalidPage}
+	m.rewrite(node, true)
+	return node
+}
+
+// drop removes a node that lost its last entry, or a root shrunk away:
+// its id becomes a dead slot, and its stored records are retired unless a
+// rewrite retired them already.
+func (m *mutation) drop(node *NodeData) {
+	if _, ok := m.dirty[node.ID]; ok {
+		delete(m.dirty, node.ID)
 	} else {
-		m.retired.Add(m.edit.page(id))
-		m.retired.Add(node.InvID)
+		m.retire(node)
 	}
-	m.edit.set(id, storage.InvalidPage)
+	m.edit.set(node.ID, storage.InvalidPage)
 }
 
-// step records the descent through one internal node: the node id and
-// the entry index taken.
+// retire lists the records the base snapshot holds for node: none for a
+// node this mutation allocated.
+func (m *mutation) retire(node *NodeData) {
+	for _, id := range []storage.PageID{m.edit.page(node.ID), node.InvID} {
+		if id != storage.InvalidPage {
+			m.retired = append(m.retired, id)
+		}
+	}
+}
+
+// step records the descent through one internal node: the node and the
+// entry index taken.
 type step struct {
-	id    int32
+	node  *NodeData
 	entry int
 }
 
-// insert adds o: a choose-leaf descent, posting updates along the path,
-// and node splits on overflow.
+// insert adds o: a choose-leaf descent, then the leaf gains o's entry and
+// carry takes it to the root.
 func (m *mutation) insert(o dataset.Object) error {
 	if int(o.ID) != len(m.objects) {
 		return fmt.Errorf("irtree: object ID %d must equal the object count %d", o.ID, len(m.objects))
 	}
 	m.objects = append(m.objects, o)
-
+	target := geo.RectFromPoint(o.Loc)
+	entry := NodeEntry{Rect: target, Child: o.ID, Count: 1}
 	if m.rootID < 0 {
 		// First object: a single leaf root.
-		m.rootID = m.edit.alloc()
-		m.height = 1
-		return m.composeNode(m.rootID, true, []NodeEntry{{
-			Rect: geo.RectFromPoint(o.Loc), Child: o.ID, Count: 1,
-		}}, storage.InvalidPage)
+		m.rootID, m.height = m.newNode(true, []NodeEntry{entry}).ID, 1
+		return nil
 	}
 
-	// Choose-leaf descent, remembering the path (node ids + entry index
-	// taken at each internal node).
+	// Choose-leaf descent, remembering the path (nodes + entry index taken
+	// at each internal node).
 	var path []step
-	id := m.rootID
-	for {
-		node, err := m.readNode(id)
-		if err != nil {
-			return err
-		}
-		if node.Leaf {
-			break
-		}
+	node, err := m.readNode(m.rootID)
+	for err == nil && !node.Leaf {
 		best, bestEnl, bestArea := 0, math.Inf(1), math.Inf(1)
-		target := geo.RectFromPoint(o.Loc)
 		for i, e := range node.Entries {
 			enl := e.Rect.Enlargement(target)
 			area := e.Rect.Area()
@@ -259,112 +261,19 @@ func (m *mutation) insert(o dataset.Object) error {
 				best, bestEnl, bestArea = i, enl, area
 			}
 		}
-		path = append(path, step{id, best})
-		id = node.Entries[best].Child
+		path = append(path, step{node, best})
+		node, err = m.readNode(node.Entries[best].Child)
 	}
-
-	// Add the object to the leaf.
-	leaf, err := m.readNode(id)
 	if err != nil {
 		return err
 	}
-	leafInv, err := m.readInv(leaf)
-	if err != nil {
-		return err
-	}
-	entryIdx := int32(len(leaf.Entries))
-	leaf.Entries = append(leaf.Entries, NodeEntry{
-		Rect: geo.RectFromPoint(o.Loc), Child: o.ID, Count: 1,
-	})
-
-	splitID := int32(-1)
-	fanout := m.t.sh.cfgFanout
-	if len(leaf.Entries) > fanout {
-		splitID, err = m.splitNode(id, leaf)
-		if err != nil {
-			return err
-		}
-	} else {
-		weights := make([]invfile.EntryWeight, 0, o.Doc.Unique())
-		m.t.sh.eachWeight(o.Doc, func(tm vocab.TermID, w float64) {
-			weights = append(weights, invfile.EntryWeight{Term: tm, MaxW: w, MinW: w})
-		})
-		if leafInv, err = invfile.ReplaceEntry(leafInv, entryIdx, weights); err != nil {
-			return err
-		}
-		m.writeNodeData(id, true, leaf.Entries, leafInv, leaf.InvID)
-	}
-
-	// Propagate rect/count/posting updates (and any split) to the root.
-	childID, childSplit := id, splitID
-	for level := len(path) - 1; level >= 0; level-- {
-		parentID, entryIdx := path[level].id, path[level].entry
-		parent, err := m.readNode(parentID)
-		if err != nil {
-			return err
-		}
-		parentInv, err := m.readInv(parent)
-		if err != nil {
-			return err
-		}
-
-		// Refresh the taken entry from the child's new aggregate.
-		var agg, sAgg []invfile.EntryWeight
-		if parent.Entries[entryIdx], agg, err = m.aggregateOf(childID); err != nil {
-			return err
-		}
-		if childSplit >= 0 {
-			var sEntry NodeEntry
-			if sEntry, sAgg, err = m.aggregateOf(childSplit); err != nil {
-				return err
-			}
-			parent.Entries = append(parent.Entries, sEntry)
-		}
-
-		// An overflowing parent is split, each half's file rebuilt from its
-		// children, so a splice only ever writes an entry below the fanout,
-		// which the record's delta width holds.
-		if len(parent.Entries) > fanout {
-			if childSplit, err = m.splitNode(parentID, parent); err != nil {
-				return err
-			}
-		} else {
-			if parentInv, err = invfile.ReplaceEntry(parentInv, int32(entryIdx), agg); err != nil {
-				return err
-			}
-			if childSplit >= 0 {
-				if parentInv, err = invfile.ReplaceEntry(parentInv, int32(len(parent.Entries)-1), sAgg); err != nil {
-					return err
-				}
-			}
-			childSplit = -1
-			m.writeNodeData(parentID, false, parent.Entries, parentInv, parent.InvID)
-		}
-		childID = parentID
-	}
-
-	// Root overflowed: grow the tree.
-	if childSplit >= 0 {
-		entries := make([]NodeEntry, 2)
-		for i, cid := range []int32{childID, childSplit} {
-			child, err := m.readNode(cid)
-			if err != nil {
-				return err
-			}
-			entries[i] = NodeEntry{Rect: child.MBR(), Child: cid, Count: child.Count}
-		}
-		m.rootID = m.edit.alloc()
-		m.height++
-		return m.composeNode(m.rootID, false, entries, storage.InvalidPage)
-	}
-	return nil
+	node.Entries = append(node.Entries, entry)
+	return m.carry(path, node, false)
 }
 
 // delete removes object oid from the tree: find the holding leaf, drop
-// its entry, and propagate upward — underfull nodes are allowed (answer
-// correctness never depends on fill factors), emptied nodes cascade out
-// of their parents, and an internal root left with a single entry is
-// shrunk away.
+// its entry, and carry the change to the root. Underfull nodes are
+// allowed (answer correctness never depends on fill factors).
 func (m *mutation) delete(oid int32) error {
 	if oid < 0 || int(oid) >= len(m.objects) {
 		return fmt.Errorf("irtree: no object %d", oid)
@@ -372,142 +281,115 @@ func (m *mutation) delete(oid int32) error {
 	if m.rootID < 0 {
 		return fmt.Errorf("irtree: object %d not in tree", oid)
 	}
-	loc := m.objects[oid].Loc
 	var path []step
-	leafID, entryIdx, found, err := m.findLeaf(m.rootID, oid, loc, &path)
+	leaf, i, err := m.findLeaf(m.rootID, oid, m.objects[oid].Loc, &path)
 	if err != nil {
 		return err
 	}
-	if !found {
+	if leaf == nil {
 		return fmt.Errorf("irtree: object %d not in tree", oid)
 	}
-
-	leaf, err := m.readNode(leafID)
-	if err != nil {
-		return err
-	}
-	entries := append(leaf.Entries[:entryIdx:entryIdx], leaf.Entries[entryIdx+1:]...)
-	removed := len(entries) == 0
-	if removed {
-		m.dropNode(leafID, leaf)
-	} else if err := m.composeNode(leafID, true, entries, leaf.InvID); err != nil {
-		return err
-	}
-
-	childID := leafID
-	for level := len(path) - 1; level >= 0; level-- {
-		parentID, pIdx := path[level].id, path[level].entry
-		parent, err := m.readNode(parentID)
-		if err != nil {
-			return err
-		}
-		if removed {
-			// The child vanished: drop its entry. Entry indexes shift, so
-			// the inverted file is rebuilt from the remaining children.
-			pEntries := append(parent.Entries[:pIdx:pIdx], parent.Entries[pIdx+1:]...)
-			removed = len(pEntries) == 0
-			if removed {
-				m.dropNode(parentID, parent)
-			} else if err := m.composeNode(parentID, false, pEntries, parent.InvID); err != nil {
-				return err
-			}
-		} else {
-			// The child shrank in place: refresh its entry's rect, count
-			// and postings.
-			parentInv, err := m.readInv(parent)
-			if err != nil {
-				return err
-			}
-			var agg []invfile.EntryWeight
-			if parent.Entries[pIdx], agg, err = m.aggregateOf(childID); err != nil {
-				return err
-			}
-			if parentInv, err = invfile.ReplaceEntry(parentInv, int32(pIdx), agg); err != nil {
-				return err
-			}
-			m.writeNodeData(parentID, false, parent.Entries, parentInv, parent.InvID)
-		}
-		childID = parentID
-	}
-
-	if removed {
-		// The last object left: the tree is empty again.
-		m.rootID = -1
-		m.height = 0
-		return nil
-	}
-
-	// Shrink an internal root down to its only child (repeatedly, in case
-	// a cascade left a chain of single-entry roots).
-	for {
-		root, err := m.readNode(m.rootID)
-		if err != nil {
-			return err
-		}
-		if root.Leaf || len(root.Entries) > 1 {
-			return nil
-		}
-		child := root.Entries[0].Child
-		m.dropNode(m.rootID, root)
-		m.rootID = child
-		m.height--
-	}
+	leaf.Entries = slices.Delete(leaf.Entries, i, i+1)
+	return m.carry(path, leaf, true)
 }
 
 // findLeaf descends every subtree whose rect contains the object's
 // location until it finds the leaf entry referencing oid, recording the
-// taken path. R-tree rects overlap, so this may explore several branches;
-// path always reflects the branch currently being explored.
-func (m *mutation) findLeaf(id, oid int32, loc geo.Point, path *[]step) (leafID int32, entryIdx int, found bool, err error) {
+// taken path, and returns the leaf (nil when no leaf holds oid) and the
+// entry's index. R-tree rects overlap, so this may explore several
+// branches; path always reflects the branch currently being explored.
+func (m *mutation) findLeaf(id, oid int32, loc geo.Point, path *[]step) (*NodeData, int, error) {
 	node, err := m.readNode(id)
 	if err != nil {
-		return 0, 0, false, err
+		return nil, 0, err
 	}
 	if node.Leaf {
 		for i, e := range node.Entries {
 			if e.Child == oid {
-				return id, i, true, nil
+				return node, i, nil
 			}
 		}
-		return 0, 0, false, nil
+		return nil, 0, nil
 	}
 	for i, e := range node.Entries {
 		if !e.Rect.Contains(loc) {
 			continue
 		}
-		*path = append(*path, step{id, i})
-		leafID, entryIdx, found, err = m.findLeaf(e.Child, oid, loc, path)
-		if err != nil || found {
-			return leafID, entryIdx, found, err
+		*path = append(*path, step{node, i})
+		if leaf, j, err := m.findLeaf(e.Child, oid, loc, path); err != nil || leaf != nil {
+			return leaf, j, err
 		}
 		*path = (*path)[:len(*path)-1]
 	}
-	return 0, 0, false, nil
+	return nil, 0, nil
 }
 
-// aggregateOf reads node id and returns the entry a parent holds for it —
-// its MBR and object count — and its subtree aggregate, ascending by term,
-// read in one pass off its encoded inverted file (invfile.Aggregate): a
-// term's max weight is the posting maximum over entries; it is "covered"
-// (min weight > 0) only when every entry carries a positive-minimum
-// posting for it.
-func (m *mutation) aggregateOf(id int32) (NodeEntry, []invfile.EntryWeight, error) {
-	node, err := m.readNode(id)
-	if err != nil {
-		return NodeEntry{}, nil, err
+// carry takes node, whose entries insert or delete edited (shifted when
+// one was removed), up path to the root — Guttman's AdjustTree and
+// CondenseTree in one pass. At each level the node is rewritten, or
+// split when it overflows, or dropped when it emptied; then its parent's
+// entry for it is refreshed (rect and count) with a split sibling
+// appended after it, or removed with the dropped child. Above a split
+// root the tree grows a level; a root that emptied leaves the tree
+// empty; an internal root left with one entry is shrunk away, repeatedly.
+func (m *mutation) carry(path []step, node *NodeData, shifted bool) error {
+	var sib *NodeData
+	for {
+		switch {
+		case len(node.Entries) == 0:
+			m.drop(node)
+		case len(node.Entries) > m.t.sh.cfgFanout:
+			sib = m.split(node)
+		default:
+			m.rewrite(node, shifted)
+		}
+		if len(path) == 0 {
+			break
+		}
+		up := path[len(path)-1]
+		path = path[:len(path)-1]
+		if shifted = len(node.Entries) == 0; shifted {
+			up.node.Entries = slices.Delete(up.node.Entries, up.entry, up.entry+1)
+		} else {
+			up.node.Entries[up.entry] = entryOf(node)
+			if sib != nil {
+				up.node.Entries = append(up.node.Entries, entryOf(sib))
+				sib = nil
+			}
+		}
+		node = up.node
 	}
-	inv, err := m.readInv(node)
-	if err != nil {
-		return NodeEntry{}, nil, err
+	switch {
+	case sib != nil:
+		m.rootID = m.newNode(false, []NodeEntry{entryOf(node), entryOf(sib)}).ID
+		m.height++
+		return nil
+	case len(node.Entries) == 0:
+		m.rootID, m.height = -1, 0
+		return nil
 	}
-	agg, err := invfile.Aggregate(inv, len(node.Entries))
-	return NodeEntry{Rect: node.MBR(), Child: id, Count: node.Count}, agg, err
+	for !node.Leaf && len(node.Entries) == 1 {
+		m.drop(node)
+		m.rootID = node.Entries[0].Child
+		m.height--
+		var err error
+		if node, err = m.readNode(m.rootID); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// splitNode splits an overflowing decoded node (quadratic-split seeds,
-// greedy assignment), writes both halves, and returns the new sibling's
-// id.
-func (m *mutation) splitNode(id int32, node *NodeData) (int32, error) {
+// entryOf is the entry a parent holds for node: its MBR, id and object
+// count.
+func entryOf(node *NodeData) NodeEntry {
+	return NodeEntry{Rect: node.MBR(), Child: node.ID, Count: node.Count}
+}
+
+// split divides an overflowing node's entries (quadratic-split seeds,
+// greedy assignment): the node keeps the first group, and a new sibling,
+// which it returns, takes the second. Both halves are composed whole.
+func (m *mutation) split(node *NodeData) *NodeData {
 	entries := node.Entries
 	// seeds: the pair wasting the most area together
 	seedA, seedB, worst := 0, 1, math.Inf(-1)
@@ -554,35 +436,90 @@ func (m *mutation) splitNode(id int32, node *NodeData) (int32, error) {
 		}
 	}
 
-	sibID := m.edit.alloc()
-	if err := m.composeNode(id, node.Leaf, groupA, node.InvID); err != nil {
-		return -1, err
-	}
-	if err := m.composeNode(sibID, node.Leaf, groupB, storage.InvalidPage); err != nil {
-		return -1, err
-	}
-	return sibID, nil
+	node.Entries = groupA
+	m.rewrite(node, true)
+	return m.newNode(node.Leaf, groupB)
 }
 
-// composeNode makes node id's working copy entries and the posting
-// record composeInv gives them, superseding oldInv. The first object, a
-// new root, the halves of a split, a leaf that lost an entry and a parent
-// that lost a child take this path: removing an entry shifts the indexes
-// after it, which a splice does not express, and each record composed is
-// one node's.
-func (m *mutation) composeNode(id int32, leaf bool, entries []NodeEntry, oldInv storage.PageID) error {
-	var aggs [][]invfile.EntryWeight
-	if !leaf {
-		aggs = make([][]invfile.EntryWeight, len(entries))
-		for i, e := range entries {
-			var err error
-			if _, aggs[i], err = m.aggregateOf(e.Child); err != nil {
+// settle sets w.inv to the posting record w's entries need, settling its
+// rewritten children first: the one place a mutation composes or splices
+// a record. A node with no base record is composed whole by composeInv;
+// any other keeps its base record with each changed entry spliced — in an
+// internal node every rewritten child's aggregate, in a leaf every newly
+// inserted object's weights. Other entries are where the base record has
+// them, as no entry before them was removed.
+func (m *mutation) settle(w *workNode) error {
+	if w.inv != nil {
+		return nil
+	}
+	n := w.node
+	if w.base == storage.InvalidPage {
+		var aggs [][]invfile.EntryWeight
+		if !n.Leaf {
+			aggs = make([][]invfile.EntryWeight, len(n.Entries))
+			for i, e := range n.Entries {
+				var err error
+				if aggs[i], err = m.aggregate(e.Child); err != nil {
+					return err
+				}
+			}
+		}
+		w.inv = m.t.sh.composeInv(&m.composer, n.Leaf, n.Entries, m.objects, aggs)
+		return nil
+	}
+	inv, err := m.t.readInvBytes(w.base)
+	if err != nil {
+		return err
+	}
+	for i, e := range n.Entries {
+		var agg []invfile.EntryWeight
+		if n.Leaf {
+			if int(e.Child) < len(m.t.ds.Objects) {
+				continue
+			}
+			doc := m.objects[e.Child].Doc
+			agg = make([]invfile.EntryWeight, 0, doc.Unique())
+			m.t.sh.eachWeight(doc, func(tm vocab.TermID, w float64) {
+				agg = append(agg, invfile.EntryWeight{Term: tm, MaxW: w, MinW: w})
+			})
+		} else {
+			if _, ok := m.dirty[e.Child]; !ok {
+				continue
+			}
+			if agg, err = m.aggregate(e.Child); err != nil {
 				return err
 			}
 		}
+		if inv, err = invfile.ReplaceEntry(inv, int32(i), agg); err != nil {
+			return err
+		}
 	}
-	m.writeNodeData(id, leaf, entries, m.t.sh.composeInv(&m.composer, leaf, entries, m.objects, aggs), oldInv)
+	w.inv = inv
 	return nil
+}
+
+// aggregate is the subtree aggregate of node id, which its parent's entry
+// stores, ascending by term (invfile.Aggregate): read off the settled
+// working record of a node this mutation rewrote, and otherwise off the
+// stored one. A term's max weight is the posting maximum over entries; it
+// is "covered" (min weight > 0) only when every entry carries a
+// positive-minimum posting for it.
+func (m *mutation) aggregate(id int32) ([]invfile.EntryWeight, error) {
+	if w, ok := m.dirty[id]; ok {
+		if err := m.settle(w); err != nil {
+			return nil, err
+		}
+		return invfile.Aggregate(w.inv, len(w.node.Entries))
+	}
+	node, err := m.readNode(id)
+	if err != nil {
+		return nil, err
+	}
+	inv, err := m.t.readInvBytes(node.InvID)
+	if err != nil {
+		return nil, err
+	}
+	return invfile.Aggregate(inv, len(node.Entries))
 }
 
 // composeInv encodes the posting record of a node holding entries with c

@@ -1,43 +1,73 @@
 package irtree
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/storage"
+	"repro/internal/testgen"
 	"repro/internal/textrel"
 	"repro/internal/vocab"
 )
 
-// countingBackend counts the records written through it. It hides the
-// pager's Reclaim, so no page address is ever reused and a node's record
-// address changes exactly when the node is rewritten.
+// countingBackend counts the records written through it and keeps them.
+// It hides the pager's Reclaim, so no page address is ever reused and a
+// node's record address changes exactly when the node is rewritten.
 type countingBackend struct {
 	storage.Backend
-	writes int
+	writes  int
+	records [][]byte
 }
 
 func (c *countingBackend) WriteRecord(data []byte) storage.PageID {
 	c.writes++
+	c.records = append(c.records, data)
 	return c.Backend.WriteRecord(data)
 }
 
 func (c *countingBackend) Reclaim([]storage.PageID) {}
+
+// rewrittenNodes counts the node ids next holds at an address base does
+// not: the nodes a mutation from base to next rewrote.
+func rewrittenNodes(base, next *Tree) int {
+	n := 0
+	for id := int32(0); int(id) < next.NumNodes(); id++ {
+		if p := next.nodes.page(id); p != storage.InvalidPage && p != base.nodes.page(id) {
+			n++
+		}
+	}
+	return n
+}
 
 // TestMutationWritesEachNodeOnce: a mutation writes two records (node and
 // inverted file) for every node id the successor snapshot holds at a new
 // address, and nothing else: no intermediate record for a node touched
 // twice (the ancestors an update's delete and insert halves share), none
 // for a node born and dropped inside the mutation. A mutation that fails
-// half-way has written and retired nothing.
+// half-way — on a bad argument, or on a read that fails at any point of
+// the tree operations or of the settle in freeze — has published, written
+// and retired nothing, and once the fault clears the same mutation writes
+// the records a twin that never saw the fault writes.
 func TestMutationWritesEachNodeOnce(t *testing.T) {
-	built, rest, _, _ := insertFixture(t, 400, 101)
-	cb := &countingBackend{Backend: built.Backend()}
-	tree, err := Restore(built.Dataset(), built.Model(), cb, built.EncodeMeta(), 0)
-	if err != nil {
-		t.Fatal(err)
+	// restore builds the fixture over a store that counts its writes and
+	// reads and can fail them: every call builds the same records at the
+	// same addresses.
+	restore := func() (*Tree, []dataset.Object, *countingBackend, *faultyBackend) {
+		built, rest, _, _ := insertFixture(t, 400, 101)
+		fb := &faultyBackend{Backend: built.Backend()}
+		cb := &countingBackend{Backend: fb}
+		tree, err := Restore(built.Dataset(), built.Model(), cb, built.EncodeMeta(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree, rest, cb, fb
 	}
+	tree, rest, cb, fb := restore()
+	var history []func(*Tree) (*Tree, error)
 	step := func(what string, mutate func(*Tree) (*Tree, error)) {
 		t.Helper()
 		before := cb.writes
@@ -45,44 +75,78 @@ func TestMutationWritesEachNodeOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		rewritten := 0
-		for id := int32(0); int(id) < next.NumNodes(); id++ {
-			if p := next.nodes.page(id); p != storage.InvalidPage && p != tree.nodes.page(id) {
-				rewritten++
-			}
-		}
-		if got := cb.writes - before; got != 2*rewritten {
+		if got, rewritten := cb.writes-before, rewrittenNodes(tree, next); got != 2*rewritten {
 			t.Fatalf("%s wrote %d records for %d rewritten nodes, want %d", what, got, rewritten, 2*rewritten)
 		}
 		tree = next
+		history = append(history, mutate)
 	}
 	nextID := func() int32 { return int32(len(tree.Dataset().Objects)) }
 
 	for _, o := range rest { // fanout 8: plenty of splits, the root's included
-		step("insert", func(tr *Tree) (*Tree, error) { return tr.WithInsert(o) })
+		step("insert", func(tr *Tree) (*Tree, error) { return tr.With(-1, &o) })
 	}
 	for i, o := range rest[:60] { // near and far replacements
 		o.ID = nextID()
-		step("replace", func(tr *Tree) (*Tree, error) { return tr.WithReplace(int32(i*3), o) })
+		step("replace", func(tr *Tree) (*Tree, error) { return tr.With(int32(i*3), &o) })
+	}
+
+	// unchanged fails unless a failed mutation left the store, the
+	// retirement ledger and the published epoch as they were.
+	writes, pages, epoch, pending := cb.writes, tree.DiskPages(), tree.Epoch(), len(tree.sh.pending)
+	retiredRecords, retiredPages := tree.RetiredStats()
+	unchanged := func(what string) {
+		t.Helper()
+		if r, p := tree.RetiredStats(); cb.writes != writes || tree.DiskPages() != pages || r != retiredRecords || p != retiredPages ||
+			tree.Epoch() != epoch || len(tree.sh.pending) != pending {
+			t.Fatalf("%s left writes %d→%d, pages %d→%d, retired %d/%d→%d/%d, epoch %d→%d, pending %d→%d", what,
+				writes, cb.writes, pages, tree.DiskPages(), retiredRecords, retiredPages, r, p, epoch, tree.Epoch(), pending, len(tree.sh.pending))
+		}
 	}
 
 	// A replace whose insert half fails after its delete half has rewritten
 	// a leaf and its ancestors.
 	bad := rest[0]
 	bad.ID = nextID() + 5
-	writes, pages := cb.writes, tree.DiskPages()
-	retiredRecords, retiredPages := tree.RetiredStats()
-	if _, err := tree.WithReplace(1, bad); err == nil {
+	if _, err := tree.With(1, &bad); err == nil {
 		t.Fatal("replace with a non-dense id should fail")
 	}
-	if r, p := tree.RetiredStats(); cb.writes != writes || tree.DiskPages() != pages || r != retiredRecords || p != retiredPages {
-		t.Fatalf("failed replace left writes %d→%d, pages %d→%d, retired %d/%d→%d/%d",
-			writes, cb.writes, pages, tree.DiskPages(), retiredRecords, retiredPages, r, p)
+	unchanged("a failed replace")
+
+	// A replace whose reads fail at each read it makes in turn. A twin
+	// with the same history makes it without a fault, counting its reads.
+	twin, _, twinCB, twinFB := restore()
+	for _, mutate := range history {
+		var err error
+		if twin, err = mutate(twin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o := rest[1]
+	o.ID = nextID()
+	replace := func(tr *Tree) (*Tree, error) { return tr.With(4, &o) }
+	reads, twinWrites := twinFB.reads.Load(), len(twinCB.records)
+	if _, err := replace(twin); err != nil {
+		t.Fatal(err)
+	}
+	reads = twinFB.reads.Load() - reads
+	for n := int64(1); n <= reads; n++ {
+		fb.failAt.Store(n)
+		if next, err := replace(tree); !errors.Is(err, errInjected) || next != nil {
+			t.Fatalf("replace failing at read %d of %d: %v, want an error wrapping %v", n, reads, err, errInjected)
+		}
+		fb.failAt.Store(0)
+		fb.fail.Store(false)
+		unchanged(fmt.Sprintf("a replace failing at read %d of %d", n, reads))
+	}
+	step("replace after the faults", replace)
+	if !reflect.DeepEqual(cb.records[writes:], twinCB.records[twinWrites:]) {
+		t.Fatal("the replace after the faults wrote other records than its twin's")
 	}
 
 	live := liveObjects(t, tree)
 	for _, id := range live[:len(live)*4/5] { // enough to empty leaves and shrink the root
-		step("delete", func(tr *Tree) (*Tree, error) { return tr.WithDelete(id) })
+		step("delete", func(tr *Tree) (*Tree, error) { return tr.With(id, nil) })
 	}
 	checkStoredAggregates(t, tree)
 }
@@ -208,21 +272,45 @@ func TestBuildStoresMutationAggregates(t *testing.T) {
 	}
 }
 
-// The same consistency must hold after inserts and replaces alone, with
-// every node still well filled.
-func TestMutationsKeepStoredAggregates(t *testing.T) {
-	tree, rest, _, _ := insertFixture(t, 300, 103)
-	for i, o := range rest {
-		var err error
-		o.ID = int32(len(tree.Dataset().Objects))
-		if i%3 == 2 {
-			tree, err = tree.WithReplace(int32(i), o)
-		} else {
-			tree, err = tree.WithInsert(o)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+// FuzzMutations draws testgen instances, builds both kinds of tree over
+// each at the drawn fanout, and applies the drawn write history through
+// With. After each write every stored posting must be what the entries
+// need (checkStoredAggregates), and the write must have written two
+// records per rewritten node. Plain go test runs the seed corpus.
+func FuzzMutations(f *testing.F) {
+	for seed := range int64(48) { // each fanout eight times
+		f.Add(seed)
 	}
-	checkStoredAggregates(t, tree)
+	f.Fuzz(func(t *testing.T, seed int64) {
+		d := testgen.Draw(seed)
+		for _, kind := range []Kind{IRTree, MIRTree} {
+			ds := testgen.Dataset(d)
+			model := textrel.NewModelWithLambda(textrel.MeasureKind(d.Measure), ds, d.Lambda)
+			built := Build(ds, model, Config{Kind: kind, Fanout: d.Fanout})
+			cb := &countingBackend{Backend: built.Backend()}
+			var cache int64
+			if d.Cached {
+				cache = 1 << 20
+			}
+			tree, err := Restore(ds, model, cb, built.EncodeMeta(), cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := testgen.Replay(d, func(del int32, o *dataset.Object) error {
+				before := cb.writes
+				next, err := tree.With(del, o)
+				if err != nil {
+					return err
+				}
+				if got, rewritten := cb.writes-before, rewrittenNodes(tree, next); got != 2*rewritten {
+					return fmt.Errorf("wrote %d records for %d rewritten nodes", got, rewritten)
+				}
+				tree = next
+				checkStoredAggregates(t, tree)
+				return nil
+			}); err != nil {
+				t.Fatalf("seed %d %v: %v", seed, kind, err)
+			}
+		}
+	})
 }

@@ -8,7 +8,8 @@
 // Build and every mutation that rewrites a whole node compose its inverted
 // file with one function, composeInv: its objects' exact weights in a leaf,
 // each child's aggregate (invfile.Aggregate) above, merged by an
-// invfile.Composer.
+// invfile.Composer. A mutation that changes only some entries of a node
+// splices them into its stored record (invfile.ReplaceEntry) instead.
 //
 // Nodes and inverted files are serialized into a 4 kB pager and read back
 // through an accountable accessor: every node read charges one simulated
@@ -108,10 +109,12 @@ type pendingRetire struct {
 
 // Tree is one immutable snapshot of a disk-resident IR-tree or MIR-tree
 // over a dataset's objects. A snapshot is safe for any number of
-// concurrent readers and is never modified after publication: WithInsert,
-// WithDelete and WithReplace return a successor snapshot sharing the
-// backend, caches and untouched node-table chunks with this one, leaving
-// every existing reader's view intact. Mutators require external
+// concurrent readers and is never modified after publication: With — a
+// delete, an insert or both as one update — returns a successor snapshot
+// sharing the backend, caches and untouched node-table chunks with this
+// one, leaving every existing reader's view intact. The successor holds
+// new records for exactly the nodes the mutation rewrote, each settled
+// and written once when it publishes (mutate.go). With requires external
 // single-writer serialization (the facade's writer mutex).
 type Tree struct {
 	sh *shared

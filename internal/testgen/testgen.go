@@ -3,7 +3,8 @@
 // persistence fixtures take their corpus from. One seed draws one
 // instance, in internal types: a corpus, users, two queries and a write
 // history, with the measure, α, λ, fanout and decoded-cache setting to
-// build them under. Each consumer builds what it checks from a draw.
+// build them under. Each consumer builds what it checks from a draw, and
+// a tree-level one applies the write history with Replay.
 //
 // It is test support: no non-test file imports it, and each declaration is
 // used by a _test.go file or another declaration (internal/lint's
@@ -183,6 +184,43 @@ func Keywords(doc vocab.Doc) (kws []string) {
 		}
 	})
 	return kws
+}
+
+// Replay applies in's write history, from its corpus, through write,
+// which deletes object del unless it is negative and then inserts o
+// unless it is nil. Replay keeps the live ids: a write picks the live
+// object at Pick mod their count, an inserted object takes the next id
+// (the corpus's count plus the objects inserted before it), and a Delete
+// that would leave no object is skipped.
+func Replay(in *Instance, write func(del int32, o *dataset.Object) error) error {
+	live := make([]int32, len(in.Corpus))
+	for i := range live {
+		live[i] = int32(i)
+	}
+	next := int32(len(in.Corpus))
+	for _, w := range in.Script {
+		j, o, del := w.Pick%len(live), w.Object, int32(-1)
+		o.ID = next
+		ins := &o
+		switch {
+		case w.Op == Insert:
+			live = append(live, o.ID)
+		case w.Op == Update:
+			del, live[j] = live[j], o.ID
+		case len(live) > 1:
+			del, ins = live[j], nil
+			live = slices.Delete(live, j, j+1)
+		default:
+			continue
+		}
+		if ins != nil {
+			next++
+		}
+		if err := write(del, ins); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Dataset builds in's corpus over a vocabulary of its terms and the two new

@@ -33,27 +33,11 @@ func drawNodeInstance(seed int64) (*nodeInstance, error) {
 		cfg.DecodedCacheBytes = 1 << 20
 	}
 	tree := irtree.Build(ds, model, cfg)
-	live := make([]int32, len(ds.Objects))
-	for i := range live {
-		live[i] = int32(i)
-	}
-	for _, w := range d.Script {
-		j, o, err := w.Pick%len(live), w.Object, error(nil)
-		o.ID = int32(len(tree.Dataset().Objects))
-		switch {
-		case w.Op == testgen.Insert:
-			tree, err = tree.WithInsert(o)
-			live = append(live, o.ID)
-		case w.Op == testgen.Update:
-			tree, err = tree.WithReplace(live[j], o)
-			live[j] = o.ID
-		case len(live) > 1:
-			tree, err = tree.WithDelete(live[j])
-			live = slices.Delete(live, j, j+1)
-		}
-		if err != nil {
-			return nil, err
-		}
+	if err := testgen.Replay(d, func(del int32, o *dataset.Object) (err error) {
+		tree, err = tree.With(del, o)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return &nodeInstance{tree: tree, kind: textrel.MeasureKind(d.Measure), users: d.Users,
 		scorer: &textrel.Scorer{Model: model, Alpha: d.Alpha, DMax: tree.Dataset().DMax(dataset.UsersMBR(d.Users))}}, nil

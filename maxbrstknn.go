@@ -475,35 +475,7 @@ func (ix *Index) IngestStats() IngestStats {
 // all-or-nothing — on error nothing is published and the vocabulary is
 // rolled back, so a failed insert leaves no trace.
 func (ix *Index) AddObject(x, y float64, keywords ...string) (int, error) {
-	if ix.gids != nil {
-		return 0, errShardImmutable
-	}
-	if err := checkPoint(x, y); err != nil {
-		return 0, err
-	}
-	ix.writerMu.Lock()
-	defer ix.writerMu.Unlock()
-	sn := ix.snap.Load()
-	mark := ix.wvocab.Size()
-	terms := make([]vocab.TermID, len(keywords))
-	for i, kw := range keywords {
-		terms[i] = ix.wvocab.Add(kw)
-	}
-	id := int32(len(sn.tree.Dataset().Objects))
-	tree, err := sn.tree.WithInsert(dataset.Object{
-		ID:  id,
-		Loc: geo.Point{X: x, Y: y},
-		Doc: vocab.DocFromTerms(terms),
-	})
-	if err != nil {
-		ix.wvocab.Truncate(mark)
-		return 0, err
-	}
-	ix.snap.Store(&snapshot{tree: tree, vocab: ix.wvocab.View(), live: sn.live + 1, del: sn.del})
-	// Reclaim only after the successor snapshot is published: advancing
-	// the pin floor first would make acquire spin against its own writer.
-	tree.ReclaimRetired()
-	return int(id), nil
+	return ix.write(nil, &geo.Point{X: x, Y: y}, keywords)
 }
 
 // DeleteObject removes object id from the live index. The id is never
@@ -512,22 +484,8 @@ func (ix *Index) AddObject(x, y float64, keywords ...string) (int, error) {
 // atomic snapshot swap, invisible to in-flight queries. Returns
 // ErrNoSuchObject (wrapped) for an unknown or already-deleted id.
 func (ix *Index) DeleteObject(id int) error {
-	if ix.gids != nil {
-		return errShardImmutable
-	}
-	ix.writerMu.Lock()
-	defer ix.writerMu.Unlock()
-	sn := ix.snap.Load()
-	if id < 0 || id >= len(sn.tree.Dataset().Objects) || sn.isDeleted(int32(id)) {
-		return fmt.Errorf("%w: %d", ErrNoSuchObject, id)
-	}
-	tree, err := sn.tree.WithDelete(int32(id))
-	if err != nil {
-		return err
-	}
-	ix.snap.Store(&snapshot{tree: tree, vocab: sn.vocab, live: sn.live - 1, del: sn.withDeleted(int32(id))})
-	tree.ReclaimRetired()
-	return nil
+	_, err := ix.write(&id, nil, nil)
+	return err
 }
 
 // UpdateObject replaces object id with a new location and keyword set,
@@ -537,36 +495,62 @@ func (ix *Index) DeleteObject(id int) error {
 // (wrapped) for an unknown or already-deleted id; on any error nothing
 // is published and the vocabulary is rolled back.
 func (ix *Index) UpdateObject(id int, x, y float64, keywords ...string) (int, error) {
+	return ix.write(&id, &geo.Point{X: x, Y: y}, keywords)
+}
+
+// write is the one writer body of AddObject, DeleteObject and
+// UpdateObject. Under the writer mutex it deletes object *del when del is
+// not nil, then inserts an object at *at with keywords when at is not
+// nil, as one mutation (irtree.Tree.With); publishes the successor
+// snapshot; and reclaims the records no pinned reader can still read. It
+// returns the id an inserted object gets. On error nothing is published
+// and the vocabulary is rolled back.
+func (ix *Index) write(del *int, at *geo.Point, keywords []string) (int, error) {
 	if ix.gids != nil {
 		return 0, errShardImmutable
 	}
-	if err := checkPoint(x, y); err != nil {
-		return 0, err
+	if at != nil {
+		if err := checkPoint(at.X, at.Y); err != nil {
+			return 0, err
+		}
 	}
 	ix.writerMu.Lock()
 	defer ix.writerMu.Unlock()
 	sn := ix.snap.Load()
-	if id < 0 || id >= len(sn.tree.Dataset().Objects) || sn.isDeleted(int32(id)) {
-		return 0, fmt.Errorf("%w: %d", ErrNoSuchObject, id)
+	id := len(sn.tree.Dataset().Objects)
+	next := &snapshot{vocab: sn.vocab, live: sn.live, del: sn.del}
+	gone := int32(-1)
+	if del != nil {
+		if *del < 0 || *del >= id || sn.isDeleted(int32(*del)) {
+			return 0, fmt.Errorf("%w: %d", ErrNoSuchObject, *del)
+		}
+		gone = int32(*del)
+		next.live, next.del = next.live-1, sn.withDeleted(gone)
 	}
+	var o *dataset.Object
 	mark := ix.wvocab.Size()
-	terms := make([]vocab.TermID, len(keywords))
-	for i, kw := range keywords {
-		terms[i] = ix.wvocab.Add(kw)
+	if at != nil {
+		terms := make([]vocab.TermID, len(keywords))
+		for i, kw := range keywords {
+			terms[i] = ix.wvocab.Add(kw)
+		}
+		o = &dataset.Object{ID: int32(id), Loc: *at, Doc: vocab.DocFromTerms(terms)}
+		next.live++
 	}
-	newID := int32(len(sn.tree.Dataset().Objects))
-	tree, err := sn.tree.WithReplace(int32(id), dataset.Object{
-		ID:  newID,
-		Loc: geo.Point{X: x, Y: y},
-		Doc: vocab.DocFromTerms(terms),
-	})
+	tree, err := sn.tree.With(gone, o)
 	if err != nil {
 		ix.wvocab.Truncate(mark)
 		return 0, err
 	}
-	ix.snap.Store(&snapshot{tree: tree, vocab: ix.wvocab.View(), live: sn.live, del: sn.withDeleted(int32(id))})
+	next.tree = tree
+	if at != nil {
+		next.vocab = ix.wvocab.View()
+	}
+	ix.snap.Store(next)
+	// Reclaim only after the successor snapshot is published: advancing
+	// the pin floor first would make acquire spin against its own writer.
 	tree.ReclaimRetired()
-	return int(newID), nil
+	return id, nil
 }
 
 // Compact builds a fresh index over the current snapshot's live objects

@@ -504,6 +504,7 @@ func checkInstance(t *testing.T, seed int64) {
 			seed, in.cfg, len(in.objects), len(in.script), len(in.users), in.k, fmt.Sprintf(format, args...))
 	}
 	ref, configured := in.indexes(t)
+	in.addTie(t, ref)
 	want := in.checkOracle(t, ref, fail)
 
 	// Every configured path answers as the reference does, but for the
@@ -538,6 +539,28 @@ func checkInstance(t *testing.T, seed int64) {
 	}
 	same("fleet", warm(t, configured, func() answers { return in.fleetAnswers(t, configured, in.cfg.par) }))
 	in.checkTopK(t, configured, whole, fail)
+}
+
+// addTie adds a request on which user 0 ties RSk(u) bit for bit, when
+// ix holds k objects: ox at the location of user 0's k-th object in the
+// oracle's ranking on ix, with that object's keywords and no candidate
+// keywords, so ox scores exactly as the object does. It draws nothing
+// from testgen's stream, so no seed's instance moves.
+func (in *instance) addTie(t testing.TB, ix *Index) {
+	t.Helper()
+	top := newOracle(t, ix, in.users, in.k).top[0]
+	if len(top) < in.k {
+		return
+	}
+	sn := ix.snap.Load()
+	o := sn.tree.Dataset().Objects[top[in.k-1].ObjectID]
+	var kws []string
+	o.Doc.ForEach(func(tm vocab.TermID, f int32) {
+		for range f {
+			kws = append(kws, sn.vocab.Term(tm))
+		}
+	})
+	in.reqs = append(in.reqs, Request{Users: in.users, K: in.k, Locations: [][2]float64{{o.Loc.X, o.Loc.Y}}, ExistingKeywords: kws})
 }
 
 // checkOracle answers in's requests on ix sequentially, twice, and holds
