@@ -17,7 +17,7 @@ LINT_EXTERNAL ?= auto
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build vet test race bench loc fma-check cli-smoke shard-smoke fuzz-smoke lint lint-maxbr lint-external ci
+.PHONY: all build vet fmt-check test race bench loc fma-check cli-smoke shard-smoke fuzz-smoke lint lint-maxbr lint-external ci
 
 all: ci
 
@@ -26,6 +26,11 @@ build:
 
 vet: build
 	$(GO) vet ./...
+
+# Formatting: vet, maxbrlint and staticcheck do not check it, so this
+# fails on any file gofmt would rewrite.
+fmt-check:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "fmt-check: not gofmt-formatted:"; echo "$$files"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -182,4 +187,4 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzEntryBoundsDominate$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test . -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime 10s -fuzzminimizetime 100x
 
-ci: build vet lint fma-check test race bench cli-smoke shard-smoke fuzz-smoke
+ci: build vet fmt-check lint fma-check test race bench cli-smoke shard-smoke fuzz-smoke

@@ -1,349 +1,47 @@
-// Benchmarks, one per table and figure of the paper's evaluation
-// (Section 8). Each benchmark exercises the operation its figure measures,
-// at a scale bounded enough for `go test -bench=.`; the full sweeps that
-// regenerate the figures' series live in cmd/benchrunner (README,
-// "Reproducing the paper's evaluation").
+// Benchmarks: every experiment of the paper's evaluation (Section 8) at
+// smoke scale, and the library-level twins of bench/'s serving workloads
+// (README, "Reproducing the paper's evaluation" and "Benchmarks").
 package maxbrstknn
 
 import (
-	"math"
 	"math/rand"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/irtree"
-	"repro/internal/miurtree"
-	"repro/internal/topk"
 	"repro/internal/vocab"
 )
 
-var (
-	benchOnce sync.Once
-	benchW    *experiments.Workload
-	benchYelp *experiments.Workload
-)
-
-// benchWorkload builds the shared benchmark workloads once.
-func benchWorkload(b *testing.B) *experiments.Workload {
-	b.Helper()
-	benchOnce.Do(func() {
-		cfg := experiments.Quick()
-		cfg.NumObjects = 5000
-		cfg.NumUsers = 200
-		cfg.NumLocs = 20
-		cfg.UW = 15
-		cfg.WS = 2
-		// Benchmarks measure wall time (never simulated I/O), so they run
-		// the warm serving configuration: decoded nodes and posting lists
-		// are cached and reused across iterations, exactly as maxbrserve
-		// reuses them across requests.
-		cfg.DecodedCacheBytes = DefaultDecodedCacheBytes
-		benchW = experiments.NewWorkload(cfg, 0)
-
-		ycfg := cfg
-		ycfg.Dataset = experiments.Yelp
-		ycfg.NumObjects = 1000
-		benchYelp = experiments.NewWorkload(ycfg, 0)
-	})
-	return benchW
-}
-
-func preparedEngine(b *testing.B, w *experiments.Workload) (*core.Engine, core.Thresholds) {
-	b.Helper()
-	e, th, err := w.PreparedEngine()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return e, th
-}
-
-// benchScan times phase 2 of one workload: b.N scans under spec.
-func benchScan(b *testing.B, w *experiments.Workload, spec core.ScanSpec) {
-	e, th := preparedEngine(b, w)
-	q := w.Query()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Scan(q, th, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable4_DatasetProperties regenerates the Table 4 statistics.
-func BenchmarkTable4_DatasetProperties(b *testing.B) {
-	w := benchWorkload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = w.DS.Describe()
-	}
-}
-
-// BenchmarkTable5_WorkloadConstruction measures building one experiment
-// workload with the Table 5 default parameters.
-func BenchmarkTable5_WorkloadConstruction(b *testing.B) {
+// BenchmarkExperiments runs each entry of experiments.All at Quick()
+// scale: one op regenerates the experiment's tables, as
+// `benchrunner -exp <name> -quick` prints them.
+func BenchmarkExperiments(b *testing.B) {
 	cfg := experiments.Quick()
-	cfg.NumObjects = 2000
-	for i := 0; i < b.N; i++ {
-		_ = experiments.NewWorkload(cfg, i)
+	for _, e := range experiments.All() {
+		b.Run(e.Name, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := e.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkFig05_TopKBaseline measures the per-user baseline top-k phase
-// of Figure 5a/5b (the B series).
-func BenchmarkFig05_TopKBaseline(b *testing.B) {
-	w := benchWorkload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topk.BaselineTopK(w.IR, w.Scorer, w.US.Users, w.Cfg.K); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig05_TopKJoint measures the joint top-k phase of Figure 5a/5b
-// (the J series).
-func BenchmarkFig05_TopKJoint(b *testing.B) {
-	w := benchWorkload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(w.MIR, w.Scorer, w.US.Users, w.Cfg.K, 1, 1, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig05_SelectionExact measures the exact candidate selection of
-// Figure 5c.
-func BenchmarkFig05_SelectionExact(b *testing.B) {
-	benchScan(b, benchWorkload(b), core.ScanSpec{})
-}
-
-// BenchmarkFig05_SelectionApprox measures the greedy candidate selection
-// of Figure 5c.
-func BenchmarkFig05_SelectionApprox(b *testing.B) {
-	benchScan(b, benchWorkload(b), core.ScanSpec{Method: core.KeywordsApprox})
-}
-
-// BenchmarkFig05_SelectionBaseline measures the exhaustive Section 4
-// selection of Figure 5c (the B series).
-func BenchmarkFig05_SelectionBaseline(b *testing.B) {
-	benchScan(b, benchWorkload(b), core.ScanSpec{Mode: core.ScanExhaustive})
-}
-
-// BenchmarkFig06_HighAlphaJoint measures the joint phase at α=0.9
-// (Figure 6's spatial-heavy end).
-func BenchmarkFig06_HighAlphaJoint(b *testing.B) {
-	w := benchWorkload(b)
-	cfg := w.Cfg
-	cfg.Alpha = 0.9
-	w9 := experiments.NewWorkload(cfg, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(w9.MIR, w9.Scorer, w9.US.Users, cfg.K, 1, 1, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig07_ManyKeywordsPerUser measures the joint phase at UL=6
-// (Figure 7's heavy end).
-func BenchmarkFig07_ManyKeywordsPerUser(b *testing.B) {
-	w := benchWorkload(b)
-	cfg := w.Cfg
-	cfg.UL = 6
-	w6 := experiments.NewWorkload(cfg, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(w6.MIR, w6.Scorer, w6.US.Users, cfg.K, 1, 1, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig08_WideKeywordPool measures approx selection at UW=40
-// (Figure 8's heavy end).
-func BenchmarkFig08_WideKeywordPool(b *testing.B) {
-	w := benchWorkload(b)
-	cfg := w.Cfg
-	cfg.UW = 40
-	benchScan(b, experiments.NewWorkload(cfg, 0), core.ScanSpec{Method: core.KeywordsApprox})
-}
-
-// BenchmarkFig09_SparseUsers measures the joint phase at Area=20
-// (Figure 9's sparse end).
-func BenchmarkFig09_SparseUsers(b *testing.B) {
-	w := benchWorkload(b)
-	cfg := w.Cfg
-	cfg.Area = 20
-	ws := experiments.NewWorkload(cfg, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(ws.MIR, ws.Scorer, ws.US.Users, cfg.K, 1, 1, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig10_ManyLocations measures approx selection at |L|=100
-// (Figure 10's heavy end).
-func BenchmarkFig10_ManyLocations(b *testing.B) {
-	w := benchWorkload(b)
-	cfg := w.Cfg
-	cfg.NumLocs = 100
-	benchScan(b, experiments.NewWorkload(cfg, 0), core.ScanSpec{Method: core.KeywordsApprox})
-}
-
-// BenchmarkFig11_LargeWS measures exact selection at ws=4 (Figure 11's
-// combinatorial growth).
-func BenchmarkFig11_LargeWS(b *testing.B) {
-	w := benchWorkload(b)
-	cfg := w.Cfg
-	cfg.WS = 4
-	benchScan(b, experiments.NewWorkload(cfg, 0), core.ScanSpec{})
-}
-
-// BenchmarkFig12_ManyUsers measures the joint phase at |U|=500
-// (Figure 12's scalability axis).
-func BenchmarkFig12_ManyUsers(b *testing.B) {
-	w := benchWorkload(b)
-	cfg := w.Cfg
-	cfg.NumUsers = 500
-	wu := experiments.NewWorkload(cfg, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(wu.MIR, wu.Scorer, wu.US.Users, cfg.K, 1, 1, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig13_LargerObjectSet measures the joint phase at |O| doubled
-// (Figure 13's scalability axis).
-func BenchmarkFig13_LargerObjectSet(b *testing.B) {
-	w := benchWorkload(b)
-	cfg := w.Cfg
-	cfg.NumObjects = 10000
-	wo := experiments.NewWorkload(cfg, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(wo.MIR, wo.Scorer, wo.US.Users, cfg.K, 1, 1, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig14_YelpJoint measures the joint phase on the Yelp-like
-// dataset (Figure 14).
-func BenchmarkFig14_YelpJoint(b *testing.B) {
-	benchWorkload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(benchYelp.MIR, benchYelp.Scorer, benchYelp.US.Users, benchYelp.Cfg.K, 1, 1, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig15_UserIndexed measures the Section 7 user-indexed
-// processing (Figure 15).
-func BenchmarkFig15_UserIndexed(b *testing.B) {
-	w := benchWorkload(b)
-	ut := miurtree.Build(w.US.Users, w.Scorer, w.Cfg.Fanout)
-	q := w.Query()
-	b.ResetTimer()
-	engine := core.NewEngine(w.MIR, w.Scorer, w.US.Users)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.SelectUserIndexed(q, core.KeywordsApprox, ut); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationNoMinWeights runs the joint traversal against the plain
-// IR-tree (no stored minimum weights), isolating what the MIR-tree's
-// lower bounds (Section 5.3) save.
-func BenchmarkAblationNoMinWeights(b *testing.B) {
-	w := benchWorkload(b)
-	su := topk.BuildSuperUser(w.US.Users, w.Scorer)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topk.Traverse(w.IR, w.Scorer, su, w.Cfg.K, -math.MaxFloat64, &topk.TraverseScratch{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationNoSuperUser runs per-user traversals over the MIR-tree,
-// isolating the super-user grouping.
-func BenchmarkAblationNoSuperUser(b *testing.B) {
-	w := benchWorkload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topk.BaselineTopK(w.MIR, w.Scorer, w.US.Users, w.Cfg.K); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationNoBestFirst evaluates every candidate location (a
-// top-l scan with l = |L| never stops early), isolating Algorithm 3's
-// best-first early termination.
-func BenchmarkAblationNoBestFirst(b *testing.B) {
-	w := benchWorkload(b)
-	benchScan(b, w, core.ScanSpec{Method: core.KeywordsApprox, Mode: core.ScanTopL, L: len(w.Locs)})
-}
-
-// benchPrepareJointParallel measures phase 1 (threshold preparation) on
-// the parallel engine at a given worker count; Groups defaults to one
-// spatial group per worker.
-func benchPrepareJointParallel(b *testing.B, workers int) {
-	w := benchWorkload(b)
-	e := core.NewEngine(w.MIR, w.Scorer, w.US.Users)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Prepare(w.Cfg.K, workers, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScaling_PrepareJointW* is the speedup-vs-workers series of the
-// scaling figure (run with -bench=Scaling_PrepareJoint and compare W1 to
-// W4). On a single-core machine the speedup comes from the tighter
-// per-group super-user bounds alone; on multicore the group traversals
-// and per-user refinements additionally run concurrently.
-func BenchmarkScaling_PrepareJointW1(b *testing.B) { benchPrepareJointParallel(b, 1) }
-func BenchmarkScaling_PrepareJointW2(b *testing.B) { benchPrepareJointParallel(b, 2) }
-func BenchmarkScaling_PrepareJointW4(b *testing.B) { benchPrepareJointParallel(b, 4) }
-func BenchmarkScaling_PrepareJointW8(b *testing.B) { benchPrepareJointParallel(b, 8) }
-
-// benchSelectParallel measures phase 2 (exact candidate selection) on the
-// parallel engine at a given worker count.
-func benchSelectParallel(b *testing.B, workers int) {
-	benchScan(b, benchWorkload(b), core.ScanSpec{Workers: workers})
-}
-
-// BenchmarkScaling_SelectExactW* is the phase-2 half of the scaling
-// figure: candidate locations fan out over the worker pool, and each
-// location's keyword-combination scan runs on the worker that took it.
-func BenchmarkScaling_SelectExactW1(b *testing.B) { benchSelectParallel(b, 1) }
-func BenchmarkScaling_SelectExactW4(b *testing.B) { benchSelectParallel(b, 4) }
 
 // BenchmarkIndexBuild measures MIR-tree construction (index build cost,
 // discussed in the paper's Section 5.1 cost analysis): irtree.Build over
-// the benchmark workload's dataset and model, at its fanout.
+// 5,000 generated objects at the default fanout.
 func BenchmarkIndexBuild(b *testing.B) {
-	w := benchWorkload(b)
-	cfg := irtree.Config{Kind: irtree.MIRTree, Fanout: w.Cfg.Fanout}
+	cfg := experiments.Quick()
+	cfg.NumObjects = 5000
+	w := experiments.NewWorkload(cfg, 0)
+	tc := irtree.Config{Kind: irtree.MIRTree, Fanout: cfg.Fanout}
 	b.ReportAllocs()
 	for b.Loop() {
-		irtree.Build(w.DS, w.Scorer.Model, cfg)
+		irtree.Build(w.DS, w.Scorer.Model, tc)
 	}
 }
 

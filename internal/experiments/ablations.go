@@ -6,8 +6,20 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/irtree"
 	"repro/internal/topk"
 )
+
+// ablations are the three ablation tables, in the order the ablations
+// experiment prints them.
+var ablations = []struct {
+	name string
+	run  func(Config) (*Table, error)
+}{
+	{"min-weights", AblationMinWeights},
+	{"super-user", AblationSuperUser},
+	{"best-first", AblationBestFirst},
+}
 
 // AblationMinWeights isolates the value of the MIR-tree's minimum weights
 // (the lower bounds of Section 5.3) by running the joint traversal against
@@ -22,27 +34,20 @@ func AblationMinWeights(cfg Config) (*Table, error) {
 		w := NewWorkload(cfg, run)
 		su := topk.BuildSuperUser(w.US.Users, w.Scorer)
 		var sc topk.TraverseScratch
-
-		w.MIR.IO().Reset()
-		start := time.Now()
-		trM, err := topk.Traverse(w.MIR, w.Scorer, su, cfg.K, -math.MaxFloat64, &sc)
-		if err != nil {
-			return nil, err
+		for _, index := range []struct {
+			name string
+			tree *irtree.Tree
+		}{{"MIR", w.MIR}, {"IR ", w.IR}} {
+			var tr *topk.TraversalResult
+			m, err := w.timeTopK(index.tree, func() (err error) {
+				tr, err = topk.Traverse(index.tree, w.Scorer, su, cfg.K, -math.MaxFloat64, &sc)
+				return err
+			})
+			if err != nil {
+				return nil, err
+			}
+			t.AddRow(fmt.Sprintf("%s (run %d)", index.name, run), d(m.TotalIO), fmt.Sprint(len(tr.Candidates())), f1(m.TotalMillis))
 		}
-		msM := float64(time.Since(start).Microseconds()) / 1000
-		ioM := w.MIR.IO().Total()
-
-		w.IR.IO().Reset()
-		start = time.Now()
-		trI, err := topk.Traverse(w.IR, w.Scorer, su, cfg.K, -math.MaxFloat64, &sc)
-		if err != nil {
-			return nil, err
-		}
-		msI := float64(time.Since(start).Microseconds()) / 1000
-		ioI := w.IR.IO().Total()
-
-		t.AddRow(fmt.Sprintf("MIR (run %d)", run), d(ioM), fmt.Sprint(len(trM.Candidates())), f1(msM))
-		t.AddRow(fmt.Sprintf("IR  (run %d)", run), d(ioI), fmt.Sprint(len(trI.Candidates())), f1(msI))
 	}
 	return t, nil
 }
@@ -55,28 +60,26 @@ func AblationSuperUser(cfg Config) (*Table, error) {
 		Title:  "Ablation — super-user grouping (shared vs per-user traversal)",
 		Header: []string{"strategy", "total I/O", "total ms"},
 	}
-	var sharedIO, perUserIO int64
-	var sharedMs, perUserMs float64
+	var shared, perUser TopKMetrics
 	for run := 0; run < cfg.Runs; run++ {
 		w := NewWorkload(cfg, run)
-		j, err := w.MeasureJointTopK()
+		j, _, _, err := w.MeasureJointTopK()
 		if err != nil {
 			return nil, err
 		}
-		sharedIO += j.TotalIO
-		sharedMs += j.TotalMillis
-
-		w.MIR.IO().Reset()
-		start := time.Now()
-		if _, err := topk.BaselineTopK(w.MIR, w.Scorer, w.US.Users, cfg.K); err != nil {
+		p, err := w.timeTopK(w.MIR, func() error {
+			_, err := topk.BaselineTopK(w.MIR, w.Scorer, w.US.Users, cfg.K)
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
-		perUserMs += float64(time.Since(start).Microseconds()) / 1000
-		perUserIO += w.MIR.IO().Total()
+		shared.add(j)
+		perUser.add(p)
 	}
 	runs := int64(cfg.Runs)
-	t.AddRow("joint (super-user)", d(sharedIO/runs), f1(sharedMs/float64(cfg.Runs)))
-	t.AddRow("per-user on MIR-tree", d(perUserIO/runs), f1(perUserMs/float64(cfg.Runs)))
+	t.AddRow("joint (super-user)", d(shared.TotalIO/runs), f1(shared.TotalMillis/float64(runs)))
+	t.AddRow("per-user on MIR-tree", d(perUser.TotalIO/runs), f1(perUser.TotalMillis/float64(runs)))
 	return t, nil
 }
 
@@ -92,7 +95,7 @@ func AblationBestFirst(cfg Config) (*Table, error) {
 	var bfCount, scanCount int
 	for run := 0; run < cfg.Runs; run++ {
 		w := NewWorkload(cfg, run)
-		e, th, err := w.PreparedEngine()
+		_, e, th, err := w.MeasureJointTopK()
 		if err != nil {
 			return nil, err
 		}

@@ -1,15 +1,54 @@
 // Package experiments reproduces the evaluation of Section 8: every figure
-// and table has a runner that regenerates its rows (workload generation,
-// parameter sweep, baseline and proposed methods, metric collection). The
-// absolute numbers differ from the paper — the substrate is a simulator at
-// laptop scale, not the authors' testbed — but each runner reports the
-// series whose *shape* (which method wins, and how cost grows along the
-// swept parameter) is what compares against the paper's figure.
+// and table is one entry of All, whose runner regenerates its rows
+// (workload generation, parameter sweep, baseline and proposed methods,
+// metric collection); Figures 6–14 are rows of one sweep table, which
+// Table 5 lists. The absolute numbers differ from the paper — the
+// substrate is a simulator at laptop scale, not the authors' testbed —
+// but each runner reports the series whose *shape* (which method wins,
+// and how cost grows along the swept parameter) is what compares against
+// the paper's figure.
 package experiments
 
 import (
 	"repro/internal/textrel"
 )
+
+// Experiment is one named entry of the evaluation: Run regenerates its
+// tables under a configuration.
+type Experiment struct {
+	Name string
+	Run  func(Config) ([]*Table, error)
+}
+
+// All is every experiment, in the order benchrunner prints them: the
+// paper's tables and figures, then the engine's scaling and disk tables
+// and the ablations.
+func All() []Experiment {
+	all := []Experiment{
+		{"table4", func(c Config) ([]*Table, error) { return []*Table{Table4(c)}, nil }},
+		{"table5", func(c Config) ([]*Table, error) { return []*Table{Table5(c)}, nil }},
+		{"fig5", func(c Config) ([]*Table, error) { return Fig05(c, nil) }},
+	}
+	for _, s := range sweeps {
+		all = append(all, Experiment{s.name, func(c Config) ([]*Table, error) { return s.run(c, nil) }})
+	}
+	return append(all,
+		Experiment{"fig15", func(c Config) ([]*Table, error) { return Fig15(c, nil) }},
+		Experiment{"scaling", FigScaling},
+		Experiment{"disk", FigDisk},
+		Experiment{"ablations", func(c Config) ([]*Table, error) {
+			var out []*Table
+			for _, a := range ablations {
+				t, err := a.run(c)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, t)
+			}
+			return out, nil
+		}},
+	)
+}
 
 // DatasetKind selects the synthetic workload family (the stand-ins of
 // package dataset).
@@ -53,19 +92,6 @@ type Config struct {
 	// user region (0 keeps the default Area/4+0.5; negative values
 	// concentrate locations inside the region).
 	LocMargin float64
-	// Workers and Groups configure the parallel query engine when
-	// regenerating the figures (joint phase and candidate selection).
-	// Zero values mean sequential / derived-from-Workers respectively —
-	// the paper's setting. FigScaling sweeps its own worker counts and
-	// reads only Groups (to pin the group count across the sweep).
-	Workers int
-	Groups  int
-	// DecodedCacheBytes budgets the decoded-object cache of the
-	// workload's trees. Zero — the default for every paper figure —
-	// keeps the trees cold so every node visit charges simulated I/O,
-	// the Section 8 accounting. The root package's benchmarks opt in to
-	// measure the warm serving path.
-	DecodedCacheBytes int64
 }
 
 // Default returns the scaled equivalent of the paper's bold defaults

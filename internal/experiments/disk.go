@@ -78,13 +78,13 @@ func FigDisk(cfg Config) ([]*Table, error) {
 
 			e := core.NewEngine(tree, scorer, w.US.Users)
 			start := time.Now()
-			th, err := e.Prepare(cfg.K, cfg.Workers, cfg.Groups)
+			th, err := e.Prepare(cfg.K, 0, 0)
 			if err != nil {
 				return err
 			}
 			points[pi].prepMs += float64(time.Since(start).Microseconds()) / 1000
 			start = time.Now()
-			sel, err := selectBest(e, q, th, core.ScanSpec{Workers: cfg.Workers})
+			sel, err := selectBest(e, q, th, core.ScanSpec{})
 			if err != nil {
 				return err
 			}
@@ -113,57 +113,39 @@ func FigDisk(cfg Config) ([]*Table, error) {
 		}
 
 		// The cold load has no decoded cache: its cross-check requires
-		// every read to reach the medium.
-		cold, err := persist.Load(path, 0)
-		if err != nil {
-			return nil, err
+		// every read to reach the medium. The warm load has room for every
+		// node and directory: its first touch populates the cache, and the
+		// second query runs fully warm.
+		for _, load := range []struct {
+			budget int64
+			rows   []int
+		}{{0, []int{1}}, {64 << 20, []int{2, 3}}} {
+			ix, err := persist.Load(path, load.budget)
+			if err != nil {
+				return nil, err
+			}
+			// The in-memory workload's scorer over the loaded index: the
+			// tree's own model (bit-identical by the persistence guarantee)
+			// with the query-extended dmax normalization.
+			scorer := &textrel.Scorer{Model: ix.Tree.Model(), Alpha: cfg.Alpha,
+				DMax: ix.DS.DMax(dataset.UsersMBR(w.US.Users), geo.MBR(w.Locs))}
+			for _, pi := range load.rows {
+				if err == nil {
+					err = measure(pi, ix.Tree, scorer)
+				}
+			}
+			ix.Close()
+			if err != nil {
+				return nil, err
+			}
 		}
-		scorer := loadedScorer(cold, cfg, w)
-		if err := measure(1, cold.Tree, scorer); err != nil {
-			cold.Close()
-			return nil, err
-		}
-		cold.Close()
-
-		warm, err := persist.Load(path, 64<<20) // room for every node and directory
-		if err != nil {
-			return nil, err
-		}
-		scorer = loadedScorer(warm, cfg, w)
-		if err := measure(2, warm.Tree, scorer); err != nil { // first touch populates the cache
-			warm.Close()
-			return nil, err
-		}
-		if err := measure(3, warm.Tree, scorer); err != nil { // fully warm
-			warm.Close()
-			return nil, err
-		}
-		warm.Close()
 	}
 
-	runs := float64(cfg.Runs)
+	runs := int64(cfg.Runs)
 	for pi, name := range rows {
 		p := points[pi]
-		t.AddRow(
-			name,
-			f2(p.prepMs/runs), f2(p.selMs/runs),
-			fmt.Sprint(p.simIO/int64(cfg.Runs)),
-			fmt.Sprint(p.physRecords/int64(cfg.Runs)),
-			fmt.Sprint(p.physPage/int64(cfg.Runs)),
-			fmt.Sprintf("%d/%d", p.hits/int64(cfg.Runs), p.misses/int64(cfg.Runs)),
-			fmt.Sprint(p.count),
-		)
+		t.AddRow(name, f2(p.prepMs/float64(runs)), f2(p.selMs/float64(runs)), d(p.simIO/runs), d(p.physRecords/runs),
+			d(p.physPage/runs), fmt.Sprintf("%d/%d", p.hits/runs, p.misses/runs), fmt.Sprint(p.count))
 	}
 	return []*Table{t}, nil
-}
-
-// loadedScorer rebuilds, over a loaded index, exactly the scorer the
-// in-memory workload uses: the tree's own model (bit-identical by the
-// persistence guarantee) with the query-extended dmax normalization.
-func loadedScorer(ix *persist.Index, cfg Config, w *Workload) *textrel.Scorer {
-	return &textrel.Scorer{
-		Model: ix.Tree.Model(),
-		Alpha: cfg.Alpha,
-		DMax:  ix.DS.DMax(dataset.UsersMBR(w.US.Users), geo.MBR(w.Locs)),
-	}
 }

@@ -94,7 +94,7 @@ func TestMeasureProducesSaneNumbers(t *testing.T) {
 	if m.Base.MIOCPU() <= m.Joint.MIOCPU() {
 		t.Errorf("baseline MIOCPU %v should exceed joint %v", m.Base.MIOCPU(), m.Joint.MIOCPU())
 	}
-	if m.SelExact.MeanMillis() < 0 || m.SelApprox.MeanMillis() < 0 {
+	if m.Sel[1].MeanMillis() < 0 || m.Sel[2].MeanMillis() < 0 {
 		t.Error("negative runtimes")
 	}
 	if r := m.Ratio(); r < 0 || r > 1 {
@@ -268,22 +268,30 @@ func checkPinned(t *testing.T, tables ...*Table) {
 	}
 }
 
+// smokeValues is the one value each sweep runs at in
+// TestFigureRunnersSmoke; figurePins holds the cells it computes.
+var smokeValues = map[string]float64{
+	"fig6": 0.5, "fig7": 2, "fig8": 8, "fig9": 5, "fig10": 5,
+	"fig11": 1, "fig12": 50, "fig13": 1000, "fig14": 2,
+}
+
+// TestFigureRunnersSmoke runs every figure once at Quick() scale, one
+// value per sweep, and holds its tables to figurePins. A sweep without a
+// smoke value fails, so no figure goes unpinned.
 func TestFigureRunnersSmoke(t *testing.T) {
 	cfg := Quick()
 	cfg.Runs = 1
-	type figFn func() ([]*Table, error)
-	figs := map[string]figFn{
-		"fig5":  func() ([]*Table, error) { return Fig05(cfg, []int{2}) },
-		"fig6":  func() ([]*Table, error) { return Fig06(cfg, []float64{0.5}) },
-		"fig7":  func() ([]*Table, error) { return Fig07(cfg, []int{2}) },
-		"fig8":  func() ([]*Table, error) { return Fig08(cfg, []int{8}) },
-		"fig9":  func() ([]*Table, error) { return Fig09(cfg, []float64{5}) },
-		"fig10": func() ([]*Table, error) { return Fig10(cfg, []int{5}) },
-		"fig11": func() ([]*Table, error) { return Fig11(cfg, []int{1}) },
-		"fig12": func() ([]*Table, error) { return Fig12(cfg, []int{50}) },
-		"fig13": func() ([]*Table, error) { return Fig13(cfg, []int{1000}) },
-		"fig14": func() ([]*Table, error) { return Fig14(cfg, []int{2}) },
+	figs := map[string]func() ([]*Table, error){
+		"fig5":  func() ([]*Table, error) { return Fig05(cfg, []float64{2}) },
 		"fig15": func() ([]*Table, error) { return Fig15(cfg, []int{50}) },
+	}
+	for _, s := range sweeps {
+		v, ok := smokeValues[s.name]
+		if !ok {
+			t.Errorf("sweep %s has no smoke value", s.name)
+			continue
+		}
+		figs[s.name] = func() ([]*Table, error) { return s.run(cfg, []float64{v}) }
 	}
 	for name, fn := range figs {
 		t.Run(name, func(t *testing.T) {
@@ -309,32 +317,55 @@ func TestFigureRunnersSmoke(t *testing.T) {
 
 func TestTableRunners(t *testing.T) {
 	cfg := Quick()
-	t4, err := Table4(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t4.Rows) != 4 {
+	if t4 := Table4(cfg); len(t4.Rows) != 4 {
 		t.Errorf("Table4 rows = %d", len(t4.Rows))
 	}
-	t5 := Table5(cfg)
-	if len(t5.Rows) != 9 {
-		t.Errorf("Table5 rows = %d", len(t5.Rows))
-	}
-	if !strings.Contains(t5.String(), "*") {
-		t.Error("Table5 should mark defaults")
+}
+
+// TestTable5Pinned holds Table 5's rows at both configurations: each
+// range is its sweep's, and the configuration's value is starred where
+// the range holds it.
+func TestTable5Pinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want [][]string
+	}{
+		{"Default", Default(), [][]string{
+			{"k", "1,5,10*,20,50"},
+			{"alpha", "0.1,0.3,0.5*,0.7,0.9"},
+			{"UL (keywords per user)", "1,2,3*,4,5,6"},
+			{"UW (unique user keywords)", "5,10,20*,30,40"},
+			{"Area", "1.0,2.0,5.0*,10.0,20.0"},
+			{"|L|", "1,20,50*,100,300"},
+			{"ws", "1,2,3*,4,5"},
+			{"|U|", "100,500,1000*,2000,4000"},
+			{"|O| (paper: 1M–8M)", "10000,20000*,40000,80000"},
+		}},
+		{"Quick", Quick(), [][]string{
+			{"k", "1,5,10*,20,50"},
+			{"alpha", "0.1,0.3,0.5*,0.7,0.9"},
+			{"UL (keywords per user)", "1,2,3*,4,5,6"},
+			{"UW (unique user keywords)", "5,10,20,30,40"},
+			{"Area", "1.0,2.0,5.0*,10.0,20.0"},
+			{"|L|", "1,20,50,100,300"},
+			{"ws", "1,2*,3,4,5"},
+			{"|U|", "100*,500,1000,2000,4000"},
+			{"|O| (paper: 1M–8M)", "10000,20000,40000,80000"},
+		}},
+	} {
+		if got := Table5(c.cfg).Rows; !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Table5(%s()) rows = %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 
 func TestAblations(t *testing.T) {
 	cfg := Quick()
 	cfg.Runs = 1
-	for name, fn := range map[string]func(Config) (*Table, error){
-		"min-weights": AblationMinWeights,
-		"super-user":  AblationSuperUser,
-		"best-first":  AblationBestFirst,
-	} {
-		t.Run(name, func(t *testing.T) {
-			tb, err := fn(cfg)
+	for _, a := range ablations {
+		t.Run(a.name, func(t *testing.T) {
+			tb, err := a.run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

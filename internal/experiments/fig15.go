@@ -50,8 +50,7 @@ func Fig15(cfg Config, us []int) ([]*Table, error) {
 			w := NewWorkload(c, run)
 
 			// Un-indexed: flat user file read + joint top-k I/O.
-			w.MIR.IO().Reset()
-			e, th, err := w.PreparedEngine()
+			_, e, th, err := w.MeasureJointTopK()
 			if err != nil {
 				return nil, err
 			}

@@ -1,18 +1,20 @@
 package experiments
 
 import (
-	"fmt"
+	"slices"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/textrel"
 )
 
 // measured aggregates all metrics of one configuration over cfg.Runs
 // workloads (distinct user sets, shared dataset).
 type measured struct {
-	Base, Joint                  TopKMetrics
-	SelBase, SelExact, SelApprox SelectionMetrics
-	ratioSum                     float64
-	ratioRuns                    int
+	Base, Joint TopKMetrics
+	Sel         [3]SelectionMetrics // per selection: Baseline, Exact, Approx
+	ratioSum    float64
+	ratioRuns   int
 }
 
 // Ratio returns the mean approximation ratio |approx| / |exact|.
@@ -23,8 +25,9 @@ func (m measured) Ratio() float64 {
 	return m.ratioSum / float64(m.ratioRuns)
 }
 
-// measure runs one configuration end to end. withBaselineSel additionally
-// times the exhaustive Section 4 candidate selection (expensive).
+// measure runs one configuration end to end: both top-k phases, then the
+// exhaustive Section 4 candidate selection (only withBaselineSel: it is
+// expensive), the exact and the approximate one, all sequential.
 func measure(cfg Config, withBaselineSel bool) (measured, error) {
 	var m measured
 	for run := 0; run < cfg.Runs; run++ {
@@ -33,262 +36,178 @@ func measure(cfg Config, withBaselineSel bool) (measured, error) {
 		if err != nil {
 			return m, err
 		}
+		j, e, th, err := w.MeasureJointTopK()
+		if err != nil {
+			return m, err
+		}
 		m.Base.add(b)
-		j, err := w.MeasureJointTopK()
-		if err != nil {
-			return m, err
-		}
 		m.Joint.add(j)
-
-		e, th, err := w.PreparedEngine()
-		if err != nil {
-			return m, err
+		var counts [3]int
+		for i, spec := range []core.ScanSpec{{Mode: core.ScanExhaustive}, {}, {Method: core.KeywordsApprox}} {
+			if i == 0 && !withBaselineSel {
+				continue
+			}
+			start := time.Now()
+			sel, err := selectBest(e, w.Query(), th, spec)
+			if err != nil {
+				return m, err
+			}
+			m.Sel[i].add(float64(time.Since(start).Microseconds()) / 1000)
+			counts[i] = sel.Count()
 		}
-		bMs, eMs, aMs, eCount, aCount, err := w.SelectionTriple(e, th, withBaselineSel)
-		if err != nil {
-			return m, err
-		}
-		if withBaselineSel {
-			m.SelBase.add(bMs)
-		}
-		m.SelExact.add(eMs)
-		m.SelApprox.add(aMs)
-		if eCount > 0 {
-			m.ratioSum += float64(aCount) / float64(eCount)
+		if counts[1] > 0 {
+			m.ratioSum += float64(counts[2]) / float64(counts[1])
 			m.ratioRuns++
 		}
 	}
 	return m, nil
 }
 
-// sweepInts runs measure over a series of configurations derived by mod
-// and assembles the standard four panels (MRPU, MIOCPU, selection runtime,
-// approximation ratio) keyed by the varied value.
-func sweepInts(title, param string, cfg Config, vals []int, mod func(Config, int) Config, withBaselineSel bool) ([]*Table, error) {
-	topkT := &Table{Title: title + " — top-k phase", Header: []string{param, "B MRPU(ms)", "J MRPU(ms)", "B MIOCPU", "J MIOCPU"}}
-	selT := &Table{Title: title + " — candidate selection", Header: []string{param, "Baseline(ms)", "Exact(ms)", "Approx(ms)", "ratio"}}
+// axis is one Table 5 parameter as a figure sweeps it: its column
+// header, its range, how its values print, and how to read and set it on
+// a configuration. Table 5 lists the range and stars the default.
+type axis struct {
+	name   string
+	note   string // Table 5's gloss on the name, e.g. " (keywords per user)"
+	vals   []float64
+	format func(float64) string
+	get    func(Config) float64
+	set    func(*Config, float64)
+}
+
+// kAxis is swept twice: across the text measures (Fig 5) and on the
+// Yelp-like dataset (Fig 14).
+var kAxis = axis{name: "k", vals: []float64{1, 5, 10, 20, 50}, format: f0,
+	get: func(c Config) float64 { return float64(c.K) }, set: func(c *Config, v float64) { c.K = int(v) }}
+
+// sweep is one figure that varies one parameter from the defaults: a
+// top-k panel (Baseline vs Joint runtime and simulated I/O) and a
+// candidate-selection panel (runtime per method and the approximation
+// ratio), either omitted when its title is empty.
+type sweep struct {
+	name      string // the experiment's name in All
+	topk, sel string // panel titles
+	axis      axis
+	// baseline times the exhaustive Section 4 selection (expensive);
+	// without it the selection panel has no Baseline column.
+	baseline bool
+	// totals shows the top-k panel's runtime and I/O per run, not per user.
+	totals bool
+	// prep adapts the defaults before the sweep (nil: none).
+	prep func(Config) Config
+}
+
+// sweeps are Figures 6–14, one row each.
+var sweeps = []sweep{
+	{name: "fig6", topk: "Fig 6ab — top-k phase vs α", sel: "Fig 6cd — candidate selection vs α", baseline: true,
+		axis: axis{name: "alpha", vals: []float64{0.1, 0.3, 0.5, 0.7, 0.9}, format: f1,
+			get: func(c Config) float64 { return c.Alpha }, set: func(c *Config, v float64) { c.Alpha = v }}},
+	{name: "fig7", topk: "Fig 7 — varying UL — top-k phase", sel: "Fig 7 — varying UL — candidate selection", baseline: true,
+		axis: axis{name: "UL", note: " (keywords per user)", vals: []float64{1, 2, 3, 4, 5, 6}, format: f0,
+			get: func(c Config) float64 { return float64(c.UL) }, set: func(c *Config, v float64) { c.UL = int(v) }}},
+	{name: "fig8", topk: "Fig 8 — varying UW — top-k phase", sel: "Fig 8 — varying UW — candidate selection", baseline: true,
+		axis: axis{name: "UW", note: " (unique user keywords)", vals: []float64{5, 10, 20, 30, 40}, format: f0,
+			get: func(c Config) float64 { return float64(c.UW) },
+			set: func(c *Config, v float64) { c.UW = int(v); c.WS = min(c.WS, c.UW) }}},
+	{name: "fig9", topk: "Fig 9 — top-k phase vs Area", // the paper plots the top-k phase only
+		axis: axis{name: "Area", vals: []float64{1, 2, 5, 10, 20}, format: f1,
+			get: func(c Config) float64 { return c.Area }, set: func(c *Config, v float64) { c.Area = v }}},
+	{name: "fig10", sel: "Fig 10 — candidate selection vs |L|", baseline: true,
+		axis: axis{name: "|L|", vals: []float64{1, 20, 50, 100, 300}, format: f0,
+			get: func(c Config) float64 { return float64(c.NumLocs) }, set: func(c *Config, v float64) { c.NumLocs = int(v) }}},
+	// The exact method's cost grows as C(|W|, ws); the range stops at 5
+	// where the paper (at testbed scale) reaches 8.
+	{name: "fig11", sel: "Fig 11 — candidate selection vs ws", baseline: true,
+		axis: axis{name: "ws", vals: []float64{1, 2, 3, 4, 5}, format: f0,
+			get: func(c Config) float64 { return float64(c.WS) }, set: func(c *Config, v float64) { c.WS = int(v) }}},
+	{name: "fig12", topk: "Fig 12ab — total top-k cost vs |U|", sel: "Fig 12cd — candidate selection vs |U|", baseline: true, totals: true,
+		axis: axis{name: "|U|", vals: []float64{100, 500, 1000, 2000, 4000}, format: f0,
+			get: func(c Config) float64 { return float64(c.NumUsers) }, set: func(c *Config, v float64) { c.NumUsers = int(v) }}},
+	// Scalability in |O| (paper: 1M–8M; scaled down 100×); the selection
+	// panel compares Exact and Approx only, as in the paper.
+	{name: "fig13", topk: "Fig 13ab — top-k phase vs |O|", sel: "Fig 13cd — candidate selection vs |O|",
+		axis: axis{name: "|O|", note: " (paper: 1M–8M)", vals: []float64{10000, 20000, 40000, 80000}, format: f0,
+			get: func(c Config) float64 { return float64(c.NumObjects) }, set: func(c *Config, v float64) { c.NumObjects = int(v) }}},
+	{name: "fig14", topk: "Fig 14 — varying k (Yelp) — top-k phase", sel: "Fig 14 — varying k (Yelp) — candidate selection", baseline: true,
+		axis: kAxis, prep: yelp},
+}
+
+// run measures the sweep at vals (nil: the axis's range) and fills its
+// panels, one row per value.
+func (s sweep) run(cfg Config, vals []float64) ([]*Table, error) {
+	if s.prep != nil {
+		cfg = s.prep(cfg)
+	}
+	if vals == nil {
+		vals = s.axis.vals
+	}
+	p := s.axis.name
+	topk := &Table{Title: s.topk, Header: []string{p, "B MRPU(ms)", "J MRPU(ms)", "B MIOCPU", "J MIOCPU"}}
+	if s.totals {
+		topk.Header = []string{p, "B total(ms)", "J total(ms)", "B total I/O", "J total I/O"}
+	}
+	sel := &Table{Title: s.sel, Header: []string{p, "Exact(ms)", "Approx(ms)", "ratio"}}
+	if s.baseline {
+		sel.Header = slices.Insert(sel.Header, 1, "Baseline(ms)")
+	}
 	for _, v := range vals {
-		c := mod(cfg, v)
-		m, err := measure(c, withBaselineSel)
+		c := cfg
+		s.axis.set(&c, v)
+		m, err := measure(c, s.baseline)
 		if err != nil {
 			return nil, err
 		}
-		topkT.AddRow(fmt.Sprint(v), f2(m.Base.MRPU()), f2(m.Joint.MRPU()), f1(m.Base.MIOCPU()), f1(m.Joint.MIOCPU()))
-		bm := "-"
-		if withBaselineSel {
-			bm = f1(m.SelBase.MeanMillis())
+		x := s.axis.format(v)
+		if runs := int64(c.Runs); s.totals {
+			topk.AddRow(x, f1(m.Base.TotalMillis/float64(runs)), f1(m.Joint.TotalMillis/float64(runs)),
+				d(m.Base.TotalIO/runs), d(m.Joint.TotalIO/runs))
+		} else {
+			topk.AddRow(x, f2(m.Base.MRPU()), f2(m.Joint.MRPU()), f1(m.Base.MIOCPU()), f1(m.Joint.MIOCPU()))
 		}
-		selT.AddRow(fmt.Sprint(v), bm, f1(m.SelExact.MeanMillis()), f2(m.SelApprox.MeanMillis()), f3(m.Ratio()))
+		row := []string{x}
+		if s.baseline {
+			row = append(row, f1(m.Sel[0].MeanMillis()))
+		}
+		sel.AddRow(append(row, f1(m.Sel[1].MeanMillis()), f2(m.Sel[2].MeanMillis()), f3(m.Ratio()))...)
 	}
-	return []*Table{topkT, selT}, nil
+	return slices.DeleteFunc([]*Table{topk, sel}, func(t *Table) bool { return t.Title == "" }), nil
+}
+
+// yelp moves a configuration to the Yelp-like dataset, whose documents
+// are ~15× longer, with at most 5,000 objects.
+func yelp(cfg Config) Config {
+	cfg.Dataset = Yelp
+	cfg.NumObjects = min(cfg.NumObjects, 5000)
+	return cfg
 }
 
 // Fig05 — effect of varying k across the three text measures: panels (a)
 // MRPU and (b) MIOCPU comparing Baseline vs Joint, (c) candidate-selection
-// runtime, (d) approximation ratio.
-func Fig05(cfg Config, ks []int) ([]*Table, error) {
-	if len(ks) == 0 {
-		ks = []int{1, 5, 10, 20, 50}
-	}
-	measures := []textrel.MeasureKind{textrel.LM, textrel.TFIDF, textrel.KO}
+// runtime, (d) approximation ratio. Each measure runs the k sweep (ks nil:
+// k's Table 5 range), and its panels' columns are laid side by side.
+func Fig05(cfg Config, ks []float64) ([]*Table, error) {
 	mrpu := &Table{Title: "Fig 5a — MRPU (ms) vs k", Header: []string{"k"}}
 	iocost := &Table{Title: "Fig 5b — MIOCPU vs k", Header: []string{"k"}}
-	sel := &Table{Title: "Fig 5c — selection runtime (ms) vs k", Header: []string{"k", "B(LM)"}}
+	sel := &Table{Title: "Fig 5c — selection runtime (ms) vs k", Header: []string{"k"}}
 	ratio := &Table{Title: "Fig 5d — approximation ratio vs k", Header: []string{"k"}}
-	for _, ms := range measures {
-		mrpu.Header = append(mrpu.Header, "B("+ms.String()+")", "J("+ms.String()+")")
-		iocost.Header = append(iocost.Header, "B("+ms.String()+")", "J("+ms.String()+")")
-		sel.Header = append(sel.Header, "E("+ms.String()+")", "A("+ms.String()+")")
-		ratio.Header = append(ratio.Header, ms.String())
-	}
-	for _, k := range ks {
-		mr := []string{fmt.Sprint(k)}
-		io := []string{fmt.Sprint(k)}
-		se := []string{fmt.Sprint(k)}
-		ra := []string{fmt.Sprint(k)}
-		for mi, ms := range measures {
-			c := cfg
-			c.K = k
-			c.Measure = ms
-			m, err := measure(c, mi == 0) // exhaustive baseline timed for LM only
-			if err != nil {
-				return nil, err
-			}
-			mr = append(mr, f2(m.Base.MRPU()), f2(m.Joint.MRPU()))
-			io = append(io, f1(m.Base.MIOCPU()), f1(m.Joint.MIOCPU()))
-			if mi == 0 {
-				se = append(se, f1(m.SelBase.MeanMillis()))
-			}
-			se = append(se, f1(m.SelExact.MeanMillis()), f2(m.SelApprox.MeanMillis()))
-			ra = append(ra, f3(m.Ratio()))
+	for mi, ms := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF, textrel.KO} {
+		c := cfg
+		c.Measure = ms
+		// Both panels (a title keeps one); the exhaustive baseline is
+		// timed for LM only.
+		panels, err := sweep{topk: "top-k", sel: "selection", axis: kAxis, baseline: mi == 0}.run(c, ks)
+		if err != nil {
+			return nil, err
 		}
-		mrpu.AddRow(mr...)
-		iocost.AddRow(io...)
-		sel.AddRow(se...)
-		ratio.AddRow(ra...)
+		n, top, se := ms.String(), panels[0], panels[1]
+		mrpu.join(top, []int{1, 2}, "B("+n+")", "J("+n+")")
+		iocost.join(top, []int{3, 4}, "B("+n+")", "J("+n+")")
+		if mi == 0 {
+			sel.join(se, []int{1}, "B("+n+")")
+		}
+		last := len(se.Header) - 1
+		sel.join(se, []int{last - 2, last - 1}, "E("+n+")", "A("+n+")")
+		ratio.join(se, []int{last}, n)
 	}
 	return []*Table{mrpu, iocost, sel, ratio}, nil
-}
-
-// Fig06 — effect of varying α (LM only).
-func Fig06(cfg Config, alphas []float64) ([]*Table, error) {
-	if len(alphas) == 0 {
-		alphas = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	}
-	topkT := &Table{Title: "Fig 6ab — top-k phase vs α", Header: []string{"alpha", "B MRPU(ms)", "J MRPU(ms)", "B MIOCPU", "J MIOCPU"}}
-	selT := &Table{Title: "Fig 6cd — candidate selection vs α", Header: []string{"alpha", "Baseline(ms)", "Exact(ms)", "Approx(ms)", "ratio"}}
-	for _, a := range alphas {
-		c := cfg
-		c.Alpha = a
-		m, err := measure(c, true)
-		if err != nil {
-			return nil, err
-		}
-		topkT.AddRow(f1(a), f2(m.Base.MRPU()), f2(m.Joint.MRPU()), f1(m.Base.MIOCPU()), f1(m.Joint.MIOCPU()))
-		selT.AddRow(f1(a), f1(m.SelBase.MeanMillis()), f1(m.SelExact.MeanMillis()), f2(m.SelApprox.MeanMillis()), f3(m.Ratio()))
-	}
-	return []*Table{topkT, selT}, nil
-}
-
-// Fig07 — effect of varying UL (keywords per user).
-func Fig07(cfg Config, uls []int) ([]*Table, error) {
-	if len(uls) == 0 {
-		uls = []int{1, 2, 3, 4, 5, 6}
-	}
-	return sweepInts("Fig 7 — varying UL", "UL", cfg, uls, func(c Config, v int) Config {
-		c.UL = v
-		return c
-	}, true)
-}
-
-// Fig08 — effect of varying UW (pooled unique user keywords = |W|).
-func Fig08(cfg Config, uws []int) ([]*Table, error) {
-	if len(uws) == 0 {
-		uws = []int{5, 10, 20, 30, 40}
-	}
-	return sweepInts("Fig 8 — varying UW", "UW", cfg, uws, func(c Config, v int) Config {
-		c.UW = v
-		if c.WS > v {
-			c.WS = v
-		}
-		return c
-	}, true)
-}
-
-// Fig09 — effect of varying the user-region Area (top-k phase only, as in
-// the paper).
-func Fig09(cfg Config, areas []float64) ([]*Table, error) {
-	if len(areas) == 0 {
-		areas = []float64{1, 2, 5, 10, 20}
-	}
-	t := &Table{Title: "Fig 9 — top-k phase vs Area", Header: []string{"Area", "B MRPU(ms)", "J MRPU(ms)", "B MIOCPU", "J MIOCPU"}}
-	for _, a := range areas {
-		c := cfg
-		c.Area = a
-		m, err := measure(c, false)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(f1(a), f2(m.Base.MRPU()), f2(m.Joint.MRPU()), f1(m.Base.MIOCPU()), f1(m.Joint.MIOCPU()))
-	}
-	return []*Table{t}, nil
-}
-
-// Fig10 — effect of varying |L| (selection phase only).
-func Fig10(cfg Config, ls []int) ([]*Table, error) {
-	if len(ls) == 0 {
-		ls = []int{1, 20, 50, 100, 300}
-	}
-	t := &Table{Title: "Fig 10 — candidate selection vs |L|", Header: []string{"|L|", "Baseline(ms)", "Exact(ms)", "Approx(ms)", "ratio"}}
-	for _, l := range ls {
-		c := cfg
-		c.NumLocs = l
-		m, err := measure(c, true)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprint(l), f1(m.SelBase.MeanMillis()), f1(m.SelExact.MeanMillis()), f2(m.SelApprox.MeanMillis()), f3(m.Ratio()))
-	}
-	return []*Table{t}, nil
-}
-
-// Fig11 — effect of varying ws. The exact method's cost grows as
-// C(|W|, ws); the default sweep stops at 5 where the paper (at testbed
-// scale) reaches 8.
-func Fig11(cfg Config, wss []int) ([]*Table, error) {
-	if len(wss) == 0 {
-		wss = []int{1, 2, 3, 4, 5}
-	}
-	t := &Table{Title: "Fig 11 — candidate selection vs ws", Header: []string{"ws", "Baseline(ms)", "Exact(ms)", "Approx(ms)", "ratio"}}
-	for _, ws := range wss {
-		c := cfg
-		c.WS = ws
-		m, err := measure(c, true)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprint(ws), f1(m.SelBase.MeanMillis()), f1(m.SelExact.MeanMillis()), f2(m.SelApprox.MeanMillis()), f3(m.Ratio()))
-	}
-	return []*Table{t}, nil
-}
-
-// Fig12 — effect of varying |U|: total (not per-user) runtime and I/O for
-// the top-k phase, plus the selection panels.
-func Fig12(cfg Config, us []int) ([]*Table, error) {
-	if len(us) == 0 {
-		us = []int{100, 500, 1000, 2000, 4000}
-	}
-	topkT := &Table{Title: "Fig 12ab — total top-k cost vs |U|", Header: []string{"|U|", "B total(ms)", "J total(ms)", "B total I/O", "J total I/O"}}
-	selT := &Table{Title: "Fig 12cd — candidate selection vs |U|", Header: []string{"|U|", "Baseline(ms)", "Exact(ms)", "Approx(ms)", "ratio"}}
-	for _, u := range us {
-		c := cfg
-		c.NumUsers = u
-		m, err := measure(c, true)
-		if err != nil {
-			return nil, err
-		}
-		runs := float64(c.Runs)
-		topkT.AddRow(fmt.Sprint(u), f1(m.Base.TotalMillis/runs), f1(m.Joint.TotalMillis/runs),
-			d(m.Base.TotalIO/int64(c.Runs)), d(m.Joint.TotalIO/int64(c.Runs)))
-		selT.AddRow(fmt.Sprint(u), f1(m.SelBase.MeanMillis()), f1(m.SelExact.MeanMillis()), f2(m.SelApprox.MeanMillis()), f3(m.Ratio()))
-	}
-	return []*Table{topkT, selT}, nil
-}
-
-// Fig13 — scalability in |O| (paper: 1M–8M; scaled down 100×). The
-// selection panel compares Exact and Approx only, as in the paper.
-func Fig13(cfg Config, os []int) ([]*Table, error) {
-	if len(os) == 0 {
-		os = []int{10000, 20000, 40000, 80000}
-	}
-	topkT := &Table{Title: "Fig 13ab — top-k phase vs |O|", Header: []string{"|O|", "B MRPU(ms)", "J MRPU(ms)", "B MIOCPU", "J MIOCPU"}}
-	selT := &Table{Title: "Fig 13cd — candidate selection vs |O|", Header: []string{"|O|", "Exact(ms)", "Approx(ms)", "ratio"}}
-	for _, o := range os {
-		c := cfg
-		c.NumObjects = o
-		m, err := measure(c, false)
-		if err != nil {
-			return nil, err
-		}
-		topkT.AddRow(fmt.Sprint(o), f2(m.Base.MRPU()), f2(m.Joint.MRPU()), f1(m.Base.MIOCPU()), f1(m.Joint.MIOCPU()))
-		selT.AddRow(fmt.Sprint(o), f1(m.SelExact.MeanMillis()), f2(m.SelApprox.MeanMillis()), f3(m.Ratio()))
-	}
-	return []*Table{topkT, selT}, nil
-}
-
-// Fig14 — the k sweep repeated on the Yelp-like dataset.
-func Fig14(cfg Config, ks []int) ([]*Table, error) {
-	if len(ks) == 0 {
-		ks = []int{1, 5, 10, 20, 50}
-	}
-	c := cfg
-	c.Dataset = Yelp
-	if c.NumObjects > 5000 {
-		c.NumObjects = 5000 // Yelp-like documents are ~15× longer
-	}
-	tables, err := sweepInts("Fig 14 — varying k (Yelp)", "k", c, ks, func(cc Config, v int) Config {
-		cc.K = v
-		return cc
-	}, true)
-	return tables, err
 }

@@ -69,6 +69,22 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
+// join appends src's columns cols, row by row, under headers; a table
+// with no rows first takes src's first column, the swept value.
+func (t *Table) join(src *Table, cols []int, headers ...string) {
+	if t.Rows == nil {
+		for _, row := range src.Rows {
+			t.AddRow(row[0])
+		}
+	}
+	t.Header = append(t.Header, headers...)
+	for i, row := range src.Rows {
+		for _, c := range cols {
+			t.Rows[i] = append(t.Rows[i], row[c])
+		}
+	}
+}
+
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Header))
@@ -99,6 +115,9 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
+
+// f0 formats a float with no decimals (the integer parameters).
+func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 
 // f1 formats a float with one decimal.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

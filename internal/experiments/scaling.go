@@ -17,10 +17,10 @@ var scalingWorkerCounts = []int{1, 2, 4, 8}
 // sequential pipeline. This figure is not from the paper — it is the
 // scaling axis the ROADMAP's serving goal adds on top of it.
 //
-// cfg.Groups pins the group count across all rows (0 derives it from the
-// row's worker count). Every row's selection is checked against the
-// sequential result; a mismatch is an error, making the determinism
-// guarantee part of the experiment itself.
+// Each row runs under the engine's default grouping, one group per
+// worker. Every row's selection is checked against the sequential
+// result; a mismatch is an error, making the determinism guarantee part
+// of the experiment itself.
 func FigScaling(cfg Config) ([]*Table, error) {
 	t := &Table{
 		Title:  "Scaling — parallel engine speedup vs workers (exact method)",
@@ -41,7 +41,7 @@ func FigScaling(cfg Config) ([]*Table, error) {
 			e := core.NewEngine(w.MIR, w.Scorer, w.US.Users)
 
 			start := time.Now()
-			th, err := e.Prepare(w.Cfg.K, workers, cfg.Groups)
+			th, err := e.Prepare(w.Cfg.K, workers, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -64,21 +64,11 @@ func FigScaling(cfg Config) ([]*Table, error) {
 		}
 	}
 
-	base := points[0]
+	base, runs := points[0], float64(cfg.Runs)
 	for pi, workers := range scalingWorkerCounts {
 		p := points[pi]
-		groups := cfg.Groups
-		if groups <= 0 {
-			groups = workers // Prepare's default
-		}
-		runs := float64(cfg.Runs)
-		t.AddRow(
-			fmt.Sprintf("%d", workers),
-			fmt.Sprintf("%d", groups),
-			f2(p.prepMs/runs), f2(base.prepMs/p.prepMs),
-			f2(p.selMs/runs), f2(base.selMs/p.selMs),
-			fmt.Sprintf("%d", p.count),
-		)
+		t.AddRow(fmt.Sprint(workers), fmt.Sprint(workers), // groups: Prepare's default, one per worker
+			f2(p.prepMs/runs), f2(base.prepMs/p.prepMs), f2(p.selMs/runs), f2(base.selMs/p.selMs), fmt.Sprint(p.count))
 	}
 	return []*Table{t}, nil
 }

@@ -27,20 +27,3 @@ func TestFigScaling(t *testing.T) {
 		t.Fatalf("got %d rows, want %d", rows, len(scalingWorkerCounts))
 	}
 }
-
-func TestFigScalingPinnedGroups(t *testing.T) {
-	cfg := Quick()
-	cfg.NumObjects = 500
-	cfg.NumUsers = 40
-	cfg.Runs = 1
-	cfg.Groups = 8
-	tables, err := FigScaling(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tables[0].Rows {
-		if row[1] != "8" {
-			t.Fatalf("groups column = %q, want pinned 8", row[1])
-		}
-	}
-}

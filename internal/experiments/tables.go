@@ -2,60 +2,51 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 )
 
 // Table4 — dataset description (the paper's Table 4), computed on the
 // actual synthetic datasets used at the configured scale.
-func Table4(cfg Config) (*Table, error) {
+func Table4(cfg Config) *Table {
 	t := &Table{
 		Title:  "Table 4 — dataset description",
 		Header: []string{"Property", "Flickr-like", "Yelp-like"},
 	}
 	fc := cfg
 	fc.Dataset = Flickr
-	yc := cfg
-	yc.Dataset = Yelp
-	if yc.NumObjects > 5000 {
-		yc.NumObjects = 5000
-	}
 	f := datasetFor(fc).Describe()
-	y := datasetFor(yc).Describe()
+	y := datasetFor(yelp(cfg)).Describe()
 	t.AddRow("Total objects", fmt.Sprint(f.TotalObjects), fmt.Sprint(y.TotalObjects))
 	t.AddRow("Total unique terms", fmt.Sprint(f.TotalUniqueTerms), fmt.Sprint(y.TotalUniqueTerms))
 	t.AddRow("Avg unique terms per object", f1(f.AvgUniquePerObj), f1(y.AvgUniquePerObj))
 	t.AddRow("Total terms in dataset", fmt.Sprint(f.TotalTermsInData), fmt.Sprint(y.TotalTermsInData))
-	return t, nil
+	return t
 }
 
-// Table5 — the experiment parameters (the paper's ranges with our scaled
-// object and user counts; defaults in bold are marked with *).
+// Table5 — the experiment parameters: each swept parameter's range, as
+// the figure that varies it sweeps it, with the configuration's value
+// starred where the range holds it (the paper's bold defaults). k comes
+// first, as Fig 5 sweeps it; Fig 14 sweeps it again.
 func Table5(cfg Config) *Table {
 	t := &Table{
 		Title:  "Table 5 — parameters (scaled; * = default)",
 		Header: []string{"Parameter", "Range"},
 	}
-	mark := func(vals []string, def string) string {
-		out := ""
-		for i, v := range vals {
-			if i > 0 {
-				out += ","
-			}
-			if v == def {
-				out += v + "*"
-			} else {
-				out += v
+	axes := []axis{kAxis}
+	for _, s := range sweeps {
+		if s.axis.name != kAxis.name {
+			axes = append(axes, s.axis)
+		}
+	}
+	for _, a := range axes {
+		cells := make([]string, len(a.vals))
+		for i, v := range a.vals {
+			cells[i] = a.format(v)
+			if v == a.get(cfg) {
+				cells[i] += "*"
 			}
 		}
-		return out
+		t.AddRow(a.name+a.note, strings.Join(cells, ","))
 	}
-	t.AddRow("k", mark([]string{"1", "5", "10", "20", "50"}, fmt.Sprint(cfg.K)))
-	t.AddRow("alpha", mark([]string{"0.1", "0.3", "0.5", "0.7", "0.9"}, f1(cfg.Alpha)))
-	t.AddRow("UL (keywords per user)", mark([]string{"1", "2", "3", "4", "5", "6"}, fmt.Sprint(cfg.UL)))
-	t.AddRow("UW (unique user keywords)", mark([]string{"5", "10", "20", "30", "40"}, fmt.Sprint(cfg.UW)))
-	t.AddRow("Area", mark([]string{"1", "2", "5", "10", "20"}, f1(cfg.Area)))
-	t.AddRow("|L|", mark([]string{"1", "20", "50", "100", "300"}, fmt.Sprint(cfg.NumLocs)))
-	t.AddRow("ws", mark([]string{"1", "2", "3", "4", "5"}, fmt.Sprint(cfg.WS)))
-	t.AddRow("|U|", mark([]string{"100", "500", "1000", "2000", "4000"}, fmt.Sprint(cfg.NumUsers)))
-	t.AddRow("|O| (paper: 1M–8M)", mark([]string{"10000", "20000", "40000", "80000"}, fmt.Sprint(cfg.NumObjects)))
 	return t
 }

@@ -87,8 +87,8 @@ func NewWorkload(cfg Config, run int) *Workload {
 		US:     us,
 		Locs:   locs,
 		Scorer: scorer,
-		IR:     irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.IRTree, Fanout: cfg.Fanout, DecodedCacheBytes: cfg.DecodedCacheBytes}),
-		MIR:    irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: cfg.Fanout, DecodedCacheBytes: cfg.DecodedCacheBytes}),
+		IR:     irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.IRTree, Fanout: cfg.Fanout}),
+		MIR:    irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: cfg.Fanout}),
 	}
 }
 
@@ -104,74 +104,39 @@ func (w *Workload) Query() core.Query {
 
 // MeasureBaselineTopK times the per-user top-k phase on the IR-tree.
 func (w *Workload) MeasureBaselineTopK() (TopKMetrics, error) {
-	w.IR.IO().Reset()
-	start := time.Now()
-	if _, err := topk.BaselineTopK(w.IR, w.Scorer, w.US.Users, w.Cfg.K); err != nil {
-		return TopKMetrics{}, err
-	}
-	return TopKMetrics{
-		TotalMillis: float64(time.Since(start).Microseconds()) / 1000,
-		TotalIO:     w.IR.IO().Total(),
-		Users:       len(w.US.Users),
-	}, nil
+	return w.timeTopK(w.IR, func() error {
+		_, err := topk.BaselineTopK(w.IR, w.Scorer, w.US.Users, w.Cfg.K)
+		return err
+	})
 }
 
-// MeasureJointTopK times the shared top-k phase on the MIR-tree, on the
-// parallel engine when the configuration asks for it (the zero-valued
-// Workers and Groups keep every experiment sequential, the paper's
-// setting; benchrunner's -workers/-groups flags opt in).
-func (w *Workload) MeasureJointTopK() (TopKMetrics, error) {
+// MeasureJointTopK times the shared top-k phase on the MIR-tree,
+// sequentially, as the paper runs it, and returns the engine and the
+// thresholds it prepared.
+func (w *Workload) MeasureJointTopK() (TopKMetrics, *core.Engine, core.Thresholds, error) {
 	e := core.NewEngine(w.MIR, w.Scorer, w.US.Users)
-	w.MIR.IO().Reset()
-	start := time.Now()
-	if _, err := e.Prepare(w.Cfg.K, w.Cfg.Workers, w.Cfg.Groups); err != nil {
-		return TopKMetrics{}, err
-	}
-	return TopKMetrics{
-		TotalMillis: float64(time.Since(start).Microseconds()) / 1000,
-		TotalIO:     w.MIR.IO().Total(),
-		Users:       len(w.US.Users),
-	}, nil
+	var th core.Thresholds
+	m, err := w.timeTopK(w.MIR, func() (err error) {
+		th, err = e.Prepare(w.Cfg.K, 0, 0)
+		return err
+	})
+	return m, e, th, err
 }
 
-// PreparedEngine returns an engine and the thresholds computed jointly for
-// it.
-func (w *Workload) PreparedEngine() (*core.Engine, core.Thresholds, error) {
-	e := core.NewEngine(w.MIR, w.Scorer, w.US.Users)
-	th, err := e.Prepare(w.Cfg.K, w.Cfg.Workers, w.Cfg.Groups)
-	return e, th, err
+// timeTopK times one top-k phase over tree and reads its simulated I/O.
+func (w *Workload) timeTopK(tree *irtree.Tree, phase func() error) (TopKMetrics, error) {
+	tree.IO().Reset()
+	start := time.Now()
+	err := phase()
+	return TopKMetrics{
+		TotalMillis: float64(time.Since(start).Microseconds()) / 1000,
+		TotalIO:     tree.IO().Total(),
+		Users:       len(w.US.Users),
+	}, err
 }
 
 // selectBest runs phase 2 under th and reduces it to the MaxBRSTkNN answer.
 func selectBest(e *core.Engine, q core.Query, th core.Thresholds, spec core.ScanSpec) (core.Selection, error) {
 	cands, _, err := e.Scan(q, th, spec)
 	return core.Best(cands), err
-}
-
-// SelectionTriple runs the three candidate-selection strategies on a
-// prepared engine and returns (baselineMs, exactMs, approxMs, exactCount,
-// approxCount). The Section 4 baseline always runs sequentially.
-func (w *Workload) SelectionTriple(e *core.Engine, th core.Thresholds, runBaseline bool) (bMs, eMs, aMs float64, eCount, aCount int, err error) {
-	q := w.Query()
-	if runBaseline {
-		start := time.Now()
-		if _, err = selectBest(e, q, th, core.ScanSpec{Mode: core.ScanExhaustive}); err != nil {
-			return
-		}
-		bMs = float64(time.Since(start).Microseconds()) / 1000
-	}
-	start := time.Now()
-	exact, err := selectBest(e, q, th, core.ScanSpec{Workers: w.Cfg.Workers})
-	if err != nil {
-		return
-	}
-	eMs = float64(time.Since(start).Microseconds()) / 1000
-	start = time.Now()
-	approx, err := selectBest(e, q, th, core.ScanSpec{Method: core.KeywordsApprox, Workers: w.Cfg.Workers})
-	if err != nil {
-		return
-	}
-	aMs = float64(time.Since(start).Microseconds()) / 1000
-	eCount, aCount = exact.Count(), approx.Count()
-	return
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -17,7 +18,7 @@ import (
 // while a later request for the same key silently starts a duplicate
 // build, breaking the singleflight guarantee.
 func TestSessionCacheInFlightNotEvicted(t *testing.T) {
-	c := newLRUCache[*maxbrstknn.Session](1)
+	c := newLRUCache(1, func(*maxbrstknn.Session) {})
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var buildsA atomic.Int32
@@ -32,7 +33,7 @@ func TestSessionCacheInFlightNotEvicted(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := c.get("a", buildA); err != nil {
+		if _, _, err := c.get("a", 0, buildA); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -40,7 +41,7 @@ func TestSessionCacheInFlightNotEvicted(t *testing.T) {
 
 	// A different cohort misses while "a" is still building; capacity 1
 	// forces an eviction decision, which must spare the in-flight entry.
-	if _, err := c.get("b", func() (*maxbrstknn.Session, error) { return nil, nil }); err != nil {
+	if _, _, err := c.get("b", 0, func() (*maxbrstknn.Session, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -50,7 +51,7 @@ func TestSessionCacheInFlightNotEvicted(t *testing.T) {
 	for i := 0; i < joiners; i++ {
 		go func() {
 			defer wg.Done()
-			if _, err := c.get("a", buildA); err != nil {
+			if _, _, err := c.get("a", 0, buildA); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -90,4 +91,40 @@ func TestStatsFreshServer(t *testing.T) {
 	if stats.SessionCache.HitRate != 0 {
 		t.Errorf("session_cache.hit_rate = %v on a fresh server, want 0", stats.SessionCache.HitRate)
 	}
+}
+
+// A value leaves the cache — evicted, or dropped as of an older epoch —
+// exactly once, and never while a get still holds it.
+func TestSessionCacheLeavesAfterLastRelease(t *testing.T) {
+	var left []string
+	c := newLRUCache(1, func(v string) { left = append(left, v) })
+	get := func(key string, epoch uint64) func() {
+		t.Helper()
+		_, release, err := c.get(key, epoch, func() (string, error) { return key, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return release
+	}
+	want := func(keys ...string) {
+		t.Helper()
+		if fmt.Sprint(left) != fmt.Sprint(keys) {
+			t.Fatalf("left %v, want %v", left, keys)
+		}
+	}
+	releaseA := get("a", 0)
+	releaseA2 := get("a", 0)
+	releaseB := get("b", 1) // evicts a, which two gets hold
+	want()
+	releaseA()
+	want()
+	releaseA2()
+	want("a")
+	c.dropBefore(2) // drops b, which a get holds
+	if size, _, _ := c.stats(); size != 0 {
+		t.Fatalf("size %d after dropBefore, want 0", size)
+	}
+	want("a")
+	releaseB()
+	want("a", "b")
 }

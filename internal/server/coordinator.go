@@ -17,11 +17,21 @@ import (
 // shard, nil for an HTTP shard (which keeps its own). A NewShard server
 // caches the session its coordinator's calls run on the same way, with
 // no thresholds. Entries are keyed by the fleet's epoch, so a request's
-// two phases never span two snapshots, and eviction drops a cohort's
-// thresholds and sessions together.
+// two phases never span two snapshots; a cohort that leaves the cache,
+// evicted or of an epoch a mutation superseded, closes its sessions once
+// no request holds it.
 type cohort struct {
 	rsk      []float64
 	sessions []*maxbrstknn.Session
+}
+
+// close releases the cohort's sessions and so their snapshot pins.
+func (co *cohort) close() {
+	for _, sess := range co.sessions {
+		if sess != nil {
+			sess.Close()
+		}
+	}
 }
 
 // epoch is the fleet's publication counter: the sum of its shards'.
@@ -36,10 +46,11 @@ func (s *Server) epoch() uint64 {
 // cohort returns the query's cohort entry, running phase 1 on first
 // sight. The build is detached from the requester: requests for the same
 // cohort join it, and one client going away must not fail the rest. Each
-// shard call stays bounded by ShardTimeout.
-func (s *Server) cohort(ctx context.Context, q *query) (*cohort, error) {
-	key := sessionKey(s.epoch(), q.req.Users, q.req.K)
-	return s.cohorts.get(key, func() (*cohort, error) {
+// shard call stays bounded by ShardTimeout. The caller releases the
+// cohort when its request is done with it.
+func (s *Server) cohort(ctx context.Context, q *query) (*cohort, func(), error) {
+	epoch := s.epoch()
+	return s.cohorts.get(sessionKey(epoch, q.req.Users, q.req.K), epoch, func() (*cohort, error) {
 		return s.phase1(context.WithoutCancel(ctx), q)
 	})
 }

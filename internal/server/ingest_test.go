@@ -112,6 +112,33 @@ func TestMutationEndpoints(t *testing.T) {
 	}
 }
 
+// A cached cohort pins its epoch's snapshot. Once a mutation publishes,
+// no request can ask for that cohort again, so it must leave the cache and
+// release its pin: otherwise the writer can reclaim nothing any later
+// mutation retires.
+func TestMutationReleasesCachedCohorts(t *testing.T) {
+	idx, wire := fixture(t)
+	srv := New(idx, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if resp, body := postJSON(t, ts, "/maxbrstknn", wire); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/maxbrstknn: status %d: %s", resp.StatusCode, body)
+	}
+	for i := 0; i < 200; i++ {
+		x := float64(i%10) + 0.5
+		if resp, body := postJSON(t, ts, "/add", AddRequest{X: x, Y: x, Keywords: []string{"zebra"}}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/add %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	if size, _, _ := srv.cohorts.stats(); size != 0 {
+		t.Errorf("%d cohorts of superseded epochs still cached", size)
+	}
+	if st := idx.IngestStats(); st.RetiredRecords != 0 || st.RetiredPages != 0 {
+		t.Fatalf("ingest stats %+v, want every retired record reclaimed", st)
+	}
+}
+
 // Queries racing mutations must all succeed: writers never block readers,
 // and every reader sees some fully published epoch.
 func TestConcurrentMutationsAndQueries(t *testing.T) {

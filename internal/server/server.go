@@ -134,7 +134,7 @@ func newServer(cfg Config, ix *maxbrstknn.Index) *Server {
 		cfg: cfg,
 		ix:  ix,
 		// A negative capacity stays negative: the cache never evicts.
-		cohorts: newLRUCache[*cohort](cmp.Or(cfg.SessionCapacity, 64)),
+		cohorts: newLRUCache(cmp.Or(cfg.SessionCapacity, 64), (*cohort).close),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		start:   time.Now(),
 	}
@@ -273,8 +273,9 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) er
 // refused for is refused before any shard is called or cohort built:
 // an invalid query, a negative l or m, the user-indexed strategy on a
 // fleet of more than one shard, and (extension, for /topl and /multiple)
-// any strategy but exact and approx.
-func (s *Server) begin(w http.ResponseWriter, r *http.Request, extension bool) (*query, *cohort, bool) {
+// any strategy but exact and approx. The handler releases the cohort
+// when it is done.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, extension bool) (*query, *cohort, func(), bool) {
 	q := &query{}
 	err := s.decodeBody(w, r, &q.wire)
 	if err == nil {
@@ -292,21 +293,22 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, extension bool) (
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
-	co, err := s.cohort(r.Context(), q)
+	co, release, err := s.cohort(r.Context(), q)
 	if err != nil {
 		writeError(w, errorStatus(err), err)
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
-	return q, co, true
+	return q, co, release, true
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, co, ok := s.begin(w, r, false)
+	q, co, release, ok := s.begin(w, r, false)
 	if !ok {
 		return
 	}
+	defer release()
 	cands, err := s.scatter(r.Context(), q, co, co.rsk, 0)
 	if err != nil {
 		writeError(w, errorStatus(err), err)
@@ -320,10 +322,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTopL(w http.ResponseWriter, r *http.Request) {
-	q, co, ok := s.begin(w, r, true)
+	q, co, release, ok := s.begin(w, r, true)
 	if !ok {
 		return
 	}
+	defer release()
 	l := max(q.wire.L, 1)
 	cands, err := s.scatter(r.Context(), q, co, co.rsk, l)
 	if err != nil {
@@ -338,10 +341,11 @@ func (s *Server) handleTopL(w http.ResponseWriter, r *http.Request) {
 // thresholds with the users earlier rounds won poisoned by Cover's one
 // poison, math.MaxFloat64, which the shard wire carries as it is.
 func (s *Server) handleMultiple(w http.ResponseWriter, r *http.Request) {
-	q, co, ok := s.begin(w, r, true)
+	q, co, release, ok := s.begin(w, r, true)
 	if !ok {
 		return
 	}
+	defer release()
 	results, err := maxbrstknn.Cover(max(q.wire.M, 1), co.rsk, func(rsk []float64) (maxbrstknn.Result, error) {
 		cands, err := s.scatter(r.Context(), q, co, rsk, 0)
 		return replayBest(cands), err
@@ -399,7 +403,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // by afterwards) and the state of the index after it. Epoch and live
 // count come from one snapshot load, so they are mutually consistent —
 // though with other writers running they may describe a later epoch than
-// this mutation's.
+// this mutation's. Cohorts of the epochs before it leave the cache: no
+// request can ask for them again, and their sessions' pins would keep
+// the writer from reclaiming what every later mutation retires.
 func (s *Server) mutate(w http.ResponseWriter, r *http.Request, wire any, apply func() (int, error)) {
 	if err := s.decodeBody(w, r, wire); err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -410,6 +416,7 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, wire any, apply 
 		writeError(w, errorStatus(err), err)
 		return
 	}
+	s.cohorts.dropBefore(s.epoch())
 	st := s.ix.IngestStats()
 	writeJSON(w, func() ([]byte, error) {
 		return appendNewline(json.Marshal(MutationResponse{ID: id, Epoch: st.Epoch, LiveObjects: st.LiveObjects}))

@@ -306,10 +306,10 @@ func TestSessionCacheHits(t *testing.T) {
 }
 
 func TestSessionCacheEvicts(t *testing.T) {
-	c := newLRUCache[*maxbrstknn.Session](2)
+	c := newLRUCache(2, func(*maxbrstknn.Session) {})
 	build := func() (*maxbrstknn.Session, error) { return nil, nil }
 	for _, key := range []string{"a", "b", "c", "b"} {
-		if _, err := c.get(key, build); err != nil {
+		if _, _, err := c.get(key, 0, build); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,7 +330,7 @@ func TestSessionCacheEvicts(t *testing.T) {
 }
 
 func TestSessionCacheBuildErrorNotCached(t *testing.T) {
-	c := newLRUCache[*maxbrstknn.Session](4)
+	c := newLRUCache(4, func(*maxbrstknn.Session) {})
 	calls := 0
 	build := func() (*maxbrstknn.Session, error) {
 		calls++
@@ -339,10 +339,10 @@ func TestSessionCacheBuildErrorNotCached(t *testing.T) {
 		}
 		return nil, nil
 	}
-	if _, err := c.get("k", build); err == nil {
+	if _, _, err := c.get("k", 0, build); err == nil {
 		t.Fatal("first build should fail")
 	}
-	if _, err := c.get("k", build); err != nil {
+	if _, _, err := c.get("k", 0, build); err != nil {
 		t.Fatalf("retry after failed build: %v", err)
 	}
 	if calls != 2 {

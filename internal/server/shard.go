@@ -264,17 +264,19 @@ func NewShard(six *maxbrstknn.ShardIndex, id, total int, cfg Config) *Server {
 }
 
 // shardSession returns the cached session a shard server runs a cohort's
-// calls on, building it on first sight.
-func (s *Server) shardSession(users []UserSpec, k int) (*maxbrstknn.Session, error) {
+// calls on, building it on first sight, and the release the handler
+// calls when done with it.
+func (s *Server) shardSession(users []UserSpec, k int) (*maxbrstknn.Session, func(), error) {
 	specs := userSpecs(users)
-	co, err := s.cohorts.get(sessionKey(s.epoch(), specs, k), func() (*cohort, error) {
+	epoch := s.epoch()
+	co, release, err := s.cohorts.get(sessionKey(epoch, specs, k), epoch, func() (*cohort, error) {
 		sess, err := s.ix.NewUnpreparedSession(specs, k)
 		return &cohort{sessions: []*maxbrstknn.Session{sess}}, err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return co.sessions[0], nil
+	return co.sessions[0], release, nil
 }
 
 func (s *Server) handleShardPhase1(w http.ResponseWriter, r *http.Request) {
@@ -283,11 +285,12 @@ func (s *Server) handleShardPhase1(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sess, err := s.shardSession(wire.Users, wire.K)
+	sess, release, err := s.shardSession(wire.Users, wire.K)
 	if err != nil {
 		writeError(w, errorStatus(err), err)
 		return
 	}
+	defer release()
 	ph, err := sess.Phase1(wire.Seeds, parallelOptions(wire.Parallel))
 	if err != nil {
 		writeError(w, errorStatus(err), err)
@@ -311,11 +314,12 @@ func (s *Server) handleShardSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sess, err := s.shardSession(wire.Query.Users, req.K)
+	sess, release, err := s.shardSession(wire.Query.Users, req.K)
 	if err != nil {
 		writeError(w, errorStatus(err), err)
 		return
 	}
+	defer release()
 	l := 0
 	if wire.List {
 		l = wire.L

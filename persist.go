@@ -54,10 +54,12 @@ func resolveDecodedCacheBytes(v int64) int64 {
 //
 // Objects added with AddObject are included; deleted objects are
 // recorded and stay deleted after Load. A shard index (see ShardBuilder)
-// cannot be saved: its global id map is not part of the file format. Save serializes one consistent
-// snapshot: it holds the writer mutex — so it sees the index either
-// before or after any concurrent mutation, never mid-mutation — while
-// concurrent queries proceed unblocked on their own pinned snapshots.
+// cannot be saved: its global id map is not part of the file format.
+//
+// Save serializes one consistent snapshot: it holds the writer mutex — so
+// it sees the index either before or after any concurrent mutation, never
+// mid-mutation — while concurrent queries proceed unblocked on their own
+// pinned snapshots.
 func (ix *Index) Save(path string) error {
 	if ix.gids != nil {
 		return fmt.Errorf("save: %w", errShardImmutable)
