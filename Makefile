@@ -137,10 +137,9 @@ shard-smoke:
 
 lint: lint-maxbr lint-external
 
-# The nine project-specific analyzers (snapshotonce, immutablealias,
-# pinpair, hotpathalloc, sentinelerr, maporder, exhaustiveenum,
-# errwrapchain, atomicmix) plus the //maxbr:ignore directive checks.
-# Exit status 1 on any finding.
+# The six project-specific analyzers (snapshotonce, immutablealias,
+# pinpair, hotpathalloc, sentinelerr, exhaustiveenum) plus the
+# //maxbr:ignore directive checks. Exit status 1 on any finding.
 lint-maxbr:
 	$(GO) run ./cmd/maxbrlint ./...
 

@@ -1,64 +1,26 @@
-// Command maxbrlint runs the project's invariant analyzers over the
-// tree: a multichecker in the style of go/analysis, built on the
-// self-contained framework in internal/lint.
+// Command maxbrlint runs the project's invariant analyzers (internal/lint)
+// over every package of ./... below the current directory:
 //
-// Usage:
+//	go run ./cmd/maxbrlint ./...
 //
-//	maxbrlint [-analyzers a,b,...] [-list] [packages...]
-//
-// With no package patterns it analyzes ./... relative to the current
-// directory. The exit status is 1 when any diagnostic survives the
-// //maxbr:ignore filter, so `make lint` and CI can gate on it directly.
+// It prints one line per diagnostic that survives the //maxbr:ignore
+// filter and exits with status 1 when there is any, so `make lint` and CI
+// gate on it directly.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	var (
-		names   = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		list    = flag.Bool("list", false, "list the available analyzers and exit")
-		dirFlag = flag.String("C", ".", "directory to run in (module root or below)")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: maxbrlint [flags] [packages...]\n\n")
-		flag.PrintDefaults()
+	if len(os.Args) > 2 || len(os.Args) == 2 && os.Args[1] != "./..." {
+		fmt.Fprintln(os.Stderr, "usage: maxbrlint [./...]")
+		os.Exit(2)
 	}
-	flag.Parse()
-
-	if *list {
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	analyzers := lint.Analyzers()
-	if *names != "" {
-		analyzers = analyzers[:0]
-		for _, n := range strings.Split(*names, ",") {
-			n = strings.TrimSpace(n)
-			a := lint.AnalyzerByName(n)
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "maxbrlint: unknown analyzer %q (use -list)\n", n)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	diags, err := lint.Run(*dirFlag, patterns, analyzers)
+	diags, err := lint.Run(".")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "maxbrlint: %v\n", err)
 		os.Exit(2)

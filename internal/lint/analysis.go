@@ -1,16 +1,18 @@
 // Package lint is maxbrlint: a suite of project-specific static
 // analyzers that mechanically enforce the invariants this codebase's
 // correctness hinges on — single snapshot loads per operation, the
-// shared-immutable aliasing contract of the cache layers, paired
-// epoch-pin / lock acquisition and release, allocation-free annotated
-// hot paths, and errors.Is over sentinel identity comparisons.
+// shared-immutable aliasing contract of the cache layers, released or
+// handed-off epoch pins and sessions, allocation-free annotated hot
+// paths, errors.Is over sentinel identity comparisons with sentinels
+// wrapped first by %w, and enum switches that cover every constant or
+// fail.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shape
 // (Analyzer, Pass, Diagnostic) but is self-contained on the standard
-// library: packages are loaded with `go list -export` and type-checked
-// from source with go/types, with dependencies imported from compiler
-// export data. Should the tree ever vendor x/tools, each analyzer's Run
-// is a drop-in analysis.Analyzer body.
+// library: the module's packages are listed by one `go list -deps
+// -export` and type-checked from source with go/types, with dependencies
+// imported from compiler export data. Should the tree ever vendor
+// x/tools, each analyzer's Run is a drop-in analysis.Analyzer body.
 package lint
 
 import (
@@ -134,14 +136,12 @@ func chainRoot(chain string) string {
 	return chain
 }
 
-// funcScopes yields every function body in the file — declarations and
-// function literals — paired with the node owning it. Each scope is
-// visited once; literals nested inside a declaration appear both inside
-// the declaration's body walk and as their own scope.
-func funcScopes(f *ast.File, fn func(name string, decl *ast.FuncDecl, body *ast.BlockStmt)) {
+// funcScopes yields the name and body of every function declaration in
+// the file. Function literals are walked as part of the enclosing body.
+func funcScopes(f *ast.File, fn func(name string, body *ast.BlockStmt)) {
 	for _, d := range f.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-			fn(fd.Name.Name, fd, fd.Body)
+			fn(fd.Name.Name, fd.Body)
 		}
 	}
 }

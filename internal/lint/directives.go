@@ -26,8 +26,6 @@ const (
 // ignoreEntry is one parsed //maxbr:ignore comment.
 type ignoreEntry struct {
 	analyzer string
-	reason   string
-	pos      token.Pos
 	// lines the suppression covers (the comment's own line and the next).
 	lines [2]int
 }
@@ -56,18 +54,12 @@ func parseIgnores(fset *token.FileSet, f *ast.File, known map[string]bool, repor
 				report(c.Pos(), "maxbr:ignore names unknown analyzer %q", name)
 				continue
 			}
-			reason := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), name))
-			if reason == "" {
+			if len(fields) == 1 {
 				report(c.Pos(), "maxbr:ignore %s carries no reason; suppressions must say why", name)
 				continue
 			}
 			line := fset.Position(c.Pos()).Line
-			out = append(out, ignoreEntry{
-				analyzer: name,
-				reason:   reason,
-				pos:      c.Pos(),
-				lines:    [2]int{line, line + 1},
-			})
+			out = append(out, ignoreEntry{analyzer: name, lines: [2]int{line, line + 1}})
 		}
 	}
 	return out

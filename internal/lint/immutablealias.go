@@ -63,7 +63,7 @@ var sortCalls = [][2]string{
 
 func runImmutableAlias(pass *Pass) {
 	for _, f := range pass.Files {
-		funcScopes(f, func(name string, decl *ast.FuncDecl, body *ast.BlockStmt) {
+		funcScopes(f, func(name string, body *ast.BlockStmt) {
 			checkAliasScope(pass, body)
 		})
 	}

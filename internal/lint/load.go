@@ -34,73 +34,51 @@ type listPkg struct {
 	Export     string
 	GoFiles    []string
 	Standard   bool
+	DepOnly    bool
 }
 
-// listFields is the -json field selection matching listPkg.
-const listFields = "-json=ImportPath,Dir,Export,GoFiles,Standard"
+// Loader type-checks the module's packages from source, resolving every
+// import through compiler export data produced by `go list -export`. One
+// Loader shares a file set and an import cache across all packages it
+// loads.
+type Loader struct {
+	fset    *token.FileSet
+	targets []*listPkg // the module's packages, in import-path order
+	imp     types.Importer
+}
 
-// goList runs `go list` in dir with the given arguments and decodes the
-// JSON stream.
-func goList(dir string, args ...string) ([]*listPkg, error) {
-	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+// NewLoader lists the packages of ./... under dir (a directory inside
+// the module) with their full dependency closure and its export data, in
+// one `go list` run. The listed packages themselves — neither
+// dependencies only nor standard library — are what Load type-checks.
+func NewLoader(dir string) (*Loader, error) {
+	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly", "./...")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
-	var pkgs []*listPkg
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
+	l := &Loader{fset: token.NewFileSet()}
+	exports := map[string]string{} // import path -> export data file
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 		p := &listPkg{}
 		if err := dec.Decode(p); err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("go list: decoding output: %v", err)
 		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-// Loader type-checks module packages from source, resolving every import
-// through compiler export data produced by `go list -export`. One Loader
-// shares a file set and an import cache across all packages it loads.
-type Loader struct {
-	dir     string
-	fset    *token.FileSet
-	exports map[string]string // import path -> export data file
-	deps    map[string]*listPkg
-	imp     types.Importer
-}
-
-// NewLoader prepares a loader rooted at dir (a directory inside the
-// module). The patterns select which packages — plus their full
-// dependency closure — get export data; "./..." covers everything.
-func NewLoader(dir string, patterns ...string) (*Loader, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	args := append([]string{"-deps", "-export", listFields}, patterns...)
-	deps, err := goList(dir, args...)
-	if err != nil {
-		return nil, err
-	}
-	l := &Loader{
-		dir:     dir,
-		fset:    token.NewFileSet(),
-		exports: make(map[string]string, len(deps)),
-		deps:    make(map[string]*listPkg, len(deps)),
-	}
-	for _, p := range deps {
-		l.deps[p.ImportPath] = p
 		if p.Export != "" {
-			l.exports[p.ImportPath] = p.Export
+			exports[p.ImportPath] = p.Export
+		}
+		if !p.DepOnly && !p.Standard {
+			l.targets = append(l.targets, p)
 		}
 	}
+	sort.Slice(l.targets, func(i, j int) bool { return l.targets[i].ImportPath < l.targets[j].ImportPath })
 	l.imp = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := l.exports[path]
+		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
@@ -112,45 +90,10 @@ func NewLoader(dir string, patterns ...string) (*Loader, error) {
 // Fset returns the loader's shared file set, for positioning diagnostics.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// Load type-checks the non-standard-library packages the patterns match.
-// Packages are returned in import-path order.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	targets, err := goList(l.dir, append([]string{"-json=ImportPath,Standard"}, patterns...)...)
-	if err != nil {
-		return nil, err
-	}
-	var lps []*listPkg
-	for _, t := range targets {
-		if t.Standard {
-			continue
-		}
-		lp, ok := l.deps[t.ImportPath]
-		if !ok {
-			// The target was not in the loader's dependency closure (a
-			// narrower NewLoader pattern); list it with export data now.
-			fresh, err := goList(l.dir, "-deps", "-export", listFields, t.ImportPath)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range fresh {
-				l.deps[p.ImportPath] = p
-				if p.Export != "" {
-					l.exports[p.ImportPath] = p.Export
-				}
-			}
-			lp, ok = l.deps[t.ImportPath]
-			if !ok {
-				return nil, fmt.Errorf("lint: %s not in go list output", t.ImportPath)
-			}
-		}
-		lps = append(lps, lp)
-	}
-	sort.Slice(lps, func(i, j int) bool { return lps[i].ImportPath < lps[j].ImportPath })
-	out := make([]*Package, 0, len(lps))
-	for _, lp := range lps {
+// Load type-checks the module's packages, in import-path order.
+func (l *Loader) Load() ([]*Package, error) {
+	out := make([]*Package, 0, len(l.targets))
+	for _, lp := range l.targets {
 		files := make([]string, len(lp.GoFiles))
 		for i, gf := range lp.GoFiles {
 			files[i] = filepath.Join(lp.Dir, gf)

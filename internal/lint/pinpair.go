@@ -2,49 +2,33 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// AnalyzerPinPair enforces the PR 6/7 resource discipline: epoch pins
-// and prepared sessions must be released on every path, and mutex
-// acquisitions must have a matching release in the same function scope.
-// A leaked pin silently blocks retired-page reclamation forever (the
-// storage-leak class PR 7 fixed); a leaked session delays it until the
-// GC cleanup fires; a lock without an unlock deadlocks the writer path.
+// AnalyzerPinPair enforces the resource discipline of the snapshot
+// layer: an epoch pin, a pinned snapshot or a session must be released or
+// handed off. A leaked pin blocks retired-page reclamation forever; a
+// leaked session delays it until the GC cleanup fires. Two rules, each
+// per function:
 //
-// Three rules, each per function:
+//   - TryPin (storage.EpochPins, irtree.Tree) requires an Unpin on the
+//     same receiver chain, unless the function merely delegates (the
+//     TryPin call is part of a return expression) or the pinned
+//     receiver's root is returned — the caller then owns the pin.
 //
-//   - sync.Mutex/RWMutex: a Lock (RLock) on a receiver chain with no
-//     Unlock (RUnlock) on the same chain anywhere in the scope —
-//     including defers — is flagged. Function literals are separate
-//     scopes: a closure must not rely on its enclosing function to
-//     unlock what it locked.
-//
-//   - TryPin (storage.EpochPins, irtree.Tree): requires an Unpin on the
-//     same chain, unless the function merely delegates (the TryPin call
-//     is part of a return expression) or the pinned receiver's root
-//     escapes by being returned — the caller then owns the pin.
-//
-//   - Index.acquire / Index.NewSession / Index.NewParallelSession /
-//     Index.NewUnpreparedSession: the result holds a pin; the function
-//     must release it (Unpin rooted at the result for acquire, Close for
+//   - Index.acquire and the session constructors (NewSession, newSession,
+//     NewUnpreparedSession) return a value holding a pin. It must be
+//     released (Unpin or release rooted at it for acquire, Close for
 //     sessions — a call, a defer, or a method-value reference all count)
-//     or hand it off: returning the result, storing it into a composite
-//     literal or a field, or
-//     passing it to another call transfers ownership.
+//     or handed off: returning the value, storing it into a composite
+//     literal or a field, or passing it to another call transfers
+//     ownership (returning s.Run(req) does not). A call whose result is
+//     neither assigned nor returned drops the pin.
 var AnalyzerPinPair = &Analyzer{
 	Name: "pinpair",
-	Doc:  "flags epoch pins, sessions, and mutex acquisitions without a matching release on every path",
+	Doc:  "flags epoch pins, pinned snapshots and sessions that are neither released nor handed off",
 	Run:  runPinPair,
-}
-
-// lockPairs maps sync lock methods to their releases, per receiver chain.
-var lockPairs = []struct {
-	pkg, recv, lock, unlock string
-}{
-	{"sync", "Mutex", "Lock", "Unlock"},
-	{"sync", "RWMutex", "Lock", "Unlock"},
-	{"sync", "RWMutex", "RLock", "RUnlock"},
 }
 
 // tryPinRecvs are the receiver-based pin acquisitions.
@@ -62,74 +46,16 @@ var resultPinned = []struct {
 }{
 	{"repro", "Index", "acquire", []string{"Unpin", "release"}, "pinned snapshot"},
 	{"repro", "Index", "NewSession", []string{"Close"}, "session"},
-	{"repro", "Index", "NewParallelSession", []string{"Close"}, "session"},
+	{"repro", "Index", "newSession", []string{"Close"}, "session"},
 	{"repro", "Index", "NewUnpreparedSession", []string{"Close"}, "session"},
 }
 
 func runPinPair(pass *Pass) {
 	for _, f := range pass.Files {
-		funcScopes(f, func(name string, decl *ast.FuncDecl, body *ast.BlockStmt) {
-			checkLockBalance(pass, name, body)
+		funcScopes(f, func(name string, body *ast.BlockStmt) {
 			checkTryPin(pass, name, body)
 			checkResultPins(pass, name, body)
-			// Function literals are their own lock scopes.
-			ast.Inspect(body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkLockBalance(pass, name+" (func literal)", lit.Body)
-				}
-				return true
-			})
 		})
-	}
-}
-
-// scopeCalls visits the calls of one lock scope: the body without
-// descending into nested function literals.
-func scopeCalls(body *ast.BlockStmt, fn func(call *ast.CallExpr)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			fn(call)
-		}
-		return true
-	})
-}
-
-func checkLockBalance(pass *Pass, name string, body *ast.BlockStmt) {
-	type chainKey struct{ chain, unlock string }
-	locks := map[chainKey]ast.Node{}
-	releases := map[chainKey]bool{}
-	scopeCalls(body, func(call *ast.CallExpr) {
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		fn := calleeFunc(pass.Info, call)
-		if fn == nil {
-			return
-		}
-		chain := chainString(sel.X)
-		if chain == "" {
-			return
-		}
-		for _, lp := range lockPairs {
-			if matchesFunc(fn, lp.pkg, lp.recv, lp.lock) {
-				k := chainKey{chain, lp.unlock}
-				if _, ok := locks[k]; !ok {
-					locks[k] = call
-				}
-			}
-			if matchesFunc(fn, lp.pkg, lp.recv, lp.unlock) {
-				releases[chainKey{chain, lp.unlock}] = true
-			}
-		}
-	})
-	for k, at := range locks {
-		if !releases[k] {
-			pass.Report(at.Pos(), "%s locks %s but never calls %s in the same function scope: release on every path (defer right after acquiring)", name, k.chain, k.unlock)
-		}
 	}
 }
 
@@ -246,25 +172,20 @@ func checkResultPins(pass *Pass, name string, body *ast.BlockStmt) {
 		}
 		return true
 	})
-	if len(sites) == 0 {
-		// Un-assigned acquisition: fine only when delegated via return.
-		ast.Inspect(body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(pass.Info, call)
-			for _, rp := range resultPinned {
-				if matchesFunc(fn, rp.pkg, rp.recv, rp.name) && !partOfReturn(body, call) {
-					if _, assigned := enclosingAssign(body, call); !assigned {
-						pass.Report(call.Pos(), "%s drops the %s returned by %s on the floor: close or release it", name, rp.what, rp.name)
-					}
-				}
-			}
+	// Un-assigned acquisition: fine only when delegated via return.
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
 			return true
-		})
-		return
-	}
+		}
+		fn := calleeFunc(pass.Info, call)
+		for _, rp := range resultPinned {
+			if matchesFunc(fn, rp.pkg, rp.recv, rp.name) && !partOfReturn(body, call) && !assigned(body, call) {
+				pass.Report(call.Pos(), "%s drops the %s returned by %s on the floor: close or release it", name, rp.what, rp.name)
+			}
+		}
+		return true
+	})
 
 	for _, site := range sites {
 		released, escaped := false, false
@@ -280,18 +201,18 @@ func checkResultPins(pass *Pass, name string, body *ast.BlockStmt) {
 				}
 			case *ast.ReturnStmt:
 				for _, r := range n.Results {
-					if usesObj(pass.Info, r, site.obj) {
+					if isObj(pass.Info, r, site.obj) {
 						escaped = true
 					}
 				}
 			case *ast.CompositeLit:
 				for _, el := range n.Elts {
-					if usesObj(pass.Info, el, site.obj) {
+					if isObj(pass.Info, el, site.obj) {
 						escaped = true
 					}
 				}
 			case *ast.SendStmt:
-				if usesObj(pass.Info, n.Value, site.obj) {
+				if isObj(pass.Info, n.Value, site.obj) {
 					escaped = true
 				}
 			case *ast.AssignStmt:
@@ -308,7 +229,7 @@ func checkResultPins(pass *Pass, name string, body *ast.BlockStmt) {
 					} else if len(n.Rhs) == 1 {
 						rhs = n.Rhs[0]
 					}
-					if rhs != nil && usesObj(pass.Info, rhs, site.obj) {
+					if rhs != nil && isObj(pass.Info, rhs, site.obj) {
 						escaped = true
 					}
 				}
@@ -316,7 +237,7 @@ func checkResultPins(pass *Pass, name string, body *ast.BlockStmt) {
 				// Passing the value as an argument transfers ownership;
 				// method calls on the value do not.
 				for _, arg := range n.Args {
-					if usesObj(pass.Info, arg, site.obj) {
+					if isObj(pass.Info, arg, site.obj) {
 						escaped = true
 					}
 				}
@@ -346,16 +267,19 @@ func rootObj(info *types.Info, e ast.Expr) types.Object {
 	}
 }
 
-// usesObj reports whether expr references obj anywhere.
-func usesObj(info *types.Info, expr ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
+// isObj reports whether expr is obj itself (a keyed element's value or
+// an address-of counts): what a return, a send, a store or a call argument
+// hands over. A method call on obj, or a field of it, hands nothing over.
+func isObj(info *types.Info, expr ast.Expr, obj types.Object) bool {
+	switch e := ast.Unparen(expr).(type) {
+	case *ast.KeyValueExpr:
+		return isObj(info, e.Value, obj)
+	case *ast.UnaryExpr:
+		return e.Op == token.AND && isObj(info, e.X, obj)
+	case *ast.Ident:
+		return info.Uses[e] == obj
+	}
+	return false
 }
 
 // partOfReturn reports whether call appears inside a return statement.
@@ -379,20 +303,18 @@ func partOfReturn(body *ast.BlockStmt, call *ast.CallExpr) bool {
 	return found
 }
 
-// enclosingAssign reports whether call is the RHS of an assignment.
-func enclosingAssign(body *ast.BlockStmt, call *ast.CallExpr) (*ast.AssignStmt, bool) {
-	var out *ast.AssignStmt
+// assigned reports whether call is the RHS of an assignment.
+func assigned(body *ast.BlockStmt, call *ast.CallExpr) bool {
+	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return out == nil
-		}
-		for _, r := range as.Rhs {
-			if ast.Unparen(r) == ast.Expr(call) {
-				out = as
+		if as, ok := n.(*ast.AssignStmt); ok {
+			for _, r := range as.Rhs {
+				if ast.Unparen(r) == ast.Expr(call) {
+					found = true
+				}
 			}
 		}
-		return out == nil
+		return !found
 	})
-	return out, out != nil
+	return found
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -22,11 +23,7 @@ func TestSuiteCleanOnTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	loader := moduleLoader(t)
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
+	pkgs := modulePackages(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages; the module walk is broken", len(pkgs))
 	}
@@ -37,49 +34,63 @@ func TestSuiteCleanOnTree(t *testing.T) {
 	}
 }
 
-// TestSessionCallSitesAudited is the pinpair-driven audit the session
-// lifecycle relies on: every NewSession / NewParallelSession /
-// NewUnpreparedSession call site in the binaries, the server, the
-// experiments, and the examples either closes its session or deliberately
-// hands it off (returns it, stores it in the cache). The test first
-// proves the audit is not vacuous — the call sites it is about must
-// exist — then requires pinpair to pass.
-func TestSessionCallSitesAudited(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks several packages; skipped in -short")
-	}
+// The module's packages are type-checked once for every self-check.
+var (
+	pkgsOnce sync.Once
+	pkgsVal  []*Package
+	pkgsErr  error
+)
+
+func modulePackages(t *testing.T) []*Package {
+	t.Helper()
 	loader := moduleLoader(t)
-	pkgs, err := loader.Load("./cmd/...", "./internal/server/...", "./internal/experiments/...", "./examples/...")
-	if err != nil {
-		t.Fatalf("loading audit packages: %v", err)
+	pkgsOnce.Do(func() { pkgsVal, pkgsErr = loader.Load() })
+	if pkgsErr != nil {
+		t.Fatalf("loading module: %v", pkgsErr)
 	}
+	return pkgsVal
+}
 
-	callSites := 0
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := calleeFunc(pkg.Info, call)
-				if matchesFunc(fn, "repro", "Index", "NewSession") ||
-					matchesFunc(fn, "repro", "Index", "NewParallelSession") ||
-					matchesFunc(fn, "repro", "Index", "NewUnpreparedSession") {
-					callSites++
-				}
-				return true
-			})
+// TestAnalyzerTargetsExist keeps the analyzers' API target lists from
+// going stale: every (package, receiver, method) an analyzer names must
+// resolve to a declaration in the module, or its rule silently matches
+// nothing after a rename.
+func TestAnalyzerTargetsExist(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short")
+	}
+	var targets [][3]string
+	for _, s := range append(sharedSources, handoverSinks...) {
+		targets = append(targets, [3]string{s.pkg, s.recv, s.name})
+	}
+	for _, r := range resultPinned {
+		targets = append(targets, [3]string{r.pkg, r.recv, r.name})
+	}
+	for _, l := range snapshotLoaders {
+		targets = append(targets, [3]string{l[0], l[1], l[2]})
+	}
+	for _, r := range tryPinRecvs {
+		targets = append(targets, [3]string{r[0], r[1], "TryPin"}, [3]string{r[0], r[1], "Unpin"})
+	}
+	byPath := map[string]*types.Package{}
+	for _, pkg := range modulePackages(t) {
+		byPath[pkg.PkgPath] = pkg.Pkg
+	}
+	for _, tg := range targets {
+		pkg := byPath[tg[0]]
+		if pkg == nil {
+			t.Errorf("%s.%s.%s: no package %s in the module", tg[0], tg[1], tg[2], tg[0])
+			continue
 		}
-	}
-	if callSites == 0 {
-		t.Fatal("audit found no session constructor call sites; the pattern list is stale")
-	}
-	t.Logf("auditing %d session call sites across %d packages", callSites, len(pkgs))
-
-	for _, pkg := range pkgs {
-		for _, d := range RunAnalyzers(pkg, []*Analyzer{AnalyzerPinPair}) {
-			t.Errorf("unreleased acquisition at %s: %s", d.Pos, d.Message)
+		recv, _ := pkg.Scope().Lookup(tg[1]).(*types.TypeName)
+		if recv == nil {
+			t.Errorf("%s.%s.%s: no type %s", tg[0], tg[1], tg[2], tg[1])
+			continue
+		}
+		if m, _, _ := types.LookupFieldOrMethod(recv.Type(), true, pkg, tg[2]); m == nil {
+			t.Errorf("%s.%s.%s: no method %s", tg[0], tg[1], tg[2], tg[2])
+		} else if _, ok := m.(*types.Func); !ok {
+			t.Errorf("%s.%s.%s: %s is not a method", tg[0], tg[1], tg[2], tg[2])
 		}
 	}
 }
@@ -89,27 +100,30 @@ func TestSessionCallSitesAudited(t *testing.T) {
 // directive (and with it the allocation gate) cannot happen silently.
 func TestHotPathAnnotationsPresent(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks several packages; skipped in -short")
-	}
-	loader := moduleLoader(t)
-	pkgs, err := loader.Load("./internal/invfile", "./internal/topk", "./internal/core")
-	if err != nil {
-		t.Fatalf("loading packages: %v", err)
+		t.Skip("type-checks the whole module; skipped in -short")
 	}
 	annotated := map[string]bool{}
-	for _, pkg := range pkgs {
+	for _, pkg := range modulePackages(t) {
 		for _, f := range pkg.Files {
 			for _, fd := range hotpathFuncs(f) {
-				annotated[strings.TrimPrefix(pkg.PkgPath, "repro/internal/")+"."+fd.Name.Name] = true
+				name := pkg.Pkg.Name() + "." + fd.Name.Name
+				if r := recvName(fd); r != "" {
+					name = pkg.Pkg.Name() + "." + r + "." + fd.Name.Name
+				}
+				annotated[name] = true
 			}
 		}
 	}
 	for _, want := range []string{
-		"invfile.SumsInto",
+		"invfile.layout.sumRun",
 		"invfile.DecodeSumsInto",
+		"invfile.Dir.SumsInto",
+		"textrel.Model.weight",
+		"textrel.Model.Sum",
+		"textrel.Scorer.Combine",
 		"topk.Traverse",
 		"topk.RefineUser",
-		"core.selectKeywordsExact",
+		"core.Engine.selectKeywordsExact",
 	} {
 		if !annotated[want] {
 			t.Errorf("%s lost its //maxbr:hotpath annotation", want)
@@ -153,12 +167,8 @@ func TestNoUnreachableInternalDecls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	loader := moduleLoader(t)
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	fset := loader.Fset()
+	pkgs := modulePackages(t)
+	fset := moduleLoader(t).Fset()
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)

@@ -2,42 +2,82 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
 
-// AnalyzerSentinelErr flags identity comparisons (== / !=) against
-// sentinel error values — package-level error variables whose name
-// matches Err[A-Z]… — and tells the author to use errors.Is. The
-// storage and facade layers wrap sentinels with %w context as errors
+// AnalyzerSentinelErr guards the errors.Is contract on sentinel errors —
+// package-level error variables named Err[A-Z]… — from both ends. The
+// storage and facade layers wrap sentinels with context as errors
 // propagate (storage's ErrChecksum carries the page id, the facade's
-// ErrNoSuchObject carries the object id), so an identity comparison
-// silently stops matching the moment a wrap is added upstream.
+// ErrNoSuchObject the object id), so:
+//
+//   - a comparison with == or != stops matching the moment a wrap is
+//     added upstream: use errors.Is;
+//   - a sentinel passed to fmt.Errorf must be its first argument, under a
+//     constant format that begins with %w, so the wrap keeps it in the
+//     Unwrap chain errors.Is walks. Every wrap in the tree has this form,
+//     which leaves no format verbs to interpret;
+//   - errors.Is against an error built inline (errors.New, fmt.Errorf) is
+//     constantly false: nothing can have wrapped a value created there.
 var AnalyzerSentinelErr = &Analyzer{
 	Name: "sentinelerr",
-	Doc:  "flags ==/!= comparisons against Err* sentinel values; use errors.Is so wrapped errors still match",
+	Doc:  "flags ==/!= against Err* sentinels, sentinels fmt.Errorf does not wrap first with %w, and errors.Is against inline-built errors",
 	Run:  runSentinelErr,
 }
 
 func runSentinelErr(pass *Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-				return true
-			}
-			for _, side := range []ast.Expr{be.X, be.Y} {
-				if name, ok := sentinelErrName(pass.Info, side); ok {
-					pass.Report(be.Pos(),
-						"comparing against sentinel %s with %s breaks once the error is wrapped; use errors.Is(err, %s)", name, be.Op, name)
-					return true // one diagnostic per comparison
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				if n.Op != token.EQL && n.Op != token.NEQ {
+					return true
+				}
+				for _, side := range []ast.Expr{n.X, n.Y} {
+					if name, ok := sentinelErrName(pass.Info, side); ok {
+						pass.Report(n.Pos(), "comparing against sentinel %s with %s breaks once the error is wrapped; use errors.Is(err, %s)", name, n.Op, name)
+						break // one diagnostic per comparison
+					}
+				}
+			case *ast.CallExpr:
+				fn := calleeFunc(pass.Info, n)
+				if matchesFunc(fn, "fmt", "", "Errorf") {
+					checkErrorfWrap(pass, n)
+				} else if matchesFunc(fn, "errors", "", "Is") && len(n.Args) == 2 && freshError(pass.Info, n.Args[1]) {
+					pass.Report(n.Pos(), "errors.Is against an error constructed inline is always false: nothing can have wrapped a value created here; compare against a package-level sentinel instead")
 				}
 			}
 			return true
 		})
 	}
+}
+
+// checkErrorfWrap flags sentinel arguments of fmt.Errorf other than a
+// first argument under a constant format beginning with %w.
+func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
+	format := pass.Info.Types[call.Args[0]].Value
+	wrapsFirst := format != nil && format.Kind() == constant.String && strings.HasPrefix(constant.StringVal(format), "%w")
+	for i, arg := range call.Args[1:] {
+		if name, ok := sentinelErrName(pass.Info, arg); ok && (i > 0 || !wrapsFirst) {
+			pass.Report(arg.Pos(), "sentinel %s must be fmt.Errorf's first argument under a constant format beginning with %%w: in any other form it may be flattened out of the Unwrap chain, and errors.Is(err, %s) stops matching", name, name)
+		}
+	}
+}
+
+// freshError reports whether e is a direct call to errors.New or
+// fmt.Errorf.
+func freshError(info *types.Info, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fn := calleeFunc(info, call)
+	return matchesFunc(fn, "errors", "", "New") || matchesFunc(fn, "fmt", "", "Errorf")
 }
 
 // sentinelErrName reports whether e names a package-level error variable
@@ -53,12 +93,7 @@ func sentinelErrName(info *types.Info, e ast.Expr) (string, bool) {
 		return "", false
 	}
 	obj, ok := info.Uses[id].(*types.Var)
-	if !ok || obj.Parent() == nil || obj.Pkg() == nil {
-		return "", false
-	}
-	// Package-level only: method-local err variables never match anyway
-	// because of the naming check, but be precise.
-	if obj.Parent() != obj.Pkg().Scope() {
+	if !ok || obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
 		return "", false
 	}
 	name := obj.Name()
@@ -68,10 +103,5 @@ func sentinelErrName(info *types.Info, e ast.Expr) (string, bool) {
 	if r, _ := utf8.DecodeRuneInString(name[3:]); !unicode.IsUpper(r) {
 		return "", false
 	}
-	// Must actually be an error.
-	errType := types.Universe.Lookup("error").Type()
-	if !types.AssignableTo(obj.Type(), errType) {
-		return "", false
-	}
-	return name, true
+	return name, types.AssignableTo(obj.Type(), types.Universe.Lookup("error").Type())
 }

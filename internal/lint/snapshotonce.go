@@ -38,7 +38,7 @@ var snapshotLoaders = [][4]string{
 
 func runSnapshotOnce(pass *Pass) {
 	for _, f := range pass.Files {
-		funcScopes(f, func(name string, decl *ast.FuncDecl, body *ast.BlockStmt) {
+		funcScopes(f, func(name string, body *ast.BlockStmt) {
 			// owner chain -> load sites, in source order.
 			seen := map[string][]*ast.CallExpr{}
 			var order []string

@@ -14,21 +14,8 @@ func Analyzers() []*Analyzer {
 		AnalyzerPinPair,
 		AnalyzerHotPathAlloc,
 		AnalyzerSentinelErr,
-		AnalyzerMapOrder,
 		AnalyzerExhaustiveEnum,
-		AnalyzerErrWrapChain,
-		AnalyzerAtomicMix,
 	}
-}
-
-// AnalyzerByName resolves one analyzer; nil when unknown.
-func AnalyzerByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // knownNames is the //maxbr:ignore vocabulary.
@@ -97,21 +84,20 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return out
 }
 
-// Run loads the packages the patterns match (rooted at dir) and applies
-// the analyzers to each. The convenience entry point the maxbrlint
-// command and the self-check tests share.
-func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	loader, err := NewLoader(dir, patterns...)
+// Run loads the packages of ./... under dir and applies the whole suite
+// to each: the maxbrlint command.
+func Run(dir string) ([]Diagnostic, error) {
+	loader, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := loader.Load()
 	if err != nil {
 		return nil, err
 	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		out = append(out, RunAnalyzers(pkg, analyzers)...)
+		out = append(out, RunAnalyzers(pkg, Analyzers())...)
 	}
 	return out, nil
 }

@@ -1,48 +1,11 @@
-// Fixture for the pinpair analyzer: epoch pins, sessions, and mutexes
-// must be released on every path or handed off explicitly.
+// Fixture for the pinpair analyzer: epoch pins and sessions must be
+// released on every path or handed off explicitly.
 package fixture
 
 import (
-	"sync"
-
 	maxbrstknn "repro"
 	"repro/internal/storage"
 )
-
-type guarded struct {
-	mu sync.Mutex
-	rw sync.RWMutex
-	n  int
-}
-
-func lockWithoutUnlock(g *guarded) {
-	g.mu.Lock() // want "locks g.mu but never calls Unlock"
-	g.n++
-}
-
-func lockWithDefer(g *guarded) { // negative
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.n++
-}
-
-func rlockWithoutRUnlock(g *guarded) int {
-	g.rw.RLock() // want "locks g.rw but never calls RUnlock"
-	return g.n
-}
-
-func rwPaired(g *guarded) int { // negative: RLock/RUnlock balance
-	g.rw.RLock()
-	defer g.rw.RUnlock()
-	return g.n
-}
-
-func closureMustBalanceItself(g *guarded) func() {
-	return func() {
-		g.mu.Lock() // want "locks g.mu but never calls Unlock"
-		g.n++
-	}
-}
 
 func pinLeak(pins *storage.EpochPins, e uint64) int {
 	if !pins.TryPin(e) { // want "pins pins via TryPin but never calls Unpin"
@@ -89,6 +52,14 @@ func sessionReturned(ix *maxbrstknn.Index, users []maxbrstknn.UserSpec) (*maxbrs
 	return s, nil
 }
 
+func sessionRunReturned(ix *maxbrstknn.Index, req maxbrstknn.Request) (maxbrstknn.Result, error) {
+	s, err := ix.NewSession(req.Users, req.K) // want "acquires a session that is never closed"
+	if err != nil {
+		return maxbrstknn.Result{}, err
+	}
+	return s.Run(req) // the result, not the session, is handed over
+}
+
 func sessionDelegated(ix *maxbrstknn.Index, users []maxbrstknn.UserSpec) (*maxbrstknn.Session, error) { // negative
 	return ix.NewSession(users, 3)
 }
@@ -120,4 +91,14 @@ func unpreparedSessionClosed(ix *maxbrstknn.Index, users []maxbrstknn.UserSpec) 
 	defer s.Close()
 	_, err = s.Phase1(nil, maxbrstknn.ParallelOptions{})
 	return err
+}
+
+func sessionDroppedBesideAssigned(ix *maxbrstknn.Index, users []maxbrstknn.UserSpec) error {
+	s, err := ix.NewSession(users, 3)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	ix.NewSession(users, 3) // want "drops the session"
+	return nil
 }

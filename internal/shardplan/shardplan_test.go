@@ -103,7 +103,7 @@ func TestBuildShardFrozenEquivalence(t *testing.T) {
 	us := dataset.GenerateUsers(ds, dataset.UserConfig{NumUsers: 12, UL: 2, UW: 10, Area: 4, Seed: 13})
 	users := indexutil.UserSpecs(ds.Vocab, us.Users)
 	k := 15 // larger than every shard's object count
-	sess, err := idx.NewParallelSession(users, k, maxbrstknn.ParallelOptions{})
+	sess, err := idx.NewSession(users, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,13 +36,13 @@
 //
 // # Parallelism
 //
-// Both query phases run on a bounded worker pool when a Request (or
-// NewParallelSession) carries ParallelOptions: phase 1 partitions the
-// users into spatially tight super-user groups whose traversals execute
-// concurrently, and phase 2 fans the candidate locations and exact
-// keyword-combination scans out over the pool. Results are guaranteed
-// byte-identical to the sequential pipeline — ties are broken by object
-// ID everywhere — so Workers/Groups are purely performance knobs:
+// Both query phases run on a bounded worker pool when a Request carries
+// ParallelOptions: phase 1 partitions the users into spatially tight
+// super-user groups whose traversals execute concurrently, and phase 2
+// fans the candidate locations and exact keyword-combination scans out
+// over the pool. Results are guaranteed byte-identical to the sequential
+// pipeline — ties are broken by object ID everywhere — so Workers/Groups
+// are purely performance knobs:
 //
 //	res, _ := idx.MaxBRSTkNN(maxbrstknn.Request{
 //		// ... query as above ...

@@ -284,7 +284,7 @@ var keywordMethods = map[Strategy]core.KeywordMethod{Exact: core.KeywordsExact, 
 // and RunMultiple under Exact and Approx.
 func (in *instance) sessionAnswers(t testing.TB, ix *Index, par ParallelOptions) answers {
 	t.Helper()
-	s, err := ix.NewParallelSession(in.users, in.k, par)
+	s, err := ix.newSession(in.users, in.k, par)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ type Request struct {
 	// Strategy selects the processing method (default Exact).
 	Strategy Strategy
 	// Parallel configures the parallel engine. The zero value is fully
-	// sequential. Phase 1 (MaxBRSTkNN, NewParallelSession) honours
+	// sequential. Phase 1 (MaxBRSTkNN) honours
 	// Workers and Groups. In phase 2, Workers fans candidate locations out
 	// for the Exact, Approx and Exhaustive strategies of Run, RunTopL and
 	// RunMultiple; UserIndexed always selects sequentially.
@@ -125,7 +125,7 @@ type PruningStats struct {
 // threshold) runs inside; to amortize it across many candidate sets, use
 // Session. req.Parallel applies to both phases.
 func (ix *Index) MaxBRSTkNN(req Request) (Result, error) {
-	s, err := ix.NewParallelSession(req.Users, req.K, req.Parallel)
+	s, err := ix.newSession(req.Users, req.K, req.Parallel)
 	if err != nil {
 		return Result{}, err
 	}
@@ -136,9 +136,9 @@ func (ix *Index) MaxBRSTkNN(req Request) (Result, error) {
 // Session holds one user set and one k on a pinned index snapshot, and
 // the per-user thresholds that let several MaxBRSTkNN requests (different
 // L, W, ws) share the joint top-k computation — the expensive phase the
-// paper optimizes. NewSession and NewParallelSession prepare the
-// thresholds; NewUnpreparedSession leaves them to Phase1 and Scatter,
-// the two halves of a scatter-gathered query.
+// paper optimizes. NewSession prepares the thresholds;
+// NewUnpreparedSession leaves them to Phase1 and Scatter, the two halves
+// of a scatter-gathered query.
 //
 // # Concurrency
 //
@@ -226,14 +226,14 @@ func (s *Session) checkOpen(op string) error {
 // NewSession precomputes the thresholds for the user set via the joint
 // top-k processing of Section 5, sequentially.
 func (ix *Index) NewSession(users []UserSpec, k int) (*Session, error) {
-	return ix.NewParallelSession(users, k, ParallelOptions{})
+	return ix.newSession(users, k, ParallelOptions{})
 }
 
-// NewParallelSession is NewSession with the joint top-k phase run on the
+// newSession is NewSession with the joint top-k phase run on the
 // parallel engine: users are partitioned into opts.Groups spatial groups
 // whose super-user traversals execute on up to opts.Workers goroutines.
 // The prepared thresholds are identical to NewSession's.
-func (ix *Index) NewParallelSession(users []UserSpec, k int, opts ParallelOptions) (*Session, error) {
+func (ix *Index) newSession(users []UserSpec, k int, opts ParallelOptions) (*Session, error) {
 	s, err := ix.NewUnpreparedSession(users, k)
 	if err != nil {
 		return nil, err

@@ -216,8 +216,8 @@ type ShardPhase1 struct {
 
 // Phase1 computes every cohort user's top-k over the session's pinned
 // snapshot with one joint traversal (Section 5) on up to opts.Workers
-// goroutines — the paper's joint top-k, which NewParallelSession reduces
-// to thresholds. seeds[u] (optional — nil means no bounds known) is a
+// goroutines — the paper's joint top-k, which NewSession reduces to
+// thresholds. seeds[u] (optional — nil means no bounds known) is a
 // lower bound on user u's global k-th best score, established by a
 // coordinator from shards that already answered; the traversals and
 // refinements prune below it, losslessly for the merged global top-k.
