@@ -109,6 +109,7 @@ func TestImmutableAliasFixture(t *testing.T) { runFixture(t, "immutablealias", A
 func TestPinPairFixture(t *testing.T)        { runFixture(t, "pinpair", AnalyzerPinPair) }
 func TestHotPathAllocFixture(t *testing.T)   { runFixture(t, "hotpathalloc", AnalyzerHotPathAlloc) }
 func TestSentinelErrFixture(t *testing.T)    { runFixture(t, "sentinelerr", AnalyzerSentinelErr) }
+func TestErrWrapChainFixture(t *testing.T)   { runFixture(t, "errwrapchain", AnalyzerSentinelErr) }
 func TestExhaustiveEnumFixture(t *testing.T) { runFixture(t, "exhaustiveenum", AnalyzerExhaustiveEnum) }
 
 // TestDirectiveMechanics pins the malformed-//maxbr:ignore diagnostics
