@@ -77,9 +77,11 @@ func (s *Session) RunMultiple(req Request, m int) ([]Result, error) {
 // poisoned with math.MaxFloat64, the one poison: no achievable score
 // reaches it, so every bound and exact test skips the user, and JSON can
 // carry it to a shard. rsk itself is not modified, and won ids outside it
-// are ignored. The result inherits the greedy (1−1/e) coverage guarantee
-// with respect to the per-round answers; with no winning round it is
-// empty, never nil.
+// are ignored. Only when every round is a best answer (Exact,
+// UserIndexed or Exhaustive, which the oracle holds to the best count)
+// does the result have greedy maximum coverage's (1−1/e) guarantee
+// against the best m placements; Approx rounds carry none. With no
+// winning round it is empty, never nil.
 func Cover(m int, rsk []float64, best func(rsk []float64) (Result, error)) ([]Result, error) {
 	poisoned := slices.Clone(rsk)
 	out := []Result{}

@@ -192,10 +192,12 @@ func (e *Engine) keywordsInUsers(users []int, sc *exactScratch) []vocab.TermID {
 	return cand
 }
 
-// selectKeywordsGreedy implements the (1−1/e)-approximate keyword
-// selection of Section 6.2.1: build, for every candidate keyword, the
-// optimistic user list LUW_w (via the HW_{w,u} top-weighted completion),
-// run greedy maximum coverage, then count the chosen set exactly.
+// selectKeywordsGreedy implements the greedy keyword selection of
+// Section 6.2.1: build, for every candidate keyword, the optimistic user
+// list LUW_w (via the HW_{w,u} top-weighted completion), run greedy
+// maximum coverage, then count the chosen set exactly. The lists are
+// optimistic, so the count is at most the exact selection's and carries
+// no approximation guarantee: it may be zero where the exact one is not.
 func (e *Engine) selectKeywordsGreedy(q Query, rsk []float64, lc locCandidate, w textrel.CandidateSet) Selection {
 	li := lc.li
 

@@ -11,8 +11,9 @@
 //     (Section 4).
 //   - ScanBest with KeywordsExact: the pruned search of Algorithm 3 with
 //     the exact keyword selection of Algorithm 4 (Section 6.2.2).
-//   - ScanBest with KeywordsApprox: Algorithm 3 with the (1−1/e) greedy
-//     maximum-coverage keyword selection (Section 6.2.1).
+//   - ScanBest with KeywordsApprox: Algorithm 3 with the greedy
+//     maximum-coverage keyword selection (Section 6.2.1), whose count is
+//     at most KeywordsExact's.
 //   - ScanTopL: Algorithm 3 feeding a ranked shortlist of l locations.
 //
 // The user-indexed variant of Section 7 lives alongside in this package

@@ -68,6 +68,9 @@ func TestDecodeCorrupt(t *testing.T) {
 		"empty term":    {[][2]uint64{{3, 1}, {7, 0}}, 0},
 		"trailing byte": {[][2]uint64{{3, 1}, {7, 1}}, 1},
 		"short body":    {[][2]uint64{{3, 1}, {7, 2}}, -1},
+		// Two-byte term ids: headers that next reads on its fast path.
+		"repeated wide": {[][2]uint64{{200, 1}, {200, 1}}, 0},
+		"empty wide":    {[][2]uint64{{200, 1}, {300, 0}}, 0},
 	} {
 		l := layout{w: 1}
 		rec := storage.AppendUvarint([]byte{byte(l.version())}, uint64(len(c.headers)))

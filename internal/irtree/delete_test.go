@@ -1,120 +1,10 @@
 package irtree
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
 )
-
-// After a random mix of deletes (and the occasional re-insert), the tree
-// must stay structurally consistent — every live object reachable exactly
-// once, counts adding up — and answer top-k byte-identically to a brute
-// force over the live objects under the frozen model.
-func TestDeleteStructureAndTopK(t *testing.T) {
-	tree, rest, scorer, full := insertFixture(t, 400, 91)
-	for _, o := range rest {
-		nt, err := tree.With(-1, &o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree = nt
-	}
-
-	rng := rand.New(rand.NewSource(92))
-	alive := make(map[int32]bool, len(full.Objects))
-	for _, o := range full.Objects {
-		alive[o.ID] = true
-	}
-	var victims []int32
-	for id := range alive {
-		victims = append(victims, id)
-	}
-	rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
-	for _, id := range victims[:len(victims)/3] {
-		nt, err := tree.With(id, nil)
-		if err != nil {
-			t.Fatalf("delete %d: %v", id, err)
-		}
-		tree = nt
-		alive[id] = false
-	}
-
-	// Structural walk: reachable set == alive set, counts consistent.
-	seen := map[int32]int{}
-	var walk func(id int32) int32
-	walk = func(id int32) int32 {
-		n, err := tree.ReadNode(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var total int32
-		for _, e := range n.Entries {
-			if n.Leaf {
-				seen[e.Child]++
-				if !e.Rect.Contains(tree.Dataset().Objects[e.Child].Loc) {
-					t.Fatalf("leaf rect does not contain object %d", e.Child)
-				}
-				total++
-			} else {
-				child, err := tree.ReadNode(e.Child)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !e.Rect.ContainsRect(child.MBR()) {
-					t.Fatalf("entry rect does not contain child MBR")
-				}
-				got := walk(e.Child)
-				if got != e.Count {
-					t.Fatalf("entry count %d, subtree has %d", e.Count, got)
-				}
-				total += got
-			}
-		}
-		if total != n.Count {
-			t.Fatalf("node %d count %d, entries sum %d", id, n.Count, total)
-		}
-		return total
-	}
-	walk(tree.RootID())
-	for id, ok := range alive {
-		if ok && seen[id] != 1 {
-			t.Fatalf("live object %d reachable %d times", id, seen[id])
-		}
-		if !ok && seen[id] != 0 {
-			t.Fatalf("deleted object %d still reachable", id)
-		}
-	}
-
-	// Top-k equivalence against a brute force restricted to live objects.
-	liveDS := &dataset.Dataset{Vocab: full.Vocab, Stats: full.Stats, Space: full.Space}
-	for _, o := range full.Objects {
-		if alive[o.ID] {
-			liveDS.Objects = append(liveDS.Objects, o)
-		}
-	}
-	us := dataset.GenerateUsers(full, dataset.UserConfig{NumUsers: 12, UL: 3, UW: 12, Area: 20, Seed: 93})
-	for ui := range us.Users {
-		u := &us.Users[ui]
-		got, _, err := tree.TopK(scorer, u, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteTopK(liveDS, scorer, u, 5)
-		if len(got) != len(want) {
-			t.Fatalf("user %d: %d results, want %d", ui, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Score != want[i].Score {
-				t.Fatalf("user %d rank %d: %v vs %v", ui, i, got[i].Score, want[i].Score)
-			}
-		}
-	}
-
-	if records, pages := tree.RetiredStats(); records == 0 || pages == 0 {
-		t.Errorf("mutations should have retired records, got %d records / %d pages", records, pages)
-	}
-}
 
 // Deleting everything must leave an empty tree, and the id space must
 // keep extending past dead slots on re-insert.

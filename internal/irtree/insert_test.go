@@ -33,74 +33,6 @@ func insertFixture(t testing.TB, n int, seed int64) (*Tree, []dataset.Object, *t
 	return tree, full.Objects[half:], scorer, full
 }
 
-func TestInsertGrowsAndStaysConsistent(t *testing.T) {
-	tree, rest, _, _ := insertFixture(t, 600, 51)
-	before := len(tree.Dataset().Objects)
-	for _, o := range rest {
-		nt, err := tree.With(-1, &o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree = nt
-	}
-	if got := len(tree.Dataset().Objects); got != before+len(rest) {
-		t.Fatalf("objects = %d, want %d", got, before+len(rest))
-	}
-	root, err := tree.ReadNode(tree.RootID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(root.Count) != before+len(rest) {
-		t.Fatalf("root count = %d, want %d", root.Count, before+len(rest))
-	}
-	// every object reachable exactly once, rects containing, counts adding up
-	seen := map[int32]int{}
-	var walk func(id int32) int32
-	walk = func(id int32) int32 {
-		n, err := tree.ReadNode(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var total int32
-		for _, e := range n.Entries {
-			if n.Leaf {
-				seen[e.Child]++
-				loc := tree.Dataset().Objects[e.Child].Loc
-				if !e.Rect.Contains(loc) {
-					t.Fatalf("leaf rect %v does not contain object %v", e.Rect, loc)
-				}
-				total++
-			} else {
-				child, err := tree.ReadNode(e.Child)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !e.Rect.ContainsRect(child.MBR()) {
-					t.Fatalf("entry rect %v does not contain child MBR %v", e.Rect, child.MBR())
-				}
-				got := walk(e.Child)
-				if got != e.Count {
-					t.Fatalf("entry count %d, subtree has %d", e.Count, got)
-				}
-				total += got
-			}
-		}
-		if total != n.Count {
-			t.Fatalf("node %d count %d, entries sum %d", id, n.Count, total)
-		}
-		return total
-	}
-	walk(tree.RootID())
-	for id, cnt := range seen {
-		if cnt != 1 {
-			t.Fatalf("object %d reachable %d times", id, cnt)
-		}
-	}
-	if len(seen) != before+len(rest) {
-		t.Fatalf("reached %d objects, want %d", len(seen), before+len(rest))
-	}
-}
-
 // After inserts, top-k answers must match a brute-force scan over the
 // grown corpus under the frozen model — the search correctness invariant
 // survives incremental maintenance.

@@ -3,7 +3,6 @@ package irtree
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -124,12 +123,11 @@ func TestReadInvBytesChargesBlocks(t *testing.T) {
 	}
 }
 
-// MaxTextSums and MinTextSums are the reference the production sum paths
-// (ReadInvSums through a Dir or DecodeSumsInto) are tested against: a full
-// decode, then one allocating pass per bound that starts each entry at the
-// floors of the terms, F(terms), and adds, term by term in the ascending
-// order of Model.Sum, the entry's stored increment for the term where it
-// has a posting of it.
+// MaxTextSums and MinTextSums are the subtree bounds checkSubtreeBounds
+// holds every document to: a full decode, then one allocating pass per
+// bound that starts each entry at the floors of the terms, F(terms), and
+// adds, term by term in the ascending order of Model.Sum, the entry's
+// stored increment for the term where it has a posting of it.
 
 // MaxTextSums returns, for each entry of a node, an upper bound on
 // Model.Sum(d, terms) over every document d in the entry's subtree: F(terms)
@@ -163,111 +161,6 @@ func textSums(model *textrel.Model, inv *decodedInv, nEntries int, terms []vocab
 		}
 	}
 	return sums
-}
-
-// TestReadInvSumsMatchesDecodedSums verifies ReadInvSums against the
-// reference path (full decode + MaxTextSums / MinTextSums) on every node
-// of both index kinds and several term sets, including terms absent from
-// the corpus — with the decoded cache off (the directory walk on every
-// read) and on (a Dir cached on the first visit, binary-searched after),
-// the two sum paths. Every record is also summed both ways directly,
-// DecodeSumsInto against OpenDir + SumsInto, which must agree bit for bit. At fanout 200 leaves hold more than 128 entries, past
-// the one-byte varint deltas of the layout before this one, and at fanout
-// 300 more than 256, so their records take two-byte deltas.
-func TestReadInvSumsMatchesDecodedSums(t *testing.T) {
-	termSets := [][]vocab.TermID{
-		nil,
-		{0, 1, 2},
-		{3, 7, 50, 299},
-		{299, 5000}, // 5000 is out of vocabulary
-	}
-	for _, kind := range []Kind{IRTree, MIRTree} {
-		for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF} {
-			for _, cfg := range []Config{{Fanout: 16}, {Fanout: 16, DecodedCacheBytes: 8 << 20}, {Fanout: 200}, {Fanout: 300}} {
-				cfg.Kind = kind
-				cacheBytes := cfg.DecodedCacheBytes
-				_, ds, scorer := buildSmall(t, kind, measure)
-				tree := Build(ds, scorer.Model, cfg)
-				var scratch, streamed, indexed invfile.SumScratch
-				widest := 0
-				for _, maxTerms := range termSets {
-					for _, minTerms := range termSets {
-						var walk func(id int32)
-						walk = func(id int32) {
-							node, err := tree.ReadNode(id)
-							if err != nil {
-								t.Fatal(err)
-							}
-							widest = max(widest, len(node.Entries))
-							// Sums first: with the cache on, the first term set
-							// takes the miss branch, every later one the hit.
-							gotMax, gotMin, err := tree.ReadInvSums(node, maxTerms, minTerms, &scratch)
-							if err != nil {
-								t.Fatal(err)
-							}
-							inv, err := tree.ReadInvFile(node)
-							if err != nil {
-								t.Fatal(err)
-							}
-							wantMax := MaxTextSums(tree.Model(), inv, len(node.Entries), maxTerms)
-							wantMin := MinTextSums(tree.Model(), inv, len(node.Entries), minTerms)
-							for i, e := range node.Entries {
-								if math.Float64bits(gotMax[i]) != math.Float64bits(wantMax[i]) {
-									t.Fatalf("%v/%v cache %d node %d entry %d: maxSum %v != %v (terms %v)",
-										kind, measure, cacheBytes, id, i, gotMax[i], wantMax[i], maxTerms)
-								}
-								if math.Float64bits(gotMin[i]) != math.Float64bits(wantMin[i]) {
-									t.Fatalf("%v/%v cache %d node %d entry %d: minSum %v != %v (terms %v)",
-										kind, measure, cacheBytes, id, i, gotMin[i], wantMin[i], minTerms)
-								}
-								if !node.Leaf {
-									continue
-								}
-								doc := ds.Objects[e.Child].Doc
-								m := tree.Model() // an IR-tree stores no minima
-								if gotMax[i] != m.Sum(doc, maxTerms) || (kind == MIRTree && gotMin[i] != m.Sum(doc, minTerms)) {
-									t.Fatalf("%v/%v node %d entry %d: leaf sums (%v, %v), the object's Model.Sum (%v, %v)",
-										kind, measure, id, i, gotMax[i], gotMin[i], m.Sum(doc, maxTerms), m.Sum(doc, minTerms))
-								}
-							}
-							buf, err := tree.readInvBytes(node.InvID)
-							if err != nil {
-								t.Fatal(err)
-							}
-							maxStart, minStart := tree.Model().Floor(maxTerms), tree.Model().Floor(minTerms)
-							sMax, sMin, err := invfile.DecodeSumsInto(buf, len(node.Entries), maxTerms, minTerms, maxStart, minStart, &streamed)
-							if err != nil {
-								t.Fatal(err)
-							}
-							dir, err := invfile.OpenDir(buf)
-							if err != nil {
-								t.Fatal(err)
-							}
-							dMax, dMin, err := dir.SumsInto(len(node.Entries), maxTerms, minTerms, maxStart, minStart, &indexed)
-							if err != nil {
-								t.Fatal(err)
-							}
-							for i := range node.Entries {
-								if math.Float64bits(sMax[i]) != math.Float64bits(dMax[i]) || math.Float64bits(sMin[i]) != math.Float64bits(dMin[i]) {
-									t.Fatalf("%v/%v fanout %d node %d entry %d: streamed sums (%v, %v) != the Dir's (%v, %v)",
-										kind, measure, cfg.Fanout, id, i, sMax[i], sMin[i], dMax[i], dMin[i])
-								}
-							}
-							if !node.Leaf {
-								for _, e := range node.Entries {
-									walk(e.Child)
-								}
-							}
-						}
-						walk(tree.RootID())
-					}
-				}
-				if cfg.Fanout == 300 && widest <= 256 {
-					t.Fatalf("widest node has %d entries at fanout 300; the test needs more than 256", widest)
-				}
-			}
-		}
-	}
 }
 
 // TestRestoreRejectsSmallFanout: the tree metadata is an unchecksummed

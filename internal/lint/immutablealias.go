@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // AnalyzerImmutableAlias enforces the PR 5 aliasing contract: values
@@ -22,7 +23,8 @@ import (
 // passed to those sinks (following plain copies, re-slicings, and type
 // assertions within the function) and flags element writes, copy-into,
 // append (which may write the shared backing array) and in-place sorts of
-// tainted values.
+// tainted values. A field chain rooted at a local variable (b.inv) is
+// tracked as a variable is.
 var AnalyzerImmutableAlias = &Analyzer{
 	Name: "immutablealias",
 	Doc:  "flags writes through shared values returned by ReadRecord, ReadRecordAt and DecodedCache.Get, and through buffers handed to WriteRecord",
@@ -73,25 +75,33 @@ func runImmutableAlias(pass *Pass) {
 // tainted values. Statements are visited in source order; taint is a
 // simple forward set over local objects.
 func checkAliasScope(pass *Pass, body *ast.BlockStmt) {
-	tainted := map[types.Object]bool{}
+	tainted := map[aliasKey]bool{}
 	info := pass.Info
 
-	objOf := func(e ast.Expr) types.Object {
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-			if o := info.Uses[id]; o != nil {
-				return o
+	// keyOf names the variable, or the field chain rooted at a local
+	// variable, that e denotes.
+	var keyOf func(e ast.Expr) (aliasKey, bool)
+	keyOf = func(e ast.Expr) (aliasKey, bool) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			o := info.ObjectOf(e)
+			return aliasKey{root: o}, o != nil
+		case *ast.SelectorExpr:
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				k, ok := keyOf(e.X)
+				v, local := k.root.(*types.Var)
+				return aliasKey{k.root, k.path + "." + e.Sel.Name}, ok && (k.path != "" || local && v.Parent() != v.Pkg().Scope())
 			}
-			return info.Defs[id]
 		}
-		return nil
+		return aliasKey{}, false
 	}
 	// taintedExpr reports whether e denotes (or re-slices) a tainted value.
 	var taintedExpr func(e ast.Expr) bool
 	taintedExpr = func(e ast.Expr) bool {
 		switch e := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			o := objOf(e)
-			return o != nil && tainted[o]
+		case *ast.Ident, *ast.SelectorExpr:
+			k, ok := keyOf(e)
+			return ok && tainted[k]
 		case *ast.SliceExpr:
 			return taintedExpr(e.X)
 		case *ast.IndexExpr:
@@ -122,7 +132,7 @@ func checkAliasScope(pass *Pass, body *ast.BlockStmt) {
 				ast.Inspect(e, visit)
 			}
 			for i, lhs := range n.Lhs {
-				obj := objOf(lhs)
+				key, ok := keyOf(lhs)
 				var rhs ast.Expr
 				if len(n.Rhs) == len(n.Lhs) {
 					rhs = n.Rhs[i]
@@ -144,7 +154,7 @@ func checkAliasScope(pass *Pass, body *ast.BlockStmt) {
 						pass.Report(n.Pos(), "field write through shared value %s: shared cache values are immutable; copy before modifying", exprString(l.X))
 					}
 				}
-				if obj == nil || rhs == nil {
+				if !ok || rhs == nil {
 					continue
 				}
 				newTaint := false
@@ -164,23 +174,34 @@ func checkAliasScope(pass *Pass, body *ast.BlockStmt) {
 					}
 				}
 				if newTaint {
-					tainted[obj] = true
+					tainted[key] = true
 				} else if n.Tok.String() == ":=" || len(n.Rhs) == len(n.Lhs) {
-					delete(tainted, obj) // overwritten with a fresh value
+					for t := range tainted { // overwritten with a fresh value, and so every chain through it
+						if t.root == key.root && strings.HasPrefix(t.path+".", key.path+".") {
+							delete(tainted, t)
+						}
+					}
 				}
 			}
 			return false
 		case *ast.CallExpr:
 			checkAliasCall(pass, n, taintedExpr)
 			if arg, ok := handoverArg(info, n); ok {
-				if o := objOf(arg); o != nil {
-					tainted[o] = true // the store's record from here on
+				if k, ok := keyOf(arg); ok {
+					tainted[k] = true // the store's record from here on
 				}
 			}
 		}
 		return true
 	}
 	ast.Inspect(body, visit)
+}
+
+// aliasKey is what taint attaches to: a variable, or with a path (".inv")
+// the field chain rooted at it.
+type aliasKey struct {
+	root types.Object
+	path string
 }
 
 // handoverArg returns the buffer call hands over to a sink, if it calls

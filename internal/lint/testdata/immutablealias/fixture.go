@@ -162,3 +162,18 @@ func freshBufferAfterHandover(p *storage.Pager) { // negative
 	buf[0] = 2
 	p.WriteRecord(buf)
 }
+
+// built holds a composed record, as irtree's Build and mutations do.
+type built struct{ inv []byte }
+
+func writeAfterFieldHandover(p *storage.Pager, b *built) storage.PageID {
+	id := p.WriteRecord(b.inv)
+	b.inv[0] = 0 // want "write through shared value b.inv"
+	return id
+}
+
+func freshFieldAfterHandover(p *storage.Pager, b *built) { // negative
+	p.WriteRecord(b.inv)
+	b.inv = make([]byte, 1)
+	b.inv[0] = 1
+}

@@ -208,3 +208,36 @@ func TestIOCounter(t *testing.T) {
 		t.Errorf("after reset total = %d", c.Total())
 	}
 }
+
+// TestEpochPinsFloor: a reader may pin the floor's epoch but none below
+// it, whose retired pages the writer may already be reusing, and the
+// floor never passes the oldest live pin.
+func TestEpochPinsFloor(t *testing.T) {
+	p := NewEpochPins()
+	if !p.TryPin(2) {
+		t.Fatal("TryPin(2) refused at floor 0")
+	}
+	if got := p.AdvanceFloor(5); got != 2 {
+		t.Fatalf("AdvanceFloor(5) with epoch 2 pinned = %d, want 2", got)
+	}
+	if p.TryPin(1) {
+		t.Fatal("TryPin(floor−1) admitted an epoch below the floor")
+	}
+	if !p.TryPin(2) {
+		t.Fatal("TryPin(floor) refused")
+	}
+	p.Unpin(2)
+	if got := p.AdvanceFloor(5); got != 2 {
+		t.Fatalf("AdvanceFloor(5) with epoch 2 still pinned once = %d, want 2", got)
+	}
+	p.Unpin(2)
+	if got := p.AdvanceFloor(5); got != 5 || p.Floor() != 5 {
+		t.Fatalf("AdvanceFloor(5) with no pins = %d (Floor %d), want 5", got, p.Floor())
+	}
+	if got := p.AdvanceFloor(3); got != 5 {
+		t.Fatalf("AdvanceFloor(3) lowered the floor to %d", got)
+	}
+	if p.TryPin(4) || !p.TryPin(5) {
+		t.Fatal("at floor 5, TryPin(4) must fail and TryPin(5) succeed")
+	}
+}

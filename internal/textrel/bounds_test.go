@@ -82,10 +82,11 @@ func TestTopWeightedCandidates(t *testing.T) {
 	w := NewCandidateSet([]vocab.TermID{a, b, c})
 	var empty vocab.Doc
 
-	// idf(c)=ln3 > idf(a)=idf(b)=ln1.5; top-2 must start with c.
+	// idf(c)=ln3 > idf(a)=idf(b)=ln1.5: top-2 is c, then a of the tied a
+	// and b, the lower term.
 	got := s.TopWeightedCandidates(empty, ud, w, 2, 0, false)
-	if len(got) != 2 || got[0] != c {
-		t.Fatalf("top-2 = %v, want [c, …]", got)
+	if len(got) != 2 || got[0] != c || got[1] != a {
+		t.Fatalf("top-2 = %v, want [c a]", got)
 	}
 
 	// forced include takes a slot and leads

@@ -464,6 +464,22 @@ func TestFacadeNoPanic(t *testing.T) {
 			t.Errorf("%s: Build rejected valid options: %v", name, err)
 		}
 	}
+	// An explicit alpha of 0 survives Save and Load: a loaded index that
+	// fell back to the default alpha would rank by distance too.
+	zero := NewBuilder()
+	zero.AddObject(1, 1, "x")
+	zero.AddObject(9, 9, "x", "y")
+	built, err := zero.Build(Options{ExplicitAlpha: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := built.TopK(1, 1, []string{"y"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reloaded(t, built).TopK(1, 1, []string{"y"}, 2); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("alpha 0 explicit: loaded index answers %v (%v), built %v", got, err, want)
+	}
 
 	// Bad request parameters error rather than panic too.
 	b := NewBuilder()

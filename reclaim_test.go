@@ -154,6 +154,17 @@ func TestReclaimWaitsForSessionPins(t *testing.T) {
 			if st := idx.IngestStats(); st.RetiredRecords != 0 || st.RetiredPages != 0 {
 				t.Errorf("retired counters %d records / %d pages after session close + publish, want 0/0", st.RetiredRecords, st.RetiredPages)
 			}
+			// The session's second Phase1 cached records the deletes had
+			// retired, and the publish above freed their pages. Each delete
+			// below writes new records at those addresses, and the query
+			// after it reads them: a decoded node or directory the
+			// reclamation left cached would answer for them.
+			for i := 10; i < 14; i++ {
+				if err := idx.DeleteObject(i); err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstOracle(t, idx, reclaimRequest)
+			}
 		})
 	}
 }

@@ -29,8 +29,10 @@ const (
 	// Exact runs Algorithm 3 with the exact keyword selection of
 	// Algorithm 4 (the default).
 	Exact Strategy = iota
-	// Approx runs Algorithm 3 with the (1−1/e) greedy maximum-coverage
-	// keyword selection — typically orders of magnitude faster.
+	// Approx runs Algorithm 3 with the greedy maximum-coverage keyword
+	// selection — typically orders of magnitude faster. Its answer wins
+	// at most as many users as Exact's, and may win none where Exact
+	// wins some.
 	Approx
 	// Exhaustive is the Section 4 baseline: every 〈location, combination〉
 	// tuple is evaluated. Exponential in MaxKeywords; for testing only.
